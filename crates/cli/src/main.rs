@@ -26,9 +26,9 @@
 //! the outcome histogram printed. `--mem-budget` caps the dense
 //! statevector allocation (`16 * 2^n` bytes) with a clean error instead
 //! of an OOM. `--shot-threads N` sizes the worker pool for the
-//! per-shot replay paths (`0` = auto from the host's available
-//! parallelism, `1` = serial; histograms are bit-for-bit identical at
-//! every value — see `docs/performance.md`).
+//! grouped and per-shot replay paths (`0` = auto from the host's
+//! available parallelism, `1` = serial; histograms are bit-for-bit
+//! identical at every value — see `docs/performance.md`).
 //! `--backend {auto,statevector,tableau}` selects the
 //! simulation engine (default `auto`: the resource estimator routes
 //! Clifford-only noise-free programs onto the stabilizer tableau, which
@@ -74,7 +74,7 @@
 //! counts), and `--stats-json PATH` writes the full machine-readable
 //! snapshot to `PATH` (`-` for stdout).
 
-use qutes_core::{run_source, QutesError, RunConfig};
+use qutes_core::{run_source, QutesError, RunConfig, RunOutcome};
 use qutes_frontend::{parse, print_program};
 use qutes_qasm::{to_qasm2, to_qasm3};
 use qutes_sim::NoiseModel;
@@ -405,6 +405,23 @@ fn report_inequivalent(v: &qutes_analysis::OptimizationVerification) {
     );
 }
 
+/// Parses `source` once under the run's interrupt, resolves `--backend
+/// auto` from that AST into `cfg.backend` (the estimator's static gate
+/// composition, see docs/backends.md), and runs the program. The
+/// resolved engine then shows up in `[stats]`, the obs snapshot and
+/// refusal messages even when the run is refused pre-flight. Everything
+/// runs inside the containment boundary: a panic anywhere below
+/// surfaces as a typed internal error naming the stage, never an abort.
+fn run_resolved(source: &str, cfg: &mut RunConfig) -> Result<RunOutcome, QutesError> {
+    let intr = cfg.effective_interrupt();
+    qutes_supervisor::contain(|| {
+        let program = qutes_core::parse_checked(source, cfg, &intr)?;
+        cfg.backend = qutes::resolve_backend_for(&program, cfg);
+        qutes_core::run_program_with(&program, cfg, &intr)
+    })
+    .unwrap_or_else(|p| Err(QutesError::from(p)))
+}
+
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))
 }
@@ -495,16 +512,7 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
-            // Resolve `--backend auto` from the estimator's static gate
-            // composition before execution, so the resolved engine shows
-            // up in `[stats]` and the obs snapshot even when the run is
-            // refused pre-flight (see docs/backends.md).
-            cfg.backend = qutes::resolve_backend(&source, &cfg);
-            // Containment boundary: a panic anywhere below surfaces as a
-            // typed internal error naming the stage, never an abort.
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            match result {
+            match run_resolved(&source, &mut cfg) {
                 Ok(out) => {
                     for line in &out.output {
                         println!("{line}");
@@ -652,10 +660,7 @@ fn main() -> ExitCode {
             // Resolve the engine exactly like `run` would: wide Clifford
             // programs (e.g. examples/programs/ghz_100.qut) only execute
             // on the tableau.
-            cfg.backend = qutes::resolve_backend(&source, &cfg);
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            let out = match result {
+            let out = match run_resolved(&source, &mut cfg) {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("{}", e.render(&source));

@@ -102,8 +102,8 @@ pub struct RunConfig {
     /// `qutes` facade resolves `Auto` to a concrete engine from the
     /// static gate composition before calling in (see `docs/backends.md`).
     pub backend: qutes_qcirc::BackendChoice,
-    /// Worker threads for the per-shot replay paths (`0` = auto-size
-    /// from [`std::thread::available_parallelism`], `1` = serial).
+    /// Worker threads for the grouped and per-shot replay paths (`0` =
+    /// auto-size from [`std::thread::available_parallelism`], `1` = serial).
     /// Histograms are bit-for-bit identical at every value because each
     /// shot draws from its own counter-derived RNG stream; batched
     /// (noise-free, measure-at-end) replays ignore this knob.
@@ -187,7 +187,16 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         qutes_obs::set_enabled(true);
     }
     let intr = config.effective_interrupt();
-    let program = match parse_with_interrupt(source, &intr) {
+    let program = parse_checked(source, config, &intr)?;
+    run_supervised(&program, config, &intr)
+}
+
+/// The front half of [`run_source`]: parses `source` under `intr` and,
+/// unless [`RunConfig::skip_typecheck`] is set, type-checks it. With
+/// [`run_program_with`] it lets a caller inspect the AST between
+/// parsing and running, with one parse and one deadline for the run.
+pub fn parse_checked(source: &str, config: &RunConfig, intr: &Interrupt) -> QutesResult<Program> {
+    let program = match parse_with_interrupt(source, intr) {
         Ok(p) => p,
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
@@ -200,13 +209,23 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
             return Err(QutesError::Compile(diags));
         }
     }
-    run_supervised(&program, config, &intr)
+    Ok(program)
 }
 
 /// Runs an already-parsed program.
 pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
-    let intr = config.effective_interrupt();
-    run_supervised(program, config, &intr)
+    run_program_with(program, config, &config.effective_interrupt())
+}
+
+/// [`run_program`] under an interrupt handle the caller already took
+/// from [`RunConfig::effective_interrupt`], so a deadline armed before
+/// parsing keeps bounding the run instead of restarting.
+pub fn run_program_with(
+    program: &Program,
+    config: &RunConfig,
+    intr: &Interrupt,
+) -> QutesResult<RunOutcome> {
+    run_supervised(program, config, intr)
 }
 
 /// One run with retry-once degradation: a transient failure (resource

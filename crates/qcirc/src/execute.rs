@@ -11,8 +11,11 @@
 //!   everything else on the dense statevector. On either engine, when
 //!   all measurements are terminal and unconditioned, the state is
 //!   simulated once and sampled `shots` times (the standard Aer
-//!   batched-sampling fast path); otherwise each shot re-runs the full
-//!   circuit.
+//!   batched-sampling fast path). Otherwise a noise-free circuit takes
+//!   the outcome-grouped replay (see `docs/backends.md`), which
+//!   simulates each mid-circuit measurement branch once for all the
+//!   shots that drew it, and a noisy circuit re-runs the full circuit
+//!   per shot.
 //!
 //! ```
 //! use qutes_qcirc::execute::statevector;
@@ -48,6 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
+mod grouped;
 pub mod shot_pool;
 
 /// Gate applications between cooperative deadline checks in the
@@ -98,7 +102,7 @@ pub struct ExecutionConfig {
     /// to the dense statevector; forcing an unsound backend is a typed
     /// [`CircError::BackendUnsupported`].
     pub backend: BackendChoice,
-    /// Worker threads for the per-shot replay paths (see
+    /// Worker threads for the grouped and per-shot replay paths (see
     /// [`mod@shot_pool`]): `0` (the default) sizes the pool from
     /// [`std::thread::available_parallelism`], `1` forces the serial
     /// path. Histograms are bit-for-bit identical at any value — every
@@ -275,6 +279,7 @@ impl ExecutionConfig {
 }
 
 /// Per-shot countdown of gate applications.
+#[derive(Clone)]
 struct GateBudget {
     remaining: Option<u64>,
     limit: u64,
@@ -571,6 +576,30 @@ fn apply_gate_tableau_full<R: Rng + ?Sized>(
     budget.charge()?;
     qutes_obs::counter_add(g.counter_name(), 1);
     match g {
+        Gate::Measure { qubit, clbit } => {
+            check_clbit(clbits, *clbit)?;
+            clbits[*clbit] = tab.measure(*qubit, rng)?;
+        }
+        Gate::Reset(q) => {
+            tab.reset(*q, rng)?;
+        }
+        Gate::Conditional { clbit, value, gate } => {
+            check_clbit(clbits, *clbit)?;
+            if clbits[*clbit] == *value {
+                apply_gate_tableau_full(tab, clbits, gate, rng, budget)?;
+            }
+        }
+        _ => apply_tableau_deterministic(tab, g)?,
+    }
+    Ok(())
+}
+
+/// The tableau analogue of [`apply_deterministic`]: applies a Clifford
+/// gate, barrier or global phase. Other non-Clifford gates are a typed
+/// [`CircError::BackendUnsupported`]; branching instructions are
+/// [`CircError::NonUnitary`].
+fn apply_tableau_deterministic(tab: &mut Tableau, g: &Gate) -> CircResult<()> {
+    match g {
         Gate::H(q) => tab.h(*q)?,
         Gate::X(q) => tab.x(*q)?,
         Gate::Y(q) => tab.y(*q)?,
@@ -581,21 +610,11 @@ fn apply_gate_tableau_full<R: Rng + ?Sized>(
         Gate::CY { control, target } => tab.cy(*control, *target)?,
         Gate::CZ { control, target } => tab.cz(*control, *target)?,
         Gate::Swap { a, b } => tab.swap(*a, *b)?,
-        Gate::Measure { qubit, clbit } => {
-            check_clbit(clbits, *clbit)?;
-            clbits[*clbit] = tab.measure(*qubit, rng)?;
-        }
-        Gate::Reset(q) => {
-            tab.reset(*q, rng)?;
-        }
         // Stabilizer states are defined up to global phase, so these are
         // exact no-ops rather than approximations.
         Gate::Barrier(_) | Gate::GlobalPhase(_) => {}
-        Gate::Conditional { clbit, value, gate } => {
-            check_clbit(clbits, *clbit)?;
-            if clbits[*clbit] == *value {
-                apply_gate_tableau_full(tab, clbits, gate, rng, budget)?;
-            }
+        Gate::Measure { .. } | Gate::Reset(_) | Gate::Conditional { .. } => {
+            return Err(CircError::NonUnitary(g.name()));
         }
         other => {
             return Err(CircError::BackendUnsupported {
@@ -607,36 +626,11 @@ fn apply_gate_tableau_full<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Runs the circuit once on a fresh tableau, returning the final
-/// classical bits. The tableau analogue of [`run_once`]'s inner loop,
-/// with the same interrupt-checkpoint stride.
-fn run_once_tableau<R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    rng: &mut R,
-    mut budget: GateBudget,
-    intr: &Interrupt,
-) -> CircResult<Vec<bool>> {
-    let mut tab = Tableau::new(circuit.num_qubits())?;
-    tab.set_interrupt(intr.clone());
-    let mut clbits = vec![false; circuit.num_clbits()];
-    let mut gate_ck = 0u64;
-    for g in circuit.ops() {
-        intr.checkpoint_named(
-            &mut gate_ck,
-            GATE_CHECK_STRIDE,
-            "stage.simulate.checkpoints",
-        )
-        .map_err(CircError::Interrupted)?;
-        apply_gate_tableau_full(&mut tab, &mut clbits, g, rng, &mut budget)?;
-    }
-    Ok(clbits)
-}
-
 /// Shot execution on the stabilizer tableau. Mirrors
-/// [`run_shots_full`]'s two paths: terminal measurements batch into
-/// clone-and-measure sampling of one final tableau; mid-circuit
-/// measurement/reset/conditionals re-run the circuit per shot with the
-/// same degradation semantics ([`ShotsOutcome::degraded`]).
+/// [`run_shots_full`]'s noise-free paths: terminal measurements batch
+/// into ranked sampling of one final tableau; mid-circuit
+/// measurement/reset/conditionals take the outcome-grouped replay with
+/// the same degradation semantics ([`ShotsOutcome::degraded`]).
 fn run_shots_tableau<R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     shots: usize,
@@ -684,34 +678,7 @@ fn run_shots_tableau<R: Rng + ?Sized>(
             *map.entry(key).or_insert(0) += count;
         }
     } else {
-        qutes_obs::counter_add("sim.slow_path", 1);
-        qutes_obs::counter_add("backend.mode.per_shot", 1);
-        // Counter-derived child streams (see `qutes_sim::rng_stream`):
-        // one base draw from the caller's stream, then a private RNG
-        // per shot index — the same derivation serial or pooled, so
-        // histograms are thread-count invariant.
-        let base_seed = rng.next_u64();
-        let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
-        let denied_bytes = Tableau::required_bytes(circuit.num_qubits());
-        let run_shot = |s: usize| -> CircResult<usize> {
-            intr.check().map_err(CircError::Interrupted)?;
-            if intr.is_armed() {
-                qutes_obs::counter_add("stage.shots.checkpoints", 1);
-            }
-            failpoint("qcirc.execute.shot").map_err(|_| {
-                CircError::Sim(qutes_sim::SimError::AllocationFailed {
-                    bytes: denied_bytes,
-                })
-            })?;
-            let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
-            let clbits = run_once_tableau(circuit, &mut shot_rng, cfg.budget(), intr)?;
-            Ok(clbits
-                .iter()
-                .enumerate()
-                .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i)))
-        };
-        let pool = shot_pool::run_pool(shots, workers, denied_bytes, run_shot)?;
-        return pool_outcome(pool, circuit.num_clbits(), shots, allow_partial);
+        return run_shots_grouped::<Tableau, R>(circuit, shots, rng, cfg, intr, allow_partial);
     }
     Ok(ShotsOutcome {
         counts: Counts {
@@ -723,6 +690,41 @@ fn run_shots_tableau<R: Rng + ?Sized>(
         degraded: false,
         stop: None,
     })
+}
+
+/// Outcome-grouped replay (see [`mod@grouped`]) on engine `S`: the
+/// noise-free path for circuits whose measurements are not all
+/// terminal. Histograms are bit-identical to re-running every shot on
+/// its own stream.
+fn run_shots_grouped<S: grouped::Branching, R: Rng + ?Sized>(
+    circuit: &QuantumCircuit,
+    shots: usize,
+    rng: &mut R,
+    cfg: &ExecutionConfig,
+    intr: &Interrupt,
+    allow_partial: bool,
+) -> CircResult<ShotsOutcome> {
+    qutes_obs::counter_add("sim.slow_path", 1);
+    qutes_obs::counter_add("backend.mode.grouped", 1);
+    // Counter-derived child streams (see `qutes_sim::rng_stream`): one
+    // base draw from the caller's stream, then a private RNG per shot
+    // index, exactly as the per-shot runner derives them.
+    let base_seed = rng.next_u64();
+    let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
+    let replay = grouped::Replay {
+        circuit,
+        base_seed,
+        cfg,
+        intr,
+        // With several workers live, shot-level parallelism owns the
+        // cores: nested kernel threading would only oversubscribe.
+        kernel_parallel: workers == 1,
+    };
+    let denied_bytes = grouped::denied_bytes::<S>(circuit.num_qubits());
+    let pool = shot_pool::run_pool_chunked(shots, workers, denied_bytes, |lo, hi, abort| {
+        replay.run_chunk::<S>(lo, hi, abort)
+    })?;
+    pool_outcome(pool, circuit.num_clbits(), shots, allow_partial)
 }
 
 /// Translates a merged pool result into the shot-outcome contract
@@ -776,11 +778,16 @@ pub struct Shot {
 impl Shot {
     /// Classical bits packed into an integer, clbit `k` = bit `k`.
     pub fn clbits_as_usize(&self) -> usize {
-        self.clbits
-            .iter()
-            .enumerate()
-            .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i))
+        pack_clbits(&self.clbits)
     }
+}
+
+/// Packs classical bits into a histogram key, clbit `k` = bit `k`.
+fn pack_clbits(clbits: &[bool]) -> usize {
+    clbits
+        .iter()
+        .enumerate()
+        .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i))
 }
 
 /// Runs the circuit once, collapsing at each measurement.
@@ -1049,10 +1056,13 @@ fn run_shots_full<R: Rng + ?Sized>(
             }
             *map.entry(key).or_insert(0) += count;
         }
+    } else if noise.is_none() {
+        return run_shots_grouped::<StateVector, R>(circuit, shots, rng, cfg, intr, allow_partial);
     } else {
+        // Noise faults draw at every gate, so each shot re-runs alone.
         qutes_obs::counter_add("sim.slow_path", 1);
         qutes_obs::counter_add("backend.mode.per_shot", 1);
-        // Same per-shot stream derivation as the tableau path; see
+        // Same per-shot stream derivation as the grouped path; see
         // `qutes_sim::rng_stream`.
         let base_seed = rng.next_u64();
         let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);

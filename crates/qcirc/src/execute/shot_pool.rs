@@ -1,16 +1,18 @@
 //! Scoped worker pool fanning independent Monte-Carlo shots across
 //! threads.
 //!
-//! The per-shot replay paths in [`mod@crate::execute`] (noisy
-//! statevector trajectories, mid-circuit-measurement re-runs on either
-//! engine) are embarrassingly parallel: every shot is a pure function
-//! of `(circuit, base_seed, shot_index)` because each shot draws from
-//! its own counter-derived RNG stream
+//! The replay paths in [`mod@crate::execute`] that do not batch
+//! (noisy statevector trajectories, and the outcome-grouped replay of
+//! mid-circuit measurement on either engine) are embarrassingly
+//! parallel: every shot is a pure function of
+//! `(circuit, base_seed, shot_index)` because each shot draws from its
+//! own counter-derived RNG stream
 //! ([`qutes_sim::rng_stream::shot_rng`]). The pool exploits exactly
 //! that: shots are split into one contiguous chunk per worker (static
 //! split, no work stealing — recorded as `shots.parallel.steal_none`),
-//! each worker folds its chunk into a private histogram, and the
-//! per-worker maps merge at join. Addition is commutative, so the
+//! each worker folds its chunk into a private histogram — shot by shot
+//! (`run_pool`) or through a whole-chunk runner (`run_pool_chunked`) —
+//! and the per-worker maps merge at join. Addition is commutative, so the
 //! merged histogram is **bit-for-bit identical at any thread count**,
 //! including the serial (1-worker) path, which runs inline on the
 //! calling thread with the very same per-shot derivation.
@@ -18,14 +20,13 @@
 //! Supervision is threaded through, not around, the pool:
 //!
 //! * every worker observes the shared [`qutes_supervisor::Interrupt`]'s
-//!   armed flag via
-//!   the per-shot check inside the shot closure, so a deadline or
-//!   cancellation stops all chunks promptly;
+//!   armed flag via the check before each shot (or each grouped
+//!   branch), so a deadline or cancellation stops all chunks promptly;
 //! * a mid-run stop yields a well-defined partial result:
 //!   `completed` is the exact number of shots that finished across all
 //!   chunks and the histogram contains precisely those shots;
-//! * gate budgets stay per-shot (each closure invocation builds its
-//!   own), so parallelism cannot change budget semantics;
+//! * gate budgets stay per-shot (every shot's path is metered from a
+//!   fresh budget), so parallelism cannot change budget semantics;
 //! * a panicking worker is confined: siblings run their chunks to
 //!   completion, per-worker obs buffers still flush, and the payload is
 //!   re-raised on the calling thread only after the join — where the
@@ -78,13 +79,17 @@ pub(crate) struct PoolOutcome {
 }
 
 /// What one worker brings back from its chunk.
-struct ChunkResult {
-    map: HashMap<usize, usize>,
-    completed: usize,
+#[derive(Default)]
+pub(crate) struct ChunkResult {
+    /// Histogram over the chunk's completed shots.
+    pub map: HashMap<usize, usize>,
+    /// Shots of the chunk that finished; equals `map`'s total weight.
+    pub completed: usize,
     /// Hard (non-interrupt) error, tagged with its shot index so the
     /// merge can report the earliest-failing shot like the serial loop.
-    error: Option<(usize, CircError)>,
-    stop: Option<StopReason>,
+    pub error: Option<(usize, CircError)>,
+    /// Why the chunk stopped early on an interrupt, if it did.
+    pub stop: Option<StopReason>,
 }
 
 /// Runs `[lo, hi)` through `run_shot`, folding outcome keys into a
@@ -95,12 +100,7 @@ fn run_chunk<F>(lo: usize, hi: usize, run_shot: &F, abort: &AtomicBool) -> Chunk
 where
     F: Fn(usize) -> CircResult<usize>,
 {
-    let mut out = ChunkResult {
-        map: HashMap::new(),
-        completed: 0,
-        error: None,
-        stop: None,
-    };
+    let mut out = ChunkResult::default();
     for s in lo..hi {
         if abort.load(Ordering::Relaxed) {
             break;
@@ -147,22 +147,40 @@ pub(crate) fn run_pool<F>(
 where
     F: Fn(usize) -> CircResult<usize> + Sync,
 {
+    run_pool_chunked(shots, workers, denied_bytes, |lo, hi, abort| {
+        run_chunk(lo, hi, &run_shot, abort)
+    })
+}
+
+/// [`run_pool`] over a whole-chunk runner: `run_chunk(lo, hi, abort)`
+/// executes shots `[lo, hi)` in any internal order (the grouped replay
+/// walks them together) and must honour the same contract as the
+/// per-shot loop — every shot a pure function of its index, `completed`
+/// equal to the histogram weight, the earliest failing shot's error,
+/// and an early exit once `abort` is set by a failing sibling.
+pub(crate) fn run_pool_chunked<F>(
+    shots: usize,
+    workers: usize,
+    denied_bytes: usize,
+    run_chunk: F,
+) -> CircResult<PoolOutcome>
+where
+    F: Fn(usize, usize, &AtomicBool) -> ChunkResult + Sync,
+{
     let abort = AtomicBool::new(false);
     let worker_body = |lo: usize, hi: usize| -> ChunkResult {
         if failpoint("qcirc.execute.shot_pool").is_err() {
             return ChunkResult {
-                map: HashMap::new(),
-                completed: 0,
                 error: Some((
                     lo,
                     CircError::Sim(qutes_sim::SimError::AllocationFailed {
                         bytes: denied_bytes,
                     }),
                 )),
-                stop: None,
+                ..ChunkResult::default()
             };
         }
-        run_chunk(lo, hi, &run_shot, &abort)
+        run_chunk(lo, hi, &abort)
     };
 
     let results: Vec<Result<ChunkResult, Box<dyn std::any::Any + Send>>> = if workers <= 1 {

@@ -428,6 +428,31 @@ impl Tableau {
     /// `±Z_qubit` with a fair random sign takes its place. Deterministic
     /// case: the outcome phase is accumulated on the scratch row.
     pub fn measure<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> SimResult<bool> {
+        self.measure_with(qubit, || rng.random_bool(0.5))
+    }
+
+    /// The outcome of measuring `qubit` when the stabilizer group
+    /// determines it, or `None` when it is a fair coin. The state is
+    /// unchanged. Together with [`Self::measure_forced`] this splits
+    /// [`Self::measure`] into "draw the outcome" and "collapse to it",
+    /// so a caller can draw for many shots and collapse once per
+    /// distinct outcome.
+    pub fn determined_outcome(&mut self, qubit: usize) -> SimResult<Option<bool>> {
+        self.check_qubit(qubit)?;
+        Ok(self.deterministic_outcome(qubit))
+    }
+
+    /// [`Self::measure`] with the fair coin forced to `outcome`: the
+    /// resulting tableau is bit-identical to a [`Self::measure`] whose
+    /// RNG drew `outcome`. A determined outcome ignores `outcome`, leaves
+    /// the state untouched and is returned as is.
+    pub fn measure_forced(&mut self, qubit: usize, outcome: bool) -> SimResult<bool> {
+        self.measure_with(qubit, || outcome)
+    }
+
+    /// Shared body of [`Self::measure`] and [`Self::measure_forced`]:
+    /// `coin` is called only when the outcome is random.
+    fn measure_with(&mut self, qubit: usize, coin: impl FnOnce() -> bool) -> SimResult<bool> {
         self.check_qubit(qubit)?;
         if let Some(p) = self.anticommuting_stabilizer(qubit) {
             for row in 0..2 * self.n {
@@ -438,7 +463,7 @@ impl Tableau {
             self.row_copy(p - self.n, p);
             self.row_clear(p);
             self.set_z(p, qubit, true);
-            let outcome = rng.random_bool(0.5);
+            let outcome = coin();
             self.r[p] = u8::from(outcome);
             Ok(outcome)
         } else {
@@ -464,8 +489,7 @@ impl Tableau {
     /// ever yield 0, ½, or 1, and the value is exact. Non-mutating in
     /// effect (the scratch row is working storage).
     pub fn probability_one(&mut self, qubit: usize) -> SimResult<f64> {
-        self.check_qubit(qubit)?;
-        Ok(match self.deterministic_outcome(qubit) {
+        Ok(match self.determined_outcome(qubit)? {
             None => 0.5,
             Some(true) => 1.0,
             Some(false) => 0.0,
@@ -764,6 +788,27 @@ mod tests {
         let first = t.measure(0, &mut r).unwrap();
         for _ in 0..8 {
             assert_eq!(t.measure(0, &mut r).unwrap(), first);
+        }
+    }
+
+    #[test]
+    fn forced_measurement_matches_the_drawn_one() {
+        let mut r = rng();
+        for _ in 0..16 {
+            let mut t = Tableau::new(3).unwrap();
+            t.h(0).unwrap();
+            t.cx(0, 1).unwrap();
+            t.s(1).unwrap();
+            t.h(2).unwrap();
+            t.cz(2, 0).unwrap();
+            let mut forced = t.clone();
+            assert_eq!(t.determined_outcome(0).unwrap(), None);
+            let drawn = t.measure(0, &mut r).unwrap();
+            assert_eq!(forced.measure_forced(0, drawn).unwrap(), drawn);
+            assert_eq!((&t.x, &t.z, &t.r), (&forced.x, &forced.z, &forced.r));
+            // Once determined, the forced coin is ignored.
+            assert_eq!(t.determined_outcome(0).unwrap(), Some(drawn));
+            assert_eq!(forced.measure_forced(0, !drawn).unwrap(), drawn);
         }
     }
 

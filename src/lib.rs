@@ -61,7 +61,8 @@ pub use qutes_supervisor::{Interrupt, StopReason};
 ///   diagnostics, and
 /// * when `config.backend` is [`qcirc::BackendChoice::Auto`] the
 ///   resource estimator's static gate composition resolves it to a
-///   concrete engine before execution ([`resolve_backend`]):
+///   concrete engine before execution ([`resolve_backend_for`], on the
+///   run's one parse of `source`):
 ///   Clifford-only programs run on the stabilizer tableau (hundreds of
 ///   qubits), everything else on the dense statevector — `qutes-core`
 ///   alone has no estimator and treats `Auto` as the statevector, and
@@ -87,29 +88,39 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
 /// [`qcirc::CircError::BackendUnsupported`] rather than being silently
 /// rewritten. A program that fails to parse also passes through: the
 /// runtime will report the parse error itself, with its proper span.
+///
+/// This parses `source`; a caller that holds the AST already uses
+/// [`resolve_backend_for`], as [`run_source`] does.
 pub fn resolve_backend(source: &str, config: &RunConfig) -> qcirc::BackendChoice {
+    if config.backend != qcirc::BackendChoice::Auto {
+        return config.backend;
+    }
+    match parse(source) {
+        Ok(program) => resolve_backend_for(&program, config),
+        Err(_) => qcirc::BackendChoice::Statevector,
+    }
+}
+
+/// [`resolve_backend`] on an already-parsed program.
+pub fn resolve_backend_for(
+    program: &frontend::ast::Program,
+    config: &RunConfig,
+) -> qcirc::BackendChoice {
     if config.backend != qcirc::BackendChoice::Auto {
         return config.backend;
     }
     let _span = obs::span("stage.dispatch");
     let noisy = config.noise.as_ref().is_some_and(|nm| !nm.is_noiseless());
-    let est = match parse(source) {
-        Ok(program) => {
-            let est = analysis::estimate(&program);
-            // Cross-check the two dispatch oracles: the syntactic
-            // Clifford classifier is strictly weaker than the
-            // estimator's trace-based bit, so whenever it certifies a
-            // program the estimator must agree (the converse is not
-            // true: the estimator also certifies programs whose
-            // *executed trace* happens to be Clifford).
-            debug_assert!(
-                !analysis::program_is_clifford(&program) || est.clifford_only,
-                "syntactic Clifford classifier certified a program the estimator rejected"
-            );
-            est
-        }
-        Err(_) => return qcirc::BackendChoice::Statevector,
-    };
+    let est = analysis::estimate(program);
+    // Cross-check the two dispatch oracles: the syntactic Clifford
+    // classifier is strictly weaker than the estimator's trace-based
+    // bit, so whenever it certifies a program the estimator must agree
+    // (the converse is not true: the estimator also certifies programs
+    // whose *executed trace* happens to be Clifford).
+    debug_assert!(
+        !analysis::program_is_clifford(program) || est.clifford_only,
+        "syntactic Clifford classifier certified a program the estimator rejected"
+    );
     if est.clifford_only && !noisy && est.qubits <= sim::TABLEAU_MAX_QUBITS {
         qcirc::BackendChoice::Tableau
     } else {
@@ -134,17 +145,28 @@ fn run_source_inner(source: &str, config: &RunConfig) -> QutesResult<RunOutcome>
             ));
         }
     }
+    if config.observe {
+        obs::set_enabled(true);
+    }
+    // One parse and one interrupt handle for the whole run: the deadline
+    // armed here bounds parsing, dispatch and execution alike.
+    let intr = config.effective_interrupt();
+    let program = {
+        let _stage = qutes_supervisor::enter_stage("facade.parse");
+        qutes_core::parse_checked(source, config, &intr)?
+    };
     let resolved = {
         let _stage = qutes_supervisor::enter_stage("facade.dispatch");
-        resolve_backend(source, config)
+        resolve_backend_for(&program, config)
     };
+    intr.check()?;
     let _stage = qutes_supervisor::enter_stage("facade.run");
     let outcome = if resolved == config.backend {
-        qutes_core::run_source(source, config)
+        qutes_core::run_program_with(&program, config, &intr)
     } else {
         let mut patched = config.clone();
         patched.backend = resolved;
-        qutes_core::run_source(source, &patched)
+        qutes_core::run_program_with(&program, &patched, &intr)
     }?;
     if config.verify {
         let _stage = qutes_supervisor::enter_stage("facade.verify");
