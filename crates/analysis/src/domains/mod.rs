@@ -1,5 +1,4 @@
-//! Abstract domains for translation validation and dispatch
-//! classification.
+//! Abstract domains for translation validation.
 //!
 //! Each domain interprets a gate run *symbolically* — no amplitudes are
 //! ever enumerated except in the bounded [`dense`] fallback — and
@@ -22,9 +21,6 @@
 //!   (anchors included, outcome branches enumerated); the
 //!   alignment-free fallback when no run-by-run decomposition of a
 //!   rewrite exists.
-//! * [`syntactic`] — a sound AST-level Clifford classifier for whole
-//!   Qutes programs, used by the dispatch oracle (a `true` answer
-//!   guarantees only Clifford gates can be emitted).
 //!
 //! The decision table lives in `docs/verification.md`.
 
@@ -32,4 +28,3 @@ pub mod channel;
 pub mod clifford;
 pub mod dense;
 pub mod phase_poly;
-pub mod syntactic;

@@ -40,14 +40,12 @@ mod cfg;
 mod control;
 mod dataflow;
 
-pub use domains::syntactic::program_is_clifford;
 pub use lints::{effective_level, lint_by_id, Lint, LintLevel, REGISTRY};
 pub use report::{AnalysisReport, Finding};
 pub use resources::{estimate, ResourceEstimate};
 pub use verify::{
-    classify_dispatch, install_optimizer_guard, verify_optimization, verify_rewrite,
-    BoundaryReport, DispatchClassification, OptimizationVerification, SegmentVerdict, Verdict,
-    VerifyReport,
+    install_optimizer_guard, verify_optimization, verify_rewrite, BoundaryReport,
+    OptimizationVerification, SegmentVerdict, Verdict, VerifyReport,
 };
 
 use qutes_core::LintOptions;

@@ -47,14 +47,10 @@ pub struct ResourceEstimate {
     pub exact: bool,
     /// True when every gate the program can emit (on any branch the
     /// estimator explored) is Clifford — H/X/Y/Z/S/S†/CX/CY/CZ/Swap,
-    /// measurement, reset. Such programs are exactly simulable on the
-    /// stabilizer-tableau backend at hundreds of qubits; the `qutes`
-    /// facade uses this bit to auto-dispatch (see `docs/backends.md`).
-    /// When estimation gives up early the bit survives only if the
-    /// syntactic Clifford classifier
-    /// ([`crate::domains::syntactic::program_is_clifford`]) proves no
-    /// construct in the program can lower to a non-Clifford gate, so a
-    /// `true` here is a sound promise, never a guess.
+    /// measurement, reset. Forced `false` when estimation gives up
+    /// early, so a `true` here is a sound promise, never a guess. The
+    /// runtime does not consult it: an `Auto` run finds out exactly, by
+    /// promotion (see `docs/backends.md`).
     pub clifford_only: bool,
     /// Why the estimate is inexact (empty when `exact`).
     pub notes: Vec<String>,
@@ -122,15 +118,8 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
     }
     if gave_up {
         est.inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
-        // Unknown gates may follow the stop point, so the trace-based
-        // Clifford bit alone would be unsound. The syntactic classifier
-        // rescues the common case: if *no construct in the whole
-        // program* can lower to a non-Clifford gate, the claim stands
-        // regardless of where estimation stopped (e.g. measurement-
-        // terminated branches or unbounded while loops in an otherwise
-        // Clifford program).
-        est.clifford_only =
-            est.clifford_only && crate::domains::syntactic::program_is_clifford(program);
+        // Unknown gates may follow the stop point.
+        est.clifford_only = false;
     }
     est.finish()
 }
@@ -2087,26 +2076,19 @@ mod tests {
     }
 
     #[test]
-    fn clifford_only_survives_give_up_in_clifford_programs() {
-        // The step budget trips mid-loop (gave_up = true), but every
-        // construct in the program is syntactically Clifford, so the
-        // classifier keeps the bit: a GHZ-style program with a long
-        // classical preamble still dispatches to the tableau backend.
+    fn clifford_only_lost_on_give_up_even_in_clifford_programs() {
+        // The step budget trips mid-loop: gates past the stop point are
+        // unknown, so even a Clifford-only program loses the bit. (The
+        // runtime still keeps it on the tableau; see tests/dispatch.rs.)
         let e = est("int i = 0;\nwhile (i < 10000000) {\n  i = i + 1;\n}\n\
              qubit a = |0>;\nqubit b = |0>;\nhadamard a;\ncnot a, b;\nprint a;\n");
         assert!(!e.exact, "the step budget must have tripped");
-        assert!(
-            e.clifford_only,
-            "give-up must not poison the Clifford bit when the program \
-             cannot emit non-Clifford gates; notes: {:?}",
-            e.notes
-        );
+        assert!(!e.clifford_only, "notes: {:?}", e.notes);
     }
 
     #[test]
     fn clifford_only_still_false_on_give_up_with_phase_gates() {
-        // Same give-up shape, but a phase gate exists past the stop
-        // point: the classifier must refuse to rescue the bit.
+        // Same give-up shape, with a phase gate past the stop point.
         let e = est("int i = 0;\nwhile (i < 10000000) {\n  i = i + 1;\n}\n\
              qubit q = |0>;\nphase(q, pi/4);\nprint q;\n");
         assert!(!e.exact);

@@ -444,44 +444,6 @@ pub fn verify_optimization(
     })
 }
 
-/// Per-segment Clifford classification of a whole circuit — the
-/// dispatch oracle's circuit-level view. `all_clifford` agrees
-/// bit-for-bit with [`qutes_qcirc::circuit_is_clifford`] (debug-
-/// asserted); the per-segment counts additionally say *where* the
-/// non-Clifford content sits.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DispatchClassification {
-    /// Total unitary runs (sync anchors + 1).
-    pub segments: usize,
-    /// Runs whose every gate is in the stabilizer domain.
-    pub clifford_segments: usize,
-    /// True when every run is Clifford and every sync anchor is too
-    /// (a conditional's inner gate may not be).
-    pub all_clifford: bool,
-}
-
-/// Classifies `circuit` segment by segment for backend dispatch.
-pub fn classify_dispatch(circuit: &QuantumCircuit) -> DispatchClassification {
-    let seg = segment_ops(circuit.ops());
-    let clifford_segments = seg
-        .runs
-        .iter()
-        .filter(|r| r.iter().all(clifford::in_domain))
-        .count();
-    let all_clifford =
-        clifford_segments == seg.runs.len() && seg.sync.iter().all(Gate::is_clifford);
-    debug_assert_eq!(
-        all_clifford,
-        qutes_qcirc::circuit_is_clifford(circuit),
-        "segment classifier disagrees with the whole-circuit Clifford bit"
-    );
-    DispatchClassification {
-        segments: seg.runs.len(),
-        clifford_segments,
-        all_clifford,
-    }
-}
-
 /// The validator handed to `qutes_qcirc::set_pass_validator`: rejects
 /// a rewrite only on a *proven* `Inequivalent` — `Unknown` is sound
 /// (the rewrite may be fine; refusing would break legitimate >8-wire
@@ -620,21 +582,6 @@ mod tests {
             assert_eq!(v.verdict, Verdict::Equivalent, "level {level}");
             assert!(v.boundaries.len() >= 2); // at least one pass + pipeline
         }
-    }
-
-    #[test]
-    fn classify_dispatch_matches_whole_circuit_bit() {
-        let mut c = QuantumCircuit::with_qubits(2);
-        c.h(0).unwrap().cx(0, 1).unwrap();
-        let d = classify_dispatch(&c);
-        assert!(d.all_clifford);
-        assert_eq!(d.segments, 1);
-
-        let mut nc = QuantumCircuit::with_qubits(2);
-        nc.h(0).unwrap().t(1).unwrap();
-        let d = classify_dispatch(&nc);
-        assert!(!d.all_clifford);
-        assert_eq!(d.clifford_segments, 0);
     }
 
     #[test]

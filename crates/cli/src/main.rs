@@ -30,10 +30,10 @@
 //! available parallelism, `1` = serial; histograms are bit-for-bit
 //! identical at every value — see `docs/performance.md`).
 //! `--backend {auto,statevector,tableau}` selects the
-//! simulation engine (default `auto`: the resource estimator routes
-//! Clifford-only noise-free programs onto the stabilizer tableau, which
-//! scales to hundreds of qubits, and everything else onto the dense
-//! statevector — see `docs/backends.md`). `--opt-level` selects the
+//! simulation engine (default `auto`: a noise-free run starts on the
+//! stabilizer tableau, which scales to hundreds of qubits, and is
+//! promoted to the dense statevector at its first non-Clifford gate —
+//! see `docs/backends.md`). `--opt-level` selects the
 //! circuit-optimization level used
 //! for the shot replay and the `--stats` report (0 = off, 1 = gate
 //! cancellation + rotation merging, 2 = additionally single-qubit gate
@@ -74,7 +74,7 @@
 //! counts), and `--stats-json PATH` writes the full machine-readable
 //! snapshot to `PATH` (`-` for stdout).
 
-use qutes_core::{run_source, QutesError, RunConfig, RunOutcome};
+use qutes_core::{QutesError, RunConfig};
 use qutes_frontend::{parse, print_program};
 use qutes_qasm::{to_qasm2, to_qasm3};
 use qutes_sim::NoiseModel;
@@ -405,23 +405,6 @@ fn report_inequivalent(v: &qutes_analysis::OptimizationVerification) {
     );
 }
 
-/// Parses `source` once under the run's interrupt, resolves `--backend
-/// auto` from that AST into `cfg.backend` (the estimator's static gate
-/// composition, see docs/backends.md), and runs the program. The
-/// resolved engine then shows up in `[stats]`, the obs snapshot and
-/// refusal messages even when the run is refused pre-flight. Everything
-/// runs inside the containment boundary: a panic anywhere below
-/// surfaces as a typed internal error naming the stage, never an abort.
-fn run_resolved(source: &str, cfg: &mut RunConfig) -> Result<RunOutcome, QutesError> {
-    let intr = cfg.effective_interrupt();
-    qutes_supervisor::contain(|| {
-        let program = qutes_core::parse_checked(source, cfg, &intr)?;
-        cfg.backend = qutes::resolve_backend_for(&program, cfg);
-        qutes_core::run_program_with(&program, cfg, &intr)
-    })
-    .unwrap_or_else(|p| Err(QutesError::from(p)))
-}
-
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))
 }
@@ -480,7 +463,7 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "run" => {
-            let mut cfg = RunConfig {
+            let cfg = RunConfig {
                 seed: args.seed,
                 max_steps: args.max_steps,
                 noise: noise_from_args(&args),
@@ -489,11 +472,6 @@ fn main() -> ExitCode {
                 memory_budget_bytes: args.mem_budget,
                 opt_level: args.opt_level,
                 observe: args.observing(),
-                lint: if args.lint {
-                    lint_options(&args)
-                } else {
-                    qutes_core::LintOptions::default()
-                },
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 backend: args.backend,
                 ..RunConfig::default()
@@ -512,7 +490,7 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
-            match run_resolved(&source, &mut cfg) {
+            match qutes::run_source(&source, &cfg) {
                 Ok(out) => {
                     for line in &out.output {
                         println!("{line}");
@@ -544,7 +522,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "[stats] backend={} qubits={} measurements={} ops={} depth={} \
                              shot_threads={}",
-                            cfg.backend,
+                            out.backend,
                             out.qubits_used,
                             out.measurements,
                             stats.size,
@@ -622,10 +600,12 @@ fn main() -> ExitCode {
                 }
                 Err(e) => {
                     // Capacity/backend refusals depend on which engine's
-                    // limits were consulted — name it, so "too many
-                    // qubits" under `--backend statevector` is
+                    // limits were consulted — name the choice, so "too
+                    // many qubits" under `--backend statevector` is
                     // distinguishable from the same program overflowing
-                    // the tableau cap.
+                    // the tableau cap. Under `auto` the run may have been
+                    // refused at promotion; the `backend.refused.*`
+                    // counters name the engine.
                     let resource_refusal = matches!(
                         &e,
                         QutesError::Sim(qutes_sim::SimError::TooManyQubits(_))
@@ -651,29 +631,28 @@ fn main() -> ExitCode {
             }
         }
         "verify" => {
-            let mut cfg = RunConfig {
+            let cfg = RunConfig {
                 seed: args.seed,
                 max_steps: args.max_steps,
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 ..RunConfig::default()
             };
-            // Resolve the engine exactly like `run` would: wide Clifford
-            // programs (e.g. examples/programs/ghz_100.qut) only execute
-            // on the tableau.
-            let out = match run_resolved(&source, &mut cfg) {
+            // Runs like `run` would: wide Clifford programs (e.g.
+            // examples/programs/ghz_100.qut) stay on the tableau.
+            let out = match qutes::run_source(&source, &cfg) {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("{}", e.render(&source));
                     return ExitCode::FAILURE;
                 }
             };
-            let d = qutes_analysis::classify_dispatch(&out.circuit);
+            // Noise-free `auto` starts on the tableau, so ending on the
+            // statevector means the run was promoted.
             println!(
-                "dispatch: {} segment(s), {} clifford{}",
-                d.segments,
-                d.clifford_segments,
-                if d.all_clifford {
-                    " (tableau-eligible)"
+                "engine: {}{}",
+                out.backend,
+                if out.backend == qutes_qcirc::BackendKind::Statevector {
+                    " (promoted from tableau at the first non-Clifford gate)"
                 } else {
                     ""
                 }
@@ -785,9 +764,7 @@ fn main() -> ExitCode {
                 time_budget: args.time_budget_ms.map(Duration::from_millis),
                 ..RunConfig::default()
             };
-            let result = qutes_supervisor::contain(|| run_source(&source, &cfg))
-                .unwrap_or_else(|p| Err(QutesError::from(p)));
-            match result {
+            match qutes::run_source(&source, &cfg) {
                 Ok(out) => {
                     let rendered = if args.v3 {
                         to_qasm3(&out.circuit)

@@ -9,15 +9,21 @@
 //!   inspection), and
 //! * a **live simulation backend** ([`Backend`]), so measurements have
 //!   exact sequential semantics (measure, collapse, keep computing)
-//!   instead of re-running the whole circuit per interaction. The
-//!   backend is the dense statevector by default; Clifford-only
-//!   programs can run on the stabilizer tableau instead, lifting the
-//!   qubit ceiling from ~28 to thousands (see `docs/backends.md`).
+//!   instead of re-running the whole circuit per interaction.
+//!
+//! Under [`BackendChoice::Auto`] a noise-free run starts on the
+//! stabilizer tableau (thousands of qubits, `O(n)` per gate) and is
+//! *promoted* to the dense statevector at its first non-Clifford gate
+//! ([`Gate::is_clifford`]): the recorded circuit is replayed into a
+//! fresh statevector, each measurement forced to the outcome the
+//! tableau drew (see `docs/backends.md`).
 
 use crate::error::{QutesError, QutesResult};
-use qutes_qcirc::backend::{instantiate, Backend, BackendKind};
+use qutes_qcirc::backend::{instantiate, Backend, BackendChoice, BackendKind, StatevectorBackend};
+use qutes_qcirc::execute::apply_deterministic;
 use qutes_qcirc::{CircError, Gate, QuantumCircuit};
 use qutes_sim::{NoiseModel, StateVector};
+use qutes_supervisor::Interrupt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,6 +37,10 @@ pub struct QuantumCircuitHandler {
     free_ancillas: Vec<usize>,
     noise: Option<NoiseModel>,
     memory_budget_bytes: Option<u64>,
+    /// Promote the tableau to the statevector at the first non-Clifford
+    /// gate ([`BackendChoice::Auto`]).
+    promotes: bool,
+    interrupt: Option<Interrupt>,
 }
 
 impl QuantumCircuitHandler {
@@ -52,30 +62,38 @@ impl QuantumCircuitHandler {
     ) -> Self {
         // A 0-qubit statevector cannot fail to construct.
         #[allow(clippy::expect_used)]
-        Self::with_backend_kind(seed, noise, memory_budget_bytes, BackendKind::Statevector)
+        Self::with_backend(seed, noise, memory_budget_bytes, BackendChoice::Statevector)
             .expect("0-qubit statevector backend")
     }
 
-    /// Like [`Self::with_config`], but on an explicit backend. The
-    /// tableau backend rejects (effective) noise models up front with a
-    /// typed [`CircError::BackendUnsupported`] — stabilizer states
-    /// cannot represent faulty trajectories.
-    pub fn with_backend_kind(
+    /// Like [`Self::with_config`], but on the engine `choice` asks for.
+    /// [`BackendChoice::Auto`] starts on the tableau and promotes at the
+    /// first non-Clifford gate, or starts on the statevector when an
+    /// effective noise model is set. A forced tableau rejects
+    /// (effective) noise models up front with a typed
+    /// [`CircError::BackendUnsupported`] — stabilizer states cannot
+    /// represent faulty trajectories.
+    pub fn with_backend(
         seed: u64,
         noise: Option<NoiseModel>,
         memory_budget_bytes: Option<u64>,
-        kind: BackendKind,
+        choice: BackendChoice,
     ) -> QutesResult<Self> {
         let noise = noise.filter(|nm| !nm.is_noiseless());
-        if kind == BackendKind::Tableau && noise.is_some() {
-            return Err(QutesError::Circuit(CircError::BackendUnsupported {
-                backend: "tableau",
-                what: "noise models (stabilizer states cannot represent \
-                       arbitrary faulty trajectories)"
-                    .to_string(),
-            }));
-        }
-        qutes_obs::counter_add(kind.counter_name(), 1);
+        let kind = match choice {
+            BackendChoice::Statevector => BackendKind::Statevector,
+            BackendChoice::Auto if noise.is_some() => BackendKind::Statevector,
+            BackendChoice::Auto => BackendKind::Tableau,
+            BackendChoice::Tableau if noise.is_some() => {
+                return Err(QutesError::Circuit(CircError::BackendUnsupported {
+                    backend: "tableau",
+                    what: "noise models (stabilizer states cannot represent \
+                           arbitrary faulty trajectories)"
+                        .to_string(),
+                }));
+            }
+            BackendChoice::Tableau => BackendKind::Tableau,
+        };
         Ok(QuantumCircuitHandler {
             circuit: QuantumCircuit::new(),
             backend: instantiate(kind)?,
@@ -85,6 +103,8 @@ impl QuantumCircuitHandler {
             free_ancillas: Vec::new(),
             noise,
             memory_budget_bytes,
+            promotes: choice == BackendChoice::Auto,
+            interrupt: None,
         })
     }
 
@@ -96,8 +116,9 @@ impl QuantumCircuitHandler {
     /// Arms the live backend with the supervisor's interrupt handle, so
     /// checkpoints inside gate application and sampling observe the
     /// run's deadline and cancellation state.
-    pub fn set_interrupt(&mut self, intr: qutes_supervisor::Interrupt) {
-        self.backend.set_interrupt(intr);
+    pub fn set_interrupt(&mut self, intr: Interrupt) {
+        self.backend.set_interrupt(intr.clone());
+        self.interrupt = Some(intr);
     }
 
     /// Acquires `n` clean (`|0>`) work qubits, reusing previously released
@@ -150,8 +171,13 @@ impl QuantumCircuitHandler {
     }
 
     /// Appends a unitary gate to the circuit and applies it to the live
-    /// state (with trajectory noise when a fault model is active).
+    /// state (with trajectory noise when a fault model is active). Under
+    /// [`BackendChoice::Auto`], a non-Clifford gate on the tableau first
+    /// promotes the live state to the statevector.
     pub fn apply(&mut self, gate: Gate) -> QutesResult<()> {
+        if self.promotes && self.backend.kind() == BackendKind::Tableau && !gate.is_clifford() {
+            self.promote()?;
+        }
         self.circuit.append(gate.clone())?;
         // Keep the live classical bits in step with the circuit: a gate
         // referencing a creg added since the last measure would otherwise
@@ -163,6 +189,42 @@ impl QuantumCircuitHandler {
         let t0 = qutes_obs::maybe_now();
         self.backend
             .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("stage.simulate", t0.elapsed());
+        }
+        Ok(())
+    }
+
+    /// Moves the live state from the tableau to a statevector of the
+    /// same width: checks the statevector's capacity (a refusal is the
+    /// usual typed [`Self::check_capacity`] error), then replays the
+    /// recorded circuit with every measurement forced to the outcome the
+    /// tableau drew, so the promoted state is the tableau's state. No
+    /// randomness is drawn and no gate is counted twice. The new state
+    /// observes the run's interrupt, during the replay and after it.
+    fn promote(&mut self) -> QutesResult<()> {
+        self.check_capacity_on(BackendKind::Statevector, 0)?;
+        let t0 = qutes_obs::maybe_now();
+        let mut state = StateVector::new(self.num_qubits())?;
+        if let Some(intr) = &self.interrupt {
+            state.set_interrupt(intr.clone());
+        }
+        for g in self.circuit.ops() {
+            match g {
+                Gate::Measure { qubit, clbit } => {
+                    state.collapse_qubit(*qubit, self.clbits[*clbit])?;
+                }
+                // The interpreter resolves classical control itself, so
+                // the live circuit holds only unitaries, measurements
+                // and barriers; anything else cannot be replayed.
+                Gate::Reset(_) | Gate::Conditional { .. } => {
+                    return Err(QutesError::Circuit(CircError::NonUnitary(g.name())));
+                }
+                _ => apply_deterministic(&mut state, g)?,
+            }
+        }
+        self.backend = Box::new(StatevectorBackend::from_state(state));
+        qutes_obs::counter_add("backend.promoted", 1);
         if let Some(t0) = t0 {
             qutes_obs::record_duration("stage.simulate", t0.elapsed());
         }
@@ -324,8 +386,12 @@ impl QuantumCircuitHandler {
     /// [`SimError::TooManyQubits`]: qutes_sim::SimError::TooManyQubits
     /// [`CircError::ResourceLimit`]: qutes_qcirc::CircError::ResourceLimit
     pub fn check_capacity(&self, extra: usize, _what: &str) -> QutesResult<()> {
+        self.check_capacity_on(self.backend.kind(), extra)
+    }
+
+    /// [`Self::check_capacity`] against the limits of engine `kind`.
+    fn check_capacity_on(&self, kind: BackendKind, extra: usize) -> QutesResult<()> {
         let total = self.num_qubits() + extra;
-        let kind = self.backend.kind();
         if total > kind.max_qubits() {
             // Typed (not a string `Runtime` error) so the supervisor can
             // classify it as transient and consider a degraded retry.
@@ -490,7 +556,7 @@ mod tests {
     #[test]
     fn tableau_handler_runs_wide_clifford_programs() {
         let mut h =
-            QuantumCircuitHandler::with_backend_kind(9, None, None, BackendKind::Tableau).unwrap();
+            QuantumCircuitHandler::with_backend(9, None, None, BackendChoice::Tableau).unwrap();
         assert_eq!(h.backend_kind(), BackendKind::Tableau);
         assert!(h.dense_state().is_none());
         // 100-qubit GHZ: far beyond the dense engine's MAX_QUBITS.
@@ -517,27 +583,101 @@ mod tests {
 
     #[test]
     fn tableau_handler_rejects_noise_and_non_clifford() {
-        let noisy = QuantumCircuitHandler::with_backend_kind(
+        let noisy = QuantumCircuitHandler::with_backend(
             0,
             Some(qutes_sim::NoiseModel::depolarizing(0.1)),
             None,
-            BackendKind::Tableau,
+            BackendChoice::Tableau,
         );
         assert!(noisy.is_err());
         let mut h =
-            QuantumCircuitHandler::with_backend_kind(0, None, None, BackendKind::Tableau).unwrap();
+            QuantumCircuitHandler::with_backend(0, None, None, BackendChoice::Tableau).unwrap();
         let q = h.allocate("q", 1).unwrap();
         let err = h.apply(Gate::T(q[0])).unwrap_err();
         assert!(err.to_string().contains("tableau"), "{err}");
     }
 
     #[test]
+    fn auto_handler_promotes_at_first_non_clifford_gate() {
+        let mut h =
+            QuantumCircuitHandler::with_backend(4, None, None, BackendChoice::Auto).unwrap();
+        assert_eq!(h.backend_kind(), BackendKind::Tableau);
+        let q = h.allocate("q", 2).unwrap();
+        h.apply(Gate::H(q[0])).unwrap();
+        h.apply(Gate::CX {
+            control: q[0],
+            target: q[1],
+        })
+        .unwrap();
+        let v = h.measure(&[q[0]]).unwrap();
+        h.barrier().unwrap();
+        assert_eq!(h.backend_kind(), BackendKind::Tableau);
+        h.apply(Gate::T(q[1])).unwrap();
+        assert_eq!(h.backend_kind(), BackendKind::Statevector);
+        // The replay forced the tableau's outcome: the Bell partner agrees.
+        for &qb in &q {
+            assert!((h.probability_one(qb).unwrap() - v as f64).abs() < 1e-12);
+        }
+        assert_eq!(h.circuit().len(), 5);
+        // Noise starts an `Auto` handler on the statevector.
+        let noisy = QuantumCircuitHandler::with_backend(
+            0,
+            Some(qutes_sim::NoiseModel::depolarizing(0.1)),
+            None,
+            BackendChoice::Auto,
+        )
+        .unwrap();
+        assert_eq!(noisy.backend_kind(), BackendKind::Statevector);
+    }
+
+    #[test]
+    fn promoted_backend_carries_the_interrupt() {
+        let intr = Interrupt::new();
+        let mut h =
+            QuantumCircuitHandler::with_backend(0, None, None, BackendChoice::Auto).unwrap();
+        h.set_interrupt(intr.clone());
+        let q = h.allocate("q", 2).unwrap();
+        h.apply(Gate::H(q[0])).unwrap();
+        h.apply(Gate::T(q[0])).unwrap();
+        assert_eq!(h.backend_kind(), BackendKind::Statevector);
+        intr.cancel();
+        let err = h.apply(Gate::H(q[1])).unwrap_err();
+        assert!(err.to_string().contains("cancel"), "{err}");
+    }
+
+    #[test]
+    fn promotion_refusals_are_typed() {
+        let wide = qutes_sim::MAX_QUBITS + 1;
+        let mut h =
+            QuantumCircuitHandler::with_backend(0, None, None, BackendChoice::Auto).unwrap();
+        let q = h.allocate("wide", wide).unwrap();
+        let err = h.apply(Gate::T(q[0])).unwrap_err();
+        assert!(
+            matches!(err, QutesError::Sim(qutes_sim::SimError::TooManyQubits(n)) if n == wide),
+            "{err}"
+        );
+        assert_eq!(h.backend_kind(), BackendKind::Tableau);
+        assert_eq!(h.circuit().len(), 0, "the refused gate is not recorded");
+        let mut h =
+            QuantumCircuitHandler::with_backend(0, None, Some(1 << 10), BackendChoice::Auto)
+                .unwrap();
+        let q = h.allocate("q", 8).unwrap();
+        let err = h.apply(Gate::T(q[0])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QutesError::Circuit(qutes_qcirc::CircError::ResourceLimit { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn tableau_capacity_uses_tableau_limits() {
         // A budget far too small for even a 20-qubit dense state admits
         // hundreds of tableau qubits.
-        let h =
-            QuantumCircuitHandler::with_backend_kind(0, None, Some(1 << 20), BackendKind::Tableau)
-                .unwrap();
+        let h = QuantumCircuitHandler::with_backend(0, None, Some(1 << 20), BackendChoice::Tableau)
+            .unwrap();
         assert!(h.check_capacity(500, "wide").is_ok());
         assert!(h
             .check_capacity(qutes_sim::TABLEAU_MAX_QUBITS + 1, "too wide")

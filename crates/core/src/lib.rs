@@ -42,9 +42,7 @@ pub use error::{QutesError, QutesResult};
 pub use handler::QuantumCircuitHandler;
 pub use lint::LintOptions;
 pub use qutes_supervisor::{Interrupt, StopReason};
-pub use runtime::{
-    parse_checked, run_program, run_program_with, run_source, DegradePolicy, RunConfig, RunOutcome,
-};
+pub use runtime::{run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
 pub use symbols::{FunctionTable, Symbol, SymbolTable};
 pub use types::{assignable, check_program, measured};
 pub use value::{QKind, QuantumRef, Value};

@@ -78,9 +78,9 @@ pub struct RunConfig {
     /// a disabled collector costs one atomic load per recording site.
     pub observe: bool,
     /// Static-analysis (lint) configuration. `qutes-core` itself never
-    /// runs the analyzer — the `qutes` facade and the CLI consult this
-    /// to run `qutes-analysis` before execution and refuse to execute
-    /// programs with deny-level findings. Disabled by default.
+    /// runs the analyzer — the `qutes` facade consults this to run
+    /// `qutes-analysis` before execution and refuse to execute programs
+    /// with deny-level findings. Disabled by default.
     pub lint: crate::lint::LintOptions,
     /// Wall-clock budget for the whole run (parse through shot replay).
     /// When it expires, cooperative checkpoints return
@@ -97,10 +97,11 @@ pub struct RunConfig {
     /// resource refusals.
     pub degrade: DegradePolicy,
     /// Which simulation engine executes the program (live interpretation
-    /// *and* the shot replay). `qutes-core` has no resource estimator, so
-    /// it treats [`qutes_qcirc::BackendChoice::Auto`] as the dense statevector; the
-    /// `qutes` facade resolves `Auto` to a concrete engine from the
-    /// static gate composition before calling in (see `docs/backends.md`).
+    /// *and* the shot replay). [`qutes_qcirc::BackendChoice::Auto`]
+    /// starts a noise-free run on the stabilizer tableau and promotes it
+    /// to the dense statevector at its first non-Clifford gate; a noisy
+    /// run starts on the statevector. The replay runs on the engine the
+    /// live run ended on (see `docs/backends.md`).
     pub backend: qutes_qcirc::BackendChoice,
     /// Worker threads for the grouped and per-shot replay paths (`0` =
     /// auto-size from [`std::thread::available_parallelism`], `1` = serial).
@@ -164,6 +165,10 @@ pub struct RunOutcome {
     pub measurements: usize,
     /// Total qubits allocated.
     pub qubits_used: usize,
+    /// The engine the live run ended on: under
+    /// [`qutes_qcirc::BackendChoice::Auto`], the tableau unless the run
+    /// was promoted to the statevector at a non-Clifford gate.
+    pub backend: qutes_qcirc::BackendKind,
     /// Shot histogram of the accumulated circuit, present when
     /// [`RunConfig::shots`] was non-zero and the program measured
     /// anything.
@@ -187,16 +192,7 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         qutes_obs::set_enabled(true);
     }
     let intr = config.effective_interrupt();
-    let program = parse_checked(source, config, &intr)?;
-    run_supervised(&program, config, &intr)
-}
-
-/// The front half of [`run_source`]: parses `source` under `intr` and,
-/// unless [`RunConfig::skip_typecheck`] is set, type-checks it. With
-/// [`run_program_with`] it lets a caller inspect the AST between
-/// parsing and running, with one parse and one deadline for the run.
-pub fn parse_checked(source: &str, config: &RunConfig, intr: &Interrupt) -> QutesResult<Program> {
-    let program = match parse_with_interrupt(source, intr) {
+    let program = match parse_with_interrupt(source, &intr) {
         Ok(p) => p,
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
@@ -209,23 +205,12 @@ pub fn parse_checked(source: &str, config: &RunConfig, intr: &Interrupt) -> Qute
             return Err(QutesError::Compile(diags));
         }
     }
-    Ok(program)
+    run_supervised(&program, config, &intr)
 }
 
 /// Runs an already-parsed program.
 pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
-    run_program_with(program, config, &config.effective_interrupt())
-}
-
-/// [`run_program`] under an interrupt handle the caller already took
-/// from [`RunConfig::effective_interrupt`], so a deadline armed before
-/// parsing keeps bounding the run instead of restarting.
-pub fn run_program_with(
-    program: &Program,
-    config: &RunConfig,
-    intr: &Interrupt,
-) -> QutesResult<RunOutcome> {
-    run_supervised(program, config, intr)
+    run_supervised(program, config, &config.effective_interrupt())
 }
 
 /// One run with retry-once degradation: a transient failure (resource
@@ -288,16 +273,11 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     let mut interp = Interp {
         symbols: SymbolTable::new(),
         functions,
-        handler: QuantumCircuitHandler::with_backend_kind(
+        handler: QuantumCircuitHandler::with_backend(
             config.seed,
             config.noise.clone(),
             config.memory_budget_bytes,
-            // No estimator at this layer: `Auto` means the always-sound
-            // dense engine unless the caller resolved it already.
-            match config.backend {
-                qutes_qcirc::BackendChoice::Tableau => qutes_qcirc::BackendKind::Tableau,
-                _ => qutes_qcirc::BackendKind::Statevector,
-            },
+            config.backend,
         )?,
         output: Vec::new(),
         steps: 0,
@@ -309,16 +289,15 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
         interrupt_ck: 0,
     };
     interp.handler.set_interrupt(intr.clone());
-    {
+    let op_pass = {
         let _span = qutes_obs::span("stage.op_pass");
-        for item in &program.items {
-            if let Item::Statement(s) = item {
-                if let Flow::Return(_) = interp.exec_stmt(s)? {
-                    break;
-                }
-            }
-        }
-    }
+        interp.exec_items(&program.items)
+    };
+    // Counted once per run, for the engine the live run ended on (an
+    // `Auto` run may have been promoted from the tableau).
+    let backend = interp.handler.backend_kind();
+    qutes_obs::counter_add(backend.counter_name(), 1);
+    op_pass?;
     let circuit = interp.handler.circuit().clone();
 
     // Optional post-run histogram: replay the accumulated circuit under
@@ -333,9 +312,10 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
             .with_observe(config.observe)
             .with_shot_threads(config.shot_threads)
             .with_interrupt(intr.clone())
-            .with_backend(match config.backend {
-                qutes_qcirc::BackendChoice::Auto => qutes_qcirc::BackendChoice::Statevector,
-                other => other,
+            // Replay on the engine the live run ended on.
+            .with_backend(match backend {
+                qutes_qcirc::BackendKind::Statevector => qutes_qcirc::BackendChoice::Statevector,
+                qutes_qcirc::BackendKind::Tableau => qutes_qcirc::BackendChoice::Tableau,
             });
         if let Some(nm) = &config.noise {
             exec_cfg = exec_cfg.with_noise(nm.clone());
@@ -358,6 +338,7 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
         output: interp.output,
         measurements: interp.handler.measurements(),
         qubits_used: interp.handler.num_qubits(),
+        backend,
         circuit,
         counts,
         degraded,
@@ -410,6 +391,19 @@ impl Interp {
     }
 
     // ---- statements ------------------------------------------------------
+
+    /// Runs the program's top-level statements until the end or a
+    /// top-level `return`.
+    fn exec_items(&mut self, items: &[Item]) -> QutesResult<()> {
+        for item in items {
+            if let Item::Statement(s) = item {
+                if let Flow::Return(_) = self.exec_stmt(s)? {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
 
     fn exec_block(&mut self, b: &Block) -> QutesResult<Flow> {
         self.symbols.push_scope();

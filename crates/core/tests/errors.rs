@@ -130,10 +130,23 @@ fn quantum_runtime_faults() {
 
 #[test]
 fn capacity_guard_is_typed_refusal() {
-    // One register bigger than the simulator cap: refused pre-flight
+    // One register bigger than the statevector cap: refused pre-flight
     // with a typed (transient, retryable) error — never an OOM abort.
     let wide = "1".repeat(qutes_sim::MAX_QUBITS + 1);
-    let e = err(&format!("qustring s = \"{wide}\"q;"));
+    let src = format!("qustring s = \"{wide}\"q;");
+    let statevector = RunConfig {
+        backend: qutes_qcirc::BackendChoice::Statevector,
+        ..RunConfig::default()
+    };
+    let e = run_source(&src, &statevector).expect_err("program should fail");
+    assert!(
+        matches!(e, QutesError::Sim(qutes_sim::SimError::TooManyQubits(_))),
+        "{e}"
+    );
+    assert!(e.is_transient());
+    // Under `auto` the Clifford register fits the tableau; the same
+    // refusal comes at promotion, on the first non-Clifford gate.
+    let e = err(&format!("{src}\nphase(s[0], pi / 4);"));
     assert!(
         matches!(e, QutesError::Sim(qutes_sim::SimError::TooManyQubits(_))),
         "{e}"

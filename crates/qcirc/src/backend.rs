@@ -260,6 +260,11 @@ impl StatevectorBackend {
             state: StateVector::new(0)?,
         })
     }
+
+    /// The engine holding an existing dense state.
+    pub fn from_state(state: StateVector) -> Self {
+        StatevectorBackend { state }
+    }
 }
 
 impl Backend for StatevectorBackend {

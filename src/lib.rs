@@ -58,73 +58,54 @@ pub use qutes_supervisor::{Interrupt, StopReason};
 ///   ([`analysis::analyze_source`]) runs first, and any finding resolved
 ///   to deny level (see [`qutes_core::LintOptions`]) refuses execution
 ///   with a [`QutesError::Compile`] carrying the findings as
-///   diagnostics, and
-/// * when `config.backend` is [`qcirc::BackendChoice::Auto`] the
-///   resource estimator's static gate composition resolves it to a
-///   concrete engine before execution ([`resolve_backend_for`], on the
-///   run's one parse of `source`):
-///   Clifford-only programs run on the stabilizer tableau (hundreds of
-///   qubits), everything else on the dense statevector — `qutes-core`
-///   alone has no estimator and treats `Auto` as the statevector, and
+///   diagnostics,
+/// * when `config.verify` is set every optimizer rewrite of the
+///   accumulated circuit is translation-validated, and a proven
+///   inequivalence is a [`QutesError::Verify`], and
 /// * the whole pipeline runs inside a panic-containment boundary
 ///   ([`qutes_supervisor::contain`]): a panic anywhere in the stack
 ///   surfaces as a typed [`QutesError::Internal`] naming the active
 ///   stage, never an unwind across the library API.
+///
+/// Engine choice is the runtime's: under [`qcirc::BackendChoice::Auto`]
+/// a noise-free run starts on the stabilizer tableau and is promoted to
+/// the dense statevector at its first non-Clifford gate, and
+/// [`RunOutcome::backend`] reports where it ended (see
+/// `docs/backends.md`). Nothing is decided ahead of the run.
 pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
     qutes_supervisor::contain(|| run_source_inner(source, config)).map_err(QutesError::from)?
 }
 
-/// Resolves [`qcirc::BackendChoice::Auto`] to a concrete engine from the
-/// program's statically estimated gate composition (see
-/// `docs/backends.md` for the decision table):
+/// A static *prediction* of the engine a run would end on, from the
+/// resource estimator's Clifford bit:
 ///
-/// * estimator proves the program Clifford-only
-///   ([`analysis::ResourceEstimate::clifford_only`]), no noise model is
-///   configured, and the estimated width fits the tableau → **tableau**;
-/// * otherwise → **statevector** (always sound).
+/// * no effective noise model, the estimator proves every gate the
+///   program can emit Clifford ([`analysis::ResourceEstimate::clifford_only`],
+///   `false` whenever estimation gives up), and the estimated width
+///   fits the tableau → **tableau**;
+/// * otherwise → **statevector**.
 ///
-/// Non-`Auto` choices pass through untouched — a forced `--backend
-/// tableau` on an unsupported program fails later with the typed
-/// [`qcirc::CircError::BackendUnsupported`] rather than being silently
-/// rewritten. A program that fails to parse also passes through: the
-/// runtime will report the parse error itself, with its proper span.
-///
-/// This parses `source`; a caller that holds the AST already uses
-/// [`resolve_backend_for`], as [`run_source`] does.
+/// Non-`Auto` choices pass through untouched, and an `Auto` input never
+/// yields `Auto`; a program that fails to parse predicts the
+/// statevector. [`run_source`] never calls this: the runtime decides
+/// exactly, by promotion, so a program the estimator cannot certify may
+/// still end on the tableau. A `Tableau` answer is a promise: the
+/// estimator's bit is sound, so such a run never promotes.
 pub fn resolve_backend(source: &str, config: &RunConfig) -> qcirc::BackendChoice {
     if config.backend != qcirc::BackendChoice::Auto {
         return config.backend;
     }
-    match parse(source) {
-        Ok(program) => resolve_backend_for(&program, config),
-        Err(_) => qcirc::BackendChoice::Statevector,
-    }
-}
-
-/// [`resolve_backend`] on an already-parsed program.
-pub fn resolve_backend_for(
-    program: &frontend::ast::Program,
-    config: &RunConfig,
-) -> qcirc::BackendChoice {
-    if config.backend != qcirc::BackendChoice::Auto {
-        return config.backend;
-    }
-    let _span = obs::span("stage.dispatch");
     let noisy = config.noise.as_ref().is_some_and(|nm| !nm.is_noiseless());
-    let est = analysis::estimate(program);
-    // Cross-check the two dispatch oracles: the syntactic Clifford
-    // classifier is strictly weaker than the estimator's trace-based
-    // bit, so whenever it certifies a program the estimator must agree
-    // (the converse is not true: the estimator also certifies programs
-    // whose *executed trace* happens to be Clifford).
-    debug_assert!(
-        !analysis::program_is_clifford(program) || est.clifford_only,
-        "syntactic Clifford classifier certified a program the estimator rejected"
-    );
-    if est.clifford_only && !noisy && est.qubits <= sim::TABLEAU_MAX_QUBITS {
-        qcirc::BackendChoice::Tableau
-    } else {
-        qcirc::BackendChoice::Statevector
+    match parse(source) {
+        Ok(program) if !noisy => {
+            let est = analysis::estimate(&program);
+            if est.clifford_only && est.qubits <= sim::TABLEAU_MAX_QUBITS {
+                qcirc::BackendChoice::Tableau
+            } else {
+                qcirc::BackendChoice::Statevector
+            }
+        }
+        _ => qcirc::BackendChoice::Statevector,
     }
 }
 
@@ -145,29 +126,8 @@ fn run_source_inner(source: &str, config: &RunConfig) -> QutesResult<RunOutcome>
             ));
         }
     }
-    if config.observe {
-        obs::set_enabled(true);
-    }
-    // One parse and one interrupt handle for the whole run: the deadline
-    // armed here bounds parsing, dispatch and execution alike.
-    let intr = config.effective_interrupt();
-    let program = {
-        let _stage = qutes_supervisor::enter_stage("facade.parse");
-        qutes_core::parse_checked(source, config, &intr)?
-    };
-    let resolved = {
-        let _stage = qutes_supervisor::enter_stage("facade.dispatch");
-        resolve_backend_for(&program, config)
-    };
-    intr.check()?;
     let _stage = qutes_supervisor::enter_stage("facade.run");
-    let outcome = if resolved == config.backend {
-        qutes_core::run_program_with(&program, config, &intr)
-    } else {
-        let mut patched = config.clone();
-        patched.backend = resolved;
-        qutes_core::run_program_with(&program, &patched, &intr)
-    }?;
+    let outcome = qutes_core::run_source(source, config)?;
     if config.verify {
         let _stage = qutes_supervisor::enter_stage("facade.verify");
         let v = analysis::verify_optimization(&outcome.circuit, config.opt_level)

@@ -72,8 +72,8 @@ fn every_showcase_circuit_exports_to_qasm3() {
 fn every_shipped_example_roundtrips_through_the_qasm2_importer() {
     // The CI `verify-examples` job leans on this: every program we ship
     // must export to OpenQASM 2 and come back through the importer with
-    // its register shape intact. Backends are resolved like `qutes run`
-    // would, so the 100-qubit Clifford examples execute on the tableau.
+    // its register shape intact. `run_source` picks engines like `qutes
+    // run` does, so the 100-qubit Clifford examples stay on the tableau.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
     let mut checked = 0;
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
@@ -84,9 +84,7 @@ fn every_shipped_example_roundtrips_through_the_qasm2_importer() {
     entries.sort();
     for path in entries {
         let src = std::fs::read_to_string(&path).unwrap();
-        let mut cfg = RunConfig::default();
-        cfg.backend = qutes::resolve_backend(&src, &cfg);
-        let circuit = run_source(&src, &cfg)
+        let circuit = run_source(&src, &RunConfig::default())
             .unwrap_or_else(|e| panic!("{}: {}", path.display(), e.render(&src)))
             .circuit;
         let text = to_qasm2(&circuit).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
