@@ -9,53 +9,21 @@
 //! complete symbolic interpretation of the run: no amplitudes, `O(n²)`
 //! bits, exact equality via [`qutes_sim::Tableau::action_eq`].
 
-use qutes_qcirc::Gate;
+use qutes_qcirc::{Engine, Gate};
 use qutes_sim::Tableau;
 
-/// True for gates the stabilizer domain interprets exactly. Narrower
-/// than [`Gate::is_clifford`]: sync operations (measure/reset/
-/// conditional) never appear inside a unitary run, and `GlobalPhase`
-/// is handled by the caller (it is invisible to the action anyway).
-pub fn in_domain(g: &Gate) -> bool {
-    matches!(
-        g,
-        Gate::H(_)
-            | Gate::X(_)
-            | Gate::Y(_)
-            | Gate::Z(_)
-            | Gate::S(_)
-            | Gate::Sdg(_)
-            | Gate::CX { .. }
-            | Gate::CY { .. }
-            | Gate::CZ { .. }
-            | Gate::Swap { .. }
-            | Gate::GlobalPhase(_)
-    )
-}
-
 /// Replays `run` through a fresh `n`-qubit tableau, returning the
-/// resulting Clifford action. `None` when the run leaves the domain
-/// (a non-Clifford gate, or a width the tableau rejects) — the caller
-/// falls through to the next domain, never to an unsound verdict.
+/// resulting Clifford action. Gates map onto the tableau exactly as the
+/// tableau engine applies them ([`Engine::apply_unitary`]); a global
+/// phase is invisible to the conjugation action, which is exactly the
+/// "up to global phase" equivalence checked here. `None` when the run
+/// leaves the domain (a non-Clifford gate, a sync operation, or a width
+/// the tableau rejects) — the caller falls through to the next domain,
+/// never to an unsound verdict.
 pub fn interpret(run: &[Gate], n: usize) -> Option<Tableau> {
     let mut t = Tableau::new(n).ok()?;
     for g in run {
-        match g {
-            Gate::H(q) => t.h(*q).ok()?,
-            Gate::X(q) => t.x(*q).ok()?,
-            Gate::Y(q) => t.y(*q).ok()?,
-            Gate::Z(q) => t.z(*q).ok()?,
-            Gate::S(q) => t.s(*q).ok()?,
-            Gate::Sdg(q) => t.sdg(*q).ok()?,
-            Gate::CX { control, target } => t.cx(*control, *target).ok()?,
-            Gate::CY { control, target } => t.cy(*control, *target).ok()?,
-            Gate::CZ { control, target } => t.cz(*control, *target).ok()?,
-            Gate::Swap { a, b } => t.swap(*a, *b).ok()?,
-            // A scalar: invisible to the conjugation action, which is
-            // exactly the "up to global phase" equivalence we check.
-            Gate::GlobalPhase(_) => {}
-            _ => return None,
-        }
+        t.apply_unitary(g).ok()?;
     }
     Some(t)
 }

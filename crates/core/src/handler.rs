@@ -7,9 +7,11 @@
 //! This implementation keeps **two** synchronized artefacts:
 //! * the accumulated [`QuantumCircuit`] (for QASM export, metrics, and
 //!   inspection), and
-//! * a **live simulation backend** ([`Backend`]), so measurements have
-//!   exact sequential semantics (measure, collapse, keep computing)
-//!   instead of re-running the whole circuit per interaction.
+//! * a **live engine** (a [`StateVector`] or a [`Tableau`], both
+//!   [`Engine`]s), so measurements have exact sequential semantics
+//!   (measure, collapse, keep computing) instead of re-running the whole
+//!   circuit per interaction. Each instruction goes through
+//!   [`apply_gate_noisy`], the same stepper shot replay uses.
 //!
 //! Under [`BackendChoice::Auto`] a noise-free run starts on the
 //! stabilizer tableau (thousands of qubits, `O(n)` per gate) and is
@@ -19,18 +21,35 @@
 //! tableau drew (see `docs/backends.md`).
 
 use crate::error::{QutesError, QutesResult};
-use qutes_qcirc::backend::{instantiate, Backend, BackendChoice, BackendKind, StatevectorBackend};
-use qutes_qcirc::execute::apply_deterministic;
+use qutes_qcirc::backend::{resolve, BackendChoice, BackendKind, Engine};
+use qutes_qcirc::execute::apply_gate_noisy;
 use qutes_qcirc::{CircError, Gate, QuantumCircuit};
+use qutes_sim::tableau::Tableau;
 use qutes_sim::{NoiseModel, StateVector};
 use qutes_supervisor::Interrupt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The live state, on whichever engine the run is on.
+enum Live {
+    Statevector(StateVector),
+    Tableau(Tableau),
+}
+
+/// Evaluates `$body` with `$e` bound to the live engine.
+macro_rules! on_engine {
+    ($live:expr, $e:ident => $body:expr) => {
+        match $live {
+            Live::Statevector($e) => $body,
+            Live::Tableau($e) => $body,
+        }
+    };
+}
+
 /// The quantum side of the Qutes runtime.
 pub struct QuantumCircuitHandler {
     circuit: QuantumCircuit,
-    backend: Box<dyn Backend>,
+    live: Live,
     clbits: Vec<bool>,
     rng: StdRng,
     measurements: usize,
@@ -80,23 +99,15 @@ impl QuantumCircuitHandler {
         choice: BackendChoice,
     ) -> QutesResult<Self> {
         let noise = noise.filter(|nm| !nm.is_noiseless());
-        let kind = match choice {
-            BackendChoice::Statevector => BackendKind::Statevector,
-            BackendChoice::Auto if noise.is_some() => BackendKind::Statevector,
-            BackendChoice::Auto => BackendKind::Tableau,
-            BackendChoice::Tableau if noise.is_some() => {
-                return Err(QutesError::Circuit(CircError::BackendUnsupported {
-                    backend: "tableau",
-                    what: "noise models (stabilizer states cannot represent \
-                           arbitrary faulty trajectories)"
-                        .to_string(),
-                }));
-            }
-            BackendChoice::Tableau => BackendKind::Tableau,
+        // The engine an empty circuit resolves to is the one the run
+        // starts on, by the same rules as whole-circuit dispatch.
+        let live = match resolve(choice, &QuantumCircuit::new(), noise.is_some())? {
+            BackendKind::Statevector => Live::Statevector(StateVector::new(0)?),
+            BackendKind::Tableau => Live::Tableau(Tableau::new(0)?),
         };
         Ok(QuantumCircuitHandler {
             circuit: QuantumCircuit::new(),
-            backend: instantiate(kind)?,
+            live,
             clbits: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             measurements: 0,
@@ -117,7 +128,7 @@ impl QuantumCircuitHandler {
     /// checkpoints inside gate application and sampling observe the
     /// run's deadline and cancellation state.
     pub fn set_interrupt(&mut self, intr: Interrupt) {
-        self.backend.set_interrupt(intr.clone());
+        on_engine!(&mut self.live, e => Engine::set_interrupt(e, intr.clone()));
         self.interrupt = Some(intr);
     }
 
@@ -145,9 +156,7 @@ impl QuantumCircuitHandler {
     /// pooled (silently leaked — safe, just unrecoverable capacity).
     pub fn release_ancillas(&mut self, qubits: &[usize]) {
         for &q in qubits {
-            let clean = self
-                .backend
-                .probability_one(q)
+            let clean = on_engine!(&mut self.live, e => Engine::probability_one(e, q))
                 .map(|p| p < 1e-9)
                 .unwrap_or(false);
             if clean {
@@ -166,7 +175,7 @@ impl QuantumCircuitHandler {
     pub fn allocate(&mut self, name: &str, width: usize) -> QutesResult<Vec<usize>> {
         self.check_capacity(width, name)?;
         let reg = self.circuit.add_qreg(name, width);
-        self.backend.grow(width)?;
+        on_engine!(&mut self.live, e => Engine::grow(e, width))?;
         Ok(reg.qubits())
     }
 
@@ -175,7 +184,7 @@ impl QuantumCircuitHandler {
     /// [`BackendChoice::Auto`], a non-Clifford gate on the tableau first
     /// promotes the live state to the statevector.
     pub fn apply(&mut self, gate: Gate) -> QutesResult<()> {
-        if self.promotes && self.backend.kind() == BackendKind::Tableau && !gate.is_clifford() {
+        if self.promotes && self.backend_kind() == BackendKind::Tableau && !gate.is_clifford() {
             self.promote()?;
         }
         self.circuit.append(gate.clone())?;
@@ -183,12 +192,16 @@ impl QuantumCircuitHandler {
         // referencing a creg added since the last measure would otherwise
         // index past the end.
         self.clbits.resize(self.circuit.num_clbits(), false);
-        // Inline simulation happens gate-by-gate during interpretation, so
-        // it is aggregated into the `stage.simulate` timer rather than
-        // opening one span per gate.
+        self.step(&gate)
+    }
+
+    /// Runs `gate` on the live engine. Inline simulation happens
+    /// gate-by-gate during interpretation, so it is aggregated into the
+    /// `stage.simulate` timer rather than opening one span per gate.
+    fn step(&mut self, gate: &Gate) -> QutesResult<()> {
         let t0 = qutes_obs::maybe_now();
-        self.backend
-            .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
+        let (clbits, rng, noise) = (&mut self.clbits, &mut self.rng, self.noise.as_ref());
+        on_engine!(&mut self.live, e => apply_gate_noisy(e, clbits, gate, rng, noise))?;
         if let Some(t0) = t0 {
             qutes_obs::record_duration("stage.simulate", t0.elapsed());
         }
@@ -220,10 +233,10 @@ impl QuantumCircuitHandler {
                 Gate::Reset(_) | Gate::Conditional { .. } => {
                     return Err(QutesError::Circuit(CircError::NonUnitary(g.name())));
                 }
-                _ => apply_deterministic(&mut state, g)?,
+                _ => state.apply_unitary(g)?,
             }
         }
-        self.backend = Box::new(StatevectorBackend::from_state(state));
+        self.live = Live::Statevector(state);
         qutes_obs::counter_add("backend.promoted", 1);
         if let Some(t0) = t0 {
             qutes_obs::record_duration("stage.simulate", t0.elapsed());
@@ -279,12 +292,7 @@ impl QuantumCircuitHandler {
             // Readout error (when modelled) is applied inside: the live
             // state collapses to the true outcome, the classical bit may
             // report the flipped one — exactly a readout fault.
-            let t0 = qutes_obs::maybe_now();
-            self.backend
-                .apply(&gate, &mut self.clbits, &mut self.rng, self.noise.as_ref())?;
-            if let Some(t0) = t0 {
-                qutes_obs::record_duration("stage.simulate", t0.elapsed());
-            }
+            self.step(&gate)?;
             bits.push(self.clbits[creg.bit(k)]);
         }
         Ok(bits)
@@ -294,7 +302,8 @@ impl QuantumCircuitHandler {
     /// CLI's histogram output. A modelled readout error corrupts each
     /// sampled bit independently per shot.
     pub fn sample(&mut self, qubits: &[usize], shots: usize) -> QutesResult<Vec<(u64, usize)>> {
-        let counts = self.backend.sample(qubits, shots, &mut self.rng)?;
+        let rng = &mut self.rng;
+        let counts = on_engine!(&self.live, e => Engine::sample(e, qubits, shots, rng))?;
         let readout = self
             .noise
             .as_ref()
@@ -334,27 +343,27 @@ impl QuantumCircuitHandler {
 
     /// Which engine holds the live state.
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        match self.live {
+            Live::Statevector(_) => BackendKind::Statevector,
+            Live::Tableau(_) => BackendKind::Tableau,
+        }
     }
 
     /// Exact probability of measuring `|1⟩` on `qubit` in the live state
     /// (both engines answer exactly; the tableau only ever yields 0, ½,
     /// or 1).
     pub fn probability_one(&mut self, qubit: usize) -> QutesResult<f64> {
-        Ok(self.backend.probability_one(qubit)?)
+        Ok(on_engine!(&mut self.live, e => Engine::probability_one(e, qubit))?)
     }
 
     /// The live dense statevector, when the backend has one (`None` on
     /// the tableau). Used by tests and simulator-level oracles;
     /// gate-level code should go through [`Self::apply`].
     pub fn dense_state(&self) -> Option<&StateVector> {
-        self.backend.dense_state()
-    }
-
-    /// Mutable access to the live dense statevector, when the backend
-    /// has one (see [`Self::dense_state`]).
-    pub fn dense_state_mut(&mut self) -> Option<&mut StateVector> {
-        self.backend.dense_state_mut()
+        match &self.live {
+            Live::Statevector(state) => Some(state),
+            Live::Tableau(_) => None,
+        }
     }
 
     /// The RNG (shared so the whole program run is reproducible from one
@@ -386,7 +395,7 @@ impl QuantumCircuitHandler {
     /// [`SimError::TooManyQubits`]: qutes_sim::SimError::TooManyQubits
     /// [`CircError::ResourceLimit`]: qutes_qcirc::CircError::ResourceLimit
     pub fn check_capacity(&self, extra: usize, _what: &str) -> QutesResult<()> {
-        self.check_capacity_on(self.backend.kind(), extra)
+        self.check_capacity_on(self.backend_kind(), extra)
     }
 
     /// [`Self::check_capacity`] against the limits of engine `kind`.

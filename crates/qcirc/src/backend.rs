@@ -11,6 +11,11 @@
 //!   runs hundreds of qubits, but only Clifford circuits
 //!   (H/S/S†/X/Y/Z/CX/CY/CZ/SWAP + measure/reset) and no noise.
 //!
+//! Both implement [`Engine`] directly: the one seam every execution mode
+//! (the live interpreter, batched, grouped and per-shot replay) and the
+//! verifier's stabilizer domain go through. [`Coin`] pins how a
+//! measurement draws from the RNG stream on each engine.
+//!
 //! [`resolve`] picks the cheapest **sound** backend: an explicit choice
 //! is validated against these constraints, and [`BackendChoice::Auto`]
 //! selects the tableau exactly when the circuit is Clifford-only,
@@ -31,13 +36,12 @@
 //! ```
 
 use crate::error::{CircError, CircResult};
-use crate::execute::{apply_gate_noisy, apply_gate_tableau};
 use crate::gate::Gate;
 use crate::QuantumCircuit;
 use qutes_sim::tableau::{Tableau, TABLEAU_MAX_QUBITS};
-use qutes_sim::{NoiseModel, StateVector, MAX_QUBITS};
+use qutes_sim::{gates, NoiseModel, StateVector, MAX_QUBITS};
 use qutes_supervisor::Interrupt;
-use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -163,12 +167,7 @@ pub fn resolve(
         BackendChoice::Statevector => Ok(BackendKind::Statevector),
         BackendChoice::Tableau => {
             if noisy {
-                return Err(CircError::BackendUnsupported {
-                    backend: "tableau",
-                    what: "noise models (stabilizer states cannot represent \
-                           arbitrary faulty trajectories)"
-                        .to_string(),
-                });
+                return Err(tableau_noise_unsupported());
             }
             if let Some(g) = circuit.ops().iter().find(|g| !g.is_clifford()) {
                 return Err(CircError::BackendUnsupported {
@@ -194,35 +193,79 @@ pub fn resolve(
     }
 }
 
-/// A live quantum-state engine driven gate-by-gate.
-///
-/// This is the seam the core runtime's `QuantumCircuitHandler` builds
-/// on: the interpreter allocates registers, applies gates, measures, and
-/// samples against this trait without knowing the representation. Both
-/// implementations route through the exact same code paths as whole-
-/// circuit execution ([`apply_gate_noisy`] / [`apply_gate_tableau`]), so
-/// per-gate interpretation and shot replay stay behaviourally identical
-/// — including RNG-stream order on the statevector engine.
-pub trait Backend {
-    /// Which engine this is.
-    fn kind(&self) -> BackendKind;
+/// Stabilizer states cannot represent faulty trajectories, so the
+/// tableau refuses every noise model with this typed error.
+pub(crate) fn tableau_noise_unsupported() -> CircError {
+    CircError::BackendUnsupported {
+        backend: "tableau",
+        what: "noise models (stabilizer states cannot represent \
+               arbitrary faulty trajectories)"
+            .to_string(),
+    }
+}
 
-    /// Qubits currently tracked.
-    fn num_qubits(&self) -> usize;
+/// How a measure or reset draws its outcome from a shot's RNG stream:
+/// exactly what the engine's own measurement primitive draws, so every
+/// caller of [`Engine::coin`] stays on the same stream.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Coin {
+    /// Statevector: one `f64` drawn against `P(1)`, as
+    /// [`qutes_sim::measure::measure_qubit`] draws it.
+    Threshold(f64),
+    /// Tableau, random outcome: [`Tableau::measure`]'s fair coin.
+    Fair,
+    /// Tableau, determined outcome: no draw, and the state already holds
+    /// it, so no collapse either.
+    Fixed(bool),
+}
+
+impl Coin {
+    /// Draws the outcome from `rng`.
+    pub fn draw<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        match self {
+            Coin::Threshold(p1) => rng.random::<f64>() < p1,
+            Coin::Fair => rng.random_bool(0.5),
+            Coin::Fixed(outcome) => outcome,
+        }
+    }
+}
+
+/// A quantum-state engine: the one seam between the execution layer and
+/// the two state representations, implemented directly by
+/// [`StateVector`] and [`Tableau`].
+///
+/// Engines know gates and qubits, not circuits: the instruction stepper
+/// in [`mod@crate::execute`] charges budgets, counts gates, reads
+/// classical bits and resolves conditionals once for both, and drives
+/// measurements through [`Engine::coin`] then [`Engine::collapse`]. The
+/// live interpreter, batched, grouped and per-shot replay all run
+/// through that stepper.
+pub trait Engine: Clone {
+    /// Which engine this is.
+    const KIND: BackendKind;
+
+    /// The `|0…0⟩` state on `num_qubits` qubits, observing `intr`;
+    /// dense kernels may thread only when `kernel_parallel` is set.
+    fn fresh(num_qubits: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self>;
 
     /// Appends `extra` fresh `|0⟩` qubits at the top indices.
     fn grow(&mut self, extra: usize) -> CircResult<()>;
 
-    /// Applies one instruction, updating classical bits on measurement.
-    /// `noise` is a per-gate trajectory fault model; the tableau engine
-    /// rejects it (auto-dispatch never routes noisy runs here).
-    fn apply(
-        &mut self,
-        gate: &Gate,
-        clbits: &mut [bool],
-        rng: &mut StdRng,
-        noise: Option<&NoiseModel>,
-    ) -> CircResult<()>;
+    /// Applies a unitary gate, a barrier or a global phase. Measure,
+    /// reset and conditionals are a typed [`CircError::NonUnitary`]; the
+    /// tableau refuses non-Clifford gates with
+    /// [`CircError::BackendUnsupported`].
+    fn apply_unitary(&mut self, g: &Gate) -> CircResult<()>;
+
+    /// How a measurement of `qubit` draws its outcome in this state.
+    /// The state is unchanged.
+    fn coin(&mut self, qubit: usize) -> CircResult<Coin>;
+
+    /// Collapses `qubit` onto `outcome`, which a random [`Coin`] drew.
+    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()>;
+
+    /// Flips a collapsed `qubit` (a reset that read 1 returns to `|0⟩`).
+    fn flip(&mut self, qubit: usize) -> CircResult<()>;
 
     /// Probability of measuring `|1⟩` on `qubit` (exact on both engines;
     /// `&mut` because the tableau uses scratch storage).
@@ -230,183 +273,232 @@ pub trait Backend {
 
     /// Draws `shots` joint samples of `qubits` without collapsing the
     /// state. Bit `k` of each key is the outcome of `qubits[k]`.
-    fn sample(
-        &mut self,
+    fn sample<R: Rng + ?Sized>(
+        &self,
         qubits: &[usize],
         shots: usize,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> CircResult<HashMap<usize, usize>>;
 
     /// Installs the cooperative-cancellation handle.
     fn set_interrupt(&mut self, intr: Interrupt);
 
-    /// The dense statevector, when this engine has one (test inspection
-    /// and simulator-level oracles; `None` on the tableau).
-    fn dense_state(&self) -> Option<&StateVector>;
-
-    /// Mutable dense statevector, when this engine has one.
-    fn dense_state_mut(&mut self) -> Option<&mut StateVector>;
+    /// Applies post-gate trajectory noise on `qubits`. The tableau
+    /// refuses it with a typed [`CircError::BackendUnsupported`].
+    fn apply_noise<R: Rng + ?Sized>(
+        &mut self,
+        noise: &NoiseModel,
+        qubits: &[usize],
+        rng: &mut R,
+    ) -> CircResult<()>;
 }
 
-/// The dense statevector engine as a [`Backend`].
-pub struct StatevectorBackend {
-    state: StateVector,
-}
+impl Engine for StateVector {
+    const KIND: BackendKind = BackendKind::Statevector;
 
-impl StatevectorBackend {
-    /// An empty (0-qubit) dense state.
-    pub fn new() -> CircResult<Self> {
-        Ok(StatevectorBackend {
-            state: StateVector::new(0)?,
-        })
-    }
-
-    /// The engine holding an existing dense state.
-    pub fn from_state(state: StateVector) -> Self {
-        StatevectorBackend { state }
-    }
-}
-
-impl Backend for StatevectorBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Statevector
-    }
-
-    fn num_qubits(&self) -> usize {
-        self.state.num_qubits()
+    fn fresh(num_qubits: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self> {
+        let mut state = StateVector::new(num_qubits)?;
+        state.set_parallel(kernel_parallel);
+        StateVector::set_interrupt(&mut state, intr.clone());
+        Ok(state)
     }
 
     fn grow(&mut self, extra: usize) -> CircResult<()> {
         if extra > 0 {
-            let fresh = StateVector::new(extra)?;
-            self.state = self.state.tensor(&fresh)?;
+            *self = self.tensor(&StateVector::new(extra)?)?;
         }
         Ok(())
     }
 
-    fn apply(
-        &mut self,
-        gate: &Gate,
-        clbits: &mut [bool],
-        rng: &mut StdRng,
-        noise: Option<&NoiseModel>,
-    ) -> CircResult<()> {
-        apply_gate_noisy(&mut self.state, clbits, gate, rng, noise)
+    fn apply_unitary(&mut self, g: &Gate) -> CircResult<()> {
+        use Gate::*;
+        match g {
+            H(q) => self.apply_single(&gates::h(), *q)?,
+            X(q) => self.apply_single(&gates::x(), *q)?,
+            Y(q) => self.apply_single(&gates::y(), *q)?,
+            Z(q) => self.apply_single(&gates::z(), *q)?,
+            S(q) => self.apply_single(&gates::s(), *q)?,
+            Sdg(q) => self.apply_single(&gates::sdg(), *q)?,
+            T(q) => self.apply_single(&gates::t(), *q)?,
+            Tdg(q) => self.apply_single(&gates::tdg(), *q)?,
+            SX(q) => self.apply_single(&gates::sx(), *q)?,
+            SXdg(q) => self.apply_single(&gates::sx().adjoint(), *q)?,
+            Phase { target, lambda } => self.apply_single(&gates::phase(*lambda), *target)?,
+            RX { target, theta } => self.apply_single(&gates::rx(*theta), *target)?,
+            RY { target, theta } => self.apply_single(&gates::ry(*theta), *target)?,
+            RZ { target, theta } => self.apply_single(&gates::rz(*theta), *target)?,
+            U {
+                target,
+                theta,
+                phi,
+                lambda,
+            } => self.apply_single(&gates::u(*theta, *phi, *lambda), *target)?,
+            CX { control, target } => self.apply_controlled(&gates::x(), &[*control], *target)?,
+            CY { control, target } => self.apply_controlled(&gates::y(), &[*control], *target)?,
+            CZ { control, target } => self.apply_controlled(&gates::z(), &[*control], *target)?,
+            CPhase {
+                control,
+                target,
+                lambda,
+            } => self.apply_controlled(&gates::phase(*lambda), &[*control], *target)?,
+            CCX { c0, c1, target } => self.apply_controlled(&gates::x(), &[*c0, *c1], *target)?,
+            MCX { controls, target } => self.apply_controlled(&gates::x(), controls, *target)?,
+            MCPhase {
+                controls,
+                target,
+                lambda,
+            } => self.apply_controlled(&gates::phase(*lambda), controls, *target)?,
+            Swap { a, b } => self.apply_swap(*a, *b)?,
+            CSwap { control, a, b } => self.apply_controlled_swap(&[*control], *a, *b)?,
+            Unitary { target, matrix } => {
+                qutes_obs::counter_add("kernel.fused_unitary", 1);
+                self.apply_single(matrix, *target)?;
+            }
+            Unitary2 { q0, q1, matrix } => {
+                qutes_obs::counter_add("kernel.fused_unitary", 1);
+                self.apply_two_fused(matrix, *q0, *q1)?;
+            }
+            Unitary3 { q0, q1, q2, matrix } => {
+                qutes_obs::counter_add("kernel.fused_unitary", 1);
+                self.apply_three(matrix, *q0, *q1, *q2)?;
+            }
+            GlobalPhase(t) => self.apply_global_phase(*t),
+            Barrier(_) => {}
+            Measure { .. } | Reset(_) | Conditional { .. } => {
+                return Err(CircError::NonUnitary(g.name()));
+            }
+        }
+        Ok(())
+    }
+
+    fn coin(&mut self, qubit: usize) -> CircResult<Coin> {
+        Ok(Coin::Threshold(StateVector::probability_one(self, qubit)?))
+    }
+
+    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
+        self.collapse_qubit(qubit, outcome)?;
+        Ok(())
+    }
+
+    fn flip(&mut self, qubit: usize) -> CircResult<()> {
+        Ok(self.flip_if_one(qubit)?)
     }
 
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64> {
-        Ok(self.state.probability_one(qubit)?)
+        Ok(StateVector::probability_one(self, qubit)?)
     }
 
-    fn sample(
-        &mut self,
+    fn sample<R: Rng + ?Sized>(
+        &self,
         qubits: &[usize],
         shots: usize,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> CircResult<HashMap<usize, usize>> {
-        Ok(qutes_sim::measure::sample_counts(
-            &self.state,
-            qubits,
-            shots,
-            rng,
-        )?)
+        Ok(qutes_sim::measure::sample_counts(self, qubits, shots, rng)?)
     }
 
     fn set_interrupt(&mut self, intr: Interrupt) {
-        self.state.set_interrupt(intr);
+        StateVector::set_interrupt(self, intr);
     }
 
-    fn dense_state(&self) -> Option<&StateVector> {
-        Some(&self.state)
-    }
-
-    fn dense_state_mut(&mut self) -> Option<&mut StateVector> {
-        Some(&mut self.state)
-    }
-}
-
-/// The stabilizer tableau engine as a [`Backend`].
-pub struct TableauBackend {
-    tab: Tableau,
-}
-
-impl TableauBackend {
-    /// An empty (0-qubit) tableau.
-    pub fn new() -> CircResult<Self> {
-        Ok(TableauBackend {
-            tab: Tableau::new(0)?,
-        })
+    fn apply_noise<R: Rng + ?Sized>(
+        &mut self,
+        noise: &NoiseModel,
+        qubits: &[usize],
+        rng: &mut R,
+    ) -> CircResult<()> {
+        Ok(noise.apply_gate_noise(self, qubits, rng)?)
     }
 }
 
-impl Backend for TableauBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tableau
-    }
+impl Engine for Tableau {
+    const KIND: BackendKind = BackendKind::Tableau;
 
-    fn num_qubits(&self) -> usize {
-        self.tab.num_qubits()
+    fn fresh(num_qubits: usize, intr: &Interrupt, _kernel_parallel: bool) -> CircResult<Self> {
+        let mut tab = Tableau::new(num_qubits)?;
+        Tableau::set_interrupt(&mut tab, intr.clone());
+        Ok(tab)
     }
 
     fn grow(&mut self, extra: usize) -> CircResult<()> {
-        Ok(self.tab.grow(extra)?)
+        Ok(Tableau::grow(self, extra)?)
     }
 
-    fn apply(
-        &mut self,
-        gate: &Gate,
-        clbits: &mut [bool],
-        rng: &mut StdRng,
-        noise: Option<&NoiseModel>,
-    ) -> CircResult<()> {
-        if noise.is_some_and(|nm| !nm.is_noiseless()) {
-            return Err(CircError::BackendUnsupported {
-                backend: "tableau",
-                what: "noise models (stabilizer states cannot represent \
-                       arbitrary faulty trajectories)"
-                    .to_string(),
-            });
+    fn apply_unitary(&mut self, g: &Gate) -> CircResult<()> {
+        match g {
+            Gate::H(q) => self.h(*q)?,
+            Gate::X(q) => self.x(*q)?,
+            Gate::Y(q) => self.y(*q)?,
+            Gate::Z(q) => self.z(*q)?,
+            Gate::S(q) => self.s(*q)?,
+            Gate::Sdg(q) => self.sdg(*q)?,
+            Gate::CX { control, target } => self.cx(*control, *target)?,
+            Gate::CY { control, target } => self.cy(*control, *target)?,
+            Gate::CZ { control, target } => self.cz(*control, *target)?,
+            Gate::Swap { a, b } => self.swap(*a, *b)?,
+            // Stabilizer states are defined up to global phase, so these
+            // are exact no-ops rather than approximations.
+            Gate::Barrier(_) | Gate::GlobalPhase(_) => {}
+            Gate::Measure { .. } | Gate::Reset(_) | Gate::Conditional { .. } => {
+                return Err(CircError::NonUnitary(g.name()));
+            }
+            other => {
+                return Err(CircError::BackendUnsupported {
+                    backend: "tableau",
+                    what: format!("non-Clifford gate '{}'", other.name()),
+                });
+            }
         }
-        apply_gate_tableau(&mut self.tab, clbits, gate, rng)
+        Ok(())
+    }
+
+    fn coin(&mut self, qubit: usize) -> CircResult<Coin> {
+        Ok(match self.determined_outcome(qubit)? {
+            Some(outcome) => Coin::Fixed(outcome),
+            None => Coin::Fair,
+        })
+    }
+
+    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
+        self.measure_forced(qubit, outcome)?;
+        Ok(())
+    }
+
+    fn flip(&mut self, qubit: usize) -> CircResult<()> {
+        Ok(self.x(qubit)?)
     }
 
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64> {
-        Ok(self.tab.probability_one(qubit)?)
+        Ok(Tableau::probability_one(self, qubit)?)
     }
 
-    fn sample(
-        &mut self,
+    fn sample<R: Rng + ?Sized>(
+        &self,
         qubits: &[usize],
         shots: usize,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> CircResult<HashMap<usize, usize>> {
-        Ok(self.tab.sample(qubits, shots, rng)?)
+        Ok(Tableau::sample(self, qubits, shots, rng)?)
     }
 
     fn set_interrupt(&mut self, intr: Interrupt) {
-        self.tab.set_interrupt(intr);
+        Tableau::set_interrupt(self, intr);
     }
 
-    fn dense_state(&self) -> Option<&StateVector> {
-        None
+    fn apply_noise<R: Rng + ?Sized>(
+        &mut self,
+        _noise: &NoiseModel,
+        _qubits: &[usize],
+        _rng: &mut R,
+    ) -> CircResult<()> {
+        Err(tableau_noise_unsupported())
     }
-
-    fn dense_state_mut(&mut self) -> Option<&mut StateVector> {
-        None
-    }
-}
-
-/// Instantiates an empty live engine of the given kind.
-pub fn instantiate(kind: BackendKind) -> CircResult<Box<dyn Backend>> {
-    Ok(match kind {
-        BackendKind::Statevector => Box::new(StatevectorBackend::new()?),
-        BackendKind::Tableau => Box::new(TableauBackend::new()?),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::apply_gate;
     use rand::SeedableRng;
 
     fn bell() -> QuantumCircuit {
@@ -477,13 +569,13 @@ mod tests {
     fn live_backends_agree_on_clifford_program() {
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(3);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(3);
-        let mut sv = StatevectorBackend::new().unwrap();
-        let mut tb = TableauBackend::new().unwrap();
+        let intr = Interrupt::new();
+        let mut sv = StateVector::fresh(0, &intr, true).unwrap();
+        let mut tb = Tableau::fresh(0, &intr, true).unwrap();
         let mut cl_a = vec![false; 2];
         let mut cl_b = vec![false; 2];
-        for b in [&mut sv as &mut dyn Backend, &mut tb as &mut dyn Backend] {
-            b.grow(2).unwrap();
-        }
+        Engine::grow(&mut sv, 2).unwrap();
+        Engine::grow(&mut tb, 2).unwrap();
         for g in [
             Gate::H(0),
             Gate::CX {
@@ -491,24 +583,23 @@ mod tests {
                 target: 1,
             },
         ] {
-            sv.apply(&g, &mut cl_a, &mut rng_a, None).unwrap();
-            tb.apply(&g, &mut cl_b, &mut rng_b, None).unwrap();
+            apply_gate(&mut sv, &mut cl_a, &g, &mut rng_a).unwrap();
+            apply_gate(&mut tb, &mut cl_b, &g, &mut rng_b).unwrap();
         }
         for q in 0..2 {
-            let a = sv.probability_one(q).unwrap();
-            let b = tb.probability_one(q).unwrap();
+            let a = Engine::probability_one(&mut sv, q).unwrap();
+            let b = Engine::probability_one(&mut tb, q).unwrap();
             assert!((a - b).abs() < 1e-9, "qubit {q}: {a} vs {b}");
         }
-        let counts = tb.sample(&[0, 1], 400, &mut rng_b).unwrap();
+        let counts = Engine::sample(&tb, &[0, 1], 400, &mut rng_b).unwrap();
         assert!(counts.keys().all(|&k| k == 0 || k == 3));
     }
 
     #[test]
     fn tableau_backend_rejects_non_clifford_gate() {
-        let mut tb = TableauBackend::new().unwrap();
-        tb.grow(1).unwrap();
+        let mut tb = Tableau::fresh(1, &Interrupt::new(), true).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let err = tb.apply(&Gate::T(0), &mut [], &mut rng, None).unwrap_err();
+        let err = apply_gate(&mut tb, &mut [], &Gate::T(0), &mut rng).unwrap_err();
         assert!(matches!(err, CircError::BackendUnsupported { .. }), "{err}");
     }
 }

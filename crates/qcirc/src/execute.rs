@@ -17,6 +17,12 @@
 //!   shots that drew it, and a noisy circuit re-runs the full circuit
 //!   per shot.
 //!
+//! Every mode, like the core runtime's live interpreter, executes
+//! instructions through one stepper generic over [`Engine`]: it charges
+//! the gate budget, counts the gate, resolves conditionals and applies
+//! unitaries, and hands each measure or reset back to its caller to
+//! draw and settle.
+//!
 //! ```
 //! use qutes_qcirc::execute::statevector;
 //! use qutes_qcirc::QuantumCircuit;
@@ -38,15 +44,16 @@
 //! [`run_shots_majority`], re-runs a noisy circuit in independently
 //! seeded batches and majority-votes the winning outcome.
 
-use crate::backend::{BackendChoice, BackendKind};
+use crate::backend::{tableau_noise_unsupported, BackendChoice, BackendKind, Coin, Engine};
 use crate::circuit::QuantumCircuit;
 use crate::error::{CircError, CircResult};
 use crate::gate::Gate;
 use qutes_sim::tableau::Tableau;
-use qutes_sim::{gates, measure, NoiseModel, StateVector};
+use qutes_sim::{NoiseModel, StateVector};
 use qutes_supervisor::{failpoint, Interrupt, StopReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -220,14 +227,18 @@ impl ExecutionConfig {
 
     /// The circuit actually executed: the input rewritten by
     /// [`crate::optimize::optimize`] at this config's level, or an
-    /// unmodified clone at level 0. Gate budgets are charged against this
+    /// unmodified input at level 0. Gate budgets are charged against this
     /// circuit, so optimized-away gates cost nothing.
-    fn optimized(&self, circuit: &QuantumCircuit, intr: &Interrupt) -> CircResult<QuantumCircuit> {
+    fn optimized<'c>(
+        &self,
+        circuit: &'c QuantumCircuit,
+        intr: &Interrupt,
+    ) -> CircResult<Cow<'c, QuantumCircuit>> {
         if self.opt_level == 0 {
-            return Ok(circuit.clone());
+            return Ok(Cow::Borrowed(circuit));
         }
         let (opt, _) = crate::optimize::optimize_with_interrupt(circuit, self.opt_level, intr)?;
-        Ok(opt)
+        Ok(Cow::Owned(opt))
     }
 
     /// Checks the noise probabilities (if any) are valid.
@@ -383,13 +394,13 @@ impl fmt::Display for Counts {
     }
 }
 
-/// Applies one instruction to the live state, updating classical bits.
+/// Applies one instruction to a live engine, updating classical bits.
 ///
 /// Classical-bit indices are bounds-checked (typed
 /// [`CircError::ClbitOutOfRange`], never a panic) so even hand-built
 /// [`Gate`] values that bypassed circuit construction fail cleanly.
-pub fn apply_gate<R: Rng + ?Sized>(
-    state: &mut StateVector,
+pub fn apply_gate<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
     clbits: &mut [bool],
     g: &Gate,
     rng: &mut R,
@@ -401,9 +412,10 @@ pub fn apply_gate<R: Rng + ?Sized>(
 /// gates get post-gate trajectory noise, measurements get readout
 /// flips, and conditionals propagate the model into their body. Used by
 /// the core runtime's live-state handler, which applies gates one at a
-/// time rather than through [`run_shots_cfg`].
-pub fn apply_gate_noisy<R: Rng + ?Sized>(
-    state: &mut StateVector,
+/// time rather than through [`run_shots_cfg`]. The tableau refuses an
+/// effective model with a typed [`CircError::BackendUnsupported`].
+pub fn apply_gate_noisy<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
     clbits: &mut [bool],
     g: &Gate,
     rng: &mut R,
@@ -434,271 +446,190 @@ fn check_clbit(clbits: &[bool], clbit: usize) -> CircResult<()> {
 /// needs gate application onto an *arbitrary* existing state, which
 /// [`statevector`] (always starting from `|0…0>`) cannot provide.
 pub fn apply_deterministic(state: &mut StateVector, g: &Gate) -> CircResult<()> {
-    match g {
-        Gate::GlobalPhase(t) => {
-            state.apply_global_phase(*t);
-            Ok(())
+    state.apply_unitary(g)
+}
+
+/// A measure or reset reached by [`step`], left for the caller to draw
+/// and settle.
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    Measure { qubit: usize, clbit: usize },
+    Reset(usize),
+}
+
+impl Event {
+    /// The qubit measured or reset.
+    fn qubit(self) -> usize {
+        match self {
+            Event::Measure { qubit, .. } | Event::Reset(qubit) => qubit,
         }
-        Gate::Barrier(_) => Ok(()),
-        _ => apply_unitary(state, g),
+    }
+
+    /// Completes the event with `outcome`, drawn from `coin`: collapses
+    /// the qubit (skipped for a determined coin, whose state already
+    /// holds the outcome), records a measurement, and returns a reset
+    /// qubit that read 1 to `|0⟩`.
+    fn settle<E: Engine>(
+        self,
+        state: &mut E,
+        clbits: &mut [bool],
+        coin: Coin,
+        outcome: bool,
+    ) -> CircResult<()> {
+        if !matches!(coin, Coin::Fixed(_)) {
+            state.collapse(self.qubit(), outcome)?;
+        }
+        match self {
+            Event::Measure { clbit, .. } => clbits[clbit] = outcome,
+            Event::Reset(qubit) if outcome => state.flip(qubit)?,
+            Event::Reset(_) => {}
+        }
+        Ok(())
     }
 }
 
-/// Applies the unitary instruction `g` to `state`. Callers must route
-/// non-unitary instructions (measure/reset/conditional/barrier/phase)
-/// elsewhere; this function handles every remaining arm.
-fn apply_unitary(state: &mut StateVector, g: &Gate) -> CircResult<()> {
-    use Gate::*;
+/// Post-gate trajectory noise: the model and the stream its faults draw
+/// from.
+type Faults<'a, R> = Option<(&'a NoiseModel, &'a mut R)>;
+
+/// The instruction stepper every execution mode shares: charges the gate
+/// budget, counts the gate, bounds-checks classical bits, recurses into
+/// a satisfied conditional, and applies unitaries (with post-gate noise
+/// when `faults` is given). A measure or reset comes back as an
+/// [`Event`] with the state untouched.
+fn step<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
+    clbits: &[bool],
+    g: &Gate,
+    budget: &mut GateBudget,
+    faults: Faults<'_, R>,
+) -> CircResult<Option<Event>> {
+    budget.charge()?;
+    qutes_obs::counter_add(g.counter_name(), 1);
     match g {
-        H(q) => state.apply_single(&gates::h(), *q)?,
-        X(q) => state.apply_single(&gates::x(), *q)?,
-        Y(q) => state.apply_single(&gates::y(), *q)?,
-        Z(q) => state.apply_single(&gates::z(), *q)?,
-        S(q) => state.apply_single(&gates::s(), *q)?,
-        Sdg(q) => state.apply_single(&gates::sdg(), *q)?,
-        T(q) => state.apply_single(&gates::t(), *q)?,
-        Tdg(q) => state.apply_single(&gates::tdg(), *q)?,
-        SX(q) => state.apply_single(&gates::sx(), *q)?,
-        SXdg(q) => state.apply_single(&gates::sx().adjoint(), *q)?,
-        Phase { target, lambda } => state.apply_single(&gates::phase(*lambda), *target)?,
-        RX { target, theta } => state.apply_single(&gates::rx(*theta), *target)?,
-        RY { target, theta } => state.apply_single(&gates::ry(*theta), *target)?,
-        RZ { target, theta } => state.apply_single(&gates::rz(*theta), *target)?,
-        U {
-            target,
-            theta,
-            phi,
-            lambda,
-        } => state.apply_single(&gates::u(*theta, *phi, *lambda), *target)?,
-        CX { control, target } => state.apply_controlled(&gates::x(), &[*control], *target)?,
-        CY { control, target } => state.apply_controlled(&gates::y(), &[*control], *target)?,
-        CZ { control, target } => state.apply_controlled(&gates::z(), &[*control], *target)?,
-        CPhase {
-            control,
-            target,
-            lambda,
-        } => state.apply_controlled(&gates::phase(*lambda), &[*control], *target)?,
-        CCX { c0, c1, target } => state.apply_controlled(&gates::x(), &[*c0, *c1], *target)?,
-        MCX { controls, target } => state.apply_controlled(&gates::x(), controls, *target)?,
-        MCPhase {
-            controls,
-            target,
-            lambda,
-        } => state.apply_controlled(&gates::phase(*lambda), controls, *target)?,
-        Swap { a, b } => state.apply_swap(*a, *b)?,
-        CSwap { control, a, b } => state.apply_controlled_swap(&[*control], *a, *b)?,
-        Unitary { target, matrix } => {
-            qutes_obs::counter_add("kernel.fused_unitary", 1);
-            state.apply_single(matrix, *target)?;
+        Gate::Measure { qubit, clbit } => {
+            check_clbit(clbits, *clbit)?;
+            Ok(Some(Event::Measure {
+                qubit: *qubit,
+                clbit: *clbit,
+            }))
         }
-        Unitary2 { q0, q1, matrix } => {
-            qutes_obs::counter_add("kernel.fused_unitary", 1);
-            state.apply_two_fused(matrix, *q0, *q1)?;
+        Gate::Reset(qubit) => Ok(Some(Event::Reset(*qubit))),
+        Gate::Conditional { clbit, value, gate } => {
+            check_clbit(clbits, *clbit)?;
+            if clbits[*clbit] == *value {
+                step(state, clbits, gate, budget, faults)
+            } else {
+                Ok(None)
+            }
         }
-        Unitary3 { q0, q1, q2, matrix } => {
-            qutes_obs::counter_add("kernel.fused_unitary", 1);
-            state.apply_three(matrix, *q0, *q1, *q2)?;
-        }
-        Measure { .. } | Reset(_) | Barrier(_) | Conditional { .. } | GlobalPhase(_) => {
-            return Err(CircError::NonUnitary(g.name()));
+        _ => {
+            state.apply_unitary(g)?;
+            if let Some((nm, rng)) = faults {
+                if !matches!(g, Gate::Barrier(_) | Gate::GlobalPhase(_)) {
+                    state.apply_noise(nm, &g.qubits(), rng)?;
+                }
+            }
+            Ok(None)
         }
     }
-    Ok(())
 }
 
-/// Full-featured gate application: bounds checks, budget accounting,
-/// and post-gate trajectory noise.
-fn apply_gate_full<R: Rng + ?Sized>(
-    state: &mut StateVector,
+/// One instruction as a per-shot or live run executes it: [`step`],
+/// then any event settled at once on `rng` — the coin drawn, the qubit
+/// collapsed, and then the readout flip (measure) or post-reset noise.
+fn apply_gate_full<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
     clbits: &mut [bool],
     g: &Gate,
     rng: &mut R,
     noise: Option<&NoiseModel>,
     budget: &mut GateBudget,
 ) -> CircResult<()> {
-    budget.charge()?;
-    qutes_obs::counter_add(g.counter_name(), 1);
-    match g {
-        Gate::Measure { qubit, clbit } => {
-            check_clbit(clbits, *clbit)?;
-            let mut out = measure::measure_qubit(state, *qubit, rng)?;
-            if let Some(nm) = noise {
-                out = nm.flip_readout(out, rng);
-            }
-            clbits[*clbit] = out;
-        }
-        Gate::Reset(q) => {
-            measure::measure_and_reset(state, *q, rng)?;
-            if let Some(nm) = noise {
-                nm.apply_gate_noise(state, &[*q], rng)?;
-            }
-        }
-        Gate::Barrier(_) => {}
-        Gate::Conditional { clbit, value, gate } => {
-            check_clbit(clbits, *clbit)?;
-            if clbits[*clbit] == *value {
-                apply_gate_full(state, clbits, gate, rng, noise, budget)?;
-            }
-        }
-        Gate::GlobalPhase(t) => state.apply_global_phase(*t),
-        _ => {
-            apply_unitary(state, g)?;
-            if let Some(nm) = noise {
-                nm.apply_gate_noise(state, &g.qubits(), rng)?;
-            }
-        }
+    if noise.is_some() && E::KIND == BackendKind::Tableau {
+        // Readout flips never reach the engine, so refuse up front.
+        return Err(tableau_noise_unsupported());
+    }
+    let Some(event) = step(state, clbits, g, budget, noise.map(|nm| (nm, &mut *rng)))? else {
+        return Ok(());
+    };
+    let coin = state.coin(event.qubit())?;
+    let outcome = coin.draw(rng);
+    event.settle(state, clbits, coin, outcome)?;
+    match (noise, event) {
+        (Some(nm), Event::Measure { clbit, .. }) => clbits[clbit] = nm.flip_readout(outcome, rng),
+        (Some(nm), Event::Reset(qubit)) => state.apply_noise(nm, &[qubit], rng)?,
+        (None, _) => {}
     }
     Ok(())
 }
 
-/// Applies one instruction to a live stabilizer tableau, updating
-/// classical bits on measurement. The tableau analogue of
-/// [`apply_gate`]: same clbit bounds checks and per-gate obs counters.
-/// Non-Clifford gates are a typed [`CircError::BackendUnsupported`].
-pub fn apply_gate_tableau<R: Rng + ?Sized>(
-    tab: &mut Tableau,
-    clbits: &mut [bool],
-    g: &Gate,
-    rng: &mut R,
-) -> CircResult<()> {
-    apply_gate_tableau_full(tab, clbits, g, rng, &mut GateBudget::unlimited())
+/// Bytes a refused state allocation reports (chaos failpoints).
+fn denied_bytes(kind: BackendKind, num_qubits: usize) -> usize {
+    usize::try_from(kind.required_bytes(num_qubits)).unwrap_or(usize::MAX)
 }
 
-/// Full tableau gate application: budget accounting, obs counters, and
-/// the Gate-IR → tableau-op translation.
-fn apply_gate_tableau_full<R: Rng + ?Sized>(
-    tab: &mut Tableau,
-    clbits: &mut [bool],
-    g: &Gate,
-    rng: &mut R,
-    budget: &mut GateBudget,
-) -> CircResult<()> {
-    budget.charge()?;
-    qutes_obs::counter_add(g.counter_name(), 1);
-    match g {
-        Gate::Measure { qubit, clbit } => {
-            check_clbit(clbits, *clbit)?;
-            clbits[*clbit] = tab.measure(*qubit, rng)?;
-        }
-        Gate::Reset(q) => {
-            tab.reset(*q, rng)?;
-        }
-        Gate::Conditional { clbit, value, gate } => {
-            check_clbit(clbits, *clbit)?;
-            if clbits[*clbit] == *value {
-                apply_gate_tableau_full(tab, clbits, gate, rng, budget)?;
-            }
-        }
-        _ => apply_tableau_deterministic(tab, g)?,
-    }
-    Ok(())
-}
-
-/// The tableau analogue of [`apply_deterministic`]: applies a Clifford
-/// gate, barrier or global phase. Other non-Clifford gates are a typed
-/// [`CircError::BackendUnsupported`]; branching instructions are
-/// [`CircError::NonUnitary`].
-fn apply_tableau_deterministic(tab: &mut Tableau, g: &Gate) -> CircResult<()> {
-    match g {
-        Gate::H(q) => tab.h(*q)?,
-        Gate::X(q) => tab.x(*q)?,
-        Gate::Y(q) => tab.y(*q)?,
-        Gate::Z(q) => tab.z(*q)?,
-        Gate::S(q) => tab.s(*q)?,
-        Gate::Sdg(q) => tab.sdg(*q)?,
-        Gate::CX { control, target } => tab.cx(*control, *target)?,
-        Gate::CY { control, target } => tab.cy(*control, *target)?,
-        Gate::CZ { control, target } => tab.cz(*control, *target)?,
-        Gate::Swap { a, b } => tab.swap(*a, *b)?,
-        // Stabilizer states are defined up to global phase, so these are
-        // exact no-ops rather than approximations.
-        Gate::Barrier(_) | Gate::GlobalPhase(_) => {}
-        Gate::Measure { .. } | Gate::Reset(_) | Gate::Conditional { .. } => {
-            return Err(CircError::NonUnitary(g.name()));
-        }
-        other => {
-            return Err(CircError::BackendUnsupported {
-                backend: "tableau",
-                what: format!("non-Clifford gate '{}'", other.name()),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Shot execution on the stabilizer tableau. Mirrors
-/// [`run_shots_full`]'s noise-free paths: terminal measurements batch
-/// into ranked sampling of one final tableau; mid-circuit
-/// measurement/reset/conditionals take the outcome-grouped replay with
-/// the same degradation semantics ([`ShotsOutcome::degraded`]).
-fn run_shots_tableau<R: Rng + ?Sized>(
+/// Runs the noise-free batched path: the circuit's measurements are all
+/// terminal, so its unitary prefix is simulated once and all shots are
+/// sampled from the final state (the standard Aer fast path). The single
+/// simulation is all-or-nothing, so interrupts surface as errors.
+fn run_batched<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
-    shots: usize,
     rng: &mut R,
     cfg: &ExecutionConfig,
     intr: &Interrupt,
-    allow_partial: bool,
 ) -> CircResult<ShotsOutcome> {
-    let mut map = HashMap::new();
-    qutes_obs::counter_add("sim.shots", shots as u64);
-    if measurements_are_terminal(circuit) {
-        qutes_obs::counter_add("sim.fast_path", 1);
-        qutes_obs::counter_add("backend.mode.batched", 1);
-        let mut tab = Tableau::new(circuit.num_qubits())?;
-        tab.set_interrupt(intr.clone());
-        let mut clbits = vec![false; circuit.num_clbits()];
-        let mut budget = cfg.budget();
-        let mut gate_ck = 0u64;
-        let mut meas_pairs: Vec<(usize, usize)> = Vec::new();
-        for g in circuit.ops() {
-            intr.checkpoint_named(
-                &mut gate_ck,
-                GATE_CHECK_STRIDE,
-                "stage.simulate.checkpoints",
-            )
-            .map_err(CircError::Interrupted)?;
-            if let Gate::Measure { qubit, clbit } = g {
-                check_clbit(&clbits, *clbit)?;
-                budget.charge()?;
-                meas_pairs.push((*qubit, *clbit));
-            } else {
-                apply_gate_tableau_full(&mut tab, &mut clbits, g, rng, &mut budget)?;
-            }
+    qutes_obs::counter_add("sim.fast_path", 1);
+    qutes_obs::counter_add("backend.mode.batched", 1);
+    let mut state = E::fresh(circuit.num_qubits(), intr, true)?;
+    let clbits = vec![false; circuit.num_clbits()];
+    let mut budget = cfg.budget();
+    let mut gate_ck = 0u64;
+    let mut meas_pairs: Vec<(usize, usize)> = Vec::new();
+    for g in circuit.ops() {
+        intr.checkpoint_named(
+            &mut gate_ck,
+            GATE_CHECK_STRIDE,
+            "stage.simulate.checkpoints",
+        )
+        .map_err(CircError::Interrupted)?;
+        if let Gate::Measure { qubit, clbit } = g {
+            // Charged like any gate, but sampled rather than counted.
+            check_clbit(&clbits, *clbit)?;
+            budget.charge()?;
+            meas_pairs.push((*qubit, *clbit));
+        } else {
+            // Terminal circuits hold no reset or conditional, so no
+            // event comes back.
+            step::<E, R>(&mut state, &clbits, g, &mut budget, None)?;
         }
-        let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
-        let sampled = tab.sample(&qubits, shots, rng)?;
-        for (joint, count) in sampled {
-            // Re-scatter bit k of the joint outcome to clbit of pair k.
-            let mut key = 0usize;
-            for (k, &(_, c)) in meas_pairs.iter().enumerate() {
-                if joint >> k & 1 == 1 {
-                    key |= 1 << c;
-                }
-            }
-            *map.entry(key).or_insert(0) += count;
-        }
-    } else {
-        return run_shots_grouped::<Tableau, R>(circuit, shots, rng, cfg, intr, allow_partial);
     }
-    Ok(ShotsOutcome {
-        counts: Counts {
-            map,
-            num_clbits: circuit.num_clbits(),
-            shots,
-        },
-        completed_shots: shots,
-        degraded: false,
+    let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
+    let mut map = HashMap::new();
+    for (joint, count) in state.sample(&qubits, cfg.shots, rng)? {
+        // Re-scatter bit k of the joint outcome to clbit of pair k.
+        let mut key = 0usize;
+        for (k, &(_, c)) in meas_pairs.iter().enumerate() {
+            if joint >> k & 1 == 1 {
+                key |= 1 << c;
+            }
+        }
+        *map.entry(key).or_insert(0) += count;
+    }
+    let pool = shot_pool::PoolOutcome {
+        map,
+        completed: cfg.shots,
         stop: None,
-    })
+    };
+    pool_outcome(pool, circuit.num_clbits(), cfg.shots, false)
 }
 
-/// Outcome-grouped replay (see [`mod@grouped`]) on engine `S`: the
+/// Outcome-grouped replay (see [`mod@grouped`]) on engine `E`: the
 /// noise-free path for circuits whose measurements are not all
 /// terminal. Histograms are bit-identical to re-running every shot on
 /// its own stream.
-fn run_shots_grouped<S: grouped::Branching, R: Rng + ?Sized>(
+fn run_grouped<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
-    shots: usize,
     rng: &mut R,
     cfg: &ExecutionConfig,
     intr: &Interrupt,
@@ -710,7 +641,7 @@ fn run_shots_grouped<S: grouped::Branching, R: Rng + ?Sized>(
     // base draw from the caller's stream, then a private RNG per shot
     // index, exactly as the per-shot runner derives them.
     let base_seed = rng.next_u64();
-    let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
+    let workers = shot_pool::resolve_workers(cfg.shot_threads, cfg.shots);
     let replay = grouped::Replay {
         circuit,
         base_seed,
@@ -719,12 +650,58 @@ fn run_shots_grouped<S: grouped::Branching, R: Rng + ?Sized>(
         // With several workers live, shot-level parallelism owns the
         // cores: nested kernel threading would only oversubscribe.
         kernel_parallel: workers == 1,
+        denied_bytes: denied_bytes(E::KIND, circuit.num_qubits()),
     };
-    let denied_bytes = grouped::denied_bytes::<S>(circuit.num_qubits());
-    let pool = shot_pool::run_pool_chunked(shots, workers, denied_bytes, |lo, hi, abort| {
-        replay.run_chunk::<S>(lo, hi, abort)
-    })?;
-    pool_outcome(pool, circuit.num_clbits(), shots, allow_partial)
+    let pool =
+        shot_pool::run_pool_chunked(cfg.shots, workers, replay.denied_bytes, |lo, hi, abort| {
+            replay.run_chunk::<E>(lo, hi, abort)
+        })?;
+    pool_outcome(pool, circuit.num_clbits(), cfg.shots, allow_partial)
+}
+
+/// Per-shot replay, for runs with effective noise: faults draw at every
+/// gate, so each shot re-runs the circuit alone on its own stream.
+fn run_per_shot<E: Engine, R: Rng + ?Sized>(
+    circuit: &QuantumCircuit,
+    rng: &mut R,
+    noise: &NoiseModel,
+    cfg: &ExecutionConfig,
+    intr: &Interrupt,
+    allow_partial: bool,
+) -> CircResult<ShotsOutcome> {
+    qutes_obs::counter_add("sim.slow_path", 1);
+    qutes_obs::counter_add("backend.mode.per_shot", 1);
+    // Same per-shot stream derivation as the grouped path; see
+    // `qutes_sim::rng_stream`.
+    let base_seed = rng.next_u64();
+    let workers = shot_pool::resolve_workers(cfg.shot_threads, cfg.shots);
+    let denied_bytes = denied_bytes(E::KIND, circuit.num_qubits());
+    // With several workers live, shot-level parallelism owns the
+    // cores: nested kernel threading would only oversubscribe.
+    let kernel_parallel = workers == 1;
+    let run_shot = |s: usize| -> CircResult<usize> {
+        intr.check().map_err(CircError::Interrupted)?;
+        if intr.is_armed() {
+            qutes_obs::counter_add("stage.shots.checkpoints", 1);
+        }
+        failpoint("qcirc.execute.shot").map_err(|_| {
+            CircError::Sim(qutes_sim::SimError::AllocationFailed {
+                bytes: denied_bytes,
+            })
+        })?;
+        let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
+        run_trajectory::<E, _>(
+            circuit,
+            &mut shot_rng,
+            Some(noise),
+            cfg.budget(),
+            intr,
+            kernel_parallel,
+        )
+        .map(|(_, clbits)| pack_clbits(&clbits))
+    };
+    let pool = shot_pool::run_pool(cfg.shots, workers, denied_bytes, run_shot)?;
+    pool_outcome(pool, circuit.num_clbits(), cfg.shots, allow_partial)
 }
 
 /// Translates a merged pool result into the shot-outcome contract
@@ -828,24 +805,24 @@ fn run_once_full<R: Rng + ?Sized>(
     budget: GateBudget,
     intr: &Interrupt,
 ) -> CircResult<Shot> {
-    run_once_kernel(circuit, rng, noise, budget, intr, true)
+    let (state, clbits) = run_trajectory(circuit, rng, noise, budget, intr, true)?;
+    Ok(Shot { state, clbits })
 }
 
-/// [`run_once_full`] with an explicit kernel-threading switch: shot-pool
-/// workers pass `false` so per-shot parallelism is the only threading
-/// level (dense kernels are bit-identical either way, property-tested
-/// in `qsim::parallel`).
-fn run_once_kernel<R: Rng + ?Sized>(
+/// Runs the whole circuit once on a fresh engine `E`, settling every
+/// measurement on `rng`. Shot-pool workers pass `kernel_parallel:
+/// false` so per-shot parallelism is the only threading level (dense
+/// kernels are bit-identical either way, property-tested in
+/// `qsim::parallel`).
+fn run_trajectory<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     rng: &mut R,
     noise: Option<&NoiseModel>,
     mut budget: GateBudget,
     intr: &Interrupt,
     kernel_parallel: bool,
-) -> CircResult<Shot> {
-    let mut state = StateVector::new(circuit.num_qubits())?;
-    state.set_parallel(kernel_parallel);
-    state.set_interrupt(intr.clone());
+) -> CircResult<(E, Vec<bool>)> {
+    let mut state = E::fresh(circuit.num_qubits(), intr, kernel_parallel)?;
     let mut clbits = vec![false; circuit.num_clbits()];
     let mut gate_ck = 0u64;
     for g in circuit.ops() {
@@ -857,7 +834,7 @@ fn run_once_kernel<R: Rng + ?Sized>(
         .map_err(CircError::Interrupted)?;
         apply_gate_full(&mut state, &mut clbits, g, rng, noise, &mut budget)?;
     }
-    Ok(Shot { state, clbits })
+    Ok((state, clbits))
 }
 
 /// The exact statevector of a unitary circuit. Errors if the circuit
@@ -931,14 +908,10 @@ pub fn run_shots<R: Rng + ?Sized>(
     shots: usize,
     rng: &mut R,
 ) -> CircResult<Counts> {
-    let cfg = ExecutionConfig::default();
-    let kind = crate::backend::resolve(BackendChoice::Auto, circuit, false)?;
-    qutes_obs::counter_add(kind.counter_name(), 1);
-    let intr = Interrupt::new();
-    let outcome = match kind {
-        BackendKind::Tableau => run_shots_tableau(circuit, shots, rng, &cfg, &intr, false)?,
-        BackendKind::Statevector => run_shots_full(circuit, shots, rng, None, &cfg, &intr, false)?,
-    };
+    let cfg = ExecutionConfig::default()
+        .with_shots(shots)
+        .with_opt_level(0);
+    let outcome = dispatch(circuit, &cfg, &Interrupt::new(), rng, false, false)?;
     Ok(outcome.counts)
 }
 
@@ -975,137 +948,60 @@ fn run_shots_entry(
     let intr = cfg.effective_interrupt();
     intr.check().map_err(CircError::Interrupted)?;
     cfg.validate()?;
-    let kind = crate::backend::resolve(cfg.backend, circuit, cfg.effective_noise().is_some())?;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    dispatch(circuit, cfg, &intr, &mut rng, allow_partial, true)
+}
+
+/// The one shot dispatcher: resolves the engine, counts it, checks the
+/// memory budget, and replays `cfg.shots` shots on it — batched when
+/// every measurement is terminal and the run is noise-free, grouped when
+/// it is noise-free otherwise, per-shot under effective noise. `timed`
+/// runs (the [`ExecutionConfig`] entry points) time the replay as
+/// `stage.simulate`.
+fn dispatch<R: Rng + ?Sized>(
+    circuit: &QuantumCircuit,
+    cfg: &ExecutionConfig,
+    intr: &Interrupt,
+    rng: &mut R,
+    allow_partial: bool,
+    timed: bool,
+) -> CircResult<ShotsOutcome> {
+    let noise = cfg.effective_noise();
+    let kind = crate::backend::resolve(cfg.backend, circuit, noise.is_some())?;
     qutes_obs::counter_add(kind.counter_name(), 1);
     cfg.check_memory_backend(kind, circuit.num_qubits())?;
     match kind {
+        // The optimizer targets dense kernels (it may fuse Clifford runs
+        // into float `Unitary` matrices), so the tableau executes the
+        // raw circuit; gate budgets are charged against it directly.
         BackendKind::Tableau => {
-            // The optimizer targets dense kernels (it may fuse Clifford
-            // runs into float `Unitary` matrices), so the tableau
-            // executes the raw circuit; gate budgets are charged against
-            // it directly.
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let _span = qutes_obs::span("stage.simulate");
-            run_shots_tableau(circuit, cfg.shots, &mut rng, cfg, &intr, allow_partial)
+            let _span = timed.then(|| qutes_obs::span("stage.simulate"));
+            replay::<Tableau, R>(circuit, rng, None, cfg, intr, allow_partial)
         }
         BackendKind::Statevector => {
-            let circuit = cfg.optimized(circuit, &intr)?;
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let _span = qutes_obs::span("stage.simulate");
-            run_shots_full(
-                &circuit,
-                cfg.shots,
-                &mut rng,
-                cfg.effective_noise(),
-                cfg,
-                &intr,
-                allow_partial,
-            )
+            let circuit = cfg.optimized(circuit, intr)?;
+            let _span = timed.then(|| qutes_obs::span("stage.simulate"));
+            replay::<StateVector, R>(&circuit, rng, noise, cfg, intr, allow_partial)
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_shots_full<R: Rng + ?Sized>(
+/// Replays `cfg.shots` shots of `circuit` on engine `E` in the mode the
+/// run allows.
+fn replay<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
-    shots: usize,
     rng: &mut R,
     noise: Option<&NoiseModel>,
     cfg: &ExecutionConfig,
     intr: &Interrupt,
     allow_partial: bool,
 ) -> CircResult<ShotsOutcome> {
-    let mut map = HashMap::new();
-    qutes_obs::counter_add("sim.shots", shots as u64);
-    if noise.is_none() && measurements_are_terminal(circuit) {
-        qutes_obs::counter_add("sim.fast_path", 1);
-        qutes_obs::counter_add("backend.mode.batched", 1);
-        // Fast path: simulate the unitary prefix once, then sample. The
-        // single simulation is all-or-nothing, so no partial outcome is
-        // possible here; interrupts surface as errors.
-        let mut state = StateVector::new(circuit.num_qubits())?;
-        state.set_interrupt(intr.clone());
-        let mut clbits = vec![false; circuit.num_clbits()];
-        let mut budget = cfg.budget();
-        let mut gate_ck = 0u64;
-        let mut meas_pairs: Vec<(usize, usize)> = Vec::new();
-        for g in circuit.ops() {
-            intr.checkpoint_named(
-                &mut gate_ck,
-                GATE_CHECK_STRIDE,
-                "stage.simulate.checkpoints",
-            )
-            .map_err(CircError::Interrupted)?;
-            if let Gate::Measure { qubit, clbit } = g {
-                check_clbit(&clbits, *clbit)?;
-                budget.charge()?;
-                meas_pairs.push((*qubit, *clbit));
-            } else {
-                apply_gate_full(&mut state, &mut clbits, g, rng, None, &mut budget)?;
-            }
-        }
-        let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
-        let sampled = measure::sample_counts(&state, &qubits, shots, rng)?;
-        for (joint, count) in sampled {
-            // Re-scatter bit k of the joint outcome to clbit of pair k.
-            let mut key = 0usize;
-            for (k, &(_, c)) in meas_pairs.iter().enumerate() {
-                if joint >> k & 1 == 1 {
-                    key |= 1 << c;
-                }
-            }
-            *map.entry(key).or_insert(0) += count;
-        }
-    } else if noise.is_none() {
-        return run_shots_grouped::<StateVector, R>(circuit, shots, rng, cfg, intr, allow_partial);
-    } else {
-        // Noise faults draw at every gate, so each shot re-runs alone.
-        qutes_obs::counter_add("sim.slow_path", 1);
-        qutes_obs::counter_add("backend.mode.per_shot", 1);
-        // Same per-shot stream derivation as the grouped path; see
-        // `qutes_sim::rng_stream`.
-        let base_seed = rng.next_u64();
-        let workers = shot_pool::resolve_workers(cfg.shot_threads, shots);
-        let denied_bytes = 16usize
-            .checked_shl(circuit.num_qubits() as u32)
-            .unwrap_or(usize::MAX);
-        // With several workers live, shot-level parallelism owns the
-        // cores: nested kernel threading would only oversubscribe.
-        let kernel_parallel = workers == 1;
-        let run_shot = |s: usize| -> CircResult<usize> {
-            intr.check().map_err(CircError::Interrupted)?;
-            if intr.is_armed() {
-                qutes_obs::counter_add("stage.shots.checkpoints", 1);
-            }
-            failpoint("qcirc.execute.shot").map_err(|_| {
-                CircError::Sim(qutes_sim::SimError::AllocationFailed {
-                    bytes: denied_bytes,
-                })
-            })?;
-            let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
-            run_once_kernel(
-                circuit,
-                &mut shot_rng,
-                noise,
-                cfg.budget(),
-                intr,
-                kernel_parallel,
-            )
-            .map(|shot| shot.clbits_as_usize())
-        };
-        let pool = shot_pool::run_pool(shots, workers, denied_bytes, run_shot)?;
-        return pool_outcome(pool, circuit.num_clbits(), shots, allow_partial);
+    qutes_obs::counter_add("sim.shots", cfg.shots as u64);
+    match noise {
+        Some(nm) => run_per_shot::<E, R>(circuit, rng, nm, cfg, intr, allow_partial),
+        None if measurements_are_terminal(circuit) => run_batched::<E, R>(circuit, rng, cfg, intr),
+        None => run_grouped::<E, R>(circuit, rng, cfg, intr, allow_partial),
     }
-    Ok(ShotsOutcome {
-        counts: Counts {
-            map,
-            num_clbits: circuit.num_clbits(),
-            shots,
-        },
-        completed_shots: shots,
-        degraded: false,
-        stop: None,
-    })
 }
 
 /// Result of a [`run_shots_majority`] mitigation run.

@@ -14,15 +14,20 @@
 //! * at an event, every shot of the group draws its outcome, and the
 //!   group splits by outcome; each side collapses once.
 //!
+//! The walk runs every instruction through the same stepper as the
+//! per-shot runner and the live interpreter (`super::step`); only the
+//! settling of a measure or reset differs, drawing one coin per shot
+//! instead of one per run.
+//!
 //! **Bit identity.** Each shot keeps its own counter-derived stream
 //! ([`qutes_sim::rng_stream::shot_rng`]) and draws from it exactly what
-//! its own per-shot run would draw at that event: one `f64` against the
-//! qubit's `P(1)` on the statevector (as `measure::measure_qubit`), and a
-//! fair coin on the tableau only when the outcome is random (as
-//! [`Tableau::measure`]). The gates in between are deterministic and a
-//! state clone is exact, so every shot sees the same states, draws,
-//! classical bits and gate-budget charges as in its per-shot run, and
-//! lands on the same histogram key. Grouping changes the schedule, not
+//! its own per-shot run would draw at that event: the event's
+//! [`Coin`], one `f64` against the qubit's `P(1)` on the statevector,
+//! and a fair coin on the tableau only when the outcome is random. The
+//! gates in between are deterministic and a state clone is exact, so
+//! every shot sees the same states, draws, classical bits and
+//! gate-budget charges as in its per-shot run, and lands on the same
+//! histogram key. Grouping changes the schedule, not
 //! the result, so histograms stay identical at any `shot_threads`.
 //!
 //! **Memory.** At a split the larger group waits on an explicit stack as
@@ -38,139 +43,17 @@
 //! for very large shot counts.
 
 use super::shot_pool::ChunkResult;
-use super::{
-    apply_deterministic, apply_tableau_deterministic, check_clbit, pack_clbits, ExecutionConfig,
-    GateBudget, GATE_CHECK_STRIDE,
-};
-use crate::backend::BackendKind;
+use super::{pack_clbits, step, Event, ExecutionConfig, GateBudget, GATE_CHECK_STRIDE};
+use crate::backend::{Coin, Engine};
 use crate::circuit::QuantumCircuit;
 use crate::error::{CircError, CircResult};
-use crate::gate::Gate;
 use qutes_sim::rng_stream::shot_rng;
-use qutes_sim::tableau::Tableau;
-use qutes_sim::StateVector;
 use qutes_supervisor::{failpoint, Interrupt};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Most shots walked together in one round.
 const ROUND_SHOTS: usize = 1 << 16;
-
-/// How each shot of a group draws its outcome at one measure or reset.
-pub(crate) enum Coin {
-    /// Statevector: `measure_qubit`'s `f64` draw against `P(1)`.
-    Threshold(f64),
-    /// Tableau, random outcome: [`Tableau::measure`]'s fair coin.
-    Fair,
-    /// Tableau, determined outcome: no draw.
-    Fixed(bool),
-}
-
-impl Coin {
-    fn draw(&self, rng: &mut StdRng) -> bool {
-        match *self {
-            Coin::Threshold(p1) => rng.random::<f64>() < p1,
-            Coin::Fair => rng.random_bool(0.5),
-            Coin::Fixed(outcome) => outcome,
-        }
-    }
-}
-
-/// A simulation state that grouped replay can walk and branch. Each
-/// method does what the engine's per-shot runner does at that step.
-pub(crate) trait Branching: Clone {
-    /// The engine, for memory accounting.
-    const KIND: BackendKind;
-    /// The `|0…0⟩` state, set up like a per-shot run's.
-    fn fresh(num_qubits: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self>;
-    /// Applies a unitary gate, a barrier or a global phase.
-    fn apply(&mut self, g: &Gate) -> CircResult<()>;
-    /// How shots draw the outcome of measuring `qubit` in this state.
-    fn coin(&mut self, qubit: usize) -> CircResult<Coin>;
-    /// Collapses `qubit` onto `outcome`.
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()>;
-    /// Flips `qubit` back to `|0⟩` after a reset read 1.
-    fn flip(&mut self, qubit: usize) -> CircResult<()>;
-}
-
-impl Branching for StateVector {
-    const KIND: BackendKind = BackendKind::Statevector;
-
-    fn fresh(num_qubits: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self> {
-        let mut state = StateVector::new(num_qubits)?;
-        state.set_parallel(kernel_parallel);
-        state.set_interrupt(intr.clone());
-        Ok(state)
-    }
-
-    fn apply(&mut self, g: &Gate) -> CircResult<()> {
-        apply_deterministic(self, g)
-    }
-
-    fn coin(&mut self, qubit: usize) -> CircResult<Coin> {
-        Ok(Coin::Threshold(self.probability_one(qubit)?))
-    }
-
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
-        self.collapse_qubit(qubit, outcome)?;
-        Ok(())
-    }
-
-    fn flip(&mut self, qubit: usize) -> CircResult<()> {
-        Ok(self.flip_if_one(qubit)?)
-    }
-}
-
-impl Branching for Tableau {
-    const KIND: BackendKind = BackendKind::Tableau;
-
-    fn fresh(num_qubits: usize, intr: &Interrupt, _kernel_parallel: bool) -> CircResult<Self> {
-        let mut tab = Tableau::new(num_qubits)?;
-        tab.set_interrupt(intr.clone());
-        Ok(tab)
-    }
-
-    fn apply(&mut self, g: &Gate) -> CircResult<()> {
-        apply_tableau_deterministic(self, g)
-    }
-
-    fn coin(&mut self, qubit: usize) -> CircResult<Coin> {
-        Ok(match self.determined_outcome(qubit)? {
-            Some(outcome) => Coin::Fixed(outcome),
-            None => Coin::Fair,
-        })
-    }
-
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
-        self.measure_forced(qubit, outcome)?;
-        Ok(())
-    }
-
-    fn flip(&mut self, qubit: usize) -> CircResult<()> {
-        Ok(self.x(qubit)?)
-    }
-}
-
-/// Bytes a refused state allocation reports (chaos failpoints).
-pub(crate) fn denied_bytes<S: Branching>(num_qubits: usize) -> usize {
-    usize::try_from(S::KIND.required_bytes(num_qubits)).unwrap_or(usize::MAX)
-}
-
-/// A measure or reset reached by a group.
-#[derive(Clone, Copy)]
-enum Event {
-    Measure { qubit: usize, clbit: usize },
-    Reset(usize),
-}
-
-impl Event {
-    fn qubit(self) -> usize {
-        match self {
-            Event::Measure { qubit, .. } | Event::Reset(qubit) => qubit,
-        }
-    }
-}
 
 /// Shots that have drawn the same outcomes so far, with their shared
 /// state.
@@ -182,48 +65,9 @@ struct Group<S> {
     budget: GateBudget,
     /// Index of the next instruction.
     pc: usize,
-    /// The outcome this group split off with, settled when it resumes.
-    pending: Option<(Event, bool)>,
-}
-
-impl<S: Branching> Group<S> {
-    /// Charges and executes one instruction like the per-shot runner,
-    /// except that a measure or reset (possibly inside a satisfied
-    /// conditional) is returned instead of executed.
-    fn step(&mut self, g: &Gate) -> CircResult<Option<Event>> {
-        self.budget.charge()?;
-        qutes_obs::counter_add(g.counter_name(), 1);
-        match g {
-            Gate::Measure { qubit, clbit } => {
-                check_clbit(&self.clbits, *clbit)?;
-                Ok(Some(Event::Measure {
-                    qubit: *qubit,
-                    clbit: *clbit,
-                }))
-            }
-            Gate::Reset(qubit) => Ok(Some(Event::Reset(*qubit))),
-            Gate::Conditional { clbit, value, gate } => {
-                check_clbit(&self.clbits, *clbit)?;
-                if self.clbits[*clbit] == *value {
-                    self.step(gate)
-                } else {
-                    Ok(None)
-                }
-            }
-            _ => self.state.apply(g).map(|()| None),
-        }
-    }
-
-    /// Completes `event` with the outcome every shot of the group drew.
-    fn settle(&mut self, event: Event, outcome: bool) -> CircResult<()> {
-        self.state.collapse(event.qubit(), outcome)?;
-        match event {
-            Event::Measure { clbit, .. } => self.clbits[clbit] = outcome,
-            Event::Reset(qubit) if outcome => self.state.flip(qubit)?,
-            Event::Reset(_) => {}
-        }
-        Ok(())
-    }
+    /// The event this group split off at, with its coin and this side's
+    /// outcome, settled when the group resumes.
+    pending: Option<(Event, Coin, bool)>,
 }
 
 /// Grouped replay of one circuit: what every chunk shares.
@@ -235,12 +79,14 @@ pub(crate) struct Replay<'a> {
     pub intr: &'a Interrupt,
     /// Whether dense kernels may thread (only when the pool is serial).
     pub kernel_parallel: bool,
+    /// Bytes a refused state allocation reports (chaos failpoints).
+    pub denied_bytes: usize,
 }
 
 impl Replay<'_> {
     /// Runs shots `[lo, hi)` grouped, under the shot pool's chunk
     /// contract (see [`super::shot_pool::run_pool_chunked`]).
-    pub(crate) fn run_chunk<S: Branching>(
+    pub(crate) fn run_chunk<S: Engine>(
         &self,
         lo: usize,
         hi: usize,
@@ -261,8 +107,9 @@ impl Replay<'_> {
             // the per-shot loop, unless an earlier shot fails first.
             for s in start..stop {
                 if failpoint("qcirc.execute.shot").is_err() {
-                    let bytes = denied_bytes::<S>(self.circuit.num_qubits());
-                    let e = CircError::Sim(qutes_sim::SimError::AllocationFailed { bytes });
+                    let e = CircError::Sim(qutes_sim::SimError::AllocationFailed {
+                        bytes: self.denied_bytes,
+                    });
                     refused = Some((s, e));
                     stop = s;
                     break;
@@ -283,7 +130,7 @@ impl Replay<'_> {
     /// Walks shots `[lo, hi)` as one round, folding finished groups into
     /// `out`. A hard error is recorded against the earliest shot it hits,
     /// as the per-shot loop would report it.
-    fn run_round<S: Branching>(
+    fn run_round<S: Engine>(
         &self,
         lo: usize,
         hi: usize,
@@ -373,7 +220,7 @@ struct Walk<'r, 'a, S> {
     gate_ck: u64,
 }
 
-impl<S: Branching> Walk<'_, '_, S> {
+impl<S: Engine> Walk<'_, '_, S> {
     /// A group of `shots` at the start of the circuit, or the first
     /// shot and the error if the state cannot be allocated.
     fn fresh(&self, shots: Vec<usize>) -> Result<Group<S>, (usize, CircError)> {
@@ -401,8 +248,8 @@ impl<S: Branching> Walk<'_, '_, S> {
         if intr.is_armed() {
             qutes_obs::counter_add("stage.shots.checkpoints", 1);
         }
-        if let Some((event, outcome)) = g.pending.take() {
-            g.settle(event, outcome)?;
+        if let Some((event, coin, outcome)) = g.pending.take() {
+            event.settle(&mut g.state, &mut g.clbits, coin, outcome)?;
         }
         let ops = self.replay.circuit.ops();
         while let Some(op) = ops.get(g.pc) {
@@ -413,7 +260,8 @@ impl<S: Branching> Walk<'_, '_, S> {
                 "stage.simulate.checkpoints",
             )
             .map_err(CircError::Interrupted)?;
-            let Some(event) = g.step(op)? else {
+            let Some(event) = step::<S, StdRng>(&mut g.state, &g.clbits, op, &mut g.budget, None)?
+            else {
                 continue;
             };
             let coin = g.state.coin(event.qubit())?;
@@ -423,7 +271,7 @@ impl<S: Branching> Walk<'_, '_, S> {
             if ones.is_empty() || zeros.is_empty() {
                 let outcome = zeros.is_empty();
                 g.shots = if outcome { ones } else { zeros };
-                g.settle(event, outcome)?;
+                event.settle(&mut g.state, &mut g.clbits, coin, outcome)?;
                 continue;
             }
             let ((big, big_outcome), (small, small_outcome)) = if ones.len() > zeros.len() {
@@ -439,14 +287,14 @@ impl<S: Branching> Walk<'_, '_, S> {
                     clbits: g.clbits.clone(),
                     budget: g.budget.clone(),
                     pc: g.pc,
-                    pending: Some((event, big_outcome)),
+                    pending: Some((event, coin, big_outcome)),
                 });
                 g.shots = small;
-                g.settle(event, small_outcome)?;
+                event.settle(&mut g.state, &mut g.clbits, coin, small_outcome)?;
             } else {
                 self.deferred.extend(small);
                 g.shots = big;
-                g.settle(event, big_outcome)?;
+                event.settle(&mut g.state, &mut g.clbits, coin, big_outcome)?;
             }
         }
         Ok(pack_clbits(&g.clbits))

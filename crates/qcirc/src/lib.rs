@@ -36,9 +36,7 @@ pub mod optimize;
 pub mod register;
 pub mod segment;
 
-pub use backend::{
-    circuit_is_clifford, Backend, BackendChoice, BackendKind, StatevectorBackend, TableauBackend,
-};
+pub use backend::{circuit_is_clifford, BackendChoice, BackendKind, Coin, Engine};
 pub use circuit::{remap_gate, QuantumCircuit};
 pub use decompose::{
     lower_gate_to_standard, mcphase_no_ancilla, mcx_no_ancilla, mcx_vchain, transpile, Basis,

@@ -9,10 +9,10 @@
 // `allow-unwrap-in-tests` does not reach.
 #![allow(clippy::unwrap_used)]
 
-use qutes_qcirc::execute::{apply_gate_tableau, run_shots_supervised};
+use qutes_qcirc::execute::run_shots_supervised;
 use qutes_qcirc::{
-    optimize, run_once, run_shots_cfg, BackendChoice, BackendKind, CircError, ExecutionConfig,
-    Gate, Interrupt, QuantumCircuit,
+    optimize, run_once, run_shots_cfg, BackendChoice, BackendKind, CircError, Engine,
+    ExecutionConfig, Gate, Interrupt, QuantumCircuit,
 };
 use qutes_sim::rng_stream::shot_rng;
 use qutes_sim::tableau::Tableau;
@@ -98,8 +98,27 @@ fn random_circuit(seed: u64, clifford: bool) -> QuantumCircuit {
     c
 }
 
-/// Runs shot `s` alone on `shot_rng(base, s)` with the public one-shot
-/// runners, and histograms the keys.
+/// Runs one instruction on the tableau through its own measurement
+/// primitives, so the reference shares no code with the stepper under
+/// test (only the gate map of [`Engine::apply_unitary`]).
+fn tableau_step(tab: &mut Tableau, clbits: &mut [bool], g: &Gate, rng: &mut StdRng) {
+    match g {
+        Gate::Measure { qubit, clbit } => clbits[*clbit] = tab.measure(*qubit, rng).unwrap(),
+        Gate::Reset(qubit) => {
+            tab.reset(*qubit, rng).unwrap();
+        }
+        Gate::Conditional { clbit, value, gate } => {
+            if clbits[*clbit] == *value {
+                tableau_step(tab, clbits, gate, rng);
+            }
+        }
+        _ => tab.apply_unitary(g).unwrap(),
+    }
+}
+
+/// Runs shot `s` alone on `shot_rng(base, s)` — with the public one-shot
+/// runner on the statevector, and through [`tableau_step`] on the
+/// tableau — and histograms the keys.
 fn reference(
     c: &QuantumCircuit,
     seed: u64,
@@ -116,7 +135,7 @@ fn reference(
                 let mut tab = Tableau::new(c.num_qubits()).unwrap();
                 let mut clbits = vec![false; c.num_clbits()];
                 for g in c.ops() {
-                    apply_gate_tableau(&mut tab, &mut clbits, g, &mut rng).unwrap();
+                    tableau_step(&mut tab, &mut clbits, g, &mut rng);
                 }
                 clbits
                     .iter()
