@@ -64,7 +64,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // One profiled run outside the timed loops: the snapshot carries the
-    // backend.* counters (engine choice, batched-vs-per-shot mode) into
+    // backend.* counters (engine choice, batched-vs-grouped mode) into
     // the JSON artifact where scripts/bench_check.sh gates them.
     qutes_obs::reset();
     let profiled = cfg(BackendChoice::Tableau, shots).with_observe(true);

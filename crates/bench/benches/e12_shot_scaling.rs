@@ -2,16 +2,18 @@
 //!
 //! Three regimes of the Monte-Carlo replay engine:
 //!
-//! * **noisy per-shot statevector** — Grover at 8 qubits under
+//! * **noisy grouped statevector** — Grover at 8 qubits under
 //!   depolarizing noise, replayed at pinned pool sizes (1/2/4 workers).
+//!   The rows keep their historical `noisy_grover8_per_shot` id: noisy
+//!   replay is grouped now, each fault a branch.
 //!   Thread counts are pinned, not auto-sized, so the attached obs
 //!   counters (`shots.parallel.workers`) are machine-independent and
 //!   `scripts/bench_check.sh` can gate them. Wall-time scaling across
 //!   the pinned sizes depends on the runner's core count; the committed
 //!   trajectory for that lives in `BENCH_pr9_shots.json`.
 //! * **batched fast path** — the same circuit noise-free, which samples
-//!   one simulation instead of re-running per shot: the crossover
-//!   against the per-shot rows shows what noise costs.
+//!   one simulation instead of walking every trajectory: the crossover
+//!   against the noisy rows shows what noise costs.
 //! * **ranked tableau sampling** — a 100-qubit GHZ chain sampled
 //!   100 000 times. The sampler row-reduces the stabilizer group once
 //!   and replays only the `O(rank)` random coins per shot, so this runs
@@ -64,7 +66,7 @@ fn bench(c: &mut Criterion) {
     let shots = 128usize;
     let g8 = grover(8);
 
-    // Per-shot noisy replay at pinned pool sizes. The histogram is
+    // Grouped noisy replay at pinned pool sizes. The histogram is
     // bit-for-bit identical across rows; only wall time may differ.
     for threads in [1usize, 2, 4] {
         g.bench_with_input(

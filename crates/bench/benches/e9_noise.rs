@@ -1,5 +1,5 @@
 //! E9 bench: overhead of the Monte-Carlo noise engine — noiseless fast
-//! path vs forced per-shot trajectories vs full noise, and the
+//! path vs grouped noisy trajectories vs full noise, and the
 //! majority-vote mitigation wrapper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -25,8 +25,8 @@
 //! circuit is additionally replayed `N` times under the same model and
 //! the outcome histogram printed. `--mem-budget` caps the dense
 //! statevector allocation (`16 * 2^n` bytes) with a clean error instead
-//! of an OOM. `--shot-threads N` sizes the worker pool for the
-//! grouped and per-shot replay paths (`0` = auto from the host's
+//! of an OOM. `--shot-threads N` sizes the worker pool for grouped
+//! replay, noisy or not (`0` = auto from the host's
 //! available parallelism, `1` = serial; histograms are bit-for-bit
 //! identical at every value — see `docs/performance.md`).
 //! `--backend {auto,statevector,tableau}` selects the

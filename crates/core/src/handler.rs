@@ -341,6 +341,12 @@ impl QuantumCircuitHandler {
         &self.circuit
     }
 
+    /// The accumulated circuit, taken out of the handler; the live state
+    /// is released with it.
+    pub fn into_circuit(self) -> QuantumCircuit {
+        self.circuit
+    }
+
     /// Which engine holds the live state.
     pub fn backend_kind(&self) -> BackendKind {
         match self.live {

@@ -103,8 +103,8 @@ pub struct RunConfig {
     /// run starts on the statevector. The replay runs on the engine the
     /// live run ended on (see `docs/backends.md`).
     pub backend: qutes_qcirc::BackendChoice,
-    /// Worker threads for the grouped and per-shot replay paths (`0` =
-    /// auto-size from [`std::thread::available_parallelism`], `1` = serial).
+    /// Worker threads for grouped replay, noisy or not (`0` = auto-size
+    /// from [`std::thread::available_parallelism`], `1` = serial).
     /// Histograms are bit-for-bit identical at every value because each
     /// shot draws from its own counter-derived RNG stream; batched
     /// (noise-free, measure-at-end) replays ignore this knob.
@@ -298,7 +298,14 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     let backend = interp.handler.backend_kind();
     qutes_obs::counter_add(backend.counter_name(), 1);
     op_pass?;
-    let circuit = interp.handler.circuit().clone();
+    // Release the interpreter and the live engine before the replay:
+    // keep what the outcome reports and move the circuit out.
+    let Interp {
+        output, handler, ..
+    } = interp;
+    let measurements = handler.measurements();
+    let qubits_used = handler.num_qubits();
+    let circuit = handler.into_circuit();
 
     // Optional post-run histogram: replay the accumulated circuit under
     // the same seed/noise/budget configuration. The replay observes the
@@ -335,9 +342,9 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     };
 
     Ok(RunOutcome {
-        output: interp.output,
-        measurements: interp.handler.measurements(),
-        qubits_used: interp.handler.num_qubits(),
+        output,
+        measurements,
+        qubits_used,
         backend,
         circuit,
         counts,

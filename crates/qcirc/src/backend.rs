@@ -12,7 +12,7 @@
 //!   (H/S/S†/X/Y/Z/CX/CY/CZ/SWAP + measure/reset) and no noise.
 //!
 //! Both implement [`Engine`] directly: the one seam every execution mode
-//! (the live interpreter, batched, grouped and per-shot replay) and the
+//! (the live interpreter, batched and grouped replay) and the
 //! verifier's stabilizer domain go through. [`Coin`] pins how a
 //! measurement draws from the RNG stream on each engine.
 //!
@@ -39,7 +39,7 @@ use crate::error::{CircError, CircResult};
 use crate::gate::Gate;
 use crate::QuantumCircuit;
 use qutes_sim::tableau::{Tableau, TABLEAU_MAX_QUBITS};
-use qutes_sim::{gates, NoiseModel, StateVector, MAX_QUBITS};
+use qutes_sim::{gates, Channel, Fault, Site, StateVector, MAX_QUBITS};
 use qutes_supervisor::Interrupt;
 use rand::Rng;
 use std::collections::HashMap;
@@ -238,8 +238,8 @@ impl Coin {
 /// in [`mod@crate::execute`] charges budgets, counts gates, reads
 /// classical bits and resolves conditionals once for both, and drives
 /// measurements through [`Engine::coin`] then [`Engine::collapse`]. The
-/// live interpreter, batched, grouped and per-shot replay all run
-/// through that stepper.
+/// live interpreter, batched and grouped replay all run through that
+/// stepper.
 pub trait Engine: Clone {
     /// Which engine this is.
     const KIND: BackendKind;
@@ -283,14 +283,14 @@ pub trait Engine: Clone {
     /// Installs the cooperative-cancellation handle.
     fn set_interrupt(&mut self, intr: Interrupt);
 
-    /// Applies post-gate trajectory noise on `qubits`. The tableau
-    /// refuses it with a typed [`CircError::BackendUnsupported`].
-    fn apply_noise<R: Rng + ?Sized>(
-        &mut self,
-        noise: &NoiseModel,
-        qubits: &[usize],
-        rng: &mut R,
-    ) -> CircResult<()>;
+    /// Arms a gate-level noise channel on `qubit` of this state
+    /// ([`Channel::arm`]), for a group of shots to draw at. The tableau
+    /// refuses it, and the method below, with a typed
+    /// [`CircError::BackendUnsupported`].
+    fn arm(&mut self, channel: Channel, qubit: usize) -> CircResult<Site>;
+
+    /// Applies the fault a group of shots drew at `site`.
+    fn apply_fault(&mut self, site: &Site, fault: Fault) -> CircResult<()>;
 }
 
 impl Engine for StateVector {
@@ -401,13 +401,12 @@ impl Engine for StateVector {
         StateVector::set_interrupt(self, intr);
     }
 
-    fn apply_noise<R: Rng + ?Sized>(
-        &mut self,
-        noise: &NoiseModel,
-        qubits: &[usize],
-        rng: &mut R,
-    ) -> CircResult<()> {
-        Ok(noise.apply_gate_noise(self, qubits, rng)?)
+    fn arm(&mut self, channel: Channel, qubit: usize) -> CircResult<Site> {
+        Ok(channel.arm(self, qubit)?)
+    }
+
+    fn apply_fault(&mut self, site: &Site, fault: Fault) -> CircResult<()> {
+        Ok(site.apply(fault, self)?)
     }
 }
 
@@ -485,12 +484,11 @@ impl Engine for Tableau {
         Tableau::set_interrupt(self, intr);
     }
 
-    fn apply_noise<R: Rng + ?Sized>(
-        &mut self,
-        _noise: &NoiseModel,
-        _qubits: &[usize],
-        _rng: &mut R,
-    ) -> CircResult<()> {
+    fn arm(&mut self, _channel: Channel, _qubit: usize) -> CircResult<Site> {
+        Err(tableau_noise_unsupported())
+    }
+
+    fn apply_fault(&mut self, _site: &Site, _fault: Fault) -> CircResult<()> {
         Err(tableau_noise_unsupported())
     }
 }

@@ -11,17 +11,16 @@
 //!   everything else on the dense statevector. On either engine, when
 //!   all measurements are terminal and unconditioned, the state is
 //!   simulated once and sampled `shots` times (the standard Aer
-//!   batched-sampling fast path). Otherwise a noise-free circuit takes
+//!   batched-sampling fast path). Every other run, noisy or not, takes
 //!   the outcome-grouped replay (see `docs/backends.md`), which
-//!   simulates each mid-circuit measurement branch once for all the
-//!   shots that drew it, and a noisy circuit re-runs the full circuit
-//!   per shot.
+//!   simulates each branch once for all the shots that drew it: a
+//!   mid-circuit measurement outcome, and under noise each fault.
 //!
 //! Every mode, like the core runtime's live interpreter, executes
 //! instructions through one stepper generic over [`Engine`]: it charges
 //! the gate budget, counts the gate, resolves conditionals and applies
-//! unitaries, and hands each measure or reset back to its caller to
-//! draw and settle.
+//! unitaries, and hands each measure or reset, and under noise each
+//! unitary's post-gate channels, back to its caller to draw and settle.
 //!
 //! ```
 //! use qutes_qcirc::execute::statevector;
@@ -50,7 +49,7 @@ use crate::error::{CircError, CircResult};
 use crate::gate::Gate;
 use qutes_sim::tableau::Tableau;
 use qutes_sim::{NoiseModel, StateVector};
-use qutes_supervisor::{failpoint, Interrupt, StopReason};
+use qutes_supervisor::{Interrupt, StopReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -62,7 +61,7 @@ mod grouped;
 pub mod shot_pool;
 
 /// Gate applications between cooperative deadline checks in the
-/// per-shot execution loop. Gates on small states run in nanoseconds,
+/// execution loops. Gates on small states run in nanoseconds,
 /// so a modest stride keeps the check invisible; large states are
 /// covered by the amortised checks inside the qsim kernels themselves.
 const GATE_CHECK_STRIDE: u64 = 64;
@@ -109,13 +108,13 @@ pub struct ExecutionConfig {
     /// to the dense statevector; forcing an unsound backend is a typed
     /// [`CircError::BackendUnsupported`].
     pub backend: BackendChoice,
-    /// Worker threads for the grouped and per-shot replay paths (see
-    /// [`mod@shot_pool`]): `0` (the default) sizes the pool from
+    /// Worker threads for grouped replay (see [`mod@shot_pool`]): `0`
+    /// (the default) sizes the pool from
     /// [`std::thread::available_parallelism`], `1` forces the serial
     /// path. Histograms are bit-for-bit identical at any value — every
     /// shot draws from its own counter-derived RNG stream — so this is
-    /// purely a throughput knob. The batched fast paths (terminal
-    /// measurements, no noise) ignore it.
+    /// purely a throughput knob. The batched fast path (terminal
+    /// measurements, no noise) ignores it.
     pub shot_threads: usize,
 }
 
@@ -488,56 +487,61 @@ impl Event {
     }
 }
 
-/// Post-gate trajectory noise: the model and the stream its faults draw
-/// from.
-type Faults<'a, R> = Option<(&'a NoiseModel, &'a mut R)>;
+/// What [`step`] hands back for its caller to draw.
+enum Draw<'g> {
+    /// A measure or reset, with the state untouched.
+    Event(Event),
+    /// Under noise, a unitary just applied: its post-gate channels
+    /// ([`NoiseModel::gate_channels`]) draw next.
+    Channels(&'g Gate),
+}
 
 /// The instruction stepper every execution mode shares: charges the gate
 /// budget, counts the gate, bounds-checks classical bits, recurses into
-/// a satisfied conditional, and applies unitaries (with post-gate noise
-/// when `faults` is given). A measure or reset comes back as an
-/// [`Event`] with the state untouched.
-fn step<E: Engine, R: Rng + ?Sized>(
+/// a satisfied conditional, and applies unitaries. A measure or reset
+/// comes back as a [`Draw::Event`] with the state untouched; when the
+/// run is `noisy`, a unitary other than a barrier or global phase comes
+/// back as [`Draw::Channels`].
+fn step<'g, E: Engine>(
     state: &mut E,
     clbits: &[bool],
-    g: &Gate,
+    g: &'g Gate,
     budget: &mut GateBudget,
-    faults: Faults<'_, R>,
-) -> CircResult<Option<Event>> {
+    noisy: bool,
+) -> CircResult<Option<Draw<'g>>> {
     budget.charge()?;
     qutes_obs::counter_add(g.counter_name(), 1);
     match g {
         Gate::Measure { qubit, clbit } => {
             check_clbit(clbits, *clbit)?;
-            Ok(Some(Event::Measure {
+            Ok(Some(Draw::Event(Event::Measure {
                 qubit: *qubit,
                 clbit: *clbit,
-            }))
+            })))
         }
-        Gate::Reset(qubit) => Ok(Some(Event::Reset(*qubit))),
+        Gate::Reset(qubit) => Ok(Some(Draw::Event(Event::Reset(*qubit)))),
         Gate::Conditional { clbit, value, gate } => {
             check_clbit(clbits, *clbit)?;
             if clbits[*clbit] == *value {
-                step(state, clbits, gate, budget, faults)
+                step(state, clbits, gate, budget, noisy)
             } else {
                 Ok(None)
             }
         }
         _ => {
             state.apply_unitary(g)?;
-            if let Some((nm, rng)) = faults {
-                if !matches!(g, Gate::Barrier(_) | Gate::GlobalPhase(_)) {
-                    state.apply_noise(nm, &g.qubits(), rng)?;
-                }
-            }
-            Ok(None)
+            let quiet = matches!(g, Gate::Barrier(_) | Gate::GlobalPhase(_));
+            Ok((noisy && !quiet).then_some(Draw::Channels(g)))
         }
     }
 }
 
-/// One instruction as a per-shot or live run executes it: [`step`],
-/// then any event settled at once on `rng` — the coin drawn, the qubit
-/// collapsed, and then the readout flip (measure) or post-reset noise.
+/// One instruction as a one-shot or live run executes it: [`step`],
+/// then whatever it hands back drawn at once on `rng` — the post-gate
+/// channels, or a measure or reset's coin, its collapse, and then the
+/// readout flip (measure) or post-reset channels. This is the group of
+/// one of grouped replay's walk, drawing the same values in the same
+/// order.
 fn apply_gate_full<E: Engine, R: Rng + ?Sized>(
     state: &mut E,
     clbits: &mut [bool],
@@ -550,16 +554,43 @@ fn apply_gate_full<E: Engine, R: Rng + ?Sized>(
         // Readout flips never reach the engine, so refuse up front.
         return Err(tableau_noise_unsupported());
     }
-    let Some(event) = step(state, clbits, g, budget, noise.map(|nm| (nm, &mut *rng)))? else {
-        return Ok(());
+    let event = match step(state, clbits, g, budget, noise.is_some())? {
+        None => return Ok(()),
+        Some(Draw::Channels(gate)) => {
+            if let Some(nm) = noise {
+                apply_channels(state, nm, gate.qubits(), rng)?;
+            }
+            return Ok(());
+        }
+        Some(Draw::Event(event)) => event,
     };
     let coin = state.coin(event.qubit())?;
     let outcome = coin.draw(rng);
     event.settle(state, clbits, coin, outcome)?;
     match (noise, event) {
         (Some(nm), Event::Measure { clbit, .. }) => clbits[clbit] = nm.flip_readout(outcome, rng),
-        (Some(nm), Event::Reset(qubit)) => state.apply_noise(nm, &[qubit], rng)?,
+        (Some(nm), Event::Reset(qubit)) => apply_channels(state, nm, vec![qubit], rng)?,
         (None, _) => {}
+    }
+    Ok(())
+}
+
+/// Draws, for one shot, the channels of [`NoiseModel::gate_channels`]
+/// after a gate or reset touched `qubits`, applying each fault before
+/// the next channel is armed.
+fn apply_channels<E: Engine, R: Rng + ?Sized>(
+    state: &mut E,
+    noise: &NoiseModel,
+    qubits: Vec<usize>,
+    rng: &mut R,
+) -> CircResult<()> {
+    for (channel, qubit) in noise.gate_channels(qubits) {
+        let site = state.arm(channel, qubit)?;
+        let fault = site.draw(rng);
+        state.apply_fault(&site, fault)?;
+        if let Some(counter) = site.fault_counter(fault) {
+            qutes_obs::counter_add(counter, 1);
+        }
     }
     Ok(())
 }
@@ -599,9 +630,9 @@ fn run_batched<E: Engine, R: Rng + ?Sized>(
             budget.charge()?;
             meas_pairs.push((*qubit, *clbit));
         } else {
-            // Terminal circuits hold no reset or conditional, so no
-            // event comes back.
-            step::<E, R>(&mut state, &clbits, g, &mut budget, None)?;
+            // Terminal noise-free circuits hold no reset or
+            // conditional, so nothing comes back to draw.
+            step(&mut state, &clbits, g, &mut budget, false)?;
         }
     }
     let qubits: Vec<usize> = meas_pairs.iter().map(|&(q, _)| q).collect();
@@ -624,13 +655,14 @@ fn run_batched<E: Engine, R: Rng + ?Sized>(
     pool_outcome(pool, circuit.num_clbits(), cfg.shots, false)
 }
 
-/// Outcome-grouped replay (see [`mod@grouped`]) on engine `E`: the
-/// noise-free path for circuits whose measurements are not all
-/// terminal. Histograms are bit-identical to re-running every shot on
-/// its own stream.
+/// Outcome-grouped replay (see [`mod@grouped`]) on engine `E`: the path
+/// for every run that cannot batch — noisy, or with measurements that
+/// are not all terminal. Histograms are bit-identical to re-running
+/// every shot on its own stream.
 fn run_grouped<E: Engine, R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     rng: &mut R,
+    noise: Option<&NoiseModel>,
     cfg: &ExecutionConfig,
     intr: &Interrupt,
     allow_partial: bool,
@@ -639,12 +671,13 @@ fn run_grouped<E: Engine, R: Rng + ?Sized>(
     qutes_obs::counter_add("backend.mode.grouped", 1);
     // Counter-derived child streams (see `qutes_sim::rng_stream`): one
     // base draw from the caller's stream, then a private RNG per shot
-    // index, exactly as the per-shot runner derives them.
+    // index.
     let base_seed = rng.next_u64();
     let workers = shot_pool::resolve_workers(cfg.shot_threads, cfg.shots);
     let replay = grouped::Replay {
         circuit,
         base_seed,
+        noise,
         cfg,
         intr,
         // With several workers live, shot-level parallelism owns the
@@ -653,54 +686,9 @@ fn run_grouped<E: Engine, R: Rng + ?Sized>(
         denied_bytes: denied_bytes(E::KIND, circuit.num_qubits()),
     };
     let pool =
-        shot_pool::run_pool_chunked(cfg.shots, workers, replay.denied_bytes, |lo, hi, abort| {
-            replay.run_chunk::<E>(lo, hi, abort)
+        shot_pool::run_pool_chunked(cfg.shots, workers, replay.denied_bytes, |lo, hi, failed| {
+            replay.run_chunk::<E>(lo, hi, failed)
         })?;
-    pool_outcome(pool, circuit.num_clbits(), cfg.shots, allow_partial)
-}
-
-/// Per-shot replay, for runs with effective noise: faults draw at every
-/// gate, so each shot re-runs the circuit alone on its own stream.
-fn run_per_shot<E: Engine, R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    rng: &mut R,
-    noise: &NoiseModel,
-    cfg: &ExecutionConfig,
-    intr: &Interrupt,
-    allow_partial: bool,
-) -> CircResult<ShotsOutcome> {
-    qutes_obs::counter_add("sim.slow_path", 1);
-    qutes_obs::counter_add("backend.mode.per_shot", 1);
-    // Same per-shot stream derivation as the grouped path; see
-    // `qutes_sim::rng_stream`.
-    let base_seed = rng.next_u64();
-    let workers = shot_pool::resolve_workers(cfg.shot_threads, cfg.shots);
-    let denied_bytes = denied_bytes(E::KIND, circuit.num_qubits());
-    // With several workers live, shot-level parallelism owns the
-    // cores: nested kernel threading would only oversubscribe.
-    let kernel_parallel = workers == 1;
-    let run_shot = |s: usize| -> CircResult<usize> {
-        intr.check().map_err(CircError::Interrupted)?;
-        if intr.is_armed() {
-            qutes_obs::counter_add("stage.shots.checkpoints", 1);
-        }
-        failpoint("qcirc.execute.shot").map_err(|_| {
-            CircError::Sim(qutes_sim::SimError::AllocationFailed {
-                bytes: denied_bytes,
-            })
-        })?;
-        let mut shot_rng = qutes_sim::rng_stream::shot_rng(base_seed, s as u64);
-        run_trajectory::<E, _>(
-            circuit,
-            &mut shot_rng,
-            Some(noise),
-            cfg.budget(),
-            intr,
-            kernel_parallel,
-        )
-        .map(|(_, clbits)| pack_clbits(&clbits))
-    };
-    let pool = shot_pool::run_pool(cfg.shots, workers, denied_bytes, run_shot)?;
     pool_outcome(pool, circuit.num_clbits(), cfg.shots, allow_partial)
 }
 
@@ -802,27 +790,10 @@ fn run_once_full<R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     rng: &mut R,
     noise: Option<&NoiseModel>,
-    budget: GateBudget,
-    intr: &Interrupt,
-) -> CircResult<Shot> {
-    let (state, clbits) = run_trajectory(circuit, rng, noise, budget, intr, true)?;
-    Ok(Shot { state, clbits })
-}
-
-/// Runs the whole circuit once on a fresh engine `E`, settling every
-/// measurement on `rng`. Shot-pool workers pass `kernel_parallel:
-/// false` so per-shot parallelism is the only threading level (dense
-/// kernels are bit-identical either way, property-tested in
-/// `qsim::parallel`).
-fn run_trajectory<E: Engine, R: Rng + ?Sized>(
-    circuit: &QuantumCircuit,
-    rng: &mut R,
-    noise: Option<&NoiseModel>,
     mut budget: GateBudget,
     intr: &Interrupt,
-    kernel_parallel: bool,
-) -> CircResult<(E, Vec<bool>)> {
-    let mut state = E::fresh(circuit.num_qubits(), intr, kernel_parallel)?;
+) -> CircResult<Shot> {
+    let mut state = StateVector::fresh(circuit.num_qubits(), intr, true)?;
     let mut clbits = vec![false; circuit.num_clbits()];
     let mut gate_ck = 0u64;
     for g in circuit.ops() {
@@ -834,7 +805,7 @@ fn run_trajectory<E: Engine, R: Rng + ?Sized>(
         .map_err(CircError::Interrupted)?;
         apply_gate_full(&mut state, &mut clbits, g, rng, noise, &mut budget)?;
     }
-    Ok((state, clbits))
+    Ok(Shot { state, clbits })
 }
 
 /// The exact statevector of a unitary circuit. Errors if the circuit
@@ -920,9 +891,9 @@ pub fn run_shots<R: Rng + ?Sized>(
 ///
 /// The terminal-measurement fast path (simulate once, sample `shots`
 /// times) is used only when the attached noise is absent or all-zero —
-/// under real noise every trajectory differs, so each shot re-runs the
-/// circuit. The pre-flight memory check runs before any state is
-/// allocated, and the gate budget applies per shot.
+/// under real noise trajectories differ, so the shots replay grouped,
+/// each fault a branch. The pre-flight memory check runs before any
+/// state is allocated, and the gate budget applies per shot.
 pub fn run_shots_cfg(circuit: &QuantumCircuit, cfg: &ExecutionConfig) -> CircResult<Counts> {
     run_shots_entry(circuit, cfg, false).map(|o| o.counts)
 }
@@ -954,10 +925,9 @@ fn run_shots_entry(
 
 /// The one shot dispatcher: resolves the engine, counts it, checks the
 /// memory budget, and replays `cfg.shots` shots on it — batched when
-/// every measurement is terminal and the run is noise-free, grouped when
-/// it is noise-free otherwise, per-shot under effective noise. `timed`
-/// runs (the [`ExecutionConfig`] entry points) time the replay as
-/// `stage.simulate`.
+/// every measurement is terminal and the run is noise-free, grouped
+/// otherwise. `timed` runs (the [`ExecutionConfig`] entry points) time
+/// the replay as `stage.simulate`.
 fn dispatch<R: Rng + ?Sized>(
     circuit: &QuantumCircuit,
     cfg: &ExecutionConfig,
@@ -997,10 +967,10 @@ fn replay<E: Engine, R: Rng + ?Sized>(
     allow_partial: bool,
 ) -> CircResult<ShotsOutcome> {
     qutes_obs::counter_add("sim.shots", cfg.shots as u64);
-    match noise {
-        Some(nm) => run_per_shot::<E, R>(circuit, rng, nm, cfg, intr, allow_partial),
-        None if measurements_are_terminal(circuit) => run_batched::<E, R>(circuit, rng, cfg, intr),
-        None => run_grouped::<E, R>(circuit, rng, cfg, intr, allow_partial),
+    if noise.is_none() && measurements_are_terminal(circuit) {
+        run_batched::<E, R>(circuit, rng, cfg, intr)
+    } else {
+        run_grouped::<E, R>(circuit, rng, noise, cfg, intr, allow_partial)
     }
 }
 
@@ -1236,7 +1206,7 @@ mod tests {
 
     #[test]
     fn supervised_run_degrades_to_partial_counts() {
-        // Reset forces the slow per-shot path; cancel from a watcher
+        // Reset forces the slow grouped path; cancel from a watcher
         // thread once at least one shot has landed.
         let mut c = QuantumCircuit::with_qubits_and_clbits(1, 1);
         c.h(0).unwrap();

@@ -1,62 +1,81 @@
-//! Outcome-grouped replay of noise-free circuits with mid-circuit
-//! measurement, reset or classical conditionals.
+//! Grouped replay: shots that have drawn alike share one simulation.
 //!
-//! Per-shot replay re-simulates the whole circuit once per shot. Without
-//! noise, though, the only randomness is the outcome drawn at each
-//! measure or reset, and shots that have drawn the same outcomes so far
-//! hold the same state. Grouped replay therefore walks the circuit once
-//! with a whole set of shots:
+//! Re-simulating the whole circuit once per shot repeats work: the
+//! only randomness is what each shot draws — the outcome at each
+//! measure or reset, and under noise each channel's fault after a gate
+//! or reset and each readout flip — and shots that have drawn the same
+//! values so far hold the same state. Grouped replay therefore walks the
+//! circuit once with a whole set of shots:
 //!
-//! * gates between two measure/reset events run once per **group** of
-//!   shots, not once per shot (conditionals are deterministic within a
-//!   group, since its classical bits are a function of its outcome
-//!   history);
-//! * at an event, every shot of the group draws its outcome, and the
-//!   group splits by outcome; each side collapses once.
+//! * gates between two draws run once per **group** of shots, not once
+//!   per shot (conditionals are deterministic within a group, since its
+//!   classical bits are a function of its draw history);
+//! * at a draw, every shot of the group draws its value, and the group
+//!   splits by value; each side settles it once — collapses the qubit,
+//!   records the (flipped) reading, or applies the fault.
+//!
+//! A noise fault is a branch event like a measurement outcome. The
+//! draws after a gate are the sites of
+//! [`qutes_sim::NoiseModel::gate_channels`], in its order; each is
+//! armed on the group's state ([`Engine::arm`]) once every earlier
+//! fault has been applied, so a damping site compares each shot's draw
+//! against the `γ·P(1)` of exactly the state its one-shot run holds
+//! there. A depolarizing fault splits up to four ways (none, X, Y, Z),
+//! one side at a time. Shots that draw no fault stay together.
 //!
 //! The walk runs every instruction through the same stepper as the
-//! per-shot runner and the live interpreter (`super::step`); only the
-//! settling of a measure or reset differs, drawing one coin per shot
-//! instead of one per run.
+//! one-shot runner and the live interpreter (`super::step`); only the
+//! draws differ, one per shot instead of one per run.
 //!
 //! **Bit identity.** Each shot keeps its own counter-derived stream
 //! ([`qutes_sim::rng_stream::shot_rng`]) and draws from it exactly what
-//! its own per-shot run would draw at that event: the event's
-//! [`Coin`], one `f64` against the qubit's `P(1)` on the statevector,
-//! and a fair coin on the tableau only when the outcome is random. The
-//! gates in between are deterministic and a state clone is exact, so
-//! every shot sees the same states, draws, classical bits and
-//! gate-budget charges as in its per-shot run, and lands on the same
-//! histogram key. Grouping changes the schedule, not
-//! the result, so histograms stay identical at any `shot_threads`.
+//! its own one-shot run would draw, in the same order: the event's
+//! [`Coin`] (one `f64` against the qubit's `P(1)` on the statevector, a
+//! fair coin on the tableau only when the outcome is random), each
+//! [`Site::draw`], and [`qutes_sim::NoiseModel::readout_flips`]. The
+//! operations in between are deterministic and a state clone is exact,
+//! so every shot sees the same states, draws, classical bits and
+//! gate-budget charges as in its one-shot run, and lands on the same
+//! histogram key. Grouping changes the schedule, not the result, so
+//! histograms stay identical at any `shot_threads`. Each group keeps
+//! the `noise.faults.*` counters of the faults on its path and reports
+//! them once per shot when it finishes, so their totals match too.
 //!
-//! **Memory.** At a split the larger group waits on an explicit stack as
-//! a snapshot (a clone of the state) while the smaller group walks on.
+//! **Memory.** At a split the larger side waits on an explicit stack as
+//! a snapshot (a clone of the state) while the smaller side walks on.
 //! Every push therefore at least halves the walking group, so at most
-//! `⌊log₂ n⌋` snapshots are pending for `n` shots. When a memory budget
-//! is set and one more live state would exceed it, the split takes no
-//! snapshot: the larger group walks on in place, and the smaller group's
-//! shots are replayed one at a time, from fresh streams and a fresh
-//! state, once the stack has drained — per-shot replay, which is the
-//! only fallback. Shots are walked in rounds of at most
-//! [`ROUND_SHOTS`], which bounds the per-shot RNG table and the stack
-//! for very large shot counts.
+//! `⌊log₂ n⌋` snapshots are pending for `n` shots. When one more live
+//! state would exceed the memory budget, the split takes no snapshot:
+//! the larger side walks on in place, and the smaller side's shots are
+//! replayed one at a time, from fresh streams and a fresh state, once
+//! the stack has drained — the only per-shot path. A noisy run with no
+//! budget set is held to [`NOISY_REPLAY_BYTES`] per walk, or two states
+//! when one state is larger: noise splits nearly every group, and
+//! without the cap a wide run would reach the `⌊log₂ n⌋` bound in every
+//! worker. Shots are walked in rounds of at most [`ROUND_SHOTS`], which
+//! bounds the per-shot RNG table and the stack for very large shot
+//! counts.
 
-use super::shot_pool::ChunkResult;
-use super::{pack_clbits, step, Event, ExecutionConfig, GateBudget, GATE_CHECK_STRIDE};
+use super::shot_pool::{ChunkResult, FirstFailure};
+use super::{pack_clbits, step, Draw, Event, ExecutionConfig, GateBudget, GATE_CHECK_STRIDE};
 use crate::backend::{Coin, Engine};
 use crate::circuit::QuantumCircuit;
 use crate::error::{CircError, CircResult};
+use qutes_sim::noise::READOUT_FAULTS;
 use qutes_sim::rng_stream::shot_rng;
+use qutes_sim::{Fault, GateChannels, NoiseModel, Site};
 use qutes_supervisor::{failpoint, Interrupt};
 use rand::rngs::StdRng;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Most shots walked together in one round.
 const ROUND_SHOTS: usize = 1 << 16;
 
-/// Shots that have drawn the same outcomes so far, with their shared
-/// state.
+/// Live replay-state bytes a walk of a noisy run may hold when the run
+/// sets no memory budget. It is at least two states: the walking one
+/// and one snapshot.
+const NOISY_REPLAY_BYTES: u128 = 32 << 20;
+
+/// Shots that have drawn alike so far, with their shared state.
 struct Group<S> {
     /// Shot indices, ascending.
     shots: Vec<usize>,
@@ -65,9 +84,71 @@ struct Group<S> {
     budget: GateBudget,
     /// Index of the next instruction.
     pc: usize,
-    /// The event this group split off at, with its coin and this side's
-    /// outcome, settled when the group resumes.
-    pending: Option<(Event, Coin, bool)>,
+    /// The channels of the last gate or reset still to draw.
+    channels: Option<GateChannels>,
+    /// The last draw, not yet settled; a group split off there resumes
+    /// with it.
+    fork: Option<Fork>,
+    /// The `noise.faults.*` counter of every fault on this group's path.
+    faults: Vec<&'static str>,
+}
+
+/// A draw every shot of a group has made: where, and what each shot
+/// drew, aligned with [`Group::shots`].
+enum Fork {
+    /// A measure or reset: each shot's outcome.
+    Event(Event, Coin, Vec<bool>),
+    /// The reading of a measurement into this clbit: whether each shot's
+    /// reading flipped.
+    Readout(usize, Vec<bool>),
+    /// A gate-channel site: each shot's fault.
+    Site(Site, Vec<Fault>),
+}
+
+impl Fork {
+    /// Splits off the shots that drew differently from the first one:
+    /// removes them from `shots` and from this fork, and returns them
+    /// with their own fork. `None` when every shot drew alike.
+    fn split_off(&mut self, shots: &mut Vec<usize>) -> Option<(Vec<usize>, Fork)> {
+        Some(match self {
+            Fork::Event(event, coin, drawn) => {
+                let (rest, drawn) = split_off(shots, drawn)?;
+                (rest, Fork::Event(*event, *coin, drawn))
+            }
+            Fork::Readout(clbit, drawn) => {
+                let (rest, drawn) = split_off(shots, drawn)?;
+                (rest, Fork::Readout(*clbit, drawn))
+            }
+            Fork::Site(site, drawn) => {
+                let (rest, drawn) = split_off(shots, drawn)?;
+                (rest, Fork::Site(*site, drawn))
+            }
+        })
+    }
+}
+
+/// [`Fork::split_off`] on one kind of draw.
+fn split_off<T: Copy + PartialEq>(
+    shots: &mut Vec<usize>,
+    drawn: &mut Vec<T>,
+) -> Option<(Vec<usize>, Vec<T>)> {
+    let first = drawn[0];
+    let at = drawn.iter().position(|&d| d != first)?;
+    // Compact the shots that drew `first` in place, in order.
+    let (mut kept, mut rest) = (at, (Vec::new(), Vec::new()));
+    for i in at..drawn.len() {
+        if drawn[i] == first {
+            shots[kept] = shots[i];
+            drawn[kept] = drawn[i];
+            kept += 1;
+        } else {
+            rest.0.push(shots[i]);
+            rest.1.push(drawn[i]);
+        }
+    }
+    shots.truncate(kept);
+    drawn.truncate(kept);
+    Some(rest)
 }
 
 /// Grouped replay of one circuit: what every chunk shares.
@@ -75,6 +156,8 @@ pub(crate) struct Replay<'a> {
     pub circuit: &'a QuantumCircuit,
     /// Base of the per-shot streams, drawn once from the run's RNG.
     pub base_seed: u64,
+    /// The effective noise model, if any.
+    pub noise: Option<&'a NoiseModel>,
     pub cfg: &'a ExecutionConfig,
     pub intr: &'a Interrupt,
     /// Whether dense kernels may thread (only when the pool is serial).
@@ -90,7 +173,7 @@ impl Replay<'_> {
         &self,
         lo: usize,
         hi: usize,
-        abort: &AtomicBool,
+        failed: &FirstFailure,
     ) -> ChunkResult {
         let mut out = ChunkResult::default();
         let mut refused = None;
@@ -99,12 +182,12 @@ impl Replay<'_> {
             && refused.is_none()
             && out.error.is_none()
             && out.stop.is_none()
-            && !abort.load(Ordering::Relaxed)
+            && !failed.passed(start)
         {
             let mut stop = (start + ROUND_SHOTS).min(hi);
-            // The per-shot failpoint still fires once per shot, in shot
-            // order. A refusal at shot `s` ends the chunk there, as in
-            // the per-shot loop, unless an earlier shot fails first.
+            // The shot failpoint fires once per shot, in shot order. A
+            // refusal at shot `s` ends the chunk there, unless an earlier
+            // shot fails first.
             for s in start..stop {
                 if failpoint("qcirc.execute.shot").is_err() {
                     let e = CircError::Sim(qutes_sim::SimError::AllocationFailed {
@@ -115,26 +198,26 @@ impl Replay<'_> {
                     break;
                 }
             }
-            self.run_round::<S>(start, stop, abort, &mut out);
+            self.run_round::<S>(start, stop, failed, &mut out);
             start = stop;
         }
         if out.error.is_none() && out.stop.is_none() {
+            if let Some((s, _)) = &refused {
+                failed.record(*s);
+            }
             out.error = refused;
-        }
-        if out.error.is_some() {
-            abort.store(true, Ordering::Relaxed);
         }
         out
     }
 
     /// Walks shots `[lo, hi)` as one round, folding finished groups into
     /// `out`. A hard error is recorded against the earliest shot it hits,
-    /// as the per-shot loop would report it.
+    /// as running the shots one by one would report it.
     fn run_round<S: Engine>(
         &self,
         lo: usize,
         hi: usize,
-        abort: &AtomicBool,
+        failed: &FirstFailure,
         out: &mut ChunkResult,
     ) {
         if lo == hi {
@@ -158,7 +241,7 @@ impl Replay<'_> {
                 match walk.fresh(shots) {
                     Ok(group) => group,
                     Err((s, e)) => {
-                        record(out, s, e, abort);
+                        record(out, s, e, failed);
                         return;
                     }
                 }
@@ -169,19 +252,17 @@ impl Replay<'_> {
                 match walk.fresh(vec![s]) {
                     Ok(group) => group,
                     Err((s, e)) => {
-                        record(out, s, e, abort);
+                        record(out, s, e, failed);
                         continue;
                     }
                 }
             } else {
                 return;
             };
-            match &out.error {
-                // A sibling chunk failed: stop, like the per-shot loop.
-                None if abort.load(Ordering::Relaxed) => return,
-                // Only an earlier shot can still change the reported error.
-                Some((failed, _)) if group.shots[0] > *failed => continue,
-                _ => {}
+            // Only a shot before every known failure can still change
+            // the reported error.
+            if failed.passed(group.shots[0]) {
+                continue;
             }
             match walk.run(&mut group) {
                 Ok(key) => {
@@ -192,18 +273,18 @@ impl Replay<'_> {
                     out.stop = Some(reason);
                     return;
                 }
-                Err(e) => record(out, group.shots[0], e, abort),
+                Err(e) => record(out, group.shots[0], e, failed),
             }
         }
     }
 }
 
 /// Keeps the hard error of the earliest failing shot.
-fn record(out: &mut ChunkResult, shot: usize, e: CircError, abort: &AtomicBool) {
-    if out.error.as_ref().is_none_or(|(failed, _)| shot < *failed) {
+fn record(out: &mut ChunkResult, shot: usize, e: CircError, failed: &FirstFailure) {
+    if out.error.as_ref().is_none_or(|(first, _)| shot < *first) {
         out.error = Some((shot, e));
     }
-    abort.store(true, Ordering::Relaxed);
+    failed.record(shot);
 }
 
 /// The walk state of one round.
@@ -232,10 +313,20 @@ impl<S: Engine> Walk<'_, '_, S> {
                 clbits: vec![false; r.circuit.num_clbits()],
                 budget: r.cfg.budget(),
                 pc: 0,
-                pending: None,
+                channels: None,
+                fork: None,
+                faults: Vec::new(),
             }),
             Err(e) => Err((shots[0], e)),
         }
+    }
+
+    /// What each shot of `shots` draws with `draw` from its own stream.
+    fn draw<T>(&mut self, shots: &[usize], mut draw: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+        shots
+            .iter()
+            .map(|&s| draw(&mut self.rngs[s - self.lo]))
+            .collect()
     }
 
     /// Walks `g` to the end of the circuit, pushing the larger side of
@@ -248,11 +339,23 @@ impl<S: Engine> Walk<'_, '_, S> {
         if intr.is_armed() {
             qutes_obs::counter_add("stage.shots.checkpoints", 1);
         }
-        if let Some((event, coin, outcome)) = g.pending.take() {
-            event.settle(&mut g.state, &mut g.clbits, coin, outcome)?;
-        }
+        let noise = self.replay.noise;
         let ops = self.replay.circuit.ops();
-        while let Some(op) = ops.get(g.pc) {
+        loop {
+            if let Some(fork) = g.fork.take() {
+                self.fork(g, fork)?;
+                continue;
+            }
+            if let Some(channels) = &mut g.channels {
+                if let Some((channel, qubit)) = channels.next() {
+                    let site = g.state.arm(channel, qubit)?;
+                    let drawn = self.draw(&g.shots, |rng| site.draw(rng));
+                    g.fork = Some(Fork::Site(site, drawn));
+                    continue;
+                }
+                g.channels = None;
+            }
+            let Some(op) = ops.get(g.pc) else { break };
             g.pc += 1;
             intr.checkpoint_named(
                 &mut self.gate_ck,
@@ -260,55 +363,149 @@ impl<S: Engine> Walk<'_, '_, S> {
                 "stage.simulate.checkpoints",
             )
             .map_err(CircError::Interrupted)?;
-            let Some(event) = step::<S, StdRng>(&mut g.state, &g.clbits, op, &mut g.budget, None)?
-            else {
-                continue;
-            };
-            let coin = g.state.coin(event.qubit())?;
-            let (rngs, lo) = (&mut self.rngs, self.lo);
-            let (ones, zeros): (Vec<usize>, Vec<usize>) =
-                g.shots.iter().partition(|&&s| coin.draw(&mut rngs[s - lo]));
-            if ones.is_empty() || zeros.is_empty() {
-                let outcome = zeros.is_empty();
-                g.shots = if outcome { ones } else { zeros };
-                event.settle(&mut g.state, &mut g.clbits, coin, outcome)?;
-                continue;
+            match step(&mut g.state, &g.clbits, op, &mut g.budget, noise.is_some())? {
+                None => {}
+                Some(Draw::Channels(gate)) => {
+                    g.channels = noise.map(|nm| nm.gate_channels(gate.qubits()));
+                }
+                Some(Draw::Event(event)) => {
+                    let coin = g.state.coin(event.qubit())?;
+                    let drawn = self.draw(&g.shots, |rng| coin.draw(rng));
+                    g.fork = Some(Fork::Event(event, coin, drawn));
+                }
             }
-            let ((big, big_outcome), (small, small_outcome)) = if ones.len() > zeros.len() {
-                ((ones, true), (zeros, false))
-            } else {
-                ((zeros, false), (ones, true))
-            };
-            if self.snapshot_fits() {
-                qutes_obs::counter_add("sim.snapshots", 1);
-                self.stack.push(Group {
-                    shots: big,
-                    state: g.state.clone(),
-                    clbits: g.clbits.clone(),
-                    budget: g.budget.clone(),
-                    pc: g.pc,
-                    pending: Some((event, coin, big_outcome)),
-                });
-                g.shots = small;
-                event.settle(&mut g.state, &mut g.clbits, coin, small_outcome)?;
-            } else {
-                self.deferred.extend(small);
-                g.shots = big;
-                event.settle(&mut g.state, &mut g.clbits, coin, big_outcome)?;
-            }
+        }
+        for counter in &g.faults {
+            qutes_obs::counter_add(counter, g.shots.len() as u64);
         }
         Ok(pack_clbits(&g.clbits))
     }
 
-    /// Whether one more snapshot keeps every live state (the walking
-    /// group's, the pending ones and the new one) within the memory
-    /// budget.
-    fn snapshot_fits(&self) -> bool {
+    /// Settles `fork` on `g`. Each class of shots that drew differently
+    /// from the first leaves the group in turn: the larger side of each
+    /// split waits on the stack with the fork still to settle while the
+    /// smaller side walks on, or, when no snapshot fits the memory
+    /// budget, the smaller side is deferred. The shots left drew alike,
+    /// and `g` settles their draw.
+    fn fork(&mut self, g: &mut Group<S>, mut fork: Fork) -> CircResult<()> {
         let r = self.replay;
-        r.cfg.memory_budget_bytes.is_none_or(|budget| {
-            let live = self.stack.len() as u128 + 2;
-            live.saturating_mul(S::KIND.required_bytes(r.circuit.num_qubits()))
-                <= u128::from(budget)
-        })
+        let state_bytes = S::KIND.required_bytes(r.circuit.num_qubits());
+        while let Some((mut shots, mut other)) = fork.split_off(&mut g.shots) {
+            let fits = snapshot_fits(r.cfg, r.noise.is_some(), state_bytes, self.stack.len());
+            if fits == (shots.len() < g.shots.len()) {
+                std::mem::swap(&mut shots, &mut g.shots);
+                std::mem::swap(&mut other, &mut fork);
+            }
+            if fits {
+                qutes_obs::counter_add("sim.snapshots", 1);
+                self.stack.push(Group {
+                    shots,
+                    state: g.state.clone(),
+                    clbits: g.clbits.clone(),
+                    budget: g.budget.clone(),
+                    pc: g.pc,
+                    channels: g.channels.clone(),
+                    fork: Some(other),
+                    faults: g.faults.clone(),
+                });
+            } else {
+                self.deferred.extend(shots);
+            }
+        }
+        self.settle(g, fork)
+    }
+
+    /// Applies what every shot of `g` drew at `fork`, then queues the
+    /// draws that follow it under noise: a measurement's readout flip, or
+    /// the channels after a reset.
+    fn settle(&mut self, g: &mut Group<S>, fork: Fork) -> CircResult<()> {
+        match fork {
+            Fork::Event(event, coin, drawn) => {
+                event.settle(&mut g.state, &mut g.clbits, coin, drawn[0])?;
+                let Some(nm) = self.replay.noise else {
+                    return Ok(());
+                };
+                match event {
+                    Event::Measure { clbit, .. } if nm.readout_error > 0.0 => {
+                        let drawn = self.draw(&g.shots, |rng| nm.readout_flips(rng));
+                        g.fork = Some(Fork::Readout(clbit, drawn));
+                    }
+                    Event::Measure { .. } => {}
+                    Event::Reset(qubit) => g.channels = Some(nm.gate_channels(vec![qubit])),
+                }
+            }
+            Fork::Readout(clbit, drawn) => {
+                if drawn[0] {
+                    g.clbits[clbit] = !g.clbits[clbit];
+                    g.faults.push(READOUT_FAULTS);
+                }
+            }
+            Fork::Site(site, drawn) => {
+                g.state.apply_fault(&site, drawn[0])?;
+                g.faults.extend(site.fault_counter(drawn[0]));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Whether a walk holding `pending` snapshots of `state_bytes` each may
+/// take one more: the walking state, the pending ones and the new one
+/// must fit the run's memory budget, or, for a noisy run with none set,
+/// [`NOISY_REPLAY_BYTES`] or two states, whichever is more.
+fn snapshot_fits(cfg: &ExecutionConfig, noisy: bool, state_bytes: u128, pending: usize) -> bool {
+    let cap = match cfg.memory_budget_bytes {
+        Some(budget) => u128::from(budget),
+        None if noisy => NOISY_REPLAY_BYTES.max(state_bytes.saturating_mul(2)),
+        None => return true,
+    };
+    (pending as u128 + 2).saturating_mul(state_bytes) <= cap
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::BackendKind;
+
+    fn state_bytes(num_qubits: usize) -> u128 {
+        BackendKind::Statevector.required_bytes(num_qubits)
+    }
+
+    #[test]
+    fn unbudgeted_noise_free_walks_keep_every_snapshot() {
+        let cfg = ExecutionConfig::default();
+        assert!(snapshot_fits(&cfg, false, state_bytes(30), 16));
+    }
+
+    #[test]
+    fn unbudgeted_noisy_walks_of_small_states_keep_the_log_bound() {
+        // 14 qubits is 256 KiB a state: the ⌊log₂ 2¹⁶⌋ = 16 snapshots of
+        // a full round and the walking state fit the cap.
+        let cfg = ExecutionConfig::default();
+        assert!(snapshot_fits(&cfg, true, state_bytes(14), 15));
+    }
+
+    #[test]
+    fn unbudgeted_noisy_walks_of_wide_states_hold_two_states() {
+        // 26 qubits is 1 GiB a state: the walking state and one
+        // snapshot, then every further split defers.
+        let cfg = ExecutionConfig::default();
+        assert!(snapshot_fits(&cfg, true, state_bytes(26), 0));
+        assert!(!snapshot_fits(&cfg, true, state_bytes(26), 1));
+        // 20 qubits is 16 MiB: the 32 MiB cap holds two states.
+        assert!(!snapshot_fits(&cfg, true, state_bytes(20), 1));
+    }
+
+    #[test]
+    fn a_set_budget_bounds_noisy_and_noise_free_walks_alike() {
+        let bytes = state_bytes(14);
+        let cfg = ExecutionConfig {
+            memory_budget_bytes: Some(u64::try_from(3 * bytes).unwrap()),
+            ..ExecutionConfig::default()
+        };
+        for noisy in [false, true] {
+            assert!(snapshot_fits(&cfg, noisy, bytes, 1));
+            assert!(!snapshot_fits(&cfg, noisy, bytes, 2));
+        }
     }
 }

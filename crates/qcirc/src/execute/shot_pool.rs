@@ -1,27 +1,30 @@
 //! Scoped worker pool fanning independent Monte-Carlo shots across
 //! threads.
 //!
-//! The replay paths in [`mod@crate::execute`] that do not batch
-//! (noisy statevector trajectories, and the outcome-grouped replay of
-//! mid-circuit measurement on either engine) are embarrassingly
-//! parallel: every shot is a pure function of
+//! The replay path in [`mod@crate::execute`] that does not batch (the
+//! outcome-grouped replay, noisy or not, on either engine) is
+//! embarrassingly parallel: every shot is a pure function of
 //! `(circuit, base_seed, shot_index)` because each shot draws from its
 //! own counter-derived RNG stream
 //! ([`qutes_sim::rng_stream::shot_rng`]). The pool exploits exactly
 //! that: shots are split into one contiguous chunk per worker (static
 //! split, no work stealing — recorded as `shots.parallel.steal_none`),
-//! each worker folds its chunk into a private histogram — shot by shot
-//! (`run_pool`) or through a whole-chunk runner (`run_pool_chunked`) —
-//! and the per-worker maps merge at join. Addition is commutative, so the
-//! merged histogram is **bit-for-bit identical at any thread count**,
-//! including the serial (1-worker) path, which runs inline on the
-//! calling thread with the very same per-shot derivation.
+//! each worker folds its chunk into a private histogram through a
+//! whole-chunk runner, and the per-worker maps merge at join. Addition
+//! is commutative, so the merged histogram is **bit-for-bit identical
+//! at any thread count**, including the serial (1-worker) path, which
+//! runs inline on the calling thread with the very same per-shot
+//! derivation.
 //!
 //! Supervision is threaded through, not around, the pool:
 //!
 //! * every worker observes the shared [`qutes_supervisor::Interrupt`]'s
 //!   armed flag via the check before each shot (or each grouped
 //!   branch), so a deadline or cancellation stops all chunks promptly;
+//! * a hard error is reported for the lowest failing shot whatever the
+//!   schedule: workers share that index (`FirstFailure`) and skip
+//!   only shots past it, since only an earlier shot can still change
+//!   the reported error;
 //! * a mid-run stop yields a well-defined partial result:
 //!   `completed` is the exact number of shots that finished across all
 //!   chunks and the histogram contains precisely those shots;
@@ -41,7 +44,7 @@ use crate::error::{CircError, CircResult};
 use qutes_supervisor::{failpoint, StopReason};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ceiling on auto-sized pools, mirroring the statevector kernels'
 /// thread cap: beyond this, merge overhead and memory-bandwidth
@@ -92,72 +95,42 @@ pub(crate) struct ChunkResult {
     pub stop: Option<StopReason>,
 }
 
-/// Runs `[lo, hi)` through `run_shot`, folding outcome keys into a
-/// private histogram. Stops early on interrupt (recorded as `stop`), on
-/// a hard error (recorded and broadcast through `abort`), or when a
-/// sibling has already aborted.
-fn run_chunk<F>(lo: usize, hi: usize, run_shot: &F, abort: &AtomicBool) -> ChunkResult
-where
-    F: Fn(usize) -> CircResult<usize>,
-{
-    let mut out = ChunkResult::default();
-    for s in lo..hi {
-        if abort.load(Ordering::Relaxed) {
-            break;
-        }
-        match run_shot(s) {
-            Ok(key) => {
-                *out.map.entry(key).or_insert(0) += 1;
-                out.completed += 1;
-            }
-            Err(CircError::Interrupted(reason)) => {
-                // No abort broadcast needed: the interrupt handle is
-                // shared and armed, so siblings see it themselves.
-                out.stop = Some(reason);
-                break;
-            }
-            Err(e) => {
-                out.error = Some((s, e));
-                abort.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
+/// The lowest shot index known to have failed with a hard error, shared
+/// by every worker of a pool run.
+pub(crate) struct FirstFailure(AtomicUsize);
+
+impl FirstFailure {
+    fn new() -> Self {
+        FirstFailure(AtomicUsize::new(usize::MAX))
     }
-    out
+
+    /// Notes that `shot` failed.
+    pub fn record(&self, shot: usize) {
+        self.0.fetch_min(shot, Ordering::Relaxed);
+    }
+
+    /// Whether `shot` lies past a failed shot, so running it can no
+    /// longer change the run's error.
+    pub fn passed(&self, shot: usize) -> bool {
+        shot > self.0.load(Ordering::Relaxed)
+    }
 }
 
-/// Fans `shots` invocations of `run_shot` across `workers` threads and
-/// merges the per-worker histograms. `run_shot(s)` must be a pure
-/// function of `s` (seed your RNG from the shot index!) returning the
-/// packed classical-register key; it is responsible for its own
-/// interrupt check. `denied_bytes` sizes the typed allocation error a
-/// chaos `DenyAlloc` fault at the `qcirc.execute.shot_pool` failpoint
-/// reports.
+/// Fans shots `[0, shots)` across `workers` threads in contiguous
+/// chunks and merges the per-worker histograms. `run_chunk(lo, hi,
+/// failed)` executes shots `[lo, hi)` in any internal order (grouped
+/// replay walks them together) under this contract: every shot
+/// a pure function of its index (seed its RNG from the shot index!),
+/// `completed` equal to the histogram weight, the lowest failing shot's
+/// error, which it notes in `failed`, and no shot run past a failure
+/// noted there. It is responsible for its own interrupt checks.
+/// `denied_bytes` sizes the typed allocation error a chaos `DenyAlloc`
+/// fault at the `qcirc.execute.shot_pool` failpoint reports.
 ///
-/// A hard error from any shot fails the whole run with the
-/// earliest-index error observed (identical to the serial loop whenever
-/// the erroring shot is deterministic). A worker panic is re-raised on
-/// the calling thread **after** every sibling has finished.
-pub(crate) fn run_pool<F>(
-    shots: usize,
-    workers: usize,
-    denied_bytes: usize,
-    run_shot: F,
-) -> CircResult<PoolOutcome>
-where
-    F: Fn(usize) -> CircResult<usize> + Sync,
-{
-    run_pool_chunked(shots, workers, denied_bytes, |lo, hi, abort| {
-        run_chunk(lo, hi, &run_shot, abort)
-    })
-}
-
-/// [`run_pool`] over a whole-chunk runner: `run_chunk(lo, hi, abort)`
-/// executes shots `[lo, hi)` in any internal order (the grouped replay
-/// walks them together) and must honour the same contract as the
-/// per-shot loop — every shot a pure function of its index, `completed`
-/// equal to the histogram weight, the earliest failing shot's error,
-/// and an early exit once `abort` is set by a failing sibling.
+/// A hard error from any shot fails the whole run with the lowest
+/// failing shot's error, identical to the serial loop whenever the
+/// erroring shot is deterministic. A worker panic is re-raised on the
+/// calling thread **after** every sibling has finished.
 pub(crate) fn run_pool_chunked<F>(
     shots: usize,
     workers: usize,
@@ -165,11 +138,12 @@ pub(crate) fn run_pool_chunked<F>(
     run_chunk: F,
 ) -> CircResult<PoolOutcome>
 where
-    F: Fn(usize, usize, &AtomicBool) -> ChunkResult + Sync,
+    F: Fn(usize, usize, &FirstFailure) -> ChunkResult + Sync,
 {
-    let abort = AtomicBool::new(false);
+    let failed = FirstFailure::new();
     let worker_body = |lo: usize, hi: usize| -> ChunkResult {
         if failpoint("qcirc.execute.shot_pool").is_err() {
+            failed.record(lo);
             return ChunkResult {
                 error: Some((
                     lo,
@@ -180,7 +154,7 @@ where
                 ..ChunkResult::default()
             };
         }
-        run_chunk(lo, hi, &abort)
+        run_chunk(lo, hi, &failed)
     };
 
     let results: Vec<Result<ChunkResult, Box<dyn std::any::Any + Send>>> = if workers <= 1 {
@@ -256,7 +230,47 @@ where
 mod tests {
     use super::*;
     use qutes_supervisor::{Interrupt, StopReason};
-    use std::sync::atomic::AtomicUsize;
+
+    /// The per-shot chunk loop: runs `[lo, hi)` through `run_shot` in
+    /// order, stopping on an interrupt, on a hard error (noted in
+    /// `failed`), or at a shot past a failure.
+    fn run_chunk<F>(lo: usize, hi: usize, run_shot: &F, failed: &FirstFailure) -> ChunkResult
+    where
+        F: Fn(usize) -> CircResult<usize>,
+    {
+        let mut out = ChunkResult::default();
+        for s in lo..hi {
+            if failed.passed(s) {
+                break;
+            }
+            match run_shot(s) {
+                Ok(key) => {
+                    *out.map.entry(key).or_insert(0) += 1;
+                    out.completed += 1;
+                }
+                Err(CircError::Interrupted(reason)) => {
+                    out.stop = Some(reason);
+                    break;
+                }
+                Err(e) => {
+                    failed.record(s);
+                    out.error = Some((s, e));
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// The pool driven one shot at a time, through [`run_chunk`].
+    fn run_pool<F>(shots: usize, workers: usize, run_shot: F) -> CircResult<PoolOutcome>
+    where
+        F: Fn(usize) -> CircResult<usize> + Sync,
+    {
+        run_pool_chunked(shots, workers, 0, |lo, hi, failed| {
+            run_chunk(lo, hi, &run_shot, failed)
+        })
+    }
 
     #[test]
     fn resolve_workers_honours_explicit_and_clamps() {
@@ -271,9 +285,9 @@ mod tests {
     #[test]
     fn merged_histogram_is_thread_count_invariant() {
         let run = |s: usize| -> CircResult<usize> { Ok(s % 5) };
-        let serial = run_pool(1000, 1, 0, run).unwrap();
+        let serial = run_pool(1000, 1, run).unwrap();
         for workers in [2, 3, 7] {
-            let par = run_pool(1000, workers, 0, run).unwrap();
+            let par = run_pool(1000, workers, run).unwrap();
             assert_eq!(par.map, serial.map, "{workers} workers diverged");
             assert_eq!(par.completed, 1000);
             assert!(par.stop.is_none());
@@ -282,24 +296,44 @@ mod tests {
 
     #[test]
     fn hard_error_reports_earliest_shot_and_aborts_siblings() {
-        let executed = AtomicUsize::new(0);
-        let run = |s: usize| -> CircResult<usize> {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if s == 100 || s == 700 {
-                Err(CircError::BudgetExhausted { limit: s as u64 })
-            } else {
-                Ok(0)
+        // Four workers own [0, 250), [250, 500), [500, 750) and
+        // [750, 1000); shots 100 and 700 fail. Each order is forced: the
+        // worker that fails second starts only once the other failure is
+        // on record.
+        for first in [700, 100] {
+            let executed = AtomicUsize::new(0);
+            let run = |s: usize| -> CircResult<usize> {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if s == 100 || s == 700 {
+                    Err(CircError::BudgetExhausted { limit: s as u64 })
+                } else {
+                    Ok(0)
+                }
+            };
+            let second_lo = if first == 700 { 0 } else { 500 };
+            let err = run_pool_chunked(1000, 4, 0, |lo, hi, failed| {
+                if lo == second_lo {
+                    while !failed.passed(first + 1) {
+                        std::thread::yield_now();
+                    }
+                }
+                run_chunk(lo, hi, &run, failed)
+            })
+            .unwrap_err();
+            match err {
+                // Shot 700 failing first must not stop the worker that
+                // owns shot 100: only shots past a failure are skipped.
+                CircError::BudgetExhausted { limit } => assert_eq!(limit, 100, "{first} first"),
+                other => panic!("unexpected error {other:?}"),
             }
-        };
-        let err = run_pool(1000, 4, 0, run).unwrap_err();
-        match err {
-            // Worker 0 owns shot 100 and always reaches it; whether the
-            // shot-700 worker gets aborted first is timing-dependent,
-            // but the merge must prefer the earliest index it saw.
-            CircError::BudgetExhausted { limit } => assert_eq!(limit, 100),
-            other => panic!("unexpected error {other:?}"),
+            let executed = executed.load(Ordering::Relaxed);
+            assert!(executed <= 1000);
+            if first == 100 {
+                // The worker owning shot 700 starts past the failure and
+                // runs nothing.
+                assert!(executed < 750, "{executed} shots ran");
+            }
         }
-        assert!(executed.load(Ordering::Relaxed) <= 1000);
     }
 
     #[test]
@@ -315,7 +349,7 @@ mod tests {
             }
             Ok(1)
         };
-        let out = run_pool(64, 2, 0, run).unwrap();
+        let out = run_pool(64, 2, run).unwrap();
         assert_eq!(out.stop, Some(StopReason::Cancelled));
         // Histogram weight must equal the completed count exactly.
         assert_eq!(out.map.values().sum::<usize>(), out.completed);
@@ -332,7 +366,7 @@ mod tests {
             finished.fetch_add(1, Ordering::Relaxed);
             Ok(0)
         };
-        let caught = catch_unwind(AssertUnwindSafe(|| run_pool(8, 4, 0, run)));
+        let caught = catch_unwind(AssertUnwindSafe(|| run_pool(8, 4, run)));
         assert!(caught.is_err(), "panic must propagate to the caller");
         // Shots 2..8 belong to the three sibling workers; every one of
         // them completed despite worker 0's fault.

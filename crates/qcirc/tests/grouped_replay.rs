@@ -1,21 +1,23 @@
-//! Exact differential tests for outcome-grouped replay: on noise-free
-//! circuits with mid-circuit measurement, reset and conditionals, the
-//! grouped histogram must equal, key for key, the histogram of running
-//! every shot alone on its own counter-derived stream — on both engines,
-//! at any thread count, and under a memory budget that forces the
-//! per-shot fallback.
+//! Exact differential tests for grouped replay: on circuits with
+//! mid-circuit measurement, reset and conditionals, noise-free or under
+//! noise, the grouped histogram must equal, key for key, the histogram
+//! of running every shot alone on its own counter-derived stream — on
+//! both engines, at any thread count, and under a memory budget that
+//! forces the per-shot fallback. Under noise the `noise.faults.*`
+//! totals must equal the per-shot run's too.
 
 // Circuit-builder helpers sit outside `#[test]` fns, where clippy's
 // `allow-unwrap-in-tests` does not reach.
 #![allow(clippy::unwrap_used)]
 
-use qutes_qcirc::execute::run_shots_supervised;
+use qutes_qcirc::execute::{apply_gate_noisy, run_shots_supervised};
 use qutes_qcirc::{
     optimize, run_once, run_shots_cfg, BackendChoice, BackendKind, CircError, Engine,
     ExecutionConfig, Gate, Interrupt, QuantumCircuit,
 };
 use qutes_sim::rng_stream::shot_rng;
 use qutes_sim::tableau::Tableau;
+use qutes_sim::{NoiseModel, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -354,8 +356,10 @@ fn mid_run_stop_keeps_weight_equal_to_completed_shots() {
         for threads in [1, 4] {
             let intr = Interrupt::new();
             let canceller = intr.clone();
+            // Grouped replay completes shots a round of up to 2^16 at a
+            // time, which takes tens of milliseconds in a debug build.
             let watcher = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(40));
+                std::thread::sleep(Duration::from_millis(300));
                 canceller.cancel();
             });
             let cfg = cfg(kind, 1, 2_000_000_000, threads).with_interrupt(intr);
@@ -372,4 +376,177 @@ fn mid_run_stop_keeps_weight_equal_to_completed_shots() {
             );
         }
     }
+}
+
+/// A noise model with every channel drawn at a rate high enough that
+/// most shots fault somewhere; some seeds leave a channel off.
+fn random_noise(seed: u64) -> NoiseModel {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let mut rate = |max: f64| {
+        if rng.random_bool(0.25) {
+            0.0
+        } else {
+            rng.random_range(0.0..max)
+        }
+    };
+    NoiseModel {
+        bit_flip: rate(0.05),
+        phase_flip: rate(0.05),
+        depolarizing_1q: rate(0.05),
+        depolarizing_2q: rate(0.1),
+        amplitude_damping: rate(0.15),
+        readout_error: rate(0.1),
+    }
+}
+
+/// Unitaries then measurements only: under noise these replay grouped
+/// too.
+fn terminal_circuit(seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(2..5usize);
+    let mut c = QuantumCircuit::with_qubits_and_clbits(n, n);
+    for _ in 0..rng.random_range(5..25usize) {
+        c.append(unitary(&mut rng, n, false)).unwrap();
+    }
+    for q in 0..n {
+        c.measure(q, q).unwrap();
+    }
+    c
+}
+
+/// The histogram and the `noise.faults.*` totals of a run.
+type Traced = (Vec<(usize, usize)>, BTreeMap<String, u64>);
+
+/// Runs `f` with the obs collector on, and returns what it returns with
+/// the `noise.faults.*` totals it counted.
+fn with_faults(f: impl FnOnce() -> Vec<(usize, usize)>) -> Traced {
+    qutes_obs::reset();
+    qutes_obs::set_enabled(true);
+    let hist = f();
+    let snap = qutes_obs::snapshot();
+    qutes_obs::set_enabled(false);
+    let faults = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("noise.faults."))
+        .map(|(name, &n)| (name.to_string(), n))
+        .collect();
+    (hist, faults)
+}
+
+/// Per-shot noisy replay, the reference grouped replay must match: shot
+/// `s` runs alone on a fresh statevector and on `shot_rng(base, s)`,
+/// every instruction through the one-shot stepper of the live
+/// interpreter ([`apply_gate_noisy`]).
+fn noisy_reference(c: &QuantumCircuit, seed: u64, shots: usize, noise: &NoiseModel) -> Traced {
+    with_faults(|| {
+        let base = StdRng::seed_from_u64(seed).next_u64();
+        let mut hist = BTreeMap::new();
+        for s in 0..shots {
+            let mut rng = shot_rng(base, s as u64);
+            let mut state = StateVector::new(c.num_qubits()).unwrap();
+            let mut clbits = vec![false; c.num_clbits()];
+            for g in c.ops() {
+                apply_gate_noisy(&mut state, &mut clbits, g, &mut rng, Some(noise)).unwrap();
+            }
+            let key = clbits
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, &b)| acc | (usize::from(b) << i));
+            *hist.entry(key).or_insert(0) += 1;
+        }
+        let mut sorted: Vec<_> = hist.into_iter().collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        sorted
+    })
+}
+
+/// Grouped noisy replay of `c` under `cfg`, traced.
+fn noisy_grouped(c: &QuantumCircuit, cfg: &ExecutionConfig) -> Traced {
+    with_faults(|| run_shots_cfg(c, cfg).unwrap().sorted())
+}
+
+fn noisy_circuits() -> impl Iterator<Item = (String, QuantumCircuit, u64)> {
+    (0..30u64)
+        .map(|seed| (format!("circuit {seed}"), random_circuit(seed, false), seed))
+        .chain((0..10u64).map(|seed| {
+            (
+                format!("terminal circuit {seed}"),
+                terminal_circuit(500 + seed),
+                seed,
+            )
+        }))
+}
+
+#[test]
+fn noisy_grouped_histograms_and_faults_equal_the_per_shot_reference() {
+    let _g = serialize();
+    for (name, c, seed) in noisy_circuits() {
+        let noise = random_noise(seed);
+        let shots = 40 + (seed as usize * 37) % 120;
+        let want = noisy_reference(&c, seed, shots, &noise);
+        for threads in [1, 2, 7] {
+            let cfg = cfg(BackendKind::Statevector, seed, shots, threads).with_noise(noise.clone());
+            let got = noisy_grouped(&c, &cfg);
+            assert_eq!(got, want, "{name}, {threads} threads: diverged");
+        }
+    }
+}
+
+#[test]
+fn noisy_tight_memory_budget_fallback_equals_the_per_shot_reference() {
+    let _g = serialize();
+    for (name, c, seed) in noisy_circuits() {
+        let noise = random_noise(seed);
+        let want = noisy_reference(&c, seed, 100, &noise);
+        // Room for exactly one live state: no split may snapshot.
+        let one_state =
+            u64::try_from(BackendKind::Statevector.required_bytes(c.num_qubits())).unwrap();
+        for threads in [1, 2, 7] {
+            let tight = cfg(BackendKind::Statevector, seed, 100, threads)
+                .with_noise(noise.clone())
+                .with_memory_budget(one_state);
+            let got = noisy_grouped(&c, &tight);
+            assert_eq!(got, want, "{name}, {threads} threads: fallback diverged");
+        }
+    }
+}
+
+#[test]
+fn noisy_replay_shares_fault_free_prefixes() {
+    let _g = serialize();
+    // Rare faults: nearly every shot stays on the fault-free branch, so
+    // the gates run about once per distinct trajectory, not per shot.
+    // The state stays a basis state, so only faults split the shots.
+    let mut c = QuantumCircuit::with_qubits_and_clbits(3, 3);
+    for _ in 0..20 {
+        c.x(0).unwrap().cx(0, 1).unwrap().cx(1, 2).unwrap();
+    }
+    for q in 0..3 {
+        c.measure(q, q).unwrap();
+    }
+    let noise = NoiseModel::depolarizing(0.001);
+    let shots = 200;
+    let (want, faults) = noisy_reference(&c, 4, shots, &noise);
+    qutes_obs::reset();
+    qutes_obs::set_enabled(true);
+    let cfg = cfg(BackendKind::Statevector, 4, shots, 1).with_noise(noise);
+    let got = run_shots_cfg(&c, &cfg).unwrap();
+    let snap = qutes_obs::snapshot();
+    qutes_obs::set_enabled(false);
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(got.sorted(), want);
+    assert_eq!(counter("backend.mode.grouped"), 1);
+    assert_eq!(counter("backend.mode.batched"), 0);
+    let drawn = faults.values().sum::<u64>();
+    assert_eq!(counter("noise.faults.depolarizing"), drawn);
+    // One branch per split, at most one split per fault drawn.
+    assert_eq!(counter("sim.branches"), counter("sim.snapshots") + 1);
+    assert!(counter("sim.branches") <= drawn + 1, "{drawn} faults");
+    // Per-shot replay applies 20 X gates per shot.
+    assert!(
+        counter("gate.x") < 20 * shots as u64 / 4,
+        "{}",
+        counter("gate.x")
+    );
 }

@@ -15,8 +15,8 @@ use qutes_sim::NoiseModel;
 use qutes_supervisor::Interrupt;
 use std::time::Duration;
 
-/// Bell pair with terminal measurements; with noise attached every
-/// trajectory differs, so the statevector engine re-runs per shot.
+/// Bell pair with terminal measurements; with noise attached the shots
+/// cannot batch, so the statevector engine replays them grouped.
 fn bell() -> QuantumCircuit {
     let mut c = QuantumCircuit::with_qubits_and_clbits(2, 2);
     c.h(0).unwrap().cx(0, 1).unwrap();
@@ -107,8 +107,10 @@ fn mid_run_stop_keeps_completed_shots_exact_at_any_thread_count() {
     for threads in [1usize, 4] {
         let intr = Interrupt::new();
         let canceller = intr.clone();
+        // Grouped replay completes shots a round of up to 2^16 at a
+        // time, which takes tens of milliseconds in a debug build.
         let watcher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
+            std::thread::sleep(Duration::from_millis(300));
             canceller.cancel();
         });
         let cfg = ExecutionConfig::default()

@@ -42,6 +42,6 @@ pub mod tableau;
 pub use complex::{c64, Complex64};
 pub use error::{SimError, SimResult};
 pub use gates::{Matrix2, Matrix4, Matrix8};
-pub use noise::NoiseModel;
+pub use noise::{Channel, Fault, GateChannels, NoiseModel, Site};
 pub use state::{uniform_superposition, StateVector, MAX_QUBITS};
 pub use tableau::{Tableau, TABLEAU_MAX_QUBITS};

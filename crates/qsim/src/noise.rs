@@ -19,6 +19,16 @@
 //! attached (and is relied on by the execution layer's fast-path
 //! selection).
 //!
+//! **One draw order.** [`NoiseModel::gate_channels`] is the one
+//! definition of which channels draw after a gate, in which order. Each
+//! is armed on the current state as a [`Site`]; a shot draws its
+//! [`Fault`] there, and the fault is applied. Every fault is a branch
+//! event: shots that hold the same state and draw the same fault still
+//! hold the same state afterwards, so the execution layer's grouped
+//! replay applies each fault once per group of shots that drew it.
+//! [`NoiseModel::apply_gate_noise`] and [`NoiseModel::flip_readout`] are
+//! the one-shot case, a group of one.
+//!
 //! ```
 //! use qutes_sim::NoiseModel;
 //!
@@ -139,88 +149,229 @@ impl NoiseModel {
             && self.readout_error == 0.0
     }
 
-    /// Applies one trajectory sample of every gate-level channel to the
-    /// qubits a gate just touched. Call after each gate application.
+    /// The gate-level channel draws after a gate touched `qubits`, in
+    /// the order every run makes them: for each touched qubit in turn,
+    /// bit flip, phase flip, depolarizing, then amplitude damping,
+    /// skipping every channel at rate zero.
     ///
     /// The depolarizing rate is chosen by gate arity: `depolarizing_1q`
     /// when the gate touched one qubit, `depolarizing_2q` per qubit
-    /// otherwise. Channels at probability zero draw no randomness.
+    /// otherwise. A reset draws the same sequence on its one qubit.
+    pub fn gate_channels(&self, qubits: Vec<usize>) -> GateChannels {
+        let depol = if qubits.len() <= 1 {
+            self.depolarizing_1q
+        } else {
+            self.depolarizing_2q
+        };
+        let at = |p: f64, channel: fn(f64) -> Channel| (p > 0.0).then(|| channel(p));
+        GateChannels {
+            channels: [
+                at(self.bit_flip, Channel::BitFlip),
+                at(self.phase_flip, Channel::PhaseFlip),
+                at(depol, Channel::Depolarizing),
+                at(self.amplitude_damping, Channel::Damping),
+            ],
+            qubits,
+            next: 0,
+        }
+    }
+
+    /// Applies one trajectory sample of every gate-level channel to the
+    /// qubits a gate just touched: the one-shot walk of
+    /// [`NoiseModel::gate_channels`], each channel armed on the state its
+    /// predecessors left, drawn once, and applied. Call after each gate
+    /// application. Channels at probability zero draw no randomness.
     pub fn apply_gate_noise<R: Rng + ?Sized>(
         &self,
         state: &mut StateVector,
         qubits: &[usize],
         rng: &mut R,
     ) -> SimResult<()> {
-        let depol = if qubits.len() <= 1 {
-            self.depolarizing_1q
-        } else {
-            self.depolarizing_2q
-        };
-        for &q in qubits {
-            if self.bit_flip > 0.0 && rng.random::<f64>() < self.bit_flip {
-                qutes_obs::counter_add("noise.faults.bit_flip", 1);
-                state.apply_single(&gates::x(), q)?;
-            }
-            if self.phase_flip > 0.0 && rng.random::<f64>() < self.phase_flip {
-                qutes_obs::counter_add("noise.faults.phase_flip", 1);
-                state.apply_single(&gates::z(), q)?;
-            }
-            if depol > 0.0 && rng.random::<f64>() < depol {
-                qutes_obs::counter_add("noise.faults.depolarizing", 1);
-                let pauli = match rng.random_range(0..3u8) {
-                    0 => gates::x(),
-                    1 => gates::y(),
-                    _ => gates::z(),
-                };
-                state.apply_single(&pauli, q)?;
-            }
-            if self.amplitude_damping > 0.0 {
-                self.damp(state, q, rng)?;
+        for (channel, qubit) in self.gate_channels(qubits.to_vec()) {
+            let site = channel.arm(state, qubit)?;
+            let fault = site.draw(rng);
+            site.apply(fault, state)?;
+            if let Some(counter) = site.fault_counter(fault) {
+                qutes_obs::counter_add(counter, 1);
             }
         }
         Ok(())
     }
 
-    /// One amplitude-damping trajectory step on `q` with rate γ:
-    /// with probability `γ * P(|1>)` the qubit decays (collapse to `|1>`
-    /// then flip to `|0>`, the "photon emitted" branch); otherwise the
-    /// no-jump Kraus operator `diag(1, sqrt(1-γ))` is applied and the
-    /// state renormalised.
-    fn damp<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        q: usize,
-        rng: &mut R,
-    ) -> SimResult<()> {
-        let gamma = self.amplitude_damping;
-        let p1 = state.probability_one(q)?;
-        if rng.random::<f64>() < gamma * p1 {
-            qutes_obs::counter_add("noise.faults.damping_jump", 1);
-            // Jump branch: the qubit was |1> and relaxed to |0>.
-            state.collapse_qubit(q, true)?;
-            state.flip_if_one(q)?;
-        } else if p1 > 1e-12 {
-            // No-jump branch: |1> amplitude shrinks by sqrt(1-γ).
-            let k0 = gates::Matrix2::new(
-                crate::complex::Complex64::ONE,
-                crate::complex::Complex64::ZERO,
-                crate::complex::Complex64::ZERO,
-                crate::c64((1.0 - gamma).sqrt(), 0.0),
-            );
-            state.apply_single(&k0, q)?;
-            state.renormalize()?;
-        }
-        Ok(())
+    /// Whether one shot's reading of a measured bit comes out flipped:
+    /// one `f64` drawn against `readout_error`, and no draw at rate zero.
+    pub fn readout_flips<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        self.readout_error > 0.0 && rng.random::<f64>() < self.readout_error
     }
 
-    /// Applies the readout channel to one measured bit: flips it with
-    /// probability `readout_error`. Draws no randomness at rate zero.
+    /// Applies the readout channel to one measured bit: the one-shot
+    /// case of [`NoiseModel::readout_flips`].
     pub fn flip_readout<R: Rng + ?Sized>(&self, bit: bool, rng: &mut R) -> bool {
-        if self.readout_error > 0.0 && rng.random::<f64>() < self.readout_error {
-            qutes_obs::counter_add("noise.faults.readout", 1);
+        if self.readout_flips(rng) {
+            qutes_obs::counter_add(READOUT_FAULTS, 1);
             !bit
         } else {
             bit
+        }
+    }
+}
+
+/// The counter a flipped reading counts under.
+pub const READOUT_FAULTS: &str = "noise.faults.readout";
+
+/// A gate-level noise channel with its rate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Channel {
+    /// An X error with this probability.
+    BitFlip(f64),
+    /// A Z error with this probability.
+    PhaseFlip(f64),
+    /// A uniformly random Pauli error with this probability.
+    Depolarizing(f64),
+    /// Amplitude damping at this rate γ.
+    Damping(f64),
+}
+
+impl Channel {
+    /// Arms the channel on `qubit` of `state`: fixes the threshold every
+    /// shot holding this state draws against — the channel's probability
+    /// for a Pauli channel, `γ·P(1)` of the current state for damping.
+    /// Arm a channel only once every earlier fault of the sequence has
+    /// been applied.
+    pub fn arm(self, state: &StateVector, qubit: usize) -> SimResult<Site> {
+        let (threshold, p1) = match self {
+            Channel::Damping(gamma) => {
+                let p1 = state.probability_one(qubit)?;
+                (gamma * p1, p1)
+            }
+            Channel::BitFlip(p) | Channel::PhaseFlip(p) | Channel::Depolarizing(p) => (p, 0.0),
+        };
+        Ok(Site {
+            channel: self,
+            qubit,
+            threshold,
+            p1,
+        })
+    }
+}
+
+/// The post-gate draws of one gate, from [`NoiseModel::gate_channels`]:
+/// yields each `(channel, qubit)` in draw order.
+#[derive(Clone, Debug)]
+pub struct GateChannels {
+    qubits: Vec<usize>,
+    /// Bit flip, phase flip, depolarizing, damping; `None` at rate zero.
+    channels: [Option<Channel>; 4],
+    /// Position in the qubit-major walk of `qubits` × `channels`.
+    next: usize,
+}
+
+impl Iterator for GateChannels {
+    type Item = (Channel, usize);
+
+    fn next(&mut self) -> Option<(Channel, usize)> {
+        while let Some(&qubit) = self.qubits.get(self.next / 4) {
+            let channel = self.channels[self.next % 4];
+            self.next += 1;
+            if let Some(channel) = channel {
+                return Some((channel, qubit));
+            }
+        }
+        None
+    }
+}
+
+/// What one shot drew at a [`Site`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// No fault. At a damping site this is the no-jump branch, which
+    /// still reshapes the state.
+    None,
+    /// A Pauli X error.
+    X,
+    /// A Pauli Y error.
+    Y,
+    /// A Pauli Z error.
+    Z,
+    /// A damping jump: the qubit relaxed to `|0⟩`.
+    Jump,
+}
+
+/// A channel armed on one qubit of one state ([`Channel::arm`]): the draw
+/// point every shot holding that state draws at.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Site {
+    channel: Channel,
+    qubit: usize,
+    /// What each shot's `f64` is compared against.
+    threshold: f64,
+    /// `P(1)` of the qubit when armed (damping only).
+    p1: f64,
+}
+
+impl Site {
+    /// Draws one shot's fault from `rng`: one `f64` against the
+    /// threshold, then, when a depolarizing draw faults,
+    /// `random_range(0..3)` for the Pauli.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Fault {
+        let faulted = rng.random::<f64>() < self.threshold;
+        if !faulted {
+            return Fault::None;
+        }
+        match self.channel {
+            Channel::BitFlip(_) => Fault::X,
+            Channel::PhaseFlip(_) => Fault::Z,
+            Channel::Depolarizing(_) => match rng.random_range(0..3u8) {
+                0 => Fault::X,
+                1 => Fault::Y,
+                _ => Fault::Z,
+            },
+            Channel::Damping(_) => Fault::Jump,
+        }
+    }
+
+    /// Applies what a shot drew here to the state the site was armed on.
+    /// A damping jump collapses the qubit to `|1⟩` and flips it to `|0⟩`
+    /// (the "photon emitted" branch); damping's no-jump branch applies
+    /// the Kraus operator `diag(1, √(1−γ))` and renormalises, unless the
+    /// qubit held no `|1⟩` weight.
+    pub fn apply(&self, fault: Fault, state: &mut StateVector) -> SimResult<()> {
+        let q = self.qubit;
+        match fault {
+            Fault::X => state.apply_single(&gates::x(), q)?,
+            Fault::Y => state.apply_single(&gates::y(), q)?,
+            Fault::Z => state.apply_single(&gates::z(), q)?,
+            Fault::Jump => {
+                state.collapse_qubit(q, true)?;
+                state.flip_if_one(q)?;
+            }
+            Fault::None => {
+                if let Channel::Damping(gamma) = self.channel {
+                    if self.p1 > 1e-12 {
+                        let k0 = gates::Matrix2::new(
+                            crate::complex::Complex64::ONE,
+                            crate::complex::Complex64::ZERO,
+                            crate::complex::Complex64::ZERO,
+                            crate::c64((1.0 - gamma).sqrt(), 0.0),
+                        );
+                        state.apply_single(&k0, q)?;
+                        state.renormalize()?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `noise.faults.*` counter `fault` counts under here, or `None`
+    /// when it is no fault.
+    pub fn fault_counter(&self, fault: Fault) -> Option<&'static str> {
+        match (self.channel, fault) {
+            (_, Fault::None) => None,
+            (Channel::BitFlip(_), _) => Some("noise.faults.bit_flip"),
+            (Channel::PhaseFlip(_), _) => Some("noise.faults.phase_flip"),
+            (Channel::Depolarizing(_), _) => Some("noise.faults.depolarizing"),
+            (Channel::Damping(_), _) => Some("noise.faults.damping_jump"),
         }
     }
 }

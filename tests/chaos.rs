@@ -144,8 +144,9 @@ fn shot_loop_refusal_is_typed() {
     arm("qcirc.execute.shot", Fault::DenyAlloc);
     let cfg = RunConfig {
         shots: 8,
-        // Noise forces the per-shot replay loop (the armed site); the
-        // noiseless fast path samples one simulation and never enters it.
+        // Noise forces grouped replay, whose shot loop is the armed
+        // site; the noiseless fast path samples one simulation and never
+        // enters it.
         noise: Some(qutes::sim::NoiseModel::depolarizing(0.01)),
         ..RunConfig::default()
     };
@@ -204,7 +205,7 @@ fn shot_pool_worker_panic_is_contained_without_poisoning_siblings() {
     let cfg = RunConfig {
         shots: 64,
         shot_threads: 4,
-        // Noise forces the per-shot worker-pool path.
+        // Noise forces the grouped worker-pool path.
         noise: Some(qutes::sim::NoiseModel::depolarizing(0.01)),
         ..RunConfig::default()
     };
