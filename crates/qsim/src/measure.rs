@@ -17,7 +17,7 @@
 //! assert!((sv.probability_one(0).unwrap() - 1.0).abs() < 1e-12);
 //! ```
 
-use crate::error::SimResult;
+use crate::error::{SimError, SimResult};
 use crate::state::StateVector;
 use rand::Rng;
 use std::collections::HashMap;
@@ -72,34 +72,56 @@ pub fn measure_and_reset<R: Rng + ?Sized>(
     Ok(outcome)
 }
 
+/// Shots between interrupt checks in the sampling loops (here and in
+/// [`Tableau::sample`](crate::Tableau::sample)). A shot costs
+/// nanoseconds, so a check per shot would be the dominant cost under an
+/// armed deadline, which reads the clock on every check.
+pub(crate) const SAMPLE_CHECK_STRIDE: u64 = 1 << 12;
+
 /// Draws `shots` independent samples of the joint outcome on `qubits`
 /// **without collapsing** the state, returning outcome -> count.
 ///
 /// This mirrors how Qiskit executes a measured circuit many times; the
 /// Qutes runtime uses it for `print`-style inspection while using the
 /// collapsing measurements above for program semantics.
+///
+/// Each shot is one uniform draw, a binary search of the marginal's
+/// cumulative distribution and one increment of a dense tally the size
+/// of that distribution; only the occupied outcomes reach the map. The
+/// state's interrupt is checked once up front and then every
+/// [`SAMPLE_CHECK_STRIDE`] shots.
 pub fn sample_counts<R: Rng + ?Sized>(
     state: &StateVector,
     qubits: &[usize],
     shots: usize,
     rng: &mut R,
 ) -> SimResult<HashMap<usize, usize>> {
-    let marginal = state.marginal_probabilities(qubits)?;
-    // Cumulative distribution for inverse-transform sampling.
-    let mut cdf = Vec::with_capacity(marginal.len());
+    // Cumulative distribution for inverse-transform sampling, summed in
+    // place over the marginal.
+    let mut cdf = state.marginal_probabilities(qubits)?;
     let mut acc = 0.0f64;
-    for &p in &marginal {
-        acc += p;
-        cdf.push(acc);
+    for c in &mut cdf {
+        acc += *c;
+        *c = acc;
     }
     let total = acc.max(f64::MIN_POSITIVE);
-    let mut counts = HashMap::new();
+    let interrupt = state.interrupt();
+    interrupt.check().map_err(SimError::Interrupted)?;
+    let mut ck = 0u64;
+    let mut tally = vec![0usize; cdf.len()];
     for _ in 0..shots {
+        interrupt
+            .checkpoint(&mut ck, SAMPLE_CHECK_STRIDE)
+            .map_err(SimError::Interrupted)?;
         let r = rng.random::<f64>() * total;
-        let idx = cdf.partition_point(|&c| c < r).min(marginal.len() - 1);
-        *counts.entry(idx).or_insert(0) += 1;
+        let idx = cdf.partition_point(|&c| c < r).min(cdf.len() - 1);
+        tally[idx] += 1;
     }
-    Ok(counts)
+    Ok(tally
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
+        .collect())
 }
 
 /// Returns the single most probable joint outcome on `qubits` (ties broken
@@ -219,6 +241,93 @@ mod tests {
         let sv = StateVector::from_basis_state(2, 0b10).unwrap();
         let counts = sample_counts(&sv, &[1], 100, &mut r).unwrap();
         assert_eq!(*counts.get(&1).unwrap(), 100);
+    }
+
+    /// Per-shot hash-map sampler (the pre-tally implementation):
+    /// `sample_counts` must reproduce its histograms bit-for-bit.
+    fn reference_sample(
+        state: &StateVector,
+        qubits: &[usize],
+        shots: usize,
+        rng: &mut StdRng,
+    ) -> HashMap<usize, usize> {
+        let marginal = state.marginal_probabilities(qubits).unwrap();
+        let mut cdf = Vec::new();
+        let mut acc = 0.0f64;
+        for &p in &marginal {
+            acc += p;
+            cdf.push(acc);
+        }
+        let total = acc.max(f64::MIN_POSITIVE);
+        let mut counts = HashMap::new();
+        for _ in 0..shots {
+            let r = rng.random::<f64>() * total;
+            let idx = cdf.partition_point(|&c| c < r).min(marginal.len() - 1);
+            *counts.entry(idx).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn sample_counts_matches_per_shot_reference_bit_for_bit() {
+        for (n, seed) in [(3usize, 0u64), (3, 1), (6, 2), (10, 3), (10, 4)] {
+            let mut sv = StateVector::new(n).unwrap();
+            for q in 0..n {
+                sv.apply_single(&gates::ry(0.3 + 0.37 * q as f64), q)
+                    .unwrap();
+            }
+            for q in 1..n {
+                sv.apply_controlled(&gates::x(), &[q - 1], q).unwrap();
+                sv.apply_single(&gates::t(), q).unwrap();
+            }
+            sv.apply_single(&gates::h(), 0).unwrap();
+            // Every qubit in order, then a subset in shuffled order.
+            let all: Vec<usize> = (0..n).collect();
+            let mut shuffled = all.clone();
+            let mut gen = StdRng::seed_from_u64(seed);
+            for i in (1..n).rev() {
+                shuffled.swap(i, gen.random_range(0..=i));
+            }
+            shuffled.pop();
+            for qubits in [all, shuffled] {
+                let reference =
+                    reference_sample(&sv, &qubits, 2000, &mut StdRng::seed_from_u64(seed));
+                let tallied =
+                    sample_counts(&sv, &qubits, 2000, &mut StdRng::seed_from_u64(seed)).unwrap();
+                assert_eq!(tallied, reference, "n={n} seed={seed} qubits={qubits:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn interrupt_cancels_sample_counts() {
+        use qutes_supervisor::{Interrupt, StopReason};
+        let mut sv = StateVector::new(2).unwrap();
+        sv.apply_single(&gates::h(), 0).unwrap();
+        let intr = Interrupt::new();
+        intr.cancel();
+        sv.set_interrupt(intr);
+        let err = sample_counts(&sv, &[0, 1], 10, &mut rng()).unwrap_err();
+        assert_eq!(err, SimError::Interrupted(StopReason::Cancelled));
+    }
+
+    #[test]
+    fn deadline_stops_long_sample_counts_promptly() {
+        use qutes_supervisor::{Interrupt, StopReason};
+        use std::time::{Duration, Instant};
+        let mut sv = StateVector::new(2).unwrap();
+        sv.apply_single(&gates::h(), 0).unwrap();
+        sv.set_interrupt(Interrupt::with_deadline(Duration::from_millis(1)));
+        let start = Instant::now();
+        let err = sample_counts(&sv, &[0, 1], 1_000_000_000, &mut rng()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Interrupted(StopReason::DeadlineExceeded { .. })
+            ),
+            "{err:?}"
+        );
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

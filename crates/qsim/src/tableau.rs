@@ -36,6 +36,7 @@
 //! ```
 
 use crate::error::{SimError, SimResult};
+use crate::measure::SAMPLE_CHECK_STRIDE;
 use qutes_supervisor::Interrupt;
 use rand::Rng;
 use std::collections::HashMap;
@@ -47,6 +48,11 @@ use std::collections::HashMap;
 pub const TABLEAU_MAX_QUBITS: usize = 4096;
 
 const WORD_BITS: usize = 64;
+
+/// Highest sampling rank whose coin vectors are tallied in a dense
+/// `2^rank` array (512 KiB at the cap); above it the sampler keys each
+/// shot into a hash map. See [`Tableau::sample`].
+const TALLY_MAX_RANK: u32 = 16;
 
 /// Aaronson–Gottesman stabilizer tableau over `n` qubits.
 ///
@@ -538,11 +544,21 @@ impl Tableau {
     /// the cascade once, the outcome of measured qubit `k` is
     /// `c_k ⊕ ⟨mask_k, b⟩` for a constant bit `c_k`, a dependence mask
     /// over the `rank ≤ |qubits|` fresh random bits, and the per-shot
-    /// coin vector `b`. Each shot then costs `rank` RNG draws plus one
-    /// popcount-parity per measured qubit — O(rank + |qubits|) — instead
-    /// of an O(n²) clone and O(n²) collapse per shot, and draws coins in
-    /// exactly the same order as destructive measurement, so histograms
-    /// are bit-for-bit identical to the clone-per-shot sampler.
+    /// coin vector `b`.
+    ///
+    /// Cost: one O(n²) clone and cascade per call. Then, for
+    /// `rank ≤ 16`, each shot costs only its `rank` coin draws and one
+    /// increment of a dense `2^rank` tally of coin vectors; the affine
+    /// map to a key runs once per *distinct* coin vector afterwards.
+    /// Above rank 16 the tally would cost more to allocate and scan
+    /// than typical shot counts, so each shot maps its coins to a key
+    /// (one popcount-parity per measured qubit) and bumps a hash map
+    /// instead. Coins are drawn in exactly the same order as destructive
+    /// measurement, so histograms are bit-for-bit identical to the
+    /// clone-per-shot sampler.
+    ///
+    /// The interrupt is checked once up front and then every
+    /// [`SAMPLE_CHECK_STRIDE`] shots.
     pub fn sample<R: Rng + ?Sized>(
         &self,
         qubits: &[usize],
@@ -565,24 +581,30 @@ impl Tableau {
             )));
         }
         let outcomes = self.ranked_outcomes(qubits);
-        let rank = outcomes.rank;
+        self.interrupt.check().map_err(SimError::Interrupted)?;
+        let mut ck = 0u64;
         let mut counts = HashMap::new();
-        for _ in 0..shots {
-            self.interrupt.check().map_err(SimError::Interrupted)?;
-            let mut coins = 0u64;
-            for b in 0..rank {
-                // Same draw order as destructive measurement: coin `b`
-                // is the b-th random measurement in `qubits` order.
-                if rng.random_bool(0.5) {
-                    coins |= 1u64 << b;
+        if outcomes.rank <= TALLY_MAX_RANK {
+            let mut tally = vec![0usize; 1 << outcomes.rank];
+            for _ in 0..shots {
+                self.interrupt
+                    .checkpoint(&mut ck, SAMPLE_CHECK_STRIDE)
+                    .map_err(SimError::Interrupted)?;
+                tally[outcomes.draw(rng) as usize] += 1;
+            }
+            for (coins, &n) in tally.iter().enumerate() {
+                if n > 0 {
+                    *counts.entry(outcomes.key_of(coins as u64)).or_insert(0) += n;
                 }
             }
-            let mut key = 0usize;
-            for (k, &(c, mask)) in outcomes.forms.iter().enumerate() {
-                let bit = u64::from(c) ^ (u64::from((mask & coins).count_ones()) & 1);
-                key |= (bit as usize) << k;
+        } else {
+            for _ in 0..shots {
+                self.interrupt
+                    .checkpoint(&mut ck, SAMPLE_CHECK_STRIDE)
+                    .map_err(SimError::Interrupted)?;
+                let key = outcomes.key_of(outcomes.draw(rng));
+                *counts.entry(key).or_insert(0) += 1;
             }
-            *counts.entry(key).or_insert(0) += 1;
         }
         Ok(counts)
     }
@@ -638,6 +660,29 @@ struct RankedOutcomes {
     forms: Vec<(u8, u64)>,
     /// Number of random (coin-flip) measurements in the cascade.
     rank: u32,
+}
+
+impl RankedOutcomes {
+    /// Draws one shot's coin vector: bit `b` is the b-th random
+    /// measurement in `qubits` order, the same draw order as destructive
+    /// measurement. Packed without a branch on the coin.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let mut coins = 0u64;
+        for b in 0..self.rank {
+            coins |= u64::from(rng.random_bool(0.5)) << b;
+        }
+        coins
+    }
+
+    /// Maps a coin vector through the affine forms to its joint outcome.
+    fn key_of(&self, coins: u64) -> usize {
+        let mut key = 0usize;
+        for (k, &(c, mask)) in self.forms.iter().enumerate() {
+            let bit = u64::from(c) ^ (u64::from((mask & coins).count_ones()) & 1);
+            key |= (bit as usize) << k;
+        }
+        key
+    }
 }
 
 #[cfg(test)]
@@ -880,6 +925,23 @@ mod tests {
         counts
     }
 
+    /// Seeded Fisher–Yates shuffle.
+    fn shuffle(v: &mut [usize], gen: &mut StdRng) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, gen.random_range(0..=i));
+        }
+    }
+
+    /// Asserts that the ranked sampler reproduces the clone-per-shot
+    /// reference on `qubits` at `seed`.
+    fn assert_matches_reference(t: &Tableau, qubits: &[usize], shots: usize, seed: u64) {
+        let reference = reference_sample(t, qubits, shots, &mut StdRng::seed_from_u64(seed));
+        let ranked = t
+            .sample(qubits, shots, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        assert_eq!(ranked, reference, "seed {seed}, qubits {qubits:?} diverged");
+    }
+
     #[test]
     fn ranked_sampler_matches_clone_per_shot_bit_for_bit() {
         for seed in 0..16u64 {
@@ -900,11 +962,34 @@ mod tests {
                 }
             }
             let all: Vec<usize> = (0..n).collect();
-            let reference = reference_sample(&t, &all, 300, &mut StdRng::seed_from_u64(seed));
-            let ranked = t
-                .sample(&all, 300, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            assert_eq!(ranked, reference, "seed {seed} diverged");
+            assert_matches_reference(&t, &all, 300, seed);
+            // A subset of the qubits, measured in shuffled order.
+            let mut subset = all;
+            shuffle(&mut subset, &mut gen);
+            subset.truncate(1 + (gen.next_u64() % n as u64) as usize);
+            assert_matches_reference(&t, &subset, 300, seed);
+        }
+        // Both sides of the tally cut-over (`TALLY_MAX_RANK` = 16): H
+        // on the first `rank` qubits, spread by CNOTs over the rest, all measured in
+        // shuffled order.
+        for (n, rank) in [(18, 15), (20, 16), (21, 17), (24, 20)] {
+            let mut gen = StdRng::seed_from_u64(rank as u64);
+            let mut t = Tableau::new(n).unwrap();
+            for q in 0..rank {
+                t.h(q).unwrap();
+            }
+            for q in 0..rank {
+                t.s(q).unwrap();
+                t.cx(q, rank + q % (n - rank)).unwrap();
+            }
+            for q in 1..rank {
+                t.cx(q - 1, q).unwrap();
+            }
+            t.x(n - 1).unwrap();
+            let mut order: Vec<usize> = (0..n).collect();
+            shuffle(&mut order, &mut gen);
+            assert_eq!(t.ranked_outcomes(&order).rank, rank as u32);
+            assert_matches_reference(&t, &order, 300, rank as u64);
         }
     }
 
@@ -952,6 +1037,25 @@ mod tests {
         let mut r = rng();
         let err = t.sample(&[0, 1], 10, &mut r).unwrap_err();
         assert_eq!(err, SimError::Interrupted(StopReason::Cancelled));
+    }
+
+    #[test]
+    fn deadline_stops_long_sampling_promptly() {
+        use qutes_supervisor::StopReason;
+        use std::time::{Duration, Instant};
+        let mut t = Tableau::new(2).unwrap();
+        t.h(0).unwrap();
+        t.set_interrupt(Interrupt::with_deadline(Duration::from_millis(1)));
+        let start = Instant::now();
+        let err = t.sample(&[0, 1], 1_000_000_000, &mut rng()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Interrupted(StopReason::DeadlineExceeded { .. })
+            ),
+            "{err:?}"
+        );
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     /// Random-Clifford equivalence: apply an identical random gate
