@@ -195,7 +195,7 @@ fn project(state: &mut StateVector, qubit: usize, m: bool) -> Option<Option<f64>
     if p <= DEAD {
         return Some(None);
     }
-    state.collapse_qubit(qubit, m).ok()?;
+    state.collapse_given(qubit, m, p1).ok()?;
     Some(Some(p))
 }
 

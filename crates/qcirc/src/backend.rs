@@ -261,8 +261,10 @@ pub trait Engine: Clone {
     /// The state is unchanged.
     fn coin(&mut self, qubit: usize) -> CircResult<Coin>;
 
-    /// Collapses `qubit` onto `outcome`, which a random [`Coin`] drew.
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()>;
+    /// Collapses `qubit` onto `outcome`, which the random `coin` this
+    /// state gave for it drew. The statevector renormalises with the
+    /// `P(1)` a [`Coin::Threshold`] holds instead of summing it again.
+    fn collapse(&mut self, qubit: usize, coin: Coin, outcome: bool) -> CircResult<()>;
 
     /// Flips a collapsed `qubit` (a reset that read 1 returns to `|0⟩`).
     fn flip(&mut self, qubit: usize) -> CircResult<()>;
@@ -375,8 +377,11 @@ impl Engine for StateVector {
         Ok(Coin::Threshold(StateVector::probability_one(self, qubit)?))
     }
 
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
-        self.collapse_qubit(qubit, outcome)?;
+    fn collapse(&mut self, qubit: usize, coin: Coin, outcome: bool) -> CircResult<()> {
+        match coin {
+            Coin::Threshold(p1) => self.collapse_given(qubit, outcome, p1)?,
+            Coin::Fair | Coin::Fixed(_) => self.collapse_qubit(qubit, outcome)?,
+        };
         Ok(())
     }
 
@@ -458,7 +463,7 @@ impl Engine for Tableau {
         })
     }
 
-    fn collapse(&mut self, qubit: usize, outcome: bool) -> CircResult<()> {
+    fn collapse(&mut self, qubit: usize, _coin: Coin, outcome: bool) -> CircResult<()> {
         self.measure_forced(qubit, outcome)?;
         Ok(())
     }
@@ -591,6 +596,36 @@ mod tests {
         }
         let counts = Engine::sample(&tb, &[0, 1], 400, &mut rng_b).unwrap();
         assert!(counts.keys().all(|&k| k == 0 || k == 3));
+    }
+
+    #[test]
+    fn statevector_collapse_with_the_coin_equals_collapse_qubit() {
+        let mut sv = StateVector::fresh(3, &Interrupt::new(), false).unwrap();
+        for g in [
+            Gate::H(0),
+            Gate::T(0),
+            Gate::RY {
+                target: 1,
+                theta: 0.7,
+            },
+        ] {
+            sv.apply_unitary(&g).unwrap();
+        }
+        sv.apply_controlled(&gates::h(), &[0], 2).unwrap();
+        for q in 0..3 {
+            for outcome in [false, true] {
+                let coin = sv.coin(q).unwrap();
+                let mut with_coin = sv.clone();
+                let mut summed = sv.clone();
+                Engine::collapse(&mut with_coin, q, coin, outcome).unwrap();
+                summed.collapse_qubit(q, outcome).unwrap();
+                assert_eq!(
+                    with_coin.amplitudes(),
+                    summed.amplitudes(),
+                    "q{q}={outcome}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -476,7 +476,7 @@ impl Event {
         outcome: bool,
     ) -> CircResult<()> {
         if !matches!(coin, Coin::Fixed(_)) {
-            state.collapse(self.qubit(), outcome)?;
+            state.collapse(self.qubit(), coin, outcome)?;
         }
         match self {
             Event::Measure { clbit, .. } => clbits[clbit] = outcome,

@@ -31,7 +31,7 @@ pub fn measure_qubit<R: Rng + ?Sized>(
 ) -> SimResult<bool> {
     let p1 = state.probability_one(qubit)?;
     let outcome = rng.random::<f64>() < p1;
-    state.collapse_qubit(qubit, outcome)?;
+    state.collapse_given(qubit, outcome, p1)?;
     Ok(outcome)
 }
 

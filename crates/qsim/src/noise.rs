@@ -305,7 +305,8 @@ pub struct Site {
     qubit: usize,
     /// What each shot's `f64` is compared against.
     threshold: f64,
-    /// `P(1)` of the qubit when armed (damping only).
+    /// `P(1)` of the qubit when armed (damping only); a jump collapses
+    /// with it.
     p1: f64,
 }
 
@@ -342,7 +343,7 @@ impl Site {
             Fault::Y => state.apply_single(&gates::y(), q)?,
             Fault::Z => state.apply_single(&gates::z(), q)?,
             Fault::Jump => {
-                state.collapse_qubit(q, true)?;
+                state.collapse_given(q, true, self.p1)?;
                 state.flip_if_one(q)?;
             }
             Fault::None => {

@@ -185,20 +185,31 @@ pub fn sum_reduce<G>(amps: &[Complex64], parallel: bool, g: G) -> f64
 where
     G: Fn(Complex64, usize) -> f64 + Sync,
 {
+    sum_chunks(amps, parallel, |chunk, base| {
+        chunk.iter().enumerate().map(|(i, &a)| g(a, base + i)).sum()
+    })
+}
+
+/// Sums `g(chunk, base)` over the amplitude vector split into one chunk
+/// per worker (the whole vector when serial), `base` being the chunk's
+/// first index. The split depends only on the vector length and the
+/// thread count, so a `g` that sums its chunk in index order gives the
+/// same result at every call. Chunk boundaries are not block-aligned.
+pub(crate) fn sum_chunks<G>(amps: &[Complex64], parallel: bool, g: G) -> f64
+where
+    G: Fn(&[Complex64], usize) -> f64 + Sync,
+{
     let len = amps.len();
     let nt = num_threads();
     if !parallel || len < PAR_THRESHOLD || nt <= 1 {
-        return amps.iter().enumerate().map(|(i, &a)| g(a, i)).sum();
+        return g(amps, 0);
     }
     let per_thread = len.div_ceil(nt);
     let mut partials = vec![0.0f64; len.div_ceil(per_thread)];
     std::thread::scope(|s| {
         let g = &g;
         for (slot, (ci, chunk)) in partials.iter_mut().zip(amps.chunks(per_thread).enumerate()) {
-            s.spawn(move || {
-                let base = ci * per_thread;
-                *slot = chunk.iter().enumerate().map(|(i, &a)| g(a, base + i)).sum();
-            });
+            s.spawn(move || *slot = g(chunk, ci * per_thread));
         }
     });
     partials.iter().sum()

@@ -194,6 +194,14 @@ impl StateVector {
     /// Applies a single-qubit unitary to `target`, conditioned on every
     /// qubit in `controls` being `|1>`. An empty control list is an
     /// unconditional application.
+    ///
+    /// The matrix's exact entries pick what each amplitude pair gets,
+    /// once per call: an anti-diagonal matrix swaps the pair (X), with
+    /// phases when an entry is not 1 (Y); a diagonal one scales only the
+    /// sides whose entry is not 1 (Z, S, T, phase); any other matrix
+    /// takes the 2×2 product, on real scalars when every entry is real.
+    /// The products skipped only ever add exact zeros, so the amplitudes
+    /// equal the full product's under `==`.
     pub fn apply_controlled(
         &mut self,
         m: &Matrix2,
@@ -209,85 +217,48 @@ impl StateVector {
         Self::check_distinct(&all)?;
         let t0 = qutes_obs::maybe_now();
 
-        let mut ctrl_mask = 0usize;
-        for &c in controls {
-            ctrl_mask |= 1usize << c;
-        }
-        let t_bit = 1usize << target;
-        let block = t_bit << 1;
-        let half = t_bit;
+        let (zero, one) = (Complex64::ZERO, Complex64::ONE);
         let [[m00, m01], [m10, m11]] = m.m;
-        // Entirely real matrices (H, X, RY, and their fused products —
-        // the bulk of Grover-style workloads) take a scalar fast path:
-        // 6 flops per amplitude instead of 14, which matters because the
-        // single-core sweep is compute-bound, not bandwidth-bound.
-        let real = m00.im == 0.0 && m01.im == 0.0 && m10.im == 0.0 && m11.im == 0.0;
-        let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
-        // Hoist the control-mask arithmetic out of the inner loop: bits
-        // *above* the target select whole blocks (tested once per block),
-        // bits *below* the target are enumerated directly by inserting
-        // them into a compact counter, so the hot loops never test a mask
-        // per amplitude.
-        let ctrl_hi_mask = ctrl_mask & !(block - 1);
-        let ctrl_lo_mask = ctrl_mask & (half.wrapping_sub(1));
-        let lo_ctrl_bits: Vec<usize> = (0..target)
-            .map(|b| 1usize << b)
-            .filter(|b| ctrl_lo_mask & b != 0)
-            .collect();
-
-        parallel::for_each_block_interruptible(
-            &mut self.amps,
-            block,
-            self.parallel,
-            &self.interrupt,
-            |chunk, offset| {
-                for (base, tile) in parallel::blocks_mut(chunk, block) {
-                    // Blocks whose high index bits miss a control are
-                    // untouched; skipping them wholesale is what makes
-                    // many-control gates (Grover's MCX/MCZ diffusion
-                    // core) cheap.
-                    if (offset + base) & ctrl_hi_mask != ctrl_hi_mask {
-                        continue;
-                    }
-                    let (zeros, ones) = tile.split_at_mut(half);
-                    if ctrl_lo_mask == 0 {
-                        // Fully strided pair sweep: both halves of the
-                        // block stream sequentially through cache.
-                        if real {
-                            for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
-                                let x = *a;
-                                let y = *b;
-                                *a = c64(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im);
-                                *b = c64(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im);
-                            }
-                        } else {
-                            for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
-                                let x = *a;
-                                let y = *b;
-                                *a = m00 * x + m01 * y;
-                                *b = m10 * x + m11 * y;
-                            }
-                        }
-                    } else {
-                        // Enumerate only the satisfying low indices: expand
-                        // a dense counter by inserting a set bit at each
-                        // low control position (ascending).
-                        let pairs = half >> lo_ctrl_bits.len();
-                        for t in 0..pairs {
-                            let mut k = t;
-                            for &cb in &lo_ctrl_bits {
-                                k = (k & (cb - 1)) | ((k & !(cb - 1)) << 1) | cb;
-                            }
-                            let x = zeros[k];
-                            let y = ones[k];
-                            zeros[k] = m00 * x + m01 * y;
-                            ones[k] = m10 * x + m11 * y;
-                        }
-                    }
+        if m00 == zero && m11 == zero {
+            if m01 == one && m10 == one {
+                self.sweep_pairs(controls, target, std::mem::swap)?;
+            } else {
+                self.sweep_pairs(controls, target, move |a, b| {
+                    let x = *a;
+                    *a = m01 * *b;
+                    *b = m10 * x;
+                })?;
+            }
+        } else if m01 == zero && m10 == zero {
+            match (m00 == one, m11 == one) {
+                (true, true) => self.sweep_pairs(controls, target, move |_, _| {})?,
+                (true, false) if m11.im == 0.0 => {
+                    self.sweep_pairs(controls, target, move |_, b| *b = b.scale(m11.re))?
                 }
-            },
-        )
-        .map_err(SimError::Interrupted)?;
+                (true, false) => self.sweep_pairs(controls, target, move |_, b| *b = m11 * *b)?,
+                (false, true) => self.sweep_pairs(controls, target, move |a, _| *a = m00 * *a)?,
+                (false, false) => self.sweep_pairs(controls, target, move |a, b| {
+                    *a = m00 * *a;
+                    *b = m11 * *b;
+                })?,
+            }
+        } else if m.m.iter().flatten().all(|e| e.im == 0.0) {
+            // Entirely real matrices (H, RY, and their fused products)
+            // take 6 flops per amplitude instead of 14, which matters
+            // because the single-core sweep is compute-bound.
+            let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
+            self.sweep_pairs(controls, target, move |a, b| {
+                let (x, y) = (*a, *b);
+                *a = c64(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im);
+                *b = c64(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im);
+            })?;
+        } else {
+            self.sweep_pairs(controls, target, move |a, b| {
+                let (x, y) = (*a, *b);
+                *a = m00 * x + m01 * y;
+                *b = m10 * x + m11 * y;
+            })?;
+        }
         if let Some(t0) = t0 {
             let name = if controls.is_empty() {
                 "kernel.1q"
@@ -297,6 +268,67 @@ impl StateVector {
             qutes_obs::record_duration(name, t0.elapsed());
         }
         Ok(())
+    }
+
+    /// The one single-target sweep: calls `op(a, b)` on every amplitude
+    /// pair `(i, i | 1 << target)` whose `i` has the target bit clear and
+    /// every control bit set.
+    ///
+    /// Control bits above the target select whole blocks, tested once per
+    /// block; those below it are enumerated by a masked increment, so no
+    /// loop tests a mask per amplitude. Blocks of up to 16 amplitudes
+    /// (targets 0 to 3) walk fixed-size tiles ([`sweep_tiles`]) instead
+    /// of splitting each block into short halves.
+    fn sweep_pairs<F>(&mut self, controls: &[usize], target: usize, op: F) -> SimResult<()>
+    where
+        F: Fn(&mut Complex64, &mut Complex64) + Sync,
+    {
+        let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
+        let half = 1usize << target;
+        let block = half << 1;
+        let hi_mask = ctrl_mask & !(block - 1);
+        let lo_mask = ctrl_mask & (half - 1);
+        parallel::for_each_block_interruptible(
+            &mut self.amps,
+            block,
+            self.parallel,
+            &self.interrupt,
+            |chunk, offset| {
+                // Blocks whose high index bits miss a control are
+                // untouched; skipping them wholesale is what makes
+                // many-control gates (Grover's MCX/MCZ diffusion core)
+                // cheap.
+                let selected = |base: usize| (offset + base) & hi_mask == hi_mask;
+                match block {
+                    2 => sweep_tiles::<2, _>(chunk, selected, lo_mask, &op),
+                    4 => sweep_tiles::<4, _>(chunk, selected, lo_mask, &op),
+                    8 => sweep_tiles::<8, _>(chunk, selected, lo_mask, &op),
+                    16 => sweep_tiles::<16, _>(chunk, selected, lo_mask, &op),
+                    _ => {
+                        for (base, tile) in parallel::blocks_mut(chunk, block) {
+                            if !selected(base) {
+                                continue;
+                            }
+                            let (zeros, ones) = tile.split_at_mut(half);
+                            if lo_mask == 0 {
+                                for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
+                                    op(a, b);
+                                }
+                            } else {
+                                // The offsets below `half` holding every low
+                                // control bit, ascending.
+                                let mut k = lo_mask;
+                                while k < half {
+                                    op(&mut zeros[k], &mut ones[k]);
+                                    k = (k + 1) | lo_mask;
+                                }
+                            }
+                        }
+                    }
+                }
+            },
+        )
+        .map_err(SimError::Interrupted)
     }
 
     /// Swaps qubits `a` and `b` (the SWAP gate).
@@ -321,20 +353,18 @@ impl StateVector {
         Self::check_distinct(&all)?;
         let t0 = qutes_obs::maybe_now();
 
-        let mut ctrl_mask = 0usize;
-        for &c in controls {
-            ctrl_mask |= 1usize << c;
-        }
+        let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let lo_bit = 1usize << lo;
         let hi_bit = 1usize << hi;
         // Pairs (i, j) with i having lo=1,hi=0 and j = i ^ lo_bit ^ hi_bit
         // both live in the aligned block of size 2^(hi+1).
         let block = hi_bit << 1;
-        // Control bits above the block are tested once per block; the
-        // rest (below hi, excluding lo/hi themselves) per swapped pair.
-        let ctrl_hi_mask = ctrl_mask & !(block - 1);
-        let ctrl_lo_mask = ctrl_mask & (block - 1);
+        // Control bits above the block are tested once per block; within
+        // it, the offsets below `hi_bit` holding the lo bit and every
+        // control bit below hi are enumerated by a masked increment.
+        let hi_mask = ctrl_mask & !(block - 1);
+        let lo_mask = (ctrl_mask & (block - 1)) | lo_bit;
 
         parallel::for_each_block_interruptible(
             &mut self.amps,
@@ -343,23 +373,14 @@ impl StateVector {
             &self.interrupt,
             |chunk, offset| {
                 for (base, tile) in parallel::blocks_mut(chunk, block) {
-                    if (offset + base) & ctrl_hi_mask != ctrl_hi_mask {
+                    if (offset + base) & hi_mask != hi_mask {
                         continue;
                     }
-                    // Strided walk of the indices with lo = 1, hi = 0: the
-                    // bit layout below `hi` is (mid | lo_bit | low).
-                    let mut mid = 0;
-                    while mid < hi_bit {
-                        for low in 0..lo_bit {
-                            let i = mid + lo_bit + low;
-                            if ctrl_lo_mask == 0
-                                || (offset + base + i) & ctrl_lo_mask == ctrl_lo_mask
-                            {
-                                let j = i - lo_bit + hi_bit;
-                                tile.swap(i, j);
-                            }
-                        }
-                        mid += lo_bit << 1;
+                    let (low, high) = tile.split_at_mut(hi_bit);
+                    let mut k = lo_mask;
+                    while k < hi_bit {
+                        std::mem::swap(&mut low[k], &mut high[k - lo_bit]);
+                        k = (k + 1) | lo_mask;
                     }
                 }
             },
@@ -608,17 +629,22 @@ impl StateVector {
         Ok(())
     }
 
-    /// Probability that measuring `qubit` yields `1`.
+    /// Probability that measuring `qubit` yields `1`: the squared norms
+    /// of the indices with the qubit's bit set, summed in index order
+    /// within each chunk of the parallel split (the one
+    /// [`parallel::sum_reduce`] uses). The indices with the
+    /// bit clear would only add exact zeros, so they are not visited.
     pub fn probability_one(&self, qubit: usize) -> SimResult<f64> {
         self.check_qubit(qubit)?;
+        let t0 = qutes_obs::maybe_now();
         let bit = 1usize << qubit;
-        Ok(parallel::sum_reduce(&self.amps, self.parallel, |a, i| {
-            if i & bit != 0 {
-                a.norm_sqr()
-            } else {
-                0.0
-            }
-        }))
+        let p1 = parallel::sum_chunks(&self.amps, self.parallel, |chunk, base| {
+            weight_with_bit(chunk, base, bit)
+        });
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("kernel.measure", t0.elapsed());
+        }
+        Ok(p1)
     }
 
     /// Probability of observing `outcome` (bit `k` of `outcome` is the
@@ -721,31 +747,65 @@ impl StateVector {
     /// Collapses the state so `qubit` reads `value`, renormalising.
     /// Returns the probability the outcome had before collapse.
     pub fn collapse_qubit(&mut self, qubit: usize, value: bool) -> SimResult<f64> {
+        let p1 = self.probability_one(qubit)?;
+        self.collapse_given(qubit, value, p1)
+    }
+
+    /// [`Self::collapse_qubit`] for a caller that already holds `p1`, the
+    /// [`Self::probability_one`] of `qubit` in the current state: one
+    /// sweep zeroes the dropped half and scales the kept half. Returns
+    /// the probability the outcome had before collapse.
+    pub fn collapse_given(&mut self, qubit: usize, value: bool, p1: f64) -> SimResult<f64> {
         self.check_qubit(qubit)?;
-        let bit = 1usize << qubit;
-        let keep_one = value;
-        let p = if keep_one {
-            self.probability_one(qubit)?
-        } else {
-            1.0 - self.probability_one(qubit)?
-        };
+        let p = if value { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {
             return Err(SimError::InvalidState(format!(
                 "collapse of qubit {qubit} to {} has probability ~0",
                 value as u8
             )));
         }
+        let t0 = qutes_obs::maybe_now();
         let s = 1.0 / p.sqrt();
-        parallel::for_each_block(&mut self.amps, 1, self.parallel, |chunk, offset| {
-            for (i, a) in chunk.iter_mut().enumerate() {
-                let has_one = (offset + i) & bit != 0;
-                if has_one == keep_one {
-                    *a = a.scale(s);
-                } else {
+        let half = 1usize << qubit;
+        // Short halves take the pair sweep's fixed-size tiles, where a
+        // `fill` call per half would dominate. Long halves are zeroed and
+        // then scaled as two sequential streams, about twice as fast as
+        // the pair sweep's interleaved writes 2^qubit amplitudes apart.
+        if half < 8 {
+            if value {
+                self.sweep_pairs(&[], qubit, move |a, b| {
                     *a = Complex64::ZERO;
-                }
+                    *b = b.scale(s);
+                })?;
+            } else {
+                self.sweep_pairs(&[], qubit, move |a, b| {
+                    *a = a.scale(s);
+                    *b = Complex64::ZERO;
+                })?;
             }
-        });
+        } else {
+            let block = half << 1;
+            parallel::for_each_block_interruptible(
+                &mut self.amps,
+                block,
+                self.parallel,
+                &self.interrupt,
+                |chunk, _| {
+                    for (_, tile) in parallel::blocks_mut(chunk, block) {
+                        let (zeros, ones) = tile.split_at_mut(half);
+                        let (dropped, kept) = if value { (zeros, ones) } else { (ones, zeros) };
+                        dropped.fill(Complex64::ZERO);
+                        for a in kept {
+                            *a = a.scale(s);
+                        }
+                    }
+                },
+            )
+            .map_err(SimError::Interrupted)?;
+        }
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("kernel.measure", t0.elapsed());
+        }
         Ok(p)
     }
 
@@ -775,6 +835,52 @@ impl StateVector {
         }
         out
     }
+}
+
+/// [`StateVector::sweep_pairs`] on blocks of `B` amplitudes: `op` on the
+/// pairs of each block that `selected` (given the block's offset in
+/// `chunk`) admits and whose offset holds every bit of `lo_mask`. The
+/// block size is a constant, so the pair loop unrolls.
+fn sweep_tiles<const B: usize, F>(
+    chunk: &mut [Complex64],
+    selected: impl Fn(usize) -> bool,
+    lo_mask: usize,
+    op: &F,
+) where
+    F: Fn(&mut Complex64, &mut Complex64),
+{
+    let (tiles, _) = chunk.as_chunks_mut::<B>();
+    for (i, tile) in tiles.iter_mut().enumerate() {
+        if selected(i * B) {
+            let (zeros, ones) = tile.split_at_mut(B / 2);
+            for (k, (a, b)) in zeros.iter_mut().zip(ones).enumerate() {
+                if k & lo_mask == lo_mask {
+                    op(a, b);
+                }
+            }
+        }
+    }
+}
+
+/// The squared norms of the amplitudes of `chunk` whose index, counted
+/// from `base`, has `bit` set, summed in index order. `base` need not be
+/// aligned: up to the first block boundary each index is tested; then
+/// each whole block of `2·bit` contributes its upper half, and the tail,
+/// which starts on a boundary, its amplitudes from `bit` on.
+fn weight_with_bit(chunk: &[Complex64], base: usize, bit: usize) -> f64 {
+    let block = bit << 1;
+    let head = (base.wrapping_neg() & (block - 1)).min(chunk.len());
+    let (head, body) = chunk.split_at(head);
+    let tiles = body.chunks_exact(block);
+    let tail = tiles.remainder();
+    let add = |acc: f64, a: &Complex64| acc + a.norm_sqr();
+    let acc = head
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| (base + i) & bit != 0)
+        .fold(0.0, |acc, (_, a)| add(acc, a));
+    let acc = tiles.flat_map(|tile| &tile[bit..]).fold(acc, add);
+    tail.iter().skip(bit).fold(acc, add)
 }
 
 /// Builds the uniform superposition `H^{⊗n}|0>` directly (a frequently

@@ -3,9 +3,9 @@
 //! sequence, so they are checked on randomly generated programs.
 
 use proptest::prelude::*;
-use qutes_sim::{gates, measure, Complex64, Matrix2, Matrix4, Matrix8, StateVector};
+use qutes_sim::{gates, measure, parallel, Complex64, Matrix2, Matrix4, Matrix8, StateVector};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A randomly chosen (gate, params) pair we can both apply and invert.
 #[derive(Clone, Debug)]
@@ -246,6 +246,298 @@ proptest! {
                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                 "amplitude {i} differs: parallel {a:?} vs serial {b:?}"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel shapes against a naive per-index reference.
+//
+// `apply_controlled` picks a per-pair operation from the matrix's exact
+// entries (swap, scaled swap, one- or two-sided scale, real or complex
+// product). Each must give the amplitudes of the full 2×2 complex product,
+// equal under `==` component by component (the only difference allowed is
+// the sign of an exact zero), at every target and control placement.
+// ---------------------------------------------------------------------------
+
+/// The full complex 2×2 product on every pair `(i, i | 1 << target)`
+/// whose `i` has the target bit clear and every control set, visiting
+/// each index in turn. Test-only: the library keeps no second scalar path.
+fn reference_controlled(amps: &mut [Complex64], m: &Matrix2, controls: &[usize], target: usize) {
+    let tb = 1usize << target;
+    let cm: usize = controls.iter().map(|&c| 1usize << c).sum();
+    let [[m00, m01], [m10, m11]] = m.m;
+    for i in 0..amps.len() {
+        if i & tb == 0 && i & cm == cm {
+            let (x, y) = (amps[i], amps[i | tb]);
+            amps[i] = m00 * x + m01 * y;
+            amps[i | tb] = m10 * x + m11 * y;
+        }
+    }
+}
+
+/// The swap of wires `a` and `b` on every index with every control set,
+/// visiting each index in turn.
+fn reference_cswap(amps: &mut [Complex64], controls: &[usize], a: usize, b: usize) {
+    let (ab, bb) = (1usize << a, 1usize << b);
+    let cm: usize = controls.iter().map(|&c| 1usize << c).sum();
+    for i in 0..amps.len() {
+        if i & ab != 0 && i & bb == 0 && i & cm == cm {
+            amps.swap(i, i ^ ab ^ bb);
+        }
+    }
+}
+
+/// The matrices under test, one of each kernel shape: anti-diagonal
+/// (X, Y, a phased swap), one-sided diagonal (Z, S, T, phase, the
+/// damping no-jump Kraus operator), two-sided diagonal (a fused
+/// `Gate::Unitary` product), real (H, RY) and complex (RX, U).
+fn shape_matrices(th: f64, ph: f64, la: f64) -> Vec<(&'static str, Matrix2)> {
+    let z = Complex64::ZERO;
+    vec![
+        ("x", gates::x()),
+        ("y", gates::y()),
+        (
+            "phased_swap",
+            Matrix2::new(z, Complex64::cis(ph), Complex64::cis(la), z),
+        ),
+        ("z", gates::z()),
+        ("s", gates::s()),
+        ("t", gates::t()),
+        ("phase", gates::phase(la)),
+        (
+            "damping_k0",
+            Matrix2::new(
+                Complex64::ONE,
+                z,
+                z,
+                Complex64::from_real((1.0 - th.abs() / 7.0).sqrt()),
+            ),
+        ),
+        ("diag_unitary", gates::rz(th).matmul(&gates::phase(la))),
+        ("h", gates::h()),
+        ("rx", gates::rx(th)),
+        ("ry", gates::ry(th)),
+        ("u", gates::u(th, ph, la)),
+    ]
+}
+
+/// Control placements around `target` on `n` qubits: none, one or two
+/// below (bit 0 included), one or two above, and straddling.
+fn control_sets(n: usize, target: usize) -> Vec<Vec<usize>> {
+    let mut sets = vec![vec![]];
+    if target >= 1 {
+        sets.push(vec![target - 1]);
+    }
+    if target >= 2 {
+        sets.push(vec![0, target - 1]);
+    }
+    if target + 1 < n {
+        sets.push(vec![target + 1]);
+    }
+    if target + 2 < n {
+        sets.push(vec![target + 1, n - 1]);
+    }
+    if target >= 1 && target + 1 < n {
+        sets.push(vec![target - 1, target + 1]);
+        sets.push(vec![0, n - 1]);
+    }
+    sets
+}
+
+/// A random normalised state on `n` qubits with about a quarter of its
+/// amplitudes exactly zero, so the kernels also meet signed zeros.
+fn random_state(n: usize, seed: u64, parallel: bool) -> StateVector {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut amps: Vec<Complex64> = (0..1usize << n)
+        .map(|_| {
+            if rng.random::<f64>() < 0.25 {
+                Complex64::ZERO
+            } else {
+                Complex64::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5)
+            }
+        })
+        .collect();
+    amps[0] = Complex64::ONE;
+    let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+    for a in &mut amps {
+        *a = a.scale(1.0 / norm);
+    }
+    let mut sv = StateVector::from_amplitudes(amps).unwrap();
+    sv.set_parallel(parallel);
+    sv
+}
+
+fn assert_equal_amps(
+    got: &[Complex64],
+    want: &[Complex64],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert!(
+            a.re == b.re && a.im == b.im,
+            "{what}: amplitude {i} is {a:?}, reference {b:?}"
+        );
+    }
+    Ok(())
+}
+
+/// Checks each of `shapes` at every target and control placement, and
+/// the controlled swap of each wire pair in `swaps`, on one state.
+fn check_kernels(
+    sv: &StateVector,
+    shapes: &[(&str, Matrix2)],
+    swaps: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    let n = sv.num_qubits();
+    for (name, m) in shapes {
+        for target in 0..n {
+            for controls in control_sets(n, target) {
+                let mut got = sv.clone();
+                got.apply_controlled(m, &controls, target).unwrap();
+                let mut want = sv.amplitudes().to_vec();
+                reference_controlled(&mut want, m, &controls, target);
+                assert_equal_amps(
+                    got.amplitudes(),
+                    &want,
+                    &format!("{name} {controls:?}->{target}"),
+                )?;
+            }
+        }
+    }
+    for &(a, b) in swaps {
+        let others: Vec<usize> = (0..n).filter(|&q| q != a && q != b).collect();
+        for controls in [
+            vec![],
+            vec![others[0]],
+            vec![others[0], others[others.len() - 1]],
+        ] {
+            let mut got = sv.clone();
+            got.apply_controlled_swap(&controls, a, b).unwrap();
+            let mut want = sv.amplitudes().to_vec();
+            reference_cswap(&mut want, &controls, a, b);
+            assert_equal_amps(
+                got.amplitudes(),
+                &want,
+                &format!("cswap {controls:?} {a}<->{b}"),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// `probability_one` is the index-order sum of every squared norm, zero
+/// for the indices with the bit clear, within each chunk of the
+/// parallel split: bit for bit what a full per-index sweep returns.
+fn check_measurement(sv: &StateVector) -> Result<(), TestCaseError> {
+    let amps = sv.amplitudes();
+    let engaged = sv.parallel_enabled()
+        && amps.len() >= parallel::PAR_THRESHOLD
+        && parallel::num_threads() > 1;
+    let per_chunk = if engaged {
+        amps.len().div_ceil(parallel::num_threads())
+    } else {
+        amps.len()
+    };
+    for q in 0..sv.num_qubits() {
+        let bit = 1usize << q;
+        let naive: f64 = amps
+            .chunks(per_chunk)
+            .enumerate()
+            .map(|(c, chunk)| {
+                let mut acc = 0.0;
+                for (i, a) in chunk.iter().enumerate() {
+                    acc += if (c * per_chunk + i) & bit != 0 {
+                        a.norm_sqr()
+                    } else {
+                        0.0
+                    };
+                }
+                acc
+            })
+            .sum();
+        let p1 = sv.probability_one(q).unwrap();
+        prop_assert_eq!(p1.to_bits(), naive.to_bits(), "P(1) of qubit {}", q);
+
+        // A collapse handed the P(1) a coin holds equals one that sums
+        // it, and both equal the per-index reference: the dropped side
+        // zeroed, the kept side scaled by 1/√p.
+        for value in [false, true] {
+            let mut given = sv.clone();
+            let mut summed = sv.clone();
+            let pg = given.collapse_given(q, value, p1).unwrap();
+            let ps = summed.collapse_qubit(q, value).unwrap();
+            prop_assert_eq!(pg.to_bits(), ps.to_bits());
+            let s = 1.0 / pg.sqrt();
+            for (i, (a, b)) in given
+                .amplitudes()
+                .iter()
+                .zip(summed.amplitudes())
+                .enumerate()
+            {
+                let want = if (i & bit != 0) == value {
+                    amps[i].scale(s)
+                } else {
+                    Complex64::ZERO
+                };
+                for (x, y) in [(a.re, b.re), (a.im, b.im), (a.re, want.re), (a.im, want.im)] {
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "collapse of qubit {} to {}, amplitude {}",
+                        q,
+                        value,
+                        i
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every kernel shape matches the reference on 5 qubits, serially,
+    /// and so does the controlled swap of every wire pair.
+    #[test]
+    fn kernel_shapes_match_reference_small(
+        seed in any::<u64>(),
+        th in -6.0..6.0f64,
+        ph in -6.0..6.0f64,
+        la in -6.0..6.0f64,
+    ) {
+        let sv = random_state(5, seed, false);
+        let pairs: Vec<(usize, usize)> =
+            (0..5).flat_map(|a| (0..5).filter(move |&b| b != a).map(move |b| (a, b))).collect();
+        check_kernels(&sv, &shape_matrices(th, ph, la), &pairs)?;
+        check_measurement(&sv)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The same at 14 and 15 qubits, with parallel kernels off and on: a
+    /// third of the shapes per case (rotating with the seed), every
+    /// target, and swaps at the low and high ends of the index.
+    #[test]
+    fn kernel_shapes_match_reference_large(
+        n in 14usize..16,
+        seed in any::<u64>(),
+        th in -6.0..6.0f64,
+        ph in -6.0..6.0f64,
+        la in -6.0..6.0f64,
+    ) {
+        let all = shape_matrices(th, ph, la);
+        let first = (seed % 3) as usize;
+        let shapes: Vec<_> = all.into_iter().skip(first).step_by(3).collect();
+        let swaps = [(0, 1), (1, 0), (0, n - 1), (n - 1, n - 2), (2, 9)];
+        for parallel in [false, true] {
+            let sv = random_state(n, seed, parallel);
+            check_kernels(&sv, &shapes, &swaps)?;
+            check_measurement(&sv)?;
         }
     }
 }
