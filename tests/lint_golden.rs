@@ -1,7 +1,9 @@
 //! Golden-file tests for the static analyzer: each `tests/lint_corpus/
 //! <name>.qut` program has a checked-in `<name>.expected` file holding the
 //! exact rendered report (findings with ids, line:col spans, and source
-//! context, plus the resource summary line).
+//! context, plus the resource summary line). The shipped examples under
+//! `examples/programs/` are pinned the same way, with their goldens in
+//! `tests/lint_examples/`.
 //!
 //! Regenerate after an intentional output change with:
 //!
@@ -24,20 +26,23 @@ fn render_report(source: &str) -> String {
     report.render(source)
 }
 
-#[test]
-fn corpus_matches_golden_files() {
+/// Checks every `.qut` program in `sources` against the `<name>.expected`
+/// golden in `goldens`, or rewrites the goldens when `QUTES_UPDATE_GOLDEN`
+/// is set. Returns the number of programs checked.
+fn check_goldens(sources: &Path, goldens: &Path) -> usize {
     let update = std::env::var_os("QUTES_UPDATE_GOLDEN").is_some();
     let mut checked = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus_dir())
-        .expect("corpus dir exists")
+    let mut entries: Vec<_> = std::fs::read_dir(sources)
+        .expect("source dir exists")
         .map(|e| e.expect("readable entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "qut"))
         .collect();
     entries.sort();
     for path in entries {
-        let source = std::fs::read_to_string(&path).expect("corpus file reads");
+        let source = std::fs::read_to_string(&path).expect("program file reads");
         let actual = render_report(&source);
-        let expected_path = path.with_extension("expected");
+        let name = path.file_stem().expect("file has a name");
+        let expected_path = goldens.join(name).with_extension("expected");
         if update {
             std::fs::write(&expected_path, &actual).expect("golden file writes");
         } else {
@@ -56,9 +61,21 @@ fn corpus_matches_golden_files() {
         }
         checked += 1;
     }
+    checked
+}
+
+#[test]
+fn corpus_matches_golden_files() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let corpus = check_goldens(&corpus_dir(), &corpus_dir());
+    assert!(corpus >= 9, "corpus unexpectedly small: {corpus} programs");
+    let examples = check_goldens(
+        &root.join("examples/programs"),
+        &root.join("tests/lint_examples"),
+    );
     assert!(
-        checked >= 9,
-        "corpus unexpectedly small: {checked} programs"
+        examples >= 12,
+        "examples unexpectedly few: {examples} programs"
     );
 }
 
