@@ -26,16 +26,38 @@ fn example_source(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
+/// Lint-corpus programs: small shapes (kets, amplitude literals,
+/// promotions, aliasing) that the exact examples do not exercise.
+const CORPUS_PROGRAMS: &[&str] = &[
+    "aliasing",
+    "clean",
+    "constant_condition",
+    "dirty_ancilla",
+    "lossy_cast",
+    "unreachable",
+    "unused_measurement",
+    "unused_variable",
+    "use_after_measurement",
+];
+
+fn corpus_source(name: &str) -> String {
+    let path = format!("{}/tests/lint_corpus/{name}.qut", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 fn cross_check(name: &str, seed: u64) {
-    let source = example_source(name);
-    let program = parse(&source).expect("example parses");
+    cross_check_source(name, &example_source(name), seed);
+}
+
+fn cross_check_source(name: &str, source: &str, seed: u64) {
+    let program = parse(source).expect("example parses");
     let est = estimate(&program);
 
     let cfg = RunConfig {
         seed,
         ..RunConfig::default()
     };
-    let out = qutes::run_source(&source, &cfg).expect("example runs");
+    let out = qutes::run_source(source, &cfg).expect("example runs");
 
     assert!(
         est.exact,
@@ -63,6 +85,21 @@ fn exact_examples_match_real_circuit_metrics() {
     for name in EXACT_EXAMPLES {
         cross_check(name, 0);
     }
+}
+
+#[test]
+fn corpus_programs_match_real_circuit_metrics() {
+    for name in CORPUS_PROGRAMS {
+        cross_check_source(name, &corpus_source(name), 0);
+    }
+    let listed = std::fs::read_dir(format!("{}/tests/lint_corpus", env!("CARGO_MANIFEST_DIR")))
+        .expect("corpus dir exists")
+        .filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "qut"))
+        })
+        .count();
+    assert_eq!(listed, CORPUS_PROGRAMS.len(), "every corpus program is cross-checked");
 }
 
 /// Measurement outcomes steer classical control flow in some examples
