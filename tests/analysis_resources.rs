@@ -41,7 +41,10 @@ const CORPUS_PROGRAMS: &[&str] = &[
 ];
 
 fn corpus_source(name: &str) -> String {
-    let path = format!("{}/tests/lint_corpus/{name}.qut", env!("CARGO_MANIFEST_DIR"));
+    let path = format!(
+        "{}/tests/lint_corpus/{name}.qut",
+        env!("CARGO_MANIFEST_DIR")
+    );
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
@@ -99,7 +102,11 @@ fn corpus_programs_match_real_circuit_metrics() {
                 .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "qut"))
         })
         .count();
-    assert_eq!(listed, CORPUS_PROGRAMS.len(), "every corpus program is cross-checked");
+    assert_eq!(
+        listed,
+        CORPUS_PROGRAMS.len(),
+        "every corpus program is cross-checked"
+    );
 }
 
 /// Measurement outcomes steer classical control flow in some examples
