@@ -114,7 +114,7 @@ pub fn add_const(circ: &mut QuantumCircuit, b: &[usize], k: u64) -> CircResult<(
     for (i, &q) in b.iter().enumerate() {
         // Phase on qubit i: 2*pi*k / 2^(n-i) — derived from the Draper
         // construction with our bit ordering.
-        let angle = 2.0 * PI * (k as f64) / (1u64 << (n - i)) as f64;
+        let angle = 2.0 * PI * (k as f64) / 2f64.powi((n - i) as i32);
         circ.p(angle, q)?;
     }
     qft::iqft(circ, b)?;

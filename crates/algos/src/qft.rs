@@ -16,7 +16,7 @@ pub fn qft(circ: &mut QuantumCircuit, qubits: &[usize]) -> CircResult<()> {
     for i in (0..n).rev() {
         circ.h(qubits[i])?;
         for j in (0..i).rev() {
-            let angle = PI / (1usize << (i - j)) as f64;
+            let angle = PI / 2f64.powi((i - j) as i32);
             circ.cp(angle, qubits[j], qubits[i])?;
         }
     }

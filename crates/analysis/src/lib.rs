@@ -14,8 +14,7 @@
 //! program would build.
 //!
 //! ```
-//! use qutes_analysis::analyze_source;
-//! use qutes_core::LintOptions;
+//! use qutes_analysis::{analyze_source, LintOptions};
 //!
 //! let report = analyze_source(
 //!     "qubit q = |+>;\nint unused = 3;\nprint q;\n",
@@ -40,7 +39,7 @@ mod cfg;
 mod control;
 mod dataflow;
 
-pub use lints::{effective_level, lint_by_id, Lint, LintLevel, REGISTRY};
+pub use lints::{effective_level, lint_by_id, Lint, LintLevel, LintOptions, REGISTRY};
 pub use report::{AnalysisReport, Finding};
 pub use resources::{estimate, ResourceEstimate};
 pub use verify::{
@@ -48,7 +47,6 @@ pub use verify::{
     OptimizationVerification, SegmentVerdict, Verdict, VerifyReport,
 };
 
-use qutes_core::LintOptions;
 use qutes_frontend::ast::Program;
 use qutes_frontend::{Diagnostic, Span};
 

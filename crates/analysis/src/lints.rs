@@ -1,7 +1,52 @@
 //! The lint registry: every lint the analyzer can emit, with its id,
-//! default level, and description.
+//! default level, and description — plus the per-run [`LintOptions`]
+//! that resolve each lint's effective level.
 
-use qutes_core::LintOptions;
+/// Per-run lint configuration (the CLI's `-W`, `-A` and
+/// `--deny-warnings`).
+///
+/// Level resolution for a lint with id `id` (e.g. `"QL001"`):
+///
+/// 1. start from the lint's registry default,
+/// 2. [`allows`](Self::allows) containing `id` forces *allow*,
+/// 3. otherwise [`warns`](Self::warns) containing `id` forces *warn*,
+/// 4. otherwise, when [`deny_warnings`](Self::deny_warnings) is set,
+///    *warn* is promoted to *deny*.
+///
+/// ```
+/// use qutes_analysis::LintOptions;
+///
+/// let opts = LintOptions {
+///     enabled: true,
+///     deny_warnings: true,
+///     ..LintOptions::default()
+/// };
+/// assert!(opts.enabled);
+/// assert!(opts.allows.is_empty());
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LintOptions {
+    /// Whether the caller asked for analysis (default: off). The
+    /// analyzer itself does not read it.
+    pub enabled: bool,
+    /// Lint ids promoted to warn (CLI `-W <id>`).
+    pub warns: Vec<String>,
+    /// Lint ids silenced entirely (CLI `-A <id>`).
+    pub allows: Vec<String>,
+    /// Promote every warn-level finding to deny (CLI `--deny-warnings`),
+    /// refusing execution.
+    pub deny_warnings: bool,
+}
+
+impl LintOptions {
+    /// Options with the analyzer switched on and registry defaults.
+    pub fn enabled() -> Self {
+        LintOptions {
+            enabled: true,
+            ..LintOptions::default()
+        }
+    }
+}
 
 /// How a lint finding is treated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -115,11 +160,10 @@ pub fn lint_by_id(id: &str) -> Option<&'static Lint> {
 
 /// Computes the effective level of `lint` under `opts`.
 ///
-/// See [`qutes_core::LintOptions`] for the resolution order.
+/// See [`LintOptions`] for the resolution order.
 ///
 /// ```
-/// use qutes_analysis::lints::{effective_level, LintLevel, UNUSED_VARIABLE};
-/// use qutes_core::LintOptions;
+/// use qutes_analysis::lints::{effective_level, LintLevel, LintOptions, UNUSED_VARIABLE};
 ///
 /// let mut opts = LintOptions::enabled();
 /// assert_eq!(effective_level(&UNUSED_VARIABLE, &opts), LintLevel::Warn);
@@ -146,6 +190,19 @@ pub fn effective_level(lint: &Lint, opts: &LintOptions) -> LintLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_is_off() {
+        let opts = LintOptions::default();
+        assert!(!opts.enabled);
+        assert!(!opts.deny_warnings);
+        assert!(opts.warns.is_empty() && opts.allows.is_empty());
+    }
+
+    #[test]
+    fn enabled_constructor() {
+        assert!(LintOptions::enabled().enabled);
+    }
 
     #[test]
     fn registry_ids_are_unique_and_sorted() {

@@ -10,7 +10,7 @@ use qutes_frontend::{Diagnostic, LineMap, Span};
 pub struct Finding {
     /// The lint that fired.
     pub lint: &'static Lint,
-    /// Effective level after applying the run's [`qutes_core::LintOptions`].
+    /// Effective level after applying the run's [`LintOptions`](crate::LintOptions).
     pub level: LintLevel,
     /// Human-readable message.
     pub message: String,

@@ -1,12 +1,14 @@
 //! Static resource estimation: bounds on qubit count, gate count, circuit
 //! depth, and measurement count — computed **without simulating**.
 //!
-//! The estimator is an abstract interpreter that mirrors the runtime's
-//! circuit lowering (`qutes-core::runtime`) onto a *shadow circuit*: it
-//! tracks classical values symbolically (known constant or unknown) and
-//! replays the exact gate sequences the interpreter would emit — calling
-//! the same `qutes-algos` builders for arithmetic, rotations, and state
-//! preparation — but never allocates a statevector and never samples.
+//! The estimator is an abstract interpreter that calls the runtime's
+//! circuit lowering (`qutes_core::lower` and the `TypeCastingHandler`
+//! constructors) on a *shadow circuit*, which implements the same
+//! [`Emit`] trait as the runtime's handler. It evaluates the classical
+//! side itself, symbolically (known constant or unknown), and hands the
+//! shared lowering concrete operands — an unknown Draper constant becomes
+//! 0, an unknown phase angle 0.0, which emit the same gates — but never
+//! allocates a statevector and never samples.
 //!
 //! On programs whose control flow does not depend on measurement outcomes
 //! the resulting counts are **exact** (they match `qcirc`'s
@@ -19,11 +21,11 @@
 //! operator's BBHT schedule, unbounded `while` loops) mark the estimate
 //! inexact and leave a note.
 
-use qutes_algos::{arithmetic, rotation, state_prep};
-use qutes_core::casting::bits_for;
-use qutes_core::value::QKind;
+use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
+use qutes_core::value::{QKind, QuantumRef, Value};
+use qutes_core::{QutesError, QutesResult, TypeCastingHandler as Cast};
 use qutes_frontend::ast::*;
-use qutes_frontend::KetState;
+use qutes_frontend::Span;
 use qutes_qcirc::{Gate, QuantumCircuit};
 use std::collections::HashMap;
 
@@ -174,6 +176,23 @@ impl AVal {
     fn is_quantum(&self) -> bool {
         matches!(self, AVal::Quantum(_, _))
     }
+
+    /// The right-hand operand of a quint operator, for known values
+    /// (mirrors the runtime's `quint_operand`).
+    fn quint_operand(&self) -> Option<Operand<'_>> {
+        match self {
+            AVal::Int(Some(k)) if *k >= 0 => Some(Operand::Const(*k as u64)),
+            AVal::Bool(Some(b)) => Some(Operand::Const(u64::from(*b))),
+            AVal::Quantum(q, QKind::Quint) => Some(Operand::Quint(q)),
+            _ => None,
+        }
+    }
+}
+
+impl From<QuantumRef> for AVal {
+    fn from(r: QuantumRef) -> Self {
+        AVal::Quantum(r.qubits, r.kind)
+    }
 }
 
 /// One environment slot: declared type plus abstract value.
@@ -191,6 +210,13 @@ enum Flow {
 /// Estimation cannot continue (budget exhausted, or the program would
 /// error at runtime anyway). The caller marks the estimate inexact.
 struct Stop;
+
+/// A lowering error means the program would fail at runtime too.
+impl From<QutesError> for Stop {
+    fn from(_: QutesError) -> Self {
+        Stop
+    }
+}
 
 type R<T> = Result<T, Stop>;
 
@@ -277,56 +303,6 @@ impl<'p> Est<'p> {
             return Err(Stop);
         }
         Ok(())
-    }
-
-    // ---- shadow handler (mirrors QuantumCircuitHandler) -----------------
-
-    fn allocate(&mut self, width: usize) -> R<Vec<usize>> {
-        if self.circ.num_qubits() + width > MAX_SHADOW_QUBITS {
-            return Err(Stop);
-        }
-        Ok(self.circ.add_qreg("r", width).qubits())
-    }
-
-    fn acquire(&mut self, n: usize) -> R<Vec<usize>> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.free.pop() {
-                Some(q) => out.push(q),
-                None => break,
-            }
-        }
-        let missing = n - out.len();
-        if missing > 0 {
-            let fresh = self.allocate(missing)?;
-            out.extend(fresh);
-        }
-        Ok(out)
-    }
-
-    /// All mirrored release sites uncompute their ancillas back to `|0>`
-    /// deterministically, so (unlike the runtime's state-probing pool)
-    /// the shadow always re-pools.
-    fn release(&mut self, qubits: &[usize]) {
-        self.free.extend_from_slice(qubits);
-    }
-
-    fn apply(&mut self, gate: Gate) -> R<()> {
-        if !gate.is_clifford() {
-            self.clifford_only = false;
-        }
-        self.circ.append(gate).map_err(|_| Stop)
-    }
-
-    fn apply_fragment(&mut self, frag: &QuantumCircuit) -> R<()> {
-        for g in frag.ops() {
-            self.apply(g.clone())?;
-        }
-        Ok(())
-    }
-
-    fn fragment(&self) -> QuantumCircuit {
-        QuantumCircuit::with_qubits(self.circ.num_qubits())
     }
 
     fn shadow_measure(&mut self, qubits: &[usize]) -> R<()> {
@@ -563,7 +539,7 @@ impl<'p> Est<'p> {
                 Ok(Flow::Normal)
             }
             Stmt::Barrier { .. } => {
-                self.apply(Gate::Barrier(vec![]))?;
+                self.barrier()?;
                 Ok(Flow::Normal)
             }
             Stmt::Block(b) => self.exec_block(b),
@@ -576,8 +552,8 @@ impl<'p> Est<'p> {
             Type::Int => AVal::Int(Some(0)),
             Type::Float => AVal::Float(Some(0.0)),
             Type::String => AVal::Str(Some(String::new())),
-            Type::Qubit => AVal::Quantum(self.allocate(1)?, QKind::Qubit),
-            Type::Quint => AVal::Quantum(self.allocate(1)?, QKind::Quint),
+            Type::Qubit => Cast::new_qubit_basis(self, "", false)?.into(),
+            Type::Quint => Cast::new_quint(self, "", 0, Some(1))?.into(),
             Type::Qustring => return Err(Stop),
             Type::Array(_) => AVal::Array(Vec::new()),
             Type::Void => AVal::Void,
@@ -610,57 +586,14 @@ impl<'p> Est<'p> {
                 Ok(AVal::Unknown)
             }
             (Type::Float, AVal::Int(i)) => Ok(AVal::Float(i.map(|i| i as f64))),
-            (Type::Qubit, AVal::Bool(b)) => {
-                let qubits = self.allocate(1)?;
-                match b {
-                    Some(true) => self.apply(Gate::X(qubits[0]))?,
-                    Some(false) => {}
-                    None => {
-                        // The X gate is present only when the value is 1.
-                        self.inexact("qubit prepared from a run-dependent classical bit");
-                        self.slack_gates += 1;
-                        self.slack_depth += 1;
-                    }
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Qubit, AVal::Int(None)) => {
-                let qubits = self.allocate(1)?;
-                self.inexact("qubit prepared from a run-dependent classical bit");
-                self.slack_gates += 1;
-                self.slack_depth += 1;
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Qubit, AVal::Int(Some(i))) if i == 0 || i == 1 => {
-                let qubits = self.allocate(1)?;
-                if i == 1 {
-                    self.apply(Gate::X(qubits[0]))?;
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Quint, AVal::Int(Some(i))) if i >= 0 => {
-                Ok(AVal::Quantum(self.new_quint(i as u64, None)?, QKind::Quint))
-            }
-            (Type::Quint, AVal::Bool(Some(b))) => {
-                Ok(AVal::Quantum(self.new_quint(b as u64, None)?, QKind::Quint))
-            }
-            (Type::Quint, AVal::Int(None) | AVal::Bool(None)) => {
-                // Width depends on the value: assume the 1-qubit minimum
-                // and flag the loss of exactness.
-                self.inexact("quint promoted from a run-dependent integer: width unknown");
-                Ok(AVal::Quantum(self.allocate(1)?, QKind::Quint))
-            }
+            (
+                Type::Qubit | Type::Quint | Type::Qustring,
+                v @ (AVal::Bool(_) | AVal::Int(_) | AVal::Str(_)),
+            ) => self.promote(v, ty),
             (Type::Qubit, AVal::Quantum(qubits, _)) if qubits.len() == 1 => {
                 Ok(AVal::Quantum(qubits, QKind::Qubit))
             }
             (Type::Quint, AVal::Quantum(qubits, _)) => Ok(AVal::Quantum(qubits, QKind::Quint)),
-            (Type::Qustring, AVal::Str(Some(s))) => {
-                Ok(AVal::Quantum(self.new_qustring(&s)?, QKind::Qustring))
-            }
-            (Type::Qustring, AVal::Str(None)) => {
-                self.inexact("qustring promoted from a run-dependent string: width unknown");
-                Ok(AVal::Quantum(self.allocate(1)?, QKind::Qustring))
-            }
             (Type::Qustring, AVal::Quantum(qubits, _)) => {
                 Ok(AVal::Quantum(qubits, QKind::Qustring))
             }
@@ -676,6 +609,47 @@ impl<'p> Est<'p> {
             }
             _ => Err(Stop),
         }
+    }
+
+    /// Type promotion of a classical value into a fresh register, through
+    /// the runtime's `TypeCastingHandler::promote`. A value the estimator
+    /// does not know is promoted as a stand-in: `|0>` for a qubit (the X
+    /// gate a 1 would add becomes slack), or a 1-qubit register for a
+    /// quint or qustring, whose real width is unknown.
+    fn promote(&mut self, v: AVal, ty: &Type) -> R<AVal> {
+        let kind = match ty {
+            Type::Qubit => QKind::Qubit,
+            Type::Quint => QKind::Quint,
+            Type::Qustring => QKind::Qustring,
+            _ => return Err(Stop),
+        };
+        let (value, note) = match (kind, v) {
+            (_, AVal::Bool(Some(b))) => (Value::Bool(b), None),
+            (_, AVal::Int(Some(i))) => (Value::Int(i), None),
+            (_, AVal::Str(Some(s))) => (Value::Str(s), None),
+            (QKind::Qubit, AVal::Bool(None) | AVal::Int(None)) => (
+                Value::Bool(false),
+                Some("qubit prepared from a run-dependent classical bit"),
+            ),
+            (QKind::Quint, AVal::Bool(None) | AVal::Int(None)) => (
+                Value::Int(0),
+                Some("quint promoted from a run-dependent integer: width unknown"),
+            ),
+            (QKind::Qustring, AVal::Str(None)) => (
+                Value::Str("0".into()),
+                Some("qustring promoted from a run-dependent string: width unknown"),
+            ),
+            _ => return Err(Stop),
+        };
+        let promoted = Cast::promote(self, "", &value, kind, Span::default())?;
+        if let Some(note) = note {
+            self.inexact(note);
+            if kind == QKind::Qubit {
+                self.slack_gates += 1;
+                self.slack_depth += 1;
+            }
+        }
+        Ok(promoted.into())
     }
 
     fn exec_assign(&mut self, target: &LValue, op: AssignOp, value_expr: &Expr) -> R<()> {
@@ -741,7 +715,7 @@ impl<'p> Est<'p> {
                 let k = rhs.as_i64();
                 match (current, k) {
                     (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        self.rotate_in_place(&qubits, k as usize, op == AssignOp::Shl)?;
+                        lower::rotate(self, &qubits, k as usize, op == AssignOp::Shl)?;
                         None
                     }
                     (AVal::Quantum(_, _), _) => {
@@ -792,249 +766,76 @@ impl<'p> Est<'p> {
     }
 
     fn exec_gate(&mut self, gate: GateKind, args: &[Expr]) -> R<()> {
-        let operand = |est: &mut Self, e: &Expr| -> R<Option<Vec<usize>>> {
-            match est.eval(e)? {
+        let operand = |est: &mut Self, e: Option<&Expr>| -> R<Option<Vec<usize>>> {
+            match est.eval(e.ok_or(Stop)?)? {
                 AVal::Quantum(qubits, _) => Ok(Some(qubits)),
                 AVal::Unknown => Ok(None),
                 _ => Err(Stop),
             }
         };
-        match gate {
-            GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {
-                let Some(e) = args.first() else {
-                    return Err(Stop);
-                };
-                let Some(qubits) = operand(self, e)? else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                for qb in qubits {
-                    let g = match gate {
-                        GateKind::Hadamard => Gate::H(qb),
-                        GateKind::NotGate => Gate::X(qb),
-                        GateKind::PauliY => Gate::Y(qb),
-                        _ => Gate::Z(qb),
-                    };
-                    self.apply(g)?;
-                }
+        let first = operand(self, args.first())?;
+        let second = match gate {
+            GateKind::CNot => operand(self, args.get(1))?,
+            _ => None,
+        };
+        // An unknown angle emits the same one phase gate per qubit.
+        let angle = match gate {
+            GateKind::Phase => self.eval(args.get(1).ok_or(Stop)?)?.as_f64(),
+            _ => None,
+        };
+        match (gate, first, second) {
+            (GateKind::CNot, Some(c), Some(t)) => lower::cnot(self, &c, &t, Span::default())?,
+            (GateKind::CNot, _, _) | (_, None, _) => {
+                self.inexact("gate applied to a register the estimator lost track of")
             }
-            GateKind::Phase => {
-                let (Some(e0), Some(e1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let qubits = operand(self, e0)?;
-                let angle = self.eval(e1)?.as_f64().unwrap_or(0.0);
-                let Some(qubits) = qubits else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                for qb in qubits {
-                    self.apply(Gate::Phase {
-                        target: qb,
-                        lambda: angle,
-                    })?;
-                }
-            }
-            GateKind::CNot => {
-                let (Some(e0), Some(e1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let c = operand(self, e0)?;
-                let t = operand(self, e1)?;
-                let (Some(c), Some(t)) = (c, t) else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                    return Ok(());
-                };
-                if c.len() == t.len() {
-                    for (&cq, &tq) in c.iter().zip(&t) {
-                        self.apply(Gate::CX {
-                            control: cq,
-                            target: tq,
-                        })?;
-                    }
-                } else if c.len() == 1 {
-                    for &tq in &t {
-                        self.apply(Gate::CX {
-                            control: c[0],
-                            target: tq,
-                        })?;
-                    }
-                } else {
-                    return Err(Stop);
-                }
+            (_, Some(q), _) => {
+                lower::gate_each(self, gate, &q, angle.unwrap_or(0.0), Span::default())?
             }
         }
         Ok(())
     }
 
-    // ---- quantum constructors (mirror TypeCastingHandler) ---------------
-
-    fn new_quint(&mut self, v: u64, width: Option<usize>) -> R<Vec<usize>> {
-        let width = width.unwrap_or_else(|| bits_for(v));
-        let qubits = self.allocate(width)?;
-        for (i, &q) in qubits.iter().enumerate() {
-            if v >> i & 1 == 1 {
-                self.apply(Gate::X(q))?;
-            }
-        }
-        Ok(qubits)
-    }
-
-    fn new_qustring(&mut self, bits: &str) -> R<Vec<usize>> {
-        if bits.is_empty() || !bits.chars().all(|c| c == '0' || c == '1') {
-            return Err(Stop);
-        }
-        let qubits = self.allocate(bits.len())?;
-        for (i, c) in bits.chars().enumerate() {
-            if c == '1' {
-                self.apply(Gate::X(qubits[i]))?;
-            }
-        }
-        Ok(qubits)
-    }
-
-    // ---- quantum arithmetic (mirrors Interp) ----------------------------
-
-    fn cx_copy(&mut self, src: &[usize], width: usize) -> R<Vec<usize>> {
-        let dst = self.acquire(width)?;
-        for (i, &s) in src.iter().enumerate().take(width) {
-            self.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(dst)
-    }
-
-    fn uncompute_cx_copy(&mut self, src: &[usize], dst: &[usize]) -> R<()> {
-        for (i, &s) in src.iter().enumerate().take(dst.len()) {
-            self.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(())
-    }
+    // ---- quantum arithmetic (the runtime's lowering, on known operands) -
 
     fn quint_add_sub_in_place(&mut self, target: &[usize], rhs: AVal, subtract: bool) -> R<()> {
-        match rhs {
-            // `add_const` (the Draper adder) emits the same gate count for
-            // every constant — only the phase angles differ — so an
-            // unknown classical addend still mirrors exactly.
-            AVal::Int(k) => {
-                let k = match k {
-                    Some(k) if k >= 0 => k as u64,
-                    Some(_) => return Err(Stop),
-                    None => 0,
-                };
-                let n = target.len() as u32;
-                let k = if subtract {
-                    let modulus = 1u64.checked_shl(n).ok_or(Stop)?;
-                    let k = k % modulus;
-                    (modulus - k) % modulus
-                } else {
-                    k
-                };
-                let mut frag = self.fragment();
-                arithmetic::add_const(&mut frag, target, k).map_err(|_| Stop)?;
-                self.apply_fragment(&frag)?;
-            }
-            AVal::Bool(b) => {
-                return self.quint_add_sub_in_place(
-                    target,
-                    AVal::Int(b.map(|b| b as i64)),
-                    subtract,
-                )
-            }
-            AVal::Quantum(q, QKind::Quint) => {
-                let w = target.len();
-                let tmp = self.cx_copy(&q, w)?;
-                let carry = self.acquire(1)?;
-                let mut frag = self.fragment();
-                let r = if subtract {
-                    arithmetic::sub_in_place(&mut frag, &tmp, target, carry[0])
-                } else {
-                    arithmetic::add_in_place(&mut frag, &tmp, target, carry[0])
-                };
-                r.map_err(|_| Stop)?;
-                self.apply_fragment(&frag)?;
-                self.uncompute_cx_copy(&q, &tmp)?;
-                self.release(&tmp);
-                self.release(&carry);
-            }
+        let rhs = match rhs {
+            // The Draper adder emits the same gates for every constant —
+            // only the phase angles differ — so an unknown classical
+            // addend lowers exactly as 0.
+            AVal::Int(None) | AVal::Bool(None) => AVal::Int(Some(0)),
             AVal::Unknown => {
                 self.inexact("quint arithmetic with an operand the estimator lost track of");
+                return Ok(());
             }
-            _ => return Err(Stop),
-        }
-        Ok(())
+            rhs => rhs,
+        };
+        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        Ok(lower::add_sub_in_place(self, target, rhs, subtract)?)
     }
 
     fn quint_add_sub_expr(&mut self, a: &[usize], rhs: AVal, subtract: bool) -> R<AVal> {
-        let rhs_width = match &rhs {
-            AVal::Int(Some(k)) if *k >= 0 => bits_for(*k as u64),
-            AVal::Int(Some(_)) => return Err(Stop),
-            AVal::Bool(_) => 1,
-            AVal::Quantum(q, QKind::Quint) => q.len(),
+        let rhs = match rhs {
+            // A bool is one qubit wide whatever its value.
+            AVal::Bool(None) => AVal::Int(Some(0)),
             AVal::Int(None) | AVal::Unknown => {
                 self.inexact("quint arithmetic with a run-dependent operand: result width unknown");
                 return Ok(AVal::Unknown);
             }
-            _ => return Err(Stop),
+            rhs => rhs,
         };
-        let w = a.len().max(rhs_width) + usize::from(!subtract);
-        let result = self.cx_copy(a, w)?;
-        self.quint_add_sub_in_place(&result, rhs, subtract)?;
-        Ok(AVal::Quantum(result, QKind::Quint))
+        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        let sum = lower::add_sub_expr(self, a, rhs, subtract)?;
+        Ok(AVal::Quantum(sum, QKind::Quint))
     }
 
     fn quint_mul_expr(&mut self, a: &[usize], rhs: AVal) -> R<AVal> {
-        let mut constant_factor: Option<(u64, Vec<usize>)> = None;
-        let b: Vec<usize> = match rhs {
-            AVal::Quantum(q, QKind::Quint) => q,
-            AVal::Int(Some(k)) if k >= 0 => {
-                let r = self.new_quint(k as u64, None)?;
-                constant_factor = Some((k as u64, r.clone()));
-                r
-            }
-            AVal::Bool(Some(bit)) => {
-                let r = self.new_quint(bit as u64, None)?;
-                constant_factor = Some((bit as u64, r.clone()));
-                r
-            }
-            AVal::Int(None) | AVal::Bool(None) | AVal::Unknown => {
-                self.inexact("quint multiplication by a run-dependent factor: width unknown");
-                return Ok(AVal::Unknown);
-            }
-            _ => return Err(Stop),
-        };
-        let pw = a.len() + b.len();
-        let product = self.allocate(pw)?;
-        let carry = self.acquire(1)?;
-        let mut frag = self.fragment();
-        arithmetic::mul_into(&mut frag, a, &b, &product, carry[0]).map_err(|_| Stop)?;
-        self.apply_fragment(&frag)?;
-        self.release(&carry);
-        if let Some((k, factor)) = constant_factor {
-            for (i, &fq) in factor.iter().enumerate() {
-                if k >> i & 1 == 1 {
-                    self.apply(Gate::X(fq))?;
-                }
-            }
-            self.release(&factor);
+        if matches!(rhs, AVal::Int(None) | AVal::Bool(None) | AVal::Unknown) {
+            self.inexact("quint multiplication by a run-dependent factor: width unknown");
+            return Ok(AVal::Unknown);
         }
+        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        let product = lower::mul_expr(self, a, rhs)?;
         Ok(AVal::Quantum(product, QKind::Quint))
-    }
-
-    fn rotate_in_place(&mut self, qubits: &[usize], k: usize, left: bool) -> R<()> {
-        let mut frag = self.fragment();
-        let r = if left {
-            rotation::rotate_left_constant_depth(&mut frag, qubits, k)
-        } else {
-            rotation::rotate_right_constant_depth(&mut frag, qubits, k)
-        };
-        r.map_err(|_| Stop)?;
-        self.apply_fragment(&frag)
     }
 
     // ---- the `in` operator: Grover substring search -----------------------
@@ -1042,7 +843,7 @@ impl<'p> Est<'p> {
     /// Upper-bounds `pattern in haystack` for a qustring haystack.
     ///
     /// The runtime's BBHT schedule draws random iteration counts and may
-    /// return early, so the real circuit is run-dependent; the mirror
+    /// return early, so the real circuit is run-dependent; the estimate
     /// plays the schedule's *worst case* (maximum draw every round, no
     /// early exit), which dominates every actual run. `bits` is `None`
     /// when the pattern string is not statically known, in which case the
@@ -1058,7 +859,7 @@ impl<'p> Est<'p> {
             Some(b) if b.is_empty() => Ok(AVal::Bool(Some(true))),
             Some(b) if b.len() > n => Ok(AVal::Bool(Some(false))),
             Some(b) => {
-                self.mirror_substring(&b, hay)?;
+                self.worst_case_search(&b, hay)?;
                 Ok(AVal::Bool(None))
             }
             None => {
@@ -1074,7 +875,7 @@ impl<'p> Est<'p> {
                 let (mut max_g, mut max_d, mut max_q, mut max_m) = (0, 0, 0, 0);
                 for m in 1..=n {
                     let mut world = self.clone();
-                    world.mirror_substring(&vec![false; m], hay)?;
+                    world.worst_case_search(&vec![false; m], hay)?;
                     let g = world.circ.size();
                     max_d = max_d.max(world.circ.depth());
                     max_q = max_q.max(world.circ.num_qubits());
@@ -1099,88 +900,29 @@ impl<'p> Est<'p> {
         }
     }
 
-    /// Plays the worst-case BBHT run onto the shadow circuit, mirroring
-    /// the runtime's fragment construction op for op.
-    fn mirror_substring(&mut self, bits: &[bool], hay: &[usize]) -> R<()> {
-        let n = hay.len();
-        let m = bits.len();
-        if n > 32 {
+    /// Plays the worst-case BBHT run onto the shadow circuit with the
+    /// runtime's own search fragments.
+    fn worst_case_search(&mut self, bits: &[bool], hay: &[usize]) -> R<()> {
+        if hay.len() > 32 {
             // A qustring this wide cannot be simulated densely anyway;
-            // mirroring the search would explode the shadow circuit.
+            // playing the search would explode the shadow circuit.
             return Err(Stop);
         }
-        let positions = n - m + 1;
-        let pw = usize::max(1, (usize::BITS - (positions - 1).leading_zeros()) as usize);
-        let pos = self.acquire(pw)?;
-
-        let values: Vec<u64> = (0..positions as u64).collect();
-        let mut prep = self.fragment();
-        state_prep::prepare_uniform_over(&mut prep, &pos, &values).map_err(|_| Stop)?;
-        let prep_inv = prep.inverse().map_err(|_| Stop)?;
-
-        let mut oracle = self.fragment();
-        for i in 0..positions {
-            let mut conjugated: Vec<usize> = Vec::new();
-            for (bit, &pq) in pos.iter().enumerate() {
-                if i >> bit & 1 == 0 {
-                    oracle.x(pq).map_err(|_| Stop)?;
-                    conjugated.push(pq);
-                }
-            }
-            for (j, &pbit) in bits.iter().enumerate() {
-                if !pbit {
-                    oracle.x(hay[i + j]).map_err(|_| Stop)?;
-                    conjugated.push(hay[i + j]);
-                }
-            }
-            let mut involved: Vec<usize> = pos.clone();
-            involved.extend((0..m).map(|j| hay[i + j]));
-            let Some((&last, rest)) = involved.split_last() else {
-                return Err(Stop);
-            };
-            oracle.mcz(rest, last).map_err(|_| Stop)?;
-            for &q in conjugated.iter().rev() {
-                oracle.x(q).map_err(|_| Stop)?;
-            }
-        }
-
-        let mut diffusion = self.fragment();
-        diffusion.extend(&prep_inv).map_err(|_| Stop)?;
-        for &pq in &pos {
-            diffusion.x(pq).map_err(|_| Stop)?;
-        }
-        let Some((&last, rest)) = pos.split_last() else {
-            return Err(Stop);
-        };
-        diffusion.mcz(rest, last).map_err(|_| Stop)?;
-        for &pq in &pos {
-            diffusion.x(pq).map_err(|_| Stop)?;
-        }
-        diffusion.extend(&prep).map_err(|_| Stop)?;
-
+        let search = SubstringSearch::prepare(self, bits, hay, Span::default())?;
         // Worst case of the runtime's loop: every round draws the maximum
         // iteration count, every candidate is in range (so the window
         // verification measure happens), the reset flips every pos bit,
         // and no round succeeds early.
-        let sqrt_n = (positions as f64).sqrt();
-        let max_rounds = 12 + 3 * sqrt_n.ceil() as usize;
-        let mut bound = 1.0f64;
-        for _ in 0..max_rounds {
+        for k in search.schedule() {
             self.step()?;
-            self.apply_fragment(&prep)?;
-            let k = bound.ceil() as usize;
-            for _ in 0..k {
-                self.apply_fragment(&oracle)?;
-                self.apply_fragment(&diffusion)?;
-            }
-            self.shadow_measure(&pos)?;
-            for &pq in &pos {
+            search.amplify(self, k)?;
+            self.shadow_measure(&search.pos)?;
+            for &pq in &search.pos {
                 self.apply(Gate::X(pq))?;
             }
-            self.shadow_measure(&hay[..m])?;
-            bound = (bound * 1.3).min(sqrt_n.max(1.0));
+            self.shadow_measure(&hay[..bits.len()])?;
         }
-        self.release(&pos);
+        self.release(&search.pos);
         Ok(())
     }
 
@@ -1207,31 +949,14 @@ impl<'p> Est<'p> {
             ExprKind::Bool(b) => Ok(AVal::Bool(Some(*b))),
             ExprKind::Str(s) => Ok(AVal::Str(Some(s.clone()))),
             ExprKind::Pi => Ok(AVal::Float(Some(std::f64::consts::PI))),
-            ExprKind::Quint(v) => {
-                if matches!(target, Some(Type::Qubit)) && *v <= 1 {
-                    let qubits = self.allocate(1)?;
-                    if *v == 1 {
-                        self.apply(Gate::X(qubits[0]))?;
-                    }
-                    Ok(AVal::Quantum(qubits, QKind::Qubit))
-                } else {
-                    Ok(AVal::Quantum(self.new_quint(*v, None)?, QKind::Quint))
-                }
+            ExprKind::Quint(v) => Ok(if matches!(target, Some(Type::Qubit)) && *v <= 1 {
+                Cast::new_qubit_basis(self, "", *v == 1)?
+            } else {
+                Cast::new_quint(self, "", *v, None)?
             }
-            ExprKind::Qustring(s) => Ok(AVal::Quantum(self.new_qustring(s)?, QKind::Qustring)),
-            ExprKind::Ket(k) => {
-                let qubits = self.allocate(1)?;
-                match k {
-                    KetState::Zero => {}
-                    KetState::One => self.apply(Gate::X(qubits[0]))?,
-                    KetState::Plus => self.apply(Gate::H(qubits[0]))?,
-                    KetState::Minus => {
-                        self.apply(Gate::X(qubits[0]))?;
-                        self.apply(Gate::H(qubits[0]))?;
-                    }
-                }
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
+            .into()),
+            ExprKind::Qustring(s) => Ok(Cast::new_qustring(self, "", s, e.span)?.into()),
+            ExprKind::Ket(k) => Ok(Cast::new_qubit_ket(self, "", *k)?.into()),
             ExprKind::Array(elems) => {
                 let elem_target = match target {
                     Some(Type::Array(t)) => Some((**t).clone()),
@@ -1265,16 +990,7 @@ impl<'p> Est<'p> {
                     if vals.len() != 2 {
                         return Err(Stop);
                     }
-                    let norm = (a * a + b * b).sqrt();
-                    if !norm.is_finite() || norm < 1e-9 || (norm - 1.0).abs() > 1e-6 {
-                        return Err(Stop);
-                    }
-                    let qubits = self.allocate(1)?;
-                    let mut frag = self.fragment();
-                    state_prep::prepare_real_amplitudes(&mut frag, &qubits, &[a / norm, b / norm])
-                        .map_err(|_| Stop)?;
-                    self.apply_fragment(&frag)?;
-                    Ok(AVal::Quantum(qubits, QKind::Qubit))
+                    Ok(Cast::new_qubit_amplitudes(self, "", a, b, e.span)?.into())
                 } else {
                     let values: Option<Vec<u64>> = vals
                         .iter()
@@ -1287,16 +1003,7 @@ impl<'p> Est<'p> {
                         );
                         return Ok(AVal::Unknown);
                     };
-                    if values.is_empty() {
-                        return Err(Stop);
-                    }
-                    let width = values.iter().map(|&v| bits_for(v)).max().unwrap_or(1);
-                    let qubits = self.allocate(width)?;
-                    let mut frag = self.fragment();
-                    state_prep::prepare_uniform_over(&mut frag, &qubits, &values)
-                        .map_err(|_| Stop)?;
-                    self.apply_fragment(&frag)?;
-                    Ok(AVal::Quantum(qubits, QKind::Quint))
+                    Ok(Cast::new_quint_superposed(self, "", &values, e.span)?.into())
                 }
             }
             ExprKind::Var(name) => match self.lookup(name) {
@@ -1432,8 +1139,7 @@ impl<'p> Est<'p> {
                     );
                     return Ok(AVal::Unknown);
                 };
-                let copy = self.cx_copy(&q, q.len())?;
-                self.rotate_in_place(&copy, k as usize, op == Shl)?;
+                let copy = lower::shifted_copy(self, &q, k as usize, op == Shl)?;
                 return Ok(AVal::Quantum(copy, kind));
             }
         }
@@ -1752,7 +1458,7 @@ impl<'p> Est<'p> {
                 let k = self.eval(a1)?;
                 match (q, k.as_i64()) {
                     (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        self.rotate_in_place(&qubits, k as usize, name == "rotl")?;
+                        lower::rotate(self, &qubits, k as usize, name == "rotl")?;
                     }
                     (AVal::Quantum(_, _) | AVal::Unknown, _) => {
                         self.inexact(
@@ -1866,6 +1572,64 @@ impl<'p> Est<'p> {
                 }
             }
         }
+    }
+}
+
+/// The shadow circuit, as the target of the runtime's lowering. Unlike
+/// the runtime's handler it needs no register names (every register is
+/// `r`) and always re-pools released qubits: every release site in the
+/// shared lowering uncomputes its work qubits back to `|0>`
+/// deterministically, so there is no state to probe.
+impl Emit for Est<'_> {
+    fn fresh_name(&mut self, _base: &str) -> String {
+        String::new()
+    }
+
+    fn check_capacity(&self, extra: usize, _name: &str) -> QutesResult<()> {
+        let total = self.circ.num_qubits() + extra;
+        if total > MAX_SHADOW_QUBITS {
+            return Err(QutesError::Sim(qutes_sim::SimError::TooManyQubits(total)));
+        }
+        Ok(())
+    }
+
+    fn allocate(&mut self, name: &str, width: usize) -> QutesResult<Vec<usize>> {
+        self.check_capacity(width, name)?;
+        Ok(self.circ.add_qreg("r", width).qubits())
+    }
+
+    fn acquire(&mut self, n: usize, name: &str) -> QutesResult<Vec<usize>> {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            match self.free.pop() {
+                Some(q) => out.push(q),
+                None => break,
+            }
+        }
+        let missing = n - out.len();
+        if missing > 0 {
+            out.extend(self.allocate(name, missing)?);
+        }
+        Ok(out)
+    }
+
+    fn release(&mut self, qubits: &[usize]) {
+        self.free.extend_from_slice(qubits);
+    }
+
+    fn apply(&mut self, gate: Gate) -> QutesResult<()> {
+        if !gate.is_clifford() {
+            self.clifford_only = false;
+        }
+        Ok(self.circ.append(gate)?)
+    }
+
+    fn barrier(&mut self) -> QutesResult<()> {
+        self.apply(Gate::Barrier(vec![]))
+    }
+
+    fn num_qubits(&self) -> usize {
+        self.circ.num_qubits()
     }
 }
 

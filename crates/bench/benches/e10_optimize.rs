@@ -65,30 +65,35 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The `run --verify` trajectory, measured where the flag actually
-    // lives: the facade executes the tour program end to end with the
-    // validator off (the baseline — verification code is never
-    // consulted, so `--verify`-off costs exactly 0%) and on (the
-    // acceptance bar: within 10% of the baseline, since one static
-    // validation amortizes against a whole program's interpretation).
+    // The `run --verify` trajectory: the tour program runs end to end
+    // through the facade, alone (the baseline — verification code is
+    // never consulted, so `--verify`-off costs exactly 0%) and followed
+    // by the validation `run --verify` adds (the acceptance bar: within
+    // 10% of the baseline, since one static validation amortizes
+    // against a whole program's interpretation).
     let tour = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/programs/language_tour.qut"
     ))
     .unwrap();
+    let cfg = qutes::RunConfig {
+        seed: 7,
+        ..qutes::RunConfig::default()
+    };
     for verify in [false, true] {
-        let cfg = qutes::RunConfig {
-            seed: 7,
-            verify,
-            ..qutes::RunConfig::default()
-        };
         let id = if verify {
             "tour_run_verified"
         } else {
             "tour_run"
         };
         g.bench_with_input(BenchmarkId::new(id, 0), &0, |b, _| {
-            b.iter(|| qutes::run_source(&tour, &cfg).unwrap())
+            b.iter(|| {
+                let out = qutes::run_source(&tour, &cfg).unwrap();
+                if verify {
+                    verify_optimization(&out.circuit, cfg.opt_level).unwrap();
+                }
+                out
+            })
         });
     }
 

@@ -290,8 +290,8 @@ fn lint_id(id: &str) -> Result<String, String> {
 }
 
 /// Builds the analyzer configuration from the CLI flags.
-fn lint_options(args: &Args) -> qutes_core::LintOptions {
-    qutes_core::LintOptions {
+fn lint_options(args: &Args) -> qutes_analysis::LintOptions {
+    qutes_analysis::LintOptions {
         enabled: true,
         warns: args.warns.clone(),
         allows: args.allows.clone(),
@@ -305,7 +305,7 @@ fn lint_options(args: &Args) -> qutes_core::LintOptions {
 #[allow(clippy::type_complexity)]
 fn analyze_contained(
     source: &str,
-    opts: &qutes_core::LintOptions,
+    opts: &qutes_analysis::LintOptions,
 ) -> Result<
     Result<qutes_analysis::AnalysisReport, Vec<qutes_frontend::Diagnostic>>,
     qutes_supervisor::ContainedPanic,

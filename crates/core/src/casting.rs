@@ -7,6 +7,7 @@
 
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
+use crate::lower::Emit;
 use crate::value::{QKind, QuantumRef, Value};
 use qutes_algos::state_prep;
 use qutes_frontend::{KetState, Span};
@@ -17,16 +18,14 @@ pub fn bits_for(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).max(1)
 }
 
-/// Stateless casting routines over a [`QuantumCircuitHandler`].
+/// Stateless casting routines. The constructors encode onto any [`Emit`]
+/// (the runtime's [`QuantumCircuitHandler`] or the resource estimator's
+/// shadow circuit); measuring back needs the live handler.
 pub struct TypeCastingHandler;
 
 impl TypeCastingHandler {
     /// Allocates a qubit initialised to a basis state.
-    pub fn new_qubit_basis(
-        h: &mut QuantumCircuitHandler,
-        name: &str,
-        one: bool,
-    ) -> QutesResult<QuantumRef> {
+    pub fn new_qubit_basis<E: Emit>(h: &mut E, name: &str, one: bool) -> QutesResult<QuantumRef> {
         h.check_capacity(1, name)?;
         let qubits = h.allocate(name, 1)?;
         if one {
@@ -39,11 +38,7 @@ impl TypeCastingHandler {
     }
 
     /// Allocates a qubit initialised to a ket literal.
-    pub fn new_qubit_ket(
-        h: &mut QuantumCircuitHandler,
-        name: &str,
-        ket: KetState,
-    ) -> QutesResult<QuantumRef> {
+    pub fn new_qubit_ket<E: Emit>(h: &mut E, name: &str, ket: KetState) -> QutesResult<QuantumRef> {
         h.check_capacity(1, name)?;
         let qubits = h.allocate(name, 1)?;
         match ket {
@@ -63,8 +58,8 @@ impl TypeCastingHandler {
 
     /// Allocates a qubit with explicit real amplitudes `[a, b]`
     /// (normalised if within 1e-6 of unit norm, rejected otherwise).
-    pub fn new_qubit_amplitudes(
-        h: &mut QuantumCircuitHandler,
+    pub fn new_qubit_amplitudes<E: Emit>(
+        h: &mut E,
         name: &str,
         a: f64,
         b: f64,
@@ -99,8 +94,8 @@ impl TypeCastingHandler {
 
     /// Allocates a quint holding the basis value `v` with `width` qubits
     /// (defaults to the minimum width when `None`).
-    pub fn new_quint(
-        h: &mut QuantumCircuitHandler,
+    pub fn new_quint<E: Emit>(
+        h: &mut E,
         name: &str,
         v: u64,
         width: Option<usize>,
@@ -122,19 +117,18 @@ impl TypeCastingHandler {
     /// Allocates a quint in equal superposition of `values`
     /// (paper §5: "vectors containing quantum states, including
     /// superpositions of values").
-    pub fn new_quint_superposed(
-        h: &mut QuantumCircuitHandler,
+    pub fn new_quint_superposed<E: Emit>(
+        h: &mut E,
         name: &str,
         values: &[u64],
         span: Span,
     ) -> QutesResult<QuantumRef> {
-        if values.is_empty() {
+        let Some(width) = values.iter().map(|&v| bits_for(v)).max() else {
             return Err(QutesError::runtime(
                 "superposition literal needs at least one value",
                 span,
             ));
-        }
-        let width = values.iter().map(|&v| bits_for(v)).max().unwrap();
+        };
         h.check_capacity(width, name)?;
         let qubits = h.allocate(name, width)?;
         let mut frag = QuantumCircuit::with_qubits(h.num_qubits());
@@ -148,8 +142,8 @@ impl TypeCastingHandler {
 
     /// Allocates a qustring encoding a classical bitstring (character `i`
     /// of the source string on qubit `i`).
-    pub fn new_qustring(
-        h: &mut QuantumCircuitHandler,
+    pub fn new_qustring<E: Emit>(
+        h: &mut E,
         name: &str,
         bits: &str,
         span: Span,
@@ -179,8 +173,8 @@ impl TypeCastingHandler {
     /// Type promotion: encodes a classical value into a fresh quantum
     /// register of `kind` (paper §4: "Classical variables can be promoted
     /// to quantum equivalents through type promotion").
-    pub fn promote(
-        h: &mut QuantumCircuitHandler,
+    pub fn promote<E: Emit>(
+        h: &mut E,
         name: &str,
         value: &Value,
         kind: QKind,

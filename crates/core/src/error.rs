@@ -31,17 +31,6 @@ pub enum QutesError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// Translation validation proved an optimizer rewrite of the
-    /// accumulated circuit inequivalent to its input (`--verify` /
-    /// `RunConfig::verify`). Always a compiler bug, never a user error
-    /// — please report programs that trigger it.
-    Verify {
-        /// The optimizer pass whose rewrite was rejected (or
-        /// `"pipeline"` for the end-to-end composition check).
-        pass: String,
-        /// Verifier explanation: domain used, first mismatching fact.
-        detail: String,
-    },
 }
 
 impl QutesError {
@@ -109,13 +98,6 @@ impl fmt::Display for QutesError {
             QutesError::Interrupted(reason) => write!(f, "{reason}"),
             QutesError::Internal { stage, message } => {
                 write!(f, "internal error in stage `{stage}`: {message}")
-            }
-            QutesError::Verify { pass, detail } => {
-                write!(
-                    f,
-                    "verification failed: optimizer pass '{pass}' produced an \
-                     inequivalent rewrite: {detail}"
-                )
             }
         }
     }

@@ -60,6 +60,8 @@ pub struct QuantumCircuitHandler {
     /// gate ([`BackendChoice::Auto`]).
     promotes: bool,
     interrupt: Option<Interrupt>,
+    /// Anonymous registers named so far (see [`Self::fresh_name`]).
+    names: usize,
 }
 
 impl QuantumCircuitHandler {
@@ -116,6 +118,7 @@ impl QuantumCircuitHandler {
             memory_budget_bytes,
             promotes: choice == BackendChoice::Auto,
             interrupt: None,
+            names: 0,
         })
     }
 
@@ -130,6 +133,13 @@ impl QuantumCircuitHandler {
     pub fn set_interrupt(&mut self, intr: Interrupt) {
         on_engine!(&mut self.live, e => Engine::set_interrupt(e, intr.clone()));
         self.interrupt = Some(intr);
+    }
+
+    /// A name for an anonymous register: `base` plus a counter that runs
+    /// over the whole program run.
+    pub fn fresh_name(&mut self, base: &str) -> String {
+        self.names += 1;
+        format!("{base}_{}", self.names)
     }
 
     /// Acquires `n` clean (`|0>`) work qubits, reusing previously released
@@ -240,16 +250,6 @@ impl QuantumCircuitHandler {
         qutes_obs::counter_add("backend.promoted", 1);
         if let Some(t0) = t0 {
             qutes_obs::record_duration("stage.simulate", t0.elapsed());
-        }
-        Ok(())
-    }
-
-    /// Appends every instruction of a pre-built circuit fragment. The
-    /// fragment must address this handler's global qubit indices and have
-    /// no classical bits.
-    pub fn apply_fragment(&mut self, fragment: &QuantumCircuit) -> QutesResult<()> {
-        for g in fragment.ops() {
-            self.apply(g.clone())?;
         }
         Ok(())
     }
@@ -443,6 +443,7 @@ impl QuantumCircuitHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::Emit;
 
     #[test]
     fn allocation_grows_circuit_and_state() {

@@ -31,7 +31,7 @@
 pub mod casting;
 pub mod error;
 pub mod handler;
-pub mod lint;
+pub mod lower;
 pub mod runtime;
 pub mod symbols;
 pub mod types;
@@ -40,7 +40,6 @@ pub mod value;
 pub use casting::TypeCastingHandler;
 pub use error::{QutesError, QutesResult};
 pub use handler::QuantumCircuitHandler;
-pub use lint::LintOptions;
 pub use qutes_supervisor::{Interrupt, StopReason};
 pub use runtime::{run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
 pub use symbols::{FunctionTable, Symbol, SymbolTable};

@@ -5,13 +5,14 @@
 //! operations into corresponding quantum circuit instructions, while
 //! non-quantum operations are executed directly").
 
-use crate::casting::{bits_for, TypeCastingHandler as Cast};
+use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
+use crate::lower::{self, Operand, SubstringSearch};
 use crate::symbols::{FunctionTable, SymbolTable};
 use crate::types;
 use crate::value::{cell, Cell, QKind, QuantumRef, Value};
-use qutes_algos::{arithmetic, rotation, state_prep, substring_oracle};
+use qutes_algos::substring_oracle;
 use qutes_frontend::ast::*;
 use qutes_frontend::{parse_with_interrupt, ParseFailure, Span};
 use qutes_qcirc::{Gate, QuantumCircuit};
@@ -77,11 +78,6 @@ pub struct RunConfig {
     /// snapshots with `qutes_obs::snapshot()` afterwards. Off by default;
     /// a disabled collector costs one atomic load per recording site.
     pub observe: bool,
-    /// Static-analysis (lint) configuration. `qutes-core` itself never
-    /// runs the analyzer — the `qutes` facade consults this to run
-    /// `qutes-analysis` before execution and refuse to execute programs
-    /// with deny-level findings. Disabled by default.
-    pub lint: crate::lint::LintOptions,
     /// Wall-clock budget for the whole run (parse through shot replay).
     /// When it expires, cooperative checkpoints return
     /// [`QutesError::Interrupted`] (or a degraded partial outcome, per
@@ -109,13 +105,6 @@ pub struct RunConfig {
     /// shot draws from its own counter-derived RNG stream; batched
     /// (noise-free, measure-at-end) replays ignore this knob.
     pub shot_threads: usize,
-    /// Statically verify every optimizer rewrite of the accumulated
-    /// circuit after the run (translation validation, see
-    /// `docs/verification.md`). `qutes-core` itself never verifies —
-    /// the `qutes` facade and CLI consult this flag, refuse on a proven
-    /// `Inequivalent` and warn on `Unknown`. Off by default; costs
-    /// nothing when off.
-    pub verify: bool,
 }
 
 impl Default for RunConfig {
@@ -130,13 +119,11 @@ impl Default for RunConfig {
             memory_budget_bytes: None,
             opt_level: 1,
             observe: false,
-            lint: crate::lint::LintOptions::default(),
             time_budget: None,
             interrupt: None,
             degrade: DegradePolicy::default(),
             backend: qutes_qcirc::BackendChoice::Auto,
             shot_threads: 0,
-            verify: false,
         }
     }
 }
@@ -284,7 +271,6 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
         max_steps: config.max_steps,
         call_depth: 0,
         max_call_depth: config.max_call_depth,
-        anon_counter: 0,
         interrupt: intr.clone(),
         interrupt_ck: 0,
     };
@@ -367,7 +353,6 @@ struct Interp {
     max_steps: u64,
     call_depth: usize,
     max_call_depth: usize,
-    anon_counter: usize,
     interrupt: Interrupt,
     interrupt_ck: u64,
 }
@@ -390,11 +375,6 @@ impl Interp {
         self.interrupt
             .checkpoint_named(&mut self.interrupt_ck, 16, "stage.interp.checkpoints")?;
         Ok(())
-    }
-
-    fn fresh_name(&mut self, base: &str) -> String {
-        self.anon_counter += 1;
-        format!("{base}_{}", self.anon_counter)
     }
 
     // ---- statements ------------------------------------------------------
@@ -766,7 +746,12 @@ impl Interp {
                 match current {
                     Value::Quantum(q) => {
                         // Cyclic shift in constant depth (paper §5).
-                        self.rotate_in_place(&q, k as usize, op == AssignOp::Shl)?;
+                        lower::rotate(
+                            &mut self.handler,
+                            &q.qubits,
+                            k as usize,
+                            op == AssignOp::Shl,
+                        )?;
                     }
                     Value::Int(i) => {
                         let v = if op == AssignOp::Shl {
@@ -816,90 +801,23 @@ impl Interp {
     }
 
     fn exec_gate(&mut self, gate: GateKind, args: &[Expr], span: Span) -> QutesResult<()> {
+        let q = self.eval_quantum_operand(&args[0], gate.name())?;
         match gate {
-            GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {
-                let q = self.eval_quantum_operand(&args[0], gate.name())?;
-                for &qb in &q.qubits {
-                    let g = match gate {
-                        GateKind::Hadamard => Gate::H(qb),
-                        GateKind::NotGate => Gate::X(qb),
-                        GateKind::PauliY => Gate::Y(qb),
-                        GateKind::PauliZ => Gate::Z(qb),
-                        _ => unreachable!(),
-                    };
-                    self.handler.apply(g)?;
-                }
+            GateKind::CNot => {
+                let t = self.eval_quantum_operand(&args[1], "cnot")?;
+                lower::cnot(&mut self.handler, &q.qubits, &t.qubits, span)
             }
             GateKind::Phase => {
-                let q = self.eval_quantum_operand(&args[0], "phase")?;
                 let angle = self.eval(&args[1])?.as_f64().ok_or_else(|| {
                     QutesError::runtime("phase angle must be numeric", args[1].span)
                 })?;
-                for &qb in &q.qubits {
-                    self.handler.apply(Gate::Phase {
-                        target: qb,
-                        lambda: angle,
-                    })?;
-                }
+                lower::gate_each(&mut self.handler, gate, &q.qubits, angle, span)
             }
-            GateKind::CNot => {
-                let c = self.eval_quantum_operand(&args[0], "cnot")?;
-                let t = self.eval_quantum_operand(&args[1], "cnot")?;
-                if c.width() == t.width() {
-                    for (&cq, &tq) in c.qubits.iter().zip(&t.qubits) {
-                        self.handler.apply(Gate::CX {
-                            control: cq,
-                            target: tq,
-                        })?;
-                    }
-                } else if c.width() == 1 {
-                    for &tq in &t.qubits {
-                        self.handler.apply(Gate::CX {
-                            control: c.qubits[0],
-                            target: tq,
-                        })?;
-                    }
-                } else {
-                    return Err(QutesError::runtime(
-                        format!(
-                            "cnot operands must have equal width (or a single-qubit control); \
-                             found {} and {}",
-                            c.width(),
-                            t.width()
-                        ),
-                        span,
-                    ));
-                }
-            }
+            _ => lower::gate_each(&mut self.handler, gate, &q.qubits, 0.0, span),
         }
-        Ok(())
     }
 
     // ---- quantum arithmetic and shifts ------------------------------------
-
-    /// Copies `src` into a fresh register of width `width` (CX fan-out;
-    /// exact for basis states, entangling for superpositions — the
-    /// ancilla is later uncomputed by the same CX pattern).
-    fn cx_copy(&mut self, src: &[usize], width: usize, name: &str) -> QutesResult<Vec<usize>> {
-        let dst = self.handler.acquire_ancillas(width, name)?;
-        for (i, &s) in src.iter().enumerate().take(width) {
-            self.handler.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(dst)
-    }
-
-    fn uncompute_cx_copy(&mut self, src: &[usize], dst: &[usize]) -> QutesResult<()> {
-        for (i, &s) in src.iter().enumerate().take(dst.len()) {
-            self.handler.apply(Gate::CX {
-                control: s,
-                target: dst[i],
-            })?;
-        }
-        Ok(())
-    }
 
     /// In-place `target op= rhs` for quints.
     fn quint_add_sub_in_place(
@@ -909,57 +827,18 @@ impl Interp {
         subtract: bool,
         span: Span,
     ) -> QutesResult<()> {
-        match rhs {
-            Value::Int(k) if k >= 0 && !subtract => {
-                let mut frag = self.fragment();
-                arithmetic::add_const(&mut frag, &target.qubits, k as u64)?;
-                self.handler.apply_fragment(&frag)?;
-            }
-            Value::Int(k) if k >= 0 && subtract => {
-                // b - k = b + (2^n - k) mod 2^n.
-                let n = target.width() as u32;
-                let modulus = 1u64 << n;
-                let k = (k as u64) % modulus;
-                let mut frag = self.fragment();
-                arithmetic::add_const(&mut frag, &target.qubits, (modulus - k) % modulus)?;
-                self.handler.apply_fragment(&frag)?;
-            }
-            Value::Bool(b) => {
-                return self.quint_add_sub_in_place(target, Value::Int(b as i64), subtract, span)
-            }
-            Value::Quantum(q) if q.kind == QKind::Quint => {
-                let w = target.width();
-                // Widen/narrow the addend into a temporary copy of the
-                // target's width, add, then uncompute the copy.
-                let name = self.fresh_name("addend");
-                let tmp = self.cx_copy(&q.qubits, w, &name)?;
-                let carry_name = self.fresh_name("carry");
-                let carry = self.handler.acquire_ancillas(1, &carry_name)?[0];
-                let mut frag = self.fragment();
-                if subtract {
-                    arithmetic::sub_in_place(&mut frag, &tmp, &target.qubits, carry)?;
-                } else {
-                    arithmetic::add_in_place(&mut frag, &tmp, &target.qubits, carry)?;
-                }
-                self.handler.apply_fragment(&frag)?;
-                self.uncompute_cx_copy(&q.qubits, &tmp)?;
-                // The addend copy and the carry are clean again: pool them.
-                self.handler.release_ancillas(&tmp);
-                self.handler.release_ancillas(&[carry]);
-            }
-            other => {
-                return Err(QutesError::runtime(
-                    format!(
-                        "cannot {} a {} value {} a quint",
-                        if subtract { "subtract" } else { "add" },
-                        other.type_name(),
-                        if subtract { "from" } else { "to" },
-                    ),
-                    span,
-                ))
-            }
-        }
-        Ok(())
+        let Some(rhs) = quint_operand(&rhs) else {
+            return Err(QutesError::runtime(
+                format!(
+                    "cannot {} a {} value {} a quint",
+                    if subtract { "subtract" } else { "add" },
+                    rhs.type_name(),
+                    if subtract { "from" } else { "to" },
+                ),
+                span,
+            ));
+        };
+        lower::add_sub_in_place(&mut self.handler, &target.qubits, rhs, subtract)
     }
 
     /// `a + b` / `a - b` producing a fresh quint register.
@@ -970,211 +849,77 @@ impl Interp {
         subtract: bool,
         span: Span,
     ) -> QutesResult<Value> {
-        // Result width: enough for the sum (one extra bit over the wider
-        // operand when adding).
-        let rhs_width = match &rhs {
-            Value::Int(k) if *k >= 0 => bits_for(*k as u64),
-            Value::Bool(_) => 1,
-            Value::Quantum(q) if q.kind == QKind::Quint => q.width(),
-            other => {
-                return Err(QutesError::runtime(
-                    format!("cannot combine quint with {}", other.type_name()),
-                    span,
-                ))
-            }
+        let Some(rhs) = quint_operand(&rhs) else {
+            return Err(QutesError::runtime(
+                format!("cannot combine quint with {}", rhs.type_name()),
+                span,
+            ));
         };
-        let w = a.width().max(rhs_width) + usize::from(!subtract);
-        let name = self.fresh_name("sum");
-        let result = QuantumRef {
-            qubits: self.cx_copy(&a.qubits, w, &name)?,
-            kind: QKind::Quint,
-        };
-        self.quint_add_sub_in_place(&result, rhs, subtract, span)?;
-        Ok(Value::Quantum(result))
+        let sum = lower::add_sub_expr(&mut self.handler, &a.qubits, rhs, subtract)?;
+        Ok(quint(sum))
     }
 
-    /// `a * b` producing a fresh quint product register (shift-and-add
-    /// multiplier, paper §6 extension). Operands are preserved.
+    /// `a * b` producing a fresh quint product register.
     fn quint_mul_expr(&mut self, a: &QuantumRef, rhs: Value, span: Span) -> QutesResult<Value> {
-        let mut constant_factor: Option<(u64, Vec<usize>)> = None;
-        let b: QuantumRef = match rhs {
-            Value::Quantum(q) if q.kind == QKind::Quint => q,
-            Value::Int(k) if k >= 0 => {
-                // Encode the constant factor into a fresh register (left
-                // in the basis state |k>, disentangled — uncomputed and
-                // recycled after the product is formed).
-                let name = self.fresh_name("factor");
-                let r = Cast::new_quint(&mut self.handler, &name, k as u64, None)?;
-                constant_factor = Some((k as u64, r.qubits.clone()));
-                r
-            }
-            Value::Bool(bit) => {
-                let name = self.fresh_name("factor");
-                let r = Cast::new_quint(&mut self.handler, &name, bit as u64, None)?;
-                constant_factor = Some((bit as u64, r.qubits.clone()));
-                r
-            }
-            other => {
-                return Err(QutesError::runtime(
-                    format!("cannot multiply a quint by {}", other.type_name()),
-                    span,
-                ))
-            }
+        let Some(rhs) = quint_operand(&rhs) else {
+            return Err(QutesError::runtime(
+                format!("cannot multiply a quint by {}", rhs.type_name()),
+                span,
+            ));
         };
-        let pw = a.width() + b.width();
-        let prod_name = self.fresh_name("product");
-        self.handler.check_capacity(pw + 1, &prod_name)?;
-        let product = self.handler.allocate(&prod_name, pw)?;
-        let carry_name = self.fresh_name("carry");
-        let carry = self.handler.acquire_ancillas(1, &carry_name)?[0];
-        let mut frag = self.fragment();
-        arithmetic::mul_into(&mut frag, &a.qubits, &b.qubits, &product, carry)?;
-        self.handler.apply_fragment(&frag)?;
-        self.handler.release_ancillas(&[carry]);
-        if let Some((k, factor)) = constant_factor {
-            // The constant factor register still holds |k>: uncompute it
-            // with classically-known X gates and recycle the qubits.
-            for (i, &fq) in factor.iter().enumerate() {
-                if k >> i & 1 == 1 {
-                    self.handler.apply(Gate::X(fq))?;
-                }
-            }
-            self.handler.release_ancillas(&factor);
-        }
-        Ok(Value::Quantum(QuantumRef {
-            qubits: product,
-            kind: QKind::Quint,
-        }))
-    }
-
-    fn rotate_in_place(&mut self, q: &QuantumRef, k: usize, left: bool) -> QutesResult<()> {
-        let mut frag = self.fragment();
-        if left {
-            rotation::rotate_left_constant_depth(&mut frag, &q.qubits, k)?;
-        } else {
-            rotation::rotate_right_constant_depth(&mut frag, &q.qubits, k)?;
-        }
-        self.handler.apply_fragment(&frag)?;
-        Ok(())
-    }
-
-    /// An empty fragment sized to the handler's current width.
-    fn fragment(&self) -> QuantumCircuit {
-        QuantumCircuit::with_qubits(self.handler.num_qubits())
+        let product = lower::mul_expr(&mut self.handler, &a.qubits, rhs)?;
+        Ok(quint(product))
     }
 
     // ---- the `in` operator: Grover substring search ------------------------
 
-    /// `pattern in haystack` where the haystack is a qustring: amplitude
-    /// amplification over a **position register**, using the
-    /// Boyer–Brassard–Høyer–Tapp schedule because the number of
-    /// occurrences (the marked-set size) is unknown to the runtime.
+    /// `pattern in haystack` where the haystack is a qustring: Grover
+    /// search over start positions ([`SubstringSearch`]), each round
+    /// drawing its iteration count at random and verifying the measured
+    /// candidate against the text window.
     fn quantum_substring_search(
         &mut self,
         pattern: &[bool],
         hay: &QuantumRef,
         span: Span,
     ) -> QutesResult<bool> {
-        let n = hay.width();
         let m = pattern.len();
         if m == 0 {
             return Ok(true);
         }
-        if m > n {
+        if m > hay.width() {
             return Ok(false);
         }
-        let positions = n - m + 1;
-        let pw = usize::max(1, (usize::BITS - (positions - 1).leading_zeros()) as usize);
-        let pos_name = self.fresh_name("grover_pos");
-        let pos = self.handler.acquire_ancillas(pw, &pos_name)?;
-
-        // A = uniform superposition over the valid positions 0..positions.
-        let values: Vec<u64> = (0..positions as u64).collect();
-        let mut prep = self.fragment();
-        state_prep::prepare_uniform_over(&mut prep, &pos, &values)?;
-        let prep_inv = prep.inverse()?;
-
-        // Oracle: phase-flip |pos = i> ⊗ |text matching at i>.
-        let mut oracle = self.fragment();
-        for i in 0..positions {
-            let mut conjugated: Vec<usize> = Vec::new();
-            for (bit, &pq) in pos.iter().enumerate() {
-                if i >> bit & 1 == 0 {
-                    oracle.x(pq)?;
-                    conjugated.push(pq);
-                }
-            }
-            for (j, &pbit) in pattern.iter().enumerate() {
-                if !pbit {
-                    oracle.x(hay.qubits[i + j])?;
-                    conjugated.push(hay.qubits[i + j]);
-                }
-            }
-            let mut involved: Vec<usize> = pos.clone();
-            involved.extend((0..m).map(|j| hay.qubits[i + j]));
-            let (&last, rest) = involved.split_last().expect("non-empty");
-            oracle.mcz(rest, last)?;
-            for &q in conjugated.iter().rev() {
-                oracle.x(q)?;
-            }
-        }
-
-        // Generalised diffusion about A|0>: A (2|0><0| - I) A^dagger.
-        let mut diffusion = self.fragment();
-        diffusion.extend(&prep_inv)?;
-        for &pq in &pos {
-            diffusion.x(pq)?;
-        }
-        let (&last, rest) = pos.split_last().expect("non-empty position register");
-        diffusion.mcz(rest, last)?;
-        for &pq in &pos {
-            diffusion.x(pq)?;
-        }
-        diffusion.extend(&prep)?;
-
-        // BBHT loop: pick a random iteration count below a growing bound,
-        // amplify, measure a candidate position, and verify it against
-        // the text window. Absent patterns exhaust the round budget and
-        // return false; present patterns succeed with overwhelming
-        // probability within O(sqrt(positions)) expected oracle calls.
+        let search = SubstringSearch::prepare(&mut self.handler, pattern, &hay.qubits, span)?;
+        // Absent patterns exhaust the schedule and return false; present
+        // patterns succeed with overwhelming probability within
+        // O(sqrt(positions)) expected oracle calls.
         use rand::Rng as _;
-        let sqrt_n = (positions as f64).sqrt();
-        let max_rounds = 12 + 3 * sqrt_n.ceil() as usize;
-        let mut bound = 1.0f64;
-        for _ in 0..max_rounds {
-            let k = self
-                .handler
-                .rng()
-                .random_range(0..bound.ceil() as usize + 1);
-            self.handler.apply_fragment(&prep)?;
-            for _ in 0..k {
-                self.handler.apply_fragment(&oracle)?;
-                self.handler.apply_fragment(&diffusion)?;
-            }
-            let candidate = self.handler.measure(&pos)? as usize;
+        for max_k in search.schedule() {
+            let k = self.handler.rng().random_range(0..max_k + 1);
+            search.amplify(&mut self.handler, k)?;
+            let candidate = self.handler.measure(&search.pos)? as usize;
             // Reset the (collapsed) position register to |0> so the next
             // round can re-prepare it.
-            for (bit, &pq) in pos.iter().enumerate() {
+            for (bit, &pq) in search.pos.iter().enumerate() {
                 if candidate >> bit & 1 == 1 {
                     self.handler.apply(Gate::X(pq))?;
                 }
             }
-            if candidate < positions {
-                let window: Vec<usize> = (0..m).map(|j| hay.qubits[candidate + j]).collect();
-                let observed = self.handler.measure(&window)?;
+            if candidate < search.positions {
+                let window = &hay.qubits[candidate..candidate + m];
+                let observed = self.handler.measure(window)?;
                 let matches = pattern
                     .iter()
                     .enumerate()
                     .all(|(j, &p)| (observed >> j & 1 == 1) == p);
                 if matches {
-                    self.handler.release_ancillas(&pos);
+                    self.handler.release_ancillas(&search.pos);
                     return Ok(true);
                 }
             }
-            bound = (bound * 1.3).min(sqrt_n.max(1.0));
         }
-        self.handler.release_ancillas(&pos);
-        let _ = span;
+        self.handler.release_ancillas(&search.pos);
         Ok(false)
     }
 
@@ -1202,7 +947,7 @@ impl Interp {
             ExprKind::Str(s) => Ok(Value::Str(s.clone())),
             ExprKind::Pi => Ok(Value::Float(std::f64::consts::PI)),
             ExprKind::Quint(v) => {
-                let name = self.fresh_name("quint_lit");
+                let name = self.handler.fresh_name("quint_lit");
                 if matches!(target, Some(Type::Qubit)) && *v <= 1 {
                     Ok(Value::Quantum(Cast::new_qubit_basis(
                         &mut self.handler,
@@ -1219,7 +964,7 @@ impl Interp {
                 }
             }
             ExprKind::Qustring(s) => {
-                let name = self.fresh_name("qustring_lit");
+                let name = self.handler.fresh_name("qustring_lit");
                 Ok(Value::Quantum(Cast::new_qustring(
                     &mut self.handler,
                     &name,
@@ -1228,7 +973,7 @@ impl Interp {
                 )?))
             }
             ExprKind::Ket(k) => {
-                let name = self.fresh_name("ket");
+                let name = self.handler.fresh_name("ket");
                 Ok(Value::Quantum(Cast::new_qubit_ket(
                     &mut self.handler,
                     &name,
@@ -1245,7 +990,7 @@ impl Interp {
                     let v = self.eval_with_target(el, elem_target.as_ref())?;
                     let v = match (&elem_target, v) {
                         (Some(t), v) => {
-                            let name = self.fresh_name("elem");
+                            let name = self.handler.fresh_name("elem");
                             self.coerce(v, t, &name, el.span)?
                         }
                         (None, v) => v,
@@ -1273,7 +1018,7 @@ impl Interp {
                     let b = vals[1]
                         .as_f64()
                         .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", e.span))?;
-                    let name = self.fresh_name("qubit_amp");
+                    let name = self.handler.fresh_name("qubit_amp");
                     Ok(Value::Quantum(Cast::new_qubit_amplitudes(
                         &mut self.handler,
                         &name,
@@ -1296,7 +1041,7 @@ impl Interp {
                                 })
                         })
                         .collect::<QutesResult<_>>()?;
-                    let name = self.fresh_name("superpos");
+                    let name = self.handler.fresh_name("superpos");
                     Ok(Value::Quantum(Cast::new_quint_superposed(
                         &mut self.handler,
                         &name,
@@ -1431,13 +1176,11 @@ impl Interp {
                 let k = rv.as_i64().filter(|&k| k >= 0).ok_or_else(|| {
                     QutesError::runtime("shift amount must be a non-negative integer", r.span)
                 })? as usize;
-                let name = self.fresh_name("shifted");
-                let copy = QuantumRef {
-                    qubits: self.cx_copy(&q.qubits, q.width(), &name)?,
+                let copy = lower::shifted_copy(&mut self.handler, &q.qubits, k, op == Shl)?;
+                return Ok(Value::Quantum(QuantumRef {
+                    qubits: copy,
                     kind: q.kind,
-                };
-                self.rotate_in_place(&copy, k, op == Shl)?;
-                return Ok(Value::Quantum(copy));
+                }));
             }
         }
         // int + quint / int * quint (commute to the quint-first forms).
@@ -1640,7 +1383,7 @@ impl Interp {
         for (a, p) in args.iter().zip(&decl.params) {
             let bound = if let ExprKind::Var(var_name) = &a.kind {
                 match self.symbols.lookup(var_name) {
-                    Some(sym) if sym.ty == p.ty => Some(self.symbols.cell(var_name).unwrap()),
+                    Some(sym) if sym.ty == p.ty => Some(Rc::clone(&sym.value)),
                     _ => None,
                 }
             } else {
@@ -1876,13 +1619,31 @@ impl Interp {
                     .ok_or_else(|| {
                         QutesError::runtime("rotation amount must be a non-negative integer", span)
                     })?;
-                self.rotate_in_place(&q, k as usize, name == "rotl")?;
+                lower::rotate(&mut self.handler, &q.qubits, k as usize, name == "rotl")?;
                 Value::Void
             }
             _ => return Ok(None),
         };
         Ok(Some(v))
     }
+}
+
+/// The operand a quint operator accepts on its right: a non-negative
+/// integer, a bool (as 0 or 1) or a quint.
+fn quint_operand(rhs: &Value) -> Option<Operand<'_>> {
+    match rhs {
+        Value::Int(k) if *k >= 0 => Some(Operand::Const(*k as u64)),
+        Value::Bool(b) => Some(Operand::Const(u64::from(*b))),
+        Value::Quantum(q) if q.kind == QKind::Quint => Some(Operand::Quint(&q.qubits)),
+        _ => None,
+    }
+}
+
+fn quint(qubits: Vec<usize>) -> Value {
+    Value::Quantum(QuantumRef {
+        qubits,
+        kind: QKind::Quint,
+    })
 }
 
 /// Best-effort runtime type of a value (for foreach bindings).

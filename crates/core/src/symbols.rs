@@ -61,7 +61,7 @@ impl SymbolTable {
         value: Cell,
         span: Span,
     ) -> Result<(), Diagnostic> {
-        let scope = self.scopes.last_mut().expect("at least one scope");
+        let scope = self.innermost();
         if scope.contains_key(name) {
             return Err(Diagnostic::error(
                 format!("variable '{name}' is already declared in this scope"),
@@ -75,10 +75,18 @@ impl SymbolTable {
     /// Declares or rebinds without the duplicate check (used to bind
     /// function parameters and loop variables).
     pub fn bind(&mut self, name: &str, ty: Type, value: Cell, span: Span) {
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
+        self.innermost()
             .insert(name.to_string(), Symbol { ty, value, span });
+    }
+
+    /// The innermost scope; a global one is created if there is none
+    /// (a [`Default`] table starts empty).
+    fn innermost(&mut self) -> &mut HashMap<String, Symbol> {
+        if self.scopes.is_empty() {
+            self.scopes.push(HashMap::new());
+        }
+        let last = self.scopes.len() - 1;
+        &mut self.scopes[last]
     }
 
     /// Enters a function body: hides every scope above the global one

@@ -101,7 +101,8 @@ impl Checker {
         if self.scopes.is_empty() {
             self.push();
         }
-        let scope = self.scopes.last_mut().unwrap();
+        let last = self.scopes.len() - 1;
+        let scope = &mut self.scopes[last];
         if scope.contains_key(name) {
             self.diags.push(Diagnostic::error(
                 format!("variable '{name}' is already declared in this scope"),

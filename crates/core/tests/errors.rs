@@ -2,6 +2,9 @@
 //! positioned diagnostic (compile-time) or a descriptive runtime error —
 //! never a panic or silent misbehaviour.
 
+// Helpers outside `#[test]` fns fail loudly on an unexpected outcome.
+#![allow(clippy::expect_used, clippy::panic)]
+
 use qutes_core::{run_source, QutesError, RunConfig};
 
 fn err(src: &str) -> QutesError {

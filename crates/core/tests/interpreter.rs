@@ -1,6 +1,9 @@
 //! End-to-end interpreter tests: every language feature of the paper's
 //! §4–§5, exercised through complete Qutes programs.
 
+// Helpers outside `#[test]` fns fail loudly on an unexpected outcome.
+#![allow(clippy::expect_used, clippy::panic)]
+
 use qutes_core::{run_source, QutesError, RunConfig};
 
 fn run(src: &str) -> Vec<String> {

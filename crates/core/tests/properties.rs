@@ -2,6 +2,9 @@
 //! with a direct Rust model, and quantum arithmetic must satisfy its
 //! algebraic laws on random inputs.
 
+// Helpers outside `#[test]` fns panic with the failing program.
+#![allow(clippy::panic)]
+
 use proptest::prelude::*;
 use qutes_core::{run_source, RunConfig};
 

@@ -50,22 +50,16 @@ pub use qutes_frontend::{parse, print_program};
 pub use qutes_qasm::{to_qasm2, to_qasm3};
 pub use qutes_supervisor::{Interrupt, StopReason};
 
-/// Parses, optionally lints, and runs a Qutes program.
+/// Parses and runs a Qutes program.
 ///
-/// Identical to [`qutes_core::run_source`] except that:
-///
-/// * when `config.lint.enabled` is set the static analyzer
-///   ([`analysis::analyze_source`]) runs first, and any finding resolved
-///   to deny level (see [`qutes_core::LintOptions`]) refuses execution
-///   with a [`QutesError::Compile`] carrying the findings as
-///   diagnostics,
-/// * when `config.verify` is set every optimizer rewrite of the
-///   accumulated circuit is translation-validated, and a proven
-///   inequivalence is a [`QutesError::Verify`], and
-/// * the whole pipeline runs inside a panic-containment boundary
-///   ([`qutes_supervisor::contain`]): a panic anywhere in the stack
-///   surfaces as a typed [`QutesError::Internal`] naming the active
-///   stage, never an unwind across the library API.
+/// Identical to [`qutes_core::run_source`] except that the whole
+/// pipeline runs inside a panic-containment boundary
+/// ([`qutes_supervisor::contain`]): a panic anywhere in the stack
+/// surfaces as a typed [`QutesError::Internal`] naming the active stage,
+/// never an unwind across the library API. Linting (`qutes lint`, `run
+/// --lint`) and translation validation (`qutes verify`, `run --verify`)
+/// are the CLI's gates, over [`analysis::analyze_source`] and
+/// [`analysis::verify_optimization`].
 ///
 /// Engine choice is the runtime's: under [`qcirc::BackendChoice::Auto`]
 /// a noise-free run starts on the stabilizer tableau and is promoted to
@@ -116,34 +110,6 @@ fn run_source_inner(source: &str, config: &RunConfig) -> QutesResult<RunOutcome>
     // `analysis::install_optimizer_guard`). Installing is idempotent
     // and costs one OnceLock read.
     analysis::install_optimizer_guard();
-    if config.lint.enabled {
-        let _stage = qutes_supervisor::enter_stage("facade.lint");
-        let report = analysis::analyze_source(source, &config.lint).map_err(QutesError::Compile)?;
-        let denied = report.denied();
-        if !denied.is_empty() {
-            return Err(QutesError::Compile(
-                denied.iter().map(|f| f.to_diagnostic()).collect(),
-            ));
-        }
-    }
     let _stage = qutes_supervisor::enter_stage("facade.run");
-    let outcome = qutes_core::run_source(source, config)?;
-    if config.verify {
-        let _stage = qutes_supervisor::enter_stage("facade.verify");
-        let v = analysis::verify_optimization(&outcome.circuit, config.opt_level)
-            .map_err(QutesError::from)?;
-        if v.verdict == analysis::Verdict::Inequivalent {
-            let problem = v.first_problem();
-            return Err(QutesError::Verify {
-                pass: problem.map_or("pipeline", |b| b.pass).to_string(),
-                detail: problem
-                    .and_then(|b| b.report.detail.clone())
-                    .unwrap_or_else(|| "proven inequivalent".to_string()),
-            });
-        }
-        // `Unknown` is sound to execute; the CLI surfaces it as a
-        // warning (the library accepts it silently — see
-        // docs/verification.md).
-    }
-    Ok(outcome)
+    qutes_core::run_source(source, config)
 }

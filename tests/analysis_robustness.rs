@@ -5,7 +5,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use qutes::analysis::analyze_source;
-use qutes::core::LintOptions;
+use qutes::analysis::LintOptions;
 
 fn analyzer_survives(label: &str, src: &str) {
     let owned = src.to_owned();

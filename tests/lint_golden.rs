@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use qutes::analysis::analyze_source;
-use qutes::core::LintOptions;
+use qutes::analysis::LintOptions;
 use qutes::frontend::LineMap;
 
 fn corpus_dir() -> PathBuf {
