@@ -18,7 +18,7 @@
 //!
 //! let report = analyze_source(
 //!     "qubit q = |+>;\nint unused = 3;\nprint q;\n",
-//!     &LintOptions::enabled(),
+//!     &LintOptions::default(),
 //! )
 //! .expect("program parses and type-checks");
 //! assert_eq!(report.findings.len(), 1);
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
 
     fn opts() -> LintOptions {
-        LintOptions::enabled()
+        LintOptions::default()
     }
 
     #[test]

@@ -17,18 +17,14 @@
 /// use qutes_analysis::LintOptions;
 ///
 /// let opts = LintOptions {
-///     enabled: true,
 ///     deny_warnings: true,
 ///     ..LintOptions::default()
 /// };
-/// assert!(opts.enabled);
+/// assert!(opts.deny_warnings);
 /// assert!(opts.allows.is_empty());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LintOptions {
-    /// Whether the caller asked for analysis (default: off). The
-    /// analyzer itself does not read it.
-    pub enabled: bool,
     /// Lint ids promoted to warn (CLI `-W <id>`).
     pub warns: Vec<String>,
     /// Lint ids silenced entirely (CLI `-A <id>`).
@@ -36,16 +32,6 @@ pub struct LintOptions {
     /// Promote every warn-level finding to deny (CLI `--deny-warnings`),
     /// refusing execution.
     pub deny_warnings: bool,
-}
-
-impl LintOptions {
-    /// Options with the analyzer switched on and registry defaults.
-    pub fn enabled() -> Self {
-        LintOptions {
-            enabled: true,
-            ..LintOptions::default()
-        }
-    }
 }
 
 /// How a lint finding is treated.
@@ -165,7 +151,7 @@ pub fn lint_by_id(id: &str) -> Option<&'static Lint> {
 /// ```
 /// use qutes_analysis::lints::{effective_level, LintLevel, LintOptions, UNUSED_VARIABLE};
 ///
-/// let mut opts = LintOptions::enabled();
+/// let mut opts = LintOptions::default();
 /// assert_eq!(effective_level(&UNUSED_VARIABLE, &opts), LintLevel::Warn);
 /// opts.deny_warnings = true;
 /// assert_eq!(effective_level(&UNUSED_VARIABLE, &opts), LintLevel::Deny);
@@ -194,14 +180,8 @@ mod tests {
     #[test]
     fn default_is_off() {
         let opts = LintOptions::default();
-        assert!(!opts.enabled);
         assert!(!opts.deny_warnings);
         assert!(opts.warns.is_empty() && opts.allows.is_empty());
-    }
-
-    #[test]
-    fn enabled_constructor() {
-        assert!(LintOptions::enabled().enabled);
     }
 
     #[test]
@@ -224,7 +204,7 @@ mod tests {
 
     #[test]
     fn warn_flag_promotes_a_note() {
-        let mut opts = LintOptions::enabled();
+        let mut opts = LintOptions::default();
         assert_eq!(effective_level(&DIRTY_QUBITS, &opts), LintLevel::Note);
         opts.warns.push("QL003".into());
         assert_eq!(effective_level(&DIRTY_QUBITS, &opts), LintLevel::Warn);
@@ -235,7 +215,6 @@ mod tests {
     #[test]
     fn allow_beats_everything() {
         let opts = LintOptions {
-            enabled: true,
             warns: vec!["QL001".into()],
             allows: vec!["QL001".into()],
             deny_warnings: true,
@@ -249,7 +228,6 @@ mod tests {
     #[test]
     fn notes_never_deny_by_default() {
         let opts = LintOptions {
-            enabled: true,
             deny_warnings: true,
             ..LintOptions::default()
         };

@@ -539,7 +539,7 @@ impl<'p> Est<'p> {
                 Ok(Flow::Normal)
             }
             Stmt::Barrier { .. } => {
-                self.barrier()?;
+                self.apply(Gate::Barrier(vec![]))?;
                 Ok(Flow::Normal)
             }
             Stmt::Block(b) => self.exec_block(b),
@@ -1622,10 +1622,6 @@ impl Emit for Est<'_> {
             self.clifford_only = false;
         }
         Ok(self.circ.append(gate)?)
-    }
-
-    fn barrier(&mut self) -> QutesResult<()> {
-        self.apply(Gate::Barrier(vec![]))
     }
 
     fn num_qubits(&self) -> usize {

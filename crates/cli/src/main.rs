@@ -292,7 +292,6 @@ fn lint_id(id: &str) -> Result<String, String> {
 /// Builds the analyzer configuration from the CLI flags.
 fn lint_options(args: &Args) -> qutes_analysis::LintOptions {
     qutes_analysis::LintOptions {
-        enabled: true,
         warns: args.warns.clone(),
         allows: args.allows.clone(),
         deny_warnings: args.deny_warnings,

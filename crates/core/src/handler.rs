@@ -60,8 +60,11 @@ pub struct QuantumCircuitHandler {
     /// gate ([`BackendChoice::Auto`]).
     promotes: bool,
     interrupt: Option<Interrupt>,
-    /// Anonymous registers named so far (see [`Self::fresh_name`]).
-    names: usize,
+    /// Anonymous registers named so far: [`Emit::fresh_name`] appends
+    /// this counter, which runs over the whole program run.
+    ///
+    /// [`Emit::fresh_name`]: crate::lower::Emit::fresh_name
+    pub(crate) names: usize,
 }
 
 impl QuantumCircuitHandler {
@@ -133,13 +136,6 @@ impl QuantumCircuitHandler {
     pub fn set_interrupt(&mut self, intr: Interrupt) {
         on_engine!(&mut self.live, e => Engine::set_interrupt(e, intr.clone()));
         self.interrupt = Some(intr);
-    }
-
-    /// A name for an anonymous register: `base` plus a counter that runs
-    /// over the whole program run.
-    pub fn fresh_name(&mut self, base: &str) -> String {
-        self.names += 1;
-        format!("{base}_{}", self.names)
     }
 
     /// Acquires `n` clean (`|0>`) work qubits, reusing previously released

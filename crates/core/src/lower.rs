@@ -40,8 +40,6 @@ pub trait Emit {
     fn release(&mut self, qubits: &[usize]);
     /// Appends one instruction.
     fn apply(&mut self, gate: Gate) -> QutesResult<()>;
-    /// Appends a barrier over every qubit.
-    fn barrier(&mut self) -> QutesResult<()>;
     /// Qubits allocated so far.
     fn num_qubits(&self) -> usize;
 
@@ -57,7 +55,8 @@ pub trait Emit {
 
 impl Emit for QuantumCircuitHandler {
     fn fresh_name(&mut self, base: &str) -> String {
-        QuantumCircuitHandler::fresh_name(self, base)
+        self.names += 1;
+        format!("{base}_{}", self.names)
     }
 
     fn check_capacity(&self, extra: usize, name: &str) -> QutesResult<()> {
@@ -78,10 +77,6 @@ impl Emit for QuantumCircuitHandler {
 
     fn apply(&mut self, gate: Gate) -> QutesResult<()> {
         QuantumCircuitHandler::apply(self, gate)
-    }
-
-    fn barrier(&mut self) -> QutesResult<()> {
-        QuantumCircuitHandler::barrier(self)
     }
 
     fn num_qubits(&self) -> usize {
@@ -487,9 +482,6 @@ mod tests {
         }
         fn apply(&mut self, gate: Gate) -> QutesResult<()> {
             Ok(self.circ.append(gate)?)
-        }
-        fn barrier(&mut self) -> QutesResult<()> {
-            self.apply(Gate::Barrier(vec![]))
         }
         fn num_qubits(&self) -> usize {
             self.circ.num_qubits()

@@ -8,7 +8,7 @@
 use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
-use crate::lower::{self, Operand, SubstringSearch};
+use crate::lower::{self, Emit, Operand, SubstringSearch};
 use crate::symbols::{FunctionTable, SymbolTable};
 use crate::types;
 use crate::value::{cell, Cell, QKind, QuantumRef, Value};

@@ -10,7 +10,7 @@ use qutes::analysis::LintOptions;
 fn analyzer_survives(label: &str, src: &str) {
     let owned = src.to_owned();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let _ = analyze_source(&owned, &LintOptions::enabled());
+        let _ = analyze_source(&owned, &LintOptions::default());
     }));
     assert!(result.is_ok(), "analyzer panicked on {label:?}");
 }
@@ -87,7 +87,7 @@ fn every_example_analyzes_without_panicking() {
 fn examples_stay_clean_under_deny_warnings() {
     let opts = LintOptions {
         deny_warnings: true,
-        ..LintOptions::enabled()
+        ..LintOptions::default()
     };
     for (name, src) in example_sources() {
         let report = analyze_source(&src, &opts)

@@ -22,7 +22,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn render_report(source: &str) -> String {
-    let report = analyze_source(source, &LintOptions::enabled()).expect("corpus programs compile");
+    let report = analyze_source(source, &LintOptions::default()).expect("corpus programs compile");
     report.render(source)
 }
 
@@ -83,7 +83,7 @@ fn corpus_matches_golden_files() {
 fn findings_at(name: &str) -> Vec<(String, usize, usize)> {
     let path = corpus_dir().join(name);
     let source = std::fs::read_to_string(&path).expect("corpus file reads");
-    let report = analyze_source(&source, &LintOptions::enabled()).expect("compiles");
+    let report = analyze_source(&source, &LintOptions::default()).expect("compiles");
     let map = LineMap::new(&source);
     report
         .findings
@@ -153,13 +153,15 @@ fn clean_program_has_no_findings() {
 fn allows_silence_and_deny_warnings_promotes() {
     let source = std::fs::read_to_string(corpus_dir().join("unused_variable.qut")).expect("reads");
 
-    let mut opts = LintOptions::enabled();
+    let mut opts = LintOptions::default();
     opts.allows.push("QL101".into());
     let silenced = analyze_source(&source, &opts).expect("compiles");
     assert!(silenced.findings.iter().all(|f| f.lint.id != "QL101"));
 
-    let mut opts = LintOptions::enabled();
-    opts.deny_warnings = true;
+    let opts = LintOptions {
+        deny_warnings: true,
+        ..LintOptions::default()
+    };
     let denied = analyze_source(&source, &opts).expect("compiles");
     assert!(
         denied.denied().iter().any(|f| f.lint.id == "QL101"),
