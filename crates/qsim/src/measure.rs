@@ -89,7 +89,7 @@ pub(crate) const SAMPLE_CHECK_STRIDE: u64 = 1 << 12;
 /// cumulative distribution and one increment of a dense tally the size
 /// of that distribution; only the occupied outcomes reach the map. The
 /// state's interrupt is checked once up front and then every
-/// [`SAMPLE_CHECK_STRIDE`] shots.
+/// 4096 shots.
 pub fn sample_counts<R: Rng + ?Sized>(
     state: &StateVector,
     qubits: &[usize],

@@ -558,7 +558,7 @@ impl Tableau {
     /// clone-per-shot sampler.
     ///
     /// The interrupt is checked once up front and then every
-    /// [`SAMPLE_CHECK_STRIDE`] shots.
+    /// 4096 shots.
     pub fn sample<R: Rng + ?Sized>(
         &self,
         qubits: &[usize],
