@@ -78,8 +78,46 @@ use qutes_core::{QutesError, RunConfig};
 use qutes_frontend::{parse, print_program};
 use qutes_qasm::{to_qasm2, to_qasm3};
 use qutes_sim::NoiseModel;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+/// Set once a reader has closed standard output.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Every command's standard output goes through here. A reader that
+/// closes the pipe early (`qutes qasm prog.qut | head -3`) ends the
+/// output, not the command: the rest is dropped and the command exits
+/// with the status it would have had. Any other write failure is
+/// reported and exits with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        } else {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -427,7 +465,7 @@ fn report_observability(args: &Args, aborted: bool) -> Result<(), String> {
     if let Some(path) = &args.stats_json {
         let json = snap.to_json_tagged(aborted);
         if path == "-" {
-            println!("{json}");
+            outln!("{json}");
         } else {
             std::fs::write(path, json.as_bytes())
                 .map_err(|e| format!("cannot write '{path}': {e}"))?;
@@ -492,22 +530,22 @@ fn main() -> ExitCode {
             match qutes::run_source(&source, &cfg) {
                 Ok(out) => {
                     for line in &out.output {
-                        println!("{line}");
+                        outln!("{line}");
                     }
                     if args.draw {
-                        print!("{}", qutes_qcirc::draw(&out.circuit));
+                        out!("{}", qutes_qcirc::draw(&out.circuit));
                     }
                     if let Some(counts) = &out.counts {
                         if out.degraded {
-                            println!(
+                            outln!(
                                 "-- histogram ({} of {} shots; degraded) --",
                                 counts.shots(),
                                 args.shots
                             );
                         } else {
-                            println!("-- histogram ({} shots) --", counts.shots());
+                            outln!("-- histogram ({} shots) --", counts.shots());
                         }
-                        print!("{counts}");
+                        out!("{counts}");
                     }
                     if out.degraded {
                         if let Some(reason) = &out.stop_reason {
@@ -647,7 +685,7 @@ fn main() -> ExitCode {
             };
             // Noise-free `auto` starts on the tableau, so ending on the
             // statevector means the run was promoted.
-            println!(
+            outln!(
                 "engine: {}{}",
                 out.backend,
                 if out.backend == qutes_qcirc::BackendKind::Statevector {
@@ -664,9 +702,9 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                     Ok(v) => {
-                        println!("opt-level {level}: {}", v.verdict.name());
+                        outln!("opt-level {level}: {}", v.verdict.name());
                         for b in &v.boundaries {
-                            println!(
+                            outln!(
                                 "  [{}] {:<12} {:<12} {}",
                                 b.index,
                                 b.pass,
@@ -707,9 +745,9 @@ fn main() -> ExitCode {
             }
             Ok(Ok(report)) => {
                 if args.lint_json {
-                    print!("{}", report.to_json(&source));
+                    out!("{}", report.to_json(&source));
                 } else {
-                    print!("{}", report.render(&source));
+                    out!("{}", report.render(&source));
                 }
                 if report.denied().is_empty() {
                     ExitCode::SUCCESS
@@ -728,7 +766,7 @@ fn main() -> ExitCode {
             Ok(program) => {
                 let diags = qutes_core::check_program(&program);
                 if diags.is_empty() {
-                    println!("ok");
+                    outln!("ok");
                     ExitCode::SUCCESS
                 } else {
                     for d in diags {
@@ -746,7 +784,7 @@ fn main() -> ExitCode {
         },
         "fmt" => match parse(&source) {
             Ok(program) => {
-                print!("{}", print_program(&program));
+                out!("{}", print_program(&program));
                 ExitCode::SUCCESS
             }
             Err(diags) => {
@@ -778,7 +816,7 @@ fn main() -> ExitCode {
                                     return ExitCode::FAILURE;
                                 }
                             } else {
-                                print!("{text}");
+                                out!("{text}");
                             }
                             ExitCode::SUCCESS
                         }

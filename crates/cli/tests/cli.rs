@@ -362,3 +362,24 @@ fn run_without_lint_flag_is_unchanged() {
     assert_eq!(stdout(&out).trim(), "2");
     assert!(!stderr(&out).contains("QL101"));
 }
+
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    // The reader is gone before the command writes anything, as with
+    // `qutes qasm prog.qut | head -0`: every write hits a broken pipe.
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs");
+    for args in [["qasm", "ghz_100.qut"], ["run", "fib.qut"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_qutes"))
+            .arg(args[0])
+            .arg(examples.join(args[1]))
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {:?}", out.status);
+    }
+}
