@@ -8,13 +8,14 @@
 //! Pipeline (mirroring the paper's §3 architecture):
 //!
 //! 1. `qutes-frontend` lexes/parses the source into an AST,
-//! 2. a declaration pass instantiates symbols ([`symbols`]),
-//! 3. the static type checker ([`types`]) enforces the §4 type system,
-//! 4. the operation pass ([`runtime`]) executes classical code natively
-//!    and lowers quantum operations through the
-//!    [`handler::QuantumCircuitHandler`] (accumulated circuit + live
-//!    statevector) with [`casting::TypeCastingHandler`] bridging the
-//!    classical/quantum boundary.
+//! 2. the static type checker ([`types`]) enforces the §4 type system
+//!    and, in the same walk, is the symbol pass: it binds every name to
+//!    a frame or global slot ([`resolution`]),
+//! 3. the operation pass ([`runtime`]) runs the resolved program: it
+//!    executes classical code natively and lowers quantum operations
+//!    through the [`handler::QuantumCircuitHandler`] (accumulated
+//!    circuit + live statevector) with [`casting::TypeCastingHandler`]
+//!    bridging the classical/quantum boundary.
 //!
 //! ```
 //! use qutes_core::{run_source, RunConfig};
@@ -32,8 +33,8 @@ pub mod casting;
 pub mod error;
 pub mod handler;
 pub mod lower;
+pub mod resolution;
 pub mod runtime;
-pub mod symbols;
 pub mod types;
 pub mod value;
 
@@ -42,6 +43,5 @@ pub use error::{QutesError, QutesResult};
 pub use handler::QuantumCircuitHandler;
 pub use qutes_supervisor::{Interrupt, StopReason};
 pub use runtime::{run_program, run_source, DegradePolicy, RunConfig, RunOutcome};
-pub use symbols::{FunctionTable, Symbol, SymbolTable};
-pub use types::{assignable, check_program, measured};
+pub use types::{assignable, check_program, measured, resolve};
 pub use value::{QKind, QuantumRef, Value};

@@ -9,14 +9,17 @@ use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
 use crate::lower::{self, Emit, Operand, SubstringSearch};
-use crate::symbols::{FunctionTable, SymbolTable};
+use crate::resolution::{
+    Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
+};
 use crate::types;
 use crate::value::{cell, Cell, QKind, QuantumRef, Value};
 use qutes_algos::substring_oracle;
-use qutes_frontend::ast::*;
-use qutes_frontend::{parse_with_interrupt, ParseFailure, Span};
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Program, Type, UnOp};
+use qutes_frontend::{parse_with_interrupt, Diagnostic, ParseFailure, Span};
 use qutes_qcirc::{Gate, QuantumCircuit};
 use qutes_supervisor::{failpoint, Interrupt, StopReason};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -184,20 +187,38 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
     };
-    if !config.skip_typecheck {
+    // The checker is also the resolver: one walk gives the diagnostics
+    // and the resolved program. Without the check, only the resolution
+    // is kept.
+    let resolution = if config.skip_typecheck {
+        resolve_unchecked(&program)
+    } else {
         let _span = qutes_obs::span("stage.typecheck");
         intr.check()?;
-        let diags = types::check_program(&program);
+        let (resolution, diags) = types::resolve(&program);
         if !diags.is_empty() {
             return Err(QutesError::Compile(diags));
         }
-    }
-    run_supervised(&program, config, &intr)
+        resolution
+    };
+    run_supervised(&resolution, config, &intr)
 }
 
-/// Runs an already-parsed program.
+/// Runs an already-parsed program. It is resolved but not type-checked
+/// (as under [`RunConfig::skip_typecheck`]).
 pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
-    run_supervised(program, config, &config.effective_interrupt())
+    run_supervised(
+        &resolve_unchecked(program),
+        config,
+        &config.effective_interrupt(),
+    )
+}
+
+/// The declaration pass of a run that skips the type check: the
+/// checker's resolution, its diagnostics dropped.
+fn resolve_unchecked(program: &Program) -> Resolution<'_> {
+    let _span = qutes_obs::span("stage.decl_pass");
+    types::resolve(program).0
 }
 
 /// One run with retry-once degradation: a transient failure (resource
@@ -205,7 +226,7 @@ pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutc
 /// [`DegradePolicy::auto_retry`] is set and the interrupt has not
 /// tripped.
 fn run_supervised(
-    program: &Program,
+    program: &Resolution<'_>,
     config: &RunConfig,
     intr: &Interrupt,
 ) -> QutesResult<RunOutcome> {
@@ -229,25 +250,19 @@ fn run_supervised(
     }
 }
 
-fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> QutesResult<RunOutcome> {
+fn run_attempt(
+    program: &Resolution<'_>,
+    config: &RunConfig,
+    intr: &Interrupt,
+) -> QutesResult<RunOutcome> {
     if config.observe {
         qutes_obs::set_enabled(true);
     }
     failpoint("core.run")
         .map_err(|_| QutesError::Sim(qutes_sim::SimError::AllocationFailed { bytes: 0 }))?;
-    // Pass 1 (declaration pass): collect functions.
-    let functions = {
-        let _span = qutes_obs::span("stage.decl_pass");
-        let decls: Vec<&FunctionDecl> = program
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        FunctionTable::build(&decls).map_err(QutesError::Compile)?
-    };
+    if !program.duplicate_functions.is_empty() {
+        return Err(QutesError::Compile(program.duplicate_functions.clone()));
+    }
 
     // Reject malformed noise probabilities before anything executes.
     if let Some(nm) = &config.noise {
@@ -256,10 +271,17 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
         })?;
     }
 
-    // Pass 2 (operation pass): execute.
+    // The operation pass: execute.
     let mut interp = Interp {
-        symbols: SymbolTable::new(),
-        functions,
+        functions: &program.functions,
+        globals: std::iter::repeat_with(Binding::default)
+            .take(program.globals)
+            .collect(),
+        locals: std::iter::repeat_with(Slot::default)
+            .take(program.main_slots)
+            .collect(),
+        base: 0,
+        returned: Value::Void,
         handler: QuantumCircuitHandler::with_backend(
             config.seed,
             config.noise.clone(),
@@ -277,7 +299,7 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     interp.handler.set_interrupt(intr.clone());
     let op_pass = {
         let _span = qutes_obs::span("stage.op_pass");
-        interp.exec_items(&program.items)
+        interp.exec_main(&program.main)
     };
     // Counted once per run, for the engine the live run ended on (an
     // `Auto` run may have been promoted from the tableau).
@@ -339,14 +361,57 @@ fn run_attempt(program: &Program, config: &RunConfig, intr: &Interrupt) -> Qutes
     })
 }
 
+/// Statements between two interrupt checkpoints.
+const CHECKPOINT_STRIDE: u64 = 16;
+
+/// How a statement finished. A `return` leaves its value in
+/// [`Interp::returned`].
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Flow {
     Normal,
-    Return(Value),
+    Return,
 }
 
-struct Interp {
-    symbols: SymbolTable,
-    functions: FunctionTable,
+/// A variable's value. It stays in its slot until something needs to
+/// share it (a by-reference argument), and then moves to a shared cell
+/// that both sides hold; a `foreach` variable is bound to the element's
+/// cell from the start.
+#[derive(Default)]
+enum Binding {
+    /// The declaration has not run.
+    #[default]
+    Empty,
+    /// Held by this slot alone.
+    Owned(Value),
+    /// Shared with other variables or array elements.
+    Shared(Cell),
+}
+
+/// One variable's storage in a frame.
+#[derive(Default)]
+struct Slot {
+    value: Binding,
+    /// For a `foreach` variable, the runtime type of the element it is
+    /// bound to on this iteration.
+    loop_ty: Option<Type>,
+}
+
+/// An assignment target: a variable, or an array element's cell.
+enum Lhs {
+    Var(Loc),
+    Elem(Cell),
+}
+
+struct Interp<'p, 'a> {
+    functions: &'p [Function<'a>],
+    /// Global slots.
+    globals: Vec<Binding>,
+    /// The frames of the running calls, end to end; the running frame
+    /// starts at `base`.
+    locals: Vec<Slot>,
+    base: usize,
+    /// The value of the `return` being executed.
+    returned: Value,
     handler: QuantumCircuitHandler,
     output: Vec<String>,
     steps: u64,
@@ -357,7 +422,8 @@ struct Interp {
     interrupt_ck: u64,
 }
 
-impl Interp {
+impl<'p, 'a> Interp<'p, 'a> {
+    #[inline]
     fn step(&mut self, span: Span) -> QutesResult<()> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -372,48 +438,161 @@ impl Interp {
         // Cooperative checkpoint: amortised over 16 statements so tight
         // classical loops stay cheap, but an expired deadline or a
         // cancellation from another thread stops interpretation promptly.
-        self.interrupt
-            .checkpoint_named(&mut self.interrupt_ck, 16, "stage.interp.checkpoints")?;
+        // The call is made only on the statements where it can act.
+        if (self.interrupt_ck + 1).is_multiple_of(CHECKPOINT_STRIDE) {
+            self.interrupt.checkpoint_named(
+                &mut self.interrupt_ck,
+                CHECKPOINT_STRIDE,
+                "stage.interp.checkpoints",
+            )?;
+        } else {
+            self.interrupt_ck += 1;
+        }
         Ok(())
+    }
+
+    // ---- variables ---------------------------------------------------------
+
+    fn binding(&self, at: Loc) -> Option<&Binding> {
+        match at {
+            Loc::Local(slot) => self.locals.get(self.base + slot as usize).map(|s| &s.value),
+            Loc::Global(slot) => self.globals.get(slot as usize),
+            Loc::Unresolved => None,
+        }
+    }
+
+    fn binding_mut(&mut self, at: Loc) -> Option<&mut Binding> {
+        match at {
+            Loc::Local(slot) => self
+                .locals
+                .get_mut(self.base + slot as usize)
+                .map(|s| &mut s.value),
+            Loc::Global(slot) => self.globals.get_mut(slot as usize),
+            Loc::Unresolved => None,
+        }
+    }
+
+    /// Applies `f` to a variable's value; `None` if the variable is not
+    /// declared (yet).
+    #[inline]
+    fn with_value<R>(&self, at: Loc, f: impl FnOnce(&Value) -> R) -> Option<R> {
+        match self.binding(at)? {
+            Binding::Empty => None,
+            Binding::Owned(v) => Some(f(v)),
+            Binding::Shared(c) => Some(f(&c.borrow())),
+        }
+    }
+
+    /// The value of a variable that holds an int.
+    #[inline]
+    fn int_at(&self, at: Loc) -> Option<i64> {
+        match self.binding(at)? {
+            Binding::Owned(Value::Int(v)) => Some(*v),
+            Binding::Shared(c) => match *c.borrow() {
+                Value::Int(v) => Some(v),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The value of an int literal, or of a variable that holds an int;
+    /// `None` for anything else (including an undeclared variable).
+    #[inline]
+    fn int_leaf(&self, e: &Expr<'_>) -> Option<i64> {
+        match &e.kind {
+            ExprKind::Int(v) => Some(*v),
+            ExprKind::Var(var) => self.int_at(var.at),
+            _ => None,
+        }
+    }
+
+    fn declared(&self, at: Loc) -> bool {
+        !matches!(self.binding(at), None | Some(Binding::Empty))
+    }
+
+    /// Reads a variable; an undeclared one is an error at `span`.
+    fn read(&self, var: &Var<'_>, span: Span) -> QutesResult<Value> {
+        self.with_value(var.at, Value::clone)
+            .ok_or_else(|| undeclared(var, span))
+    }
+
+    /// A declared variable's static type (a `foreach` variable's is the
+    /// runtime type of its element when the iteration bound it); `None`
+    /// if it is not declared (yet).
+    fn var_type(&self, var: &Var<'a>) -> Option<Cow<'a, Type>> {
+        if !self.declared(var.at) {
+            return None;
+        }
+        match (var.ty, var.at) {
+            (VarType::Declared(t), _) => Some(Cow::Borrowed(t)),
+            (VarType::Loop, Loc::Local(slot)) => self
+                .locals
+                .get(self.base + slot as usize)
+                .and_then(|s| s.loop_ty.clone())
+                .map(Cow::Owned),
+            (VarType::Loop, _) => None,
+        }
+    }
+
+    /// The variable's cell, moving its value into one first if it was
+    /// held in place: for passing it by reference.
+    fn share(&mut self, at: Loc) -> Option<Cell> {
+        let b = self.binding_mut(at)?;
+        if let Binding::Owned(v) = b {
+            let c = cell(std::mem::replace(v, Value::Void));
+            *b = Binding::Shared(c);
+        }
+        match b {
+            Binding::Shared(c) => Some(Rc::clone(c)),
+            _ => None,
+        }
+    }
+
+    fn lhs_read(&self, lhs: &Lhs) -> Value {
+        match lhs {
+            Lhs::Var(at) => self.with_value(*at, Value::clone).unwrap_or(Value::Void),
+            Lhs::Elem(c) => c.borrow().clone(),
+        }
+    }
+
+    #[inline]
+    fn lhs_write(&mut self, lhs: &Lhs, v: Value) {
+        match lhs {
+            Lhs::Var(at) => match self.binding_mut(*at) {
+                Some(Binding::Owned(x)) => *x = v,
+                Some(Binding::Shared(c)) => *c.borrow_mut() = v,
+                Some(Binding::Empty) | None => {}
+            },
+            Lhs::Elem(c) => *c.borrow_mut() = v,
+        }
     }
 
     // ---- statements ------------------------------------------------------
 
     /// Runs the program's top-level statements until the end or a
     /// top-level `return`.
-    fn exec_items(&mut self, items: &[Item]) -> QutesResult<()> {
-        for item in items {
-            if let Item::Statement(s) = item {
-                if let Flow::Return(_) = self.exec_stmt(s)? {
-                    break;
-                }
-            }
-        }
+    fn exec_main(&mut self, stmts: &[Stmt<'a>]) -> QutesResult<()> {
+        self.exec_stmts(stmts)?;
         Ok(())
     }
 
-    fn exec_block(&mut self, b: &Block) -> QutesResult<Flow> {
-        self.symbols.push_scope();
-        let r = self.exec_stmts(&b.stmts);
-        self.symbols.pop_scope();
-        r
-    }
-
-    fn exec_stmts(&mut self, stmts: &[Stmt]) -> QutesResult<Flow> {
+    fn exec_stmts(&mut self, stmts: &[Stmt<'a>]) -> QutesResult<Flow> {
         for s in stmts {
-            if let Flow::Return(v) = self.exec_stmt(s)? {
-                return Ok(Flow::Return(v));
+            if self.exec_stmt(s)? == Flow::Return {
+                return Ok(Flow::Return);
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> QutesResult<Flow> {
+    fn exec_stmt(&mut self, s: &Stmt<'a>) -> QutesResult<Flow> {
         self.step(s.span())?;
         match s {
-            Stmt::VarDecl {
+            Stmt::Decl {
                 ty,
                 name,
+                slot,
                 init,
                 span,
             } => {
@@ -424,9 +603,31 @@ impl Interp {
                     }
                     None => self.default_value(ty, name, *span)?,
                 };
-                self.symbols
-                    .declare(name, ty.clone(), cell(value), *span)
-                    .map_err(|d| QutesError::Compile(vec![d]))?;
+                let redeclared = || {
+                    QutesError::Compile(vec![Diagnostic::error(
+                        format!("variable '{name}' is already declared in this scope"),
+                        *span,
+                    )])
+                };
+                let target = match *slot {
+                    DeclSlot::Local(i) => self
+                        .locals
+                        .get_mut(self.base + i as usize)
+                        .map(|s| &mut s.value),
+                    DeclSlot::Global(i) => self.globals.get_mut(i as usize),
+                    DeclSlot::Duplicate => None,
+                };
+                match target {
+                    // A global is declared once; a local slot is
+                    // rebound each time its block runs again.
+                    Some(Binding::Owned(_) | Binding::Shared(_))
+                        if matches!(slot, DeclSlot::Global(_)) =>
+                    {
+                        return Err(redeclared())
+                    }
+                    Some(b) => *b = Binding::Owned(value),
+                    None => return Err(redeclared()),
+                }
                 Ok(Flow::Normal)
             }
             Stmt::Assign {
@@ -445,9 +646,9 @@ impl Interp {
                 ..
             } => {
                 if self.eval_condition(cond)? {
-                    self.exec_block(then_block)
+                    self.exec_stmts(then_block)
                 } else if let Some(eb) = else_block {
-                    self.exec_block(eb)
+                    self.exec_stmts(eb)
                 } else {
                     Ok(Flow::Normal)
                 }
@@ -455,8 +656,8 @@ impl Interp {
             Stmt::While { cond, body, span } => {
                 while self.eval_condition(cond)? {
                     self.step(*span)?;
-                    if let Flow::Return(v) = self.exec_block(body)? {
-                        return Ok(Flow::Return(v));
+                    if self.exec_stmts(body)? == Flow::Return {
+                        return Ok(Flow::Return);
                     }
                 }
                 Ok(Flow::Normal)
@@ -487,17 +688,18 @@ impl Interp {
                         ))
                     }
                 };
+                let at = self.base + *var as usize;
                 for item in items {
                     self.step(*span)?;
-                    self.symbols.push_scope();
                     // Bind by reference: the loop variable aliases the
                     // element cell (mutations persist, paper §4).
                     let ty = runtime_type(&item.borrow());
-                    self.symbols.bind(var, ty, Rc::clone(&item), *span);
-                    let flow = self.exec_stmts(&body.stmts);
-                    self.symbols.pop_scope();
-                    if let Flow::Return(v) = flow? {
-                        return Ok(Flow::Return(v));
+                    if let Some(slot) = self.locals.get_mut(at) {
+                        slot.value = Binding::Shared(item);
+                        slot.loop_ty = Some(ty);
+                    }
+                    if self.exec_stmts(body)? == Flow::Return {
+                        return Ok(Flow::Return);
                     }
                 }
                 Ok(Flow::Normal)
@@ -507,9 +709,10 @@ impl Interp {
                     Some(e) => self.eval(e)?,
                     None => Value::Void,
                 };
-                Ok(Flow::Return(v))
+                self.returned = v;
+                Ok(Flow::Return)
             }
-            Stmt::Print { value, span } => {
+            Stmt::Print { value, .. } => {
                 let v = self.eval(value)?;
                 let line = match v {
                     Value::Quantum(q) => {
@@ -522,7 +725,6 @@ impl Interp {
                     }
                     other => other.to_string(),
                 };
-                let _ = span;
                 self.output.push(line);
                 Ok(Flow::Normal)
             }
@@ -554,7 +756,7 @@ impl Interp {
                 self.handler.barrier()?;
                 Ok(Flow::Normal)
             }
-            Stmt::Block(b) => self.exec_block(b),
+            Stmt::Block { stmts, .. } => self.exec_stmts(stmts),
         }
     }
 
@@ -580,21 +782,16 @@ impl Interp {
     /// Coerces a value into a declared type: identity, numeric widening,
     /// promotion (classical -> quantum, via the `TypeCastingHandler`), or
     /// auto-measurement (quantum -> classical).
+    #[inline]
     fn coerce(&mut self, v: Value, ty: &Type, name: &str, span: Span) -> QutesResult<Value> {
-        let ok = match (ty, &v) {
-            (Type::Bool, Value::Bool(_))
-            | (Type::Int, Value::Int(_))
-            | (Type::Float, Value::Float(_))
-            | (Type::String, Value::Str(_))
-            | (Type::Array(_), Value::Array(_)) => true,
-            (Type::Qubit, Value::Quantum(q)) => q.kind == QKind::Qubit,
-            (Type::Quint, Value::Quantum(q)) => q.kind == QKind::Quint,
-            (Type::Qustring, Value::Quantum(q)) => q.kind == QKind::Qustring,
-            _ => false,
-        };
-        if ok {
+        if conforms(&v, ty) {
             return Ok(v);
         }
+        self.convert(v, ty, name, span)
+    }
+
+    /// [`Self::coerce`] for a value not already of type `ty`.
+    fn convert(&mut self, v: Value, ty: &Type, name: &str, span: Span) -> QutesResult<Value> {
         match (ty, v) {
             (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
             (Type::Qubit, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
@@ -646,31 +843,31 @@ impl Interp {
 
     fn exec_assign(
         &mut self,
-        target: &LValue,
+        target: &Place<'a>,
         op: AssignOp,
-        value_expr: &Expr,
+        value_expr: &Expr<'a>,
         span: Span,
     ) -> QutesResult<()> {
-        let (target_cell, target_ty) = match target {
-            LValue::Name(name) => {
-                let Some(sym) = self.symbols.lookup(name) else {
-                    return Err(QutesError::runtime(
-                        format!("assignment to undeclared variable '{name}'"),
-                        span,
-                    ));
-                };
-                (Rc::clone(&sym.value), sym.ty.clone())
+        if self.assign_fast(target, op, value_expr) {
+            return Ok(());
+        }
+        let undeclared = |var: &Var<'_>| {
+            QutesError::runtime(
+                format!("assignment to undeclared variable '{}'", var.name),
+                span,
+            )
+        };
+        let (lhs, target_ty, name) = match target {
+            Place::Var(var) => {
+                let ty = self.var_type(var).ok_or_else(|| undeclared(var))?;
+                (Lhs::Var(var.at), ty, var.name)
             }
-            LValue::Index(name, idx_expr) => {
+            Place::Index(var, idx_expr) => {
                 let idx = self.eval_index(idx_expr)?;
-                let Some(sym) = self.symbols.lookup(name) else {
-                    return Err(QutesError::runtime(
-                        format!("assignment to undeclared variable '{name}'"),
-                        span,
-                    ));
-                };
-                let elem_ty = match &sym.ty {
-                    Type::Array(t) => (**t).clone(),
+                let ty = self.var_type(var).ok_or_else(|| undeclared(var))?;
+                let elem_ty = match ty {
+                    Cow::Borrowed(Type::Array(t)) => Cow::Borrowed(&**t),
+                    Cow::Owned(Type::Array(t)) => Cow::Owned(*t),
                     other => {
                         return Err(QutesError::runtime(
                             format!("cannot index-assign into {other}"),
@@ -678,42 +875,37 @@ impl Interp {
                         ))
                     }
                 };
-                let arr = sym.value.borrow().clone();
-                match arr {
+                let elem = self.with_value(var.at, |arr| match arr {
                     Value::Array(items) => {
-                        let items_ref = items.borrow();
-                        let Some(slot) = items_ref.get(idx) else {
-                            return Err(QutesError::runtime(
+                        let items = items.borrow();
+                        items.get(idx).cloned().ok_or_else(|| {
+                            QutesError::runtime(
                                 format!(
                                     "index {idx} out of bounds for array of length {}",
-                                    items_ref.len()
+                                    items.len()
                                 ),
                                 span,
-                            ));
-                        };
-                        (Rc::clone(slot), elem_ty)
+                            )
+                        })
                     }
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("cannot index into {}", other.type_name()),
-                            span,
-                        ))
-                    }
-                }
+                    other => Err(QutesError::runtime(
+                        format!("cannot index into {}", other.type_name()),
+                        span,
+                    )),
+                });
+                let elem = elem.ok_or_else(|| undeclared(var))??;
+                (Lhs::Elem(elem), elem_ty, var.name)
             }
         };
 
         match op {
             AssignOp::Set => {
-                let name = match target {
-                    LValue::Name(n) | LValue::Index(n, _) => n.clone(),
-                };
                 let v = self.eval_with_target(value_expr, Some(&target_ty))?;
-                let v = self.coerce(v, &target_ty, &name, value_expr.span)?;
-                *target_cell.borrow_mut() = v;
+                let v = self.coerce(v, &target_ty, name, value_expr.span)?;
+                self.lhs_write(&lhs, v);
             }
             AssignOp::Add | AssignOp::Sub => {
-                let current = target_cell.borrow().clone();
+                let current = self.lhs_read(&lhs);
                 match current {
                     Value::Quantum(q) if q.kind == QKind::Quint => {
                         let rhs = self.eval(value_expr)?;
@@ -727,7 +919,7 @@ impl Interp {
                             BinOp::Sub
                         };
                         let result = self.classical_binary(bin, classical, rhs, span)?;
-                        *target_cell.borrow_mut() = result;
+                        self.lhs_write(&lhs, result);
                     }
                 }
             }
@@ -742,7 +934,7 @@ impl Interp {
                         value_expr.span,
                     ));
                 }
-                let current = target_cell.borrow().clone();
+                let current = self.lhs_read(&lhs);
                 match current {
                     Value::Quantum(q) => {
                         // Cyclic shift in constant depth (paper §5).
@@ -759,7 +951,7 @@ impl Interp {
                         } else {
                             i.wrapping_shr(k as u32)
                         };
-                        *target_cell.borrow_mut() = Value::Int(v);
+                        self.lhs_write(&lhs, Value::Int(v));
                     }
                     other => {
                         return Err(QutesError::runtime(
@@ -773,7 +965,47 @@ impl Interp {
         Ok(())
     }
 
-    fn eval_index(&mut self, e: &Expr) -> QutesResult<usize> {
+    /// The assignments that need none of [`Self::exec_assign`]'s general
+    /// machinery, done in place: `int ±= int`, and storing a scalar into
+    /// a variable declared with exactly its type. Returns `false`, having
+    /// done nothing, for every other assignment.
+    #[inline]
+    fn assign_fast(&mut self, target: &Place<'a>, op: AssignOp, value: &Expr<'a>) -> bool {
+        let Place::Var(var) = target else {
+            return false;
+        };
+        let v = match op {
+            AssignOp::Add | AssignOp::Sub => {
+                let (Some(a), Some(b)) = (self.int_at(var.at), self.int_leaf(value)) else {
+                    return false;
+                };
+                Value::Int(if op == AssignOp::Add {
+                    a.wrapping_add(b)
+                } else {
+                    a.wrapping_sub(b)
+                })
+            }
+            AssignOp::Set => {
+                let VarType::Declared(ty) = var.ty else {
+                    return false;
+                };
+                if !self.declared(var.at) {
+                    return false;
+                }
+                match (ty, self.eval_fast(value)) {
+                    (Type::Int, Some(v @ Value::Int(_)))
+                    | (Type::Bool, Some(v @ Value::Bool(_)))
+                    | (Type::Float, Some(v @ Value::Float(_))) => v,
+                    _ => return false,
+                }
+            }
+            AssignOp::Shl | AssignOp::Shr => return false,
+        };
+        self.lhs_write(&Lhs::Var(var.at), v);
+        true
+    }
+
+    fn eval_index(&mut self, e: &Expr<'a>) -> QutesResult<usize> {
         let v = self.eval(e)?;
         let v = match v {
             Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
@@ -787,7 +1019,7 @@ impl Interp {
 
     // ---- gates -----------------------------------------------------------
 
-    fn eval_quantum_operand(&mut self, e: &Expr, what: &str) -> QutesResult<QuantumRef> {
+    fn eval_quantum_operand(&mut self, e: &Expr<'a>, what: &str) -> QutesResult<QuantumRef> {
         match self.eval(e)? {
             Value::Quantum(q) => Ok(q),
             other => Err(QutesError::runtime(
@@ -800,7 +1032,7 @@ impl Interp {
         }
     }
 
-    fn exec_gate(&mut self, gate: GateKind, args: &[Expr], span: Span) -> QutesResult<()> {
+    fn exec_gate(&mut self, gate: GateKind, args: &[Expr<'a>], span: Span) -> QutesResult<()> {
         let q = self.eval_quantum_operand(&args[0], gate.name())?;
         match gate {
             GateKind::CNot => {
@@ -925,13 +1157,47 @@ impl Interp {
 
     // ---- expressions -------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr) -> QutesResult<Value> {
+    #[inline(always)]
+    fn eval(&mut self, e: &Expr<'a>) -> QutesResult<Value> {
         self.eval_with_target(e, None)
     }
 
-    fn eval_condition(&mut self, e: &Expr) -> QutesResult<bool> {
-        let v = self.eval(e)?;
-        let v = match v {
+    /// Evaluates the cheapest expressions (a scalar literal, a variable
+    /// holding a scalar, an int operator over two such ints) without the
+    /// general dispatch; `None` sends the caller to it. None of these has
+    /// a side effect, so falling back after a look is harmless.
+    #[inline(always)]
+    fn eval_fast(&self, e: &Expr<'_>) -> Option<Value> {
+        let scalar = |v: &Value| match *v {
+            Value::Int(i) => Some(Value::Int(i)),
+            Value::Bool(b) => Some(Value::Bool(b)),
+            Value::Float(f) => Some(Value::Float(f)),
+            _ => None,
+        };
+        match &e.kind {
+            ExprKind::Int(v) => Some(Value::Int(*v)),
+            ExprKind::Bool(b) => Some(Value::Bool(*b)),
+            ExprKind::Var(var) => match self.binding(var.at)? {
+                Binding::Owned(v) => scalar(v),
+                Binding::Shared(c) => scalar(&c.borrow()),
+                Binding::Empty => None,
+            },
+            ExprKind::Binary(op, l, r) => int_binary(*op, self.int_leaf(l)?, self.int_leaf(r)?),
+            _ => None,
+        }
+    }
+
+    fn eval_condition(&mut self, e: &Expr<'a>) -> QutesResult<bool> {
+        // An int comparison, the usual branch or loop test.
+        if let ExprKind::Binary(op, l, r) = &e.kind {
+            if let (Some(a), Some(b)) = (self.int_leaf(l), self.int_leaf(r)) {
+                if let Some(c) = int_compare(*op, a, b) {
+                    return Ok(c);
+                }
+            }
+        }
+        let v = match self.eval(e)? {
+            Value::Bool(b) => return Ok(b),
             Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
             other => other,
         };
@@ -939,12 +1205,37 @@ impl Interp {
             .ok_or_else(|| QutesError::runtime("condition is not boolean", e.span))
     }
 
-    fn eval_with_target(&mut self, e: &Expr, target: Option<&Type>) -> QutesResult<Value> {
+    #[inline(always)]
+    fn eval_with_target(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<Value> {
+        if let Some(v) = self.eval_fast(e) {
+            return Ok(v);
+        }
+        self.eval_slow(e, target)
+    }
+
+    fn eval_slow(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<Value> {
+        // The common kinds first; the rest (literals that allocate
+        // qubits, arrays, indexing, ...) in a function of their own.
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
-            ExprKind::Float(v) => Ok(Value::Float(*v)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Str(s) => Ok(Value::Str(s.clone())),
+            ExprKind::Var(var) => self.read(var, e.span),
+            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
+            ExprKind::Call { name, callee, args } => self.eval_call(name, *callee, args, e.span),
+            _ => self.eval_other(e, target),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_other(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<Value> {
+        match &e.kind {
+            ExprKind::Int(_)
+            | ExprKind::Bool(_)
+            | ExprKind::Var(_)
+            | ExprKind::Binary(..)
+            | ExprKind::Call { .. } => self.eval_slow(e, target),
+            ExprKind::Float(v) => Ok(Value::Float(*v)),
+            ExprKind::Str(s) => Ok(Value::Str((*s).to_string())),
             ExprKind::Pi => Ok(Value::Float(std::f64::consts::PI)),
             ExprKind::Quint(v) => {
                 let name = self.handler.fresh_name("quint_lit");
@@ -1050,56 +1341,25 @@ impl Interp {
                     )?))
                 }
             }
-            ExprKind::Var(name) => match self.symbols.lookup(name) {
-                Some(sym) => Ok(sym.value.borrow().clone()),
-                None => Err(QutesError::runtime(
-                    format!("use of undeclared variable '{name}'"),
-                    e.span,
-                )),
-            },
+            ExprKind::IndexVar {
+                var,
+                var_span,
+                index,
+            } => {
+                // `index` calls no function, so it cannot rebind `var`:
+                // check the variable, evaluate the index, then read the
+                // element through a borrow of the variable's value.
+                if !self.declared(var.at) {
+                    return Err(undeclared(var, *var_span));
+                }
+                let i = self.eval_index(index)?;
+                self.with_value(var.at, |base| index_value(base, i, e.span))
+                    .unwrap_or_else(|| Err(undeclared(var, *var_span)))
+            }
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base)?;
                 let i = self.eval_index(idx)?;
-                match b {
-                    Value::Array(items) => {
-                        let items = items.borrow();
-                        items.get(i).map(|c| c.borrow().clone()).ok_or_else(|| {
-                            QutesError::runtime(
-                                format!(
-                                    "index {i} out of bounds for array of length {}",
-                                    items.len()
-                                ),
-                                e.span,
-                            )
-                        })
-                    }
-                    Value::Quantum(q) => {
-                        if i >= q.width() {
-                            return Err(QutesError::runtime(
-                                format!("index {i} out of bounds for {}-qubit register", q.width()),
-                                e.span,
-                            ));
-                        }
-                        Ok(Value::Quantum(QuantumRef {
-                            qubits: vec![q.qubits[i]],
-                            kind: QKind::Qubit,
-                        }))
-                    }
-                    Value::Str(s) => s
-                        .chars()
-                        .nth(i)
-                        .map(|c| Value::Str(c.to_string()))
-                        .ok_or_else(|| {
-                            QutesError::runtime(
-                                format!("index {i} out of bounds for string of length {}", s.len()),
-                                e.span,
-                            )
-                        }),
-                    other => Err(QutesError::runtime(
-                        format!("cannot index into {}", other.type_name()),
-                        e.span,
-                    )),
-                }
+                index_value(&b, i, e.span)
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
@@ -1122,9 +1382,7 @@ impl Interp {
                         .ok_or_else(|| QutesError::runtime("'!' needs a boolean", inner.span)),
                 }
             }
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
-            ExprKind::Call(name, args) => self.eval_call(name, args, e.span),
-            ExprKind::MeasureExpr(inner) => {
+            ExprKind::Measure(inner) => {
                 let v = self.eval(inner)?;
                 match v {
                     Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q),
@@ -1140,7 +1398,13 @@ impl Interp {
         }
     }
 
-    fn eval_binary(&mut self, op: BinOp, l: &Expr, r: &Expr, span: Span) -> QutesResult<Value> {
+    fn eval_binary(
+        &mut self,
+        op: BinOp,
+        l: &Expr<'a>,
+        r: &Expr<'a>,
+        span: Span,
+    ) -> QutesResult<Value> {
         use BinOp::*;
         // Short-circuit logicals first.
         if matches!(op, And | Or) {
@@ -1159,7 +1423,51 @@ impl Interp {
             let rv = self.eval(r)?;
             return self.eval_in(lv, rv, span);
         }
+        // Integer arithmetic and comparison, the common case, without
+        // the general dispatch below (which it agrees with).
+        if let Value::Int(a) = lv {
+            let rv = self.eval(r)?;
+            if let Value::Int(b) = rv {
+                if let Some(v) = int_binary(op, a, b) {
+                    return Ok(v);
+                }
+            }
+            return self.binary_int_left(op, lv, rv, span);
+        }
+        self.binary_general(op, lv, r, span)
+    }
 
+    /// `int op rhs` outside [`int_binary`]'s cases.
+    fn binary_int_left(
+        &mut self,
+        op: BinOp,
+        lv: Value,
+        rv: Value,
+        span: Span,
+    ) -> QutesResult<Value> {
+        // int + quint / int * quint (commute to the quint-first forms).
+        if let (BinOp::Add | BinOp::Mul, Value::Quantum(q)) = (op, &rv) {
+            if q.kind == QKind::Quint {
+                return if op == BinOp::Add {
+                    self.quint_add_sub_expr(q, lv, false, span)
+                } else {
+                    let q = q.clone();
+                    self.quint_mul_expr(&q, lv, span)
+                };
+            }
+        }
+        self.classical_binary(op, lv, rv, span)
+    }
+
+    /// A binary operator whose left operand `lv` is not an int.
+    fn binary_general(
+        &mut self,
+        op: BinOp,
+        lv: Value,
+        r: &Expr<'a>,
+        span: Span,
+    ) -> QutesResult<Value> {
+        use BinOp::*;
         // Quantum arithmetic producing fresh registers.
         if let Value::Quantum(q) = &lv {
             if q.kind == QKind::Quint && matches!(op, Add | Sub) {
@@ -1183,8 +1491,8 @@ impl Interp {
                 }));
             }
         }
-        // int + quint / int * quint (commute to the quint-first forms).
-        if let (Add | Mul, Value::Int(_) | Value::Bool(_)) = (op, &lv) {
+        // bool + quint / bool * quint (commute to the quint-first forms).
+        if let (Add | Mul, Value::Bool(_)) = (op, &lv) {
             let rv = self.eval(r)?;
             if let Value::Quantum(q) = &rv {
                 if q.kind == QKind::Quint {
@@ -1356,16 +1664,31 @@ impl Interp {
 
     // ---- calls -------------------------------------------------------------
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], span: Span) -> QutesResult<Value> {
-        if let Some(v) = self.eval_builtin(name, args, span)? {
-            return Ok(v);
-        }
-        let Some(decl) = self.functions.get(name).cloned() else {
+    fn eval_call(
+        &mut self,
+        name: &str,
+        callee: Callee,
+        args: &[Expr<'a>],
+        span: Span,
+    ) -> QutesResult<Value> {
+        let index = match callee {
+            Callee::Builtin(b) => return self.eval_builtin(b, name, args, span),
+            Callee::Function(i) => i as usize,
+            Callee::Unknown => {
+                return Err(QutesError::runtime(
+                    format!("call to unknown function '{name}'"),
+                    span,
+                ))
+            }
+        };
+        let functions = self.functions;
+        let Some(f) = functions.get(index) else {
             return Err(QutesError::runtime(
                 format!("call to unknown function '{name}'"),
                 span,
             ));
         };
+        let decl = f.decl;
         if args.len() != decl.params.len() {
             return Err(QutesError::runtime(
                 format!(
@@ -1376,53 +1699,38 @@ impl Interp {
                 span,
             ));
         }
-        // Bind arguments. Plain-variable arguments of matching type are
-        // passed **by reference** (shared cell, paper §4); everything else
-        // is evaluated and coerced into a fresh cell.
-        let mut bindings: Vec<(String, Type, Cell)> = Vec::with_capacity(args.len());
-        for (a, p) in args.iter().zip(&decl.params) {
-            let bound = if let ExprKind::Var(var_name) = &a.kind {
-                match self.symbols.lookup(var_name) {
-                    Some(sym) if sym.ty == p.ty => Some(Rc::clone(&sym.value)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let c = match bound {
-                Some(c) => c,
-                None => {
-                    let v = self.eval_with_target(a, Some(&p.ty))?;
-                    let v = self.coerce(v, &p.ty, &p.name, a.span)?;
-                    cell(v)
-                }
-            };
-            bindings.push((p.name.clone(), p.ty.clone(), c));
+        // The callee's frame goes on top of the caller's. Arguments are
+        // evaluated in the caller's frame (calls inside them stack their
+        // frames above this one) and bound straight into their slots.
+        let frame = self.locals.len();
+        self.locals.resize_with(frame + f.slots, Slot::default);
+        let bound = self.bind_args(f, args, frame).and_then(|()| {
+            self.call_depth += 1;
+            if self.call_depth > self.max_call_depth {
+                self.call_depth -= 1;
+                return Err(QutesError::runtime(
+                    format!(
+                        "recursion exceeded {} nested calls (raise max_call_depth to allow more)",
+                        self.max_call_depth
+                    ),
+                    span,
+                ));
+            }
+            Ok(())
+        });
+        if let Err(e) = bound {
+            self.locals.truncate(frame);
+            return Err(e);
         }
-        // Execute the body with caller locals hidden: only globals and the
-        // parameters are visible inside a function.
-        self.call_depth += 1;
-        if self.call_depth > self.max_call_depth {
-            self.call_depth -= 1;
-            return Err(QutesError::runtime(
-                format!(
-                    "recursion exceeded {} nested calls (raise max_call_depth to allow more)",
-                    self.max_call_depth
-                ),
-                span,
-            ));
-        }
-        let saved = self.symbols.enter_function();
-        self.symbols.push_scope();
-        for (pname, pty, c) in bindings {
-            self.symbols.bind(&pname, pty, c, decl.span);
-        }
-        let flow = self.exec_stmts(&decl.body.stmts);
-        self.symbols.pop_scope();
-        self.symbols.exit_function(saved);
+        // Only globals and the parameters are visible inside a function:
+        // the body's variables all resolve to this frame or a global.
+        let caller = std::mem::replace(&mut self.base, frame);
+        let flow = self.exec_stmts(&f.body);
+        self.base = caller;
+        self.locals.truncate(frame);
         self.call_depth -= 1;
         match flow? {
-            Flow::Return(v) => Ok(v),
+            Flow::Return => Ok(std::mem::replace(&mut self.returned, Value::Void)),
             Flow::Normal => {
                 if decl.ret_type == Type::Void {
                     Ok(Value::Void)
@@ -1439,29 +1747,60 @@ impl Interp {
         }
     }
 
-    /// Built-in functions. Returns `Ok(None)` when `name` is not builtin.
+    /// Binds a call's arguments into the parameter slots of the frame
+    /// at `frame`. Plain-variable arguments of matching type are passed
+    /// **by reference** (shared cell, paper §4); everything else is
+    /// evaluated and coerced into a fresh cell.
+    fn bind_args(&mut self, f: &Function<'a>, args: &[Expr<'a>], frame: usize) -> QutesResult<()> {
+        for ((a, p), &slot) in args.iter().zip(&f.decl.params).zip(&f.params) {
+            let by_ref = match &a.kind {
+                ExprKind::Var(var) => self.var_type(var).is_some_and(|ty| *ty == p.ty),
+                _ => false,
+            };
+            let value = match &a.kind {
+                ExprKind::Var(var) if by_ref => self.share(var.at).map(Binding::Shared),
+                _ => None,
+            };
+            let value = match value {
+                Some(shared) => shared,
+                None => match self.eval_fast(a) {
+                    Some(v) if conforms(&v, &p.ty) => Binding::Owned(v),
+                    fast => {
+                        let v = match fast {
+                            Some(v) => v,
+                            None => self.eval_slow(a, Some(&p.ty))?,
+                        };
+                        Binding::Owned(self.coerce(v, &p.ty, &p.name, a.span)?)
+                    }
+                },
+            };
+            if let Some(s) = self.locals.get_mut(frame + slot as usize) {
+                s.value = value;
+            }
+        }
+        Ok(())
+    }
+
+    /// Calls a built-in function.
     fn eval_builtin(
         &mut self,
+        builtin: Builtin,
         name: &str,
-        args: &[Expr],
+        args: &[Expr<'a>],
         span: Span,
-    ) -> QutesResult<Option<Value>> {
-        let arity = |n: usize| -> QutesResult<()> {
-            if args.len() != n {
-                Err(QutesError::runtime(
-                    format!(
-                        "builtin '{name}' expects {n} argument(s), found {}",
-                        args.len()
-                    ),
-                    span,
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        let v = match name {
-            "len" => {
-                arity(1)?;
+    ) -> QutesResult<Value> {
+        let n = builtin.arity();
+        if args.len() != n {
+            return Err(QutesError::runtime(
+                format!(
+                    "builtin '{name}' expects {n} argument(s), found {}",
+                    args.len()
+                ),
+                span,
+            ));
+        }
+        let v = match builtin {
+            Builtin::Len => {
                 let v = self.eval(&args[0])?;
                 match v {
                     Value::Array(items) => Value::Int(items.borrow().len() as i64),
@@ -1475,20 +1814,16 @@ impl Interp {
                     }
                 }
             }
-            "width" => {
-                arity(1)?;
-                match self.eval(&args[0])? {
-                    Value::Quantum(q) => Value::Int(q.width() as i64),
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("width() needs a quantum value, found {}", other.type_name()),
-                            span,
-                        ))
-                    }
+            Builtin::Width => match self.eval(&args[0])? {
+                Value::Quantum(q) => Value::Int(q.width() as i64),
+                other => {
+                    return Err(QutesError::runtime(
+                        format!("width() needs a quantum value, found {}", other.type_name()),
+                        span,
+                    ))
                 }
-            }
-            "range" => {
-                arity(1)?;
+            },
+            Builtin::Range => {
                 let n = self
                     .eval(&args[0])?
                     .as_i64()
@@ -1500,8 +1835,7 @@ impl Interp {
                     (0..n).map(|i| cell(Value::Int(i))).collect(),
                 )))
             }
-            "int" => {
-                arity(1)?;
+            Builtin::Int => {
                 let v = self.eval(&args[0])?;
                 let v = match v {
                     Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
@@ -1522,8 +1856,7 @@ impl Interp {
                     }
                 }
             }
-            "float" => {
-                arity(1)?;
+            Builtin::Float => {
                 let v = self.eval(&args[0])?;
                 let v = match v {
                     Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
@@ -1545,8 +1878,7 @@ impl Interp {
                     }
                 }
             }
-            "bool" => {
-                arity(1)?;
+            Builtin::Bool => {
                 let v = self.eval(&args[0])?;
                 let v = match v {
                     Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
@@ -1559,8 +1891,7 @@ impl Interp {
                     )
                 })?)
             }
-            "str" => {
-                arity(1)?;
+            Builtin::Str => {
                 let v = self.eval(&args[0])?;
                 let v = match v {
                     Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
@@ -1568,11 +1899,10 @@ impl Interp {
                 };
                 Value::Str(v.to_string())
             }
-            "qmin" | "qmax" => {
+            Builtin::Qmin | Builtin::Qmax => {
                 // Dürr–Høyer quantum extremum over a classical database
                 // (paper §6). Runs Grover rounds on an auxiliary index
                 // register; inputs and output are classical.
-                arity(1)?;
                 let v = self.eval(&args[0])?;
                 let Value::Array(items) = v else {
                     return Err(QutesError::runtime(
@@ -1601,7 +1931,7 @@ impl Interp {
                         span,
                     ));
                 }
-                let res = if name == "qmin" {
+                let res = if builtin == Builtin::Qmin {
                     qutes_algos::minmax::quantum_minimum(&values, self.handler.rng())
                 } else {
                     qutes_algos::minmax::quantum_maximum(&values, self.handler.rng())
@@ -1609,8 +1939,7 @@ impl Interp {
                 .map_err(QutesError::Circuit)?;
                 Value::Int(res.value as i64)
             }
-            "rotl" | "rotr" => {
-                arity(2)?;
+            Builtin::Rotl | Builtin::Rotr => {
                 let q = self.eval_quantum_operand(&args[0], name)?;
                 let k = self
                     .eval(&args[1])?
@@ -1619,12 +1948,16 @@ impl Interp {
                     .ok_or_else(|| {
                         QutesError::runtime("rotation amount must be a non-negative integer", span)
                     })?;
-                lower::rotate(&mut self.handler, &q.qubits, k as usize, name == "rotl")?;
+                lower::rotate(
+                    &mut self.handler,
+                    &q.qubits,
+                    k as usize,
+                    builtin == Builtin::Rotl,
+                )?;
                 Value::Void
             }
-            _ => return Ok(None),
         };
-        Ok(Some(v))
+        Ok(v)
     }
 }
 
@@ -1636,6 +1969,100 @@ fn quint_operand(rhs: &Value) -> Option<Operand<'_>> {
         Value::Bool(b) => Some(Operand::Const(u64::from(*b))),
         Value::Quantum(q) if q.kind == QKind::Quint => Some(Operand::Quint(&q.qubits)),
         _ => None,
+    }
+}
+
+/// True when `v` already has type `ty`, so coercing it is the identity.
+#[inline]
+fn conforms(v: &Value, ty: &Type) -> bool {
+    match (ty, v) {
+        (Type::Bool, Value::Bool(_))
+        | (Type::Int, Value::Int(_))
+        | (Type::Float, Value::Float(_))
+        | (Type::String, Value::Str(_))
+        | (Type::Array(_), Value::Array(_)) => true,
+        (Type::Qubit, Value::Quantum(q)) => q.kind == QKind::Qubit,
+        (Type::Quint, Value::Quantum(q)) => q.kind == QKind::Quint,
+        (Type::Qustring, Value::Quantum(q)) => q.kind == QKind::Qustring,
+        _ => false,
+    }
+}
+
+/// `a op b` on two ints, for the operators whose result needs no check;
+/// `None` for the others. Comparisons go through `f64`, as
+/// [`Interp::classical_binary`] compares every pair of numbers.
+#[inline]
+fn int_binary(op: BinOp, a: i64, b: i64) -> Option<Value> {
+    Some(match op {
+        BinOp::Add => Value::Int(a.wrapping_add(b)),
+        BinOp::Sub => Value::Int(a.wrapping_sub(b)),
+        BinOp::Mul => Value::Int(a.wrapping_mul(b)),
+        _ => Value::Bool(int_compare(op, a, b)?),
+    })
+}
+
+/// `a op b` for a comparison operator on two ints; `None` for other
+/// operators.
+#[inline]
+fn int_compare(op: BinOp, a: i64, b: i64) -> Option<bool> {
+    let (x, y) = (a as f64, b as f64);
+    Some(match op {
+        BinOp::Eq => x == y,
+        BinOp::Ne => x != y,
+        BinOp::Lt => x < y,
+        BinOp::Le => x <= y,
+        BinOp::Gt => x > y,
+        BinOp::Ge => x >= y,
+        _ => return None,
+    })
+}
+
+/// The error for reading a variable whose declaration has not run (or
+/// that no declaration binds).
+fn undeclared(var: &Var<'_>, span: Span) -> QutesError {
+    QutesError::runtime(format!("use of undeclared variable '{}'", var.name), span)
+}
+
+/// `base[i]`: an array element, one qubit of a register, or one
+/// character of a string.
+fn index_value(base: &Value, i: usize, span: Span) -> QutesResult<Value> {
+    match base {
+        Value::Array(items) => {
+            let items = items.borrow();
+            items.get(i).map(|c| c.borrow().clone()).ok_or_else(|| {
+                QutesError::runtime(
+                    format!(
+                        "index {i} out of bounds for array of length {}",
+                        items.len()
+                    ),
+                    span,
+                )
+            })
+        }
+        Value::Quantum(q) => match q.qubits.get(i) {
+            Some(&qb) => Ok(Value::Quantum(QuantumRef {
+                qubits: vec![qb],
+                kind: QKind::Qubit,
+            })),
+            None => Err(QutesError::runtime(
+                format!("index {i} out of bounds for {}-qubit register", q.width()),
+                span,
+            )),
+        },
+        Value::Str(s) => s
+            .chars()
+            .nth(i)
+            .map(|c| Value::Str(c.to_string()))
+            .ok_or_else(|| {
+                QutesError::runtime(
+                    format!("index {i} out of bounds for string of length {}", s.len()),
+                    span,
+                )
+            }),
+        other => Err(QutesError::runtime(
+            format!("cannot index into {}", other.type_name()),
+            span,
+        )),
     }
 }
 

@@ -1,7 +1,7 @@
-//! Static type checking for Qutes programs (paper §4, "Type System in
-//! Qutes").
+//! Static type checking and name resolution for Qutes programs (paper
+//! §4, "Type System in Qutes").
 //!
-//! The checker walks the AST with a scoped type environment and enforces:
+//! The checker walks the AST with a scoped environment and enforces:
 //! * declaration/assignment compatibility, including **type promotion**
 //!   (classical → quantum) and **auto-measurement** (quantum → classical),
 //! * operator typing (`+` on quints is superposition addition, `<<`/`>>`
@@ -12,44 +12,115 @@
 //! Errors are collected (not bail-on-first) so a program reports all its
 //! problems in one pass. Expressions whose type could not be determined
 //! propagate `None` to suppress cascading errors.
+//!
+//! The same walk is the program's one name resolver: [`resolve`] also
+//! returns the [`Resolution`] the interpreter runs on, with every
+//! variable bound to a frame or global slot. The walk visits every
+//! expression even where type checking stops early; the parts it visits
+//! only to resolve them report nothing, so the diagnostics are those of
+//! the checker alone.
 
+use crate::resolution::{self as r, Builtin, Callee, DeclSlot, Loc, Resolution, VarType};
 use qutes_frontend::ast::*;
 use qutes_frontend::{Diagnostic, Span};
 use std::collections::HashMap;
 
 /// Checks a whole program; returns every diagnostic found (empty = ok).
 pub fn check_program(p: &Program) -> Vec<Diagnostic> {
+    resolve(p).1
+}
+
+/// Checks and resolves a whole program: the resolved program the
+/// interpreter runs, and every diagnostic found (empty = ok). The
+/// resolution is complete even when there are diagnostics.
+pub fn resolve(p: &Program) -> (Resolution<'_>, Vec<Diagnostic>) {
     let mut cx = Checker::default();
     // Pass 1: register function signatures (use before declaration is
-    // fine at the top level).
+    // fine at the top level) and give each top-level variable name its
+    // global slot.
+    let mut duplicate_functions = Vec::new();
+    let mut index = 0u32;
     for item in &p.items {
-        if let Item::Function(f) = item {
-            if cx.functions.contains_key(&f.name) {
-                cx.diags.push(Diagnostic::error(
-                    format!("function '{}' is declared more than once", f.name),
-                    f.span,
-                ));
-            } else {
-                cx.functions.insert(f.name.clone(), f.clone());
+        match item {
+            Item::Function(f) => {
+                if cx.functions.contains_key(f.name.as_str()) {
+                    let d = Diagnostic::error(
+                        format!("function '{}' is declared more than once", f.name),
+                        f.span,
+                    );
+                    duplicate_functions.push(d.clone());
+                    cx.diags.push(d);
+                } else {
+                    cx.functions.insert(&f.name, (index, f));
+                }
+                index += 1;
             }
+            Item::Statement(Stmt::VarDecl { name, ty, .. }) => {
+                let slot = cx.globals.len() as u32;
+                cx.globals.entry(name).or_insert((slot, ty));
+            }
+            Item::Statement(_) => {}
         }
     }
     // Pass 2: check bodies and top-level statements.
+    let mut main = Vec::new();
+    let mut functions = Vec::new();
     for item in &p.items {
         match item {
-            Item::Function(f) => cx.check_function(f),
-            Item::Statement(s) => cx.check_stmt(s),
+            Item::Function(f) => functions.push(cx.check_function(f)),
+            Item::Statement(s) => main.push(cx.check_stmt(s)),
         }
     }
-    cx.diags
+    let resolution = Resolution {
+        main,
+        main_slots: cx.slots as usize,
+        globals: cx.globals.len(),
+        functions,
+        duplicate_functions,
+    };
+    (resolution, cx.diags)
 }
 
-#[derive(Default)]
-struct Checker {
-    scopes: Vec<HashMap<String, Type>>,
-    functions: HashMap<String, FunctionDecl>,
-    current_ret: Option<Type>,
+/// One name in one scope.
+struct Binding<'a> {
+    /// The type the checker sees; `None` when the name is bound only for
+    /// the runtime (a `foreach` variable over a value of unknown type),
+    /// so the checker looks past it.
+    checked: Option<Type>,
+    /// Where the runtime finds it.
+    at: Loc,
+    /// Its static type for the runtime.
+    ty: VarType<'a>,
+}
+
+struct Checker<'a> {
+    /// Lexical scopes, innermost last; `scopes[0]` is the global scope.
+    scopes: Vec<HashMap<&'a str, Binding<'a>>>,
+    functions: HashMap<&'a str, (u32, &'a FunctionDecl)>,
+    /// Every top-level variable name: its global slot and the type of
+    /// its first declaration.
+    globals: HashMap<&'a str, (u32, &'a Type)>,
+    /// Next free slot of the frame being resolved (a function's, or the
+    /// main frame's).
+    slots: u32,
+    current_ret: Option<&'a Type>,
+    /// Above zero while walking code only to resolve it.
+    muted: u32,
     diags: Vec<Diagnostic>,
+}
+
+impl Default for Checker<'_> {
+    fn default() -> Self {
+        Checker {
+            scopes: vec![HashMap::new()],
+            functions: HashMap::new(),
+            globals: HashMap::new(),
+            slots: 0,
+            current_ret: None,
+            muted: 0,
+            diags: Vec::new(),
+        }
+    }
 }
 
 /// The classical type a quantum type measures to.
@@ -84,9 +155,16 @@ pub fn assignable(dst: &Type, src: &Type) -> bool {
     }
 }
 
-impl Checker {
+/// Builds a resolved expression.
+fn node(kind: r::ExprKind<'_>, span: Span) -> r::Expr<'_> {
+    r::Expr { kind, span }
+}
+
+impl<'a> Checker<'a> {
     fn error(&mut self, message: impl Into<String>, span: Span) {
-        self.diags.push(Diagnostic::error(message, span));
+        if self.muted == 0 {
+            self.diags.push(Diagnostic::error(message, span));
+        }
     }
 
     fn push(&mut self) {
@@ -97,52 +175,152 @@ impl Checker {
         self.scopes.pop();
     }
 
-    fn declare(&mut self, name: &str, ty: Type, span: Span) {
-        if self.scopes.is_empty() {
-            self.push();
-        }
-        let last = self.scopes.len() - 1;
-        let scope = &mut self.scopes[last];
-        if scope.contains_key(name) {
-            self.diags.push(Diagnostic::error(
-                format!("variable '{name}' is already declared in this scope"),
-                span,
-            ));
+    fn fresh_slot(&mut self) -> u32 {
+        self.slots += 1;
+        self.slots - 1
+    }
+
+    /// Declares `name` in the innermost scope. `checked` is the type the
+    /// checker records (`None`: bind for the runtime only). Redeclaring
+    /// a name the scope already holds is reported, and the declaration
+    /// resolves to [`DeclSlot::Duplicate`] (or to its global slot, which
+    /// the runtime finds already filled).
+    fn declare(
+        &mut self,
+        name: &'a str,
+        checked: Option<Type>,
+        ty: VarType<'a>,
+        span: Span,
+    ) -> DeclSlot {
+        let global = self.scopes.len() == 1;
+        let global_slot = if global {
+            let next = self.globals.len() as u32;
+            let (slot, _) = *self.globals.entry(name).or_insert((next, &Type::Void));
+            Some(slot)
         } else {
-            scope.insert(name.to_string(), ty);
+            None
+        };
+        let last = self.scopes.len() - 1;
+        if let Some(b) = self.scopes[last].get_mut(name) {
+            let redeclared = b.checked.is_some() && checked.is_some();
+            if b.checked.is_none() {
+                b.checked = checked;
+            }
+            if redeclared {
+                self.error(
+                    format!("variable '{name}' is already declared in this scope"),
+                    span,
+                );
+            }
+            return match global_slot {
+                Some(slot) => DeclSlot::Global(slot),
+                None => DeclSlot::Duplicate,
+            };
         }
+        let (at, decl) = match global_slot {
+            Some(slot) => (Loc::Global(slot), DeclSlot::Global(slot)),
+            None => {
+                let slot = self.fresh_slot();
+                (Loc::Local(slot), DeclSlot::Local(slot))
+            }
+        };
+        self.scopes[last].insert(name, Binding { checked, at, ty });
+        decl
     }
 
-    fn lookup(&self, name: &str) -> Option<&Type> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    /// Binds a parameter in the function's scope. A repeated parameter
+    /// name is reported; at run time the later parameter rebinds the
+    /// same slot.
+    fn bind_param(&mut self, p: &'a Param) -> u32 {
+        let last = self.scopes.len() - 1;
+        if let Some(b) = self.scopes[last].get_mut(p.name.as_str()) {
+            b.ty = VarType::Declared(&p.ty);
+            let Loc::Local(slot) = b.at else {
+                return 0;
+            };
+            self.error(
+                format!("variable '{}' is already declared in this scope", p.name),
+                p.span,
+            );
+            return slot;
+        }
+        let slot = self.fresh_slot();
+        self.scopes[last].insert(
+            &p.name,
+            Binding {
+                checked: Some(p.ty.clone()),
+                at: Loc::Local(slot),
+                ty: VarType::Declared(&p.ty),
+            },
+        );
+        slot
     }
 
-    fn check_function(&mut self, f: &FunctionDecl) {
+    /// Looks `name` up: the type the checker sees (innermost binding it
+    /// can see), and the runtime's resolution (innermost binding, else
+    /// the global of that name, declared before or after this point).
+    fn lookup(&self, name: &'a str) -> (Option<&Type>, r::Var<'a>) {
+        let mut var = None;
+        for scope in self.scopes.iter().rev() {
+            if let Some(b) = scope.get(name) {
+                let v = *var.get_or_insert(r::Var {
+                    name,
+                    at: b.at,
+                    ty: b.ty,
+                });
+                if let Some(t) = &b.checked {
+                    return (Some(t), v);
+                }
+            }
+        }
+        let var = var.unwrap_or_else(|| match self.globals.get(name) {
+            Some(&(slot, ty)) => r::Var {
+                name,
+                at: Loc::Global(slot),
+                ty: VarType::Declared(ty),
+            },
+            None => r::Var {
+                name,
+                at: Loc::Unresolved,
+                ty: VarType::Loop,
+            },
+        });
+        (None, var)
+    }
+
+    fn check_function(&mut self, f: &'a FunctionDecl) -> r::Function<'a> {
+        let outer_slots = std::mem::replace(&mut self.slots, 0);
         self.push();
+        let mut params = Vec::with_capacity(f.params.len());
         for p in &f.params {
             if p.ty == Type::Void {
                 self.error("parameters cannot have type void", p.span);
             }
-            self.declare(&p.name, p.ty.clone(), p.span);
+            params.push(self.bind_param(p));
         }
-        let saved = self.current_ret.replace(f.ret_type.clone());
-        for s in &f.body.stmts {
-            self.check_stmt(s);
-        }
+        let saved = self.current_ret.replace(&f.ret_type);
+        let body = f.body.stmts.iter().map(|s| self.check_stmt(s)).collect();
         self.current_ret = saved;
         self.pop();
-    }
-
-    fn check_block(&mut self, b: &Block) {
-        self.push();
-        for s in &b.stmts {
-            self.check_stmt(s);
+        let slots = std::mem::replace(&mut self.slots, outer_slots) as usize;
+        r::Function {
+            decl: f,
+            params,
+            slots,
+            body,
         }
-        self.pop();
     }
 
-    fn check_condition(&mut self, cond: &Expr) {
-        if let Some(t) = self.infer(cond) {
+    fn check_block(&mut self, b: &'a Block) -> Vec<r::Stmt<'a>> {
+        self.push();
+        let stmts = b.stmts.iter().map(|s| self.check_stmt(s)).collect();
+        self.pop();
+        stmts
+    }
+
+    fn check_condition(&mut self, cond: &'a Expr) -> r::Expr<'a> {
+        let (t, n) = self.infer(cond);
+        if let Some(t) = t {
             let ok = matches!(t, Type::Bool | Type::Int | Type::Qubit | Type::Quint);
             if !ok {
                 self.error(
@@ -154,9 +332,10 @@ impl Checker {
                 );
             }
         }
+        n
     }
 
-    fn check_stmt(&mut self, s: &Stmt) {
+    fn check_stmt(&mut self, s: &'a Stmt) -> r::Stmt<'a> {
         match s {
             Stmt::VarDecl {
                 ty,
@@ -167,8 +346,9 @@ impl Checker {
                 if *ty == Type::Void {
                     self.error("variables cannot have type void", *span);
                 }
-                if let Some(init) = init {
-                    if let Some(src) = self.infer_in_context(init, Some(ty)) {
+                let init = init.as_ref().map(|init| {
+                    let (src, n) = self.infer_in_context(init, Some(ty));
+                    if let Some(src) = src {
                         if !assignable(ty, &src) {
                             self.error(
                                 format!(
@@ -178,8 +358,16 @@ impl Checker {
                             );
                         }
                     }
+                    n
+                });
+                let slot = self.declare(name, Some(ty.clone()), VarType::Declared(ty), *span);
+                r::Stmt::Decl {
+                    ty,
+                    name,
+                    slot,
+                    init,
+                    span: *span,
                 }
-                self.declare(name, ty.clone(), *span);
             }
             Stmt::Assign {
                 target,
@@ -191,17 +379,26 @@ impl Checker {
                 cond,
                 then_block,
                 else_block,
-                ..
+                span,
             } => {
-                self.check_condition(cond);
-                self.check_block(then_block);
-                if let Some(eb) = else_block {
-                    self.check_block(eb);
+                let cond = self.check_condition(cond);
+                let then_block = self.check_block(then_block);
+                let else_block = else_block.as_ref().map(|eb| self.check_block(eb));
+                r::Stmt::If {
+                    cond,
+                    then_block,
+                    else_block,
+                    span: *span,
                 }
             }
-            Stmt::While { cond, body, .. } => {
-                self.check_condition(cond);
-                self.check_block(body);
+            Stmt::While { cond, body, span } => {
+                let cond = self.check_condition(cond);
+                let body = self.check_block(body);
+                r::Stmt::While {
+                    cond,
+                    body,
+                    span: *span,
+                }
             }
             Stmt::Foreach {
                 var,
@@ -209,7 +406,8 @@ impl Checker {
                 body,
                 span,
             } => {
-                let elem = match self.infer(iterable) {
+                let (it, iterable) = self.infer(iterable);
+                let elem = match it {
                     Some(Type::Array(t)) => Some(*t),
                     Some(Type::Qustring) => Some(Type::Qubit),
                     Some(other) => {
@@ -222,30 +420,40 @@ impl Checker {
                     None => None,
                 };
                 self.push();
-                if let Some(t) = elem {
-                    self.declare(var, t, *span);
-                }
-                for st in &body.stmts {
-                    self.check_stmt(st);
-                }
+                // The variable is bound whatever its type: the runtime
+                // binds it to each element.
+                let slot = match self.declare(var, elem, VarType::Loop, *span) {
+                    DeclSlot::Local(slot) => slot,
+                    DeclSlot::Global(_) | DeclSlot::Duplicate => 0,
+                };
+                let body = body.stmts.iter().map(|st| self.check_stmt(st)).collect();
                 self.pop();
+                r::Stmt::Foreach {
+                    var: slot,
+                    iterable,
+                    body,
+                    span: *span,
+                }
             }
             Stmt::Return { value, span } => {
-                let Some(expected) = self.current_ret.clone() else {
-                    self.error("return outside of a function", *span);
-                    return;
-                };
-                match (value, expected) {
-                    (None, Type::Void) => {}
-                    (None, other) => {
+                let value = match (value, self.current_ret) {
+                    (value, None) => {
+                        self.error("return outside of a function", *span);
+                        value.as_ref().map(|v| self.quiet(v))
+                    }
+                    (None, Some(Type::Void)) => None,
+                    (None, Some(other)) => {
                         self.error(format!("function must return a {other} value"), *span);
+                        None
                     }
-                    (Some(v), Type::Void) => {
+                    (Some(v), Some(Type::Void)) => {
                         self.error("void function cannot return a value", v.span);
+                        Some(self.quiet(v))
                     }
-                    (Some(v), expected) => {
-                        if let Some(actual) = self.infer(v) {
-                            if !assignable(&expected, &actual) {
+                    (Some(v), Some(expected)) => {
+                        let (actual, n) = self.infer(v);
+                        if let Some(actual) = actual {
+                            if !assignable(expected, &actual) {
                                 self.error(
                                     format!(
                                         "return type mismatch: expected {expected}, found {actual}"
@@ -254,18 +462,27 @@ impl Checker {
                                 );
                             }
                         }
+                        Some(n)
                     }
-                }
+                };
+                r::Stmt::Return { value, span: *span }
             }
-            Stmt::Print { value, .. } => {
-                let _ = self.infer(value);
-            }
-            Stmt::Expr { expr, .. } => {
-                let _ = self.infer(expr);
-            }
-            Stmt::Gate { gate, args, span } => self.check_gate(*gate, args, *span),
-            Stmt::Measure { target, .. } => {
-                if let Some(t) = self.infer(target) {
+            Stmt::Print { value, span } => r::Stmt::Print {
+                value: self.infer(value).1,
+                span: *span,
+            },
+            Stmt::Expr { expr, span } => r::Stmt::Expr {
+                expr: self.infer(expr).1,
+                span: *span,
+            },
+            Stmt::Gate { gate, args, span } => r::Stmt::Gate {
+                gate: *gate,
+                args: self.check_gate(*gate, args),
+                span: *span,
+            },
+            Stmt::Measure { target, span } => {
+                let (t, n) = self.infer(target);
+                if let Some(t) = t {
                     if !t.is_quantum() {
                         self.error(
                             format!("measure expects a quantum value, found {t}"),
@@ -273,46 +490,79 @@ impl Checker {
                         );
                     }
                 }
+                r::Stmt::Measure {
+                    target: n,
+                    span: *span,
+                }
             }
-            Stmt::Barrier { .. } => {}
-            Stmt::Block(b) => self.check_block(b),
+            Stmt::Barrier { span } => r::Stmt::Barrier { span: *span },
+            Stmt::Block(b) => r::Stmt::Block {
+                stmts: self.check_block(b),
+                span: b.span,
+            },
         }
     }
 
-    fn check_assign(&mut self, target: &LValue, op: AssignOp, value: &Expr, span: Span) {
-        let target_ty = match target {
-            LValue::Name(name) => match self.lookup(name) {
-                Some(t) => t.clone(),
-                None => {
+    fn check_assign(
+        &mut self,
+        target: &'a LValue,
+        op: AssignOp,
+        value: &'a Expr,
+        span: Span,
+    ) -> r::Stmt<'a> {
+        let (target_ty, place) = match target {
+            LValue::Name(name) => {
+                let (t, var) = self.lookup(name);
+                let t = t.cloned();
+                if t.is_none() {
                     self.error(format!("assignment to undeclared variable '{name}'"), span);
-                    return;
                 }
-            },
+                (t, r::Place::Var(var))
+            }
             LValue::Index(name, idx) => {
-                if let Some(it) = self.infer(idx) {
+                let (it, idx_node) = self.infer(idx);
+                if let Some(it) = it {
                     if !matches!(it, Type::Int | Type::Quint) {
                         self.error(format!("array index must be int, found {it}"), idx.span);
                     }
                 }
-                match self.lookup(name).cloned() {
-                    Some(Type::Array(t)) => *t,
+                let (t, var) = self.lookup(name);
+                let t = match t.cloned() {
+                    Some(Type::Array(t)) => Some(*t),
                     Some(other) => {
                         self.error(format!("cannot index into {other}"), span);
-                        return;
+                        None
                     }
                     None => {
                         self.error(format!("assignment to undeclared variable '{name}'"), span);
-                        return;
+                        None
                     }
-                }
+                };
+                (t, r::Place::Index(var, idx_node))
             }
         };
-        let Some(value_ty) = self.infer_in_context(value, Some(&target_ty)) else {
-            return;
+        let value_node = match &target_ty {
+            Some(target_ty) => {
+                let (value_ty, n) = self.infer_in_context(value, Some(target_ty));
+                if let Some(value_ty) = value_ty {
+                    self.check_assign_op(op, target_ty, &value_ty, span);
+                }
+                n
+            }
+            None => self.quiet(value),
         };
+        r::Stmt::Assign {
+            target: place,
+            op,
+            value: value_node,
+            span,
+        }
+    }
+
+    fn check_assign_op(&mut self, op: AssignOp, target_ty: &Type, value_ty: &Type, span: Span) {
         match op {
             AssignOp::Set => {
-                if !assignable(&target_ty, &value_ty) {
+                if !assignable(target_ty, value_ty) {
                     self.error(
                         format!("cannot assign a {value_ty} value to a {target_ty} target"),
                         span,
@@ -320,7 +570,7 @@ impl Checker {
                 }
             }
             AssignOp::Add | AssignOp::Sub => {
-                let ok = match &target_ty {
+                let ok = match target_ty {
                     Type::Int => matches!(value_ty, Type::Int | Type::Quint),
                     Type::Float => matches!(value_ty, Type::Int | Type::Float | Type::Quint),
                     Type::Quint => matches!(value_ty, Type::Int | Type::Quint | Type::Bool),
@@ -349,26 +599,14 @@ impl Checker {
         }
     }
 
-    fn check_gate(&mut self, gate: GateKind, args: &[Expr], span: Span) {
-        let quantum_arg = |cx: &mut Self, e: &Expr| {
-            if let Some(t) = cx.infer(e) {
-                if !t.is_quantum() {
-                    cx.error(
-                        format!("'{}' needs a quantum operand, found {t}", gate.name()),
-                        e.span,
-                    );
-                }
-            }
-        };
+    fn check_gate(&mut self, gate: GateKind, args: &'a [Expr]) -> Vec<r::Expr<'a>> {
+        let mut out = Vec::with_capacity(args.len().min(2));
+        out.push(self.quantum_arg(gate, &args[0]));
         match gate {
-            GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {
-                // `not` doubles as logical NOT statement? No: statement
-                // form is only the gate; classical negation is `!`.
-                quantum_arg(self, &args[0]);
-            }
+            GateKind::Hadamard | GateKind::NotGate | GateKind::PauliY | GateKind::PauliZ => {}
             GateKind::Phase => {
-                quantum_arg(self, &args[0]);
-                if let Some(t) = self.infer(&args[1]) {
+                let (t, n) = self.infer(&args[1]);
+                if let Some(t) = t {
                     if !matches!(t, Type::Int | Type::Float) {
                         self.error(
                             format!("phase angle must be numeric, found {t}"),
@@ -376,48 +614,90 @@ impl Checker {
                         );
                     }
                 }
+                out.push(n);
             }
-            GateKind::CNot => {
-                quantum_arg(self, &args[0]);
-                quantum_arg(self, &args[1]);
-                let _ = span;
+            GateKind::CNot => out.push(self.quantum_arg(gate, &args[1])),
+        }
+        out
+    }
+
+    fn quantum_arg(&mut self, gate: GateKind, e: &'a Expr) -> r::Expr<'a> {
+        let (t, n) = self.infer(e);
+        if let Some(t) = t {
+            if !t.is_quantum() {
+                self.error(
+                    format!("'{}' needs a quantum operand, found {t}", gate.name()),
+                    e.span,
+                );
             }
         }
+        n
     }
 
     /// Infers an expression's type; `None` means an error was already
-    /// reported somewhere inside.
-    fn infer(&mut self, e: &Expr) -> Option<Type> {
+    /// reported somewhere inside. Also returns the resolved expression.
+    fn infer(&mut self, e: &'a Expr) -> (Option<Type>, r::Expr<'a>) {
         self.infer_in_context(e, None)
+    }
+
+    /// Resolves an expression the checker does not look into (it has
+    /// already given up on the enclosing construct): nothing inside is
+    /// reported.
+    fn quiet(&mut self, e: &'a Expr) -> r::Expr<'a> {
+        self.muted += 1;
+        let (_, n) = self.infer(e);
+        self.muted -= 1;
+        n
+    }
+
+    /// Resolves `exprs` without reporting anything.
+    fn quiet_all(&mut self, exprs: &'a [Expr]) -> Vec<r::Expr<'a>> {
+        exprs.iter().map(|e| self.quiet(e)).collect()
     }
 
     /// Context-aware inference: quantum array literals type differently
     /// under a `qubit` target (amplitude pair) than under `quint`.
-    fn infer_in_context(&mut self, e: &Expr, target: Option<&Type>) -> Option<Type> {
-        let t = match &e.kind {
-            ExprKind::Int(_) => Type::Int,
-            ExprKind::Float(_) => Type::Float,
-            ExprKind::Bool(_) => Type::Bool,
-            ExprKind::Str(_) => Type::String,
+    fn infer_in_context(
+        &mut self,
+        e: &'a Expr,
+        target: Option<&Type>,
+    ) -> (Option<Type>, r::Expr<'a>) {
+        let (t, kind) = match &e.kind {
+            ExprKind::Int(v) => (Some(Type::Int), r::ExprKind::Int(*v)),
+            ExprKind::Float(v) => (Some(Type::Float), r::ExprKind::Float(*v)),
+            ExprKind::Bool(b) => (Some(Type::Bool), r::ExprKind::Bool(*b)),
+            ExprKind::Str(s) => (Some(Type::String), r::ExprKind::Str(s)),
             ExprKind::Quint(v) => {
                 // `0q`/`1q` under a qubit target are basis-qubit literals.
-                if *v <= 1 && matches!(target, Some(Type::Qubit)) {
+                let t = if *v <= 1 && matches!(target, Some(Type::Qubit)) {
                     Type::Qubit
                 } else {
                     Type::Quint
-                }
+                };
+                (Some(t), r::ExprKind::Quint(*v))
             }
-            ExprKind::Qustring(_) => Type::Qustring,
-            ExprKind::Ket(_) => Type::Qubit,
-            ExprKind::Pi => Type::Float,
+            ExprKind::Qustring(s) => (Some(Type::Qustring), r::ExprKind::Qustring(s)),
+            ExprKind::Ket(k) => (Some(Type::Qubit), r::ExprKind::Ket(*k)),
+            ExprKind::Pi => (Some(Type::Float), r::ExprKind::Pi),
             ExprKind::Array(elems) => {
                 let elem_target = match target {
                     Some(Type::Array(t)) => Some((**t).clone()),
                     _ => None,
                 };
                 let mut elem_ty: Option<Type> = elem_target.clone();
+                let mut failed = false;
+                let mut nodes = Vec::with_capacity(elems.len());
                 for el in elems {
-                    let t = self.infer_in_context(el, elem_target.as_ref())?;
+                    if failed {
+                        nodes.push(self.quiet(el));
+                        continue;
+                    }
+                    let (t, n) = self.infer_in_context(el, elem_target.as_ref());
+                    nodes.push(n);
+                    let Some(t) = t else {
+                        failed = true;
+                        continue;
+                    };
                     match &elem_ty {
                         None => elem_ty = Some(t),
                         Some(prev) => {
@@ -428,155 +708,222 @@ impl Checker {
                                     ),
                                     el.span,
                                 );
-                                return None;
+                                failed = true;
                             }
                         }
                     }
                 }
-                Type::Array(Box::new(elem_ty.unwrap_or(Type::Int)))
+                let t = (!failed).then(|| Type::Array(Box::new(elem_ty.unwrap_or(Type::Int))));
+                (t, r::ExprKind::Array(nodes))
             }
             ExprKind::QuantumArray(elems) => {
                 // Float elements -> single-qubit amplitude pair;
                 // int elements -> quint superposition of values.
                 let mut saw_float = false;
+                let mut failed = false;
+                let mut nodes = Vec::with_capacity(elems.len());
                 for el in elems {
-                    match self.infer(el)? {
-                        Type::Float => saw_float = true,
-                        Type::Int => {}
-                        other => {
+                    if failed {
+                        nodes.push(self.quiet(el));
+                        continue;
+                    }
+                    let (t, n) = self.infer(el);
+                    nodes.push(n);
+                    match t {
+                        Some(Type::Float) => saw_float = true,
+                        Some(Type::Int) => {}
+                        Some(other) => {
                             self.error(
                                 format!(
                                     "quantum array literals take numeric entries, found {other}"
                                 ),
                                 el.span,
                             );
-                            return None;
+                            failed = true;
                         }
+                        None => failed = true,
                     }
                 }
-                if saw_float || matches!(target, Some(Type::Qubit)) {
+                let t = if failed {
+                    None
+                } else if saw_float || matches!(target, Some(Type::Qubit)) {
                     if elems.len() != 2 {
                         self.error(
                             "a qubit amplitude literal needs exactly two entries [a, b]",
                             e.span,
                         );
-                        return None;
+                        None
+                    } else {
+                        Some(Type::Qubit)
                     }
-                    Type::Qubit
                 } else {
-                    Type::Quint
-                }
+                    Some(Type::Quint)
+                };
+                (t, r::ExprKind::QuantumArray(nodes))
             }
-            ExprKind::Var(name) => match self.lookup(name) {
-                Some(t) => t.clone(),
-                None => {
+            ExprKind::Var(name) => {
+                let (t, var) = self.lookup(name);
+                let t = t.cloned();
+                if t.is_none() {
                     self.error(format!("use of undeclared variable '{name}'"), e.span);
-                    return None;
                 }
-            },
+                (t, r::ExprKind::Var(var))
+            }
             ExprKind::Index(base, idx) => {
-                if let Some(it) = self.infer(idx) {
+                let (it, idx_node) = self.infer(idx);
+                if let Some(it) = it {
                     if !matches!(it, Type::Int | Type::Quint) {
                         self.error(format!("index must be int, found {it}"), idx.span);
                     }
                 }
-                match self.infer(base)? {
-                    Type::Array(t) => *t,
-                    Type::Qustring => Type::Qubit,
-                    Type::String => Type::String,
-                    Type::Quint => Type::Qubit,
-                    other => {
+                let (bt, base_node) = self.infer(base);
+                let t = match bt {
+                    Some(Type::Array(t)) => Some(*t),
+                    Some(Type::Qustring) => Some(Type::Qubit),
+                    Some(Type::String) => Some(Type::String),
+                    Some(Type::Quint) => Some(Type::Qubit),
+                    Some(other) => {
                         self.error(format!("cannot index into {other}"), base.span);
-                        return None;
+                        None
                     }
-                }
+                    None => None,
+                };
+                let kind = match base_node.kind {
+                    r::ExprKind::Var(var) if !idx_node.calls_function() => r::ExprKind::IndexVar {
+                        var,
+                        var_span: base_node.span,
+                        index: Box::new(idx_node),
+                    },
+                    kind => {
+                        r::ExprKind::Index(Box::new(node(kind, base_node.span)), Box::new(idx_node))
+                    }
+                };
+                (t, kind)
             }
             ExprKind::Unary(op, inner) => {
-                let t = self.infer(inner)?;
-                match op {
+                let (t, n) = self.infer(inner);
+                let t = t.and_then(|t| match op {
                     UnOp::Neg => match t {
-                        Type::Int | Type::Float => t,
-                        Type::Quint => Type::Int, // auto-measure then negate
+                        Type::Int | Type::Float => Some(t),
+                        Type::Quint => Some(Type::Int), // auto-measure then negate
                         other => {
                             self.error(format!("cannot negate {other}"), inner.span);
-                            return None;
+                            None
                         }
                     },
                     UnOp::Not => match t {
-                        Type::Bool | Type::Qubit => Type::Bool,
+                        Type::Bool | Type::Qubit => Some(Type::Bool),
                         other => {
                             self.error(format!("'!' needs bool, found {other}"), inner.span);
-                            return None;
+                            None
                         }
                     },
-                }
+                });
+                (t, r::ExprKind::Unary(*op, Box::new(n)))
             }
-            ExprKind::Binary(op, l, r) => return self.infer_binary(*op, l, r, e.span),
-            ExprKind::Call(name, args) => {
-                if let Some(t) = self.check_builtin_call(name, args, e.span) {
-                    return t;
-                }
-                let Some(f) = self.functions.get(name).cloned() else {
-                    self.error(format!("call to unknown function '{name}'"), e.span);
-                    return None;
+            ExprKind::Binary(op, l, r) => {
+                let (lt, ln) = self.infer(l);
+                let (rt, rn) = match lt {
+                    Some(_) => self.infer(r),
+                    None => (None, self.quiet(r)),
                 };
-                if args.len() != f.params.len() {
-                    self.error(
-                        format!(
-                            "'{name}' expects {} argument(s), found {}",
-                            f.params.len(),
-                            args.len()
-                        ),
-                        e.span,
-                    );
-                }
-                for (a, p) in args.iter().zip(&f.params) {
-                    if let Some(at) = self.infer_in_context(a, Some(&p.ty)) {
-                        if !assignable(&p.ty, &at) {
-                            self.error(
-                                format!(
-                                    "argument '{}' of '{name}' expects {}, found {at}",
-                                    p.name, p.ty
-                                ),
-                                a.span,
-                            );
-                        }
-                    }
-                }
-                f.ret_type.clone()
+                let t = match (lt, rt) {
+                    (Some(lt), Some(rt)) => self.infer_binary(*op, lt, rt, e.span),
+                    _ => None,
+                };
+                (t, r::ExprKind::Binary(*op, Box::new(ln), Box::new(rn)))
             }
+            ExprKind::Call(name, args) => self.infer_call(name, args, e.span),
             ExprKind::MeasureExpr(inner) => {
-                let t = self.infer(inner)?;
-                match measured(&t) {
-                    Some(c) => c,
+                let (t, n) = self.infer(inner);
+                let t = t.and_then(|t| match measured(&t) {
+                    Some(c) => Some(c),
                     None => {
                         self.error(
                             format!("measure expects a quantum value, found {t}"),
                             inner.span,
                         );
-                        return None;
+                        None
                     }
-                }
+                });
+                (t, r::ExprKind::Measure(Box::new(n)))
             }
         };
-        Some(t)
+        (t, node(kind, e.span))
     }
 
-    /// Types the built-in functions the runtime provides. Returns
-    /// `Some(result)` when `name` is a builtin (the outer `Option` layer),
-    /// where `result` itself is `None` when an error was reported.
-    #[allow(clippy::option_option)]
+    fn infer_call(
+        &mut self,
+        name: &'a str,
+        args: &'a [Expr],
+        span: Span,
+    ) -> (Option<Type>, r::ExprKind<'a>) {
+        if let Some(b) = Builtin::from_name(name) {
+            let (t, args) = self.check_builtin_call(b, name, args, span);
+            let call = r::ExprKind::Call {
+                name,
+                callee: Callee::Builtin(b),
+                args,
+            };
+            return (t, call);
+        }
+        let Some(&(index, f)) = self.functions.get(name) else {
+            self.error(format!("call to unknown function '{name}'"), span);
+            let call = r::ExprKind::Call {
+                name,
+                callee: Callee::Unknown,
+                args: self.quiet_all(args),
+            };
+            return (None, call);
+        };
+        if args.len() != f.params.len() {
+            self.error(
+                format!(
+                    "'{name}' expects {} argument(s), found {}",
+                    f.params.len(),
+                    args.len()
+                ),
+                span,
+            );
+        }
+        let mut nodes = Vec::with_capacity(args.len());
+        for (i, a) in args.iter().enumerate() {
+            let Some(p) = f.params.get(i) else {
+                nodes.push(self.quiet(a));
+                continue;
+            };
+            let (at, n) = self.infer_in_context(a, Some(&p.ty));
+            if let Some(at) = at {
+                if !assignable(&p.ty, &at) {
+                    self.error(
+                        format!(
+                            "argument '{}' of '{name}' expects {}, found {at}",
+                            p.name, p.ty
+                        ),
+                        a.span,
+                    );
+                }
+            }
+            nodes.push(n);
+        }
+        let call = r::ExprKind::Call {
+            name,
+            callee: Callee::Function(index),
+            args: nodes,
+        };
+        (Some(f.ret_type.clone()), call)
+    }
+
+    /// Types a call of a built-in function the runtime provides; `None`
+    /// when an error was reported.
     fn check_builtin_call(
         &mut self,
+        builtin: Builtin,
         name: &str,
-        args: &[Expr],
+        args: &'a [Expr],
         span: Span,
-    ) -> Option<Option<Type>> {
-        let expected_arity = match name {
-            "len" | "width" | "range" | "int" | "float" | "bool" | "str" | "qmin" | "qmax" => 1,
-            "rotl" | "rotr" => 2,
-            _ => return None,
-        };
+    ) -> (Option<Type>, Vec<r::Expr<'a>>) {
+        let expected_arity = builtin.arity();
         if args.len() != expected_arity {
             self.error(
                 format!(
@@ -585,48 +932,49 @@ impl Checker {
                 ),
                 span,
             );
-            return Some(None);
+            return (None, self.quiet_all(args));
         }
-        let arg_types: Vec<Option<Type>> = args.iter().map(|a| self.infer(a)).collect();
-        let t = match name {
-            "len" => {
+        let (arg_types, nodes): (Vec<Option<Type>>, Vec<r::Expr<'a>>) =
+            args.iter().map(|a| self.infer(a)).unzip();
+        let t = match builtin {
+            Builtin::Len => {
                 if let Some(Some(t)) = arg_types.first() {
                     if !matches!(
                         t,
                         Type::Array(_) | Type::String | Type::Qustring | Type::Quint | Type::Qubit
                     ) {
                         self.error(format!("len() is not defined for {t}"), args[0].span);
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 Type::Int
             }
-            "width" => {
+            Builtin::Width => {
                 if let Some(Some(t)) = arg_types.first() {
                     if !t.is_quantum() {
                         self.error(
                             format!("width() needs a quantum value, found {t}"),
                             args[0].span,
                         );
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 Type::Int
             }
-            "range" => {
+            Builtin::Range => {
                 if let Some(Some(t)) = arg_types.first() {
                     if !matches!(t, Type::Int | Type::Quint) {
                         self.error(format!("range() needs an int, found {t}"), args[0].span);
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 Type::Array(Box::new(Type::Int))
             }
-            "int" => Type::Int,
-            "float" => Type::Float,
-            "bool" => Type::Bool,
-            "str" => Type::String,
-            "qmin" | "qmax" => {
+            Builtin::Int => Type::Int,
+            Builtin::Float => Type::Float,
+            Builtin::Bool => Type::Bool,
+            Builtin::Str => Type::String,
+            Builtin::Qmin | Builtin::Qmax => {
                 if let Some(Some(t)) = arg_types.first() {
                     if !matches!(t, Type::Array(inner) if matches!(**inner, Type::Int | Type::Quint))
                     {
@@ -634,19 +982,19 @@ impl Checker {
                             format!("{name}() needs an int array, found {t}"),
                             args[0].span,
                         );
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 Type::Int
             }
-            "rotl" | "rotr" => {
+            Builtin::Rotl | Builtin::Rotr => {
                 if let Some(Some(t)) = arg_types.first() {
                     if !matches!(t, Type::Quint | Type::Qustring) {
                         self.error(
                             format!("{name}() rotates quint/qustring registers, found {t}"),
                             args[0].span,
                         );
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 if let Some(Some(t)) = arg_types.get(1) {
@@ -655,19 +1003,16 @@ impl Checker {
                             format!("{name}() needs an int amount, found {t}"),
                             args[1].span,
                         );
-                        return Some(None);
+                        return (None, nodes);
                     }
                 }
                 Type::Void
             }
-            _ => unreachable!(),
         };
-        Some(Some(t))
+        (Some(t), nodes)
     }
 
-    fn infer_binary(&mut self, op: BinOp, l: &Expr, r: &Expr, span: Span) -> Option<Type> {
-        let lt = self.infer(l)?;
-        let rt = self.infer(r)?;
+    fn infer_binary(&mut self, op: BinOp, lt: Type, rt: Type, span: Span) -> Option<Type> {
         use BinOp::*;
         let result = match op {
             Add => match (&lt, &rt) {
