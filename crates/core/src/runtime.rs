@@ -1214,26 +1214,12 @@ impl<'p, 'a> Interp<'p, 'a> {
     }
 
     fn eval_slow(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<Value> {
-        // The common kinds first; the rest (literals that allocate
-        // qubits, arrays, indexing, ...) in a function of their own.
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Var(var) => self.read(var, e.span),
             ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
             ExprKind::Call { name, callee, args } => self.eval_call(name, *callee, args, e.span),
-            _ => self.eval_other(e, target),
-        }
-    }
-
-    #[inline(never)]
-    fn eval_other(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<Value> {
-        match &e.kind {
-            ExprKind::Int(_)
-            | ExprKind::Bool(_)
-            | ExprKind::Var(_)
-            | ExprKind::Binary(..)
-            | ExprKind::Call { .. } => self.eval_slow(e, target),
             ExprKind::Float(v) => Ok(Value::Float(*v)),
             ExprKind::Str(s) => Ok(Value::Str((*s).to_string())),
             ExprKind::Pi => Ok(Value::Float(std::f64::consts::PI)),
@@ -1423,51 +1409,7 @@ impl<'p, 'a> Interp<'p, 'a> {
             let rv = self.eval(r)?;
             return self.eval_in(lv, rv, span);
         }
-        // Integer arithmetic and comparison, the common case, without
-        // the general dispatch below (which it agrees with).
-        if let Value::Int(a) = lv {
-            let rv = self.eval(r)?;
-            if let Value::Int(b) = rv {
-                if let Some(v) = int_binary(op, a, b) {
-                    return Ok(v);
-                }
-            }
-            return self.binary_int_left(op, lv, rv, span);
-        }
-        self.binary_general(op, lv, r, span)
-    }
 
-    /// `int op rhs` outside [`int_binary`]'s cases.
-    fn binary_int_left(
-        &mut self,
-        op: BinOp,
-        lv: Value,
-        rv: Value,
-        span: Span,
-    ) -> QutesResult<Value> {
-        // int + quint / int * quint (commute to the quint-first forms).
-        if let (BinOp::Add | BinOp::Mul, Value::Quantum(q)) = (op, &rv) {
-            if q.kind == QKind::Quint {
-                return if op == BinOp::Add {
-                    self.quint_add_sub_expr(q, lv, false, span)
-                } else {
-                    let q = q.clone();
-                    self.quint_mul_expr(&q, lv, span)
-                };
-            }
-        }
-        self.classical_binary(op, lv, rv, span)
-    }
-
-    /// A binary operator whose left operand `lv` is not an int.
-    fn binary_general(
-        &mut self,
-        op: BinOp,
-        lv: Value,
-        r: &Expr<'a>,
-        span: Span,
-    ) -> QutesResult<Value> {
-        use BinOp::*;
         // Quantum arithmetic producing fresh registers.
         if let Value::Quantum(q) = &lv {
             if q.kind == QKind::Quint && matches!(op, Add | Sub) {
@@ -1491,8 +1433,8 @@ impl<'p, 'a> Interp<'p, 'a> {
                 }));
             }
         }
-        // bool + quint / bool * quint (commute to the quint-first forms).
-        if let (Add | Mul, Value::Bool(_)) = (op, &lv) {
+        // int + quint / int * quint (commute to the quint-first forms).
+        if let (Add | Mul, Value::Int(_) | Value::Bool(_)) = (op, &lv) {
             let rv = self.eval(r)?;
             if let Value::Quantum(q) = &rv {
                 if q.kind == QKind::Quint {
@@ -1528,6 +1470,11 @@ impl<'p, 'a> Interp<'p, 'a> {
             Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
             v => v,
         };
+        if let (Value::Int(a), Value::Int(b)) = (&lv, &rv) {
+            if let Some(v) = int_binary(op, *a, *b) {
+                return Ok(v);
+            }
+        }
         let type_err = |lv: &Value, rv: &Value| {
             Err(QutesError::runtime(
                 format!(
@@ -1541,25 +1488,18 @@ impl<'p, 'a> Interp<'p, 'a> {
         match op {
             Add => match (&lv, &rv) {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
                 _ => match (lv.as_f64(), rv.as_f64()) {
                     (Some(a), Some(b)) => Ok(Value::Float(a + b)),
                     _ => type_err(&lv, &rv),
                 },
             },
-            Sub => match (&lv, &rv) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => Ok(Value::Float(a - b)),
-                    _ => type_err(&lv, &rv),
-                },
+            Sub => match (lv.as_f64(), rv.as_f64()) {
+                (Some(a), Some(b)) => Ok(Value::Float(a - b)),
+                _ => type_err(&lv, &rv),
             },
-            Mul => match (&lv, &rv) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => Ok(Value::Float(a * b)),
-                    _ => type_err(&lv, &rv),
-                },
+            Mul => match (lv.as_f64(), rv.as_f64()) {
+                (Some(a), Some(b)) => Ok(Value::Float(a * b)),
+                _ => type_err(&lv, &rv),
             },
             Div => match (&lv, &rv) {
                 (Value::Int(a), Value::Int(b)) => {
