@@ -299,7 +299,8 @@ fn run_attempt(
     interp.handler.set_interrupt(intr.clone());
     let op_pass = {
         let _span = qutes_obs::span("stage.op_pass");
-        interp.exec_main(&program.main)
+        // Runs until the end or a top-level `return`.
+        interp.exec_stmts(&program.main).map(|_| ())
     };
     // Counted once per run, for the engine the live run ended on (an
     // `Auto` run may have been promoted from the tableau).
@@ -569,13 +570,6 @@ impl<'p, 'a> Interp<'p, 'a> {
     }
 
     // ---- statements ------------------------------------------------------
-
-    /// Runs the program's top-level statements until the end or a
-    /// top-level `return`.
-    fn exec_main(&mut self, stmts: &[Stmt<'a>]) -> QutesResult<()> {
-        self.exec_stmts(stmts)?;
-        Ok(())
-    }
 
     fn exec_stmts(&mut self, stmts: &[Stmt<'a>]) -> QutesResult<Flow> {
         for s in stmts {

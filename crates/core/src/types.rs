@@ -279,6 +279,7 @@ impl<'a> Checker<'a> {
                 at: Loc::Global(slot),
                 ty: VarType::Declared(ty),
             },
+            // Its type is never read: evaluating it fails first.
             None => r::Var {
                 name,
                 at: Loc::Unresolved,
