@@ -362,9 +362,6 @@ fn run_attempt(
     })
 }
 
-/// Statements between two interrupt checkpoints.
-const CHECKPOINT_STRIDE: u64 = 16;
-
 /// How a statement finished. A `return` leaves its value in
 /// [`Interp::returned`].
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -424,7 +421,6 @@ struct Interp<'p, 'a> {
 }
 
 impl<'p, 'a> Interp<'p, 'a> {
-    #[inline]
     fn step(&mut self, span: Span) -> QutesResult<()> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -439,16 +435,8 @@ impl<'p, 'a> Interp<'p, 'a> {
         // Cooperative checkpoint: amortised over 16 statements so tight
         // classical loops stay cheap, but an expired deadline or a
         // cancellation from another thread stops interpretation promptly.
-        // The call is made only on the statements where it can act.
-        if (self.interrupt_ck + 1).is_multiple_of(CHECKPOINT_STRIDE) {
-            self.interrupt.checkpoint_named(
-                &mut self.interrupt_ck,
-                CHECKPOINT_STRIDE,
-                "stage.interp.checkpoints",
-            )?;
-        } else {
-            self.interrupt_ck += 1;
-        }
+        self.interrupt
+            .checkpoint_named(&mut self.interrupt_ck, 16, "stage.interp.checkpoints")?;
         Ok(())
     }
 
@@ -1687,26 +1675,21 @@ impl<'p, 'a> Interp<'p, 'a> {
     /// evaluated and coerced into a fresh cell.
     fn bind_args(&mut self, f: &Function<'a>, args: &[Expr<'a>], frame: usize) -> QutesResult<()> {
         for ((a, p), &slot) in args.iter().zip(&f.decl.params).zip(&f.params) {
-            let by_ref = match &a.kind {
-                ExprKind::Var(var) => self.var_type(var).is_some_and(|ty| *ty == p.ty),
-                _ => false,
-            };
-            let value = match &a.kind {
-                ExprKind::Var(var) if by_ref => self.share(var.at).map(Binding::Shared),
+            let shared = match &a.kind {
+                ExprKind::Var(var) if self.var_type(var).is_some_and(|ty| *ty == p.ty) => {
+                    self.share(var.at)
+                }
                 _ => None,
             };
-            let value = match value {
-                Some(shared) => shared,
-                None => match self.eval_fast(a) {
-                    Some(v) if conforms(&v, &p.ty) => Binding::Owned(v),
-                    fast => {
-                        let v = match fast {
-                            Some(v) => v,
-                            None => self.eval_slow(a, Some(&p.ty))?,
-                        };
-                        Binding::Owned(self.coerce(v, &p.ty, &p.name, a.span)?)
-                    }
-                },
+            let value = match (shared, self.eval_fast(a)) {
+                (Some(c), _) => Binding::Shared(c),
+                // Already of the parameter's type: stored as it is, which
+                // spares a copy through `coerce`.
+                (None, Some(v)) if conforms(&v, &p.ty) => Binding::Owned(v),
+                (None, _) => {
+                    let v = self.eval_with_target(a, Some(&p.ty))?;
+                    Binding::Owned(self.coerce(v, &p.ty, &p.name, a.span)?)
+                }
             };
             if let Some(s) = self.locals.get_mut(frame + slot as usize) {
                 s.value = value;
