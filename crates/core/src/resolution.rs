@@ -17,15 +17,15 @@
 //! declaration is a global, one slot per name ([`Resolution::globals`]);
 //! a function body sees the globals and its own frame, nothing else.
 //!
-//! Resolution is lexical, and it reproduces the dynamic scoping the
-//! interpreter had when it looked names up at run time: a global slot
-//! stays empty until its declaration runs, so reading it earlier (say, a
-//! function called before a global it reads is declared) fails at run
-//! time with "use of undeclared variable", as before. The resolver never
-//! rejects a program: a name it cannot bind becomes [`Loc::Unresolved`],
-//! which fails when (and only when) it is evaluated. That keeps
-//! `skip_typecheck` runs, which execute programs the checker rejects,
-//! behaving as they always did.
+//! Resolution is lexical, and it gives the scoping a lookup in the
+//! scopes live at run time would give: a global slot stays empty until
+//! its declaration runs, so reading it earlier (say, in a function
+//! called before a global it reads is declared) fails at run time with
+//! "use of undeclared variable". The resolver never rejects a program: a
+//! name it cannot bind becomes [`Loc::Unresolved`], which fails when
+//! (and only when) it is evaluated. So a `skip_typecheck` run, which
+//! executes a program the checker rejects, fails only where a run-time
+//! lookup would.
 
 use qutes_frontend::ast::{AssignOp, BinOp, FunctionDecl, GateKind, Type, UnOp};
 use qutes_frontend::{Diagnostic, KetState, Span};
