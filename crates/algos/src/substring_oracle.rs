@@ -285,7 +285,7 @@ mod tests {
             c.h(q).unwrap();
         }
         c.extend(&oracle).unwrap();
-        let sv = statevector(&c).unwrap();
+        let mut sv = statevector(&c).unwrap();
         for &f in plan.flags.iter().chain(std::iter::once(&plan.result)) {
             assert!(sv.probability_one(f).unwrap() < 1e-9, "ancilla {f} dirty");
         }

@@ -1209,8 +1209,8 @@ impl<'p> Est<'p> {
                 (AVal::Int(Some(a)), AVal::Int(Some(b))) => {
                     if *b == 0 {
                         return Err(Stop);
-                    } else if a % b == 0 {
-                        AVal::Int(Some(a / b))
+                    } else if a.wrapping_rem(*b) == 0 {
+                        AVal::Int(Some(a.wrapping_div(*b)))
                     } else {
                         AVal::Float(Some(*a as f64 / *b as f64))
                     }
@@ -1225,7 +1225,7 @@ impl<'p> Est<'p> {
                     if *b == 0 {
                         return Err(Stop);
                     }
-                    AVal::Int(Some(a.rem_euclid(*b)))
+                    AVal::Int(Some(a.wrapping_rem_euclid(*b)))
                 }
                 _ => return Err(Stop),
             },

@@ -160,7 +160,9 @@ impl QuantumCircuitHandler {
     /// Returns work qubits to the pool. The caller must have uncomputed
     /// them back to `|0>`; qubits that are measurably dirty are *not*
     /// pooled (silently leaked — safe, just unrecoverable capacity).
+    /// The probes are timed as `stage.ancilla_probe`.
     pub fn release_ancillas(&mut self, qubits: &[usize]) {
+        let t0 = qutes_obs::maybe_now();
         for &q in qubits {
             let clean = on_engine!(&mut self.live, e => Engine::probability_one(e, q))
                 .map(|p| p < 1e-9)
@@ -168,6 +170,9 @@ impl QuantumCircuitHandler {
             if clean {
                 self.free_ancillas.push(q);
             }
+        }
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("stage.ancilla_probe", t0.elapsed());
         }
     }
 

@@ -1487,8 +1487,8 @@ impl<'p, 'a> Interp<'p, 'a> {
                 (Value::Int(a), Value::Int(b)) => {
                     if *b == 0 {
                         Err(QutesError::runtime("division by zero", span))
-                    } else if a % b == 0 {
-                        Ok(Value::Int(a / b))
+                    } else if a.wrapping_rem(*b) == 0 {
+                        Ok(Value::Int(a.wrapping_div(*b)))
                     } else {
                         Ok(Value::Float(*a as f64 / *b as f64))
                     }
@@ -1504,7 +1504,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                     if *b == 0 {
                         Err(QutesError::runtime("modulo by zero", span))
                     } else {
-                        Ok(Value::Int(a.rem_euclid(*b)))
+                        Ok(Value::Int(a.wrapping_rem_euclid(*b)))
                     }
                 }
                 _ => type_err(&lv, &rv),

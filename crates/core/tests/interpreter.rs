@@ -36,6 +36,15 @@ fn classical_arithmetic_and_printing() {
 }
 
 #[test]
+fn int_division_and_modulo_wrap_at_the_minimum() {
+    // The one overflowing quotient, `i64::MIN / -1`, wraps as `+ - *` do.
+    assert_eq!(
+        run("int m = -9223372036854775807 - 1; print m / -1; print m % -1; print m / 2; print m % 7;"),
+        vec!["-9223372036854775808", "0", "-4611686018427387904", "6"]
+    );
+}
+
+#[test]
 fn float_arithmetic() {
     assert_eq!(
         run("float f = 1.5 + 2; print f; print f * 2.0; print pi > 3.14;"),

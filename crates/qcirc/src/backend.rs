@@ -248,7 +248,8 @@ pub trait Engine: Clone {
     /// dense kernels may thread only when `kernel_parallel` is set.
     fn fresh(num_qubits: usize, intr: &Interrupt, kernel_parallel: bool) -> CircResult<Self>;
 
-    /// Appends `extra` fresh `|0⟩` qubits at the top indices.
+    /// Appends `extra` fresh `|0⟩` qubits at the top indices (the
+    /// statevector grows its amplitude vector in place).
     fn grow(&mut self, extra: usize) -> CircResult<()>;
 
     /// Applies a unitary gate, a barrier or a global phase. Measure,
@@ -270,7 +271,8 @@ pub trait Engine: Clone {
     fn flip(&mut self, qubit: usize) -> CircResult<()>;
 
     /// Probability of measuring `|1⟩` on `qubit` (exact on both engines;
-    /// `&mut` because the tableau uses scratch storage).
+    /// `&mut` because the tableau uses scratch storage and the
+    /// statevector settles its X frame).
     fn probability_one(&mut self, qubit: usize) -> CircResult<f64>;
 
     /// Draws `shots` joint samples of `qubits` without collapsing the
@@ -306,10 +308,7 @@ impl Engine for StateVector {
     }
 
     fn grow(&mut self, extra: usize) -> CircResult<()> {
-        if extra > 0 {
-            *self = self.tensor(&StateVector::new(extra)?)?;
-        }
-        Ok(())
+        Ok(StateVector::grow(self, extra)?)
     }
 
     fn apply_unitary(&mut self, g: &Gate) -> CircResult<()> {

@@ -28,7 +28,7 @@
 //!
 //! let mut c = QuantumCircuit::with_qubits(1);
 //! c.h(0).unwrap();
-//! let sv = statevector(&c).unwrap();
+//! let mut sv = statevector(&c).unwrap();
 //! assert!((sv.probability_one(0).unwrap() - 0.5).abs() < 1e-12);
 //! ```
 //!
@@ -1148,7 +1148,7 @@ mod tests {
     fn run_once_returns_final_state() {
         let mut c = QuantumCircuit::with_qubits_and_clbits(2, 1);
         c.x(0).unwrap().measure(0, 0).unwrap();
-        let shot = run_once(&c, &mut rng()).unwrap();
+        let mut shot = run_once(&c, &mut rng()).unwrap();
         assert!(shot.clbits[0]);
         assert_eq!(shot.clbits_as_usize(), 1);
         assert!((shot.state.probability_one(0).unwrap() - 1.0).abs() < 1e-12);
@@ -1248,7 +1248,7 @@ mod tests {
         let mut c = QuantumCircuit::with_qubits(4);
         c.x(0).unwrap().x(1).unwrap().x(2).unwrap();
         c.mcx(&[0, 1, 2], 3).unwrap();
-        let sv = statevector(&c).unwrap();
+        let mut sv = statevector(&c).unwrap();
         assert!((sv.probability_one(3).unwrap() - 1.0).abs() < 1e-12);
 
         let mut c2 = QuantumCircuit::with_qubits(3);

@@ -57,7 +57,7 @@ fn random_state<E: Engine>(seed: u64, clifford: bool) -> E {
     state
 }
 
-fn assert_same_amplitudes(a: &StateVector, b: &StateVector, what: &str) {
+fn assert_same_amplitudes(a: &mut StateVector, b: &mut StateVector, what: &str) {
     assert!(a.amplitudes() == b.amplitudes(), "{what}: states differ");
 }
 
@@ -74,7 +74,7 @@ fn statevector_measure_matches_measure_qubit() {
         apply_gate(&mut stepped, &mut clbits, &gate, &mut rng_a).unwrap();
         let want = measure::measure_qubit(&mut reference, q, &mut rng_b).unwrap();
         assert_eq!(clbits[0], want, "seed {seed}: outcome");
-        assert_same_amplitudes(&stepped, &reference, &format!("seed {seed}"));
+        assert_same_amplitudes(&mut stepped, &mut reference, &format!("seed {seed}"));
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "seed {seed}: stream");
     }
 }
@@ -89,7 +89,7 @@ fn statevector_reset_matches_measure_and_reset() {
         let mut rng_b = rng_a.clone();
         apply_gate(&mut stepped, &mut [], &Gate::Reset(q), &mut rng_a).unwrap();
         measure::measure_and_reset(&mut reference, q, &mut rng_b).unwrap();
-        assert_same_amplitudes(&stepped, &reference, &format!("seed {seed}"));
+        assert_same_amplitudes(&mut stepped, &mut reference, &format!("seed {seed}"));
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "seed {seed}: stream");
     }
 }
@@ -114,7 +114,7 @@ fn statevector_readout_flip_follows_the_collapse() {
         if p == 1.0 {
             assert_ne!(clbits[0], truth, "seed {seed}: readout at p=1 must flip");
         }
-        assert_same_amplitudes(&stepped, &reference, &format!("seed {seed}"));
+        assert_same_amplitudes(&mut stepped, &mut reference, &format!("seed {seed}"));
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "seed {seed}: stream");
     }
 }

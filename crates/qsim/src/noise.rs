@@ -237,8 +237,9 @@ impl Channel {
     /// shot holding this state draws against — the channel's probability
     /// for a Pauli channel, `γ·P(1)` of the current state for damping.
     /// Arm a channel only once every earlier fault of the sequence has
-    /// been applied.
-    pub fn arm(self, state: &StateVector, qubit: usize) -> SimResult<Site> {
+    /// been applied. `&mut` because summing `P(1)` settles the state's
+    /// X frame.
+    pub fn arm(self, state: &mut StateVector, qubit: usize) -> SimResult<Site> {
         let (threshold, p1) = match self {
             Channel::Damping(gamma) => {
                 let p1 = state.probability_one(qubit)?;

@@ -24,10 +24,10 @@ use qutes_supervisor::Interrupt;
 /// Hard cap on dense simulation size: 2^28 amplitudes = 4 GiB of state.
 pub const MAX_QUBITS: usize = 28;
 
-/// Allocates a zeroed amplitude vector, pre-flighting the reservation
-/// with `try_reserve_exact` so an allocator refusal surfaces as
-/// [`SimError::AllocationFailed`] instead of an OOM abort.
-fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
+/// Grows `amps` to `len` amplitudes, the new ones zero, pre-flighting the
+/// reservation with `try_reserve_exact` so an allocator refusal surfaces
+/// as [`SimError::AllocationFailed`] instead of an OOM abort.
+fn extend_amps(amps: &mut Vec<Complex64>, len: usize) -> SimResult<()> {
     let bytes = len.saturating_mul(std::mem::size_of::<Complex64>());
     // The failpoint models refusal of a *statevector-sized* allocation;
     // the trivial single-amplitude vector (the 0-qubit seed state every
@@ -37,18 +37,33 @@ fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
         qutes_supervisor::failpoint("sim.alloc")
             .map_err(|_| SimError::AllocationFailed { bytes })?;
     }
-    let mut amps: Vec<Complex64> = Vec::new();
-    amps.try_reserve_exact(len)
+    amps.try_reserve_exact(len - amps.len())
         .map_err(|_| SimError::AllocationFailed { bytes })?;
     amps.resize(len, Complex64::ZERO);
+    Ok(())
+}
+
+/// Allocates a zeroed amplitude vector ([`extend_amps`] from empty).
+fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
+    let mut amps = Vec::new();
+    extend_amps(&mut amps, len)?;
     Ok(amps)
 }
 
 /// A pure quantum state over `n` qubits stored as `2^n` complex amplitudes.
+///
+/// Uncontrolled X gates are not applied to the amplitudes: they toggle a
+/// bit of a pending X mask, the *frame*. The state is `X^flip` applied to
+/// the stored amplitudes, so the amplitude of basis state `i` is stored
+/// at `i ^ flip`. The gate kernels read and write through the frame
+/// exactly; anything that sums or rewrites amplitudes in index order
+/// first settles it ([`Self::settle`]) in one swap pass.
 #[derive(Clone, Debug)]
 pub struct StateVector {
     n: usize,
     amps: Vec<Complex64>,
+    /// The pending X mask: bit `q` set when qubit `q` is flipped.
+    flip: usize,
     parallel: bool,
     /// Cooperative cancellation handle checked (amortised) inside the
     /// strided kernels. Unarmed by default: a single relaxed load.
@@ -66,6 +81,7 @@ impl StateVector {
         Ok(StateVector {
             n,
             amps,
+            flip: 0,
             parallel: true,
             interrupt: Interrupt::new(),
         })
@@ -106,6 +122,7 @@ impl StateVector {
         Ok(StateVector {
             n,
             amps,
+            flip: 0,
             parallel: true,
             interrupt: Interrupt::new(),
         })
@@ -129,16 +146,70 @@ impl StateVector {
         false
     }
 
-    /// Read-only view of the amplitudes.
-    #[inline]
-    pub fn amplitudes(&self) -> &[Complex64] {
+    /// Read-only view of the amplitudes, in basis-index order. Settles
+    /// the frame first, hence `&mut`.
+    pub fn amplitudes(&mut self) -> &[Complex64] {
+        self.settle();
         &self.amps
     }
 
     /// The amplitude of basis state `index`.
     #[inline]
     pub fn amplitude(&self, index: usize) -> Complex64 {
-        self.amps[index]
+        self.amps[index ^ self.flip]
+    }
+
+    /// The amplitudes in basis-index order, read through the frame.
+    fn frame_amps(&self) -> impl Iterator<Item = Complex64> + '_ {
+        (0..self.amps.len()).map(move |i| self.amps[i ^ self.flip])
+    }
+
+    /// Applies the pending X frame to the stored amplitudes, so that the
+    /// amplitude of basis state `i` is stored at `i`: one pass swapping
+    /// `i` with `i ^ flip`, timed as `kernel.settle`. A no-op when no
+    /// qubit is flipped.
+    pub fn settle(&mut self) {
+        let flip = std::mem::take(&mut self.flip);
+        if flip == 0 {
+            return;
+        }
+        let t0 = qutes_obs::maybe_now();
+        // Each pair lies in one aligned block of twice the highest
+        // flipped bit: `k` in the lower half, `k ^ low` in the upper.
+        let half = 1usize << flip.ilog2();
+        let low = flip & (half - 1);
+        let block = half << 1;
+        parallel::for_each_block(&mut self.amps, block, self.parallel, |chunk, _| {
+            for (_, tile) in parallel::blocks_mut(chunk, block) {
+                let (zeros, ones) = tile.split_at_mut(half);
+                for (k, a) in zeros.iter_mut().enumerate() {
+                    std::mem::swap(a, &mut ones[k ^ low]);
+                }
+            }
+        });
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("kernel.settle", t0.elapsed());
+        }
+    }
+
+    /// Appends `extra` qubits in `|0>` as the new highest bits, growing
+    /// the amplitude vector in place (timed as `kernel.grow`). The new
+    /// qubits hold no flip, so the frame carries over unchanged.
+    pub fn grow(&mut self, extra: usize) -> SimResult<()> {
+        let n = self.n + extra;
+        if n > MAX_QUBITS {
+            return Err(SimError::TooManyQubits(n));
+        }
+        if extra == 0 {
+            return Ok(());
+        }
+        let t0 = qutes_obs::maybe_now();
+        extend_amps(&mut self.amps, 1usize << n)?;
+        self.n = n;
+        if let Some(t0) = t0 {
+            qutes_obs::record_duration("kernel.grow", t0.elapsed());
+        }
+        Ok(())
     }
 
     /// Enables or disables multi-threaded kernels (used by the E7/E8
@@ -202,6 +273,10 @@ impl StateVector {
     /// takes the 2×2 product, on real scalars when every entry is real.
     /// The products skipped only ever add exact zeros, so the amplitudes
     /// equal the full product's under `==`.
+    ///
+    /// An uncontrolled X only toggles the target's frame bit. Every other
+    /// matrix sweeps through the frame, computing each amplitude exactly
+    /// as it would on the settled state.
     pub fn apply_controlled(
         &mut self,
         m: &Matrix2,
@@ -219,11 +294,16 @@ impl StateVector {
 
         let (zero, one) = (Complex64::ZERO, Complex64::ONE);
         let [[m00, m01], [m10, m11]] = m.m;
+        let ctrl = controls.iter().fold(0usize, |m, &c| m | 1 << c);
         if m00 == zero && m11 == zero {
             if m01 == one && m10 == one {
-                self.sweep_pairs(controls, target, std::mem::swap)?;
+                if controls.is_empty() {
+                    self.flip ^= 1 << target;
+                    return Ok(());
+                }
+                self.sweep_pairs(ctrl, target, std::mem::swap)?;
             } else {
-                self.sweep_pairs(controls, target, move |a, b| {
+                self.sweep_pairs(ctrl, target, move |a, b| {
                     let x = *a;
                     *a = m01 * *b;
                     *b = m10 * x;
@@ -231,13 +311,13 @@ impl StateVector {
             }
         } else if m01 == zero && m10 == zero {
             match (m00 == one, m11 == one) {
-                (true, true) => self.sweep_pairs(controls, target, move |_, _| {})?,
+                (true, true) => self.sweep_pairs(ctrl, target, move |_, _| {})?,
                 (true, false) if m11.im == 0.0 => {
-                    self.sweep_pairs(controls, target, move |_, b| *b = b.scale(m11.re))?
+                    self.sweep_pairs(ctrl, target, move |_, b| *b = b.scale(m11.re))?
                 }
-                (true, false) => self.sweep_pairs(controls, target, move |_, b| *b = m11 * *b)?,
-                (false, true) => self.sweep_pairs(controls, target, move |a, _| *a = m00 * *a)?,
-                (false, false) => self.sweep_pairs(controls, target, move |a, b| {
+                (true, false) => self.sweep_pairs(ctrl, target, move |_, b| *b = m11 * *b)?,
+                (false, true) => self.sweep_pairs(ctrl, target, move |a, _| *a = m00 * *a)?,
+                (false, false) => self.sweep_pairs(ctrl, target, move |a, b| {
                     *a = m00 * *a;
                     *b = m11 * *b;
                 })?,
@@ -247,13 +327,13 @@ impl StateVector {
             // take 6 flops per amplitude instead of 14, which matters
             // because the single-core sweep is compute-bound.
             let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
-            self.sweep_pairs(controls, target, move |a, b| {
+            self.sweep_pairs(ctrl, target, move |a, b| {
                 let (x, y) = (*a, *b);
                 *a = c64(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im);
                 *b = c64(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im);
             })?;
         } else {
-            self.sweep_pairs(controls, target, move |a, b| {
+            self.sweep_pairs(ctrl, target, move |a, b| {
                 let (x, y) = (*a, *b);
                 *a = m00 * x + m01 * y;
                 *b = m10 * x + m11 * y;
@@ -270,24 +350,47 @@ impl StateVector {
         Ok(())
     }
 
-    /// The one single-target sweep: calls `op(a, b)` on every amplitude
-    /// pair `(i, i | 1 << target)` whose `i` has the target bit clear and
-    /// every control bit set.
+    /// The one single-target sweep: calls `op(a, b)` on every pair of
+    /// amplitudes `a`, `b` of basis states `(i, i | 1 << target)` whose
+    /// `i` has the target bit clear and every bit of the mask `ctrl` set.
+    ///
+    /// It reads through the frame. A control is set in the basis state
+    /// when its stored bit differs from its frame bit. When the target is
+    /// flipped, `i` is stored in the upper half of its stored pair, so
+    /// `op` gets the pair swapped back: each amplitude is computed
+    /// exactly as on the settled state (the same as sweeping the matrix
+    /// conjugated by X).
+    fn sweep_pairs<F>(&mut self, ctrl: usize, target: usize, op: F) -> SimResult<()>
+    where
+        F: Fn(&mut Complex64, &mut Complex64) + Sync,
+    {
+        let ctrl = (ctrl, ctrl & !self.flip);
+        if self.flip >> target & 1 == 1 {
+            self.sweep_stored(ctrl, target, move |a, b| op(b, a))
+        } else {
+            self.sweep_stored(ctrl, target, op)
+        }
+    }
+
+    /// Calls `op(a, b)` on every stored amplitude pair
+    /// `(i, i | 1 << target)` whose `i` has the target bit clear and
+    /// whose bits under `mask` equal `value` (`ctrl` is
+    /// `(mask, value)`).
     ///
     /// Control bits above the target select whole blocks, tested once per
     /// block; those below it are enumerated by a masked increment, so no
     /// loop tests a mask per amplitude. Blocks of up to 16 amplitudes
     /// (targets 0 to 3) walk fixed-size tiles ([`sweep_tiles`]) instead
     /// of splitting each block into short halves.
-    fn sweep_pairs<F>(&mut self, controls: &[usize], target: usize, op: F) -> SimResult<()>
+    fn sweep_stored<F>(&mut self, ctrl: (usize, usize), target: usize, op: F) -> SimResult<()>
     where
         F: Fn(&mut Complex64, &mut Complex64) + Sync,
     {
-        let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
+        let (mask, value) = ctrl;
         let half = 1usize << target;
         let block = half << 1;
-        let hi_mask = ctrl_mask & !(block - 1);
-        let lo_mask = ctrl_mask & (half - 1);
+        let (hi_mask, hi_val) = (mask & !(block - 1), value & !(block - 1));
+        let (lo_mask, lo_val) = (mask & (half - 1), value & (half - 1));
         parallel::for_each_block_interruptible(
             &mut self.amps,
             block,
@@ -298,12 +401,13 @@ impl StateVector {
                 // untouched; skipping them wholesale is what makes
                 // many-control gates (Grover's MCX/MCZ diffusion core)
                 // cheap.
-                let selected = |base: usize| (offset + base) & hi_mask == hi_mask;
+                let selected = |base: usize| (offset + base) & hi_mask == hi_val;
+                let lo = (lo_mask, lo_val);
                 match block {
-                    2 => sweep_tiles::<2, _>(chunk, selected, lo_mask, &op),
-                    4 => sweep_tiles::<4, _>(chunk, selected, lo_mask, &op),
-                    8 => sweep_tiles::<8, _>(chunk, selected, lo_mask, &op),
-                    16 => sweep_tiles::<16, _>(chunk, selected, lo_mask, &op),
+                    2 => sweep_tiles::<2, _>(chunk, selected, lo, &op),
+                    4 => sweep_tiles::<4, _>(chunk, selected, lo, &op),
+                    8 => sweep_tiles::<8, _>(chunk, selected, lo, &op),
+                    16 => sweep_tiles::<16, _>(chunk, selected, lo, &op),
                     _ => {
                         for (base, tile) in parallel::blocks_mut(chunk, block) {
                             if !selected(base) {
@@ -315,12 +419,14 @@ impl StateVector {
                                     op(a, b);
                                 }
                             } else {
-                                // The offsets below `half` holding every low
-                                // control bit, ascending.
-                                let mut k = lo_mask;
+                                // The offsets below `half` whose low
+                                // control bits equal `lo_val`, ascending:
+                                // the carry runs through the control bits
+                                // set to 1, which are then restored.
+                                let mut k = lo_val;
                                 while k < half {
                                     op(&mut zeros[k], &mut ones[k]);
-                                    k = (k + 1) | lo_mask;
+                                    k = (((k | lo_mask) + 1) & !lo_mask) | lo_val;
                                 }
                             }
                         }
@@ -336,7 +442,8 @@ impl StateVector {
         self.apply_controlled_swap(&[], a, b)
     }
 
-    /// Controlled swap (Fredkin with arbitrarily many controls).
+    /// Controlled swap (Fredkin with arbitrarily many controls). Settles
+    /// the frame first.
     pub fn apply_controlled_swap(
         &mut self,
         controls: &[usize],
@@ -351,6 +458,7 @@ impl StateVector {
         let mut all = controls.to_vec();
         all.extend_from_slice(&[a, b]);
         Self::check_distinct(&all)?;
+        self.settle();
         let t0 = qutes_obs::maybe_now();
 
         let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
@@ -412,7 +520,9 @@ impl StateVector {
     }
 
     /// Shared cache-blocked 4x4 kernel: strided iteration over aligned
-    /// blocks, no per-amplitude bit tests.
+    /// blocks, no per-amplitude bit tests. It reads through the frame:
+    /// matrix row `r` gathers from the stored offset of `r` with the
+    /// wires' frame bits flipped, and the sums keep their order.
     fn apply4(
         &mut self,
         m: &[[Complex64; 4]; 4],
@@ -428,6 +538,11 @@ impl StateVector {
         let b1 = 1usize << q1;
         let (lo_bit, hi_bit) = if b0 < b1 { (b0, b1) } else { (b1, b0) };
         let block = hi_bit << 1;
+        let fr = self.wire_flips(&[q0, q1]);
+        let offs: [usize; 4] = std::array::from_fn(|r| {
+            let r = r ^ fr;
+            (r & 1) * b0 + ((r >> 1) & 1) * b1
+        });
         let m = *m;
         // Real fused products (H/X/RY runs around CX) use the scalar fast
         // path — the sweep is compute-bound on a single core.
@@ -452,7 +567,7 @@ impl StateVector {
                     while mid < hi_bit {
                         for low in 0..lo_bit {
                             let i = mid + low;
-                            let v = [tile[i], tile[i + b0], tile[i + b1], tile[i + b0 + b1]];
+                            let v = offs.map(|o| tile[i + o]);
                             if real {
                                 for (r, row) in mr.iter().enumerate() {
                                     let acc = c64(
@@ -465,8 +580,7 @@ impl StateVector {
                                             + row[2] * v[2].im
                                             + row[3] * v[3].im,
                                     );
-                                    let off = (r & 1) * b0 + ((r >> 1) & 1) * b1;
-                                    tile[i + off] = acc;
+                                    tile[i + offs[r]] = acc;
                                 }
                             } else {
                                 for (r, row) in m.iter().enumerate() {
@@ -474,8 +588,7 @@ impl StateVector {
                                         + row[1] * v[1]
                                         + row[2] * v[2]
                                         + row[3] * v[3];
-                                    let off = (r & 1) * b0 + ((r >> 1) & 1) * b1;
-                                    tile[i + off] = acc;
+                                    tile[i + offs[r]] = acc;
                                 }
                             }
                         }
@@ -489,6 +602,15 @@ impl StateVector {
             qutes_obs::record_duration(timer, t0.elapsed());
         }
         Ok(())
+    }
+
+    /// The frame bits of `wires` as a matrix index: bit `k` is the frame
+    /// bit of `wires[k]`.
+    fn wire_flips(&self, wires: &[usize]) -> usize {
+        wires
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (k, &q)| acc | (self.flip >> q & 1) << k)
     }
 
     /// Applies a fused three-qubit unitary (a [`Matrix8`] built by the
@@ -507,11 +629,13 @@ impl StateVector {
         sorted.sort_unstable();
         let [a_bit, b_bit, c_bit] = sorted;
         let block = c_bit << 1;
-        // Gather offset of matrix row/column r relative to the base index.
-        let mut offs = [0usize; 8];
-        for (r, o) in offs.iter_mut().enumerate() {
-            *o = (r & 1) * b0 + ((r >> 1) & 1) * b1 + ((r >> 2) & 1) * b2;
-        }
+        // Gather offset of matrix row/column r relative to the base index,
+        // read through the frame as in `apply4`.
+        let fr = self.wire_flips(&[q0, q1, q2]);
+        let offs: [usize; 8] = std::array::from_fn(|r| {
+            let r = r ^ fr;
+            (r & 1) * b0 + ((r >> 1) & 1) * b1 + ((r >> 2) & 1) * b2
+        });
         let m = m.clone();
         // Real fused products take the scalar fast path (half the flops;
         // the sweep is compute-bound on a single core).
@@ -580,15 +704,16 @@ impl StateVector {
     ///
     /// This is the *simulator-level phase oracle* used to cross-check the
     /// gate-level Grover oracles (DESIGN.md §6). `pred` receives the full
-    /// basis index.
+    /// basis index (the stored index read through the frame).
     pub fn apply_phase_flip_where<F>(&mut self, pred: F)
     where
         F: Fn(usize) -> bool + Sync,
     {
         let t0 = qutes_obs::maybe_now();
+        let flip = self.flip;
         parallel::for_each_block(&mut self.amps, 1, self.parallel, |chunk, offset| {
             for (i, a) in chunk.iter_mut().enumerate() {
-                if pred(offset + i) {
+                if pred((offset + i) ^ flip) {
                     *a = -*a;
                 }
             }
@@ -607,9 +732,13 @@ impl StateVector {
         }
     }
 
-    /// Squared norm of the state (should always be ~1).
+    /// Squared norm of the state (should always be ~1), summed in
+    /// basis-index order through the frame.
     pub fn norm_sqr(&self) -> f64 {
-        parallel::sum_reduce(&self.amps, self.parallel, |a, _| a.norm_sqr())
+        let flip = self.flip;
+        parallel::sum_reduce(&self.amps, self.parallel, |_, i| {
+            self.amps[i ^ flip].norm_sqr()
+        })
     }
 
     /// Rescales the state to unit norm. Returns an error if the norm is
@@ -634,8 +763,10 @@ impl StateVector {
     /// within each chunk of the parallel split (the one
     /// [`parallel::sum_reduce`] uses). The indices with the
     /// bit clear would only add exact zeros, so they are not visited.
-    pub fn probability_one(&self, qubit: usize) -> SimResult<f64> {
+    /// It settles the frame first, hence `&mut`.
+    pub fn probability_one(&mut self, qubit: usize) -> SimResult<f64> {
         self.check_qubit(qubit)?;
+        self.settle();
         let t0 = qutes_obs::maybe_now();
         let bit = 1usize << qubit;
         let p1 = parallel::sum_chunks(&self.amps, self.parallel, |chunk, base| {
@@ -654,7 +785,9 @@ impl StateVector {
             self.check_qubit(q)?;
         }
         Self::check_distinct(qubits)?;
-        Ok(parallel::sum_reduce(&self.amps, self.parallel, |a, i| {
+        let flip = self.flip;
+        Ok(parallel::sum_reduce(&self.amps, self.parallel, |_, i| {
+            let a = self.amps[i ^ flip];
             let mut obs = 0usize;
             for (k, &q) in qubits.iter().enumerate() {
                 obs |= ((i >> q) & 1) << k;
@@ -669,7 +802,7 @@ impl StateVector {
 
     /// Full probability distribution over all `2^n` basis states.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
+        self.frame_amps().map(|a| a.norm_sqr()).collect()
     }
 
     /// Marginal distribution over a subset of qubits, as a dense vector of
@@ -680,7 +813,7 @@ impl StateVector {
         }
         Self::check_distinct(qubits)?;
         let mut out = vec![0.0f64; 1usize << qubits.len()];
-        for (i, a) in self.amps.iter().enumerate() {
+        for (i, a) in self.frame_amps().enumerate() {
             let p = a.norm_sqr();
             if p > 0.0 {
                 let mut obs = 0usize;
@@ -702,10 +835,9 @@ impl StateVector {
             )));
         }
         Ok(self
-            .amps
-            .iter()
-            .zip(other.amps.iter())
-            .map(|(a, b)| a.conj() * *b)
+            .frame_amps()
+            .zip(other.frame_amps())
+            .map(|(a, b)| a.conj() * b)
             .sum())
     }
 
@@ -715,13 +847,14 @@ impl StateVector {
     }
 
     /// Expectation value of Pauli-Z on `qubit`: `P(0) - P(1)`.
-    pub fn expectation_z(&self, qubit: usize) -> SimResult<f64> {
+    pub fn expectation_z(&mut self, qubit: usize) -> SimResult<f64> {
         let p1 = self.probability_one(qubit)?;
         Ok(1.0 - 2.0 * p1)
     }
 
     /// Tensor product `other ⊗ self`: `other`'s qubits become the high
-    /// bits. Used to build composite test fixtures.
+    /// bits. Used to build composite test fixtures. The product of the
+    /// stored amplitudes carries both frames.
     pub fn tensor(&self, other: &StateVector) -> SimResult<StateVector> {
         let n = self.n + other.n;
         if n > MAX_QUBITS {
@@ -739,6 +872,7 @@ impl StateVector {
         Ok(StateVector {
             n,
             amps,
+            flip: self.flip | other.flip << self.n,
             parallel: self.parallel,
             interrupt: self.interrupt.clone(),
         })
@@ -753,10 +887,12 @@ impl StateVector {
 
     /// [`Self::collapse_qubit`] for a caller that already holds `p1`, the
     /// [`Self::probability_one`] of `qubit` in the current state: one
-    /// sweep zeroes the dropped half and scales the kept half. Returns
-    /// the probability the outcome had before collapse.
+    /// sweep zeroes the dropped half and scales the kept half, after
+    /// settling the frame. Returns the probability the outcome had
+    /// before collapse.
     pub fn collapse_given(&mut self, qubit: usize, value: bool, p1: f64) -> SimResult<f64> {
         self.check_qubit(qubit)?;
+        self.settle();
         let p = if value { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {
             return Err(SimError::InvalidState(format!(
@@ -773,12 +909,12 @@ impl StateVector {
         // the pair sweep's interleaved writes 2^qubit amplitudes apart.
         if half < 8 {
             if value {
-                self.sweep_pairs(&[], qubit, move |a, b| {
+                self.sweep_pairs(0, qubit, move |a, b| {
                     *a = Complex64::ZERO;
                     *b = b.scale(s);
                 })?;
             } else {
-                self.sweep_pairs(&[], qubit, move |a, b| {
+                self.sweep_pairs(0, qubit, move |a, b| {
                     *a = a.scale(s);
                     *b = Complex64::ZERO;
                 })?;
@@ -812,17 +948,20 @@ impl StateVector {
     /// Resets `qubit` to `|0>` by measuring-and-flipping. Non-unitary.
     /// The supplied `p1` sampling decision is made by the caller (see
     /// `measure::measure_and_reset`); this method performs a deterministic
-    /// reset assuming the qubit has already been collapsed.
+    /// reset assuming the qubit has already been collapsed: the X only
+    /// toggles the qubit's frame bit.
     pub fn flip_if_one(&mut self, qubit: usize) -> SimResult<()> {
         // After collapse to |1>, applying X returns the qubit to |0>.
-        self.apply_single(&crate::gates::x(), qubit)
+        self.check_qubit(qubit)?;
+        self.flip ^= 1 << qubit;
+        Ok(())
     }
 
     /// Returns a formatted dump of non-negligible amplitudes, for debugging
     /// and for the CLI's `--dump-state` flag.
     pub fn dump(&self, threshold: f64) -> String {
         let mut out = String::new();
-        for (i, a) in self.amps.iter().enumerate() {
+        for (i, a) in self.frame_amps().enumerate() {
             if a.norm_sqr() > threshold {
                 out.push_str(&format!(
                     "|{:0width$b}> : {} (p={:.6})\n",
@@ -837,24 +976,25 @@ impl StateVector {
     }
 }
 
-/// [`StateVector::sweep_pairs`] on blocks of `B` amplitudes: `op` on the
+/// [`StateVector::sweep_stored`] on blocks of `B` amplitudes: `op` on the
 /// pairs of each block that `selected` (given the block's offset in
-/// `chunk`) admits and whose offset holds every bit of `lo_mask`. The
-/// block size is a constant, so the pair loop unrolls.
+/// `chunk`) admits and whose offset's bits under `lo.0` equal `lo.1`.
+/// The block size is a constant, so the pair loop unrolls.
 fn sweep_tiles<const B: usize, F>(
     chunk: &mut [Complex64],
     selected: impl Fn(usize) -> bool,
-    lo_mask: usize,
+    lo: (usize, usize),
     op: &F,
 ) where
     F: Fn(&mut Complex64, &mut Complex64),
 {
+    let (lo_mask, lo_val) = lo;
     let (tiles, _) = chunk.as_chunks_mut::<B>();
     for (i, tile) in tiles.iter_mut().enumerate() {
         if selected(i * B) {
             let (zeros, ones) = tile.split_at_mut(B / 2);
             for (k, (a, b)) in zeros.iter_mut().zip(ones).enumerate() {
-                if k & lo_mask == lo_mask {
+                if k & lo_mask == lo_val {
                     op(a, b);
                 }
             }

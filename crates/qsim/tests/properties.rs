@@ -3,7 +3,9 @@
 //! sequence, so they are checked on randomly generated programs.
 
 use proptest::prelude::*;
-use qutes_sim::{gates, measure, parallel, Complex64, Matrix2, Matrix4, Matrix8, StateVector};
+use qutes_sim::{
+    gates, measure, parallel, Channel, Complex64, Fault, Matrix2, Matrix4, Matrix8, StateVector,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,7 +185,7 @@ proptest! {
             apply(&mut sv, op);
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let before = sv.clone();
+        let mut before = sv.clone();
         let out = measure::measure_qubit(&mut sv, 1, &mut rng).unwrap();
         let prior = before.probability_one(1).unwrap();
         let prior_of_outcome = if out { prior } else { 1.0 - prior };
@@ -289,9 +291,10 @@ fn reference_cswap(amps: &mut [Complex64], controls: &[usize], a: usize, b: usiz
 }
 
 /// The matrices under test, one of each kernel shape: anti-diagonal
-/// (X, Y, a phased swap), one-sided diagonal (Z, S, T, phase, the
-/// damping no-jump Kraus operator), two-sided diagonal (a fused
-/// `Gate::Unitary` product), real (H, RY) and complex (RX, U).
+/// (X, Y, a phased swap), one-sided diagonal (Z, S, T, phase and the
+/// damping no-jump Kraus operator on the `|1>` side, a phase on the
+/// `|0>` side), two-sided diagonal (a fused `Gate::Unitary` product),
+/// real (H, RY) and complex (RX, U).
 fn shape_matrices(th: f64, ph: f64, la: f64) -> Vec<(&'static str, Matrix2)> {
     let z = Complex64::ZERO;
     vec![
@@ -305,6 +308,10 @@ fn shape_matrices(th: f64, ph: f64, la: f64) -> Vec<(&'static str, Matrix2)> {
         ("s", gates::s()),
         ("t", gates::t()),
         ("phase", gates::phase(la)),
+        (
+            "phase_low",
+            Matrix2::new(Complex64::cis(la), z, z, Complex64::ONE),
+        ),
         (
             "damping_k0",
             Matrix2::new(
@@ -385,17 +392,18 @@ fn assert_equal_amps(
 /// Checks each of `shapes` at every target and control placement, and
 /// the controlled swap of each wire pair in `swaps`, on one state.
 fn check_kernels(
-    sv: &StateVector,
+    sv: &mut StateVector,
     shapes: &[(&str, Matrix2)],
     swaps: &[(usize, usize)],
 ) -> Result<(), TestCaseError> {
     let n = sv.num_qubits();
+    let base = sv.amplitudes().to_vec();
     for (name, m) in shapes {
         for target in 0..n {
             for controls in control_sets(n, target) {
                 let mut got = sv.clone();
                 got.apply_controlled(m, &controls, target).unwrap();
-                let mut want = sv.amplitudes().to_vec();
+                let mut want = base.clone();
                 reference_controlled(&mut want, m, &controls, target);
                 assert_equal_amps(
                     got.amplitudes(),
@@ -414,7 +422,7 @@ fn check_kernels(
         ] {
             let mut got = sv.clone();
             got.apply_controlled_swap(&controls, a, b).unwrap();
-            let mut want = sv.amplitudes().to_vec();
+            let mut want = base.clone();
             reference_cswap(&mut want, &controls, a, b);
             assert_equal_amps(
                 got.amplitudes(),
@@ -429,8 +437,8 @@ fn check_kernels(
 /// `probability_one` is the index-order sum of every squared norm, zero
 /// for the indices with the bit clear, within each chunk of the
 /// parallel split: bit for bit what a full per-index sweep returns.
-fn check_measurement(sv: &StateVector) -> Result<(), TestCaseError> {
-    let amps = sv.amplitudes();
+fn check_measurement(sv: &mut StateVector) -> Result<(), TestCaseError> {
+    let amps = sv.amplitudes().to_vec();
     let engaged = sv.parallel_enabled()
         && amps.len() >= parallel::PAR_THRESHOLD
         && parallel::num_threads() > 1;
@@ -508,11 +516,11 @@ proptest! {
         ph in -6.0..6.0f64,
         la in -6.0..6.0f64,
     ) {
-        let sv = random_state(5, seed, false);
+        let mut sv = random_state(5, seed, false);
         let pairs: Vec<(usize, usize)> =
             (0..5).flat_map(|a| (0..5).filter(move |&b| b != a).map(move |b| (a, b))).collect();
-        check_kernels(&sv, &shape_matrices(th, ph, la), &pairs)?;
-        check_measurement(&sv)?;
+        check_kernels(&mut sv, &shape_matrices(th, ph, la), &pairs)?;
+        check_measurement(&mut sv)?;
     }
 }
 
@@ -535,9 +543,209 @@ proptest! {
         let shapes: Vec<_> = all.into_iter().skip(first).step_by(3).collect();
         let swaps = [(0, 1), (1, 0), (0, n - 1), (n - 1, n - 2), (2, 9)];
         for parallel in [false, true] {
-            let sv = random_state(n, seed, parallel);
-            check_kernels(&sv, &shapes, &swaps)?;
-            check_measurement(&sv)?;
+            let mut sv = random_state(n, seed, parallel);
+            check_kernels(&mut sv, &shapes, &swaps)?;
+            check_measurement(&mut sv)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The X frame.
+//
+// An uncontrolled X only toggles a bit of the state's pending X mask, and
+// every other operation reads through it. Each generated sequence runs
+// twice: as is, and with `settle()` after every operation, which applies
+// the frame to the amplitudes. The two must agree bit for bit, after every
+// operation (read through the frame) and at the end (settled).
+// ---------------------------------------------------------------------------
+
+/// One operation of a frame-equivalence sequence.
+#[derive(Clone, Debug)]
+enum FrameOp {
+    /// An uncontrolled X: a frame toggle.
+    X(usize),
+    /// `shape_matrices()[shape]` under `controls` on `target`.
+    Shape(usize, Vec<usize>, usize),
+    TwoFused(u8, u8, usize, usize),
+    ThreeFused(u8, u8, u8, usize, usize, usize),
+    /// A swap of two wires under `controls` (none: a plain swap).
+    Swap(Vec<usize>, usize, usize),
+    /// A collapse of the qubit onto its likelier outcome.
+    Collapse(usize),
+    /// New `|0>` qubits at the top.
+    Grow(usize),
+    /// `channels[channel]` armed on the qubit, then its `fault` applied.
+    Fault(usize, Fault, usize),
+}
+
+/// The noise channels a fault is drawn from, with the faults each can
+/// apply.
+fn frame_channels() -> [(Channel, &'static [Fault]); 4] {
+    [
+        (Channel::BitFlip(0.1), &[Fault::X, Fault::None]),
+        (Channel::PhaseFlip(0.1), &[Fault::Z]),
+        (Channel::Depolarizing(0.1), &[Fault::X, Fault::Y, Fault::Z]),
+        (Channel::Damping(0.3), &[Fault::Jump, Fault::None]),
+    ]
+}
+
+/// `k` distinct qubits of `0..n` other than those in `taken`.
+fn pick_qubits(rng: &mut StdRng, n: usize, k: usize, taken: &[usize]) -> Vec<usize> {
+    let mut out = Vec::new();
+    while out.len() < k {
+        let q = rng.random_range(0..n);
+        if !taken.contains(&q) && !out.contains(&q) {
+            out.push(q);
+        }
+    }
+    out
+}
+
+/// A random sequence of `len` operations starting on `n` qubits, growing
+/// by at most `grow` qubits in total. A third of the operations are Xs,
+/// so most later operations meet flipped wires and controls.
+fn frame_ops(seed: u64, n: usize, len: usize, grow: usize) -> Vec<FrameOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shapes = shape_matrices(0.0, 0.0, 0.0).len();
+    let (mut n, mut grown) = (n, 0);
+    let mut ops = Vec::with_capacity(len);
+    while ops.len() < len {
+        let op = match rng.random_range(0..12u8) {
+            0..=3 => FrameOp::X(rng.random_range(0..n)),
+            4..=6 => {
+                let target = rng.random_range(0..n);
+                let k = rng.random_range(0..4usize).min(n - 1);
+                let controls = pick_qubits(&mut rng, n, k, &[target]);
+                FrameOp::Shape(rng.random_range(0..shapes), controls, target)
+            }
+            7 => {
+                let w = pick_qubits(&mut rng, n, 2, &[]);
+                FrameOp::TwoFused(rng.random(), rng.random(), w[0], w[1])
+            }
+            8 => {
+                let w = pick_qubits(&mut rng, n, 3, &[]);
+                FrameOp::ThreeFused(rng.random(), rng.random(), rng.random(), w[0], w[1], w[2])
+            }
+            9 => {
+                let w = pick_qubits(&mut rng, n, 2, &[]);
+                let k = rng.random_range(0..3usize).min(n - 2);
+                FrameOp::Swap(pick_qubits(&mut rng, n, k, &w), w[0], w[1])
+            }
+            10 if grown < grow => {
+                let extra = rng.random_range(1..=grow - grown);
+                grown += extra;
+                n += extra;
+                FrameOp::Grow(extra)
+            }
+            10 => FrameOp::Collapse(rng.random_range(0..n)),
+            _ => {
+                let channel = rng.random_range(0..4usize);
+                let faults = frame_channels()[channel].1;
+                let fault = faults[rng.random_range(0..faults.len())];
+                FrameOp::Fault(channel, fault, rng.random_range(0..n))
+            }
+        };
+        ops.push(op);
+    }
+    ops
+}
+
+fn apply_frame_op(sv: &mut StateVector, op: &FrameOp) {
+    let shapes = shape_matrices(0.9, -2.1, 1.3);
+    match op {
+        FrameOp::X(q) => sv.apply_single(&gates::x(), *q).unwrap(),
+        FrameOp::Shape(i, controls, target) => sv
+            .apply_controlled(&shapes[*i].1, controls, *target)
+            .unwrap(),
+        FrameOp::TwoFused(g0, g1, a, b) => sv
+            .apply_two_fused(&kron2(&gate_for(*g1), &rot_for(*g0, 0.7)), *a, *b)
+            .unwrap(),
+        FrameOp::ThreeFused(g0, g1, g2, a, b, c) => sv
+            .apply_three(
+                &kron3(&gate_for(*g2), &rot_for(*g1, -1.1), &gate_for(*g0)),
+                *a,
+                *b,
+                *c,
+            )
+            .unwrap(),
+        FrameOp::Swap(controls, a, b) => sv.apply_controlled_swap(controls, *a, *b).unwrap(),
+        FrameOp::Collapse(q) => {
+            let p1 = sv.probability_one(*q).unwrap();
+            sv.collapse_given(*q, p1 >= 0.5, p1).unwrap();
+        }
+        FrameOp::Grow(extra) => sv.grow(*extra).unwrap(),
+        FrameOp::Fault(channel, fault, q) => {
+            let (channel, _) = frame_channels()[*channel];
+            // A jump needs weight on |1> to collapse onto.
+            let fault = match fault {
+                Fault::Jump if sv.probability_one(*q).unwrap() < 0.05 => Fault::None,
+                f => *f,
+            };
+            let site = channel.arm(sv, *q).unwrap();
+            site.apply(fault, sv).unwrap();
+        }
+    }
+}
+
+fn assert_same_bits(
+    plain: &StateVector,
+    settled: &StateVector,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(plain.num_qubits(), settled.num_qubits());
+    for i in 0..plain.len() {
+        let (a, b) = (plain.amplitude(i), settled.amplitude(i));
+        prop_assert!(
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            "{what}: amplitude {i} is {a:?}, settled {b:?}"
+        );
+    }
+    Ok(())
+}
+
+/// Runs `ops` on `start` as is and settled after every operation.
+fn check_frame(start: &StateVector, ops: &[FrameOp]) -> Result<(), TestCaseError> {
+    let mut plain = start.clone();
+    let mut settled = start.clone();
+    for (k, op) in ops.iter().enumerate() {
+        apply_frame_op(&mut plain, op);
+        apply_frame_op(&mut settled, op);
+        settled.settle();
+        assert_same_bits(&plain, &settled, &format!("after op {k} {op:?}"))?;
+    }
+    let (a, b) = (plain.amplitudes().to_vec(), settled.amplitudes().to_vec());
+    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        prop_assert!(
+            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+            "settled amplitude {i} is {x:?}, reference {y:?}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On 5 and 6 qubits (serial kernels, every tile size), from a random
+    /// state with a quarter of its amplitudes zero.
+    #[test]
+    fn frame_matches_settled_small(seed in any::<u64>(), n in 5usize..7) {
+        let start = random_state(n, seed, false);
+        check_frame(&start, &frame_ops(seed, n, 60, 2))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// At 14 qubits, growing to 15, with parallel kernels off and on.
+    #[test]
+    fn frame_matches_settled_large(seed in any::<u64>()) {
+        let ops = frame_ops(seed, 14, 24, 1);
+        for parallel in [false, true] {
+            let start = random_state(14, seed, parallel);
+            check_frame(&start, &ops)?;
         }
     }
 }
