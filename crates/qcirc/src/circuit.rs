@@ -130,15 +130,19 @@ impl QuantumCircuit {
     }
 
     fn check_gate(&self, g: &Gate) -> CircResult<()> {
-        for q in g.qubits() {
+        let mut out_of_range = None;
+        g.for_each_qubit(|q| {
             if q >= self.num_qubits {
-                return Err(CircError::QubitOutOfRange {
-                    qubit: q,
-                    num_qubits: self.num_qubits,
-                });
+                out_of_range.get_or_insert(q);
             }
+        });
+        if let Some(qubit) = out_of_range {
+            return Err(CircError::QubitOutOfRange {
+                qubit,
+                num_qubits: self.num_qubits,
+            });
         }
-        for c in g.clbits() {
+        if let Some(c) = g.clbit() {
             if c >= self.num_clbits {
                 return Err(CircError::ClbitOutOfRange {
                     clbit: c,
@@ -146,13 +150,23 @@ impl QuantumCircuit {
                 });
             }
         }
-        let qs = g.qubits();
-        for (i, &a) in qs.iter().enumerate() {
-            if qs[i + 1..].contains(&a) {
-                return Err(CircError::DuplicateQubit(a));
+        // The first qubit, in order, that is listed again later: the
+        // first one listed more than once, since a qubit's first listing
+        // precedes its repeats.
+        let mut duplicate = None;
+        g.for_each_qubit(|a| {
+            if duplicate.is_none() {
+                let mut count = 0;
+                g.for_each_qubit(|b| count += usize::from(b == a));
+                if count > 1 {
+                    duplicate = Some(a);
+                }
             }
+        });
+        match duplicate {
+            Some(a) => Err(CircError::DuplicateQubit(a)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Appends a validated instruction.

@@ -223,51 +223,88 @@ pub enum Gate {
 impl Gate {
     /// The qubits this instruction touches, controls first.
     pub fn qubits(&self) -> Vec<usize> {
+        let mut qs = Vec::with_capacity(self.num_qubits());
+        self.for_each_qubit(|q| qs.push(q));
+        qs
+    }
+
+    /// Calls `f` on each qubit of [`Gate::qubits`], in the same order,
+    /// without allocating: the hot paths (circuit validation, depth, the
+    /// optimizer) walk every gate's wires.
+    ///
+    /// ```
+    /// use qutes_qcirc::Gate;
+    ///
+    /// let g = Gate::MCX { controls: vec![4, 1], target: 2 };
+    /// let mut seen = Vec::new();
+    /// g.for_each_qubit(|q| seen.push(q));
+    /// assert_eq!(seen, [4, 1, 2]);
+    /// assert_eq!(g.num_qubits(), 3);
+    /// ```
+    #[inline]
+    pub fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
+        let (listed, fixed, k) = self.wire_parts();
+        for &q in listed {
+            f(q);
+        }
+        for &q in &fixed[..k] {
+            f(q);
+        }
+    }
+
+    /// The number of qubits this instruction touches.
+    pub fn num_qubits(&self) -> usize {
+        let (listed, _, k) = self.wire_parts();
+        listed.len() + k
+    }
+
+    /// The qubits as a borrowed list followed by up to three inline
+    /// ones: `(listed, fixed, k)` lists `listed` then `fixed[..k]`.
+    fn wire_parts(&self) -> (&[usize], [usize; 3], usize) {
         use Gate::*;
         match self {
             H(q) | X(q) | Y(q) | Z(q) | S(q) | Sdg(q) | T(q) | Tdg(q) | SX(q) | SXdg(q)
-            | Reset(q) => {
-                vec![*q]
-            }
+            | Reset(q) => (&[], [*q, 0, 0], 1),
             Phase { target, .. }
             | RX { target, .. }
             | RY { target, .. }
             | RZ { target, .. }
             | U { target, .. }
-            | Unitary { target, .. } => vec![*target],
+            | Unitary { target, .. } => (&[], [*target, 0, 0], 1),
             CX { control, target }
             | CY { control, target }
             | CZ { control, target }
             | CPhase {
                 control, target, ..
-            } => vec![*control, *target],
-            CCX { c0, c1, target } => vec![*c0, *c1, *target],
+            } => (&[], [*control, *target, 0], 2),
+            CCX { c0, c1, target } => (&[], [*c0, *c1, *target], 3),
             MCX { controls, target }
             | MCPhase {
                 controls, target, ..
-            } => {
-                let mut v = controls.clone();
-                v.push(*target);
-                v
-            }
-            Swap { a, b } => vec![*a, *b],
-            CSwap { control, a, b } => vec![*control, *a, *b],
-            Unitary2 { q0, q1, .. } => vec![*q0, *q1],
-            Unitary3 { q0, q1, q2, .. } => vec![*q0, *q1, *q2],
-            Measure { qubit, .. } => vec![*qubit],
-            Barrier(qs) => qs.clone(),
-            Conditional { gate, .. } => gate.qubits(),
-            GlobalPhase(_) => vec![],
+            } => (controls.as_slice(), [*target, 0, 0], 1),
+            Swap { a, b } => (&[], [*a, *b, 0], 2),
+            CSwap { control, a, b } => (&[], [*control, *a, *b], 3),
+            Unitary2 { q0, q1, .. } => (&[], [*q0, *q1, 0], 2),
+            Unitary3 { q0, q1, q2, .. } => (&[], [*q0, *q1, *q2], 3),
+            Measure { qubit, .. } => (&[], [*qubit, 0, 0], 1),
+            Barrier(qs) => (qs.as_slice(), [0; 3], 0),
+            Conditional { gate, .. } => gate.wire_parts(),
+            GlobalPhase(_) => (&[], [0; 3], 0),
+        }
+    }
+
+    /// The classical bit this instruction touches, if any (no
+    /// instruction touches more than one).
+    pub fn clbit(&self) -> Option<usize> {
+        match self {
+            Gate::Measure { clbit, .. } | Gate::Conditional { clbit, .. } => Some(*clbit),
+            _ => None,
         }
     }
 
     /// The classical bits this instruction touches.
     pub fn clbits(&self) -> Vec<usize> {
-        match self {
-            Gate::Measure { clbit, .. } => vec![*clbit],
-            Gate::Conditional { clbit, .. } => vec![*clbit],
-            _ => vec![],
-        }
+        self.clbit().into_iter().collect()
     }
 
     /// Lower-case mnemonic, matching OpenQASM where a counterpart exists.
@@ -676,6 +713,175 @@ mod tests {
             vec![0, 2, 4]
         );
         assert_eq!(Gate::GlobalPhase(1.0).qubits(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn qubit_walk_lists_every_variant_in_order() {
+        use qutes_sim::Matrix2;
+        let cases: Vec<(Gate, Vec<usize>)> = vec![
+            (Gate::H(3), vec![3]),
+            (Gate::X(1), vec![1]),
+            (Gate::Y(2), vec![2]),
+            (Gate::Z(0), vec![0]),
+            (Gate::S(4), vec![4]),
+            (Gate::Sdg(4), vec![4]),
+            (Gate::T(5), vec![5]),
+            (Gate::Tdg(5), vec![5]),
+            (Gate::SX(6), vec![6]),
+            (Gate::SXdg(6), vec![6]),
+            (
+                Gate::Phase {
+                    target: 7,
+                    lambda: 0.1,
+                },
+                vec![7],
+            ),
+            (
+                Gate::RX {
+                    target: 1,
+                    theta: 0.2,
+                },
+                vec![1],
+            ),
+            (
+                Gate::RY {
+                    target: 2,
+                    theta: 0.3,
+                },
+                vec![2],
+            ),
+            (
+                Gate::RZ {
+                    target: 3,
+                    theta: 0.4,
+                },
+                vec![3],
+            ),
+            (
+                Gate::U {
+                    target: 4,
+                    theta: 0.1,
+                    phi: 0.2,
+                    lambda: 0.3,
+                },
+                vec![4],
+            ),
+            (
+                Gate::CX {
+                    control: 5,
+                    target: 1,
+                },
+                vec![5, 1],
+            ),
+            (
+                Gate::CY {
+                    control: 0,
+                    target: 2,
+                },
+                vec![0, 2],
+            ),
+            (
+                Gate::CZ {
+                    control: 3,
+                    target: 2,
+                },
+                vec![3, 2],
+            ),
+            (
+                Gate::CPhase {
+                    control: 4,
+                    target: 0,
+                    lambda: 0.5,
+                },
+                vec![4, 0],
+            ),
+            (
+                Gate::CCX {
+                    c0: 2,
+                    c1: 0,
+                    target: 1,
+                },
+                vec![2, 0, 1],
+            ),
+            (
+                Gate::MCX {
+                    controls: vec![4, 0, 3],
+                    target: 1,
+                },
+                vec![4, 0, 3, 1],
+            ),
+            (
+                Gate::MCPhase {
+                    controls: vec![2, 5],
+                    target: 0,
+                    lambda: 0.6,
+                },
+                vec![2, 5, 0],
+            ),
+            (Gate::Swap { a: 3, b: 1 }, vec![3, 1]),
+            (
+                Gate::CSwap {
+                    control: 2,
+                    a: 0,
+                    b: 4,
+                },
+                vec![2, 0, 4],
+            ),
+            (Gate::Measure { qubit: 6, clbit: 2 }, vec![6]),
+            (Gate::Reset(7), vec![7]),
+            (Gate::Barrier(vec![]), vec![]),
+            (Gate::Barrier(vec![5, 2, 8]), vec![5, 2, 8]),
+            (
+                Gate::Conditional {
+                    clbit: 1,
+                    value: true,
+                    gate: Box::new(Gate::CCX {
+                        c0: 3,
+                        c1: 4,
+                        target: 0,
+                    }),
+                },
+                vec![3, 4, 0],
+            ),
+            (Gate::GlobalPhase(0.7), vec![]),
+            (
+                Gate::Unitary {
+                    target: 2,
+                    matrix: Matrix2::IDENTITY,
+                },
+                vec![2],
+            ),
+            (
+                Gate::Unitary2 {
+                    q0: 4,
+                    q1: 1,
+                    matrix: Box::new(Matrix4::identity()),
+                },
+                vec![4, 1],
+            ),
+            (
+                Gate::Unitary3 {
+                    q0: 0,
+                    q1: 5,
+                    q2: 3,
+                    matrix: Box::new(Matrix8::identity()),
+                },
+                vec![0, 5, 3],
+            ),
+        ];
+        for (g, want) in &cases {
+            let mut walked = Vec::new();
+            g.for_each_qubit(|q| walked.push(q));
+            assert_eq!(walked, *want, "{g:?}");
+            assert_eq!(g.qubits(), *want, "{g:?}");
+            assert_eq!(g.num_qubits(), want.len(), "{g:?}");
+            let clbit = match g {
+                Gate::Measure { clbit, .. } | Gate::Conditional { clbit, .. } => Some(*clbit),
+                _ => None,
+            };
+            assert_eq!(g.clbit(), clbit, "{g:?}");
+            assert_eq!(g.clbits(), clbit.into_iter().collect::<Vec<_>>(), "{g:?}");
+        }
     }
 
     #[test]

@@ -48,33 +48,23 @@ impl QuantumCircuit {
         let mut max_depth = 0usize;
         for g in self.ops() {
             match g {
+                Gate::Barrier(qs) if qs.is_empty() => {
+                    let m = qlevel.iter().copied().max().unwrap_or(0);
+                    qlevel.fill(m);
+                }
                 Gate::Barrier(qs) => {
-                    let wires: Vec<usize> = if qs.is_empty() {
-                        (0..self.num_qubits()).collect()
-                    } else {
-                        qs.clone()
-                    };
-                    let m = wires.iter().map(|&q| qlevel[q]).max().unwrap_or(0);
-                    for &q in &wires {
+                    let m = qs.iter().map(|&q| qlevel[q]).max().unwrap_or(0);
+                    for &q in qs {
                         qlevel[q] = m;
                     }
                 }
                 Gate::GlobalPhase(_) => {}
                 _ => {
-                    let qs = g.qubits();
-                    let cs = g.clbits();
-                    let mut level = 0usize;
-                    for &q in &qs {
-                        level = level.max(qlevel[q]);
-                    }
-                    for &c in &cs {
-                        level = level.max(clevel[c]);
-                    }
+                    let mut level = g.clbit().map_or(0, |c| clevel[c]);
+                    g.for_each_qubit(|q| level = level.max(qlevel[q]));
                     level += 1;
-                    for &q in &qs {
-                        qlevel[q] = level;
-                    }
-                    for &c in &cs {
+                    g.for_each_qubit(|q| qlevel[q] = level);
+                    if let Some(c) = g.clbit() {
                         clevel[c] = level;
                     }
                     max_depth = max_depth.max(level);
@@ -110,7 +100,7 @@ impl QuantumCircuit {
             multi_qubit_ops: self
                 .ops()
                 .iter()
-                .filter(|g| !matches!(g, Gate::Barrier(_)) && g.qubits().len() >= 2)
+                .filter(|g| !matches!(g, Gate::Barrier(_)) && g.num_qubits() >= 2)
                 .count(),
             counts: self.count_ops(),
         }

@@ -216,13 +216,13 @@ fn optimize_impl(
     sink: &mut Option<BoundarySink<'_>>,
 ) -> CircResult<(QuantumCircuit, OptimizationReport)> {
     let _span = qutes_obs::span("stage.optimize");
-    let before = circuit.stats();
+    let (size, depth) = (circuit.size(), circuit.depth());
     let mut report = OptimizationReport {
         level,
-        gates_before: before.size,
-        gates_after: before.size,
-        depth_before: before.depth,
-        depth_after: before.depth,
+        gates_before: size,
+        gates_after: size,
+        depth_before: depth,
+        depth_after: depth,
         cancelled: 0,
         merged: 0,
         fused: 0,
@@ -233,25 +233,21 @@ fn optimize_impl(
 
     let n = circuit.num_qubits();
     let mut ops: Vec<Gate> = circuit.ops().to_vec();
-    ops = cancel_merge_fixpoint(ops, n, &mut report, intr, sink)?;
+    cancel_merge_fixpoint(&mut ops, n, &mut report, intr, sink)?;
     if level >= 2 {
         intr.check().map_err(CircError::Interrupted)?;
         let _ = failpoint("qcirc.optimize.pass");
         let snap = sink.as_ref().map(|_| ops.clone());
-        let (next, changed) = fuse_runs(ops, n, &mut report.fused);
-        ops = next;
-        if changed {
+        if fuse_runs(&mut ops, n, &mut report.fused) {
             if let (Some(s), Some(before)) = (sink.as_mut(), snap.as_ref()) {
                 s("fuse_runs", before, &ops)?;
             }
             // Fusion can make 2-qubit inverse pairs adjacent on their wires.
-            ops = cancel_merge_fixpoint(ops, n, &mut report, intr, sink)?;
+            cancel_merge_fixpoint(&mut ops, n, &mut report, intr, sink)?;
         }
         intr.check().map_err(CircError::Interrupted)?;
         let snap = sink.as_ref().map(|_| ops.clone());
-        let (next, changed) = fuse_multi(ops, n, &mut report.fused);
-        ops = next;
-        if changed {
+        if fuse_multi(&mut ops, n, &mut report.fused) {
             if let (Some(s), Some(before)) = (sink.as_mut(), snap.as_ref()) {
                 s("fuse_multi", before, &ops)?;
             }
@@ -262,9 +258,8 @@ fn optimize_impl(
     for g in ops {
         out.append(g)?;
     }
-    let after = out.stats();
-    report.gates_after = after.size;
-    report.depth_after = after.depth;
+    report.gates_after = out.size();
+    report.depth_after = out.depth();
     if qutes_obs::is_enabled() {
         qutes_obs::counter_add("opt.gates_before", report.gates_before as u64);
         qutes_obs::counter_add("opt.gates_after", report.gates_after as u64);
@@ -275,12 +270,12 @@ fn optimize_impl(
     Ok((out, report))
 }
 
-/// The wires an instruction occupies for scheduling purposes: an empty
-/// barrier fences every qubit.
-fn effective_qubits(g: &Gate, n: usize) -> Vec<usize> {
+/// Calls `f` on each wire an instruction occupies for scheduling
+/// purposes: an empty barrier fences every qubit.
+fn for_each_wire(g: &Gate, n: usize, f: impl FnMut(usize)) {
     match g {
-        Gate::Barrier(qs) if qs.is_empty() => (0..n).collect(),
-        _ => g.qubits(),
+        Gate::Barrier(qs) if qs.is_empty() => (0..n).for_each(f),
+        _ => g.for_each_qubit(f),
     }
 }
 
@@ -292,56 +287,21 @@ fn is_candidate(g: &Gate) -> bool {
     g.is_unitary() && !matches!(g, Gate::Conditional { .. })
 }
 
-/// Canonical form for structural comparison: symmetric gates get their
-/// interchangeable qubits sorted.
-fn normalize(g: &Gate) -> Gate {
-    match g {
-        Gate::Swap { a, b } if a > b => Gate::Swap { a: *b, b: *a },
-        Gate::CZ { control, target } if control > target => Gate::CZ {
-            control: *target,
-            target: *control,
-        },
-        Gate::CPhase {
-            control,
-            target,
-            lambda,
-        } if control > target => Gate::CPhase {
-            control: *target,
-            target: *control,
-            lambda: *lambda,
-        },
-        Gate::CCX { c0, c1, target } if c0 > c1 => Gate::CCX {
-            c0: *c1,
-            c1: *c0,
-            target: *target,
-        },
-        Gate::MCX { controls, target } => {
-            let mut cs = controls.clone();
-            cs.sort_unstable();
-            Gate::MCX {
-                controls: cs,
-                target: *target,
-            }
-        }
-        Gate::MCPhase {
-            controls,
-            target,
-            lambda,
-        } => {
-            let mut cs = controls.clone();
-            cs.sort_unstable();
-            Gate::MCPhase {
-                controls: cs,
-                target: *target,
-                lambda: *lambda,
-            }
-        }
-        _ => g.clone(),
-    }
+/// True when `(a0, a1)` and `(b0, b1)` hold the same two qubits.
+fn same_pair(a0: usize, a1: usize, b0: usize, b1: usize) -> bool {
+    (a0 == b0 && a1 == b1) || (a0 == b1 && a1 == b0)
 }
 
-/// True when `b` is exactly the inverse of `a` (structurally, after
-/// canonicalising symmetric gates).
+/// True when `a` and `b` hold the same qubits with the same
+/// multiplicities, in any order.
+fn same_multiset(a: &[usize], b: &[usize]) -> bool {
+    let count = |xs: &[usize], x: usize| xs.iter().filter(|&&y| y == x).count();
+    a.len() == b.len() && a.iter().all(|&x| count(a, x) == count(b, x))
+}
+
+/// True when `b` is exactly the inverse of `a`, the interchangeable
+/// qubits of symmetric gates compared as sets. Both must be candidates
+/// ([`is_candidate`]).
 fn cancels(a: &Gate, b: &Gate) -> bool {
     #[cfg(feature = "verify-mutation")]
     if VERIFY_MUTATION_ARMED.load(std::sync::atomic::Ordering::SeqCst) {
@@ -352,18 +312,112 @@ fn cancels(a: &Gate, b: &Gate) -> bool {
             _ => {}
         }
     }
-    match a.inverse() {
-        Some(inv) => normalize(&inv) == normalize(b),
-        None => false,
+    use Gate::*;
+    match (a, b) {
+        // Gates whose inverse would allocate are compared in place.
+        (
+            MCX {
+                controls: c1,
+                target: t1,
+            },
+            MCX {
+                controls: c2,
+                target: t2,
+            },
+        ) => t1 == t2 && same_multiset(c1, c2),
+        (
+            MCPhase {
+                controls: c1,
+                target: t1,
+                lambda: l1,
+            },
+            MCPhase {
+                controls: c2,
+                target: t2,
+                lambda: l2,
+            },
+        ) => t1 == t2 && same_multiset(c1, c2) && -l1 == *l2,
+        (
+            Unitary2 {
+                q0: a0,
+                q1: a1,
+                matrix: m1,
+            },
+            Unitary2 {
+                q0: b0,
+                q1: b1,
+                matrix: m2,
+            },
+        ) => a0 == b0 && a1 == b1 && m1.adjoint() == **m2,
+        (
+            Unitary3 {
+                q0: a0,
+                q1: a1,
+                q2: a2,
+                matrix: m1,
+            },
+            Unitary3 {
+                q0: b0,
+                q1: b1,
+                q2: b2,
+                matrix: m2,
+            },
+        ) => a0 == b0 && a1 == b1 && a2 == b2 && m1.adjoint() == **m2,
+        (MCX { .. } | MCPhase { .. } | Unitary2 { .. } | Unitary3 { .. }, _) => false,
+        _ => a.inverse().is_some_and(|inv| same_up_to_symmetry(&inv, b)),
+    }
+}
+
+/// `a == b`, with the interchangeable qubits of SWAP, CZ, CP and the
+/// controls of CCX compared as sets.
+fn same_up_to_symmetry(a: &Gate, b: &Gate) -> bool {
+    use Gate::*;
+    match (a, b) {
+        (Swap { a: a0, b: a1 }, Swap { a: b0, b: b1 })
+        | (
+            CZ {
+                control: a0,
+                target: a1,
+            },
+            CZ {
+                control: b0,
+                target: b1,
+            },
+        ) => same_pair(*a0, *a1, *b0, *b1),
+        (
+            CPhase {
+                control: a0,
+                target: a1,
+                lambda: l1,
+            },
+            CPhase {
+                control: b0,
+                target: b1,
+                lambda: l2,
+            },
+        ) => same_pair(*a0, *a1, *b0, *b1) && l1 == l2,
+        (
+            CCX {
+                c0: a0,
+                c1: a1,
+                target: t1,
+            },
+            CCX {
+                c0: b0,
+                c1: b1,
+                target: t2,
+            },
+        ) => t1 == t2 && same_pair(*a0, *a1, *b0, *b1),
+        _ => a == b,
     }
 }
 
 /// Outcome of trying to combine two adjacent gates on the same wires.
 enum Merge {
-    /// Not combinable.
+    /// Not combinable; the earlier gate is unchanged.
     No,
-    /// Combined into one replacement gate.
-    Into(Gate),
+    /// The earlier gate now holds the combined gate.
+    Merged,
     /// Combined into the identity — both gates vanish.
     Identity,
 }
@@ -374,27 +428,30 @@ fn phase_is_trivial(lambda: f64) -> bool {
     m < ANGLE_TOL || TAU - m < ANGLE_TOL
 }
 
-fn merge_rotation(sum: f64, rebuild: impl FnOnce(f64) -> Gate) -> Merge {
-    // A full 2π turn of RX/RY/RZ is -I (a global phase), not I, so only
-    // angles that vanish outright may be dropped.
-    if sum.abs() < ANGLE_TOL {
+/// True when a rotation by `theta` is the identity. A full 2π turn of
+/// RX/RY/RZ is -I (a global phase), not I, so only angles that vanish
+/// outright count.
+fn rotation_is_trivial(theta: f64) -> bool {
+    theta.abs() < ANGLE_TOL
+}
+
+/// Adds `extra` to the angle of the earlier gate, unless the sum is
+/// `trivial`.
+fn merge_angle(angle: &mut f64, extra: f64, trivial: fn(f64) -> bool) -> Merge {
+    let sum = *angle + extra;
+    if trivial(sum) {
         Merge::Identity
     } else {
-        Merge::Into(rebuild(sum))
+        *angle = sum;
+        Merge::Merged
     }
 }
 
-fn merge_phase(sum: f64, rebuild: impl FnOnce(f64) -> Gate) -> Merge {
-    if phase_is_trivial(sum) {
-        Merge::Identity
-    } else {
-        Merge::Into(rebuild(sum))
-    }
-}
-
-/// Tries to combine `a` (earlier) and `b` (later) acting on identical
-/// wires.
-fn try_merge(a: &Gate, b: &Gate) -> Merge {
+/// Tries to fold `b` into the earlier gate `a`. The caller guarantees
+/// that both act on the same set of wires, which is all that symmetric
+/// phase gates need; a merged CP or MCP has its qubits in canonical
+/// (ascending) order.
+fn try_merge(a: &mut Gate, b: &Gate) -> Merge {
     use Gate::*;
     match (a, b) {
         (
@@ -406,8 +463,8 @@ fn try_merge(a: &Gate, b: &Gate) -> Merge {
                 target: t2,
                 theta: x2,
             },
-        ) if t1 == t2 => merge_rotation(x1 + x2, |theta| RX { target: *t1, theta }),
-        (
+        )
+        | (
             RY {
                 target: t1,
                 theta: x1,
@@ -416,8 +473,8 @@ fn try_merge(a: &Gate, b: &Gate) -> Merge {
                 target: t2,
                 theta: x2,
             },
-        ) if t1 == t2 => merge_rotation(x1 + x2, |theta| RY { target: *t1, theta }),
-        (
+        )
+        | (
             RZ {
                 target: t1,
                 theta: x1,
@@ -426,7 +483,7 @@ fn try_merge(a: &Gate, b: &Gate) -> Merge {
                 target: t2,
                 theta: x2,
             },
-        ) if t1 == t2 => merge_rotation(x1 + x2, |theta| RZ { target: *t1, theta }),
+        ) if *t1 == *t2 => merge_angle(x1, *x2, rotation_is_trivial),
         (
             Phase {
                 target: t1,
@@ -436,36 +493,30 @@ fn try_merge(a: &Gate, b: &Gate) -> Merge {
                 target: t2,
                 lambda: l2,
             },
-        ) if t1 == t2 => merge_phase(l1 + l2, |lambda| Phase {
-            target: *t1,
-            lambda,
-        }),
-        (CPhase { lambda: l1, .. }, CPhase { lambda: l2, .. }) if same_symmetric_wires(a, b) => {
-            let (control, target) = match normalize(a) {
-                CPhase {
-                    control, target, ..
-                } => (control, target),
-                // normalize() maps CPhase to CPhase.
-                _ => return Merge::No,
-            };
-            merge_phase(l1 + l2, |lambda| CPhase {
+        ) if *t1 == *t2 => merge_angle(l1, *l2, phase_is_trivial),
+        (
+            CPhase {
                 control,
                 target,
-                lambda,
-            })
+                lambda: l1,
+            },
+            CPhase { lambda: l2, .. },
+        ) => {
+            if *control > *target {
+                std::mem::swap(control, target);
+            }
+            merge_angle(l1, *l2, phase_is_trivial)
         }
-        (MCPhase { lambda: l1, .. }, MCPhase { lambda: l2, .. }) if same_symmetric_wires(a, b) => {
-            let (controls, target) = match normalize(a) {
-                MCPhase {
-                    controls, target, ..
-                } => (controls, target),
-                _ => return Merge::No,
-            };
-            merge_phase(l1 + l2, |lambda| MCPhase {
+        (
+            MCPhase {
                 controls,
-                target,
-                lambda,
-            })
+                lambda: l1,
+                ..
+            },
+            MCPhase { lambda: l2, .. },
+        ) => {
+            controls.sort_unstable();
+            merge_angle(l1, *l2, phase_is_trivial)
         }
         (
             Unitary {
@@ -476,60 +527,32 @@ fn try_merge(a: &Gate, b: &Gate) -> Merge {
                 target: t2,
                 matrix: m2,
             },
-        ) if t1 == t2 => {
+        ) if *t1 == *t2 => {
             let product = m2.matmul(m1);
             if product.approx_eq(&Matrix2::IDENTITY, ANGLE_TOL) {
                 Merge::Identity
             } else {
-                Merge::Into(Unitary {
-                    target: *t1,
-                    matrix: product,
-                })
+                *m1 = product;
+                Merge::Merged
             }
         }
         _ => Merge::No,
     }
 }
 
-/// True when the two gates touch the same set of qubits (order-free) —
-/// used for phase gates, which are symmetric under qubit permutation.
-fn same_symmetric_wires(a: &Gate, b: &Gate) -> bool {
-    let mut qa = a.qubits();
-    let mut qb = b.qubits();
-    qa.sort_unstable();
-    qb.sort_unstable();
-    qa == qb
-}
-
-/// Recomputes the last-instruction index of each wire in `qs` after a
-/// tombstone at or after `from`.
-fn restore_last(
-    out: &[Option<Gate>],
-    last: &mut [Option<usize>],
-    qs: &[usize],
-    from: usize,
-    n: usize,
-) {
-    for &q in qs {
-        last[q] = None;
-        for i in (0..from).rev() {
-            if let Some(g) = &out[i] {
-                if effective_qubits(g, n).contains(&q) {
-                    last[q] = Some(i);
-                    break;
-                }
-            }
-        }
-    }
+/// Drops the gates whose `keep` flag is false, preserving order.
+fn compact(ops: &mut Vec<Gate>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    ops.retain(|_| flags.next().copied().unwrap_or(true));
 }
 
 fn cancel_merge_fixpoint(
-    mut ops: Vec<Gate>,
+    ops: &mut Vec<Gate>,
     n: usize,
     report: &mut OptimizationReport,
     intr: &Interrupt,
     sink: &mut Option<BoundarySink<'_>>,
-) -> CircResult<Vec<Gate>> {
+) -> CircResult<()> {
     for _ in 0..MAX_PASSES {
         if intr.is_armed() {
             qutes_obs::counter_add("stage.optimize.checkpoints", 1);
@@ -539,107 +562,115 @@ fn cancel_merge_fixpoint(
         // The pre-pass snapshot exists only when a sink is attached, so
         // the plain `optimize` path never pays for the clone.
         let snap = sink.as_ref().map(|_| ops.clone());
-        let (next, changed) = cancel_merge(ops, n, &mut report.cancelled, &mut report.merged);
-        ops = next;
-        if !changed {
+        if !cancel_merge(ops, n, &mut report.cancelled, &mut report.merged) {
             break;
         }
         if let (Some(s), Some(before)) = (sink.as_mut(), snap.as_ref()) {
-            s("cancel_merge", before, &ops)?;
+            s("cancel_merge", before, ops)?;
         }
     }
-    Ok(ops)
+    Ok(())
 }
 
-/// One forward pass of commutation-aware cancellation and merging.
+/// One forward pass of commutation-aware cancellation and merging, in
+/// place; returns whether it changed `ops`.
 ///
 /// `last[q]` tracks the most recent surviving instruction touching wire
 /// `q`; a new gate whose wires *all* point at one predecessor covering
-/// exactly the same wires is checked against it. Tombstoning a pair
-/// rewinds the wire pointers, so cascades (`X·Y·Y·X`) collapse within a
-/// single pass.
-fn cancel_merge(
-    ops: Vec<Gate>,
-    n: usize,
-    cancelled: &mut usize,
-    merged: &mut usize,
-) -> (Vec<Gate>, bool) {
-    let mut out: Vec<Option<Gate>> = Vec::with_capacity(ops.len());
+/// exactly the same wires is checked against it. Each instruction
+/// records the `last` entries it displaced, so tombstoning a pair puts
+/// its wires back in O(1): only a gate that is the latest on all of its
+/// wires is ever tombstoned, so what it displaced is exactly the latest
+/// surviving instruction before it on each wire. Cascades (`X·Y·Y·X`)
+/// collapse within a single pass.
+fn cancel_merge(ops: &mut Vec<Gate>, n: usize, cancelled: &mut usize, merged: &mut usize) -> bool {
+    let mut keep = vec![true; ops.len()];
+    // Instruction `i` displaced the `(wire, last[wire])` pairs
+    // `displaced[first[i]..first[i + 1]]`.
+    let mut first: Vec<usize> = Vec::with_capacity(ops.len());
+    let mut displaced: Vec<(usize, Option<usize>)> = Vec::with_capacity(2 * ops.len());
     let mut last: Vec<Option<usize>> = vec![None; n];
     let mut gphase: Option<usize> = None;
     let mut changed = false;
 
-    for g in ops {
+    for i in 0..ops.len() {
+        first.push(displaced.len());
+        // Rewrites only ever touch instructions before `i`.
+        let (done, rest) = ops.split_at_mut(i);
+        let g = &rest[0];
         // Global phases are scalars: they commute with everything, so any
         // two of them merge regardless of what sits between.
-        if let Gate::GlobalPhase(t) = g {
-            if let Some(i) = gphase {
-                if let Some(Some(Gate::GlobalPhase(prev))) = out.get_mut(i) {
-                    *prev += t;
-                    *merged += 1;
-                    changed = true;
-                    continue;
-                }
+        if let Gate::GlobalPhase(t) = *g {
+            if let Some(Gate::GlobalPhase(prev)) = gphase.map(|j| &mut done[j]) {
+                *prev += t;
+                *merged += 1;
+                keep[i] = false;
+                changed = true;
+            } else {
+                gphase = Some(i);
             }
-            gphase = Some(out.len());
-            out.push(Some(Gate::GlobalPhase(t)));
             continue;
         }
 
-        let qs = effective_qubits(&g, n);
-        if is_candidate(&g) && !qs.is_empty() {
-            let pred = last[qs[0]].filter(|&p| qs.iter().all(|&q| last[q] == Some(p)));
-            if let Some(p) = pred {
-                let prev_matches = out[p]
-                    .as_ref()
-                    .is_some_and(|prev| is_candidate(prev) && same_wire_set(prev, &qs, n));
-                if prev_matches {
-                    // `prev_matches` guarantees `out[p]` is occupied.
-                    let prev = out[p].clone().unwrap_or(Gate::Barrier(vec![]));
-                    if cancels(&prev, &g) {
-                        out[p] = None;
+        if is_candidate(g) {
+            // The instruction all of `g`'s wires last saw, if they agree.
+            let mut pred: Option<Option<usize>> = None;
+            g.for_each_qubit(|q| {
+                pred = match pred {
+                    Some(p) if p != last[q] => Some(None),
+                    Some(p) => Some(p),
+                    None => Some(last[q]),
+                };
+            });
+            // Every wire of `g` is a wire of `done[p]`, and no instruction
+            // repeats a qubit (`QuantumCircuit::append` rejects that), so
+            // the two span the same wires exactly when their counts match.
+            if let Some(p) = pred.flatten() {
+                let prev = &mut done[p];
+                if is_candidate(prev) && prev.num_qubits() == g.num_qubits() {
+                    let vanished = if cancels(prev, g) {
                         *cancelled += 2;
+                        true
+                    } else {
+                        match try_merge(prev, g) {
+                            Merge::Identity => {
+                                *merged += 2;
+                                true
+                            }
+                            Merge::Merged => {
+                                // Same wires, so the wire pointers still
+                                // reference `p`.
+                                *merged += 1;
+                                keep[i] = false;
+                                changed = true;
+                                continue;
+                            }
+                            Merge::No => false,
+                        }
+                    };
+                    if vanished {
+                        keep[p] = false;
+                        keep[i] = false;
+                        for &(q, before) in &displaced[first[p]..first[p + 1]] {
+                            last[q] = before;
+                        }
                         changed = true;
-                        restore_last(&out, &mut last, &qs, p, n);
                         continue;
-                    }
-                    match try_merge(&prev, &g) {
-                        Merge::Identity => {
-                            out[p] = None;
-                            *merged += 2;
-                            changed = true;
-                            restore_last(&out, &mut last, &qs, p, n);
-                            continue;
-                        }
-                        Merge::Into(m) => {
-                            out[p] = Some(m);
-                            *merged += 1;
-                            changed = true;
-                            continue; // wire pointers still reference `p`
-                        }
-                        Merge::No => {}
                     }
                 }
             }
         }
 
-        let idx = out.len();
-        out.push(Some(g));
-        for &q in &qs {
-            last[q] = Some(idx);
-        }
+        for_each_wire(g, n, |q| {
+            displaced.push((q, last[q]));
+            last[q] = Some(i);
+        });
     }
 
-    (out.into_iter().flatten().collect(), changed)
-}
-
-/// True when `g` touches exactly the wires in `qs` (as a set).
-fn same_wire_set(g: &Gate, qs: &[usize], n: usize) -> bool {
-    let mut a = effective_qubits(g, n);
-    let mut b = qs.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
+    if changed {
+        compact(ops, &keep);
+    }
+    changed
 }
 
 /// The 2x2 matrix of a plain single-qubit unitary gate, with its target.
@@ -680,7 +711,8 @@ type Run = (usize, Matrix2, usize);
 /// product is the identity); a single-gate run keeps its original gate.
 fn flush_run(
     runs: &mut [Option<Run>],
-    out: &mut [Option<Gate>],
+    ops: &mut [Gate],
+    keep: &mut [bool],
     q: usize,
     fused: &mut usize,
     changed: &mut bool,
@@ -690,34 +722,36 @@ fn flush_run(
             *changed = true;
             if acc.approx_eq(&Matrix2::IDENTITY, ANGLE_TOL) {
                 *fused += len;
-                out[first] = None;
+                keep[first] = false;
             } else {
                 *fused += len - 1;
-                out[first] = Some(Gate::Unitary {
+                ops[first] = Gate::Unitary {
                     target: q,
                     matrix: acc,
-                });
+                };
             }
         }
     }
 }
 
-/// Level-2 pass: collapses maximal runs of single-qubit gates per wire
-/// into one fused matrix. A run member commutes backward past everything
-/// between it and the run head (nothing in between touches the wire, or
-/// the run would have been flushed), so placing the fused gate at the
-/// head position is exact.
-fn fuse_runs(ops: Vec<Gate>, n: usize, fused: &mut usize) -> (Vec<Gate>, bool) {
-    let mut out: Vec<Option<Gate>> = ops.into_iter().map(Some).collect();
+/// Level-2 pass, in place: collapses maximal runs of single-qubit gates
+/// per wire into one fused matrix; returns whether it changed `ops`. A
+/// run member commutes backward past everything between it and the run
+/// head (nothing in between touches the wire, or the run would have been
+/// flushed), so placing the fused gate at the head position is exact.
+fn fuse_runs(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
+    let mut keep = vec![true; ops.len()];
     let mut runs: Vec<Option<Run>> = vec![None; n];
     let mut changed = false;
 
-    for i in 0..out.len() {
-        let Some(g) = out[i].clone() else { continue };
-        if let Some((q, m)) = gate_matrix(&g) {
+    for i in 0..ops.len() {
+        // Runs only ever rewrite positions before `i`.
+        let (done, rest) = ops.split_at_mut(i);
+        let g = &rest[0];
+        if let Some((q, m)) = gate_matrix(g) {
             match runs[q].take() {
                 Some((first, acc, len)) => {
-                    out[i] = None; // absorbed into the run head
+                    keep[i] = false; // absorbed into the run head
                     runs[q] = Some((first, m.matmul(&acc), len + 1));
                 }
                 None => runs[q] = Some((i, m, 1)),
@@ -726,20 +760,32 @@ fn fuse_runs(ops: Vec<Gate>, n: usize, fused: &mut usize) -> (Vec<Gate>, bool) {
             // Fences (multi-qubit gates, measures, resets, barriers,
             // conditionals) close the runs on every wire they touch;
             // global phases touch none and pass through.
-            for q in effective_qubits(&g, n) {
-                flush_run(&mut runs, &mut out, q, fused, &mut changed);
-            }
+            for_each_wire(g, n, |q| {
+                flush_run(&mut runs, done, &mut keep, q, fused, &mut changed);
+            });
         }
     }
     for q in 0..n {
-        flush_run(&mut runs, &mut out, q, fused, &mut changed);
+        flush_run(&mut runs, ops, &mut keep, q, fused, &mut changed);
     }
 
-    (out.into_iter().flatten().collect(), changed)
+    if changed {
+        compact(ops, &keep);
+    }
+    changed
 }
 
 /// Dense top-left `2^k x 2^k` block of an 8x8 scratch matrix.
 type Dense = [[Complex64; 8]; 8];
+
+/// The identity on `k` wires.
+fn dense_identity(k: usize) -> Dense {
+    let mut m = [[Complex64::ZERO; 8]; 8];
+    for (d, row) in m.iter_mut().enumerate().take(1 << k) {
+        row[d] = Complex64::ONE;
+    }
+    m
+}
 
 /// Builds the dense matrix of a gate from its action on basis states:
 /// `action(i) = (j, amp)` means the gate maps `|i>` to `amp * |j>`.
@@ -755,27 +801,28 @@ fn dense_from_action(dim: usize, action: impl Fn(usize) -> (usize, Complex64)) -
     m
 }
 
-/// The wires (in gate bit order: wire `t` = bit `t` of the basis index),
-/// wire count, and dense matrix of a gate the multi-qubit fusion pass
-/// can absorb. `None` for everything else (fences).
-fn fusable_dense(g: &Gate) -> Option<(Vec<usize>, usize, Dense)> {
+/// The wires (in gate bit order: wire `t` = bit `t` of the basis index,
+/// the first `k` entries of the array), wire count `k`, and dense matrix
+/// of a gate the multi-qubit fusion pass can absorb. `None` for
+/// everything else (fences).
+fn fusable_dense(g: &Gate) -> Option<([usize; 3], usize, Dense)> {
     use Gate::*;
     if let Some((q, m)) = gate_matrix(g) {
         let mut d = [[Complex64::ZERO; 8]; 8];
         for (dr, mr) in d.iter_mut().zip(m.m.iter()) {
             dr[..2].copy_from_slice(mr);
         }
-        return Some((vec![q], 1, d));
+        return Some(([q, 0, 0], 1, d));
     }
     let one = Complex64::ONE;
     Some(match g {
         CX { control, target } => (
-            vec![*control, *target],
+            [*control, *target, 0],
             2,
             dense_from_action(4, |i| (if i & 1 == 1 { i ^ 2 } else { i }, one)),
         ),
         CY { control, target } => (
-            vec![*control, *target],
+            [*control, *target, 0],
             2,
             dense_from_action(4, |i| {
                 if i & 1 == 1 {
@@ -794,7 +841,7 @@ fn fusable_dense(g: &Gate) -> Option<(Vec<usize>, usize, Dense)> {
             }),
         ),
         CZ { control, target } => (
-            vec![*control, *target],
+            [*control, *target, 0],
             2,
             dense_from_action(4, |i| (i, if i == 3 { -one } else { one })),
         ),
@@ -803,24 +850,24 @@ fn fusable_dense(g: &Gate) -> Option<(Vec<usize>, usize, Dense)> {
             target,
             lambda,
         } => (
-            vec![*control, *target],
+            [*control, *target, 0],
             2,
             dense_from_action(4, |i| {
                 (i, if i == 3 { Complex64::cis(*lambda) } else { one })
             }),
         ),
         Swap { a, b } => (
-            vec![*a, *b],
+            [*a, *b, 0],
             2,
             dense_from_action(4, |i| ((i >> 1 & 1) | (i & 1) << 1, one)),
         ),
         CCX { c0, c1, target } => (
-            vec![*c0, *c1, *target],
+            [*c0, *c1, *target],
             3,
             dense_from_action(8, |i| (if i & 3 == 3 { i ^ 4 } else { i }, one)),
         ),
         CSwap { control, a, b } => (
-            vec![*control, *a, *b],
+            [*control, *a, *b],
             3,
             dense_from_action(8, |i| {
                 if i & 1 == 1 {
@@ -835,74 +882,119 @@ fn fusable_dense(g: &Gate) -> Option<(Vec<usize>, usize, Dense)> {
             for (dr, mr) in d.iter_mut().zip(matrix.m.iter()) {
                 dr[..4].copy_from_slice(mr);
             }
-            (vec![*q0, *q1], 2, d)
+            ([*q0, *q1, 0], 2, d)
         }
-        Unitary3 { q0, q1, q2, matrix } => (vec![*q0, *q1, *q2], 3, matrix.m),
+        Unitary3 { q0, q1, q2, matrix } => ([*q0, *q1, *q2], 3, matrix.m),
         _ => return None,
     })
 }
 
-/// An in-progress multi-qubit fusion cluster: a set of tombstoned gates
-/// whose combined support fits on at most 3 wires, with the running
-/// product of their dense matrices over basis `|w2 w1 w0>` (sorted wire
-/// `t` = bit `t`).
+/// Left-multiplies a gate's dense matrix (over `gwires` in gate bit
+/// order, all of which must lie in the sorted `wires`) onto `mat`, a
+/// product over `wires`, and returns whether every entry of the result
+/// is finite.
+///
+/// With `skip_zeros`, products with a zero gate entry are left out of
+/// the sums. When every entry of `mat` is finite that changes no bit:
+/// such a product is then an exact (signed) zero, and adding one never
+/// changes a sum that starts at `+0`.
+fn apply(
+    mat: &mut Dense,
+    wires: &[usize],
+    gwires: &[usize],
+    gdense: &Dense,
+    skip_zeros: bool,
+) -> bool {
+    let dim = 1 << wires.len();
+    let gdim = 1 << gwires.len();
+    // Cluster-local bit position of each gate bit. The wire is
+    // guaranteed present; the fallback is unreachable.
+    let mut pos = [0usize; 3];
+    for (p, w) in pos.iter_mut().zip(gwires) {
+        *p = wires.binary_search(w).unwrap_or(0);
+    }
+    let pos = &pos[..gwires.len()];
+    // Scatter table: gate sub-index -> cluster index bits.
+    let mut scatter = [0usize; 8];
+    for (s, e) in scatter.iter_mut().enumerate().take(gdim) {
+        for (t, &p) in pos.iter().enumerate() {
+            *e |= (s >> t & 1) << p;
+        }
+    }
+    let gate_mask = scatter[gdim - 1];
+    let src = *mat;
+    let mut finite = true;
+    for (r, row) in mat.iter_mut().enumerate().take(dim) {
+        // Output row `r` takes gate row `sub` against the source rows
+        // `base | scatter[s]`.
+        let base = r & !gate_mask;
+        let mut sub = 0usize;
+        for (t, &p) in pos.iter().enumerate() {
+            sub |= (r >> p & 1) << t;
+        }
+        let mut terms = [(Complex64::ZERO, 0usize); 8];
+        let mut nterms = 0;
+        for (&g, &off) in gdense[sub].iter().zip(&scatter).take(gdim) {
+            if !skip_zeros || g != Complex64::ZERO {
+                terms[nterms] = (g, base | off);
+                nterms += 1;
+            }
+        }
+        // Term by term over the whole row: each entry still sums its
+        // terms in gate-column order.
+        let mut acc = [Complex64::ZERO; 8];
+        for &(g, from) in &terms[..nterms] {
+            for (a, &x) in acc.iter_mut().zip(&src[from]).take(dim) {
+                *a += g * x;
+            }
+        }
+        for (e, &a) in row.iter_mut().zip(&acc).take(dim) {
+            *e = a;
+            finite &= a.re.is_finite() & a.im.is_finite();
+        }
+    }
+    finite
+}
+
+/// A multi-qubit fusion cluster: a set of gates whose combined support
+/// fits on at most 3 wires, with the running product of their dense
+/// matrices over basis `|w2 w1 w0>` (sorted wire `t` = bit `t`). The
+/// pass keeps one per slot and reuses a slot once its cluster closes.
 struct Cluster {
-    /// Sorted, distinct wires the cluster spans (1..=3).
-    wires: Vec<usize>,
+    /// Sorted, distinct wires the cluster spans: `wires[..k]`, with
+    /// `k` = 0 for a free slot.
+    wires: [usize; 3],
+    k: usize,
     /// Product of member matrices, top-left `2^k x 2^k` block.
     mat: Dense,
-    /// `(original position, original gate)` of each absorbed member.
-    members: Vec<(usize, Gate)>,
+    /// Positions of the absorbed gates; the last is the latest.
+    members: Vec<usize>,
+    /// When the product last changed. Touched clusters merge oldest
+    /// first, the order in which their products were formed.
+    stamp: usize,
+    /// True when every entry of the product is finite.
+    finite: bool,
 }
 
 impl Cluster {
-    fn dim(&self) -> usize {
-        1 << self.wires.len()
+    fn empty() -> Cluster {
+        Cluster {
+            wires: [0; 3],
+            k: 0,
+            mat: [[Complex64::ZERO; 8]; 8],
+            members: Vec::new(),
+            stamp: 0,
+            finite: true,
+        }
     }
 
-    /// Left-multiplies a gate's dense matrix (over `gwires` in gate bit
-    /// order, all of which must lie in `self.wires`) onto the cluster
-    /// product.
-    fn apply(&mut self, gwires: &[usize], gk: usize, gdense: &Dense) {
-        let dim = self.dim();
-        let gdim = 1 << gk;
-        // Cluster-local bit position of each gate bit. The wire is
-        // guaranteed present; the fallback is unreachable.
-        let pos: Vec<usize> = gwires
-            .iter()
-            .map(|w| self.wires.binary_search(w).unwrap_or(0))
-            .collect();
-        // Scatter table: gate sub-index -> cluster index bits.
-        let mut scatter = [0usize; 8];
-        for (s, e) in scatter.iter_mut().enumerate().take(gdim) {
-            for (t, &p) in pos.iter().enumerate() {
-                *e |= (s >> t & 1) << p;
-            }
-        }
-        let gate_mask = scatter[gdim - 1];
-        for c in 0..dim {
-            let mut col = [Complex64::ZERO; 8];
-            for (r, e) in col.iter_mut().enumerate().take(dim) {
-                *e = self.mat[r][c];
-            }
-            for (r, row) in self.mat.iter_mut().enumerate().take(dim) {
-                let base = r & !gate_mask;
-                let mut sub = 0usize;
-                for (t, &p) in pos.iter().enumerate() {
-                    sub |= (r >> p & 1) << t;
-                }
-                let mut acc = Complex64::ZERO;
-                for (s, &off) in scatter.iter().enumerate().take(gdim) {
-                    acc += gdense[sub][s] * col[base | off];
-                }
-                row[c] = acc;
-            }
-        }
+    fn wires(&self) -> &[usize] {
+        &self.wires[..self.k]
     }
 
     /// True when the cluster product is the identity (up to `ANGLE_TOL`).
     fn is_identity(&self) -> bool {
-        let dim = self.dim();
+        let dim = 1 << self.k;
         for r in 0..dim {
             for c in 0..dim {
                 let want = if r == c {
@@ -918,82 +1010,103 @@ impl Cluster {
         }
         true
     }
+
+    /// The fused gate carrying the cluster product.
+    fn to_gate(&self) -> Gate {
+        let m = &self.mat;
+        match self.k {
+            1 => Gate::Unitary {
+                target: self.wires[0],
+                matrix: Matrix2::new(m[0][0], m[0][1], m[1][0], m[1][1]),
+            },
+            2 => {
+                let mut m4 = [[Complex64::ZERO; 4]; 4];
+                for (r, row) in m4.iter_mut().enumerate() {
+                    row.copy_from_slice(&m[r][..4]);
+                }
+                Gate::Unitary2 {
+                    q0: self.wires[0],
+                    q1: self.wires[1],
+                    matrix: Box::new(Matrix4::new(m4)),
+                }
+            }
+            _ => Gate::Unitary3 {
+                q0: self.wires[0],
+                q1: self.wires[1],
+                q2: self.wires[2],
+                matrix: Box::new(Matrix8::new(*m)),
+            },
+        }
+    }
 }
 
-/// Closes a cluster. A cluster only pays for itself when it absorbed
-/// more gates than it spans wires (one fused `2^k x 2^k` sweep costs
-/// about as much as `k` separate passes on this kernel set); below that
-/// threshold the original gates are restored untouched. A profitable
-/// cluster is emitted at its *last* member position — every surviving
-/// gate between member positions is off-cluster-wire (or the cluster
-/// would have been flushed earlier) and therefore commutes with it.
+/// Closes a cluster and frees its slot. A cluster only pays for itself
+/// when it absorbed more gates than it spans wires (one fused
+/// `2^k x 2^k` sweep costs about as much as `k` separate passes on this
+/// kernel set); below that threshold its gates stay untouched. A
+/// profitable cluster is emitted at its *last* member position — every
+/// surviving gate between member positions is off-cluster-wire (or the
+/// cluster would have been flushed earlier) and therefore commutes with
+/// it.
 fn flush_cluster(
-    cluster: Cluster,
-    out: &mut [Option<Gate>],
+    cl: &mut Cluster,
+    ops: &mut [Gate],
+    keep: &mut [bool],
     wire_map: &mut [Option<usize>],
     fused: &mut usize,
     changed: &mut bool,
 ) {
-    for &w in &cluster.wires {
+    for &w in cl.wires() {
         wire_map[w] = None;
     }
-    if cluster.members.len() <= cluster.wires.len() {
-        for (posn, g) in cluster.members {
-            out[posn] = Some(g);
+    if let Some(&last) = cl.members.last().filter(|_| cl.members.len() > cl.k) {
+        *changed = true;
+        for &p in &cl.members {
+            keep[p] = false;
         }
-        return;
-    }
-    *changed = true;
-    if cluster.is_identity() {
-        *fused += cluster.members.len();
-        return;
-    }
-    *fused += cluster.members.len() - 1;
-    let Some(&(last, _)) = cluster.members.last() else {
-        return;
-    };
-    let m = &cluster.mat;
-    out[last] = Some(match cluster.wires.len() {
-        1 => Gate::Unitary {
-            target: cluster.wires[0],
-            matrix: Matrix2::new(m[0][0], m[0][1], m[1][0], m[1][1]),
-        },
-        2 => {
-            let mut m4 = [[Complex64::ZERO; 4]; 4];
-            for (r, row) in m4.iter_mut().enumerate() {
-                row.copy_from_slice(&m[r][..4]);
-            }
-            Gate::Unitary2 {
-                q0: cluster.wires[0],
-                q1: cluster.wires[1],
-                matrix: Box::new(Matrix4::new(m4)),
-            }
+        if cl.is_identity() {
+            *fused += cl.members.len();
+        } else {
+            *fused += cl.members.len() - 1;
+            ops[last] = cl.to_gate();
+            keep[last] = true;
         }
-        _ => Gate::Unitary3 {
-            q0: cluster.wires[0],
-            q1: cluster.wires[1],
-            q2: cluster.wires[2],
-            matrix: Box::new(Matrix8::new(*m)),
-        },
-    });
+    }
+    cl.k = 0;
+    cl.members.clear();
 }
 
 /// Level-2 pass: batches adjacent gates whose combined support stays on
 /// at most 3 qubits into dense [`Gate::Unitary2`]/[`Gate::Unitary3`]
 /// matrices for the cache-blocked fused kernels. Runs after single-qubit
 /// fusion, so its clusters are anchored by genuine multi-qubit gates.
-fn fuse_multi(ops: Vec<Gate>, n: usize, fused: &mut usize) -> (Vec<Gate>, bool) {
-    let mut out: Vec<Option<Gate>> = ops.into_iter().map(Some).collect();
-    let mut clusters: Vec<Option<Cluster>> = Vec::new();
-    // wire -> index of the open cluster covering it, if any. Open
-    // clusters have pairwise disjoint wire sets.
+///
+/// A gate whose wires all lie in one open cluster multiplies onto that
+/// cluster's product in place. Otherwise the clusters it touches merge:
+/// their products are embedded, oldest first, into a fresh identity on
+/// the union of their wires, and the gate is applied on top. Embedding a
+/// finite product into an identity on its own wires gives back the same
+/// bits (`apply` never leaves a `-0.0`, and the embedding multiplies each
+/// entry by exactly one `1` and adds exact zeros), so the in-place step
+/// is taken only while the product is finite.
+fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
+    let mut keep = vec![true; ops.len()];
+    // Open clusters have pairwise disjoint wire sets, so at most `n` are
+    // open at once; a closed cluster's slot goes on `free` for reuse.
+    let mut slots: Vec<Cluster> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    // wire -> slot of the open cluster covering it, if any.
     let mut wire_map: Vec<Option<usize>> = vec![None; n];
+    let mut stamp = 0usize;
     let mut changed = false;
 
-    for i in 0..out.len() {
-        let Some(g) = out[i].clone() else { continue };
-        let Some((gwires, gk, gdense)) = fusable_dense(&g) else {
-            if crate::segment::is_sync_op(&g) {
+    for i in 0..ops.len() {
+        // Gates stay in place until their cluster closes; closing only
+        // rewrites positions before `i`.
+        let (done, rest) = ops.split_at_mut(i);
+        let g = &rest[0];
+        let Some((gw, gk, gdense)) = fusable_dense(g) else {
+            if crate::segment::is_sync_op(g) {
                 // Sync anchors close *every* open cluster, not just the
                 // ones on their wires. Fusing across a measurement on a
                 // disjoint wire would be unitarily sound, but the fused
@@ -1003,9 +1116,10 @@ fn fuse_multi(ops: Vec<Gate>, n: usize, fused: &mut usize) -> (Vec<Gate>, bool) 
                 // (`qutes-analysis::verify`). Keeping fusion list-local
                 // costs a rare fusion opportunity and keeps every
                 // rewrite of this pass statically checkable.
-                for slot in &mut clusters {
-                    if let Some(cl) = slot.take() {
-                        flush_cluster(cl, &mut out, &mut wire_map, fused, &mut changed);
+                for (s, cl) in slots.iter_mut().enumerate() {
+                    if cl.k > 0 {
+                        flush_cluster(cl, done, &mut keep, &mut wire_map, fused, &mut changed);
+                        free.push(s);
                     }
                 }
                 continue;
@@ -1013,75 +1127,137 @@ fn fuse_multi(ops: Vec<Gate>, n: usize, fused: &mut usize) -> (Vec<Gate>, bool) 
             // Unitary fences (wide gates, barriers) close every cluster
             // they touch. An empty wire list (bare Barrier, GlobalPhase)
             // means "all" for barriers and "none" for global phases;
-            // effective_qubits already resolves that.
-            for q in effective_qubits(&g, n) {
-                if let Some(ci) = wire_map[q] {
-                    if let Some(cl) = clusters[ci].take() {
-                        flush_cluster(cl, &mut out, &mut wire_map, fused, &mut changed);
-                    }
+            // for_each_wire already resolves that.
+            for_each_wire(g, n, |q| {
+                if let Some(s) = wire_map[q] {
+                    flush_cluster(
+                        &mut slots[s],
+                        done,
+                        &mut keep,
+                        &mut wire_map,
+                        fused,
+                        &mut changed,
+                    );
+                    free.push(s);
                 }
-            }
+            });
             continue;
         };
+        let gwires = &gw[..gk];
+        stamp += 1;
 
-        let mut touched: Vec<usize> = gwires.iter().filter_map(|&w| wire_map[w]).collect();
-        touched.sort_unstable();
-        touched.dedup();
-
-        let mut union: Vec<usize> = gwires.clone();
-        for &ci in &touched {
-            if let Some(cl) = &clusters[ci] {
-                union.extend_from_slice(&cl.wires);
-            }
-        }
-        union.sort_unstable();
-        union.dedup();
-
-        if union.len() > 3 {
-            // Too wide to fuse with its neighbours: close them and
-            // start fresh from this gate alone.
-            for &ci in &touched {
-                if let Some(cl) = clusters[ci].take() {
-                    flush_cluster(cl, &mut out, &mut wire_map, fused, &mut changed);
+        // The open clusters this gate touches, oldest product first.
+        let mut touched = [0usize; 3];
+        let mut nt = 0;
+        for &w in gwires {
+            if let Some(s) = wire_map[w] {
+                if !touched[..nt].contains(&s) {
+                    touched[nt] = s;
+                    nt += 1;
                 }
             }
-            union = gwires.clone();
-            union.sort_unstable();
-            union.dedup();
         }
+        touched[..nt].sort_unstable_by_key(|&s| slots[s].stamp);
 
-        let mut cl = Cluster {
-            wires: union,
-            mat: [[Complex64::ZERO; 8]; 8],
-            members: Vec::new(),
-        };
-        let cdim = cl.dim();
-        for (d, row) in cl.mat.iter_mut().enumerate().take(cdim) {
-            row[d] = Complex64::ONE;
-        }
-        // Absorb the touched clusters (disjoint wire sets, so they
-        // commute with each other; interleaved member order is safe).
-        for &ci in &touched {
-            if let Some(old) = clusters[ci].take() {
-                cl.apply(&old.wires, old.wires.len(), &old.mat);
-                cl.members.extend(old.members);
+        if nt == 1 && gwires.iter().all(|&w| wire_map[w] == Some(touched[0])) {
+            let cl = &mut slots[touched[0]];
+            if cl.finite {
+                cl.finite = apply(&mut cl.mat, &cl.wires[..cl.k], gwires, &gdense, true);
+                cl.members.push(i);
+                cl.stamp = stamp;
+                continue;
             }
         }
-        cl.apply(&gwires, gk, &gdense);
-        cl.members.push((i, g));
-        out[i] = None;
-        let idx = clusters.len();
-        for &w in &cl.wires {
-            wire_map[w] = Some(idx);
+
+        // The union of the gate's wires and the touched clusters': each
+        // touched cluster shares a wire with the gate, so at most 9.
+        let mut union = [0usize; 9];
+        union[..gk].copy_from_slice(gwires);
+        let mut k = gk;
+        for &s in &touched[..nt] {
+            for &w in slots[s].wires() {
+                if !gwires.contains(&w) {
+                    union[k] = w;
+                    k += 1;
+                }
+            }
         }
-        clusters.push(Some(cl));
+        if k > 3 {
+            // Too wide to fuse with its neighbours: close them and
+            // start fresh from this gate alone.
+            for &s in &touched[..nt] {
+                flush_cluster(
+                    &mut slots[s],
+                    done,
+                    &mut keep,
+                    &mut wire_map,
+                    fused,
+                    &mut changed,
+                );
+                free.push(s);
+            }
+            nt = 0;
+            k = gk;
+        }
+        let mut wires = [0usize; 3];
+        wires[..k].copy_from_slice(&union[..k]);
+        wires[..k].sort_unstable();
+
+        // Absorb the touched clusters (disjoint wire sets, so they
+        // commute with each other; interleaved member order is safe).
+        let mut mat = dense_identity(k);
+        let mut finite = true;
+        for &s in &touched[..nt] {
+            finite = apply(
+                &mut mat,
+                &wires[..k],
+                slots[s].wires(),
+                &slots[s].mat,
+                finite,
+            );
+        }
+        finite = apply(&mut mat, &wires[..k], gwires, &gdense, finite);
+
+        // The merged cluster takes over the oldest touched slot.
+        let slot = match touched[..nt].split_first() {
+            Some((&s, others)) => {
+                for &o in others {
+                    let mut members = std::mem::take(&mut slots[o].members);
+                    slots[s].members.extend_from_slice(&members);
+                    members.clear();
+                    slots[o].members = members;
+                    slots[o].k = 0;
+                    free.push(o);
+                }
+                s
+            }
+            None => free.pop().unwrap_or_else(|| {
+                slots.push(Cluster::empty());
+                slots.len() - 1
+            }),
+        };
+        let cl = &mut slots[slot];
+        cl.wires = wires;
+        cl.k = k;
+        cl.mat = mat;
+        cl.members.push(i);
+        cl.stamp = stamp;
+        cl.finite = finite;
+        for &w in &wires[..k] {
+            wire_map[w] = Some(slot);
+        }
     }
 
-    for cl in clusters.into_iter().flatten() {
-        flush_cluster(cl, &mut out, &mut wire_map, fused, &mut changed);
+    for cl in &mut slots {
+        if cl.k > 0 {
+            flush_cluster(cl, ops, &mut keep, &mut wire_map, fused, &mut changed);
+        }
     }
 
-    (out.into_iter().flatten().collect(), changed)
+    if changed {
+        compact(ops, &keep);
+    }
+    changed
 }
 
 #[cfg(test)]
