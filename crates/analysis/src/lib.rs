@@ -47,6 +47,7 @@ pub use verify::{
     OptimizationVerification, SegmentVerdict, Verdict, VerifyReport,
 };
 
+use qutes_core::resolution::Resolution;
 use qutes_frontend::ast::Program;
 use qutes_frontend::{Diagnostic, Span};
 
@@ -69,6 +70,28 @@ pub(crate) struct RawFinding {
 /// position. The resource estimate is always computed — it does not
 /// depend on lint configuration.
 pub fn analyze(program: &Program, opts: &LintOptions) -> AnalysisReport {
+    report(program, &qutes_core::resolve(program).0, opts)
+}
+
+/// Parses, type-checks, and analyzes `source`.
+///
+/// Returns the parser's or type checker's diagnostics when the program
+/// is not well-formed — the analyzer itself only runs on valid programs.
+/// The one checker walk also gives the resolution the estimator runs on.
+pub fn analyze_source(source: &str, opts: &LintOptions) -> Result<AnalysisReport, Vec<Diagnostic>> {
+    let program = qutes_frontend::parse(source)?;
+    let (resolution, type_errors) = {
+        let _span = qutes_obs::span("stage.typecheck");
+        qutes_core::resolve(&program)
+    };
+    if !type_errors.is_empty() {
+        return Err(type_errors);
+    }
+    Ok(report(&program, &resolution, opts))
+}
+
+/// The lints over the AST and the estimate over its resolution.
+fn report(program: &Program, resolution: &Resolution<'_>, opts: &LintOptions) -> AnalysisReport {
     let _span = qutes_obs::span("stage.analyze");
     let mut raw = dataflow::run(program);
     raw.extend(control::run(program));
@@ -88,24 +111,8 @@ pub fn analyze(program: &Program, opts: &LintOptions) -> AnalysisReport {
     findings.sort_by_key(|f| (f.span.start, f.lint.id));
     AnalysisReport {
         findings,
-        resources: resources::estimate(program),
+        resources: resources::estimate_resolved(resolution),
     }
-}
-
-/// Parses, type-checks, and analyzes `source`.
-///
-/// Returns the parser's or type checker's diagnostics when the program
-/// is not well-formed — the analyzer itself only runs on valid programs.
-pub fn analyze_source(source: &str, opts: &LintOptions) -> Result<AnalysisReport, Vec<Diagnostic>> {
-    let program = qutes_frontend::parse(source)?;
-    let type_errors = {
-        let _span = qutes_obs::span("stage.typecheck");
-        qutes_core::check_program(&program)
-    };
-    if !type_errors.is_empty() {
-        return Err(type_errors);
-    }
-    Ok(analyze(&program, opts))
 }
 
 #[cfg(test)]

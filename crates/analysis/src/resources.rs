@@ -1,14 +1,20 @@
 //! Static resource estimation: bounds on qubit count, gate count, circuit
 //! depth, and measurement count — computed **without simulating**.
 //!
-//! The estimator is an abstract interpreter that calls the runtime's
-//! circuit lowering (`qutes_core::lower` and the `TypeCastingHandler`
-//! constructors) on a *shadow circuit*, which implements the same
-//! [`Emit`] trait as the runtime's handler. It evaluates the classical
-//! side itself, symbolically (known constant or unknown), and hands the
-//! shared lowering concrete operands — an unknown Draper constant becomes
-//! 0, an unknown phase angle 0.0, which emit the same gates — but never
-//! allocates a statevector and never samples.
+//! The estimator is an abstract interpreter that shares the runtime's
+//! semantics instead of copying them. It walks the checker's resolution
+//! (`qutes_core::resolution`, built by `types::resolve`) over the same
+//! slot frames as the interpreter. A classical value it knows is a
+//! runtime [`Value`], and every operator, cast and builtin on known
+//! values is the runtime's own (`qutes_core::ops`). Quantum operations
+//! call the runtime's circuit lowering (`qutes_core::lower` and the
+//! `TypeCastingHandler` constructors) on a *shadow circuit*, which
+//! implements the same [`Emit`] trait as the runtime's handler; unknown
+//! operands reach it as stand-ins that emit the same gates (an unknown
+//! Draper constant becomes 0, an unknown phase angle 0.0). Nothing
+//! allocates a statevector or samples. The estimator's own parts are
+//! what a run does not have: unknown values, both-worlds exploration,
+//! loop havoc and slack.
 //!
 //! On programs whose control flow does not depend on measurement outcomes
 //! the resulting counts are **exact** (they match `qcirc`'s
@@ -19,15 +25,21 @@
 //! additive slack, making every figure an upper bound. Constructs whose
 //! circuit size is inherently run-dependent (the Grover-based `in`
 //! operator's BBHT schedule, unbounded `while` loops) mark the estimate
-//! inexact and leave a note.
+//! inexact and leave a note. A loop whose trip count is unknown is walked
+//! once; then every classical variable its body may write is forgotten:
+//! what it assigns or passes to a call, and every global when it calls a
+//! user function.
 
 use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
+use qutes_core::ops;
+use qutes_core::resolution::{
+    Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
+};
 use qutes_core::value::{QKind, QuantumRef, Value};
-use qutes_core::{QutesError, QutesResult, TypeCastingHandler as Cast};
-use qutes_frontend::ast::*;
+use qutes_core::{types, QutesError, QutesResult, TypeCastingHandler as Cast};
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Program, Type, UnOp};
 use qutes_frontend::Span;
 use qutes_qcirc::{Gate, QuantumCircuit};
-use std::collections::HashMap;
 
 /// Static bounds on the circuit a program would build.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,21 +116,13 @@ fn plural(n: usize) -> &'static str {
 
 /// Estimates the resources `program` would consume when run.
 pub fn estimate(program: &Program) -> ResourceEstimate {
+    estimate_resolved(&types::resolve(program).0)
+}
+
+/// [`estimate`] of a program the checker has already resolved.
+pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
     let mut est = Est::new(program);
-    let mut gave_up = false;
-    for item in &program.items {
-        if let Item::Statement(s) = item {
-            match est.exec_stmt(s) {
-                Ok(Flow::Normal) => {}
-                Ok(Flow::Return(_)) => break,
-                Err(Stop) => {
-                    gave_up = true;
-                    break;
-                }
-            }
-        }
-    }
-    if gave_up {
+    if est.exec_stmts(&program.main).is_err() {
         est.inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
         // Unknown gates may follow the stop point.
         est.clifford_only = false;
@@ -126,80 +130,82 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
     est.finish()
 }
 
-/// Abstract value: a classical constant, an unknown of known type, or a
-/// quantum register (identified by its shadow-circuit qubit indices).
+/// Abstract value: what the estimator knows about a value at one point
+/// of every run.
 #[derive(Clone, Debug, PartialEq)]
 enum AVal {
-    Bool(Option<bool>),
-    Int(Option<i64>),
-    Float(Option<f64>),
-    Str(Option<String>),
+    /// A value every run computes alike: a classical scalar, a quantum
+    /// register (its shadow-circuit qubits) or void. Never an array.
+    Known(Value),
+    /// A classical scalar of this type (bool, int, float or string)
+    /// whose value is run-dependent.
+    Unknown(Type),
+    /// An array, whose elements may be unknown.
     Array(Vec<AVal>),
-    Quantum(Vec<usize>, QKind),
-    Void,
-    Unknown,
+    /// A value the estimator lost track of, type included.
+    Lost,
 }
 
 impl AVal {
-    /// Mirrors `Value::as_bool` (unknown payload → unknown truth).
-    fn as_bool(&self) -> Option<bool> {
+    fn register(qubits: Vec<usize>, kind: QKind) -> AVal {
+        AVal::Known(Value::Quantum(QuantumRef { qubits, kind }))
+    }
+
+    fn known(&self) -> Option<&Value> {
         match self {
-            AVal::Bool(b) => *b,
-            AVal::Int(i) => i.map(|i| i != 0),
-            AVal::Float(f) => f.map(|f| f != 0.0),
-            AVal::Str(s) => s.as_ref().map(|s| !s.is_empty()),
+            AVal::Known(v) => Some(v),
             _ => None,
         }
     }
 
-    /// Mirrors `Value::as_i64`.
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            AVal::Int(i) => *i,
-            AVal::Bool(b) => b.map(|b| b as i64),
-            AVal::Float(f) => f.filter(|f| f.fract() == 0.0).map(|f| f as i64),
-            _ => None,
-        }
-    }
-
-    /// Mirrors `Value::as_f64`.
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            AVal::Int(i) => i.map(|i| i as f64),
-            AVal::Float(f) => *f,
-            AVal::Bool(b) => b.map(|b| b as i64 as f64),
-            _ => None,
-        }
-    }
-
-    /// True when this is a quantum register (of any kind).
     fn is_quantum(&self) -> bool {
-        matches!(self, AVal::Quantum(_, _))
+        matches!(self, AVal::Known(Value::Quantum(_)))
     }
 
-    /// The right-hand operand of a quint operator, for known values
-    /// (mirrors the runtime's `quint_operand`).
-    fn quint_operand(&self) -> Option<Operand<'_>> {
+    /// The type a `foreach` variable bound to this value takes.
+    fn loop_type(&self) -> Type {
         match self {
-            AVal::Int(Some(k)) if *k >= 0 => Some(Operand::Const(*k as u64)),
-            AVal::Bool(Some(b)) => Some(Operand::Const(u64::from(*b))),
-            AVal::Quantum(q, QKind::Quint) => Some(Operand::Quint(q)),
-            _ => None,
+            AVal::Known(v) => ops::runtime_type(v),
+            AVal::Unknown(t) => t.clone(),
+            AVal::Array(_) => Type::Array(Box::new(Type::Int)),
+            AVal::Lost => Type::Int,
+        }
+    }
+
+    /// Forgets a classical value; a quantum register keeps its identity
+    /// (its qubits exist whatever the run did).
+    fn forget(&mut self) {
+        if !self.is_quantum() {
+            *self = AVal::Lost;
         }
     }
 }
 
 impl From<QuantumRef> for AVal {
     fn from(r: QuantumRef) -> Self {
-        AVal::Quantum(r.qubits, r.kind)
+        AVal::Known(Value::Quantum(r))
     }
 }
 
-/// One environment slot: declared type plus abstract value.
-#[derive(Clone, Debug, PartialEq)]
-struct Slot {
-    ty: Type,
-    val: AVal,
+/// A known shift, rotation or index amount: a non-negative int (else
+/// the run fails); `None` when it is not known.
+fn amount(v: &AVal, what: &str) -> R<Option<usize>> {
+    match v {
+        AVal::Known(v) => Ok(Some(ops::non_negative(v, what, Span::default())?)),
+        _ => Ok(None),
+    }
+}
+
+/// One variable slot, as the interpreter's frames hold them.
+#[derive(Clone, Debug, Default, PartialEq)]
+enum Binding {
+    /// The declaration has not run, or its block has ended.
+    #[default]
+    Empty,
+    /// The variable's value.
+    Val(AVal),
+    /// A by-reference parameter: the slot of the caller's variable.
+    Ref(usize),
 }
 
 enum Flow {
@@ -211,7 +217,7 @@ enum Flow {
 /// error at runtime anyway). The caller marks the estimate inexact.
 struct Stop;
 
-/// A lowering error means the program would fail at runtime too.
+/// A runtime error means the program would fail at runtime too.
 impl From<QutesError> for Stop {
     fn from(_: QutesError) -> Self {
         Stop
@@ -225,9 +231,13 @@ const MAX_STEPS: u64 = 200_000;
 const MAX_CALL_DEPTH: usize = 64;
 
 #[derive(Clone)]
-struct Est<'p> {
-    scopes: Vec<HashMap<String, Slot>>,
-    functions: HashMap<String, &'p FunctionDecl>,
+struct Est<'r, 'a> {
+    functions: &'r [Function<'a>],
+    /// The global slots, then the frames of the running calls; the
+    /// running frame starts at `base`.
+    slots: Vec<Binding>,
+    globals: usize,
+    base: usize,
     circ: QuantumCircuit,
     free: Vec<usize>,
     measurements: usize,
@@ -242,19 +252,13 @@ struct Est<'p> {
     call_depth: usize,
 }
 
-impl<'p> Est<'p> {
-    fn new(program: &'p Program) -> Self {
-        let functions = program
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function(f) => Some((f.name.clone(), f)),
-                _ => None,
-            })
-            .collect();
+impl<'r, 'a> Est<'r, 'a> {
+    fn new(program: &'r Resolution<'a>) -> Self {
         Est {
-            scopes: vec![HashMap::new()],
-            functions,
+            functions: &program.functions,
+            slots: vec![Binding::Empty; program.globals + program.main_slots],
+            globals: program.globals,
+            base: program.globals,
             circ: QuantumCircuit::new(),
             free: Vec::new(),
             measurements: 0,
@@ -270,14 +274,7 @@ impl<'p> Est<'p> {
         }
     }
 
-    fn finish(mut self) -> ResourceEstimate {
-        self.notes.dedup();
-        let mut seen = Vec::new();
-        for n in self.notes {
-            if !seen.contains(&n) {
-                seen.push(n);
-            }
-        }
+    fn finish(self) -> ResourceEstimate {
         ResourceEstimate {
             qubits: self.circ.num_qubits() + self.slack_qubits,
             gates: self.circ.size() + self.slack_gates,
@@ -285,15 +282,14 @@ impl<'p> Est<'p> {
             measurements: self.measurements + self.slack_meas,
             exact: self.exact,
             clifford_only: self.clifford_only,
-            notes: seen,
+            notes: self.notes,
         }
     }
 
     fn inexact(&mut self, note: &str) {
         self.exact = false;
-        let note = note.to_string();
-        if !self.notes.contains(&note) {
-            self.notes.push(note);
+        if !self.notes.iter().any(|n| n == note) {
+            self.notes.push(note.to_string());
         }
     }
 
@@ -323,50 +319,118 @@ impl<'p> Est<'p> {
     /// collapse is mirrored; the outcome is not predictable).
     fn measure_if_quantum(&mut self, v: AVal) -> R<AVal> {
         match v {
-            AVal::Quantum(qubits, kind) => {
-                self.shadow_measure(&qubits)?;
-                Ok(match kind {
-                    QKind::Qubit => AVal::Bool(None),
-                    QKind::Quint => AVal::Int(None),
-                    QKind::Qustring => AVal::Str(None),
-                })
+            AVal::Known(Value::Quantum(q)) => {
+                self.shadow_measure(&q.qubits)?;
+                Ok(AVal::Unknown(
+                    types::measured(&q.kind.as_type()).ok_or(Stop)?,
+                ))
             }
             v => Ok(v),
         }
     }
 
-    // ---- environment ------------------------------------------------------
+    // ---- variables -------------------------------------------------------
 
-    fn declare(&mut self, name: &str, ty: Type, val: AVal) {
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.insert(name.to_string(), Slot { ty, val });
+    /// The slot holding a variable's value, through a by-reference alias.
+    fn slot(&self, at: Loc) -> Option<usize> {
+        let i = match at {
+            Loc::Local(slot) => self.base + slot as usize,
+            Loc::Global(slot) => slot as usize,
+            Loc::Unresolved => return None,
+        };
+        match self.slots.get(i)? {
+            Binding::Ref(j) => Some(*j),
+            _ => Some(i),
         }
     }
 
-    fn lookup(&self, name: &str) -> Option<&Slot> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn value(&self, at: Loc) -> Option<&AVal> {
+        match self.slots.get(self.slot(at)?)? {
+            Binding::Val(v) => Some(v),
+            _ => None,
+        }
     }
 
-    fn lookup_mut(&mut self, name: &str) -> Option<&mut Slot> {
-        self.scopes.iter_mut().rev().find_map(|s| s.get_mut(name))
+    fn value_mut(&mut self, at: Loc) -> Option<&mut AVal> {
+        let i = self.slot(at)?;
+        match self.slots.get_mut(i)? {
+            Binding::Val(v) => Some(v),
+            _ => None,
+        }
     }
 
-    fn havoc(&mut self, name: &str) {
-        if let Some(slot) = self.lookup_mut(name) {
-            slot.val = AVal::Unknown;
+    /// A declared variable's type; `None` if it is not declared (yet).
+    fn var_type(&self, var: &Var<'_>) -> Option<Type> {
+        let v = self.value(var.at)?;
+        Some(match var.ty {
+            VarType::Declared(t) => t.clone(),
+            VarType::Loop => v.loop_type(),
+        })
+    }
+
+    fn bind_local(&mut self, slot: u32, b: Binding) {
+        if let Some(s) = self.slots.get_mut(self.base + slot as usize) {
+            *s = b;
+        }
+    }
+
+    fn havoc(&mut self, at: Loc) {
+        if let Some(v) = self.value_mut(at) {
+            v.forget();
+        }
+    }
+
+    /// Forgets every classical value the running code can see: the
+    /// globals and the running frame.
+    fn havoc_all(&mut self) {
+        for i in (0..self.globals).chain(self.base..self.slots.len()) {
+            let i = match self.slots.get(i) {
+                Some(Binding::Ref(j)) => *j,
+                _ => i,
+            };
+            if let Some(Binding::Val(v)) = self.slots.get_mut(i) {
+                v.forget();
+            }
+        }
+    }
+
+    /// Forgets what an unknown number of runs of `body` may have written.
+    fn havoc_writes(&mut self, body: &[Stmt<'_>]) {
+        let writes = Writes::of(body);
+        for at in writes.locs {
+            self.havoc(at);
+        }
+        if writes.calls {
+            for g in 0..self.globals {
+                self.havoc(Loc::Global(g as u32));
+            }
         }
     }
 
     // ---- statements -------------------------------------------------------
 
-    fn exec_block(&mut self, b: &Block) -> R<Flow> {
-        self.scopes.push(HashMap::new());
-        let r = self.exec_stmts(&b.stmts);
-        self.scopes.pop();
-        r
+    /// Runs a block, then ends the lifetime of its declarations, as the
+    /// end of its scope does: two worlds that differ only in a dead local
+    /// are the same world.
+    fn exec_block(&mut self, stmts: &'r [Stmt<'a>]) -> R<Flow> {
+        let flow = self.exec_stmts(stmts);
+        self.end_scope(stmts);
+        flow
     }
 
-    fn exec_stmts(&mut self, stmts: &[Stmt]) -> R<Flow> {
+    fn end_scope(&mut self, stmts: &[Stmt<'_>]) {
+        for s in stmts {
+            if let Stmt::Decl {
+                slot: DeclSlot::Local(i),
+                ..
+            } = s
+            {
+                self.bind_local(*i, Binding::Empty);
+            }
+        }
+    }
+
+    fn exec_stmts(&mut self, stmts: &'r [Stmt<'a>]) -> R<Flow> {
         for s in stmts {
             if let Flow::Return(v) = self.exec_stmt(s)? {
                 return Ok(Flow::Return(v));
@@ -375,10 +439,10 @@ impl<'p> Est<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> R<Flow> {
+    fn exec_stmt(&mut self, s: &'r Stmt<'a>) -> R<Flow> {
         self.step()?;
         match s {
-            Stmt::VarDecl { ty, name, init, .. } => {
+            Stmt::Decl { ty, slot, init, .. } => {
                 let val = match init {
                     Some(e) => {
                         let v = self.eval_with_target(e, Some(ty))?;
@@ -386,7 +450,16 @@ impl<'p> Est<'p> {
                     }
                     None => self.default_value(ty)?,
                 };
-                self.declare(name, ty.clone(), val);
+                // A repeated declaration, which the checker rejects, is
+                // walked past: the value is dropped, or a global's replaced.
+                let i = match *slot {
+                    DeclSlot::Local(i) => self.base + i as usize,
+                    DeclSlot::Global(i) => i as usize,
+                    DeclSlot::Duplicate => return Ok(Flow::Normal),
+                };
+                if let Some(b) = self.slots.get_mut(i) {
+                    *b = Binding::Val(val);
+                }
                 Ok(Flow::Normal)
             }
             Stmt::Assign {
@@ -406,17 +479,13 @@ impl<'p> Est<'p> {
                     Some(eb) => self.exec_block(eb),
                     None => Ok(Flow::Normal),
                 },
-                None => {
-                    let then_block = then_block.clone();
-                    let else_block = else_block.clone();
-                    self.explore(
-                        move |e| e.exec_block(&then_block),
-                        move |e| match &else_block {
-                            Some(eb) => e.exec_block(eb),
-                            None => Ok(Flow::Normal),
-                        },
-                    )
-                }
+                None => self.explore(
+                    |e| e.exec_block(then_block),
+                    |e| match else_block {
+                        Some(eb) => e.exec_block(eb),
+                        None => Ok(Flow::Normal),
+                    },
+                ),
             },
             Stmt::While { cond, body, .. } => {
                 loop {
@@ -437,9 +506,7 @@ impl<'p> Est<'p> {
                                  (and any gates its body emits) cannot be bounded statically",
                             );
                             let flow = self.exec_block(body)?;
-                            for name in assigned_names(&body.stmts) {
-                                self.havoc(&name);
-                            }
+                            self.havoc_writes(body);
                             if let Flow::Return(v) = flow {
                                 return Ok(Flow::Return(v));
                             }
@@ -455,52 +522,42 @@ impl<'p> Est<'p> {
                 body,
                 ..
             } => {
-                let it = self.eval(iterable)?;
-                let items: Vec<(Type, AVal)> = match it {
-                    AVal::Array(items) => {
-                        items.into_iter().map(|v| (abstract_type(&v), v)).collect()
-                    }
-                    AVal::Quantum(qubits, QKind::Qustring) => qubits
+                let items = match self.eval(iterable)? {
+                    AVal::Array(items) => items,
+                    AVal::Known(Value::Quantum(q)) if q.kind == QKind::Qustring => q
+                        .qubits
                         .iter()
-                        .map(|&qb| (Type::Qubit, AVal::Quantum(vec![qb], QKind::Qubit)))
+                        .map(|&qb| AVal::register(vec![qb], QKind::Qubit))
                         .collect(),
-                    AVal::Quantum(_, _) => return Err(Stop),
-                    _ => {
+                    AVal::Known(_) => return Err(Stop),
+                    AVal::Unknown(_) | AVal::Lost => {
                         self.inexact(
                             "foreach over a run-dependent collection: iteration count cannot \
                              be bounded statically",
                         );
-                        self.scopes.push(HashMap::new());
-                        self.declare(var, Type::Int, AVal::Unknown);
-                        let flow = self.exec_stmts(&body.stmts);
-                        self.scopes.pop();
-                        for name in assigned_names(&body.stmts) {
-                            self.havoc(&name);
-                        }
-                        if let Flow::Return(v) = flow? {
-                            return Ok(Flow::Return(v));
-                        }
-                        return Ok(Flow::Normal);
+                        self.bind_local(*var, Binding::Val(AVal::Lost));
+                        let flow = self.exec_stmts(body);
+                        self.end_loop(*var, body);
+                        self.havoc_writes(body);
+                        return flow;
                     }
                 };
                 // The runtime binds the loop variable by reference; the
-                // shadow env is by value, so writes through the loop
+                // estimator binds it by value, so writes through the loop
                 // variable invalidate the (possibly aliased) iterable.
-                let body_writes_var = assigned_names(&body.stmts).contains(var);
-                for (ty, item) in items {
+                let body_writes_var = Writes::of(body).locs.contains(&Loc::Local(*var));
+                for item in items {
                     self.step()?;
-                    self.scopes.push(HashMap::new());
-                    self.declare(var, ty, item);
-                    let flow = self.exec_stmts(&body.stmts);
-                    self.scopes.pop();
+                    self.bind_local(*var, Binding::Val(item));
+                    let flow = self.exec_stmts(body);
+                    self.end_loop(*var, body);
                     if let Flow::Return(v) = flow? {
                         return Ok(Flow::Return(v));
                     }
                 }
                 if body_writes_var {
-                    if let ExprKind::Var(n) = &iterable.kind {
-                        let n = n.clone();
-                        self.havoc(&n);
+                    if let ExprKind::Var(v) = &iterable.kind {
+                        self.havoc(v.at);
                     }
                     self.inexact("foreach body writes its loop variable (bound by reference)");
                 }
@@ -509,7 +566,7 @@ impl<'p> Est<'p> {
             Stmt::Return { value, .. } => {
                 let v = match value {
                     Some(e) => self.eval(e)?,
-                    None => AVal::Void,
+                    None => AVal::Known(Value::Void),
                 };
                 Ok(Flow::Return(v))
             }
@@ -527,10 +584,9 @@ impl<'p> Est<'p> {
                 Ok(Flow::Normal)
             }
             Stmt::Measure { target, .. } => {
-                let v = self.eval(target)?;
-                match v {
-                    AVal::Quantum(qubits, _) => self.shadow_measure(&qubits)?,
-                    AVal::Unknown => {
+                match self.eval(target)? {
+                    AVal::Known(Value::Quantum(q)) => self.shadow_measure(&q.qubits)?,
+                    AVal::Lost => {
                         self.inexact("measure of a value the estimator lost track of");
                         self.slack_meas += 1;
                     }
@@ -542,71 +598,59 @@ impl<'p> Est<'p> {
                 self.apply(Gate::Barrier(vec![]))?;
                 Ok(Flow::Normal)
             }
-            Stmt::Block(b) => self.exec_block(b),
+            Stmt::Block { stmts, .. } => self.exec_block(stmts),
         }
+    }
+
+    /// Ends a `foreach` iteration: the loop variable and the body's
+    /// declarations go out of scope.
+    fn end_loop(&mut self, var: u32, body: &[Stmt<'_>]) {
+        self.bind_local(var, Binding::Empty);
+        self.end_scope(body);
     }
 
     fn default_value(&mut self, ty: &Type) -> R<AVal> {
         Ok(match ty {
-            Type::Bool => AVal::Bool(Some(false)),
-            Type::Int => AVal::Int(Some(0)),
-            Type::Float => AVal::Float(Some(0.0)),
-            Type::String => AVal::Str(Some(String::new())),
+            Type::Bool => AVal::Known(Value::Bool(false)),
+            Type::Int => AVal::Known(Value::Int(0)),
+            Type::Float => AVal::Known(Value::Float(0.0)),
+            Type::String => AVal::Known(Value::Str(String::new())),
             Type::Qubit => Cast::new_qubit_basis(self, "", false)?.into(),
             Type::Quint => Cast::new_quint(self, "", 0, Some(1))?.into(),
             Type::Qustring => return Err(Stop),
             Type::Array(_) => AVal::Array(Vec::new()),
-            Type::Void => AVal::Void,
+            Type::Void => AVal::Known(Value::Void),
         })
     }
 
-    /// Mirrors `Interp::coerce`: identity, widening, promotion (which
-    /// allocates and encodes), width-1 reinterpretation, auto-measure.
+    /// `Interp::coerce` over abstract values: identity, widening,
+    /// promotion (which allocates and encodes), reinterpretation of a
+    /// register, auto-measure.
     fn coerce(&mut self, v: AVal, ty: &Type) -> R<AVal> {
-        let ok = match (ty, &v) {
-            (Type::Bool, AVal::Bool(_))
-            | (Type::Int, AVal::Int(_))
-            | (Type::Float, AVal::Float(_))
-            | (Type::String, AVal::Str(_))
-            | (Type::Array(_), AVal::Array(_)) => true,
-            (Type::Qubit, AVal::Quantum(_, k)) => *k == QKind::Qubit,
-            (Type::Quint, AVal::Quantum(_, k)) => *k == QKind::Quint,
-            (Type::Qustring, AVal::Quantum(_, k)) => *k == QKind::Qustring,
-            _ => false,
-        };
-        if ok {
-            return Ok(v);
-        }
-        match (ty, v) {
-            (_, AVal::Unknown) => {
+        match v {
+            AVal::Known(v) if ops::conforms(&v, ty) => Ok(AVal::Known(v)),
+            AVal::Unknown(t) if t == *ty => Ok(AVal::Unknown(t)),
+            AVal::Array(items) if matches!(ty, Type::Array(_)) => Ok(AVal::Array(items)),
+            AVal::Lost => {
                 if ty.is_quantum() {
                     self.inexact("value promoted to a quantum register of run-dependent width");
                     self.slack_qubits += 1;
                 }
-                Ok(AVal::Unknown)
+                Ok(AVal::Lost)
             }
-            (Type::Float, AVal::Int(i)) => Ok(AVal::Float(i.map(|i| i as f64))),
-            (
-                Type::Qubit | Type::Quint | Type::Qustring,
-                v @ (AVal::Bool(_) | AVal::Int(_) | AVal::Str(_)),
-            ) => self.promote(v, ty),
-            (Type::Qubit, AVal::Quantum(qubits, _)) if qubits.len() == 1 => {
-                Ok(AVal::Quantum(qubits, QKind::Qubit))
-            }
-            (Type::Quint, AVal::Quantum(qubits, _)) => Ok(AVal::Quantum(qubits, QKind::Quint)),
-            (Type::Qustring, AVal::Quantum(qubits, _)) => {
-                Ok(AVal::Quantum(qubits, QKind::Qustring))
-            }
-            (classical, q @ AVal::Quantum(_, _)) if classical.is_classical() => {
-                let m = self.measure_if_quantum(q)?;
-                match (classical, m) {
-                    (Type::Bool, m @ AVal::Bool(_))
-                    | (Type::Int, m @ AVal::Int(_))
-                    | (Type::String, m @ AVal::Str(_)) => Ok(m),
-                    (Type::Float, AVal::Int(i)) => Ok(AVal::Float(i.map(|i| i as f64))),
-                    _ => Err(Stop),
+            AVal::Known(Value::Quantum(q)) => match ty {
+                Type::Qubit if q.width() == 1 => Ok(AVal::register(q.qubits, QKind::Qubit)),
+                Type::Quint => Ok(AVal::register(q.qubits, QKind::Quint)),
+                Type::Qustring => Ok(AVal::register(q.qubits, QKind::Qustring)),
+                classical if classical.is_classical() => {
+                    let m = self.measure_if_quantum(AVal::Known(Value::Quantum(q)))?;
+                    self.coerce(m, ty)
                 }
-            }
+                _ => Err(Stop),
+            },
+            v if ty.is_quantum() => self.promote(v, ty),
+            AVal::Known(v) => Ok(AVal::Known(ops::widen(v, ty, Span::default())?)),
+            AVal::Unknown(Type::Int) if *ty == Type::Float => Ok(AVal::Unknown(Type::Float)),
             _ => Err(Stop),
         }
     }
@@ -624,18 +668,16 @@ impl<'p> Est<'p> {
             _ => return Err(Stop),
         };
         let (value, note) = match (kind, v) {
-            (_, AVal::Bool(Some(b))) => (Value::Bool(b), None),
-            (_, AVal::Int(Some(i))) => (Value::Int(i), None),
-            (_, AVal::Str(Some(s))) => (Value::Str(s), None),
-            (QKind::Qubit, AVal::Bool(None) | AVal::Int(None)) => (
+            (_, AVal::Known(v @ (Value::Bool(_) | Value::Int(_) | Value::Str(_)))) => (v, None),
+            (QKind::Qubit, AVal::Unknown(Type::Bool | Type::Int)) => (
                 Value::Bool(false),
                 Some("qubit prepared from a run-dependent classical bit"),
             ),
-            (QKind::Quint, AVal::Bool(None) | AVal::Int(None)) => (
+            (QKind::Quint, AVal::Unknown(Type::Bool | Type::Int)) => (
                 Value::Int(0),
                 Some("quint promoted from a run-dependent integer: width unknown"),
             ),
-            (QKind::Qustring, AVal::Str(None)) => (
+            (QKind::Qustring, AVal::Unknown(Type::String)) => (
                 Value::Str("0".into()),
                 Some("qustring promoted from a run-dependent string: width unknown"),
             ),
@@ -652,52 +694,52 @@ impl<'p> Est<'p> {
         Ok(promoted.into())
     }
 
-    fn exec_assign(&mut self, target: &LValue, op: AssignOp, value_expr: &Expr) -> R<()> {
-        // Resolve the target slot's type; element targets with unknown
-        // indices can only be havocked.
+    fn exec_assign(
+        &mut self,
+        target: &'r Place<'a>,
+        op: AssignOp,
+        value_expr: &'r Expr<'a>,
+    ) -> R<()> {
+        // Where the result goes: the variable, one element of it, or
+        // (through an unknown index) anywhere in it.
         enum Tgt {
-            Var(String),
-            Elem(String, usize),
-            Lost(String),
+            Var,
+            Elem(usize),
+            Lost,
         }
-        let (tgt, target_ty, current) = match target {
-            LValue::Name(name) => {
-                let Some(slot) = self.lookup(name) else {
-                    return Err(Stop);
-                };
-                (Tgt::Var(name.clone()), slot.ty.clone(), slot.val.clone())
+        let (var, tgt, target_ty, current) = match target {
+            Place::Var(var) => {
+                let ty = self.var_type(var).ok_or(Stop)?;
+                let current = self.value(var.at).ok_or(Stop)?.clone();
+                (var, Tgt::Var, ty, current)
             }
-            LValue::Index(name, idx_expr) => {
+            Place::Index(var, idx_expr) => {
                 let idx = self.eval_index(idx_expr)?;
-                let Some(slot) = self.lookup(name) else {
+                let Some(Type::Array(elem_ty)) = self.var_type(var) else {
                     return Err(Stop);
                 };
-                let elem_ty = match &slot.ty {
-                    Type::Array(t) => (**t).clone(),
-                    _ => return Err(Stop),
-                };
-                match (idx, &slot.val) {
-                    (Some(i), AVal::Array(items)) => match items.get(i) {
-                        Some(v) => (Tgt::Elem(name.clone(), i), elem_ty, v.clone()),
-                        None => return Err(Stop),
-                    },
+                match (idx, self.value(var.at)) {
+                    (Some(i), Some(AVal::Array(items))) => {
+                        let current = items.get(i).ok_or(Stop)?.clone();
+                        (var, Tgt::Elem(i), *elem_ty, current)
+                    }
                     _ => {
                         self.inexact("assignment through a run-dependent array index");
-                        (Tgt::Lost(name.clone()), elem_ty, AVal::Unknown)
+                        (var, Tgt::Lost, *elem_ty, AVal::Lost)
                     }
                 }
             }
         };
 
-        let result: Option<AVal> = match op {
+        let result = match op {
             AssignOp::Set => {
                 let v = self.eval_with_target(value_expr, Some(&target_ty))?;
                 Some(self.coerce(v, &target_ty)?)
             }
             AssignOp::Add | AssignOp::Sub => match current {
-                AVal::Quantum(qubits, QKind::Quint) => {
+                AVal::Known(Value::Quantum(q)) if q.kind == QKind::Quint => {
                     let rhs = self.eval(value_expr)?;
-                    self.quint_add_sub_in_place(&qubits, rhs, op == AssignOp::Sub)?;
+                    self.quint_add_sub_in_place(&q.qubits, rhs, op == AssignOp::Sub)?;
                     None
                 }
                 classical => {
@@ -712,26 +754,31 @@ impl<'p> Est<'p> {
             },
             AssignOp::Shl | AssignOp::Shr => {
                 let rhs = self.eval(value_expr)?;
-                let k = rhs.as_i64();
+                let k = amount(&rhs, "shift amount")?;
                 match (current, k) {
-                    (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        lower::rotate(self, &qubits, k as usize, op == AssignOp::Shl)?;
+                    (AVal::Known(Value::Quantum(q)), Some(k)) => {
+                        lower::rotate(self, &q.qubits, k, op == AssignOp::Shl)?;
                         None
                     }
-                    (AVal::Quantum(_, _), _) => {
+                    (AVal::Known(Value::Quantum(_)), None) => {
                         self.inexact(
                             "cyclic shift by a run-dependent amount: rotation network unknown",
                         );
                         None
                     }
-                    (AVal::Int(i), Some(k)) if k >= 0 => Some(AVal::Int(i.map(|i| {
-                        if op == AssignOp::Shl {
-                            i.wrapping_shl(k as u32)
+                    (AVal::Known(int @ Value::Int(_)), Some(_)) => {
+                        let shift = if op == AssignOp::Shl {
+                            BinOp::Shl
                         } else {
-                            i.wrapping_shr(k as u32)
-                        }
-                    }))),
-                    (AVal::Int(_) | AVal::Unknown, _) => Some(AVal::Unknown),
+                            BinOp::Shr
+                        };
+                        let rhs = rhs.known().ok_or(Stop)?;
+                        Some(AVal::Known(ops::binary(shift, &int, rhs, Span::default())?))
+                    }
+                    (AVal::Unknown(Type::Int), Some(_)) => Some(AVal::Unknown(Type::Int)),
+                    (AVal::Known(Value::Int(_)) | AVal::Unknown(Type::Int) | AVal::Lost, _) => {
+                        Some(AVal::Lost)
+                    }
                     _ => return Err(Stop),
                 }
             }
@@ -739,37 +786,48 @@ impl<'p> Est<'p> {
 
         if let Some(v) = result {
             match tgt {
-                Tgt::Var(name) => {
-                    if let Some(slot) = self.lookup_mut(&name) {
-                        slot.val = v;
+                Tgt::Var => {
+                    if let Some(slot) = self.value_mut(var.at) {
+                        *slot = v;
                     }
                 }
-                Tgt::Elem(name, i) => {
-                    if let Some(slot) = self.lookup_mut(&name) {
-                        if let AVal::Array(items) = &mut slot.val {
-                            if let Some(e) = items.get_mut(i) {
-                                *e = v;
-                            }
+                Tgt::Elem(i) => {
+                    if let Some(AVal::Array(items)) = self.value_mut(var.at) {
+                        if let Some(e) = items.get_mut(i) {
+                            *e = v;
                         }
                     }
                 }
-                Tgt::Lost(name) => self.havoc(&name),
+                Tgt::Lost => self.havoc(var.at),
             }
         }
         Ok(())
     }
 
-    fn eval_index(&mut self, e: &Expr) -> R<Option<usize>> {
+    fn eval_index(&mut self, e: &'r Expr<'a>) -> R<Option<usize>> {
         let v = self.eval(e)?;
         let v = self.measure_if_quantum(v)?;
-        Ok(v.as_i64().filter(|&i| i >= 0).map(|i| i as usize))
+        amount(&v, "index")
     }
 
-    fn exec_gate(&mut self, gate: GateKind, args: &[Expr]) -> R<()> {
-        let operand = |est: &mut Self, e: Option<&Expr>| -> R<Option<Vec<usize>>> {
+    /// `base[i]`; `None` is an index the estimator does not know.
+    fn index(&mut self, base: AVal, i: Option<usize>) -> R<AVal> {
+        match (base, i) {
+            (AVal::Array(items), Some(i)) => items.into_iter().nth(i).ok_or(Stop),
+            (AVal::Known(b), Some(i)) => Ok(AVal::Known(ops::index_value(&b, i, Span::default())?)),
+            (AVal::Known(Value::Quantum(_)), None) => {
+                self.inexact("quantum register indexed by a run-dependent value");
+                Ok(AVal::Lost)
+            }
+            _ => Ok(AVal::Lost),
+        }
+    }
+
+    fn exec_gate(&mut self, gate: GateKind, args: &'r [Expr<'a>]) -> R<()> {
+        let operand = |est: &mut Self, e: Option<&'r Expr<'a>>| -> R<Option<Vec<usize>>> {
             match est.eval(e.ok_or(Stop)?)? {
-                AVal::Quantum(qubits, _) => Ok(Some(qubits)),
-                AVal::Unknown => Ok(None),
+                AVal::Known(Value::Quantum(q)) => Ok(Some(q.qubits)),
+                AVal::Lost => Ok(None),
                 _ => Err(Stop),
             }
         };
@@ -780,7 +838,10 @@ impl<'p> Est<'p> {
         };
         // An unknown angle emits the same one phase gate per qubit.
         let angle = match gate {
-            GateKind::Phase => self.eval(args.get(1).ok_or(Stop)?)?.as_f64(),
+            GateKind::Phase => self
+                .eval(args.get(1).ok_or(Stop)?)?
+                .known()
+                .and_then(Value::as_f64),
             _ => None,
         };
         match (gate, first, second) {
@@ -802,40 +863,46 @@ impl<'p> Est<'p> {
             // The Draper adder emits the same gates for every constant —
             // only the phase angles differ — so an unknown classical
             // addend lowers exactly as 0.
-            AVal::Int(None) | AVal::Bool(None) => AVal::Int(Some(0)),
-            AVal::Unknown => {
+            AVal::Unknown(Type::Int | Type::Bool) => Value::Int(0),
+            AVal::Lost => {
                 self.inexact("quint arithmetic with an operand the estimator lost track of");
                 return Ok(());
             }
-            rhs => rhs,
+            AVal::Known(v) => v,
+            _ => return Err(Stop),
         };
-        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        let rhs = Operand::of(&rhs).ok_or(Stop)?;
         Ok(lower::add_sub_in_place(self, target, rhs, subtract)?)
     }
 
     fn quint_add_sub_expr(&mut self, a: &[usize], rhs: AVal, subtract: bool) -> R<AVal> {
         let rhs = match rhs {
             // A bool is one qubit wide whatever its value.
-            AVal::Bool(None) => AVal::Int(Some(0)),
-            AVal::Int(None) | AVal::Unknown => {
+            AVal::Unknown(Type::Bool) => Value::Int(0),
+            AVal::Unknown(Type::Int) | AVal::Lost => {
                 self.inexact("quint arithmetic with a run-dependent operand: result width unknown");
-                return Ok(AVal::Unknown);
+                return Ok(AVal::Lost);
             }
-            rhs => rhs,
+            AVal::Known(v) => v,
+            _ => return Err(Stop),
         };
-        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        let rhs = Operand::of(&rhs).ok_or(Stop)?;
         let sum = lower::add_sub_expr(self, a, rhs, subtract)?;
-        Ok(AVal::Quantum(sum, QKind::Quint))
+        Ok(AVal::register(sum, QKind::Quint))
     }
 
     fn quint_mul_expr(&mut self, a: &[usize], rhs: AVal) -> R<AVal> {
-        if matches!(rhs, AVal::Int(None) | AVal::Bool(None) | AVal::Unknown) {
-            self.inexact("quint multiplication by a run-dependent factor: width unknown");
-            return Ok(AVal::Unknown);
-        }
-        let rhs = rhs.quint_operand().ok_or(Stop)?;
+        let rhs = match rhs {
+            AVal::Unknown(Type::Int | Type::Bool) | AVal::Lost => {
+                self.inexact("quint multiplication by a run-dependent factor: width unknown");
+                return Ok(AVal::Lost);
+            }
+            AVal::Known(v) => v,
+            _ => return Err(Stop),
+        };
+        let rhs = Operand::of(&rhs).ok_or(Stop)?;
         let product = lower::mul_expr(self, a, rhs)?;
-        Ok(AVal::Quantum(product, QKind::Quint))
+        Ok(AVal::register(product, QKind::Quint))
     }
 
     // ---- the `in` operator: Grover substring search -----------------------
@@ -856,22 +923,22 @@ impl<'p> Est<'p> {
              mirrored counts are its worst case",
         );
         match bits {
-            Some(b) if b.is_empty() => Ok(AVal::Bool(Some(true))),
-            Some(b) if b.len() > n => Ok(AVal::Bool(Some(false))),
+            Some(b) if b.is_empty() => Ok(AVal::Known(Value::Bool(true))),
+            Some(b) if b.len() > n => Ok(AVal::Known(Value::Bool(false))),
             Some(b) => {
                 self.worst_case_search(&b, hay)?;
-                Ok(AVal::Bool(None))
+                Ok(AVal::Unknown(Type::Bool))
             }
             None => {
                 if n == 0 {
                     // Any non-empty pattern misses; the empty one matches.
                     // Either way no circuit is built.
-                    return Ok(AVal::Bool(None));
+                    return Ok(AVal::Unknown(Type::Bool));
                 }
                 // Unknown pattern: bound every length, keep the world with
                 // the most gates, and fold the other lengths' excesses into
                 // additive slack so each metric stays an upper bound.
-                let mut best: Option<Est<'p>> = None;
+                let mut best: Option<Est<'r, 'a>> = None;
                 let (mut max_g, mut max_d, mut max_q, mut max_m) = (0, 0, 0, 0);
                 for m in 1..=n {
                     let mut world = self.clone();
@@ -895,7 +962,7 @@ impl<'p> Est<'p> {
                 self.slack_depth += max_d.saturating_sub(d);
                 self.slack_qubits += max_q.saturating_sub(q);
                 self.slack_meas += max_m.saturating_sub(meas);
-                Ok(AVal::Bool(None))
+                Ok(AVal::Unknown(Type::Bool))
             }
         }
     }
@@ -928,170 +995,148 @@ impl<'p> Est<'p> {
 
     // ---- expressions ------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr) -> R<AVal> {
+    fn eval(&mut self, e: &'r Expr<'a>) -> R<AVal> {
         self.eval_with_target(e, None)
     }
 
-    fn eval_condition(&mut self, e: &Expr) -> R<Option<bool>> {
+    fn eval_condition(&mut self, e: &'r Expr<'a>) -> R<Option<bool>> {
         let v = self.eval(e)?;
-        let v = self.measure_if_quantum(v)?;
-        if matches!(v, AVal::Unknown) {
-            return Ok(None);
+        match self.measure_if_quantum(v)? {
+            AVal::Known(v) => Ok(Some(v.as_bool().ok_or(Stop)?)),
+            AVal::Unknown(_) | AVal::Lost => Ok(None),
+            AVal::Array(_) => Err(Stop),
         }
-        Ok(v.as_bool())
     }
 
-    fn eval_with_target(&mut self, e: &Expr, target: Option<&Type>) -> R<AVal> {
+    fn eval_with_target(&mut self, e: &'r Expr<'a>, target: Option<&Type>) -> R<AVal> {
         self.step()?;
-        match &e.kind {
-            ExprKind::Int(v) => Ok(AVal::Int(Some(*v))),
-            ExprKind::Float(v) => Ok(AVal::Float(Some(*v))),
-            ExprKind::Bool(b) => Ok(AVal::Bool(Some(*b))),
-            ExprKind::Str(s) => Ok(AVal::Str(Some(s.clone()))),
-            ExprKind::Pi => Ok(AVal::Float(Some(std::f64::consts::PI))),
-            ExprKind::Quint(v) => Ok(if matches!(target, Some(Type::Qubit)) && *v <= 1 {
+        Ok(match &e.kind {
+            ExprKind::Int(v) => AVal::Known(Value::Int(*v)),
+            ExprKind::Float(v) => AVal::Known(Value::Float(*v)),
+            ExprKind::Bool(b) => AVal::Known(Value::Bool(*b)),
+            ExprKind::Str(s) => AVal::Known(Value::Str((*s).to_string())),
+            ExprKind::Pi => AVal::Known(Value::Float(std::f64::consts::PI)),
+            ExprKind::Quint(v) => if matches!(target, Some(Type::Qubit)) && *v <= 1 {
                 Cast::new_qubit_basis(self, "", *v == 1)?
             } else {
                 Cast::new_quint(self, "", *v, None)?
             }
-            .into()),
-            ExprKind::Qustring(s) => Ok(Cast::new_qustring(self, "", s, e.span)?.into()),
-            ExprKind::Ket(k) => Ok(Cast::new_qubit_ket(self, "", *k)?.into()),
+            .into(),
+            ExprKind::Qustring(s) => Cast::new_qustring(self, "", s, e.span)?.into(),
+            ExprKind::Ket(k) => Cast::new_qubit_ket(self, "", *k)?.into(),
             ExprKind::Array(elems) => {
                 let elem_target = match target {
-                    Some(Type::Array(t)) => Some((**t).clone()),
+                    Some(Type::Array(t)) => Some(&**t),
                     _ => None,
                 };
                 let mut items = Vec::with_capacity(elems.len());
                 for el in elems {
-                    let v = self.eval_with_target(el, elem_target.as_ref())?;
-                    let v = match &elem_target {
+                    let v = self.eval_with_target(el, elem_target)?;
+                    items.push(match elem_target {
                         Some(t) => self.coerce(v, t)?,
                         None => v,
-                    };
-                    items.push(v);
+                    });
                 }
-                Ok(AVal::Array(items))
+                AVal::Array(items)
             }
             ExprKind::QuantumArray(elems) => {
                 let vals: Vec<AVal> = elems
                     .iter()
                     .map(|el| self.eval(el))
                     .collect::<R<Vec<_>>>()?;
-                let any_float = vals.iter().any(|v| matches!(v, AVal::Float(_)));
+                let any_float = vals.iter().any(|v| {
+                    matches!(v, AVal::Known(Value::Float(_)) | AVal::Unknown(Type::Float))
+                });
                 if any_float || matches!(target, Some(Type::Qubit)) {
-                    let (Some(a), Some(b)) = (
-                        vals.first().and_then(AVal::as_f64),
-                        vals.get(1).and_then(AVal::as_f64),
-                    ) else {
+                    let amplitude =
+                        |i: usize| vals.get(i).and_then(AVal::known).and_then(Value::as_f64);
+                    let (Some(a), Some(b)) = (amplitude(0), amplitude(1)) else {
                         self.inexact("qubit amplitude literal with run-dependent amplitudes");
-                        return Ok(AVal::Unknown);
+                        return Ok(AVal::Lost);
                     };
                     if vals.len() != 2 {
                         return Err(Stop);
                     }
-                    Ok(Cast::new_qubit_amplitudes(self, "", a, b, e.span)?.into())
+                    Cast::new_qubit_amplitudes(self, "", a, b, e.span)?.into()
                 } else {
                     let values: Option<Vec<u64>> = vals
                         .iter()
-                        .map(|v| v.as_i64().filter(|&i| i >= 0).map(|i| i as u64))
+                        .map(|v| {
+                            v.known()
+                                .and_then(Value::as_i64)
+                                .filter(|&i| i >= 0)
+                                .map(|i| i as u64)
+                        })
                         .collect();
                     let Some(values) = values else {
                         self.inexact(
                             "superposition literal with run-dependent values: state \
                              preparation network unknown",
                         );
-                        return Ok(AVal::Unknown);
+                        return Ok(AVal::Lost);
                     };
-                    Ok(Cast::new_quint_superposed(self, "", &values, e.span)?.into())
+                    Cast::new_quint_superposed(self, "", &values, e.span)?.into()
                 }
             }
-            ExprKind::Var(name) => match self.lookup(name) {
-                Some(slot) => Ok(slot.val.clone()),
-                None => Err(Stop),
-            },
+            ExprKind::Var(var) => self.value(var.at).ok_or(Stop)?.clone(),
+            ExprKind::IndexVar { var, index, .. } => {
+                // One step for reading the variable, as for `base[index]`.
+                self.step()?;
+                self.value(var.at).ok_or(Stop)?;
+                let i = self.eval_index(index)?;
+                let base = self.value(var.at).ok_or(Stop)?.clone();
+                self.index(base, i)?
+            }
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base)?;
                 let i = self.eval_index(idx)?;
-                match (b, i) {
-                    (AVal::Array(items), Some(i)) => match items.get(i) {
-                        Some(v) => Ok(v.clone()),
-                        None => Err(Stop),
-                    },
-                    (AVal::Quantum(qubits, _), Some(i)) => match qubits.get(i) {
-                        Some(&q) => Ok(AVal::Quantum(vec![q], QKind::Qubit)),
-                        None => Err(Stop),
-                    },
-                    (AVal::Str(Some(s)), Some(i)) => match s.chars().nth(i) {
-                        Some(c) => Ok(AVal::Str(Some(c.to_string()))),
-                        None => Err(Stop),
-                    },
-                    (AVal::Quantum(_, _), None) => {
-                        self.inexact("quantum register indexed by a run-dependent value");
-                        Ok(AVal::Unknown)
-                    }
-                    _ => Ok(AVal::Unknown),
-                }
+                self.index(b, i)?
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
-                let v = self.measure_if_quantum(v)?;
-                Ok(match op {
-                    UnOp::Neg => match v {
-                        AVal::Int(i) => AVal::Int(i.map(|i| -i)),
-                        AVal::Float(f) => AVal::Float(f.map(|f| -f)),
-                        AVal::Unknown => AVal::Unknown,
-                        _ => return Err(Stop),
-                    },
-                    UnOp::Not => match v.as_bool() {
-                        Some(b) => AVal::Bool(Some(!b)),
-                        None if matches!(v, AVal::Bool(_) | AVal::Int(_) | AVal::Unknown) => {
-                            AVal::Bool(None)
-                        }
-                        None => return Err(Stop),
-                    },
-                })
-            }
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
-            ExprKind::Call(name, args) => self.eval_call(name, args),
-            ExprKind::MeasureExpr(inner) => {
-                let v = self.eval(inner)?;
-                match v {
-                    q @ AVal::Quantum(_, _) => self.measure_if_quantum(q),
-                    AVal::Unknown => {
-                        self.inexact("measure of a value the estimator lost track of");
-                        self.slack_meas += 1;
-                        Ok(AVal::Unknown)
-                    }
-                    _ => Err(Stop),
+                match (op, self.measure_if_quantum(v)?) {
+                    (_, AVal::Known(v)) => AVal::Known(ops::unary(*op, &v, inner.span)?),
+                    (UnOp::Neg, v @ (AVal::Unknown(Type::Int | Type::Float) | AVal::Lost)) => v,
+                    (UnOp::Not, AVal::Unknown(_) | AVal::Lost) => AVal::Unknown(Type::Bool),
+                    _ => return Err(Stop),
                 }
             }
-        }
+            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r)?,
+            ExprKind::Call { callee, args, .. } => self.eval_call(*callee, args)?,
+            ExprKind::Measure(inner) => match self.eval(inner)? {
+                q @ AVal::Known(Value::Quantum(_)) => self.measure_if_quantum(q)?,
+                AVal::Lost => {
+                    self.inexact("measure of a value the estimator lost track of");
+                    self.slack_meas += 1;
+                    AVal::Lost
+                }
+                _ => return Err(Stop),
+            },
+        })
     }
 
-    fn eval_binary(&mut self, op: BinOp, l: &Expr, r: &Expr) -> R<AVal> {
+    fn eval_binary(&mut self, op: BinOp, l: &'r Expr<'a>, r: &'r Expr<'a>) -> R<AVal> {
         use BinOp::*;
         if matches!(op, And | Or) {
             let lv = self.eval_condition(l)?;
             return match (op, lv) {
-                (And, Some(false)) => Ok(AVal::Bool(Some(false))),
-                (Or, Some(true)) => Ok(AVal::Bool(Some(true))),
-                (_, Some(_)) => {
-                    let rv = self.eval_condition(r)?;
-                    Ok(AVal::Bool(rv))
-                }
+                (And, Some(false)) => Ok(AVal::Known(Value::Bool(false))),
+                (Or, Some(true)) => Ok(AVal::Known(Value::Bool(true))),
+                (_, Some(_)) => Ok(match self.eval_condition(r)? {
+                    Some(b) => AVal::Known(Value::Bool(b)),
+                    None => AVal::Unknown(Type::Bool),
+                }),
                 (_, None) => {
                     // Whether the right side (and its measurements) runs
                     // depends on the unknown left value: explore both.
-                    let r = r.clone();
                     self.explore(
-                        move |e| {
-                            e.eval_condition(&r)?;
+                        |e| {
+                            e.eval_condition(r)?;
                             Ok(Flow::Normal)
                         },
                         |_| Ok(Flow::Normal),
                     )?;
-                    Ok(AVal::Bool(None))
+                    Ok(AVal::Unknown(Type::Bool))
                 }
             };
         }
@@ -1102,56 +1147,62 @@ impl<'p> Est<'p> {
             let rv = self.eval(r)?;
             let pattern = self.measure_if_quantum(lv)?;
             return match rv {
-                AVal::Quantum(hay, QKind::Qustring) => {
+                AVal::Known(Value::Quantum(hay)) if hay.kind == QKind::Qustring => {
                     let bits = match &pattern {
-                        AVal::Str(Some(p)) => {
+                        AVal::Known(Value::Str(p)) => {
                             if !p.chars().all(|c| c == '0' || c == '1') {
                                 return Err(Stop);
                             }
                             Some(p.chars().map(|c| c == '1').collect::<Vec<bool>>())
                         }
-                        AVal::Str(None) => None,
+                        AVal::Unknown(Type::String) => None,
                         _ => return Err(Stop),
                     };
-                    self.substring_search_upper_bound(bits, &hay)
+                    self.substring_search_upper_bound(bits, &hay.qubits)
                 }
-                rv => self.classical_binary(BinOp::In, pattern, rv),
+                rv => self.classical_binary(In, pattern, rv),
             };
         }
 
-        if let AVal::Quantum(q, kind) = &lv {
-            if *kind == QKind::Quint && matches!(op, Add | Sub) {
-                let q = q.clone();
+        if let AVal::Known(Value::Quantum(q)) = &lv {
+            if q.kind == QKind::Quint && matches!(op, Add | Sub) {
+                let q = q.qubits.clone();
                 let rv = self.eval(r)?;
                 return self.quint_add_sub_expr(&q, rv, op == Sub);
             }
-            if *kind == QKind::Quint && op == Mul {
-                let q = q.clone();
+            if q.kind == QKind::Quint && op == Mul {
+                let q = q.qubits.clone();
                 let rv = self.eval(r)?;
                 return self.quint_mul_expr(&q, rv);
             }
             if matches!(op, Shl | Shr) {
-                let (q, kind) = (q.clone(), *kind);
+                let q = q.clone();
                 let rv = self.eval(r)?;
-                let Some(k) = rv.as_i64().filter(|&k| k >= 0) else {
+                let Some(k) = amount(&rv, "shift amount")? else {
                     self.inexact(
                         "cyclic shift by a run-dependent amount: rotation network unknown",
                     );
-                    return Ok(AVal::Unknown);
+                    return Ok(AVal::Lost);
                 };
-                let copy = lower::shifted_copy(self, &q, k as usize, op == Shl)?;
-                return Ok(AVal::Quantum(copy, kind));
+                let copy = lower::shifted_copy(self, &q.qubits, k, op == Shl)?;
+                return Ok(AVal::register(copy, q.kind));
             }
         }
-        if let (Add | Mul, AVal::Int(_) | AVal::Bool(_)) = (op, &lv) {
+        if let (
+            Add | Mul,
+            AVal::Known(Value::Int(_) | Value::Bool(_)) | AVal::Unknown(Type::Int | Type::Bool),
+        ) = (op, &lv)
+        {
             let rv = self.eval(r)?;
-            if let AVal::Quantum(q, QKind::Quint) = &rv {
-                let q = q.clone();
-                return if op == Add {
-                    self.quint_add_sub_expr(&q, lv, false)
-                } else {
-                    self.quint_mul_expr(&q, lv)
-                };
+            if let AVal::Known(Value::Quantum(q)) = &rv {
+                if q.kind == QKind::Quint {
+                    let q = q.qubits.clone();
+                    return if op == Add {
+                        self.quint_add_sub_expr(&q, lv, false)
+                    } else {
+                        self.quint_mul_expr(&q, lv)
+                    };
+                }
             }
             return self.classical_binary(op, lv, rv);
         }
@@ -1160,318 +1211,152 @@ impl<'p> Est<'p> {
         self.classical_binary(op, lv, rv)
     }
 
-    /// Classical folding that mirrors `Interp::classical_binary`; quantum
-    /// operands are measured, unknown operands yield unknown results.
+    /// A classical operator: quantum operands are measured, two known
+    /// operands fold through the runtime's own [`ops::binary`], and an
+    /// unknown operand yields an unknown result.
     fn classical_binary(&mut self, op: BinOp, lv: AVal, rv: AVal) -> R<AVal> {
         use BinOp::*;
         let lv = self.measure_if_quantum(lv)?;
         let rv = self.measure_if_quantum(rv)?;
-        if matches!(lv, AVal::Unknown) || matches!(rv, AVal::Unknown) {
-            return Ok(AVal::Unknown);
-        }
-        let unknown_operand = |v: &AVal| {
-            matches!(
-                v,
-                AVal::Bool(None) | AVal::Int(None) | AVal::Float(None) | AVal::Str(None)
-            )
-        };
-        if unknown_operand(&lv) || unknown_operand(&rv) {
+        match (lv, rv) {
+            (AVal::Known(a), AVal::Known(b)) => {
+                Ok(AVal::Known(ops::binary(op, &a, &b, Span::default())?))
+            }
+            (AVal::Lost, _) | (_, AVal::Lost) => Ok(AVal::Lost),
             // The operation still type-checks; only the value is lost.
-            return Ok(match op {
-                Eq | Ne | Lt | Le | Gt | Ge | In => AVal::Bool(None),
-                _ => AVal::Unknown,
-            });
+            (AVal::Unknown(_), _) | (_, AVal::Unknown(_)) => Ok(match op {
+                Eq | Ne | Lt | Le | Gt | Ge | In => AVal::Unknown(Type::Bool),
+                _ => AVal::Lost,
+            }),
+            _ => Err(Stop),
         }
-        Ok(match op {
-            Add => match (&lv, &rv) {
-                (AVal::Str(Some(a)), AVal::Str(Some(b))) => AVal::Str(Some(format!("{a}{b}"))),
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_add(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a + b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Sub => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_sub(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a - b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Mul => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => AVal::Int(Some(a.wrapping_mul(*b))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => AVal::Float(Some(a * b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Div => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => {
-                    if *b == 0 {
-                        return Err(Stop);
-                    } else if a.wrapping_rem(*b) == 0 {
-                        AVal::Int(Some(a.wrapping_div(*b)))
-                    } else {
-                        AVal::Float(Some(*a as f64 / *b as f64))
-                    }
-                }
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) if b != 0.0 => AVal::Float(Some(a / b)),
-                    _ => return Err(Stop),
-                },
-            },
-            Mod => match (&lv, &rv) {
-                (AVal::Int(Some(a)), AVal::Int(Some(b))) => {
-                    if *b == 0 {
-                        return Err(Stop);
-                    }
-                    AVal::Int(Some(a.wrapping_rem_euclid(*b)))
-                }
-                _ => return Err(Stop),
-            },
-            Shl | Shr => match (&lv, rv.as_i64()) {
-                (AVal::Int(Some(a)), Some(k)) if k >= 0 => AVal::Int(Some(if op == Shl {
-                    a.wrapping_shl(k as u32)
-                } else {
-                    a.wrapping_shr(k as u32)
-                })),
-                _ => return Err(Stop),
-            },
-            Eq | Ne => {
-                let eq = match (&lv, &rv) {
-                    (AVal::Str(Some(a)), AVal::Str(Some(b))) => a == b,
-                    (AVal::Bool(Some(a)), AVal::Bool(Some(b))) => a == b,
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => return Err(Stop),
-                    },
-                };
-                AVal::Bool(Some(if op == Eq { eq } else { !eq }))
-            }
-            Lt | Le | Gt | Ge => {
-                let ord = match (&lv, &rv) {
-                    (AVal::Str(Some(a)), AVal::Str(Some(b))) => a.partial_cmp(b),
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a.partial_cmp(&b),
-                        _ => return Err(Stop),
-                    },
-                };
-                let Some(ord) = ord else { return Err(Stop) };
-                AVal::Bool(Some(match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                }))
-            }
-            In => match (&lv, &rv) {
-                (AVal::Str(Some(p)), AVal::Str(Some(h))) => AVal::Bool(Some(h.contains(p))),
-                _ => return Err(Stop),
-            },
-            And | Or => return Err(Stop),
-        })
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr]) -> R<AVal> {
-        if let Some(v) = self.eval_builtin(name, args)? {
-            return Ok(v);
-        }
-        let Some(decl) = self.functions.get(name).copied() else {
-            return Err(Stop);
+    fn eval_call(&mut self, callee: Callee, args: &'r [Expr<'a>]) -> R<AVal> {
+        let index = match callee {
+            Callee::Builtin(b) => return self.eval_builtin(b, args),
+            Callee::Function(i) => i as usize,
+            Callee::Unknown => return Err(Stop),
         };
-        if args.len() != decl.params.len() {
+        let functions = self.functions;
+        let f = functions.get(index).ok_or(Stop)?;
+        if args.len() != f.decl.params.len() {
             return Err(Stop);
         }
         if self.call_depth + 1 > MAX_CALL_DEPTH {
             self.inexact("call depth exceeds the estimator's bound");
-            return Ok(AVal::Unknown);
+            return Ok(AVal::Lost);
         }
-        // Plain-variable arguments of exactly matching type bind by
-        // reference in the runtime; mirror that with a copy-back.
-        let mut bindings: Vec<(String, Type, AVal)> = Vec::with_capacity(args.len());
-        let mut by_ref: Vec<(String, String)> = Vec::new();
-        for (a, p) in args.iter().zip(&decl.params) {
-            let referenced = if let ExprKind::Var(var_name) = &a.kind {
-                match self.lookup(var_name) {
-                    Some(slot) if slot.ty == p.ty => Some((var_name.clone(), slot.val.clone())),
-                    _ => None,
+        // Plain-variable arguments of exactly the parameter's type bind
+        // by reference, as in the runtime; the others are evaluated in
+        // the caller's frame and coerced.
+        let mut bound = Vec::with_capacity(args.len());
+        for (a, p) in args.iter().zip(&f.decl.params) {
+            bound.push(match &a.kind {
+                ExprKind::Var(var) if self.var_type(var).is_some_and(|t| t == p.ty) => {
+                    Binding::Ref(self.slot(var.at).ok_or(Stop)?)
                 }
-            } else {
-                None
-            };
-            let v = match referenced {
-                Some((var_name, v)) => {
-                    by_ref.push((var_name, p.name.clone()));
-                    v
-                }
-                None => {
+                _ => {
                     let v = self.eval_with_target(a, Some(&p.ty))?;
-                    self.coerce(v, &p.ty)?
+                    Binding::Val(self.coerce(v, &p.ty)?)
                 }
-            };
-            bindings.push((p.name.clone(), p.ty.clone(), v));
+            });
         }
-        self.call_depth += 1;
-        // Hide caller locals: only globals (scope 0) plus parameters are
-        // visible inside the function.
-        let saved: Vec<HashMap<String, Slot>> = self.scopes.split_off(1);
-        self.scopes.push(HashMap::new());
-        for (pname, pty, v) in bindings {
-            self.declare(&pname, pty, v);
-        }
-        let flow = self.exec_stmts(&decl.body.stmts);
-        let param_scope = self.scopes.pop().unwrap_or_default();
-        self.scopes.truncate(1);
-        self.scopes.extend(saved);
-        self.call_depth -= 1;
-        for (var_name, pname) in by_ref {
-            if let Some(slot) = param_scope.get(&pname) {
-                let v = slot.val.clone();
-                if let Some(target) = self.lookup_mut(&var_name) {
-                    target.val = v;
-                }
+        // The callee's frame goes on top of the caller's.
+        let frame = self.slots.len();
+        self.slots.resize(frame + f.slots, Binding::Empty);
+        for (binding, &slot) in bound.into_iter().zip(&f.params) {
+            if let Some(s) = self.slots.get_mut(frame + slot as usize) {
+                *s = binding;
             }
         }
+        self.call_depth += 1;
+        let caller = std::mem::replace(&mut self.base, frame);
+        let flow = self.exec_stmts(&f.body);
+        self.base = caller;
+        self.slots.truncate(frame);
+        self.call_depth -= 1;
         match flow? {
             Flow::Return(v) => Ok(v),
-            Flow::Normal if decl.ret_type == Type::Void => Ok(AVal::Void),
+            Flow::Normal if f.decl.ret_type == Type::Void => Ok(AVal::Known(Value::Void)),
             Flow::Normal => Err(Stop),
         }
     }
 
-    fn eval_builtin(&mut self, name: &str, args: &[Expr]) -> R<Option<AVal>> {
-        let v = match name {
-            "len" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Array(items) => AVal::Int(Some(items.len() as i64)),
-                    AVal::Str(s) => AVal::Int(s.map(|s| s.chars().count() as i64)),
-                    AVal::Quantum(q, _) => AVal::Int(Some(q.len() as i64)),
-                    AVal::Unknown => AVal::Int(None),
-                    _ => return Err(Stop),
-                }
-            }
-            "width" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Quantum(q, _) => AVal::Int(Some(q.len() as i64)),
-                    AVal::Unknown => AVal::Int(None),
-                    _ => return Err(Stop),
-                }
-            }
-            "range" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)?.as_i64() {
-                    Some(n) if n >= 0 => AVal::Array((0..n).map(|i| AVal::Int(Some(i))).collect()),
-                    Some(_) => return Err(Stop),
-                    None => AVal::Unknown,
-                }
-            }
-            "int" | "float" | "bool" | "str" => {
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                let v = self.eval(a)?;
-                let v = self.measure_if_quantum(v)?;
-                match name {
-                    "int" => match v {
-                        AVal::Int(i) => AVal::Int(i),
-                        AVal::Float(f) => AVal::Int(f.map(|f| f.trunc() as i64)),
-                        AVal::Bool(b) => AVal::Int(b.map(|b| b as i64)),
-                        AVal::Str(Some(s)) => match s.trim().parse::<i64>() {
-                            Ok(i) => AVal::Int(Some(i)),
-                            Err(_) => return Err(Stop),
-                        },
-                        AVal::Str(None) | AVal::Unknown => AVal::Int(None),
-                        _ => return Err(Stop),
-                    },
-                    "float" => match v.as_f64() {
-                        Some(f) => AVal::Float(Some(f)),
-                        None => match v {
-                            AVal::Str(Some(s)) => match s.trim().parse::<f64>() {
-                                Ok(f) => AVal::Float(Some(f)),
-                                Err(_) => return Err(Stop),
-                            },
-                            AVal::Int(None)
-                            | AVal::Float(None)
-                            | AVal::Bool(None)
-                            | AVal::Str(None)
-                            | AVal::Unknown => AVal::Float(None),
-                            _ => return Err(Stop),
-                        },
-                    },
-                    "bool" => AVal::Bool(match v {
-                        AVal::Unknown
-                        | AVal::Bool(None)
-                        | AVal::Int(None)
-                        | AVal::Float(None)
-                        | AVal::Str(None) => None,
-                        known => match known.as_bool() {
-                            Some(b) => Some(b),
-                            None => return Err(Stop),
-                        },
+    fn eval_builtin(&mut self, builtin: Builtin, args: &'r [Expr<'a>]) -> R<AVal> {
+        if args.len() != builtin.arity() {
+            return Err(Stop);
+        }
+        let arg = self.eval(&args[0])?;
+        let span = Span::default();
+        Ok(match builtin {
+            Builtin::Len => match arg {
+                AVal::Array(items) => AVal::Known(Value::Int(items.len() as i64)),
+                AVal::Known(v) => AVal::Known(ops::len(&v, span)?),
+                AVal::Unknown(Type::String) | AVal::Lost => AVal::Unknown(Type::Int),
+                AVal::Unknown(_) => return Err(Stop),
+            },
+            Builtin::Width => match arg {
+                AVal::Known(v) => AVal::Known(ops::width(&v, span)?),
+                AVal::Lost => AVal::Unknown(Type::Int),
+                _ => return Err(Stop),
+            },
+            Builtin::Range => match arg {
+                AVal::Known(v) => AVal::Array(
+                    (0..ops::range_len(&v, span)?)
+                        .map(|i| AVal::Known(Value::Int(i)))
+                        .collect(),
+                ),
+                AVal::Unknown(_) | AVal::Lost => AVal::Lost,
+                AVal::Array(_) => return Err(Stop),
+            },
+            Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str => {
+                match self.measure_if_quantum(arg)? {
+                    AVal::Known(v) => AVal::Known(ops::cast(builtin, &v, span)?),
+                    AVal::Array(_) if builtin != Builtin::Str => return Err(Stop),
+                    _ => AVal::Unknown(match builtin {
+                        Builtin::Int => Type::Int,
+                        Builtin::Float => Type::Float,
+                        Builtin::Bool => Type::Bool,
+                        _ => Type::String,
                     }),
-                    _ => match v {
-                        AVal::Int(Some(i)) => AVal::Str(Some(i.to_string())),
-                        AVal::Bool(Some(b)) => AVal::Str(Some(b.to_string())),
-                        AVal::Str(s) => AVal::Str(s),
-                        AVal::Float(Some(f)) => AVal::Str(Some(f.to_string())),
-                        _ => AVal::Str(None),
-                    },
                 }
             }
-            "qmin" | "qmax" => {
+            Builtin::Qmin | Builtin::Qmax => match arg {
                 // Dürr–Høyer runs on its own internal circuit, so it costs
                 // nothing in the accumulated circuit — but quantum array
                 // elements are measured first, which does.
-                let Some(a) = args.first() else {
-                    return Err(Stop);
-                };
-                match self.eval(a)? {
-                    AVal::Array(items) => {
-                        if items.is_empty() {
-                            return Err(Stop);
-                        }
-                        for item in items {
-                            self.measure_if_quantum(item)?;
-                        }
-                        AVal::Int(None)
+                AVal::Array(items) => {
+                    if items.is_empty() {
+                        return Err(Stop);
                     }
-                    AVal::Unknown => {
-                        self.inexact("qmin/qmax over a collection the estimator lost track of");
-                        AVal::Int(None)
+                    for item in items {
+                        self.measure_if_quantum(item)?;
                     }
-                    _ => return Err(Stop),
+                    AVal::Unknown(Type::Int)
                 }
-            }
-            "rotl" | "rotr" => {
-                let (Some(a0), Some(a1)) = (args.first(), args.get(1)) else {
-                    return Err(Stop);
-                };
-                let q = self.eval(a0)?;
-                let k = self.eval(a1)?;
-                match (q, k.as_i64()) {
-                    (AVal::Quantum(qubits, _), Some(k)) if k >= 0 => {
-                        lower::rotate(self, &qubits, k as usize, name == "rotl")?;
+                AVal::Lost => {
+                    self.inexact("qmin/qmax over a collection the estimator lost track of");
+                    AVal::Unknown(Type::Int)
+                }
+                _ => return Err(Stop),
+            },
+            Builtin::Rotl | Builtin::Rotr => {
+                let k = self.eval(&args[1])?;
+                match (arg, amount(&k, "rotation amount")?) {
+                    (AVal::Known(Value::Quantum(q)), Some(k)) => {
+                        lower::rotate(self, &q.qubits, k, builtin == Builtin::Rotl)?;
                     }
-                    (AVal::Quantum(_, _) | AVal::Unknown, _) => {
+                    (AVal::Known(Value::Quantum(_)) | AVal::Lost, _) => {
                         self.inexact(
                             "cyclic shift by a run-dependent amount: rotation network unknown",
                         );
                     }
                     _ => return Err(Stop),
                 }
-                AVal::Void
+                AVal::Known(Value::Void)
             }
-            _ => return Ok(None),
-        };
-        Ok(Some(v))
+        })
     }
 
     // ---- both-worlds exploration -----------------------------------------
@@ -1482,8 +1367,8 @@ impl<'p> Est<'p> {
     /// becomes additive slack (every figure stays an upper bound).
     fn explore(
         &mut self,
-        then_f: impl FnOnce(&mut Est<'p>) -> R<Flow>,
-        else_f: impl FnOnce(&mut Est<'p>) -> R<Flow>,
+        then_f: impl FnOnce(&mut Est<'r, 'a>) -> R<Flow>,
+        else_f: impl FnOnce(&mut Est<'r, 'a>) -> R<Flow>,
     ) -> R<Flow> {
         let mut a = self.clone();
         let mut b = self.clone();
@@ -1499,7 +1384,7 @@ impl<'p> Est<'p> {
             && a.circ.num_qubits() == b.circ.num_qubits()
             && a.free == b.free
             && a.measurements == b.measurements
-            && a.scopes == b.scopes
+            && a.slots == b.slots
             && a.slack_gates == b.slack_gates
             && a.slack_qubits == b.slack_qubits
             && a.slack_meas == b.slack_meas;
@@ -1511,7 +1396,7 @@ impl<'p> Est<'p> {
             // The worlds agree, but differing return values still matter.
             return Ok(match (fa, fb) {
                 (Flow::Return(va), Flow::Return(vb)) => {
-                    Flow::Return(if va == vb { va } else { AVal::Unknown })
+                    Flow::Return(if va == vb { va } else { AVal::Lost })
                 }
                 (Flow::Normal, Flow::Normal) => Flow::Normal,
                 (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => {
@@ -1521,7 +1406,7 @@ impl<'p> Est<'p> {
             });
         }
 
-        let totals = |w: &Est<'p>| {
+        let totals = |w: &Est<'r, 'a>| {
             (
                 w.circ.size() + w.slack_gates,
                 w.circ.depth() + w.slack_depth,
@@ -1548,29 +1433,108 @@ impl<'p> Est<'p> {
         *self = kept;
         self.steps = steps;
         self.clifford_only = clifford_both;
-        // Values that differ between the worlds are no longer known. The
-        // kept world's bindings survive only where both agree; the scope
-        // *structure* is identical (branches balance their push/pop).
-        // After a structural divergence, conservatively havoc everything.
+        // Values that differ between the worlds are no longer known.
         self.havoc_all();
         Ok(match (kept_flow, other_flow) {
             (Flow::Return(va), Flow::Return(vb)) => {
-                Flow::Return(if va == vb { va } else { AVal::Unknown })
+                Flow::Return(if va == vb { va } else { AVal::Lost })
             }
             (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => f,
             (Flow::Normal, Flow::Normal) => Flow::Normal,
         })
     }
+}
 
-    fn havoc_all(&mut self) {
-        for scope in &mut self.scopes {
-            for slot in scope.values_mut() {
-                // Quantum registers keep their identity (the qubits exist
-                // either way); classical values diverge.
-                if !slot.val.is_quantum() {
-                    slot.val = AVal::Unknown;
+/// What an unknown number of runs of a loop body may write: every
+/// variable it assigns or names as a call argument (which may bind by
+/// reference), and — when it calls a user function, which may assign any
+/// global — every global.
+#[derive(Default)]
+struct Writes {
+    locs: Vec<Loc>,
+    calls: bool,
+}
+
+impl Writes {
+    fn of(stmts: &[Stmt<'_>]) -> Writes {
+        let mut w = Writes::default();
+        w.stmts(stmts);
+        w
+    }
+
+    fn add(&mut self, at: Loc) {
+        if !self.locs.contains(&at) {
+            self.locs.push(at);
+        }
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt<'_>]) {
+        for s in stmts {
+            match s {
+                Stmt::Assign { target, value, .. } => {
+                    match target {
+                        Place::Var(v) => self.add(v.at),
+                        Place::Index(v, i) => {
+                            self.add(v.at);
+                            self.expr(i);
+                        }
+                    }
+                    self.expr(value);
+                }
+                Stmt::If {
+                    cond,
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    self.expr(cond);
+                    self.stmts(then_block);
+                    if let Some(eb) = else_block {
+                        self.stmts(eb);
+                    }
+                }
+                Stmt::While { cond: e, body, .. }
+                | Stmt::Foreach {
+                    iterable: e, body, ..
+                } => {
+                    self.expr(e);
+                    self.stmts(body);
+                }
+                Stmt::Decl { init: Some(e), .. }
+                | Stmt::Return { value: Some(e), .. }
+                | Stmt::Print { value: e, .. }
+                | Stmt::Expr { expr: e, .. }
+                | Stmt::Measure { target: e, .. } => self.expr(e),
+                Stmt::Gate { args, .. } => args.iter().for_each(|a| self.expr(a)),
+                Stmt::Block { stmts, .. } => self.stmts(stmts),
+                Stmt::Decl { init: None, .. }
+                | Stmt::Return { value: None, .. }
+                | Stmt::Barrier { .. } => {}
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr<'_>) {
+        match &e.kind {
+            ExprKind::Call { callee, args, .. } => {
+                self.calls |= matches!(callee, Callee::Function(_));
+                for a in args {
+                    if let ExprKind::Var(v) = &a.kind {
+                        self.add(v.at);
+                    }
+                    self.expr(a);
                 }
             }
+            ExprKind::Unary(_, inner) | ExprKind::Measure(inner) => self.expr(inner),
+            ExprKind::IndexVar { index, .. } => self.expr(index),
+            ExprKind::Binary(_, l, r) | ExprKind::Index(l, r) => {
+                self.expr(l);
+                self.expr(r);
+            }
+            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
+                items.iter().for_each(|i| self.expr(i))
+            }
+            _ => {}
         }
     }
 }
@@ -1580,7 +1544,7 @@ impl<'p> Est<'p> {
 /// `r`) and always re-pools released qubits: every release site in the
 /// shared lowering uncomputes its work qubits back to `|0>`
 /// deterministically, so there is no state to probe.
-impl Emit for Est<'_> {
+impl Emit for Est<'_, '_> {
     fn fresh_name(&mut self, _base: &str) -> String {
         String::new()
     }
@@ -1627,107 +1591,6 @@ impl Emit for Est<'_> {
     fn num_qubits(&self) -> usize {
         self.circ.num_qubits()
     }
-}
-
-/// Best-effort static type of an abstract value (for foreach bindings).
-fn abstract_type(v: &AVal) -> Type {
-    match v {
-        AVal::Bool(_) => Type::Bool,
-        AVal::Int(_) => Type::Int,
-        AVal::Float(_) => Type::Float,
-        AVal::Str(_) => Type::String,
-        AVal::Quantum(_, k) => k.as_type(),
-        AVal::Array(_) => Type::Array(Box::new(Type::Int)),
-        AVal::Void => Type::Void,
-        AVal::Unknown => Type::Int,
-    }
-}
-
-/// Syntactic set of variable names a statement list may write to
-/// (assignment targets and by-reference call arguments), used to havoc
-/// state after loops whose trip count is unknown.
-fn assigned_names(stmts: &[Stmt]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    if let ExprKind::Var(n) = &a.kind {
-                        if !out.contains(n) {
-                            out.push(n.clone());
-                        }
-                    }
-                    walk_expr(a, out);
-                }
-            }
-            ExprKind::Unary(_, inner) | ExprKind::MeasureExpr(inner) => walk_expr(inner, out),
-            ExprKind::Binary(_, l, r) => {
-                walk_expr(l, out);
-                walk_expr(r, out);
-            }
-            ExprKind::Index(b, i) => {
-                walk_expr(b, out);
-                walk_expr(i, out);
-            }
-            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
-                for i in items {
-                    walk_expr(i, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target, value, .. } => {
-                    let (LValue::Name(n) | LValue::Index(n, _)) = target;
-                    if !out.contains(n) {
-                        out.push(n.clone());
-                    }
-                    walk_expr(value, out);
-                }
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    walk_expr(cond, out);
-                    walk(&then_block.stmts, out);
-                    if let Some(eb) = else_block {
-                        walk(&eb.stmts, out);
-                    }
-                }
-                Stmt::While { cond, body, .. } => {
-                    walk_expr(cond, out);
-                    walk(&body.stmts, out);
-                }
-                Stmt::Foreach { iterable, body, .. } => {
-                    walk_expr(iterable, out);
-                    walk(&body.stmts, out);
-                }
-                Stmt::VarDecl { init, .. } => {
-                    if let Some(e) = init {
-                        walk_expr(e, out);
-                    }
-                }
-                Stmt::Return { value: Some(e), .. }
-                | Stmt::Print { value: e, .. }
-                | Stmt::Expr { expr: e, .. }
-                | Stmt::Measure { target: e, .. } => walk_expr(e, out),
-                Stmt::Gate { args, .. } => {
-                    for a in args {
-                        walk_expr(a, out);
-                    }
-                }
-                Stmt::Block(b) => walk(&b.stmts, out),
-                Stmt::Return { value: None, .. } | Stmt::Barrier { .. } => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
 }
 
 #[cfg(test)]

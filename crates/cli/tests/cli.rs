@@ -275,16 +275,21 @@ fn lint_clean_program_prints_only_resources() {
 
 #[test]
 fn lint_and_run_wrap_int_division_at_the_minimum() {
-    // `i64::MIN / -1` and `% -1` overflow; like `+ - *` they wrap, in
-    // the estimator's constant folding as in the interpreter.
-    let src = "int m = -9223372036854775807 - 1;\nprint m / -1;\nprint m % -1;\n";
+    // `i64::MIN / -1`, `% -1` and `-i64::MIN` overflow; like `+ - *`
+    // they wrap, in the estimator's constant folding as in the
+    // interpreter.
+    let src = "int m = -9223372036854775807 - 1;\nprint m / -1;\nprint m % -1;\n\
+               int y = -m;\nprint y;\n";
     let p = write_program("lint_int_min.qut", src);
     let out = qutes(&["lint", p.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).starts_with("resources:"), "{}", stdout(&out));
     let out = qutes(&["run", p.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert_eq!(stdout(&out), "-9223372036854775808\n0\n");
+    assert_eq!(
+        stdout(&out),
+        "-9223372036854775808\n0\n-9223372036854775808\n"
+    );
 }
 
 #[test]

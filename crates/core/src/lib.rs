@@ -12,7 +12,9 @@
 //!    and, in the same walk, is the symbol pass: it binds every name to
 //!    a frame or global slot ([`resolution`]),
 //! 3. the operation pass ([`runtime`]) runs the resolved program: it
-//!    executes classical code natively and lowers quantum operations
+//!    executes classical code natively, with the value operations of
+//!    [`ops`] (which the static resource estimator folds with too),
+//!    and lowers quantum operations
 //!    through the [`handler::QuantumCircuitHandler`] (accumulated
 //!    circuit + live statevector) with [`casting::TypeCastingHandler`]
 //!    bridging the classical/quantum boundary.
@@ -33,6 +35,7 @@ pub mod casting;
 pub mod error;
 pub mod handler;
 pub mod lower;
+pub mod ops;
 pub mod resolution;
 pub mod runtime;
 pub mod types;

@@ -17,6 +17,7 @@
 
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
+use crate::value::{QKind, Value};
 use crate::TypeCastingHandler;
 use qutes_algos::{arithmetic, rotation, state_prep};
 use qutes_frontend::ast::GateKind;
@@ -165,7 +166,18 @@ pub enum Operand<'a> {
     Quint(&'a [usize]),
 }
 
-impl Operand<'_> {
+impl<'a> Operand<'a> {
+    /// The operand a quint operator takes on its right: a non-negative
+    /// integer, a bool (as 0 or 1) or a quint; `None` for any other value.
+    pub fn of(v: &'a Value) -> Option<Operand<'a>> {
+        match v {
+            Value::Int(k) if *k >= 0 => Some(Operand::Const(*k as u64)),
+            Value::Bool(b) => Some(Operand::Const(u64::from(*b))),
+            Value::Quantum(q) if q.kind == QKind::Quint => Some(Operand::Quint(&q.qubits)),
+            _ => None,
+        }
+    }
+
     /// Qubits the operand needs as a register.
     fn width(&self) -> usize {
         match self {

@@ -9,13 +9,14 @@ use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
 use crate::lower::{self, Emit, Operand, SubstringSearch};
+use crate::ops;
 use crate::resolution::{
     Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
 };
 use crate::types;
 use crate::value::{cell, Cell, QKind, QuantumRef, Value};
 use qutes_algos::substring_oracle;
-use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Program, Type, UnOp};
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Program, Type};
 use qutes_frontend::{parse_with_interrupt, Diagnostic, ParseFailure, Span};
 use qutes_qcirc::{Gate, QuantumCircuit};
 use qutes_supervisor::{failpoint, Interrupt, StopReason};
@@ -675,7 +676,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                     self.step(*span)?;
                     // Bind by reference: the loop variable aliases the
                     // element cell (mutations persist, paper §4).
-                    let ty = runtime_type(&item.borrow());
+                    let ty = ops::runtime_type(&item.borrow());
                     if let Some(slot) = self.locals.get_mut(at) {
                         slot.value = Binding::Shared(item);
                         slot.loop_ty = Some(ty);
@@ -766,7 +767,7 @@ impl<'p, 'a> Interp<'p, 'a> {
     /// auto-measurement (quantum -> classical).
     #[inline]
     fn coerce(&mut self, v: Value, ty: &Type, name: &str, span: Span) -> QutesResult<Value> {
-        if conforms(&v, ty) {
+        if ops::conforms(&v, ty) {
             return Ok(v);
         }
         self.convert(v, ty, name, span)
@@ -775,7 +776,6 @@ impl<'p, 'a> Interp<'p, 'a> {
     /// [`Self::coerce`] for a value not already of type `ty`.
     fn convert(&mut self, v: Value, ty: &Type, name: &str, span: Span) -> QutesResult<Value> {
         match (ty, v) {
-            (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
             (Type::Qubit, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
                 Cast::promote(&mut self.handler, name, &v, QKind::Qubit, span)?,
             )),
@@ -805,21 +805,9 @@ impl<'p, 'a> Interp<'p, 'a> {
             })),
             (classical, Value::Quantum(q)) => {
                 let measured = Cast::measure_to_classical(&mut self.handler, &q)?;
-                match (classical, measured) {
-                    (Type::Bool, m @ Value::Bool(_))
-                    | (Type::Int, m @ Value::Int(_))
-                    | (Type::String, m @ Value::Str(_)) => Ok(m),
-                    (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
-                    (t, m) => Err(QutesError::runtime(
-                        format!("cannot convert measured {} to {t}", m.type_name()),
-                        span,
-                    )),
-                }
+                ops::store_measured(classical, measured, span)
             }
-            (ty, v) => Err(QutesError::runtime(
-                format!("cannot use a {} value as {ty}", v.type_name()),
-                span,
-            )),
+            (ty, v) => ops::widen(v, ty, span),
         }
     }
 
@@ -927,13 +915,14 @@ impl<'p, 'a> Interp<'p, 'a> {
                             op == AssignOp::Shl,
                         )?;
                     }
-                    Value::Int(i) => {
-                        let v = if op == AssignOp::Shl {
-                            i.wrapping_shl(k as u32)
+                    int @ Value::Int(_) => {
+                        let shift = if op == AssignOp::Shl {
+                            BinOp::Shl
                         } else {
-                            i.wrapping_shr(k as u32)
+                            BinOp::Shr
                         };
-                        self.lhs_write(&lhs, Value::Int(v));
+                        let v = ops::binary(shift, &int, &rhs, span)?;
+                        self.lhs_write(&lhs, v);
                     }
                     other => {
                         return Err(QutesError::runtime(
@@ -989,14 +978,15 @@ impl<'p, 'a> Interp<'p, 'a> {
 
     fn eval_index(&mut self, e: &Expr<'a>) -> QutesResult<usize> {
         let v = self.eval(e)?;
-        let v = match v {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            other => other,
-        };
-        v.as_i64()
-            .filter(|&i| i >= 0)
-            .map(|i| i as usize)
-            .ok_or_else(|| QutesError::runtime("index must be a non-negative integer", e.span))
+        ops::non_negative(&self.classical(v)?, "index", e.span)
+    }
+
+    /// `v` as a classical value: a quantum register is measured.
+    fn classical(&mut self, v: Value) -> QutesResult<Value> {
+        match v {
+            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q),
+            v => Ok(v),
+        }
     }
 
     // ---- gates -----------------------------------------------------------
@@ -1041,7 +1031,7 @@ impl<'p, 'a> Interp<'p, 'a> {
         subtract: bool,
         span: Span,
     ) -> QutesResult<()> {
-        let Some(rhs) = quint_operand(&rhs) else {
+        let Some(rhs) = Operand::of(&rhs) else {
             return Err(QutesError::runtime(
                 format!(
                     "cannot {} a {} value {} a quint",
@@ -1063,7 +1053,7 @@ impl<'p, 'a> Interp<'p, 'a> {
         subtract: bool,
         span: Span,
     ) -> QutesResult<Value> {
-        let Some(rhs) = quint_operand(&rhs) else {
+        let Some(rhs) = Operand::of(&rhs) else {
             return Err(QutesError::runtime(
                 format!("cannot combine quint with {}", rhs.type_name()),
                 span,
@@ -1075,7 +1065,7 @@ impl<'p, 'a> Interp<'p, 'a> {
 
     /// `a * b` producing a fresh quint product register.
     fn quint_mul_expr(&mut self, a: &QuantumRef, rhs: Value, span: Span) -> QutesResult<Value> {
-        let Some(rhs) = quint_operand(&rhs) else {
+        let Some(rhs) = Operand::of(&rhs) else {
             return Err(QutesError::runtime(
                 format!("cannot multiply a quint by {}", rhs.type_name()),
                 span,
@@ -1164,7 +1154,9 @@ impl<'p, 'a> Interp<'p, 'a> {
                 Binding::Shared(c) => scalar(&c.borrow()),
                 Binding::Empty => None,
             },
-            ExprKind::Binary(op, l, r) => int_binary(*op, self.int_leaf(l)?, self.int_leaf(r)?),
+            ExprKind::Binary(op, l, r) => {
+                ops::int_binary(*op, self.int_leaf(l)?, self.int_leaf(r)?)
+            }
             _ => None,
         }
     }
@@ -1173,7 +1165,7 @@ impl<'p, 'a> Interp<'p, 'a> {
         // An int comparison, the usual branch or loop test.
         if let ExprKind::Binary(op, l, r) = &e.kind {
             if let (Some(a), Some(b)) = (self.int_leaf(l), self.int_leaf(r)) {
-                if let Some(c) = int_compare(*op, a, b) {
+                if let Some(c) = ops::int_compare(*op, a, b) {
                     return Ok(c);
                 }
             }
@@ -1321,34 +1313,17 @@ impl<'p, 'a> Interp<'p, 'a> {
                     return Err(undeclared(var, *var_span));
                 }
                 let i = self.eval_index(index)?;
-                self.with_value(var.at, |base| index_value(base, i, e.span))
+                self.with_value(var.at, |base| ops::index_value(base, i, e.span))
                     .unwrap_or_else(|| Err(undeclared(var, *var_span)))
             }
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base)?;
                 let i = self.eval_index(idx)?;
-                index_value(&b, i, e.span)
+                ops::index_value(&b, i, e.span)
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    other => other,
-                };
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(QutesError::runtime(
-                            format!("cannot negate {}", other.type_name()),
-                            inner.span,
-                        )),
-                    },
-                    UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Value::Bool(!b))
-                        .ok_or_else(|| QutesError::runtime("'!' needs a boolean", inner.span)),
-                }
+                ops::unary(*op, &self.classical(v)?, inner.span)
             }
             ExprKind::Measure(inner) => {
                 let v = self.eval(inner)?;
@@ -1404,10 +1379,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                 return self.quint_mul_expr(&q, rv, span);
             }
             if matches!(op, Shl | Shr) {
-                let rv = self.eval(r)?;
-                let k = rv.as_i64().filter(|&k| k >= 0).ok_or_else(|| {
-                    QutesError::runtime("shift amount must be a non-negative integer", r.span)
-                })? as usize;
+                let k = ops::non_negative(&self.eval(r)?, "shift amount", r.span)?;
                 let copy = lower::shifted_copy(&mut self.handler, &q.qubits, k, op == Shl)?;
                 return Ok(Value::Quantum(QuantumRef {
                     qubits: copy,
@@ -1443,125 +1415,15 @@ impl<'p, 'a> Interp<'p, 'a> {
         rv: Value,
         span: Span,
     ) -> QutesResult<Value> {
-        use BinOp::*;
-        let lv = match lv {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
-        let rv = match rv {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
-        if let (Value::Int(a), Value::Int(b)) = (&lv, &rv) {
-            if let Some(v) = int_binary(op, *a, *b) {
-                return Ok(v);
-            }
-        }
-        let type_err = |lv: &Value, rv: &Value| {
-            Err(QutesError::runtime(
-                format!(
-                    "operator '{op}' is not defined for {} and {}",
-                    lv.type_name(),
-                    rv.type_name()
-                ),
-                span,
-            ))
-        };
-        match op {
-            Add => match (&lv, &rv) {
-                (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => Ok(Value::Float(a + b)),
-                    _ => type_err(&lv, &rv),
-                },
-            },
-            Sub => match (lv.as_f64(), rv.as_f64()) {
-                (Some(a), Some(b)) => Ok(Value::Float(a - b)),
-                _ => type_err(&lv, &rv),
-            },
-            Mul => match (lv.as_f64(), rv.as_f64()) {
-                (Some(a), Some(b)) => Ok(Value::Float(a * b)),
-                _ => type_err(&lv, &rv),
-            },
-            Div => match (&lv, &rv) {
-                (Value::Int(a), Value::Int(b)) => {
-                    if *b == 0 {
-                        Err(QutesError::runtime("division by zero", span))
-                    } else if a.wrapping_rem(*b) == 0 {
-                        Ok(Value::Int(a.wrapping_div(*b)))
-                    } else {
-                        Ok(Value::Float(*a as f64 / *b as f64))
-                    }
-                }
-                _ => match (lv.as_f64(), rv.as_f64()) {
-                    (Some(_), Some(0.0)) => Err(QutesError::runtime("division by zero", span)),
-                    (Some(a), Some(b)) => Ok(Value::Float(a / b)),
-                    _ => type_err(&lv, &rv),
-                },
-            },
-            Mod => match (&lv, &rv) {
-                (Value::Int(a), Value::Int(b)) => {
-                    if *b == 0 {
-                        Err(QutesError::runtime("modulo by zero", span))
-                    } else {
-                        Ok(Value::Int(a.wrapping_rem_euclid(*b)))
-                    }
-                }
-                _ => type_err(&lv, &rv),
-            },
-            Shl | Shr => match (&lv, rv.as_i64()) {
-                (Value::Int(a), Some(k)) if k >= 0 => Ok(Value::Int(if op == Shl {
-                    a.wrapping_shl(k as u32)
-                } else {
-                    a.wrapping_shr(k as u32)
-                })),
-                _ => type_err(&lv, &rv),
-            },
-            Eq | Ne => {
-                let eq = match (&lv, &rv) {
-                    (Value::Str(a), Value::Str(b)) => a == b,
-                    (Value::Bool(a), Value::Bool(b)) => a == b,
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => return type_err(&lv, &rv),
-                    },
-                };
-                Ok(Value::Bool(if op == Eq { eq } else { !eq }))
-            }
-            Lt | Le | Gt | Ge => {
-                let ord = match (&lv, &rv) {
-                    (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
-                    _ => match (lv.as_f64(), rv.as_f64()) {
-                        (Some(a), Some(b)) => a.partial_cmp(&b),
-                        _ => return type_err(&lv, &rv),
-                    },
-                };
-                let Some(ord) = ord else {
-                    return type_err(&lv, &rv);
-                };
-                Ok(Value::Bool(match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    Ge => ord.is_ge(),
-                    _ => unreachable!(),
-                }))
-            }
-            In => match (&lv, &rv) {
-                (Value::Str(p), Value::Str(h)) => Ok(Value::Bool(h.contains(p.as_str()))),
-                _ => type_err(&lv, &rv),
-            },
-            And | Or => unreachable!("handled with short-circuit"),
-        }
+        let lv = self.classical(lv)?;
+        let rv = self.classical(rv)?;
+        ops::binary(op, &lv, &rv, span)
     }
 
     /// `pattern in haystack` dispatch.
     fn eval_in(&mut self, pattern: Value, haystack: Value, span: Span) -> QutesResult<Value> {
         // The pattern must be classical bits; measure it if quantum.
-        let pattern = match pattern {
-            Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-            v => v,
-        };
+        let pattern = self.classical(pattern)?;
         match haystack {
             Value::Quantum(hay) if hay.kind == QKind::Qustring => {
                 let Value::Str(p) = &pattern else {
@@ -1685,7 +1547,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                 (Some(c), _) => Binding::Shared(c),
                 // Already of the parameter's type: stored as it is, which
                 // spares a copy through `coerce`.
-                (None, Some(v)) if conforms(&v, &p.ty) => Binding::Owned(v),
+                (None, Some(v)) if ops::conforms(&v, &p.ty) => Binding::Owned(v),
                 (None, _) => {
                     let v = self.eval_with_target(a, Some(&p.ty))?;
                     Binding::Owned(self.coerce(v, &p.ty, &p.name, a.span)?)
@@ -1717,104 +1579,17 @@ impl<'p, 'a> Interp<'p, 'a> {
             ));
         }
         let v = match builtin {
-            Builtin::Len => {
-                let v = self.eval(&args[0])?;
-                match v {
-                    Value::Array(items) => Value::Int(items.borrow().len() as i64),
-                    Value::Str(s) => Value::Int(s.chars().count() as i64),
-                    Value::Quantum(q) => Value::Int(q.width() as i64),
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("len() is not defined for {}", other.type_name()),
-                            span,
-                        ))
-                    }
-                }
-            }
-            Builtin::Width => match self.eval(&args[0])? {
-                Value::Quantum(q) => Value::Int(q.width() as i64),
-                other => {
-                    return Err(QutesError::runtime(
-                        format!("width() needs a quantum value, found {}", other.type_name()),
-                        span,
-                    ))
-                }
-            },
+            Builtin::Len => ops::len(&self.eval(&args[0])?, span)?,
+            Builtin::Width => ops::width(&self.eval(&args[0])?, span)?,
             Builtin::Range => {
-                let n = self
-                    .eval(&args[0])?
-                    .as_i64()
-                    .filter(|&n| n >= 0)
-                    .ok_or_else(|| {
-                        QutesError::runtime("range() needs a non-negative integer", span)
-                    })?;
+                let n = ops::range_len(&self.eval(&args[0])?, span)?;
                 Value::Array(Rc::new(RefCell::new(
                     (0..n).map(|i| cell(Value::Int(i))).collect(),
                 )))
             }
-            Builtin::Int => {
+            Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str => {
                 let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                match v {
-                    Value::Int(i) => Value::Int(i),
-                    Value::Float(f) => Value::Int(f.trunc() as i64),
-                    Value::Bool(b) => Value::Int(b as i64),
-                    Value::Str(s) => Value::Int(s.trim().parse::<i64>().map_err(|_| {
-                        QutesError::runtime(format!("cannot parse '{s}' as int"), span)
-                    })?),
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("int() is not defined for {}", other.type_name()),
-                            span,
-                        ))
-                    }
-                }
-            }
-            Builtin::Float => {
-                let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                match v.as_f64() {
-                    Some(f) => Value::Float(f),
-                    None => {
-                        if let Value::Str(s) = &v {
-                            Value::Float(s.trim().parse::<f64>().map_err(|_| {
-                                QutesError::runtime(format!("cannot parse '{s}' as float"), span)
-                            })?)
-                        } else {
-                            return Err(QutesError::runtime(
-                                format!("float() is not defined for {}", v.type_name()),
-                                span,
-                            ));
-                        }
-                    }
-                }
-            }
-            Builtin::Bool => {
-                let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                Value::Bool(v.as_bool().ok_or_else(|| {
-                    QutesError::runtime(
-                        format!("bool() is not defined for {}", v.type_name()),
-                        span,
-                    )
-                })?)
-            }
-            Builtin::Str => {
-                let v = self.eval(&args[0])?;
-                let v = match v {
-                    Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                    v => v,
-                };
-                Value::Str(v.to_string())
+                ops::cast(builtin, &self.classical(v)?, span)?
             }
             Builtin::Qmin | Builtin::Qmax => {
                 // Dürr–Høyer quantum extremum over a classical database
@@ -1829,11 +1604,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                 };
                 let mut values = Vec::new();
                 for item in items.borrow().iter() {
-                    let iv = item.borrow().clone();
-                    let iv = match iv {
-                        Value::Quantum(q) => Cast::measure_to_classical(&mut self.handler, &q)?,
-                        other => other,
-                    };
+                    let iv = self.classical(item.borrow().clone())?;
                     let Some(x) = iv.as_i64().filter(|&x| x >= 0) else {
                         return Err(QutesError::runtime(
                             format!("{name}() needs non-negative integers"),
@@ -1858,80 +1629,13 @@ impl<'p, 'a> Interp<'p, 'a> {
             }
             Builtin::Rotl | Builtin::Rotr => {
                 let q = self.eval_quantum_operand(&args[0], name)?;
-                let k = self
-                    .eval(&args[1])?
-                    .as_i64()
-                    .filter(|&k| k >= 0)
-                    .ok_or_else(|| {
-                        QutesError::runtime("rotation amount must be a non-negative integer", span)
-                    })?;
-                lower::rotate(
-                    &mut self.handler,
-                    &q.qubits,
-                    k as usize,
-                    builtin == Builtin::Rotl,
-                )?;
+                let k = ops::non_negative(&self.eval(&args[1])?, "rotation amount", span)?;
+                lower::rotate(&mut self.handler, &q.qubits, k, builtin == Builtin::Rotl)?;
                 Value::Void
             }
         };
         Ok(v)
     }
-}
-
-/// The operand a quint operator accepts on its right: a non-negative
-/// integer, a bool (as 0 or 1) or a quint.
-fn quint_operand(rhs: &Value) -> Option<Operand<'_>> {
-    match rhs {
-        Value::Int(k) if *k >= 0 => Some(Operand::Const(*k as u64)),
-        Value::Bool(b) => Some(Operand::Const(u64::from(*b))),
-        Value::Quantum(q) if q.kind == QKind::Quint => Some(Operand::Quint(&q.qubits)),
-        _ => None,
-    }
-}
-
-/// True when `v` already has type `ty`, so coercing it is the identity.
-#[inline]
-fn conforms(v: &Value, ty: &Type) -> bool {
-    match (ty, v) {
-        (Type::Bool, Value::Bool(_))
-        | (Type::Int, Value::Int(_))
-        | (Type::Float, Value::Float(_))
-        | (Type::String, Value::Str(_))
-        | (Type::Array(_), Value::Array(_)) => true,
-        (Type::Qubit, Value::Quantum(q)) => q.kind == QKind::Qubit,
-        (Type::Quint, Value::Quantum(q)) => q.kind == QKind::Quint,
-        (Type::Qustring, Value::Quantum(q)) => q.kind == QKind::Qustring,
-        _ => false,
-    }
-}
-
-/// `a op b` on two ints, for the operators whose result needs no check;
-/// `None` for the others. Comparisons go through `f64`, as
-/// [`Interp::classical_binary`] compares every pair of numbers.
-#[inline]
-fn int_binary(op: BinOp, a: i64, b: i64) -> Option<Value> {
-    Some(match op {
-        BinOp::Add => Value::Int(a.wrapping_add(b)),
-        BinOp::Sub => Value::Int(a.wrapping_sub(b)),
-        BinOp::Mul => Value::Int(a.wrapping_mul(b)),
-        _ => Value::Bool(int_compare(op, a, b)?),
-    })
-}
-
-/// `a op b` for a comparison operator on two ints; `None` for other
-/// operators.
-#[inline]
-fn int_compare(op: BinOp, a: i64, b: i64) -> Option<bool> {
-    let (x, y) = (a as f64, b as f64);
-    Some(match op {
-        BinOp::Eq => x == y,
-        BinOp::Ne => x != y,
-        BinOp::Lt => x < y,
-        BinOp::Le => x <= y,
-        BinOp::Gt => x > y,
-        BinOp::Ge => x >= y,
-        _ => return None,
-    })
 }
 
 /// The error for reading a variable whose declaration has not run (or
@@ -1940,65 +1644,9 @@ fn undeclared(var: &Var<'_>, span: Span) -> QutesError {
     QutesError::runtime(format!("use of undeclared variable '{}'", var.name), span)
 }
 
-/// `base[i]`: an array element, one qubit of a register, or one
-/// character of a string.
-fn index_value(base: &Value, i: usize, span: Span) -> QutesResult<Value> {
-    match base {
-        Value::Array(items) => {
-            let items = items.borrow();
-            items.get(i).map(|c| c.borrow().clone()).ok_or_else(|| {
-                QutesError::runtime(
-                    format!(
-                        "index {i} out of bounds for array of length {}",
-                        items.len()
-                    ),
-                    span,
-                )
-            })
-        }
-        Value::Quantum(q) => match q.qubits.get(i) {
-            Some(&qb) => Ok(Value::Quantum(QuantumRef {
-                qubits: vec![qb],
-                kind: QKind::Qubit,
-            })),
-            None => Err(QutesError::runtime(
-                format!("index {i} out of bounds for {}-qubit register", q.width()),
-                span,
-            )),
-        },
-        Value::Str(s) => s
-            .chars()
-            .nth(i)
-            .map(|c| Value::Str(c.to_string()))
-            .ok_or_else(|| {
-                QutesError::runtime(
-                    format!("index {i} out of bounds for string of length {}", s.len()),
-                    span,
-                )
-            }),
-        other => Err(QutesError::runtime(
-            format!("cannot index into {}", other.type_name()),
-            span,
-        )),
-    }
-}
-
 fn quint(qubits: Vec<usize>) -> Value {
     Value::Quantum(QuantumRef {
         qubits,
         kind: QKind::Quint,
     })
-}
-
-/// Best-effort runtime type of a value (for foreach bindings).
-fn runtime_type(v: &Value) -> Type {
-    match v {
-        Value::Bool(_) => Type::Bool,
-        Value::Int(_) => Type::Int,
-        Value::Float(_) => Type::Float,
-        Value::Str(_) => Type::String,
-        Value::Quantum(q) => q.kind.as_type(),
-        Value::Array(_) => Type::Array(Box::new(Type::Int)),
-        Value::Void => Type::Void,
-    }
 }

@@ -55,7 +55,7 @@ pub fn cell(v: Value) -> Cell {
 }
 
 /// A runtime value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// Classical boolean.
     Bool(bool),

@@ -37,10 +37,18 @@ fn classical_arithmetic_and_printing() {
 
 #[test]
 fn int_division_and_modulo_wrap_at_the_minimum() {
-    // The one overflowing quotient, `i64::MIN / -1`, wraps as `+ - *` do.
+    // The one overflowing quotient, `i64::MIN / -1`, and the one
+    // overflowing negation, `-i64::MIN`, wrap as `+ - *` do.
     assert_eq!(
-        run("int m = -9223372036854775807 - 1; print m / -1; print m % -1; print m / 2; print m % 7;"),
-        vec!["-9223372036854775808", "0", "-4611686018427387904", "6"]
+        run("int m = -9223372036854775807 - 1; print m / -1; print m % -1; print m / 2; print m % 7; \
+             int y = -m; print y;"),
+        vec![
+            "-9223372036854775808",
+            "0",
+            "-4611686018427387904",
+            "6",
+            "-9223372036854775808"
+        ]
     );
 }
 

@@ -107,6 +107,20 @@ fn corpus_programs_match_real_circuit_metrics() {
         CORPUS_PROGRAMS.len(),
         "every corpus program is cross-checked"
     );
+    // Known values fold with the runtime's own operations, so a branch
+    // on a folded value takes the side the run takes: `str(1.0)` is
+    // "1.0", and `-i64::MIN` wraps to itself.
+    cross_check_source(
+        "str of a float",
+        "string s = str(1.0);\nif (s == \"1\") { qubit a = |1>; print a; }\n",
+        0,
+    );
+    cross_check_source(
+        "negated minimum",
+        "int m = -9223372036854775807 - 1;\nint y = -m;\n\
+         if (y < 0) { qubit a = |1>; print a; }\n",
+        0,
+    );
 }
 
 /// Measurement outcomes steer classical control flow in some examples
@@ -133,30 +147,43 @@ fn inexact_estimates_are_upper_bounds() {
         let Ok(source) = std::fs::read_to_string(&path) else {
             continue; // example set may not ship every name
         };
-        let program = parse(&source).expect("example parses");
-        let est = estimate(&program);
-        let cfg = RunConfig {
-            seed: 3,
-            ..RunConfig::default()
-        };
-        let out = qutes::run_source(&source, &cfg).expect("example runs");
-        assert!(
-            est.qubits >= out.circuit.num_qubits(),
-            "{name}: qubit bound too low"
-        );
-        assert!(
-            est.gates >= out.circuit.size(),
-            "{name}: gate bound too low"
-        );
-        assert!(
-            est.depth >= out.circuit.depth(),
-            "{name}: depth bound too low"
-        );
-        assert!(
-            est.measurements >= out.measurements,
-            "{name}: measurement bound too low"
-        );
+        check_upper_bound(name, &source, 3);
     }
+    // A loop whose trip count is unknown calls a function that writes a
+    // global: after the loop the global is unknown, so both sides of the
+    // `if` count.
+    let global_written_by_a_call = "int g = 0;\nvoid bump() { g = g + 1; }\n\
+         qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { bump(); }\n\
+         if (g == 0) { quint big = 200; print big; }\n";
+    for seed in 1..=4 {
+        check_upper_bound("global written by a call", global_written_by_a_call, seed);
+    }
+}
+
+fn check_upper_bound(name: &str, source: &str, seed: u64) {
+    let program = parse(source).expect("program parses");
+    let est = estimate(&program);
+    let cfg = RunConfig {
+        seed,
+        ..RunConfig::default()
+    };
+    let out = qutes::run_source(source, &cfg).expect("program runs");
+    assert!(
+        est.qubits >= out.circuit.num_qubits(),
+        "{name} (seed {seed}): qubit bound too low"
+    );
+    assert!(
+        est.gates >= out.circuit.size(),
+        "{name} (seed {seed}): gate bound too low"
+    );
+    assert!(
+        est.depth >= out.circuit.depth(),
+        "{name} (seed {seed}): depth bound too low"
+    );
+    assert!(
+        est.measurements >= out.measurements,
+        "{name} (seed {seed}): measurement bound too low"
+    );
 }
 
 #[test]
