@@ -33,11 +33,19 @@ const CORPUS_PROGRAMS: &[&str] = &[
     "clean",
     "constant_condition",
     "dirty_ancilla",
+    "foreach_shadow",
+    "global_measured_in_function",
     "lossy_cast",
+    "nested_block_argument",
+    "param_shadow",
+    "recursion",
+    "shadow_nested_block",
+    "sibling_blocks",
     "unreachable",
     "unused_measurement",
     "unused_variable",
     "use_after_measurement",
+    "wrapper_call",
 ];
 
 fn corpus_source(name: &str) -> String {
