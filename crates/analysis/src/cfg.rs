@@ -1,11 +1,13 @@
 //! Control-flow graph construction and the interprocedural must-measured
 //! fixpoint behind **QL001 use-after-measurement**.
 //!
-//! The scoped AST walk in [`crate::dataflow`] records a linear stream of
-//! [`Ev`]ents — measures, quantum uses, whole-variable reassignments,
-//! user-function calls — bracketed by structured control-flow markers.
-//! This module turns each stream (the top-level program and every
-//! function body) into a basic-block CFG and runs a forward **must**
+//! The walk over the checker's resolution in [`crate::dataflow`] records
+//! a linear stream of [`Ev`]ents — measures, quantum uses, whole-variable
+//! reassignments, user-function calls — bracketed by structured
+//! control-flow markers. Variables are [`VarId`]s and callees are
+//! function indices, both taken from the resolution, so nothing here is
+//! keyed by name. This module turns each stream (the top-level program
+//! and every function body) into a basic-block CFG and runs a forward **must**
 //! dataflow over it: the lattice value at a program point is the set of
 //! variables *definitely* measured on every path reaching it, each
 //! tagged with the span of the collapsing `measure`. The meet over
@@ -38,30 +40,32 @@ use crate::RawFinding;
 use qutes_frontend::Span;
 use std::collections::{HashMap, HashSet};
 
-/// One variable identity, unique across the whole program (shadowing
-/// allocates a fresh id), assigned by the scoped walk at declaration.
+/// One variable identity, unique across the whole program: a slot of
+/// the resolution (globals, then the main frame, then each function's
+/// frame), so each declaration has its own.
 pub(crate) type VarId = usize;
 
-/// One dataflow-relevant event, recorded in program order by the scoped
-/// AST walk. Control-flow markers bracket branch arms and loop bodies so
-/// the CFG can be rebuilt without a second AST traversal.
+/// One dataflow-relevant event, recorded in program order by the
+/// dataflow walk. Control-flow markers bracket branch arms and loop
+/// bodies so the CFG can be rebuilt without a second traversal.
 #[derive(Clone, Debug)]
-pub(crate) enum Ev {
+pub(crate) enum Ev<'a> {
     /// An explicit `measure` collapsed `var`.
     Measure { var: VarId, span: Span },
     /// A quantum operation read `var`'s live state at `span`.
     Use {
         var: VarId,
-        name: String,
+        name: &'a str,
         span: Span,
     },
     /// A whole-variable assignment replaced `var` with a fresh value.
     Reset { var: VarId },
-    /// A call to the user-declared function `callee`; `args[i]` holds
-    /// the caller variable bound to parameter `i` when the argument was
-    /// a plain variable (anything else is untracked).
+    /// A call to the user function at index `callee` of the program's
+    /// functions; `args[i]` holds the caller variable bound to parameter
+    /// `i` when the argument was a plain variable (anything else is
+    /// untracked).
     Call {
-        callee: String,
+        callee: u32,
         args: Vec<Option<VarId>>,
     },
     /// `if` statement; followed by one `ArmStart..ArmEnd` group for the
@@ -86,14 +90,12 @@ pub(crate) enum Ev {
 }
 
 /// One analysis unit: the top-level program or one function body.
-pub(crate) struct Unit {
-    /// Function name; empty for the top-level program.
-    pub(crate) name: String,
+pub(crate) struct Unit<'a> {
     /// Parameter variable ids, in declaration order (empty for the
     /// top-level unit).
     pub(crate) params: Vec<VarId>,
     /// The recorded event stream.
-    pub(crate) events: Vec<Ev>,
+    pub(crate) events: Vec<Ev<'a>>,
 }
 
 /// What a call to a function does to its by-reference parameters.
@@ -112,19 +114,19 @@ struct Summary {
 /// Basic blocks of events connected by predecessor edges. Block 0 is
 /// the entry; `exits` lists every block whose end state reaches the
 /// unit's exit (each `Ret` point plus the final fall-through block).
-struct Cfg {
-    blocks: Vec<Vec<Ev>>,
+struct Cfg<'a> {
+    blocks: Vec<Vec<Ev<'a>>>,
     preds: Vec<Vec<usize>>,
     exits: Vec<usize>,
 }
 
-struct Builder {
-    blocks: Vec<Vec<Ev>>,
+struct Builder<'a> {
+    blocks: Vec<Vec<Ev<'a>>>,
     preds: Vec<Vec<usize>>,
     exits: Vec<usize>,
 }
 
-impl Builder {
+impl<'a> Builder<'a> {
     fn new_block(&mut self) -> usize {
         self.blocks.push(Vec::new());
         self.preds.push(Vec::new());
@@ -138,7 +140,7 @@ impl Builder {
     /// Consumes events from `i` filling `cur`, recursing into nested
     /// regions, until a closing marker (left unconsumed for the caller)
     /// or the end of the stream. Returns `(next index, exit block)`.
-    fn seq(&mut self, evs: &[Ev], mut i: usize, mut cur: usize) -> (usize, usize) {
+    fn seq(&mut self, evs: &[Ev<'a>], mut i: usize, mut cur: usize) -> (usize, usize) {
         while i < evs.len() {
             match &evs[i] {
                 Ev::Measure { .. } | Ev::Use { .. } | Ev::Reset { .. } | Ev::Call { .. } => {
@@ -209,7 +211,7 @@ impl Builder {
     }
 }
 
-fn build_cfg(events: &[Ev]) -> Cfg {
+fn build_cfg<'a>(events: &[Ev<'a>]) -> Cfg<'a> {
     let mut b = Builder {
         blocks: Vec::new(),
         preds: Vec::new(),
@@ -240,8 +242,12 @@ fn meet(acc: Option<State>, other: &State) -> State {
     }
 }
 
+/// Each function's summary, indexed like the program's functions;
+/// `None` until computed.
+type Summaries = [Option<Summary>];
+
 /// Applies one event to the state (findings are collected separately).
-fn transfer_event(state: &mut State, ev: &Ev, summaries: &HashMap<String, Summary>) {
+fn transfer_event(state: &mut State, ev: &Ev<'_>, summaries: &Summaries) {
     match ev {
         Ev::Measure { var, span } => {
             state.entry(*var).or_insert(*span);
@@ -250,7 +256,7 @@ fn transfer_event(state: &mut State, ev: &Ev, summaries: &HashMap<String, Summar
             state.remove(var);
         }
         Ev::Call { callee, args } => {
-            let Some(sum) = summaries.get(callee) else {
+            let Some(sum) = summaries.get(*callee as usize).and_then(Option::as_ref) else {
                 // Unknown callee: forget everything it could touch.
                 for v in args.iter().flatten() {
                     state.remove(v);
@@ -271,7 +277,7 @@ fn transfer_event(state: &mut State, ev: &Ev, summaries: &HashMap<String, Summar
     }
 }
 
-fn transfer_block(mut state: State, block: &[Ev], summaries: &HashMap<String, Summary>) -> State {
+fn transfer_block(mut state: State, block: &[Ev<'_>], summaries: &Summaries) -> State {
     for ev in block {
         transfer_event(&mut state, ev, summaries);
     }
@@ -280,7 +286,7 @@ fn transfer_block(mut state: State, block: &[Ev], summaries: &HashMap<String, Su
 
 /// Worklist fixpoint: returns the entry state of every block (`None` =
 /// unreachable).
-fn solve(cfg: &Cfg, summaries: &HashMap<String, Summary>) -> Vec<Option<State>> {
+fn solve(cfg: &Cfg<'_>, summaries: &Summaries) -> Vec<Option<State>> {
     let n = cfg.blocks.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (to, preds) in cfg.preds.iter().enumerate() {
@@ -315,7 +321,7 @@ fn solve(cfg: &Cfg, summaries: &HashMap<String, Summary>) -> Vec<Option<State>> 
 }
 
 /// Exit state of a solved CFG: the meet over every reachable exit point.
-fn exit_state(cfg: &Cfg, inb: &[Option<State>], summaries: &HashMap<String, Summary>) -> State {
+fn exit_state(cfg: &Cfg<'_>, inb: &[Option<State>], summaries: &Summaries) -> State {
     let mut acc: Option<State> = None;
     for &b in &cfg.exits {
         if let Some(s) = &inb[b] {
@@ -326,42 +332,37 @@ fn exit_state(cfg: &Cfg, inb: &[Option<State>], summaries: &HashMap<String, Summ
     acc.unwrap_or_default()
 }
 
-/// Computes `unit`'s summary, recursing into callees first. `stack`
-/// breaks recursion cycles with the bottom summary.
-fn summarize(
-    unit: &Unit,
-    by_name: &HashMap<&str, &Unit>,
-    summaries: &mut HashMap<String, Summary>,
-    stack: &mut HashSet<String>,
-) {
-    if summaries.contains_key(&unit.name) {
+/// Computes the summary of function `index`, recursing into callees
+/// first. `on_stack` marks the functions being summarized; a call back
+/// into one breaks the recursion cycle with the bottom summary.
+fn summarize(index: usize, funcs: &[Unit<'_>], summaries: &mut Summaries, on_stack: &mut [bool]) {
+    let Some(unit) = funcs.get(index) else { return };
+    if summaries[index].is_some() {
         return;
     }
-    stack.insert(unit.name.clone());
+    on_stack[index] = true;
     for ev in &unit.events {
         if let Ev::Call { callee, .. } = ev {
-            if stack.contains(callee) {
-                summaries.entry(callee.clone()).or_insert(Summary {
-                    reset_all: true,
-                    ..Summary::default()
-                });
-            } else if let Some(u) = by_name.get(callee.as_str()) {
-                summarize(u, by_name, summaries, stack);
+            let callee = *callee as usize;
+            match on_stack.get(callee) {
+                Some(true) => {
+                    summaries[callee].get_or_insert(Summary {
+                        reset_all: true,
+                        ..Summary::default()
+                    });
+                }
+                Some(false) => summarize(callee, funcs, summaries, on_stack),
+                None => {}
             }
         }
     }
     let cfg = build_cfg(&unit.events);
     let inb = solve(&cfg, summaries);
     let exit = exit_state(&cfg, &inb, summaries);
-    let param_index: HashMap<VarId, usize> = unit
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i))
-        .collect();
+    let param_index = |var: &VarId| unit.params.iter().position(|p| p == var);
     let mut sum = Summary::default();
     for (var, span) in &exit {
-        if let Some(&i) = param_index.get(var) {
+        if let Some(i) = param_index(var) {
             sum.measures.insert(i, *span);
         }
     }
@@ -370,18 +371,19 @@ fn summarize(
     for ev in &unit.events {
         match ev {
             Ev::Reset { var } => {
-                if let Some(&i) = param_index.get(var) {
+                if let Some(i) = param_index(var) {
                     sum.may_reset.insert(i);
                 }
             }
             Ev::Call { callee, args } => {
                 for (j, v) in args.iter().enumerate() {
                     let Some(v) = v else { continue };
-                    let Some(&i) = param_index.get(v) else {
+                    let Some(i) = param_index(v) else {
                         continue;
                     };
                     let callee_resets = summaries
-                        .get(callee)
+                        .get(*callee as usize)
+                        .and_then(Option::as_ref)
                         .map(|s| s.reset_all || s.may_reset.contains(&j))
                         .unwrap_or(true);
                     if callee_resets {
@@ -392,10 +394,10 @@ fn summarize(
             _ => {}
         }
     }
-    stack.remove(&unit.name);
+    on_stack[index] = false;
     // A recursion cycle may have installed the bottom summary for this
-    // name already; keep the conservative one in that case.
-    summaries.entry(unit.name.clone()).or_insert(sum);
+    // function already; keep the conservative one in that case.
+    summaries[index].get_or_insert(sum);
 }
 
 /// Emits one QL001 finding for a use of `name` while must-measured,
@@ -415,7 +417,7 @@ fn ql001(name: &str, use_span: Span, measure_span: Span) -> RawFinding {
     }
 }
 
-fn findings_for_unit(unit: &Unit, summaries: &HashMap<String, Summary>) -> Vec<RawFinding> {
+fn findings_for_unit(unit: &Unit<'_>, summaries: &Summaries) -> Vec<RawFinding> {
     let cfg = build_cfg(&unit.events);
     let inb = solve(&cfg, summaries);
     let mut findings = Vec::new();
@@ -436,13 +438,12 @@ fn findings_for_unit(unit: &Unit, summaries: &HashMap<String, Summary>) -> Vec<R
 
 /// Runs the must-measured analysis over the whole program: summaries
 /// for every function, then QL001 findings for the top-level unit and
-/// every function body.
-pub(crate) fn must_measured_findings(toplevel: &Unit, funcs: &[Unit]) -> Vec<RawFinding> {
-    let by_name: HashMap<&str, &Unit> = funcs.iter().map(|u| (u.name.as_str(), u)).collect();
-    let mut summaries = HashMap::new();
-    let mut stack = HashSet::new();
-    for u in funcs {
-        summarize(u, &by_name, &mut summaries, &mut stack);
+/// every function body. `funcs` is indexed like the program's functions.
+pub(crate) fn must_measured_findings(toplevel: &Unit<'_>, funcs: &[Unit<'_>]) -> Vec<RawFinding> {
+    let mut summaries = vec![None; funcs.len()];
+    let mut on_stack = vec![false; funcs.len()];
+    for index in 0..funcs.len() {
+        summarize(index, funcs, &mut summaries, &mut on_stack);
     }
     let mut findings = findings_for_unit(toplevel, &summaries);
     for u in funcs {
@@ -455,30 +456,29 @@ pub(crate) fn must_measured_findings(toplevel: &Unit, funcs: &[Unit]) -> Vec<Raw
 mod tests {
     use super::*;
 
-    fn measure(var: VarId, at: usize) -> Ev {
+    fn measure(var: VarId, at: usize) -> Ev<'static> {
         Ev::Measure {
             var,
             span: Span::new(at, at + 1),
         }
     }
 
-    fn quse(var: VarId, at: usize) -> Ev {
+    fn quse(var: VarId, at: usize) -> Ev<'static> {
         Ev::Use {
             var,
-            name: format!("v{var}"),
+            name: "v",
             span: Span::new(at, at + 1),
         }
     }
 
-    fn unit(events: Vec<Ev>) -> Unit {
+    fn unit(events: Vec<Ev<'static>>) -> Unit<'static> {
         Unit {
-            name: String::new(),
             params: Vec::new(),
             events,
         }
     }
 
-    fn run_top(events: Vec<Ev>) -> Vec<RawFinding> {
+    fn run_top(events: Vec<Ev<'static>>) -> Vec<RawFinding> {
         must_measured_findings(&unit(events), &[])
     }
 
@@ -578,13 +578,12 @@ mod tests {
     #[test]
     fn callee_measuring_its_param_propagates_to_the_call_site() {
         let callee = Unit {
-            name: "collapse".to_string(),
             params: vec![7],
             events: vec![measure(7, 50)],
         };
         let top = unit(vec![
             Ev::Call {
-                callee: "collapse".to_string(),
+                callee: 0,
                 args: vec![Some(0)],
             },
             quse(0, 20),
@@ -598,14 +597,13 @@ mod tests {
     #[test]
     fn callee_that_reassigns_its_param_clears_the_fact() {
         let callee = Unit {
-            name: "fresh".to_string(),
             params: vec![7],
             events: vec![Ev::Reset { var: 7 }],
         };
         let top = unit(vec![
             measure(0, 10),
             Ev::Call {
-                callee: "fresh".to_string(),
+                callee: 0,
                 args: vec![Some(0)],
             },
             quse(0, 20),
@@ -617,7 +615,6 @@ mod tests {
     #[test]
     fn callee_measuring_on_one_path_only_does_not_propagate() {
         let callee = Unit {
-            name: "maybe".to_string(),
             params: vec![7],
             events: vec![
                 Ev::BranchStart { has_else: false },
@@ -629,7 +626,7 @@ mod tests {
         };
         let top = unit(vec![
             Ev::Call {
-                callee: "maybe".to_string(),
+                callee: 0,
                 args: vec![Some(0)],
             },
             quse(0, 20),
@@ -641,19 +638,18 @@ mod tests {
     #[test]
     fn recursion_falls_back_to_the_bottom_summary() {
         let a = Unit {
-            name: "a".to_string(),
             params: vec![7],
             events: vec![
                 measure(7, 50),
                 Ev::Call {
-                    callee: "a".to_string(),
+                    callee: 0,
                     args: vec![Some(7)],
                 },
             ],
         };
         let top = unit(vec![
             Ev::Call {
-                callee: "a".to_string(),
+                callee: 0,
                 args: vec![Some(0)],
             },
             quse(0, 20),
@@ -668,21 +664,19 @@ mod tests {
     fn summary_chains_through_a_wrapper_function() {
         // outer(p) { inner(p) }  inner(p) { measure p }
         let inner = Unit {
-            name: "inner".to_string(),
             params: vec![8],
             events: vec![measure(8, 60)],
         };
         let outer = Unit {
-            name: "outer".to_string(),
             params: vec![7],
             events: vec![Ev::Call {
-                callee: "inner".to_string(),
+                callee: 0,
                 args: vec![Some(7)],
             }],
         };
         let top = unit(vec![
             Ev::Call {
-                callee: "outer".to_string(),
+                callee: 1,
                 args: vec![Some(0)],
             },
             quse(0, 20),

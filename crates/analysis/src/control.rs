@@ -10,48 +10,39 @@
 //!   literal-only: folding arbitrary expressions would duplicate the
 //!   resource estimator's abstract interpretation and risk false
 //!   positives.
+//!
+//! Both walk the checker's resolution, statement list by statement list.
 
-use crate::lints::{self};
+use crate::lints;
 use crate::RawFinding;
-use qutes_frontend::ast::*;
+use qutes_core::resolution::{Expr, ExprKind, Resolution, Stmt};
 
-/// Runs the control-flow lints over a whole program.
-pub(crate) fn run(program: &Program) -> Vec<RawFinding> {
+/// Runs the control-flow lints over a whole resolved program.
+pub(crate) fn run(program: &Resolution<'_>) -> Vec<RawFinding> {
     let mut findings = Vec::new();
-    let top: Vec<&Stmt> = program
-        .items
-        .iter()
-        .filter_map(|i| match i {
-            Item::Statement(s) => Some(s),
-            _ => None,
-        })
-        .collect();
-    walk_list(&top, &mut findings);
-    for item in &program.items {
-        if let Item::Function(f) = item {
-            let body: Vec<&Stmt> = f.body.stmts.iter().collect();
-            walk_list(&body, &mut findings);
-        }
+    walk_list(&program.main, &mut findings);
+    for f in &program.functions {
+        walk_list(&f.body, &mut findings);
     }
     findings
 }
 
 /// True when executing `s` always leaves the enclosing function (so no
 /// statement after it in the same block can run).
-fn always_returns(s: &Stmt) -> bool {
+fn always_returns(s: &Stmt<'_>) -> bool {
     match s {
         Stmt::Return { .. } => true,
-        Stmt::Block(b) => b.stmts.iter().any(always_returns),
+        Stmt::Block { stmts, .. } => stmts.iter().any(always_returns),
         Stmt::If {
             then_block,
             else_block: Some(eb),
             ..
-        } => then_block.stmts.iter().any(always_returns) && eb.stmts.iter().any(always_returns),
+        } => then_block.iter().any(always_returns) && eb.iter().any(always_returns),
         _ => false,
     }
 }
 
-fn walk_list(stmts: &[&Stmt], findings: &mut Vec<RawFinding>) {
+fn walk_list(stmts: &[Stmt<'_>], findings: &mut Vec<RawFinding>) {
     let mut reported_unreachable = false;
     let mut terminated = false;
     for s in stmts {
@@ -72,7 +63,7 @@ fn walk_list(stmts: &[&Stmt], findings: &mut Vec<RawFinding>) {
     }
 }
 
-fn walk_stmt(s: &Stmt, findings: &mut Vec<RawFinding>) {
+fn walk_stmt(s: &Stmt<'_>, findings: &mut Vec<RawFinding>) {
     match s {
         Stmt::If {
             cond,
@@ -81,24 +72,21 @@ fn walk_stmt(s: &Stmt, findings: &mut Vec<RawFinding>) {
             ..
         } => {
             check_condition(cond, "if", findings);
-            walk_list(&then_block.stmts.iter().collect::<Vec<_>>(), findings);
+            walk_list(then_block, findings);
             if let Some(eb) = else_block {
-                walk_list(&eb.stmts.iter().collect::<Vec<_>>(), findings);
+                walk_list(eb, findings);
             }
         }
         Stmt::While { cond, body, .. } => {
             check_condition(cond, "while", findings);
-            walk_list(&body.stmts.iter().collect::<Vec<_>>(), findings);
+            walk_list(body, findings);
         }
-        Stmt::Foreach { body, .. } => {
-            walk_list(&body.stmts.iter().collect::<Vec<_>>(), findings);
-        }
-        Stmt::Block(b) => walk_list(&b.stmts.iter().collect::<Vec<_>>(), findings),
+        Stmt::Foreach { body, .. } | Stmt::Block { stmts: body, .. } => walk_list(body, findings),
         _ => {}
     }
 }
 
-fn check_condition(cond: &Expr, kind: &str, findings: &mut Vec<RawFinding>) {
+fn check_condition(cond: &Expr<'_>, kind: &str, findings: &mut Vec<RawFinding>) {
     let truth = match &cond.kind {
         ExprKind::Bool(b) => Some(*b),
         ExprKind::Int(i) => Some(*i != 0),
@@ -122,11 +110,15 @@ fn check_condition(cond: &Expr, kind: &str, findings: &mut Vec<RawFinding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qutes_core::resolve;
     use qutes_frontend::parse;
 
     fn ids(src: &str) -> Vec<&'static str> {
         let program = parse(src).expect("test program parses");
-        run(&program).iter().map(|f| f.lint.id).collect()
+        run(&resolve(&program).0)
+            .iter()
+            .map(|f| f.lint.id)
+            .collect()
     }
 
     #[test]

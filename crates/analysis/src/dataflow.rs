@@ -1,10 +1,15 @@
 //! Quantum-aware dataflow lints.
 //!
-//! A single scoped walk over the typed AST tracks, per variable: its
-//! declared type, whether it has been read, whether its declaration
-//! captured a measurement result, and whether it escapes the analysis'
-//! view (is returned, passed by reference to a user function, or
-//! aliased). The walk directly produces the flow-insensitive lints:
+//! One walk over the checker's resolution (`qutes_core::resolution`)
+//! tracks, per variable: its type, whether it has been read, whether its
+//! declaration captured a measurement result, and whether it escapes the
+//! analysis' view (is returned, passed by reference to a user function,
+//! or aliased). The walk looks no name up: every variable has a
+//! program-wide [`VarId`] taken from its slot — the globals first, then
+//! the main frame's slots, then each function's frame at a running
+//! offset. The checker gives every declaration a slot of its own, so an
+//! id names one declaration. The walk directly produces the
+//! flow-insensitive lints:
 //! - **QL002 quantum-alias** — binding an existing quantum variable (or
 //!   an element of one) to a second name; both names share qubits.
 //! - **QL003 dirty-qubits** — a quantum variable that is operated on but
@@ -18,6 +23,11 @@
 //!   to a classical type, conditions, comparisons, classical casts).
 //!   `print` is exempt: printing a quantum value is the idiomatic way to
 //!   observe it.
+//!
+//! Blocks carry no scope in the resolution, so the end-of-life lints
+//! (QL003, QL004, QL101) fire for the declarations of a statement list
+//! when the list ends, for a `foreach` variable when its loop ends, and
+//! for the globals after every function body has been walked.
 //!
 //! The flow-*sensitive* lint — **QL001 use-after-measurement**, a
 //! quantum operation (gate statement, quantum arithmetic, cyclic shift,
@@ -34,66 +44,62 @@
 use crate::cfg::{self, Ev, VarId};
 use crate::lints::{self, Lint};
 use crate::RawFinding;
+use qutes_core::resolution::{
+    Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
+};
 use qutes_core::types::measured;
-use qutes_frontend::ast::*;
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Type, UnOp};
 use qutes_frontend::Span;
-use std::collections::HashMap;
 
-/// Runs the dataflow lints over a whole program.
-pub(crate) fn run(program: &Program) -> Vec<RawFinding> {
+/// Runs the dataflow lints over a whole resolved program.
+pub(crate) fn run(program: &Resolution<'_>) -> Vec<RawFinding> {
     let mut pass = Pass::new(program);
-    // Top-level statements first: their declarations become the globals
+    // Top-level statements first: their declarations are the globals
     // visible inside function bodies.
-    pass.push_scope();
-    for item in &program.items {
-        if let Item::Statement(s) = item {
-            pass.walk_stmt(s);
-        }
-    }
+    pass.walk_stmts(&program.main);
     let toplevel = cfg::Unit {
-        name: String::new(),
         params: Vec::new(),
         events: std::mem::take(&mut pass.events),
     };
-    // Function bodies see only the globals plus their parameters. Each
-    // body becomes its own analysis unit for the CFG phase.
-    let mut funcs = Vec::new();
-    for item in &program.items {
-        if let Item::Function(f) = item {
-            pass.push_scope();
-            let mut params = Vec::new();
-            for p in &f.params {
-                params.push(pass.declare(&p.name, p.ty.clone(), p.span, true));
-            }
-            pass.walk_stmts(&f.body.stmts);
-            pass.pop_scope();
-            funcs.push(cfg::Unit {
-                name: f.name.clone(),
-                params,
-                events: std::mem::take(&mut pass.events),
-            });
-        }
+    // Each function body becomes its own analysis unit for the CFG
+    // phase, indexed like `program.functions`.
+    let mut base = program.globals + program.main_slots;
+    let mut funcs = Vec::with_capacity(program.functions.len());
+    for f in &program.functions {
+        pass.base = base;
+        base += f.slots;
+        // Parameters are exempt from the end-of-life lints, so they have
+        // no state of their own.
+        let params = f
+            .params
+            .iter()
+            .map(|&slot| pass.base + slot as usize)
+            .collect();
+        pass.walk_block(&f.body);
+        funcs.push(cfg::Unit {
+            params,
+            events: std::mem::take(&mut pass.events),
+        });
     }
-    pass.pop_scope();
+    // The globals live until every function body has used them.
+    pass.end_scope(&program.main);
     let mut findings = pass.findings;
     findings.extend(cfg::must_measured_findings(&toplevel, &funcs));
     findings
 }
 
-/// Everything the pass knows about one binding.
+/// Everything the pass knows about one declaration.
 #[derive(Clone, Debug)]
-struct VarInfo {
-    name: String,
+struct VarInfo<'a> {
+    name: &'a str,
+    /// The declared type (a `foreach` variable's: its element type).
     ty: Type,
     decl_span: Span,
-    /// Program-wide unique identity, carried into the CFG event stream.
-    id: VarId,
     used: bool,
     /// Collapsed by *any* observation — explicit measure, `print`, or an
     /// implicit-measurement context. Satisfies QL003 without triggering
     /// QL001 (which stays explicit-measure-only to avoid false alarms).
     observed: bool,
-    is_param: bool,
     /// Declaration captured a measurement result (explicit or implicit).
     from_measurement: bool,
     /// Returned, passed by reference, or aliased — its later life is
@@ -101,32 +107,50 @@ struct VarInfo {
     escapes: bool,
 }
 
-struct Pass<'p> {
-    scopes: Vec<Vec<VarInfo>>,
-    /// User-declared function name → return type.
-    functions: HashMap<&'p str, &'p Type>,
-    findings: Vec<RawFinding>,
-    /// Event stream for the CFG phase; drained per analysis unit.
-    events: Vec<Ev>,
-    next_id: VarId,
+impl<'a> VarInfo<'a> {
+    fn new(name: &'a str, ty: Type, decl_span: Span, from_measurement: bool) -> Self {
+        VarInfo {
+            name,
+            ty,
+            decl_span,
+            used: false,
+            observed: false,
+            from_measurement,
+            escapes: false,
+        }
+    }
 }
 
-impl<'p> Pass<'p> {
-    fn new(program: &'p Program) -> Self {
-        let functions = program
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function(f) => Some((f.name.as_str(), &f.ret_type)),
-                _ => None,
-            })
-            .collect();
+/// The variable an lvalue-ish expression resolves to.
+fn root_var<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Var<'a>> {
+    match &e.kind {
+        ExprKind::Var(v) | ExprKind::IndexVar { var: v, .. } => Some(v),
+        ExprKind::Index(b, _) | ExprKind::Measure(b) => root_var(b),
+        _ => None,
+    }
+}
+
+struct Pass<'r, 'a> {
+    functions: &'r [Function<'a>],
+    /// Per-variable state, indexed by [`VarId`]; `None` outside the
+    /// variable's life.
+    vars: Vec<Option<VarInfo<'a>>>,
+    /// [`VarId`] of slot 0 of the frame being walked.
+    base: usize,
+    findings: Vec<RawFinding>,
+    /// Event stream for the CFG phase; drained per analysis unit.
+    events: Vec<Ev<'a>>,
+}
+
+impl<'r, 'a> Pass<'r, 'a> {
+    fn new(program: &'r Resolution<'a>) -> Self {
+        let frames: usize = program.functions.iter().map(|f| f.slots).sum();
         Pass {
-            scopes: Vec::new(),
-            functions,
+            functions: &program.functions,
+            vars: vec![None; program.globals + program.main_slots + frames],
+            base: program.globals,
             findings: Vec::new(),
             events: Vec::new(),
-            next_id: 0,
         }
     }
 
@@ -139,171 +163,153 @@ impl<'p> Pass<'p> {
         });
     }
 
-    // ---- scope management -------------------------------------------------
+    // ---- variables --------------------------------------------------------
 
-    fn push_scope(&mut self) {
-        self.scopes.push(Vec::new());
+    fn id(&self, at: Loc) -> Option<VarId> {
+        match at {
+            Loc::Local(slot) => Some(self.base + slot as usize),
+            Loc::Global(slot) => Some(slot as usize),
+            Loc::Unresolved => None,
+        }
     }
 
-    /// Pops a scope and emits the end-of-life lints for its bindings.
-    fn pop_scope(&mut self) {
-        let Some(scope) = self.scopes.pop() else {
+    fn decl_id(&self, slot: DeclSlot) -> Option<VarId> {
+        match slot {
+            DeclSlot::Local(slot) => Some(self.base + slot as usize),
+            DeclSlot::Global(slot) => Some(slot as usize),
+            DeclSlot::Duplicate => None,
+        }
+    }
+
+    /// Applies `f` to the state of `var`, if it is live.
+    fn mark(&mut self, var: Option<&Var<'a>>, f: impl FnOnce(&mut VarInfo<'a>)) {
+        let id = var.and_then(|var| self.id(var.at));
+        if let Some(v) = id.and_then(|id| self.vars.get_mut(id)?.as_mut()) {
+            f(v);
+        }
+    }
+
+    /// A variable's type: the declared one, or a `foreach` variable's
+    /// element type as recorded at its loop.
+    fn var_type(&self, var: &Var<'a>) -> Option<Type> {
+        match var.ty {
+            VarType::Declared(t) => Some(t.clone()),
+            VarType::Loop => Some(self.vars.get(self.id(var.at)?)?.as_ref()?.ty.clone()),
+        }
+    }
+
+    /// Ends the life of the declarations of a statement list and emits
+    /// their end-of-life lints.
+    fn end_scope(&mut self, stmts: &[Stmt<'a>]) {
+        for s in stmts {
+            if let Stmt::Decl { slot, .. } = s {
+                if let Some(id) = self.decl_id(*slot) {
+                    self.end_life(id);
+                }
+            }
+        }
+    }
+
+    fn end_life(&mut self, id: VarId) {
+        let Some(v) = self.vars.get_mut(id).and_then(Option::take) else {
             return;
         };
-        for v in scope {
-            if v.name.starts_with('_') || v.is_param {
-                continue;
-            }
-            if !v.used {
-                if v.from_measurement {
-                    self.report(
-                        &lints::UNUSED_MEASUREMENT,
-                        format!(
-                            "the measurement stored in '{}' is never used; the collapse has \
-                             no observable effect",
-                            v.name
-                        ),
-                        v.decl_span,
-                    );
-                } else {
-                    self.report(
-                        &lints::UNUSED_VARIABLE,
-                        format!("unused variable '{}'", v.name),
-                        v.decl_span,
-                    );
-                }
-            } else if v.ty.is_quantum() && !v.observed && !v.escapes {
+        if v.name.starts_with('_') {
+            return;
+        }
+        if !v.used {
+            if v.from_measurement {
                 self.report(
-                    &lints::DIRTY_QUBITS,
+                    &lints::UNUSED_MEASUREMENT,
                     format!(
-                        "quantum variable '{}' is operated on but never measured; its qubits \
-                         stay allocated and unobserved",
+                        "the measurement stored in '{}' is never used; the collapse has \
+                         no observable effect",
                         v.name
                     ),
                     v.decl_span,
                 );
+            } else {
+                self.report(
+                    &lints::UNUSED_VARIABLE,
+                    format!("unused variable '{}'", v.name),
+                    v.decl_span,
+                );
             }
+        } else if v.ty.is_quantum() && !v.observed && !v.escapes {
+            self.report(
+                &lints::DIRTY_QUBITS,
+                format!(
+                    "quantum variable '{}' is operated on but never measured; its qubits \
+                     stay allocated and unobserved",
+                    v.name
+                ),
+                v.decl_span,
+            );
         }
-    }
-
-    /// Declares a binding in the innermost scope and returns its
-    /// program-wide [`VarId`].
-    fn declare(&mut self, name: &str, ty: Type, decl_span: Span, is_param: bool) -> VarId {
-        let id = self.next_id;
-        self.next_id += 1;
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.push(VarInfo {
-                name: name.to_string(),
-                ty,
-                decl_span,
-                id,
-                used: false,
-                observed: false,
-                is_param,
-                from_measurement: false,
-                escapes: is_param,
-            });
-        }
-        id
-    }
-
-    fn lookup(&self, name: &str) -> Option<&VarInfo> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.iter().rev().find(|v| v.name == name))
-    }
-
-    fn lookup_mut(&mut self, name: &str) -> Option<&mut VarInfo> {
-        self.scopes
-            .iter_mut()
-            .rev()
-            .find_map(|s| s.iter_mut().rev().find(|v| v.name == name))
-    }
-
-    fn mark_used(&mut self, name: &str) {
-        if let Some(v) = self.lookup_mut(name) {
-            v.used = true;
-        }
-    }
-
-    fn mark_escapes(&mut self, name: &str) {
-        if let Some(v) = self.lookup_mut(name) {
-            v.escapes = true;
-        }
-    }
-
-    fn var_type(&self, name: &str) -> Option<Type> {
-        self.lookup(name).map(|v| v.ty.clone())
     }
 
     // ---- lint trigger helpers ---------------------------------------------
 
-    /// Innermost variable an lvalue-ish expression resolves to.
-    fn root_var(e: &Expr) -> Option<&str> {
-        match &e.kind {
-            ExprKind::Var(n) => Some(n),
-            ExprKind::Index(b, _) => Self::root_var(b),
-            ExprKind::MeasureExpr(inner) => Self::root_var(inner),
-            _ => None,
+    /// Records a quantum operation on `var` at `span` for the CFG phase,
+    /// which decides QL001 from the must-measured fixpoint.
+    fn quantum_use(&mut self, var: &Var<'a>, span: Span) {
+        if let Some(id) = self.id(var.at) {
+            self.events.push(Ev::Use {
+                var: id,
+                name: var.name,
+                span,
+            });
         }
     }
 
-    /// Records a quantum operation touching `e` for the CFG phase, which
-    /// decides QL001 from the must-measured fixpoint.
-    fn check_quantum_use(&mut self, e: &Expr) {
-        let Some(name) = Self::root_var(e) else {
-            return;
-        };
-        let Some(v) = self.lookup(name) else { return };
-        let ev = Ev::Use {
-            var: v.id,
-            name: v.name.clone(),
-            span: e.span,
-        };
-        self.events.push(ev);
+    /// Records a quantum operation touching `e`.
+    fn check_quantum_use(&mut self, e: &Expr<'a>) {
+        if let Some(var) = root_var(e) {
+            self.quantum_use(var, e.span);
+        }
     }
 
     /// Marks the root variable of an explicitly measured expression and
     /// records the collapse for the CFG phase.
-    fn mark_measured(&mut self, e: &Expr, measure_span: Span) {
-        if let Some(name) = Self::root_var(e) {
-            let name = name.to_string();
-            if let Some(v) = self.lookup_mut(&name) {
-                v.used = true;
-                v.observed = true;
-                let var = v.id;
-                self.events.push(Ev::Measure {
-                    var,
-                    span: measure_span,
-                });
-            }
+    fn mark_measured(&mut self, e: &Expr<'a>, measure_span: Span) {
+        let var = root_var(e);
+        self.mark(var, |v| {
+            v.used = true;
+            v.observed = true;
+        });
+        if let Some(id) = var.and_then(|var| self.id(var.at)) {
+            self.events.push(Ev::Measure {
+                var: id,
+                span: measure_span,
+            });
         }
     }
 
     /// QL002: `init` aliases an existing quantum value.
-    fn check_alias(&mut self, new_name: &str, target_ty: &Type, init: &Expr) {
+    fn check_alias(&mut self, new_name: &str, target_ty: &Type, init: &Expr<'a>) {
         if !target_ty.is_quantum() {
             return;
         }
-        let source = match &init.kind {
-            ExprKind::Var(n) => Some((n.clone(), false)),
-            ExprKind::Index(b, _) => Self::root_var(b).map(|n| (n.to_string(), true)),
-            _ => None,
+        let (src, is_element) = match &init.kind {
+            ExprKind::Var(v) => (v, false),
+            ExprKind::IndexVar { var, .. } => (var, true),
+            ExprKind::Index(b, _) => match root_var(b) {
+                Some(v) => (v, true),
+                None => return,
+            },
+            _ => return,
         };
-        let Some((src, is_element)) = source else {
-            return;
-        };
-        let Some(src_ty) = self.var_type(&src) else {
+        let Some(src_ty) = self.var_type(src) else {
             return;
         };
         if !src_ty.is_quantum() {
             return;
         }
+        let name = src.name;
         let what = if is_element {
-            format!("a qubit of '{src}'")
+            format!("a qubit of '{name}'")
         } else {
-            format!("the qubits of '{src}'")
+            format!("the qubits of '{name}'")
         };
         self.report(
             &lints::QUANTUM_ALIAS,
@@ -315,32 +321,31 @@ impl<'p> Pass<'p> {
         );
         // The aliased qubits may be measured through the new name, so
         // "never measured" can no longer be concluded for the source.
-        self.mark_escapes(&src);
+        self.mark(Some(src), |v| v.escapes = true);
     }
 
     /// QL201 at `e`, describing the implicitly measured `ty`. The root
     /// variable counts as observed afterwards (satisfies QL003).
-    fn implicit_measure(&mut self, e: &Expr, ty: &Type, context: &str) {
+    fn implicit_measure(&mut self, e: &Expr<'a>, ty: &Type, context: &str) {
         self.report(
             &lints::IMPLICIT_MEASUREMENT,
             format!("this {ty} value is implicitly measured {context}; its state collapses"),
             e.span,
         );
-        self.mark_observed(e);
-    }
-
-    /// Marks the root variable of `e` as observed (collapsed somehow).
-    fn mark_observed(&mut self, e: &Expr) {
-        if let Some(name) = Self::root_var(e) {
-            let name = name.to_string();
-            if let Some(v) = self.lookup_mut(&name) {
-                v.observed = true;
-            }
-        }
+        self.mark(root_var(e), |v| v.observed = true);
     }
 
     /// Best-effort static type of an expression (None when unknown).
-    fn expr_type(&self, e: &Expr) -> Option<Type> {
+    fn expr_type(&self, e: &Expr<'a>) -> Option<Type> {
+        /// The type of one element of a value of type `t`.
+        fn element(t: Type) -> Option<Type> {
+            Some(match t {
+                Type::Array(t) => *t,
+                Type::Qubit | Type::Quint | Type::Qustring => Type::Qubit,
+                Type::String => Type::String,
+                _ => return None,
+            })
+        }
         Some(match &e.kind {
             ExprKind::Int(_) => Type::Int,
             ExprKind::Float(_) | ExprKind::Pi => Type::Float,
@@ -354,13 +359,9 @@ impl<'p> Pass<'p> {
                 let elem = items.first().and_then(|i| self.expr_type(i))?;
                 Type::Array(Box::new(elem))
             }
-            ExprKind::Var(n) => self.var_type(n)?,
-            ExprKind::Index(b, _) => match self.expr_type(b)? {
-                Type::Array(t) => *t,
-                Type::Qubit | Type::Quint | Type::Qustring => Type::Qubit,
-                Type::String => Type::String,
-                _ => return None,
-            },
+            ExprKind::Var(v) => self.var_type(v)?,
+            ExprKind::IndexVar { var, .. } => element(self.var_type(var)?)?,
+            ExprKind::Index(b, _) => element(self.expr_type(b)?)?,
             ExprKind::Unary(UnOp::Not, _) => Type::Bool,
             ExprKind::Unary(UnOp::Neg, inner) => self.expr_type(inner)?,
             ExprKind::Binary(op, l, r) => match op {
@@ -385,45 +386,48 @@ impl<'p> Pass<'p> {
                 BinOp::Shl | BinOp::Shr => self.expr_type(l)?,
                 BinOp::Div | BinOp::Mod => return None,
             },
-            ExprKind::Call(name, _) => match name.as_str() {
-                "len" | "width" | "qmin" | "qmax" | "int" => Type::Int,
-                "float" => Type::Float,
-                "bool" => Type::Bool,
-                "str" => Type::String,
-                "range" => Type::Array(Box::new(Type::Int)),
-                "rotl" | "rotr" => Type::Void,
-                user => (*self.functions.get(user)?).clone(),
+            ExprKind::Call { callee, .. } => match callee {
+                Callee::Builtin(
+                    Builtin::Len | Builtin::Width | Builtin::Qmin | Builtin::Qmax | Builtin::Int,
+                ) => Type::Int,
+                Callee::Builtin(Builtin::Float) => Type::Float,
+                Callee::Builtin(Builtin::Bool) => Type::Bool,
+                Callee::Builtin(Builtin::Str) => Type::String,
+                Callee::Builtin(Builtin::Range) => Type::Array(Box::new(Type::Int)),
+                Callee::Builtin(Builtin::Rotl | Builtin::Rotr) => Type::Void,
+                Callee::Function(i) => self.functions.get(*i as usize)?.decl.ret_type.clone(),
+                Callee::Unknown => return None,
             },
-            ExprKind::MeasureExpr(inner) => {
+            ExprKind::Measure(inner) => {
                 let t = self.expr_type(inner)?;
                 measured(&t)?
             }
         })
     }
 
-    fn is_quantum_expr(&self, e: &Expr) -> bool {
+    fn is_quantum_expr(&self, e: &Expr<'a>) -> bool {
         self.expr_type(e).is_some_and(|t| t.is_quantum())
     }
 
     // ---- walkers ----------------------------------------------------------
 
-    fn walk_stmts(&mut self, stmts: &[Stmt]) {
+    fn walk_stmts(&mut self, stmts: &[Stmt<'a>]) {
         for s in stmts {
             self.walk_stmt(s);
         }
     }
 
-    fn walk_block(&mut self, b: &Block) {
-        self.push_scope();
-        self.walk_stmts(&b.stmts);
-        self.pop_scope();
+    fn walk_block(&mut self, stmts: &[Stmt<'a>]) {
+        self.walk_stmts(stmts);
+        self.end_scope(stmts);
     }
 
-    fn walk_stmt(&mut self, s: &Stmt) {
+    fn walk_stmt(&mut self, s: &Stmt<'a>) {
         match s {
-            Stmt::VarDecl {
+            Stmt::Decl {
                 ty,
                 name,
+                slot,
                 init,
                 span,
             } => {
@@ -431,7 +435,7 @@ impl<'p> Pass<'p> {
                 if let Some(e) = init {
                     self.walk_expr(e);
                     self.check_alias(name, ty, e);
-                    let is_explicit_measure = matches!(e.kind, ExprKind::MeasureExpr(_));
+                    let is_explicit_measure = matches!(e.kind, ExprKind::Measure(_));
                     if is_explicit_measure {
                         from_measurement = true;
                     } else if ty.is_classical() && self.is_quantum_expr(e) {
@@ -444,58 +448,56 @@ impl<'p> Pass<'p> {
                         );
                     }
                 }
-                self.declare(name, ty.clone(), *span, false);
-                if let Some(v) = self.lookup_mut(name) {
-                    v.from_measurement = from_measurement;
+                if let Some(id) = self.decl_id(*slot) {
+                    self.vars[id] =
+                        Some(VarInfo::new(name, (*ty).clone(), *span, from_measurement));
                 }
             }
             Stmt::Assign {
-                target, op, value, ..
+                target,
+                op,
+                value,
+                span,
             } => {
                 self.walk_expr(value);
-                let name = match target {
-                    LValue::Name(n) => n.clone(),
-                    LValue::Index(n, idx) => {
-                        let idx = idx.clone();
-                        self.walk_expr(&idx);
+                let var = match target {
+                    Place::Var(v) => v,
+                    Place::Index(v, idx) => {
+                        self.walk_expr(idx);
                         // Writing an element reads the array binding.
-                        self.mark_used(n);
-                        n.clone()
+                        self.mark(Some(v), |v| v.used = true);
+                        v
                     }
                 };
-                let target_ty = self.var_type(&name);
+                let target_ty = self.var_type(var);
                 let target_quantum = target_ty.as_ref().is_some_and(|t| t.is_quantum());
                 match op {
                     AssignOp::Set => {
-                        if let (Some(ty), LValue::Name(_)) = (&target_ty, target) {
-                            self.check_alias(&name, ty, value);
-                            if ty.is_classical()
-                                && self.is_quantum_expr(value)
-                                && !matches!(value.kind, ExprKind::MeasureExpr(_))
-                            {
-                                let ty = ty.clone();
-                                let et = self.expr_type(value).unwrap_or(Type::Qubit);
-                                self.implicit_measure(
-                                    value,
-                                    &et,
-                                    &format!("when assigned to the {ty} variable '{name}'"),
-                                );
+                        if let Place::Var(_) = target {
+                            if let Some(ty) = &target_ty {
+                                let name = var.name;
+                                self.check_alias(name, ty, value);
+                                if ty.is_classical()
+                                    && self.is_quantum_expr(value)
+                                    && !matches!(value.kind, ExprKind::Measure(_))
+                                {
+                                    let et = self.expr_type(value).unwrap_or(Type::Qubit);
+                                    let context =
+                                        format!("when assigned to the {ty} variable '{name}'");
+                                    self.implicit_measure(value, &et, &context);
+                                }
                             }
-                        }
-                        // A fresh value replaces the measured one.
-                        if let LValue::Name(_) = target {
-                            if let Some(v) = self.lookup(&name) {
-                                let var = v.id;
-                                self.events.push(Ev::Reset { var });
+                            // A fresh value replaces the measured one.
+                            if let Some(id) = self.id(var.at) {
+                                self.events.push(Ev::Reset { var: id });
                             }
                         }
                     }
                     AssignOp::Add | AssignOp::Sub | AssignOp::Shl | AssignOp::Shr => {
                         // Compound assignment reads the target.
-                        self.mark_used(&name);
+                        self.mark(Some(var), |v| v.used = true);
                         if target_quantum {
-                            let target_expr = Expr::new(ExprKind::Var(name.clone()), s.span());
-                            self.check_quantum_use(&target_expr);
+                            self.quantum_use(var, *span);
                             if matches!(op, AssignOp::Add | AssignOp::Sub)
                                 && self.is_quantum_expr(value)
                             {
@@ -545,6 +547,7 @@ impl<'p> Pass<'p> {
                 self.events.push(Ev::LoopEnd);
             }
             Stmt::Foreach {
+                name,
                 var,
                 iterable,
                 body,
@@ -559,19 +562,17 @@ impl<'p> Pass<'p> {
                 };
                 self.events.push(Ev::LoopStart);
                 self.events.push(Ev::BodyStart);
-                self.push_scope();
-                self.declare(var, elem_ty, iterable.span, false);
-                self.walk_stmts(&body.stmts);
-                self.pop_scope();
+                let id = self.base + *var as usize;
+                self.vars[id] = Some(VarInfo::new(name, elem_ty, iterable.span, false));
+                self.walk_stmts(body);
+                self.end_life(id);
+                self.end_scope(body);
                 self.events.push(Ev::LoopEnd);
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
                     self.walk_expr(e);
-                    if let Some(n) = Self::root_var(e) {
-                        let n = n.to_string();
-                        self.mark_escapes(&n);
-                    }
+                    self.mark(root_var(e), |v| v.escapes = true);
                 }
                 self.events.push(Ev::Ret);
             }
@@ -581,7 +582,7 @@ impl<'p> Pass<'p> {
                 // does satisfy QL003's "never measured", though.
                 self.walk_expr(value);
                 if self.is_quantum_expr(value) {
-                    self.mark_observed(value);
+                    self.mark(root_var(value), |v| v.observed = true);
                 }
             }
             Stmt::Expr { expr, .. } => self.walk_expr(expr),
@@ -604,15 +605,16 @@ impl<'p> Pass<'p> {
                 self.mark_measured(target, *span);
             }
             Stmt::Barrier { .. } => {}
-            Stmt::Block(b) => self.walk_block(b),
+            Stmt::Block { stmts, .. } => self.walk_block(stmts),
         }
     }
 
-    fn walk_expr(&mut self, e: &Expr) {
+    fn walk_expr(&mut self, e: &Expr<'a>) {
         match &e.kind {
-            ExprKind::Var(n) => {
-                let n = n.clone();
-                self.mark_used(&n);
+            ExprKind::Var(v) => self.mark(Some(v), |v| v.used = true),
+            ExprKind::IndexVar { var, index, .. } => {
+                self.mark(Some(var), |v| v.used = true);
+                self.walk_expr(index);
             }
             ExprKind::Index(b, i) => {
                 self.walk_expr(b);
@@ -670,61 +672,59 @@ impl<'p> Pass<'p> {
                     }
                 }
             }
-            ExprKind::Call(name, args) => {
+            ExprKind::Call { name, callee, args } => {
                 for a in args {
                     self.walk_expr(a);
                 }
-                match name.as_str() {
-                    "int" | "float" | "bool" | "str" => {
+                match callee {
+                    Callee::Builtin(
+                        Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str,
+                    ) => {
                         if let Some(a) = args.first() {
                             if let Some(t) = self.expr_type(a) {
-                                if t.is_quantum() && !matches!(a.kind, ExprKind::MeasureExpr(_)) {
-                                    let name = name.clone();
+                                if t.is_quantum() && !matches!(a.kind, ExprKind::Measure(_)) {
                                     self.implicit_measure(a, &t, &format!("by the {name}() cast"));
                                 }
                             }
                         }
                     }
-                    "rotl" | "rotr" => {
+                    Callee::Builtin(Builtin::Rotl | Builtin::Rotr) => {
                         if let Some(a) = args.first() {
                             self.check_quantum_use(a);
                         }
                     }
-                    user if self.functions.contains_key(user) => {
+                    Callee::Function(i) => {
                         // Plain-variable arguments bind by reference: the
                         // callee may measure or transform them. The call
                         // event lets the CFG phase apply the callee's
                         // must-measured summary to these arguments.
                         let mut bound = Vec::with_capacity(args.len());
                         for a in args {
-                            if let ExprKind::Var(n) = &a.kind {
-                                let n = n.clone();
-                                self.mark_escapes(&n);
-                                bound.push(self.lookup(&n).map(|v| v.id));
+                            if let ExprKind::Var(v) = &a.kind {
+                                self.mark(Some(v), |v| v.escapes = true);
+                                bound.push(self.id(v.at));
                             } else {
                                 bound.push(None);
                             }
                         }
                         self.events.push(Ev::Call {
-                            callee: user.to_string(),
+                            callee: *i,
                             args: bound,
                         });
                     }
-                    _ => {}
+                    Callee::Builtin(_) | Callee::Unknown => {}
                 }
             }
-            ExprKind::MeasureExpr(inner) => {
+            ExprKind::Measure(inner) => {
                 self.walk_expr(inner);
                 self.mark_measured(inner, e.span);
             }
-            _ => {
-                // Literals: walk nested array elements.
-                if let ExprKind::Array(items) | ExprKind::QuantumArray(items) = &e.kind {
-                    for i in items {
-                        self.walk_expr(i);
-                    }
+            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
+                for i in items {
+                    self.walk_expr(i);
                 }
             }
+            _ => {}
         }
     }
 }
@@ -732,11 +732,15 @@ impl<'p> Pass<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qutes_core::resolve;
     use qutes_frontend::parse;
 
     fn ids(src: &str) -> Vec<&'static str> {
         let program = parse(src).expect("test program parses");
-        let mut found: Vec<&'static str> = run(&program).iter().map(|f| f.lint.id).collect();
+        let mut found: Vec<&'static str> = run(&resolve(&program).0)
+            .iter()
+            .map(|f| f.lint.id)
+            .collect();
         found.sort_unstable();
         found
     }
@@ -819,7 +823,7 @@ mod tests {
     fn ql001_carries_a_note_at_the_collapsing_measure() {
         let src = "qubit q = |+>;\nmeasure q;\nhadamard q;\nprint q;\n";
         let program = parse(src).expect("parses");
-        let findings = run(&program);
+        let findings = run(&resolve(&program).0);
         let f = findings
             .iter()
             .find(|f| f.lint.id == "QL001")

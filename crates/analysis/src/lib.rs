@@ -1,8 +1,9 @@
 //! # qutes-analysis
 //!
 //! Quantum-aware static analysis for the Qutes language: a lint pass and
-//! a static resource estimator that run over the typed AST **without
-//! simulating** anything.
+//! a static resource estimator that run over the type checker's
+//! resolution (`qutes_core::resolution`) **without simulating**
+//! anything. The checker is the only code that looks a name up.
 //!
 //! The analyzer produces span-carrying [`Finding`]s from a fixed
 //! [registry](lints::REGISTRY) of lints — quantum dataflow checks
@@ -48,7 +49,6 @@ pub use verify::{
 };
 
 use qutes_core::resolution::Resolution;
-use qutes_frontend::ast::Program;
 use qutes_frontend::{Diagnostic, Span};
 
 /// A lint hit before level resolution.
@@ -63,21 +63,17 @@ pub(crate) struct RawFinding {
     pub(crate) notes: Vec<(String, Span)>,
 }
 
-/// Analyzes a parsed, type-checked program.
+/// Parses, type-checks, and analyzes `source`.
+///
+/// Returns the parser's or type checker's diagnostics when the program
+/// is not well-formed — the analyzer itself only runs on valid programs.
+/// The one checker walk also gives the resolution the lints and the
+/// estimator run on.
 ///
 /// Findings are filtered through `opts` (allowed lints are dropped,
 /// levels resolved per [`effective_level`]) and sorted by source
 /// position. The resource estimate is always computed — it does not
 /// depend on lint configuration.
-pub fn analyze(program: &Program, opts: &LintOptions) -> AnalysisReport {
-    report(program, &qutes_core::resolve(program).0, opts)
-}
-
-/// Parses, type-checks, and analyzes `source`.
-///
-/// Returns the parser's or type checker's diagnostics when the program
-/// is not well-formed — the analyzer itself only runs on valid programs.
-/// The one checker walk also gives the resolution the estimator runs on.
 pub fn analyze_source(source: &str, opts: &LintOptions) -> Result<AnalysisReport, Vec<Diagnostic>> {
     let program = qutes_frontend::parse(source)?;
     let (resolution, type_errors) = {
@@ -87,14 +83,14 @@ pub fn analyze_source(source: &str, opts: &LintOptions) -> Result<AnalysisReport
     if !type_errors.is_empty() {
         return Err(type_errors);
     }
-    Ok(report(&program, &resolution, opts))
+    Ok(report(&resolution, opts))
 }
 
-/// The lints over the AST and the estimate over its resolution.
-fn report(program: &Program, resolution: &Resolution<'_>, opts: &LintOptions) -> AnalysisReport {
+/// The lints and the estimate, all over the checker's resolution.
+fn report(resolution: &Resolution<'_>, opts: &LintOptions) -> AnalysisReport {
     let _span = qutes_obs::span("stage.analyze");
-    let mut raw = dataflow::run(program);
-    raw.extend(control::run(program));
+    let mut raw = dataflow::run(resolution);
+    raw.extend(control::run(resolution));
     let mut findings: Vec<Finding> = raw
         .into_iter()
         .filter_map(|f| {

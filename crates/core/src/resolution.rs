@@ -163,6 +163,8 @@ pub enum Stmt<'a> {
     },
     /// `foreach var in iterable {..}`
     Foreach {
+        /// The loop variable's name.
+        name: &'a str,
         /// The loop variable's frame slot.
         var: u32,
         /// Iterated value.

@@ -650,6 +650,7 @@ impl<'p, 'a> Interp<'p, 'a> {
                 iterable,
                 body,
                 span,
+                ..
             } => {
                 let it = self.eval(iterable)?;
                 let items: Vec<Cell> = match it {

@@ -430,6 +430,7 @@ impl<'a> Checker<'a> {
                 let body = body.stmts.iter().map(|st| self.check_stmt(st)).collect();
                 self.pop();
                 r::Stmt::Foreach {
+                    name: var,
                     var: slot,
                     iterable,
                     body,
