@@ -859,6 +859,15 @@ mod tests {
     }
 
     #[test]
+    fn builtins_win_over_user_functions_of_the_same_name() {
+        // `len(q)` calls the builtin, as in the checker and the runtime:
+        // the user's `len`, which measures its parameter, never runs.
+        let src = "void len(qubit p) {\n  measure p;\n}\n\
+                   qubit q = |+>;\nint n = len(q);\nhadamard q;\nprint n;\nprint q;\n";
+        assert!(!ids(src).contains(&"QL001"), "{:?}", ids(src));
+    }
+
+    #[test]
     fn early_return_path_does_not_mask_the_other_arms_measure() {
         // Every path *reaching* the gate measured p: the then-arm
         // returns early. The old snapshot-based merge missed this.

@@ -30,6 +30,7 @@ fn example_source(name: &str) -> String {
 /// promotions, aliasing) that the exact examples do not exercise.
 const CORPUS_PROGRAMS: &[&str] = &[
     "aliasing",
+    "builtin_shadow",
     "clean",
     "constant_condition",
     "dirty_ancilla",
