@@ -27,8 +27,8 @@
 //! operator's BBHT schedule, unbounded `while` loops) mark the estimate
 //! inexact and leave a note. A loop whose trip count is unknown is walked
 //! once; then every classical variable its body may write is forgotten:
-//! what it assigns or passes to a call, and every global when it calls a
-//! user function.
+//! what it assigns or passes to a call, and the globals that the user
+//! functions it calls may write, through their own calls too.
 
 use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
 use qutes_core::ops;
@@ -121,7 +121,8 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
 
 /// [`estimate`] of a program the checker has already resolved.
 pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
-    let mut est = Est::new(program);
+    let global_writes = global_writes(&program.functions);
+    let mut est = Est::new(program, &global_writes);
     if est.exec_stmts(&program.main).is_err() {
         est.inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
         // Unknown gates may follow the stop point.
@@ -233,6 +234,8 @@ const MAX_CALL_DEPTH: usize = 64;
 #[derive(Clone)]
 struct Est<'r, 'a> {
     functions: &'r [Function<'a>],
+    /// For each function, the globals a call to it may write.
+    global_writes: &'r [Vec<Loc>],
     /// The global slots, then the frames of the running calls; the
     /// running frame starts at `base`.
     slots: Vec<Binding>,
@@ -253,9 +256,10 @@ struct Est<'r, 'a> {
 }
 
 impl<'r, 'a> Est<'r, 'a> {
-    fn new(program: &'r Resolution<'a>) -> Self {
+    fn new(program: &'r Resolution<'a>, global_writes: &'r [Vec<Loc>]) -> Self {
         Est {
             functions: &program.functions,
+            global_writes,
             slots: vec![Binding::Empty; program.globals + program.main_slots],
             globals: program.globals,
             base: program.globals,
@@ -397,13 +401,10 @@ impl<'r, 'a> Est<'r, 'a> {
     /// Forgets what an unknown number of runs of `body` may have written.
     fn havoc_writes(&mut self, body: &[Stmt<'_>]) {
         let writes = Writes::of(body);
-        for at in writes.locs {
+        let global_writes = self.global_writes;
+        let called = (writes.calls.iter()).filter_map(|&f| global_writes.get(f as usize));
+        for &at in writes.locs.iter().chain(called.flatten()) {
             self.havoc(at);
-        }
-        if writes.calls {
-            for g in 0..self.globals {
-                self.havoc(Loc::Global(g as u32));
-            }
         }
     }
 
@@ -1445,14 +1446,40 @@ impl<'r, 'a> Est<'r, 'a> {
     }
 }
 
+/// For each function, the globals a call to it may write: those its body
+/// writes and those of every function it may call, transitively (so a
+/// recursion cycle reaches its fixpoint).
+fn global_writes(functions: &[Function<'_>]) -> Vec<Vec<Loc>> {
+    let direct: Vec<Writes> = functions.iter().map(|f| Writes::of(&f.body)).collect();
+    let reach = |from: usize| {
+        let mut reached = vec![false; direct.len()];
+        let mut todo = vec![from];
+        let mut globals = Vec::new();
+        while let Some(f) = todo.pop() {
+            match reached.get_mut(f) {
+                Some(seen @ false) => *seen = true,
+                _ => continue,
+            }
+            for &at in &direct[f].locs {
+                if matches!(at, Loc::Global(_)) && !globals.contains(&at) {
+                    globals.push(at);
+                }
+            }
+            todo.extend(direct[f].calls.iter().map(|&c| c as usize));
+        }
+        globals
+    };
+    (0..functions.len()).map(reach).collect()
+}
+
 /// What an unknown number of runs of a loop body may write: every
 /// variable it assigns or names as a call argument (which may bind by
-/// reference), and — when it calls a user function, which may assign any
-/// global — every global.
+/// reference), the iterable of a `foreach` that writes its loop variable
+/// (which shares the element's cell), and the user functions it calls.
 #[derive(Default)]
 struct Writes {
     locs: Vec<Loc>,
-    calls: bool,
+    calls: Vec<u32>,
 }
 
 impl Writes {
@@ -1493,12 +1520,23 @@ impl Writes {
                         self.stmts(eb);
                     }
                 }
-                Stmt::While { cond: e, body, .. }
-                | Stmt::Foreach {
-                    iterable: e, body, ..
-                } => {
-                    self.expr(e);
+                Stmt::While { cond, body, .. } => {
+                    self.expr(cond);
                     self.stmts(body);
+                }
+                Stmt::Foreach {
+                    var,
+                    iterable,
+                    body,
+                    ..
+                } => {
+                    self.expr(iterable);
+                    self.stmts(body);
+                    if let ExprKind::Var(v) = &iterable.kind {
+                        if self.locs.contains(&Loc::Local(*var)) {
+                            self.add(v.at);
+                        }
+                    }
                 }
                 Stmt::Decl { init: Some(e), .. }
                 | Stmt::Return { value: Some(e), .. }
@@ -1517,7 +1555,9 @@ impl Writes {
     fn expr(&mut self, e: &Expr<'_>) {
         match &e.kind {
             ExprKind::Call { callee, args, .. } => {
-                self.calls |= matches!(callee, Callee::Function(_));
+                if let Callee::Function(f) = callee {
+                    self.calls.push(*f);
+                }
                 for a in args {
                     if let ExprKind::Var(v) = &a.kind {
                         self.add(v.at);

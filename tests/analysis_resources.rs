@@ -164,8 +164,24 @@ fn inexact_estimates_are_upper_bounds() {
     let global_written_by_a_call = "int g = 0;\nvoid bump() { g = g + 1; }\n\
          qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { bump(); }\n\
          if (g == 0) { quint big = 200; print big; }\n";
+    // The loop havoc forgets only the globals its callees may write: here
+    // `bump` writes `h`, so `g` stays known and the `if` on it is exact.
+    let other_global_written = "int g = 0;\nint h = 0;\nvoid bump() { h = h + 1; }\n\
+         qubit q = |+>;\nbool n = q;\nwhile (n && h < 1) { bump(); }\n\
+         if (g == 0) { quint big = 200; print big; }\n";
+    // ...but a global written by a callee's callee is forgotten too.
+    let global_written_transitively = "int g = 0;\nvoid bump() { g = g + 1; }\n\
+         void wrap() { bump(); }\nqubit q = |+>;\nbool n = q;\n\
+         while (n && g < 1) { wrap(); }\n\
+         if (g == 0) { quint big = 200; print big; }\n";
     for seed in 1..=4 {
         check_upper_bound("global written by a call", global_written_by_a_call, seed);
+        check_upper_bound("other global written", other_global_written, seed);
+        check_upper_bound(
+            "global written transitively",
+            global_written_transitively,
+            seed,
+        );
     }
 }
 
