@@ -48,6 +48,15 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
+    /// The source text from `start` to the current position.
+    fn text(&self, start: usize) -> Result<&'a str, Diagnostic> {
+        let span = Span::new(start, self.pos);
+        let bytes = self.src.get(start..self.pos);
+        bytes
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or_else(|| Diagnostic::error("token is not valid UTF-8", span))
+    }
+
     fn skip_trivia(&mut self) -> Result<(), Diagnostic> {
         loop {
             match self.peek() {
@@ -101,7 +110,7 @@ impl<'a> Lexer<'a> {
             let kind = match b {
                 b'0'..=b'9' => self.number(start)?,
                 b'"' => self.string(start)?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start)?,
                 b'|' => {
                     // Ket literal `|x>` or logical-or `||`.
                     if let Some(k) = self.try_ket() {
@@ -289,7 +298,7 @@ impl<'a> Lexer<'a> {
             while self.peek().is_some_and(|b| b.is_ascii_digit()) {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+            let text = self.text(start)?;
             let v: f64 = text.parse().map_err(|_| {
                 Diagnostic::error(
                     format!("invalid float literal '{text}'"),
@@ -298,7 +307,7 @@ impl<'a> Lexer<'a> {
             })?;
             return Ok(TokenKind::Float(v));
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = self.text(start)?;
         // Quantum integer: digits immediately followed by a lone 'q'.
         if self.peek() == Some(b'q')
             && !self
@@ -384,15 +393,15 @@ impl<'a> Lexer<'a> {
         Ok(TokenKind::Str(value))
     }
 
-    fn ident(&mut self, start: usize) -> TokenKind {
+    fn ident(&mut self, start: usize) -> Result<TokenKind, Diagnostic> {
         while self
             .peek()
             .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
         {
             self.pos += 1;
         }
-        let word = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        TokenKind::keyword(word).unwrap_or_else(|| TokenKind::Ident(word.to_string()))
+        let word = self.text(start)?;
+        Ok(TokenKind::keyword(word).unwrap_or_else(|| TokenKind::Ident(word.to_string())))
     }
 }
 

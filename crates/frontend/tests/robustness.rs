@@ -4,6 +4,8 @@
 //! `catch_unwind` so one bad input fails its case instead of aborting the
 //! whole suite.
 
+#![allow(clippy::panic)]
+
 use qutes_frontend::parse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -2,6 +2,8 @@
 //! (unitarity, norm preservation, involutions) must hold for *every* gate
 //! sequence, so they are checked on randomly generated programs.
 
+#![allow(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use qutes_sim::{
     gates, measure, parallel, Channel, Complex64, Fault, Matrix2, Matrix4, Matrix8, StateVector,
