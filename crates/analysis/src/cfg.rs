@@ -114,19 +114,14 @@ struct Summary {
 /// Basic blocks of events connected by predecessor edges. Block 0 is
 /// the entry; `exits` lists every block whose end state reaches the
 /// unit's exit (each `Ret` point plus the final fall-through block).
+#[derive(Default)]
 struct Cfg<'a> {
     blocks: Vec<Vec<Ev<'a>>>,
     preds: Vec<Vec<usize>>,
     exits: Vec<usize>,
 }
 
-struct Builder<'a> {
-    blocks: Vec<Vec<Ev<'a>>>,
-    preds: Vec<Vec<usize>>,
-    exits: Vec<usize>,
-}
-
-impl<'a> Builder<'a> {
+impl<'a> Cfg<'a> {
     fn new_block(&mut self) -> usize {
         self.blocks.push(Vec::new());
         self.preds.push(Vec::new());
@@ -212,19 +207,11 @@ impl<'a> Builder<'a> {
 }
 
 fn build_cfg<'a>(events: &[Ev<'a>]) -> Cfg<'a> {
-    let mut b = Builder {
-        blocks: Vec::new(),
-        preds: Vec::new(),
-        exits: Vec::new(),
-    };
-    let entry = b.new_block();
-    let (_, last) = b.seq(events, 0, entry);
-    b.exits.push(last);
-    Cfg {
-        blocks: b.blocks,
-        preds: b.preds,
-        exits: b.exits,
-    }
+    let mut cfg = Cfg::default();
+    let entry = cfg.new_block();
+    let (_, last) = cfg.seq(events, 0, entry);
+    cfg.exits.push(last);
+    cfg
 }
 
 /// Must-measured facts at a program point: variable → span of the
@@ -336,10 +323,9 @@ fn exit_state(cfg: &Cfg<'_>, inb: &[Option<State>], summaries: &Summaries) -> St
 /// first. `on_stack` marks the functions being summarized; a call back
 /// into one breaks the recursion cycle with the bottom summary.
 fn summarize(index: usize, funcs: &[Unit<'_>], summaries: &mut Summaries, on_stack: &mut [bool]) {
-    let Some(unit) = funcs.get(index) else { return };
-    if summaries[index].is_some() {
+    let (Some(unit), Some(None)) = (funcs.get(index), summaries.get(index)) else {
         return;
-    }
+    };
     on_stack[index] = true;
     for ev in &unit.events {
         if let Ev::Call { callee, .. } = ev {

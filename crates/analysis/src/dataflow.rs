@@ -4,12 +4,10 @@
 //! tracks, per variable: its type, whether it has been read, whether its
 //! declaration captured a measurement result, and whether it escapes the
 //! analysis' view (is returned, passed by reference to a user function,
-//! or aliased). The walk looks no name up: every variable has a
-//! program-wide [`VarId`] taken from its slot — the globals first, then
-//! the main frame's slots, then each function's frame at a running
-//! offset. The checker gives every declaration a slot of its own, so an
-//! id names one declaration. The walk directly produces the
-//! flow-insensitive lints:
+//! or aliased). A variable is a program-wide [`VarId`] taken from its
+//! slot (globals, then the main frame, then each function's frame); the
+//! checker gives each declaration its own slot. The walk directly
+//! produces the flow-insensitive lints:
 //! - **QL002 quantum-alias** — binding an existing quantum variable (or
 //!   an element of one) to a second name; both names share qubits.
 //! - **QL003 dirty-qubits** — a quantum variable that is operated on but
@@ -24,10 +22,10 @@
 //!   `print` is exempt: printing a quantum value is the idiomatic way to
 //!   observe it.
 //!
-//! Blocks carry no scope in the resolution, so the end-of-life lints
-//! (QL003, QL004, QL101) fire for the declarations of a statement list
-//! when the list ends, for a `foreach` variable when its loop ends, and
-//! for the globals after every function body has been walked.
+//! Blocks carry no scope in the resolution: the end-of-life lints
+//! (QL003, QL004, QL101) fire for a statement list's declarations when
+//! the list ends, for a `foreach` variable when its loop ends, and for
+//! the globals after every function body.
 //!
 //! The flow-*sensitive* lint — **QL001 use-after-measurement**, a
 //! quantum operation (gate statement, quantum arithmetic, cyclic shift,
@@ -66,15 +64,11 @@ pub(crate) fn run(program: &Resolution<'_>) -> Vec<RawFinding> {
     let mut base = program.globals + program.main_slots;
     let mut funcs = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
-        pass.base = base;
-        base += f.slots;
         // Parameters are exempt from the end-of-life lints, so they have
         // no state of their own.
-        let params = f
-            .params
-            .iter()
-            .map(|&slot| pass.base + slot as usize)
-            .collect();
+        let params = f.params.iter().map(|&slot| base + slot as usize).collect();
+        pass.base = base;
+        base += f.slots;
         pass.walk_block(&f.body);
         funcs.push(cfg::Unit {
             params,

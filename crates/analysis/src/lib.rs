@@ -48,7 +48,6 @@ pub use verify::{
     OptimizationVerification, SegmentVerdict, Verdict, VerifyReport,
 };
 
-use qutes_core::resolution::Resolution;
 use qutes_frontend::{Diagnostic, Span};
 
 /// A lint hit before level resolution.
@@ -83,14 +82,9 @@ pub fn analyze_source(source: &str, opts: &LintOptions) -> Result<AnalysisReport
     if !type_errors.is_empty() {
         return Err(type_errors);
     }
-    Ok(report(&resolution, opts))
-}
-
-/// The lints and the estimate, all over the checker's resolution.
-fn report(resolution: &Resolution<'_>, opts: &LintOptions) -> AnalysisReport {
     let _span = qutes_obs::span("stage.analyze");
-    let mut raw = dataflow::run(resolution);
-    raw.extend(control::run(resolution));
+    let mut raw = dataflow::run(&resolution);
+    raw.extend(control::run(&resolution));
     let mut findings: Vec<Finding> = raw
         .into_iter()
         .filter_map(|f| {
@@ -105,10 +99,10 @@ fn report(resolution: &Resolution<'_>, opts: &LintOptions) -> AnalysisReport {
         })
         .collect();
     findings.sort_by_key(|f| (f.span.start, f.lint.id));
-    AnalysisReport {
+    Ok(AnalysisReport {
         findings,
-        resources: resources::estimate_resolved(resolution),
-    }
+        resources: resources::estimate_resolved(&resolution),
+    })
 }
 
 #[cfg(test)]

@@ -1456,16 +1456,12 @@ fn global_writes(functions: &[Function<'_>]) -> Vec<Vec<Loc>> {
         let mut todo = vec![from];
         let mut globals = Vec::new();
         while let Some(f) = todo.pop() {
-            match reached.get_mut(f) {
-                Some(seen @ false) => *seen = true,
-                _ => continue,
+            if std::mem::replace(&mut reached[f], true) {
+                continue;
             }
-            for &at in &direct[f].locs {
-                if matches!(at, Loc::Global(_)) && !globals.contains(&at) {
-                    globals.push(at);
-                }
-            }
-            todo.extend(direct[f].calls.iter().map(|&c| c as usize));
+            let w = &direct[f];
+            globals.extend(w.locs.iter().filter(|at| matches!(at, Loc::Global(_))));
+            todo.extend(w.calls.iter().map(|&c| c as usize));
         }
         globals
     };
@@ -1520,19 +1516,14 @@ impl Writes {
                         self.stmts(eb);
                     }
                 }
-                Stmt::While { cond, body, .. } => {
-                    self.expr(cond);
-                    self.stmts(body);
-                }
-                Stmt::Foreach {
-                    var,
-                    iterable,
-                    body,
-                    ..
+                Stmt::While { cond: e, body, .. }
+                | Stmt::Foreach {
+                    iterable: e, body, ..
                 } => {
-                    self.expr(iterable);
+                    self.expr(e);
                     self.stmts(body);
-                    if let ExprKind::Var(v) = &iterable.kind {
+                    // A foreach variable shares its element's cell.
+                    if let (Stmt::Foreach { var, .. }, ExprKind::Var(v)) = (s, &e.kind) {
                         if self.locs.contains(&Loc::Local(*var)) {
                             self.add(v.at);
                         }
