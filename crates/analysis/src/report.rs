@@ -52,7 +52,7 @@ impl Finding {
     }
 }
 
-/// Everything one [`crate::analyze`] call produced.
+/// Everything one [`crate::analyze_source`] call produced.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisReport {
     /// Findings at level Note or above, in source order.
