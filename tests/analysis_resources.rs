@@ -158,30 +158,51 @@ fn inexact_estimates_are_upper_bounds() {
         };
         check_upper_bound(name, &source, 3);
     }
-    // A loop whose trip count is unknown calls a function that writes a
-    // global: after the loop the global is unknown, so both sides of the
-    // `if` count.
-    let global_written_by_a_call = "int g = 0;\nvoid bump() { g = g + 1; }\n\
-         qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { bump(); }\n\
-         if (g == 0) { quint big = 200; print big; }\n";
-    // The loop havoc forgets only the globals its callees may write: here
-    // `bump` writes `h`, so `g` stays known and the `if` on it is exact.
-    let other_global_written = "int g = 0;\nint h = 0;\nvoid bump() { h = h + 1; }\n\
-         qubit q = |+>;\nbool n = q;\nwhile (n && h < 1) { bump(); }\n\
-         if (g == 0) { quint big = 200; print big; }\n";
-    // ...but a global written by a callee's callee is forgotten too.
-    let global_written_transitively = "int g = 0;\nvoid bump() { g = g + 1; }\n\
-         void wrap() { bump(); }\nqubit q = |+>;\nbool n = q;\n\
-         while (n && g < 1) { wrap(); }\n\
-         if (g == 0) { quint big = 200; print big; }\n";
-    for seed in 1..=4 {
-        check_upper_bound("global written by a call", global_written_by_a_call, seed);
-        check_upper_bound("other global written", other_global_written, seed);
-        check_upper_bound(
+    let programs = [
+        // A loop whose trip count is unknown calls a function that writes
+        // a global: after the loop the global is unknown, so both sides of
+        // the `if` count.
+        (
+            "global written by a call",
+            "int g = 0;\nvoid bump() { g = g + 1; }\n\
+             qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { bump(); }\n\
+             if (g == 0) { quint big = 200; print big; }\n",
+        ),
+        // The loop havoc forgets only the globals its callees may write:
+        // here `bump` writes `h`, so `g` stays known.
+        (
+            "other global written",
+            "int g = 0;\nint h = 0;\nvoid bump() { h = h + 1; }\n\
+             qubit q = |+>;\nbool n = q;\nwhile (n && h < 1) { bump(); }\n\
+             if (g == 0) { quint big = 200; print big; }\n",
+        ),
+        // ...but a global written by a callee's callee is forgotten too.
+        (
             "global written transitively",
-            global_written_transitively,
-            seed,
-        );
+            "int g = 0;\nvoid bump() { g = g + 1; }\nvoid wrap() { bump(); }\n\
+             qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { wrap(); }\n\
+             if (g == 0) { quint big = 200; print big; }\n",
+        ),
+        // A foreach variable shares its element's cell, so a loop (or a
+        // callee) that writes it on a later iteration writes the iterable.
+        (
+            "written through a loop variable",
+            "int[] xs = [0];\nint c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { foreach v in xs { v = 1; } }\nc += 1;\n}\n\
+             if (xs[0] == 1) { quint big = 200; print big; }\n",
+        ),
+        (
+            "callee writes through a loop variable",
+            "int[] xs = [0];\nvoid set_all() { foreach v in xs { v = 1; } }\n\
+             int c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { set_all(); }\nc += 1;\n}\n\
+             if (xs[0] == 1) { quint big = 200; print big; }\n",
+        ),
+    ];
+    for seed in 1..=4 {
+        for (name, source) in programs {
+            check_upper_bound(name, source, seed);
+        }
     }
 }
 
