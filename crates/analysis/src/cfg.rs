@@ -7,8 +7,8 @@
 //! control-flow markers. Variables are [`VarId`]s and callees are
 //! function indices, both taken from the resolution, so nothing here is
 //! keyed by name. This module turns each stream (the top-level program
-//! and every function body) into a basic-block CFG and runs a forward **must**
-//! dataflow over it: the lattice value at a program point is the set of
+//! and every function body) into a basic-block CFG and runs a forward
+//! **must** dataflow over it: the lattice value at a program point is the set of
 //! variables *definitely* measured on every path reaching it, each
 //! tagged with the span of the collapsing `measure`. The meet over
 //! control-flow joins is set intersection, so:

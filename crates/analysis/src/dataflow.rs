@@ -52,7 +52,7 @@ use qutes_frontend::Span;
 /// Runs the dataflow lints over a whole resolved program.
 pub(crate) fn run(program: &Resolution<'_>) -> Vec<RawFinding> {
     let mut pass = Pass::new(program);
-    // Top-level statements first: their declarations are the globals
+    // Top-level statements first: their declarations become the globals
     // visible inside function bodies.
     pass.walk_stmts(&program.main);
     let toplevel = cfg::Unit {
