@@ -27,8 +27,10 @@
 //! operator's BBHT schedule, unbounded `while` loops) mark the estimate
 //! inexact and leave a note. A loop whose trip count is unknown is walked
 //! once; then every classical variable its body may write is forgotten:
-//! what it assigns or passes to a call, and the globals that the user
-//! functions it calls may write, through their own calls too.
+//! what it assigns or passes to a call, the globals that the user
+//! functions it calls may write, through their own calls too, and every
+//! array when any of them writes an array element in place (arrays
+//! share storage, which the estimator does not track).
 
 use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
 use qutes_core::ops;
@@ -121,8 +123,7 @@ pub fn estimate(program: &Program) -> ResourceEstimate {
 
 /// [`estimate`] of a program the checker has already resolved.
 pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
-    let global_writes = global_writes(&program.functions);
-    let mut est = Est::new(program, &global_writes);
+    let mut est = Est::new(program);
     if est.exec_stmts(&program.main).is_err() {
         est.inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
         // Unknown gates may follow the stop point.
@@ -231,11 +232,9 @@ const MAX_SHADOW_QUBITS: usize = 1024;
 const MAX_STEPS: u64 = 200_000;
 const MAX_CALL_DEPTH: usize = 64;
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Est<'r, 'a> {
     functions: &'r [Function<'a>],
-    /// For each function, the globals a call to it may write.
-    global_writes: &'r [Vec<Loc>],
     /// The global slots, then the frames of the running calls; the
     /// running frame starts at `base`.
     slots: Vec<Binding>,
@@ -256,25 +255,16 @@ struct Est<'r, 'a> {
 }
 
 impl<'r, 'a> Est<'r, 'a> {
-    fn new(program: &'r Resolution<'a>, global_writes: &'r [Vec<Loc>]) -> Self {
+    fn new(program: &'r Resolution<'a>) -> Self {
         Est {
             functions: &program.functions,
-            global_writes,
             slots: vec![Binding::Empty; program.globals + program.main_slots],
             globals: program.globals,
             base: program.globals,
             circ: QuantumCircuit::new(),
-            free: Vec::new(),
-            measurements: 0,
             exact: true,
             clifford_only: true,
-            notes: Vec::new(),
-            slack_gates: 0,
-            slack_depth: 0,
-            slack_qubits: 0,
-            slack_meas: 0,
-            steps: 0,
-            call_depth: 0,
+            ..Est::default()
         }
     }
 
@@ -384,27 +374,48 @@ impl<'r, 'a> Est<'r, 'a> {
         }
     }
 
-    /// Forgets every classical value the running code can see: the
-    /// globals and the running frame.
-    fn havoc_all(&mut self) {
+    /// Forgets every classical value the running code can see (the
+    /// globals and the running frame), or only its arrays. Arrays are
+    /// shared, not copied, by declarations, assignments, arguments and
+    /// element reads, and the estimator does not track which share
+    /// storage, so a write to one element may have changed any of them.
+    fn havoc_all(&mut self, arrays_only: bool) {
         for i in (0..self.globals).chain(self.base..self.slots.len()) {
             let i = match self.slots.get(i) {
                 Some(Binding::Ref(j)) => *j,
                 _ => i,
             };
             if let Some(Binding::Val(v)) = self.slots.get_mut(i) {
-                v.forget();
+                if !arrays_only || matches!(v, AVal::Array(_)) {
+                    v.forget();
+                }
             }
         }
     }
 
-    /// Forgets what an unknown number of runs of `body` may have written.
-    fn havoc_writes(&mut self, body: &[Stmt<'_>]) {
-        let writes = Writes::of(body);
-        let global_writes = self.global_writes;
-        let called = (writes.calls.iter()).filter_map(|&f| global_writes.get(f as usize));
-        for &at in writes.locs.iter().chain(called.flatten()) {
+    /// Forgets what an unknown number of runs of `stmts` may have
+    /// written: what they write, and the globals written by the functions
+    /// they may call, through their own calls too (each is walked once,
+    /// so recursion ends).
+    fn havoc_writes(&mut self, stmts: &[Stmt<'_>]) {
+        let mut writes = Writes::of(stmts);
+        let mut walked = vec![false; self.functions.len()];
+        while let Some(f) = writes.calls.pop() {
+            let f = f as usize;
+            if let (Some(false), Some(callee)) = (walked.get(f), self.functions.get(f)) {
+                walked[f] = true;
+                let w = Writes::of(&callee.body);
+                let globals = w.locs.into_iter().filter(|at| matches!(at, Loc::Global(_)));
+                globals.for_each(|at| writes.add(at));
+                writes.calls.extend(w.calls);
+                writes.elements |= w.elements;
+            }
+        }
+        for &at in &writes.locs {
             self.havoc(at);
+        }
+        if writes.elements {
+            self.havoc_all(true);
         }
     }
 
@@ -501,13 +512,14 @@ impl<'r, 'a> Est<'r, 'a> {
                         None => {
                             // The trip count is not statically known: walk
                             // the body once (for declarations/uses), then
-                            // forget everything it might have changed.
+                            // forget everything the loop, its condition
+                            // included, might have changed.
                             self.inexact(
                                 "while loop with a run-dependent condition: iteration count \
                                  (and any gates its body emits) cannot be bounded statically",
                             );
                             let flow = self.exec_block(body)?;
-                            self.havoc_writes(body);
+                            self.havoc_writes(std::slice::from_ref(s));
                             if let Flow::Return(v) = flow {
                                 return Ok(Flow::Return(v));
                             }
@@ -539,30 +551,30 @@ impl<'r, 'a> Est<'r, 'a> {
                         self.bind_local(*var, Binding::Val(AVal::Lost));
                         let flow = self.exec_stmts(body);
                         self.end_loop(*var, body);
-                        self.havoc_writes(body);
+                        self.havoc_writes(std::slice::from_ref(s));
                         return flow;
                     }
                 };
                 // The runtime binds the loop variable by reference; the
-                // estimator binds it by value, so writes through the loop
-                // variable invalidate the (possibly aliased) iterable.
+                // estimator binds it by value, so a write through the loop
+                // variable is not seen in the iterable.
                 let body_writes_var = Writes::of(body).locs.contains(&Loc::Local(*var));
+                let mut flow = Flow::Normal;
                 for item in items {
                     self.step()?;
                     self.bind_local(*var, Binding::Val(item));
-                    let flow = self.exec_stmts(body);
+                    let run = self.exec_stmts(body);
                     self.end_loop(*var, body);
-                    if let Flow::Return(v) = flow? {
-                        return Ok(Flow::Return(v));
+                    flow = run?;
+                    if let Flow::Return(_) = flow {
+                        break;
                     }
                 }
                 if body_writes_var {
-                    if let ExprKind::Var(v) = &iterable.kind {
-                        self.havoc(v.at);
-                    }
+                    self.havoc_iterable(iterable);
                     self.inexact("foreach body writes its loop variable (bound by reference)");
                 }
-                Ok(Flow::Normal)
+                Ok(flow)
             }
             Stmt::Return { value, .. } => {
                 let v = match value {
@@ -600,6 +612,22 @@ impl<'r, 'a> Est<'r, 'a> {
                 Ok(Flow::Normal)
             }
             Stmt::Block { stmts, .. } => self.exec_block(stmts),
+        }
+    }
+
+    /// Forgets what a `foreach` over `iterable` may have written through
+    /// its loop variable: the cells of the variable the iterable reads or
+    /// indexes into, or of any array a user function may return.
+    fn havoc_iterable(&mut self, iterable: &Expr<'_>) {
+        match &iterable.kind {
+            ExprKind::Var(v) | ExprKind::IndexVar { var: v, .. } => self.havoc(v.at),
+            ExprKind::Index(base, _) => self.havoc_iterable(base),
+            ExprKind::Call {
+                callee: Callee::Function(_),
+                ..
+            } => self.havoc_all(true),
+            // A literal's, `range`'s or a qustring's qubits': new cells.
+            _ => {}
         }
     }
 
@@ -1435,7 +1463,7 @@ impl<'r, 'a> Est<'r, 'a> {
         self.steps = steps;
         self.clifford_only = clifford_both;
         // Values that differ between the worlds are no longer known.
-        self.havoc_all();
+        self.havoc_all(false);
         Ok(match (kept_flow, other_flow) {
             (Flow::Return(va), Flow::Return(vb)) => {
                 Flow::Return(if va == vb { va } else { AVal::Lost })
@@ -1446,35 +1474,16 @@ impl<'r, 'a> Est<'r, 'a> {
     }
 }
 
-/// For each function, the globals a call to it may write: those its body
-/// writes and those of every function it may call, transitively (so a
-/// recursion cycle reaches its fixpoint).
-fn global_writes(functions: &[Function<'_>]) -> Vec<Vec<Loc>> {
-    let direct: Vec<Writes> = functions.iter().map(|f| Writes::of(&f.body)).collect();
-    let reach = |from: usize| {
-        let mut reached = vec![false; direct.len()];
-        let mut todo = vec![from];
-        let mut globals = Vec::new();
-        while let Some(f) = todo.pop() {
-            if std::mem::replace(&mut reached[f], true) {
-                continue;
-            }
-            let w = &direct[f];
-            globals.extend(w.locs.iter().filter(|at| matches!(at, Loc::Global(_))));
-            todo.extend(w.calls.iter().map(|&c| c as usize));
-        }
-        globals
-    };
-    (0..functions.len()).map(reach).collect()
-}
-
-/// What an unknown number of runs of a loop body may write: every
+/// What an unknown number of runs of a loop may write: every
 /// variable it assigns or names as a call argument (which may bind by
-/// reference), the iterable of a `foreach` that writes its loop variable
-/// (which shares the element's cell), and the user functions it calls.
+/// reference), whether it writes an array element in place, and the user
+/// functions it calls.
 #[derive(Default)]
 struct Writes {
     locs: Vec<Loc>,
+    /// An indexed assignment, or a write to a `foreach` variable (bound
+    /// to its element's cell): it writes storage other arrays may share.
+    elements: bool,
     calls: Vec<u32>,
 }
 
@@ -1499,6 +1508,7 @@ impl Writes {
                         Place::Var(v) => self.add(v.at),
                         Place::Index(v, i) => {
                             self.add(v.at);
+                            self.elements = true;
                             self.expr(i);
                         }
                     }
@@ -1522,11 +1532,8 @@ impl Writes {
                 } => {
                     self.expr(e);
                     self.stmts(body);
-                    // A foreach variable shares its element's cell.
-                    if let (Stmt::Foreach { var, .. }, ExprKind::Var(v)) = (s, &e.kind) {
-                        if self.locs.contains(&Loc::Local(*var)) {
-                            self.add(v.at);
-                        }
+                    if let Stmt::Foreach { var, .. } = s {
+                        self.elements |= self.locs.contains(&Loc::Local(*var));
                     }
                 }
                 Stmt::Decl { init: Some(e), .. }

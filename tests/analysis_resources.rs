@@ -183,6 +183,13 @@ fn inexact_estimates_are_upper_bounds() {
              qubit q = |+>;\nbool n = q;\nwhile (n && g < 1) { wrap(); }\n\
              if (g == 0) { quint big = 200; print big; }\n",
         ),
+        // The condition runs on every iteration too.
+        (
+            "global written by the loop condition",
+            "int g = 0;\nqubit q = |+>;\nbool n = q;\n\
+             bool tick() { g += 1; return n && g < 3; }\nwhile (tick()) { }\n\
+             if (g == 1) { print g; } else { quint big = 200; print big; }\n",
+        ),
         // A foreach variable shares its element's cell, so a loop (or a
         // callee) that writes it on a later iteration writes the iterable.
         (
@@ -197,6 +204,58 @@ fn inexact_estimates_are_upper_bounds() {
              int c = 0;\nqubit q = |+>;\nbool n = q;\n\
              while (n && c < 2) {\nif (c == 1) { set_all(); }\nc += 1;\n}\n\
              if (xs[0] == 1) { quint big = 200; print big; }\n",
+        ),
+        // An element read shares the inner array's cells, so the loop
+        // variable of a `foreach` over `grid[0]` writes `grid`.
+        (
+            "written through a nested loop variable",
+            "int[][] grid = [[0]];\nint c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { foreach v in grid[0] { v = 1; } }\nc += 1;\n}\n\
+             if (grid[0][0] == 1) { quint big = 200; print big; }\n",
+        ),
+        (
+            "written through a doubly nested loop variable",
+            "int[][][] cube = [[[0]]];\nforeach v in cube[0][0] { v = 1; }\n\
+             if (cube[0][0][0] == 1) { quint big = 200; print big; }\n",
+        ),
+        (
+            "callee writes through a nested loop variable",
+            "int[][] grid = [[0]];\nvoid set_all() { foreach v in grid[0] { v = 1; } }\n\
+             int c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { set_all(); }\nc += 1;\n}\n\
+             if (grid[0][0] == 1) { quint big = 200; print big; }\n",
+        ),
+        // A declaration shares the array it is initialised from, so the
+        // callee's local `a` writes the global `g`.
+        (
+            "callee writes through an array alias",
+            "int[] g = [0];\nvoid set_alias() { int[] a = g; a[0] = 1; }\n\
+             int c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { set_alias(); }\nc += 1;\n}\n\
+             if (g[0] == 1) { quint big = 200; print big; }\n",
+        ),
+        // An element passed by value still shares its cells with `grid`.
+        (
+            "callee writes an element passed to it",
+            "int[][] grid = [[0]];\nvoid set_first(int[] p) { p[0] = 1; }\n\
+             int c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { set_first(grid[0]); }\nc += 1;\n}\n\
+             if (grid[0][0] == 1) { quint big = 200; print big; }\n",
+        ),
+        (
+            "callee writes an element through a loop variable",
+            "int[][] grid = [[0]];\nvoid set_all(int[] p) { foreach v in p { v = 1; } }\n\
+             int c = 0;\nqubit q = |+>;\nbool n = q;\n\
+             while (n && c < 2) {\nif (c == 1) { set_all(grid[0]); }\nc += 1;\n}\n\
+             if (grid[0][0] == 1) { quint big = 200; print big; }\n",
+        ),
+        // A return from inside a `foreach` keeps what the loop variable
+        // wrote.
+        (
+            "loop variable written before a return",
+            "int[] xs = [0];\n\
+             int first(int[] ys) { foreach v in ys { v = 1; return 0; } return 1; }\n\
+             int r = first(xs);\nif (xs[0] == 1) { quint big = 200; print big; }\n",
         ),
     ];
     for seed in 1..=4 {
