@@ -72,8 +72,11 @@ const ROUND_SHOTS: usize = 1 << 16;
 
 /// Live replay-state bytes a walk of a noisy run may hold when the run
 /// sets no memory budget. It is at least two states: the walking one
-/// and one snapshot.
+/// and one snapshot. Each thread keeps as many bytes of freed states
+/// for reuse ([`qutes_sim::state::SPARE_BYTES`]), so the snapshots a
+/// walk drops serve the next walk's without new page faults.
 const NOISY_REPLAY_BYTES: u128 = 32 << 20;
+const _: () = assert!(NOISY_REPLAY_BYTES == qutes_sim::state::SPARE_BYTES as u128);
 
 /// Shots that have drawn alike so far, with their shared state.
 struct Group<S> {

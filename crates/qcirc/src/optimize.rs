@@ -673,6 +673,22 @@ fn cancel_merge(ops: &mut Vec<Gate>, n: usize, cancelled: &mut usize, merged: &m
     changed
 }
 
+/// The target of a plain single-qubit unitary gate: of the gates
+/// [`gate_matrix`] gives a matrix for, without forming it.
+fn single_target(g: &Gate) -> Option<usize> {
+    use Gate::*;
+    match g {
+        H(q) | X(q) | Y(q) | Z(q) | S(q) | Sdg(q) | T(q) | Tdg(q) | SX(q) | SXdg(q) => Some(*q),
+        Phase { target, .. }
+        | RX { target, .. }
+        | RY { target, .. }
+        | RZ { target, .. }
+        | U { target, .. }
+        | Unitary { target, .. } => Some(*target),
+        _ => None,
+    }
+}
+
 /// The 2x2 matrix of a plain single-qubit unitary gate, with its target.
 fn gate_matrix(g: &Gate) -> Option<(usize, Matrix2)> {
     use Gate::*;
@@ -803,17 +819,11 @@ fn dense_from_action(dim: usize, action: impl Fn(usize) -> (usize, Complex64)) -
 
 /// The wires (in gate bit order: wire `t` = bit `t` of the basis index,
 /// the first `k` entries of the array), wire count `k`, and dense matrix
-/// of a gate the multi-qubit fusion pass can absorb. `None` for
-/// everything else (fences).
+/// of a 2- or 3-qubit gate the multi-qubit fusion pass can absorb.
+/// `None` for everything else: single-qubit gates ([`single_target`])
+/// and fences.
 fn fusable_dense(g: &Gate) -> Option<([usize; 3], usize, Dense)> {
     use Gate::*;
-    if let Some((q, m)) = gate_matrix(g) {
-        let mut d = [[Complex64::ZERO; 8]; 8];
-        for (dr, mr) in d.iter_mut().zip(m.m.iter()) {
-            dr[..2].copy_from_slice(mr);
-        }
-        return Some(([q, 0, 0], 1, d));
-    }
     let one = Complex64::ONE;
     Some(match g {
         CX { control, target } => (
@@ -889,20 +899,40 @@ fn fusable_dense(g: &Gate) -> Option<([usize; 3], usize, Dense)> {
     })
 }
 
-/// Left-multiplies a gate's dense matrix (over `gwires` in gate bit
-/// order, all of which must lie in the sorted `wires`) onto `mat`, a
-/// product over `wires`, and returns whether every entry of the result
-/// is finite.
+/// The matrix of a gate joining a fusion cluster: a single-qubit gate
+/// keeps its 2x2 matrix, which [`apply`] widens onto the cluster. It
+/// lives on the stack for one gate; boxing the wide variant would
+/// allocate per gate.
+#[allow(clippy::large_enum_variant)]
+enum GateMatrix {
+    Single(Matrix2),
+    Multi(Dense),
+}
+
+impl GateMatrix {
+    /// [`apply`] with this matrix.
+    fn apply(&self, mat: &mut Dense, wires: &[usize], gwires: &[usize], skip_zeros: bool) -> bool {
+        match self {
+            GateMatrix::Single(m) => apply(mat, wires, gwires, &m.m, skip_zeros),
+            GateMatrix::Multi(d) => apply(mat, wires, gwires, d, skip_zeros),
+        }
+    }
+}
+
+/// Left-multiplies a gate's matrix (the top-left block of `gdense`, over
+/// `gwires` in gate bit order, all of which must lie in the sorted
+/// `wires`) onto `mat`, a product over `wires`, and returns whether
+/// every entry of the result is finite.
 ///
 /// With `skip_zeros`, products with a zero gate entry are left out of
 /// the sums. When every entry of `mat` is finite that changes no bit:
 /// such a product is then an exact (signed) zero, and adding one never
 /// changes a sum that starts at `+0`.
-fn apply(
+fn apply<const C: usize>(
     mat: &mut Dense,
     wires: &[usize],
     gwires: &[usize],
-    gdense: &Dense,
+    gdense: &[[Complex64; C]],
     skip_zeros: bool,
 ) -> bool {
     let dim = 1 << wires.len();
@@ -974,6 +1004,10 @@ struct Cluster {
     stamp: usize,
     /// True when every entry of the product is finite.
     finite: bool,
+    /// True while the cluster holds one single-qubit gate whose product
+    /// is not formed yet ([`Cluster::form`]): a gate that meets a fence
+    /// before another gate never needs its matrix.
+    lazy: bool,
 }
 
 impl Cluster {
@@ -985,11 +1019,25 @@ impl Cluster {
             members: Vec::new(),
             stamp: 0,
             finite: true,
+            lazy: false,
         }
     }
 
     fn wires(&self) -> &[usize] {
         &self.wires[..self.k]
+    }
+
+    /// Forms the product of a lazy cluster from its one gate, found in
+    /// `ops`: the identity times the gate's matrix, as if the gate had
+    /// opened the cluster eagerly.
+    fn form(&mut self, ops: &[Gate]) {
+        if !std::mem::take(&mut self.lazy) {
+            return;
+        }
+        if let Some((q, m)) = self.members.first().and_then(|&p| gate_matrix(&ops[p])) {
+            self.mat = dense_identity(1);
+            self.finite = apply(&mut self.mat, &[q], &[q], &m.m, true);
+        }
     }
 
     /// True when the cluster product is the identity (up to `ANGLE_TOL`).
@@ -1105,7 +1153,27 @@ fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
         // rewrites positions before `i`.
         let (done, rest) = ops.split_at_mut(i);
         let g = &rest[0];
-        let Some((gw, gk, gdense)) = fusable_dense(g) else {
+        let gate = if let Some(q) = single_target(g).filter(|&q| wire_map[q].is_none()) {
+            // A single-qubit gate on a free wire opens a lazy cluster.
+            stamp += 1;
+            let slot = free.pop().unwrap_or_else(|| {
+                slots.push(Cluster::empty());
+                slots.len() - 1
+            });
+            let cl = &mut slots[slot];
+            cl.wires = [q, 0, 0];
+            cl.k = 1;
+            cl.members.push(i);
+            cl.stamp = stamp;
+            cl.lazy = true;
+            wire_map[q] = Some(slot);
+            continue;
+        } else if let Some((q, m)) = gate_matrix(g) {
+            Some(([q, 0, 0], 1, GateMatrix::Single(m)))
+        } else {
+            fusable_dense(g).map(|(gw, gk, d)| (gw, gk, GateMatrix::Multi(d)))
+        };
+        let Some((gw, gk, gmat)) = gate else {
             if crate::segment::is_sync_op(g) {
                 // Sync anchors close *every* open cluster, not just the
                 // ones on their wires. Fusing across a measurement on a
@@ -1158,11 +1226,14 @@ fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
             }
         }
         touched[..nt].sort_unstable_by_key(|&s| slots[s].stamp);
+        for &s in &touched[..nt] {
+            slots[s].form(done);
+        }
 
         if nt == 1 && gwires.iter().all(|&w| wire_map[w] == Some(touched[0])) {
             let cl = &mut slots[touched[0]];
             if cl.finite {
-                cl.finite = apply(&mut cl.mat, &cl.wires[..cl.k], gwires, &gdense, true);
+                cl.finite = gmat.apply(&mut cl.mat, &cl.wires[..cl.k], gwires, true);
                 cl.members.push(i);
                 cl.stamp = stamp;
                 continue;
@@ -1216,7 +1287,7 @@ fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
                 finite,
             );
         }
-        finite = apply(&mut mat, &wires[..k], gwires, &gdense, finite);
+        finite = gmat.apply(&mut mat, &wires[..k], gwires, finite);
 
         // The merged cluster takes over the oldest touched slot.
         let slot = match touched[..nt].split_first() {
@@ -1243,6 +1314,7 @@ fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
         cl.members.push(i);
         cl.stamp = stamp;
         cl.finite = finite;
+        cl.lazy = false;
         for &w in &wires[..k] {
             wire_map[w] = Some(slot);
         }
@@ -1264,6 +1336,98 @@ fn fuse_multi(ops: &mut Vec<Gate>, n: usize, fused: &mut usize) -> bool {
 mod tests {
     use super::*;
     use crate::execute::statevector;
+
+    #[test]
+    fn single_target_names_the_gates_with_a_2x2_matrix() {
+        use Gate::*;
+        let every = [
+            H(3),
+            X(3),
+            Y(3),
+            Z(3),
+            S(3),
+            Sdg(3),
+            T(3),
+            Tdg(3),
+            SX(3),
+            SXdg(3),
+            Phase {
+                target: 3,
+                lambda: 0.5,
+            },
+            RX {
+                target: 3,
+                theta: 0.5,
+            },
+            RY {
+                target: 3,
+                theta: 0.5,
+            },
+            RZ {
+                target: 3,
+                theta: 0.5,
+            },
+            U {
+                target: 3,
+                theta: 0.5,
+                phi: 0.25,
+                lambda: 0.125,
+            },
+            Unitary {
+                target: 3,
+                matrix: Matrix2::IDENTITY,
+            },
+            CX {
+                control: 1,
+                target: 3,
+            },
+            CY {
+                control: 1,
+                target: 3,
+            },
+            CZ {
+                control: 1,
+                target: 3,
+            },
+            CPhase {
+                control: 1,
+                target: 3,
+                lambda: 0.5,
+            },
+            CCX {
+                c0: 0,
+                c1: 1,
+                target: 3,
+            },
+            MCX {
+                controls: vec![],
+                target: 3,
+            },
+            MCPhase {
+                controls: vec![],
+                target: 3,
+                lambda: 0.5,
+            },
+            Swap { a: 1, b: 3 },
+            CSwap {
+                control: 0,
+                a: 1,
+                b: 3,
+            },
+            Measure { qubit: 3, clbit: 0 },
+            Reset(3),
+            Barrier(vec![3]),
+            Conditional {
+                clbit: 0,
+                value: true,
+                gate: Box::new(H(3)),
+            },
+            GlobalPhase(0.5),
+        ];
+        for g in &every {
+            assert_eq!(single_target(g), gate_matrix(g).map(|(q, _)| q), "{g:?}");
+        }
+    }
 
     fn fidelity_preserved(c: &QuantumCircuit, level: u8) {
         let (opt, _) = optimize(c, level).unwrap();

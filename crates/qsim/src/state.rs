@@ -20,25 +20,114 @@ use crate::error::{SimError, SimResult};
 use crate::gates::{Matrix2, Matrix4, Matrix8};
 use crate::parallel;
 use qutes_supervisor::Interrupt;
+use std::cell::RefCell;
 
 /// Hard cap on dense simulation size: 2^28 amplitudes = 4 GiB of state.
 pub const MAX_QUBITS: usize = 28;
 
-/// Grows `amps` to `len` amplitudes, the new ones zero, pre-flighting the
-/// reservation with `try_reserve_exact` so an allocator refusal surfaces
-/// as [`SimError::AllocationFailed`] instead of an OOM abort.
+/// Most bytes of freed amplitude storage one thread keeps for reuse.
+/// It equals the live replay states a noisy walk may hold when its run
+/// sets no memory budget (`NOISY_REPLAY_BYTES` in `qutes-qcirc`'s
+/// grouped replay), so every state a walk frees comes back to the next.
+/// A buffer that does not fit in what is left is freed.
+pub const SPARE_BYTES: usize = 32 << 20;
+
+/// Smallest buffer kept as a spare: 128 KiB (2^13 amplitudes), glibc's
+/// default `M_MMAP_THRESHOLD`. A smaller buffer lives in the heap,
+/// whose pages stay mapped once touched, so keeping it would save no
+/// page fault and only hold memory other allocations could reuse (kept,
+/// `grover_shots`' 10-qubit states raised its peak RSS by 0.8%).
+const SPARE_MIN_BYTES: usize = 128 << 10;
+
+/// The freed amplitude buffers of one thread, empty and kept for reuse,
+/// so a request after the first takes its states from storage that is
+/// already mapped instead of faulting fresh pages in.
+struct Spares {
+    bufs: Vec<Vec<Complex64>>,
+    /// Bytes of capacity in `bufs`, at most [`SPARE_BYTES`].
+    bytes: usize,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = const {
+        RefCell::new(Spares {
+            bufs: Vec::new(),
+            bytes: 0,
+        })
+    };
+}
+
+fn capacity_bytes(buf: &Vec<Complex64>) -> usize {
+    buf.capacity() * std::mem::size_of::<Complex64>()
+}
+
+/// Takes this thread's smallest spare buffer holding at least `len`
+/// amplitudes, empty, if there is one.
+fn take_spare(len: usize) -> Option<Vec<Complex64>> {
+    SPARES
+        .try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let (k, _) = (spares.bufs.iter().enumerate())
+                .filter(|(_, b)| b.capacity() >= len)
+                .min_by_key(|(_, b)| b.capacity())?;
+            let buf = spares.bufs.swap_remove(k);
+            spares.bytes -= capacity_bytes(&buf);
+            Some(buf)
+        })
+        .ok()
+        .flatten()
+}
+
+/// Keeps `buf` as one of this thread's spares when it holds at least
+/// [`SPARE_MIN_BYTES`] and the set has room for it within
+/// [`SPARE_BYTES`]; frees it otherwise.
+fn give_back(mut buf: Vec<Complex64>) {
+    let bytes = capacity_bytes(&buf);
+    if bytes < SPARE_MIN_BYTES {
+        return;
+    }
+    buf.clear();
+    // During thread teardown the set may be gone; `buf` is then freed.
+    let _ = SPARES.try_with(move |spares| {
+        let mut spares = spares.borrow_mut();
+        if spares.bytes + bytes <= SPARE_BYTES {
+            spares.bytes += bytes;
+            spares.bufs.push(buf);
+        }
+    });
+}
+
+/// Bytes of spare storage this thread holds.
+#[cfg(test)]
+pub(crate) fn spare_bytes() -> usize {
+    SPARES.with(|spares| spares.borrow().bytes)
+}
+
+/// Grows `amps` to `len` amplitudes, the new ones zero. Past its
+/// capacity, the amplitudes move into the smallest spare that fits and
+/// the old buffer is given back; with no such spare the reservation is
+/// pre-flighted with `try_reserve_exact`, so an allocator refusal
+/// surfaces as [`SimError::AllocationFailed`] instead of an OOM abort.
 fn extend_amps(amps: &mut Vec<Complex64>, len: usize) -> SimResult<()> {
     let bytes = len.saturating_mul(std::mem::size_of::<Complex64>());
-    // The failpoint models refusal of a *statevector-sized* allocation;
-    // the trivial single-amplitude vector (the 0-qubit seed state every
-    // handler starts from) is exempt so chaos injection cannot fault
+    // The failpoint models refusal of a *statevector-sized* allocation,
+    // whether a spare would serve it or not; the trivial
+    // single-amplitude vector (the 0-qubit seed state every handler
+    // starts from) is exempt so chaos injection cannot fault
     // infrastructure that allocates nothing of consequence.
     if len > 1 {
         qutes_supervisor::failpoint("sim.alloc")
             .map_err(|_| SimError::AllocationFailed { bytes })?;
     }
-    amps.try_reserve_exact(len - amps.len())
-        .map_err(|_| SimError::AllocationFailed { bytes })?;
+    if len > amps.capacity() {
+        if let Some(mut spare) = take_spare(len) {
+            spare.extend_from_slice(amps);
+            give_back(std::mem::replace(amps, spare));
+        } else {
+            amps.try_reserve_exact(len - amps.len())
+                .map_err(|_| SimError::AllocationFailed { bytes })?;
+        }
+    }
     amps.resize(len, Complex64::ZERO);
     Ok(())
 }
@@ -58,7 +147,12 @@ fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
 /// at `i ^ flip`. The gate kernels read and write through the frame
 /// exactly; anything that sums or rewrites amplitudes in index order
 /// first settles it ([`Self::settle`]) in one swap pass.
-#[derive(Clone, Debug)]
+///
+/// The amplitudes live in storage recycled per thread: a new state, a
+/// clone or a growth past capacity takes a spare buffer of this thread
+/// when one fits, and a dropped state gives its buffer back when it is
+/// large enough to keep ([`SPARE_BYTES`] bounds what a thread holds).
+#[derive(Debug)]
 pub struct StateVector {
     n: usize,
     amps: Vec<Complex64>,
@@ -68,6 +162,30 @@ pub struct StateVector {
     /// Cooperative cancellation handle checked (amortised) inside the
     /// strided kernels. Unarmed by default: a single relaxed load.
     interrupt: Interrupt,
+}
+
+impl Clone for StateVector {
+    /// Copies the amplitudes into a spare buffer of this thread when one
+    /// fits.
+    fn clone(&self) -> Self {
+        let len = self.amps.len();
+        let mut amps = take_spare(len).unwrap_or_else(|| Vec::with_capacity(len));
+        amps.extend_from_slice(&self.amps);
+        StateVector {
+            n: self.n,
+            amps,
+            flip: self.flip,
+            parallel: self.parallel,
+            interrupt: self.interrupt.clone(),
+        }
+    }
+}
+
+impl Drop for StateVector {
+    /// Gives the amplitude buffer back to this thread's spares.
+    fn drop(&mut self) {
+        give_back(std::mem::take(&mut self.amps));
+    }
 }
 
 impl StateVector {
@@ -193,7 +311,8 @@ impl StateVector {
     }
 
     /// Appends `extra` qubits in `|0>` as the new highest bits, growing
-    /// the amplitude vector in place (timed as `kernel.grow`). The new
+    /// the amplitude vector in place while its capacity allows, else
+    /// into a spare or a reallocation (timed as `kernel.grow`). The new
     /// qubits hold no flip, so the frame carries over unchanged.
     pub fn grow(&mut self, extra: usize) -> SimResult<()> {
         let n = self.n + extra;
@@ -1030,8 +1149,9 @@ pub fn uniform_superposition(n: usize) -> SimResult<StateVector> {
         return Err(SimError::TooManyQubits(n));
     }
     let len = 1usize << n;
-    let amp = c64(1.0 / (len as f64).sqrt(), 0.0);
-    StateVector::from_amplitudes(vec![amp; len])
+    let mut amps = alloc_amps(len)?;
+    amps.fill(c64(1.0 / (len as f64).sqrt(), 0.0));
+    StateVector::from_amplitudes(amps)
 }
 
 #[cfg(test)]
@@ -1458,6 +1578,68 @@ mod tests {
         let mut t = lo.tensor(&hi).unwrap();
         intr.cancel();
         assert!(t.apply_single(&gates::h(), 0).is_err());
+    }
+
+    #[test]
+    fn spares_stay_within_their_cap() {
+        // On a thread of its own, whose set starts empty.
+        std::thread::spawn(|| {
+            let mib = 16 << 16;
+            // 40 states of 1 MiB dropped together: the cap keeps 32.
+            let states: Vec<_> = (0..40).map(|_| StateVector::new(16).unwrap()).collect();
+            assert_eq!(spare_bytes(), 0);
+            drop(states);
+            assert_eq!(spare_bytes(), SPARE_BYTES);
+            let sv = StateVector::new(16).unwrap();
+            assert_eq!(spare_bytes(), SPARE_BYTES - mib);
+            drop(sv);
+            assert_eq!(spare_bytes(), SPARE_BYTES);
+            // Every constructor, clone, growth and drop keeps the set
+            // within the cap.
+            let mut rng = 0x2545_f491_4f6c_dd1du64;
+            let mut next = |bound: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng as usize % bound
+            };
+            let mut live: Vec<StateVector> = Vec::new();
+            for _ in 0..300 {
+                match next(5) {
+                    0 => live.push(StateVector::new(next(18)).unwrap()),
+                    1 => {
+                        if let Some(sv) = live.get(next(live.len().max(1))) {
+                            live.push(sv.clone());
+                        }
+                    }
+                    2 => {
+                        let k = next(live.len().max(1));
+                        if let Some(sv) = live.get_mut(k) {
+                            let extra = next(18usize.saturating_sub(sv.num_qubits()).max(1));
+                            sv.grow(extra).unwrap();
+                        }
+                    }
+                    3 => {
+                        if let (Some(a), Some(b)) = (live.first(), live.last()) {
+                            if a.num_qubits() + b.num_qubits() <= 17 {
+                                let t = a.tensor(b).unwrap();
+                                live.push(t);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                // At most six live states of at most 2 MiB each.
+                if (live.len() > 6 || next(5) == 0) && !live.is_empty() {
+                    live.swap_remove(next(live.len()));
+                }
+                assert!(spare_bytes() <= SPARE_BYTES);
+            }
+            drop(live);
+            assert!(spare_bytes() <= SPARE_BYTES);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -139,6 +139,31 @@ fn allocation_refusal_is_typed_not_abort() {
 }
 
 #[test]
+fn allocation_refusal_fires_when_a_spare_fits() {
+    use qutes::sim::{SimError, SimResult, StateVector};
+    let _g = serialize();
+    // A dropped 14-qubit state leaves this thread a spare that would
+    // serve every request below; the failpoint refuses them anyway,
+    // with the bytes the request asked for.
+    drop(StateVector::new(14).unwrap());
+    let mut seed = StateVector::new(0).unwrap();
+    let (a, b) = (StateVector::new(2).unwrap(), StateVector::new(3).unwrap());
+    arm("sim.alloc", Fault::DenyAlloc);
+    let refused = |r: SimResult<()>, want: usize| match r {
+        Err(SimError::AllocationFailed { bytes }) => assert_eq!(bytes, want),
+        other => panic!("expected a refusal of {want} bytes, got {other:?}"),
+    };
+    refused(StateVector::new(14).map(drop), 16 << 14);
+    refused(StateVector::from_basis_state(4, 3).map(drop), 16 << 4);
+    refused(seed.grow(3), 16 << 3);
+    refused(a.tensor(&b).map(drop), 16 << 5);
+    reset();
+    StateVector::new(14).unwrap();
+    seed.grow(3).unwrap();
+    assert_eq!(a.tensor(&b).unwrap().num_qubits(), 5);
+}
+
+#[test]
 fn shot_loop_refusal_is_typed() {
     let _g = serialize();
     arm("qcirc.execute.shot", Fault::DenyAlloc);

@@ -118,6 +118,30 @@ fn language_tour_covers_the_reference_manual() {
 }
 
 #[test]
+fn recycled_state_storage_leaves_noisy_histograms_unchanged() {
+    // Each thread reuses the storage of the states it dropped; twenty
+    // noisy runs on this thread must each give the histogram a thread
+    // with no spare storage gives.
+    let run = || {
+        let config = RunConfig {
+            seed: 7,
+            noise: Some(qutes::sim::NoiseModel::depolarizing(0.01)),
+            shots: 16,
+            shot_threads: 1,
+            ..RunConfig::default()
+        };
+        let src = "quint a = [0, 2, 7]q;\nquint b = [1, 3]q;\nquint s = a + b;\nprint s;\n";
+        let out = run_source(src, &config).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        (out.output, out.counts.map(|c| c.to_string()))
+    };
+    let fresh = std::thread::spawn(run).join().unwrap();
+    assert!(fresh.1.is_some());
+    for _ in 0..20 {
+        assert_eq!(run(), fresh);
+    }
+}
+
+#[test]
 fn facade_reexports_cover_the_stack() {
     // Spot-check the public API surface through the facade.
     let mut c = qutes::qcirc::QuantumCircuit::with_qubits(2);
