@@ -36,7 +36,8 @@ pub const SPARE_BYTES: usize = 32 << 20;
 /// default `M_MMAP_THRESHOLD`. A smaller buffer lives in the heap,
 /// whose pages stay mapped once touched, so keeping it would save no
 /// page fault and only hold memory other allocations could reuse (kept,
-/// `grover_shots`' 10-qubit states raised its peak RSS by 0.8%).
+/// `grover_shots`' 10-qubit states raised its peak RSS by 0.8% on the
+/// 2-vCPU reference VM).
 const SPARE_MIN_BYTES: usize = 128 << 10;
 
 /// The freed amplitude buffers of one thread, empty and kept for reuse,
