@@ -17,6 +17,15 @@
 # target/release/qutes, built by `cargo build --release`). Program paths
 # are printed relative to the repository root, so listings made from two
 # checkouts compare line by line. The last line is the run count.
+#
+# The listing of the current tree is committed as
+# tests/golden/run_matrix.txt, and CI diffs a fresh run against it. A
+# change that alters some output on purpose (a new example, a changed
+# histogram) refreshes it in a commit of its own that says which lines
+# changed and why:
+#
+#   cargo build --release -p qutes-cli
+#   scripts/run_matrix.sh > tests/golden/run_matrix.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
