@@ -18,7 +18,7 @@
 use crate::complex::{c64, Complex64};
 use crate::error::{SimError, SimResult};
 use crate::gates::{Matrix2, Matrix4, Matrix8};
-use crate::parallel;
+use crate::parallel::{self, Cube};
 use qutes_supervisor::Interrupt;
 use std::cell::RefCell;
 
@@ -149,6 +149,25 @@ fn alloc_amps(len: usize) -> SimResult<Vec<Complex64>> {
 /// exactly; anything that sums or rewrites amplitudes in index order
 /// first settles it ([`Self::settle`]) in one swap pass.
 ///
+/// The state keeps an affine *support* in stored-index coordinates: the
+/// mask `free` of the bits its amplitudes may vary in and the values
+/// `base` of all other bits. Every stored amplitude whose index `i` has
+/// `i & !free != base` is zero, so each kernel visits only the indices
+/// the support and the gate's own wires and controls admit; a dense
+/// state is the case `free` = every bit. The support is an
+/// over-approximation kept by cheap rules: a new or grown qubit is
+/// fixed at 0; a diagonal gate keeps the support; a gate whose controls
+/// are fixed acts as a no-op or as the uncontrolled gate; an
+/// anti-diagonal gate on a fixed target with fixed controls toggles the
+/// target's `base` bit, and any other gate frees its target (a swap,
+/// its two wires, unless both are fixed and its controls too, when it
+/// exchanges their `base` bits; a fused gate, all its wires); a collapse
+/// fixes its qubit; settling the frame toggles the flipped fixed bits of
+/// `base`. A kernel computes every amplitude it visits exactly as a
+/// dense sweep does, and a skipped amplitude is zero, so every nonzero
+/// amplitude and every sum equals the dense result bit for bit; only the
+/// sign of a zero may differ.
+///
 /// The amplitudes live in storage recycled per thread: a new state, a
 /// clone or a growth past capacity takes a spare buffer of this thread
 /// when one fits, and a dropped state gives its buffer back when it is
@@ -159,6 +178,11 @@ pub struct StateVector {
     amps: Vec<Complex64>,
     /// The pending X mask: bit `q` set when qubit `q` is flipped.
     flip: usize,
+    /// The stored-index bits the nonzero amplitudes may vary in.
+    free: usize,
+    /// The stored-index bits outside `free` of every nonzero amplitude
+    /// (no bit of `free` set).
+    base: usize,
     parallel: bool,
     /// Cooperative cancellation handle checked (amortised) inside the
     /// strided kernels. Unarmed by default: a single relaxed load.
@@ -176,6 +200,8 @@ impl Clone for StateVector {
             n: self.n,
             amps,
             flip: self.flip,
+            free: self.free,
+            base: self.base,
             parallel: self.parallel,
             interrupt: self.interrupt.clone(),
         }
@@ -201,6 +227,8 @@ impl StateVector {
             n,
             amps,
             flip: 0,
+            free: 0,
+            base: 0,
             parallel: true,
             interrupt: Interrupt::new(),
         })
@@ -216,11 +244,13 @@ impl StateVector {
         }
         sv.amps[0] = Complex64::ZERO;
         sv.amps[index] = Complex64::ONE;
+        sv.base = index;
         Ok(sv)
     }
 
     /// Builds a state from explicit amplitudes. The length must be a power
-    /// of two and the vector must be normalised to within `1e-6`.
+    /// of two and the vector must be normalised to within `1e-6`. The
+    /// support is the least one holding every nonzero amplitude.
     pub fn from_amplitudes(amps: Vec<Complex64>) -> SimResult<Self> {
         if amps.is_empty() || !amps.len().is_power_of_two() {
             return Err(SimError::InvalidState(format!(
@@ -232,7 +262,17 @@ impl StateVector {
         if n > MAX_QUBITS {
             return Err(SimError::TooManyQubits(n));
         }
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
+        // The bits every nonzero index has set, and those any has set.
+        let (mut all, mut any) = (usize::MAX, 0);
+        let norm: f64 = (amps.iter().enumerate())
+            .map(|(i, a)| {
+                if *a != Complex64::ZERO {
+                    all &= i;
+                    any |= i;
+                }
+                a.norm_sqr()
+            })
+            .sum();
         if (norm - 1.0).abs() > 1e-6 {
             return Err(SimError::InvalidState(format!(
                 "state norm^2 is {norm}, expected 1"
@@ -242,6 +282,8 @@ impl StateVector {
             n,
             amps,
             flip: 0,
+            free: any & !all,
+            base: all,
             parallel: true,
             interrupt: Interrupt::new(),
         })
@@ -283,10 +325,58 @@ impl StateVector {
         (0..self.amps.len()).map(move |i| self.amps[i ^ self.flip])
     }
 
+    /// The stored indices that may hold a nonzero amplitude.
+    #[inline]
+    fn support(&self) -> Cube {
+        Cube {
+            fixed: !self.free & (self.amps.len() - 1),
+            value: self.base,
+        }
+    }
+
+    /// The basis indices that may hold a nonzero amplitude: the support
+    /// read through the frame.
+    fn basis_support(&self) -> Cube {
+        let sup = self.support();
+        Cube {
+            fixed: sup.fixed,
+            value: sup.value ^ (self.flip & sup.fixed),
+        }
+    }
+
+    /// Lets the amplitudes vary in the stored bits `bits`.
+    fn free_bits(&mut self, bits: usize) {
+        self.free |= bits;
+        self.base &= !bits;
+    }
+
+    /// Asserts the support's invariant: every stored amplitude outside
+    /// it is zero.
+    #[cfg(test)]
+    pub(crate) fn check_support(&self) {
+        let sup = self.support();
+        assert_eq!(self.free & self.base, 0, "free and base overlap");
+        assert!(self.base < self.amps.len() && self.free < self.amps.len());
+        for (i, a) in self.amps.iter().enumerate() {
+            assert!(
+                i & sup.fixed == sup.value || *a == Complex64::ZERO,
+                "amplitude {i} is {a:?} outside the support {sup:?}"
+            );
+        }
+    }
+
+    /// Widens the support to every bit: the dense state the support
+    /// tests compare against.
+    #[cfg(test)]
+    pub(crate) fn widen_support(&mut self) {
+        self.free_bits(self.amps.len() - 1);
+    }
+
     /// Applies the pending X frame to the stored amplitudes, so that the
     /// amplitude of basis state `i` is stored at `i`: one pass swapping
-    /// `i` with `i ^ flip`, timed as `kernel.settle`. A no-op when no
-    /// qubit is flipped.
+    /// each support index `i` with `i ^ flip`, timed as `kernel.settle`.
+    /// The flipped bits the support fixes toggle in `base`. A no-op when
+    /// no qubit is flipped.
     pub fn settle(&mut self) {
         let flip = std::mem::take(&mut self.flip);
         if flip == 0 {
@@ -294,18 +384,50 @@ impl StateVector {
         }
         let t0 = qutes_obs::maybe_now();
         // Each pair lies in one aligned block of twice the highest
-        // flipped bit: `k` in the lower half, `k ^ low` in the upper.
+        // flipped bit. When the frame flips only free bits, the support
+        // maps onto itself and each pair is visited from its index in
+        // the lower half; otherwise the support maps onto indices outside
+        // it and each pair is visited from its index in the support.
+        let sup = self.support();
         let half = 1usize << flip.ilog2();
-        let low = flip & (half - 1);
         let block = half << 1;
-        parallel::for_each_block(&mut self.amps, block, self.parallel, |chunk, _| {
-            for (_, tile) in parallel::blocks_mut(chunk, block) {
-                let (zeros, ones) = tile.split_at_mut(half);
-                for (k, a) in zeros.iter_mut().enumerate() {
-                    std::mem::swap(a, &mut ones[k ^ low]);
-                }
+        let moved = flip & sup.fixed;
+        let anchors = if moved == 0 {
+            Cube {
+                fixed: sup.fixed | half,
+                value: sup.value,
             }
-        });
+        } else {
+            sup
+        };
+        let lo = anchors.within(block);
+        let low = flip & (half - 1);
+        // The sweep cannot fail without an interrupt handle.
+        let _ = parallel::for_each_block(
+            &mut self.amps,
+            Some(anchors),
+            block,
+            2,
+            self.parallel,
+            None,
+            |chunk, _| {
+                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                    if lo.fixed == half {
+                        let (zeros, ones) = tile.split_at_mut(half);
+                        for (k, a) in zeros.iter_mut().enumerate() {
+                            std::mem::swap(a, &mut ones[k ^ low]);
+                        }
+                    } else {
+                        let mut k = lo.value;
+                        while k < block {
+                            tile.swap(k, k ^ flip);
+                            k = lo.next(k);
+                        }
+                    }
+                }
+            },
+        );
+        self.base ^= moved;
         if let Some(t0) = t0 {
             qutes_obs::record_duration("kernel.settle", t0.elapsed());
         }
@@ -394,9 +516,13 @@ impl StateVector {
     /// The products skipped only ever add exact zeros, so the amplitudes
     /// equal the full product's under `==`.
     ///
-    /// An uncontrolled X only toggles the target's frame bit. Every other
-    /// matrix sweeps through the frame, computing each amplitude exactly
-    /// as it would on the settled state.
+    /// The sweep visits only the pairs in the support. A control the
+    /// support fixes makes the call a no-op when it is `|0>` and drops
+    /// out when it is `|1>`, and a diagonal matrix whose entry for a
+    /// fixed target's value is 1 is a no-op. An X left uncontrolled only
+    /// toggles the target's frame bit. Every other matrix sweeps through
+    /// the frame, computing each amplitude exactly as it would on the
+    /// settled state.
     pub fn apply_controlled(
         &mut self,
         m: &Matrix2,
@@ -414,30 +540,61 @@ impl StateVector {
 
         let (zero, one) = (Complex64::ZERO, Complex64::ONE);
         let [[m00, m01], [m10, m11]] = m.m;
+        let anti = m00 == zero && m11 == zero;
+        let diag = m01 == zero && m10 == zero;
+        let tbit = 1usize << target;
+        // The stored value each control needs: 1, or 0 where flipped.
         let ctrl = controls.iter().fold(0usize, |m, &c| m | 1 << c);
-        if m00 == zero && m11 == zero {
+        let need = ctrl & !self.flip;
+        let live = (self.base ^ need) & ctrl & !self.free == 0;
+        let ctrl = ctrl & self.free;
+        let fixed_target = self.free & tbit == 0;
+        // The basis value of a fixed target picks the one diagonal entry
+        // its amplitudes meet.
+        let entry = if (self.base ^ self.flip) & tbit == 0 {
+            m00
+        } else {
+            m11
+        };
+        let anchors = if !live || (diag && fixed_target && entry == one) {
+            None
+        } else if anti && m01 == one && m10 == one && ctrl == 0 {
+            self.flip ^= tbit;
+            if let Some(t0) = t0.filter(|_| !controls.is_empty()) {
+                qutes_obs::record_duration("kernel.controlled", t0.elapsed());
+            }
+            return Ok(());
+        } else {
+            if anti && fixed_target && ctrl == 0 {
+                self.base ^= tbit;
+            } else if !diag {
+                self.free_bits(tbit);
+            }
+            let sup = self.support();
+            Some(Cube {
+                fixed: sup.fixed | tbit | ctrl,
+                value: (sup.value & !tbit) | (need & ctrl),
+            })
+        };
+        if anti {
             if m01 == one && m10 == one {
-                if controls.is_empty() {
-                    self.flip ^= 1 << target;
-                    return Ok(());
-                }
-                self.sweep_pairs(ctrl, target, std::mem::swap)?;
+                self.sweep_pairs(anchors, target, std::mem::swap)?;
             } else {
-                self.sweep_pairs(ctrl, target, move |a, b| {
+                self.sweep_pairs(anchors, target, move |a, b| {
                     let x = *a;
                     *a = m01 * *b;
                     *b = m10 * x;
                 })?;
             }
-        } else if m01 == zero && m10 == zero {
+        } else if diag {
             match (m00 == one, m11 == one) {
-                (true, true) => self.sweep_pairs(ctrl, target, move |_, _| {})?,
+                (true, true) => self.sweep_pairs(anchors, target, move |_, _| {})?,
                 (true, false) if m11.im == 0.0 => {
-                    self.sweep_pairs(ctrl, target, move |_, b| *b = b.scale(m11.re))?
+                    self.sweep_pairs(anchors, target, move |_, b| *b = b.scale(m11.re))?
                 }
-                (true, false) => self.sweep_pairs(ctrl, target, move |_, b| *b = m11 * *b)?,
-                (false, true) => self.sweep_pairs(ctrl, target, move |a, _| *a = m00 * *a)?,
-                (false, false) => self.sweep_pairs(ctrl, target, move |a, b| {
+                (true, false) => self.sweep_pairs(anchors, target, move |_, b| *b = m11 * *b)?,
+                (false, true) => self.sweep_pairs(anchors, target, move |a, _| *a = m00 * *a)?,
+                (false, false) => self.sweep_pairs(anchors, target, move |a, b| {
                     *a = m00 * *a;
                     *b = m11 * *b;
                 })?,
@@ -447,13 +604,13 @@ impl StateVector {
             // take 6 flops per amplitude instead of 14, which matters
             // because the single-core sweep is compute-bound.
             let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
-            self.sweep_pairs(ctrl, target, move |a, b| {
+            self.sweep_pairs(anchors, target, move |a, b| {
                 let (x, y) = (*a, *b);
                 *a = c64(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im);
                 *b = c64(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im);
             })?;
         } else {
-            self.sweep_pairs(ctrl, target, move |a, b| {
+            self.sweep_pairs(anchors, target, move |a, b| {
                 let (x, y) = (*a, *b);
                 *a = m00 * x + m01 * y;
                 *b = m10 * x + m11 * y;
@@ -470,84 +627,66 @@ impl StateVector {
         Ok(())
     }
 
-    /// The one single-target sweep: calls `op(a, b)` on every pair of
-    /// amplitudes `a`, `b` of basis states `(i, i | 1 << target)` whose
-    /// `i` has the target bit clear and every bit of the mask `ctrl` set.
+    /// The one single-target sweep: calls `op(a, b)` on the amplitudes
+    /// `a`, `b` of basis states `(i, i | 1 << target)` for every stored
+    /// anchor `i` in `anchors` (`None`: none), which all have the
+    /// target bit clear.
     ///
-    /// It reads through the frame. A control is set in the basis state
-    /// when its stored bit differs from its frame bit. When the target is
-    /// flipped, `i` is stored in the upper half of its stored pair, so
-    /// `op` gets the pair swapped back: each amplitude is computed
-    /// exactly as on the settled state (the same as sweeping the matrix
-    /// conjugated by X).
-    fn sweep_pairs<F>(&mut self, ctrl: usize, target: usize, op: F) -> SimResult<()>
+    /// It reads through the frame: when the target is flipped, `i` is
+    /// stored in the upper half of its stored pair, so `op` gets the pair
+    /// swapped back and each amplitude is computed exactly as on the
+    /// settled state (the same as sweeping the matrix conjugated by X).
+    fn sweep_pairs<F>(&mut self, anchors: Option<Cube>, target: usize, op: F) -> SimResult<()>
     where
         F: Fn(&mut Complex64, &mut Complex64) + Sync,
     {
-        let ctrl = (ctrl, ctrl & !self.flip);
         if self.flip >> target & 1 == 1 {
-            self.sweep_stored(ctrl, target, move |a, b| op(b, a))
+            self.sweep_stored(anchors, target, move |a, b| op(b, a))
         } else {
-            self.sweep_stored(ctrl, target, op)
+            self.sweep_stored(anchors, target, op)
         }
     }
 
     /// Calls `op(a, b)` on every stored amplitude pair
-    /// `(i, i | 1 << target)` whose `i` has the target bit clear and
-    /// whose bits under `mask` equal `value` (`ctrl` is
-    /// `(mask, value)`).
+    /// `(i, i | 1 << target)` with `i` in `anchors`.
     ///
-    /// Control bits above the target select whole blocks, tested once per
-    /// block; those below it are enumerated by a masked increment, so no
-    /// loop tests a mask per amplitude. Blocks of up to 16 amplitudes
-    /// (targets 0 to 3) walk fixed-size tiles ([`sweep_tiles`]) instead
-    /// of splitting each block into short halves.
-    fn sweep_stored<F>(&mut self, ctrl: (usize, usize), target: usize, op: F) -> SimResult<()>
+    /// The anchor bits above the target select whole blocks, which the
+    /// driver enumerates; those below it are enumerated by a masked
+    /// increment, so no loop tests a mask per amplitude. Blocks of up to
+    /// 16 amplitudes (targets 0 to 3) walk fixed-size tiles
+    /// ([`sweep_tiles`]) instead of splitting each block into short
+    /// halves.
+    fn sweep_stored<F>(&mut self, anchors: Option<Cube>, target: usize, op: F) -> SimResult<()>
     where
         F: Fn(&mut Complex64, &mut Complex64) + Sync,
     {
-        let (mask, value) = ctrl;
         let half = 1usize << target;
         let block = half << 1;
-        let (hi_mask, hi_val) = (mask & !(block - 1), value & !(block - 1));
-        let (lo_mask, lo_val) = (mask & (half - 1), value & (half - 1));
-        parallel::for_each_block_interruptible(
+        let lo = anchors.map_or(Cube { fixed: 0, value: 0 }, |a| a.within(half));
+        parallel::for_each_block(
             &mut self.amps,
+            anchors,
             block,
+            2,
             self.parallel,
-            &self.interrupt,
-            |chunk, offset| {
-                // Blocks whose high index bits miss a control are
-                // untouched; skipping them wholesale is what makes
-                // many-control gates (Grover's MCX/MCZ diffusion core)
-                // cheap.
-                let selected = |base: usize| (offset + base) & hi_mask == hi_val;
-                let lo = (lo_mask, lo_val);
-                match block {
-                    2 => sweep_tiles::<2, _>(chunk, selected, lo, &op),
-                    4 => sweep_tiles::<4, _>(chunk, selected, lo, &op),
-                    8 => sweep_tiles::<8, _>(chunk, selected, lo, &op),
-                    16 => sweep_tiles::<16, _>(chunk, selected, lo, &op),
-                    _ => {
-                        for (base, tile) in parallel::blocks_mut(chunk, block) {
-                            if !selected(base) {
-                                continue;
+            Some(&self.interrupt),
+            |chunk, _| match block {
+                2 => sweep_tiles::<2, _>(chunk, lo, &op),
+                4 => sweep_tiles::<4, _>(chunk, lo, &op),
+                8 => sweep_tiles::<8, _>(chunk, lo, &op),
+                16 => sweep_tiles::<16, _>(chunk, lo, &op),
+                _ => {
+                    for (_, tile) in parallel::blocks_mut(chunk, block) {
+                        let (zeros, ones) = tile.split_at_mut(half);
+                        if lo.fixed == 0 {
+                            for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
+                                op(a, b);
                             }
-                            let (zeros, ones) = tile.split_at_mut(half);
-                            if lo_mask == 0 {
-                                for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
-                                    op(a, b);
-                                }
-                            } else {
-                                // The offsets below `half` whose low
-                                // control bits equal `lo_val`, ascending:
-                                // the carry runs through the control bits
-                                // set to 1, which are then restored.
-                                let mut k = lo_val;
-                                while k < half {
-                                    op(&mut zeros[k], &mut ones[k]);
-                                    k = (((k | lo_mask) + 1) & !lo_mask) | lo_val;
-                                }
+                        } else {
+                            let mut k = lo.value;
+                            while k < half {
+                                op(&mut zeros[k], &mut ones[k]);
+                                k = lo.next(k);
                             }
                         }
                     }
@@ -563,7 +702,10 @@ impl StateVector {
     }
 
     /// Controlled swap (Fredkin with arbitrarily many controls). Settles
-    /// the frame first.
+    /// the frame first. Controls the support fixes make the call a no-op
+    /// or drop out; two fixed wires holding different values exchange
+    /// their `base` bits when no control is free; otherwise both wires
+    /// are freed.
     pub fn apply_controlled_swap(
         &mut self,
         controls: &[usize],
@@ -581,34 +723,48 @@ impl StateVector {
         self.settle();
         let t0 = qutes_obs::maybe_now();
 
-        let ctrl_mask = controls.iter().fold(0usize, |m, &c| m | 1 << c);
+        let ctrl = controls.iter().fold(0usize, |m, &c| m | 1 << c);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let lo_bit = 1usize << lo;
         let hi_bit = 1usize << hi;
+        let wires = lo_bit | hi_bit;
+        let sup = self.support();
+        let live = (sup.value ^ ctrl) & ctrl & sup.fixed == 0;
+        let ctrl = ctrl & !sup.fixed;
+        let fixed_wires = wires & sup.fixed == wires;
+        let same = (sup.value & lo_bit != 0) == (sup.value & hi_bit != 0);
         // Pairs (i, j) with i having lo=1,hi=0 and j = i ^ lo_bit ^ hi_bit
-        // both live in the aligned block of size 2^(hi+1).
+        // both live in the aligned block of size 2^(hi+1); the sweep
+        // visits each from its `i`.
+        let anchors = if !live || (fixed_wires && same) {
+            None
+        } else {
+            if fixed_wires && ctrl == 0 {
+                self.base ^= wires;
+            } else {
+                self.free_bits(wires);
+            }
+            Some(Cube {
+                fixed: sup.fixed | wires | ctrl,
+                value: (sup.value & !wires) | lo_bit | ctrl,
+            })
+        };
         let block = hi_bit << 1;
-        // Control bits above the block are tested once per block; within
-        // it, the offsets below `hi_bit` holding the lo bit and every
-        // control bit below hi are enumerated by a masked increment.
-        let hi_mask = ctrl_mask & !(block - 1);
-        let lo_mask = (ctrl_mask & (block - 1)) | lo_bit;
-
-        parallel::for_each_block_interruptible(
+        let inner = anchors.map_or(Cube { fixed: 0, value: 0 }, |c| c.within(block));
+        parallel::for_each_block(
             &mut self.amps,
+            anchors,
             block,
+            2,
             self.parallel,
-            &self.interrupt,
-            |chunk, offset| {
-                for (base, tile) in parallel::blocks_mut(chunk, block) {
-                    if (offset + base) & hi_mask != hi_mask {
-                        continue;
-                    }
+            Some(&self.interrupt),
+            |chunk, _| {
+                for (_, tile) in parallel::blocks_mut(chunk, block) {
                     let (low, high) = tile.split_at_mut(hi_bit);
-                    let mut k = lo_mask;
+                    let mut k = inner.value;
                     while k < hi_bit {
                         std::mem::swap(&mut low[k], &mut high[k - lo_bit]);
-                        k = (k + 1) | lo_mask;
+                        k = inner.next(k);
                     }
                 }
             },
@@ -639,10 +795,12 @@ impl StateVector {
         self.apply4(&m.m, q0, q1, "kernel.2q_fused")
     }
 
-    /// Shared cache-blocked 4x4 kernel: strided iteration over aligned
-    /// blocks, no per-amplitude bit tests. It reads through the frame:
-    /// matrix row `r` gathers from the stored offset of `r` with the
-    /// wires' frame bits flipped, and the sums keep their order.
+    /// Shared cache-blocked 4x4 kernel: a masked increment over the
+    /// anchors (both wire bits clear) in each aligned block, no
+    /// per-amplitude bit tests. Both wires join the support's free bits.
+    /// It reads through the frame: matrix row `r` gathers from the stored
+    /// offset of `r` with the wires' frame bits flipped, and the sums keep
+    /// their order.
     fn apply4(
         &mut self,
         m: &[[Complex64; 4]; 4],
@@ -656,8 +814,14 @@ impl StateVector {
         let t0 = qutes_obs::maybe_now();
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
-        let (lo_bit, hi_bit) = if b0 < b1 { (b0, b1) } else { (b1, b0) };
-        let block = hi_bit << 1;
+        let block = b0.max(b1) << 1;
+        self.free_bits(b0 | b1);
+        let sup = self.support();
+        let anchors = Cube {
+            fixed: sup.fixed | b0 | b1,
+            value: sup.value,
+        };
+        let inner = anchors.within(block);
         let fr = self.wire_flips(&[q0, q1]);
         let offs: [usize; 4] = std::array::from_fn(|r| {
             let r = r ^ fr;
@@ -674,45 +838,40 @@ impl StateVector {
             }
         }
 
-        parallel::for_each_block_interruptible(
+        parallel::for_each_block(
             &mut self.amps,
+            Some(anchors),
             block,
+            4,
             self.parallel,
-            &self.interrupt,
-            |chunk, _offset| {
-                for (_base, tile) in parallel::blocks_mut(chunk, block) {
-                    // Indices with both wire bits clear: (mid | low) with
-                    // `mid` skipping the lo bit and `low` below it.
-                    let mut mid = 0;
-                    while mid < hi_bit {
-                        for low in 0..lo_bit {
-                            let i = mid + low;
-                            let v = offs.map(|o| tile[i + o]);
-                            if real {
-                                for (r, row) in mr.iter().enumerate() {
-                                    let acc = c64(
-                                        row[0] * v[0].re
-                                            + row[1] * v[1].re
-                                            + row[2] * v[2].re
-                                            + row[3] * v[3].re,
-                                        row[0] * v[0].im
-                                            + row[1] * v[1].im
-                                            + row[2] * v[2].im
-                                            + row[3] * v[3].im,
-                                    );
-                                    tile[i + offs[r]] = acc;
-                                }
-                            } else {
-                                for (r, row) in m.iter().enumerate() {
-                                    let acc = row[0] * v[0]
-                                        + row[1] * v[1]
-                                        + row[2] * v[2]
-                                        + row[3] * v[3];
-                                    tile[i + offs[r]] = acc;
-                                }
+            Some(&self.interrupt),
+            |chunk, _| {
+                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                    let mut i = inner.value;
+                    while i < block {
+                        let v = offs.map(|o| tile[i + o]);
+                        if real {
+                            for (r, row) in mr.iter().enumerate() {
+                                let acc = c64(
+                                    row[0] * v[0].re
+                                        + row[1] * v[1].re
+                                        + row[2] * v[2].re
+                                        + row[3] * v[3].re,
+                                    row[0] * v[0].im
+                                        + row[1] * v[1].im
+                                        + row[2] * v[2].im
+                                        + row[3] * v[3].im,
+                                );
+                                tile[i + offs[r]] = acc;
+                            }
+                        } else {
+                            for (r, row) in m.iter().enumerate() {
+                                let acc =
+                                    row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
+                                tile[i + offs[r]] = acc;
                             }
                         }
-                        mid += lo_bit << 1;
+                        i = inner.next(i);
                     }
                 }
             },
@@ -745,10 +904,14 @@ impl StateVector {
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
         let b2 = 1usize << q2;
-        let mut sorted = [b0, b1, b2];
-        sorted.sort_unstable();
-        let [a_bit, b_bit, c_bit] = sorted;
-        let block = c_bit << 1;
+        let block = b0.max(b1).max(b2) << 1;
+        self.free_bits(b0 | b1 | b2);
+        let sup = self.support();
+        let anchors = Cube {
+            fixed: sup.fixed | b0 | b1 | b2,
+            value: sup.value,
+        };
+        let inner = anchors.within(block);
         // Gather offset of matrix row/column r relative to the base index,
         // read through the frame as in `apply4`.
         let fr = self.wire_flips(&[q0, q1, q2]);
@@ -767,48 +930,43 @@ impl StateVector {
             }
         }
 
-        parallel::for_each_block_interruptible(
+        parallel::for_each_block(
             &mut self.amps,
+            Some(anchors),
             block,
+            8,
             self.parallel,
-            &self.interrupt,
-            |chunk, _offset| {
-                for (_base, tile) in parallel::blocks_mut(chunk, block) {
-                    // Indices with all three wire bits clear, walked as
-                    // three nested strided loops (no per-index tests).
-                    let mut hi = 0;
-                    while hi < c_bit {
-                        let mut mid = 0;
-                        while mid < b_bit {
-                            for low in 0..a_bit {
-                                let i = hi + mid + low;
-                                let mut v = [Complex64::ZERO; 8];
-                                for (x, &o) in v.iter_mut().zip(offs.iter()) {
-                                    *x = tile[i + o];
-                                }
-                                if real {
-                                    for (row, &o) in mr.iter().zip(offs.iter()) {
-                                        let mut re = 0.0;
-                                        let mut im = 0.0;
-                                        for (coef, x) in row.iter().zip(v.iter()) {
-                                            re += coef * x.re;
-                                            im += coef * x.im;
-                                        }
-                                        tile[i + o] = c64(re, im);
-                                    }
-                                } else {
-                                    for (row, &o) in m.m.iter().zip(offs.iter()) {
-                                        let mut acc = Complex64::ZERO;
-                                        for (coef, x) in row.iter().zip(v.iter()) {
-                                            acc += *coef * *x;
-                                        }
-                                        tile[i + o] = acc;
-                                    }
-                                }
-                            }
-                            mid += a_bit << 1;
+            Some(&self.interrupt),
+            |chunk, _| {
+                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                    // The anchors (all three wire bits clear) by a masked
+                    // increment, with no per-index tests.
+                    let mut i = inner.value;
+                    while i < block {
+                        let mut v = [Complex64::ZERO; 8];
+                        for (x, &o) in v.iter_mut().zip(offs.iter()) {
+                            *x = tile[i + o];
                         }
-                        hi += b_bit << 1;
+                        if real {
+                            for (row, &o) in mr.iter().zip(offs.iter()) {
+                                let mut re = 0.0;
+                                let mut im = 0.0;
+                                for (coef, x) in row.iter().zip(v.iter()) {
+                                    re += coef * x.re;
+                                    im += coef * x.im;
+                                }
+                                tile[i + o] = c64(re, im);
+                            }
+                        } else {
+                            for (row, &o) in m.m.iter().zip(offs.iter()) {
+                                let mut acc = Complex64::ZERO;
+                                for (coef, x) in row.iter().zip(v.iter()) {
+                                    acc += *coef * *x;
+                                }
+                                tile[i + o] = acc;
+                            }
+                        }
+                        i = inner.next(i);
                     }
                 }
             },
@@ -824,18 +982,17 @@ impl StateVector {
     ///
     /// This is the *simulator-level phase oracle* used to cross-check the
     /// gate-level Grover oracles (DESIGN.md §6). `pred` receives the full
-    /// basis index (the stored index read through the frame).
+    /// basis index (the stored index read through the frame). Only the
+    /// support is visited.
     pub fn apply_phase_flip_where<F>(&mut self, pred: F)
     where
         F: Fn(usize) -> bool + Sync,
     {
         let t0 = qutes_obs::maybe_now();
         let flip = self.flip;
-        parallel::for_each_block(&mut self.amps, 1, self.parallel, |chunk, offset| {
-            for (i, a) in chunk.iter_mut().enumerate() {
-                if pred((offset + i) ^ flip) {
-                    *a = -*a;
-                }
+        self.map_support(|a, i| {
+            if pred(i ^ flip) {
+                *a = -*a;
             }
         });
         if let Some(t0) = t0 {
@@ -847,18 +1004,42 @@ impl StateVector {
     /// phase; kept for exactness of composed-circuit tests).
     pub fn apply_global_phase(&mut self, theta: f64) {
         let p = Complex64::cis(theta);
-        for a in self.amps.iter_mut() {
-            *a *= p;
-        }
+        self.map_support(|a, _| *a *= p);
+    }
+
+    /// Calls `f(amplitude, stored_index)` on every amplitude of the
+    /// support.
+    fn map_support<F>(&mut self, f: F)
+    where
+        F: Fn(&mut Complex64, usize) + Sync,
+    {
+        let sup = self.support();
+        // The sweep cannot fail without an interrupt handle.
+        let _ = parallel::for_each_block(
+            &mut self.amps,
+            Some(sup),
+            1,
+            1,
+            self.parallel,
+            None,
+            |chunk, offset| {
+                for (i, a) in chunk.iter_mut().enumerate() {
+                    f(a, offset + i);
+                }
+            },
+        );
     }
 
     /// Squared norm of the state (should always be ~1), summed in
-    /// basis-index order through the frame.
+    /// basis-index order through the frame over the support.
     pub fn norm_sqr(&self) -> f64 {
         let flip = self.flip;
-        parallel::sum_reduce(&self.amps, self.parallel, |_, i| {
-            self.amps[i ^ flip].norm_sqr()
-        })
+        parallel::sum_reduce(
+            self.amps.len(),
+            Some(self.basis_support()),
+            self.parallel,
+            |i| self.amps[i ^ flip].norm_sqr(),
+        )
     }
 
     /// Rescales the state to unit norm. Returns an error if the norm is
@@ -872,25 +1053,27 @@ impl StateVector {
             ));
         }
         let s = 1.0 / n.sqrt();
-        for a in self.amps.iter_mut() {
-            *a = a.scale(s);
-        }
+        self.map_support(|a, _| *a = a.scale(s));
         Ok(())
     }
 
     /// Probability that measuring `qubit` yields `1`: the squared norms
-    /// of the indices with the qubit's bit set, summed in index order
-    /// within each chunk of the parallel split (the one
-    /// [`parallel::sum_reduce`] uses). The indices with the
-    /// bit clear would only add exact zeros, so they are not visited.
-    /// It settles the frame first, hence `&mut`.
+    /// of the support's indices with the qubit's bit set, summed in index
+    /// order within each chunk of the split [`parallel::sum_reduce`] makes
+    /// by vector length. The other indices would only add exact zeros,
+    /// so they are not visited. It settles the frame first, hence `&mut`.
     pub fn probability_one(&mut self, qubit: usize) -> SimResult<f64> {
         self.check_qubit(qubit)?;
         self.settle();
         let t0 = qutes_obs::maybe_now();
         let bit = 1usize << qubit;
-        let p1 = parallel::sum_chunks(&self.amps, self.parallel, |chunk, base| {
-            weight_with_bit(chunk, base, bit)
+        let sup = self.support();
+        let ones = (sup.value & bit != 0 || sup.fixed & bit == 0).then_some(Cube {
+            fixed: sup.fixed | bit,
+            value: sup.value | bit,
+        });
+        let p1 = parallel::sum_reduce(self.amps.len(), ones, self.parallel, |i| {
+            self.amps[i].norm_sqr()
         });
         if let Some(t0) = t0 {
             qutes_obs::record_duration("kernel.measure", t0.elapsed());
@@ -906,18 +1089,23 @@ impl StateVector {
         }
         Self::check_distinct(qubits)?;
         let flip = self.flip;
-        Ok(parallel::sum_reduce(&self.amps, self.parallel, |_, i| {
-            let a = self.amps[i ^ flip];
-            let mut obs = 0usize;
-            for (k, &q) in qubits.iter().enumerate() {
-                obs |= ((i >> q) & 1) << k;
-            }
-            if obs == outcome {
-                a.norm_sqr()
-            } else {
-                0.0
-            }
-        }))
+        Ok(parallel::sum_reduce(
+            self.amps.len(),
+            Some(self.basis_support()),
+            self.parallel,
+            |i| {
+                let a = self.amps[i ^ flip];
+                let mut obs = 0usize;
+                for (k, &q) in qubits.iter().enumerate() {
+                    obs |= ((i >> q) & 1) << k;
+                }
+                if obs == outcome {
+                    a.norm_sqr()
+                } else {
+                    0.0
+                }
+            },
+        ))
     }
 
     /// Full probability distribution over all `2^n` basis states.
@@ -926,15 +1114,16 @@ impl StateVector {
     }
 
     /// Marginal distribution over a subset of qubits, as a dense vector of
-    /// length `2^qubits.len()` (bit `k` of the index = `qubits[k]`).
+    /// length `2^qubits.len()` (bit `k` of the index = `qubits[k]`). The
+    /// nonzero weights of the support are added in basis-index order.
     pub fn marginal_probabilities(&self, qubits: &[usize]) -> SimResult<Vec<f64>> {
         for &q in qubits {
             self.check_qubit(q)?;
         }
         Self::check_distinct(qubits)?;
         let mut out = vec![0.0f64; 1usize << qubits.len()];
-        for (i, a) in self.frame_amps().enumerate() {
-            let p = a.norm_sqr();
+        for i in self.basis_support().indices(self.amps.len()) {
+            let p = self.amps[i ^ self.flip].norm_sqr();
             if p > 0.0 {
                 let mut obs = 0usize;
                 for (k, &q) in qubits.iter().enumerate() {
@@ -974,25 +1163,28 @@ impl StateVector {
 
     /// Tensor product `other ⊗ self`: `other`'s qubits become the high
     /// bits. Used to build composite test fixtures. The product of the
-    /// stored amplitudes carries both frames.
+    /// stored amplitudes carries both frames and both supports.
     pub fn tensor(&self, other: &StateVector) -> SimResult<StateVector> {
         let n = self.n + other.n;
         if n > MAX_QUBITS {
             return Err(SimError::TooManyQubits(n));
         }
         let mut amps = alloc_amps(1usize << n)?;
-        for (j, &b) in other.amps.iter().enumerate() {
+        for j in other.support().indices(other.amps.len()) {
+            let b = other.amps[j];
             if b == Complex64::ZERO {
                 continue;
             }
-            for (i, &a) in self.amps.iter().enumerate() {
-                amps[(j << self.n) | i] = a * b;
+            for i in self.support().indices(self.amps.len()) {
+                amps[(j << self.n) | i] = self.amps[i] * b;
             }
         }
         Ok(StateVector {
             n,
             amps,
             flip: self.flip | other.flip << self.n,
+            free: self.free | other.free << self.n,
+            base: self.base | other.base << self.n,
             parallel: self.parallel,
             interrupt: self.interrupt.clone(),
         })
@@ -1007,9 +1199,9 @@ impl StateVector {
 
     /// [`Self::collapse_qubit`] for a caller that already holds `p1`, the
     /// [`Self::probability_one`] of `qubit` in the current state: one
-    /// sweep zeroes the dropped half and scales the kept half, after
-    /// settling the frame. Returns the probability the outcome had
-    /// before collapse.
+    /// sweep over the support zeroes the dropped half and scales the kept
+    /// half, after settling the frame; the support then fixes `qubit` at
+    /// `value`. Returns the probability the outcome had before collapse.
     pub fn collapse_given(&mut self, qubit: usize, value: bool, p1: f64) -> SimResult<f64> {
         self.check_qubit(qubit)?;
         self.settle();
@@ -1023,31 +1215,40 @@ impl StateVector {
         let t0 = qutes_obs::maybe_now();
         let s = 1.0 / p.sqrt();
         let half = 1usize << qubit;
+        let sup = self.support();
+        let anchors = Some(Cube {
+            fixed: sup.fixed | half,
+            value: sup.value & !half,
+        });
+        self.free &= !half;
+        self.base = (self.base & !half) | usize::from(value) << qubit;
         // Short halves take the pair sweep's fixed-size tiles, where a
-        // `fill` call per half would dominate. Long halves are zeroed and
-        // then scaled as two sequential streams, about twice as fast as
-        // the pair sweep's interleaved writes 2^qubit amplitudes apart.
-        if half < 8 {
+        // `fill` call per half would dominate. Long halves the support
+        // spans are zeroed and then scaled as two sequential streams,
+        // about twice as fast as the pair sweep's interleaved writes
+        // 2^qubit amplitudes apart.
+        if half < 8 || sup.fixed & (half - 1) != 0 {
             if value {
-                self.sweep_pairs(0, qubit, move |a, b| {
+                self.sweep_pairs(anchors, qubit, move |a, b| {
                     *a = Complex64::ZERO;
                     *b = b.scale(s);
                 })?;
             } else {
-                self.sweep_pairs(0, qubit, move |a, b| {
+                self.sweep_pairs(anchors, qubit, move |a, b| {
                     *a = a.scale(s);
                     *b = Complex64::ZERO;
                 })?;
             }
         } else {
-            let block = half << 1;
-            parallel::for_each_block_interruptible(
+            parallel::for_each_block(
                 &mut self.amps,
-                block,
+                anchors,
+                half << 1,
+                2,
                 self.parallel,
-                &self.interrupt,
+                Some(&self.interrupt),
                 |chunk, _| {
-                    for (_, tile) in parallel::blocks_mut(chunk, block) {
+                    for (_, tile) in parallel::blocks_mut(chunk, half << 1) {
                         let (zeros, ones) = tile.split_at_mut(half);
                         let (dropped, kept) = if value { (zeros, ones) } else { (ones, zeros) };
                         dropped.fill(Complex64::ZERO);
@@ -1097,50 +1298,21 @@ impl StateVector {
 }
 
 /// [`StateVector::sweep_stored`] on blocks of `B` amplitudes: `op` on the
-/// pairs of each block that `selected` (given the block's offset in
-/// `chunk`) admits and whose offset's bits under `lo.0` equal `lo.1`.
-/// The block size is a constant, so the pair loop unrolls.
-fn sweep_tiles<const B: usize, F>(
-    chunk: &mut [Complex64],
-    selected: impl Fn(usize) -> bool,
-    lo: (usize, usize),
-    op: &F,
-) where
+/// pairs of each block of `chunk` whose offset is in `lo`. The block size
+/// is a constant, so the pair loop unrolls.
+fn sweep_tiles<const B: usize, F>(chunk: &mut [Complex64], lo: Cube, op: &F)
+where
     F: Fn(&mut Complex64, &mut Complex64),
 {
-    let (lo_mask, lo_val) = lo;
     let (tiles, _) = chunk.as_chunks_mut::<B>();
-    for (i, tile) in tiles.iter_mut().enumerate() {
-        if selected(i * B) {
-            let (zeros, ones) = tile.split_at_mut(B / 2);
-            for (k, (a, b)) in zeros.iter_mut().zip(ones).enumerate() {
-                if k & lo_mask == lo_val {
-                    op(a, b);
-                }
+    for tile in tiles {
+        let (zeros, ones) = tile.split_at_mut(B / 2);
+        for (k, (a, b)) in zeros.iter_mut().zip(ones).enumerate() {
+            if k & lo.fixed == lo.value {
+                op(a, b);
             }
         }
     }
-}
-
-/// The squared norms of the amplitudes of `chunk` whose index, counted
-/// from `base`, has `bit` set, summed in index order. `base` need not be
-/// aligned: up to the first block boundary each index is tested; then
-/// each whole block of `2·bit` contributes its upper half, and the tail,
-/// which starts on a boundary, its amplitudes from `bit` on.
-fn weight_with_bit(chunk: &[Complex64], base: usize, bit: usize) -> f64 {
-    let block = bit << 1;
-    let head = (base.wrapping_neg() & (block - 1)).min(chunk.len());
-    let (head, body) = chunk.split_at(head);
-    let tiles = body.chunks_exact(block);
-    let tail = tiles.remainder();
-    let add = |acc: f64, a: &Complex64| acc + a.norm_sqr();
-    let acc = head
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| (base + i) & bit != 0)
-        .fold(0.0, |acc, (_, a)| add(acc, a));
-    let acc = tiles.flat_map(|tile| &tile[bit..]).fold(acc, add);
-    tail.iter().skip(bit).fold(acc, add)
 }
 
 /// Builds the uniform superposition `H^{⊗n}|0>` directly (a frequently
@@ -1154,6 +1326,9 @@ pub fn uniform_superposition(n: usize) -> SimResult<StateVector> {
     amps.fill(c64(1.0 / (len as f64).sqrt(), 0.0));
     StateVector::from_amplitudes(amps)
 }
+
+#[cfg(test)]
+mod support_tests;
 
 #[cfg(test)]
 mod tests {

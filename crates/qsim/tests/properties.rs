@@ -259,9 +259,12 @@ proptest! {
 //
 // `apply_controlled` picks a per-pair operation from the matrix's exact
 // entries (swap, scaled swap, one- or two-sided scale, real or complex
-// product). Each must give the amplitudes of the full 2×2 complex product,
-// equal under `==` component by component (the only difference allowed is
-// the sign of an exact zero), at every target and control placement.
+// product) and visits only the pairs in the state's support. Each must
+// give the amplitudes of the full 2×2 complex product over every index,
+// equal under `==` component by component and bit for bit where nonzero
+// (the only difference allowed is the sign of an exact zero), at every
+// target and control placement, on dense states and on states whose
+// support is a proper sub-cube.
 // ---------------------------------------------------------------------------
 
 /// The full complex 2×2 product on every pair `(i, i | 1 << target)`
@@ -377,6 +380,26 @@ fn random_state(n: usize, seed: u64, parallel: bool) -> StateVector {
     sv
 }
 
+/// A state on `n` qubits whose support is a proper sub-cube: a random
+/// basis state, then mixing gates on three chosen wires (one of them
+/// controlled by another) and a phase, so the other wires stay fixed,
+/// some at 1 and some at 0, and some through the X frame.
+fn subcube_state(n: usize, seed: u64, parallel: bool) -> StateVector {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sv = StateVector::from_basis_state(n, rng.random_range(0..1usize << n)).unwrap();
+    sv.set_parallel(parallel);
+    let wires = pick_qubits(&mut rng, n, 3, &[]);
+    sv.apply_single(&gates::x(), pick_qubits(&mut rng, n, 1, &wires)[0])
+        .unwrap();
+    sv.apply_single(&gates::h(), wires[0]).unwrap();
+    sv.apply_single(&gates::ry(rng.random::<f64>() * 6.0), wires[1])
+        .unwrap();
+    sv.apply_single(&gates::t(), wires[1]).unwrap();
+    sv.apply_controlled(&gates::u(0.7, -0.4, 1.9), &[wires[1]], wires[2])
+        .unwrap();
+    sv
+}
+
 fn assert_equal_amps(
     got: &[Complex64],
     want: &[Complex64],
@@ -384,7 +407,7 @@ fn assert_equal_amps(
 ) -> Result<(), TestCaseError> {
     for (i, (a, b)) in got.iter().zip(want).enumerate() {
         prop_assert!(
-            a.re == b.re && a.im == b.im,
+            same_amplitude(*a, *b),
             "{what}: amplitude {i} is {a:?}, reference {b:?}"
         );
     }
@@ -475,6 +498,12 @@ fn check_measurement(sv: &mut StateVector) -> Result<(), TestCaseError> {
         for value in [false, true] {
             let mut given = sv.clone();
             let mut summed = sv.clone();
+            // A qubit the support fixes has one possible outcome.
+            if (if value { p1 } else { 1.0 - p1 }) <= 1e-12 {
+                prop_assert!(given.collapse_given(q, value, p1).is_err());
+                prop_assert!(summed.collapse_qubit(q, value).is_err());
+                continue;
+            }
             let pg = given.collapse_given(q, value, p1).unwrap();
             let ps = summed.collapse_qubit(q, value).unwrap();
             prop_assert_eq!(pg.to_bits(), ps.to_bits());
@@ -490,7 +519,7 @@ fn check_measurement(sv: &mut StateVector) -> Result<(), TestCaseError> {
                 } else {
                     Complex64::ZERO
                 };
-                for (x, y) in [(a.re, b.re), (a.im, b.im), (a.re, want.re), (a.im, want.im)] {
+                for (x, y) in [(a.re, b.re), (a.im, b.im)] {
                     prop_assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
@@ -500,6 +529,15 @@ fn check_measurement(sv: &mut StateVector) -> Result<(), TestCaseError> {
                         i
                     );
                 }
+                prop_assert!(
+                    same_amplitude(*a, want),
+                    "collapse of qubit {} to {}, amplitude {} is {:?}, reference {:?}",
+                    q,
+                    value,
+                    i,
+                    a,
+                    want
+                );
             }
         }
     }
@@ -510,7 +548,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every kernel shape matches the reference on 5 qubits, serially,
-    /// and so does the controlled swap of every wire pair.
+    /// and so does the controlled swap of every wire pair, on a dense
+    /// state and on one whose support is a sub-cube.
     #[test]
     fn kernel_shapes_match_reference_small(
         seed in any::<u64>(),
@@ -518,11 +557,12 @@ proptest! {
         ph in -6.0..6.0f64,
         la in -6.0..6.0f64,
     ) {
-        let mut sv = random_state(5, seed, false);
         let pairs: Vec<(usize, usize)> =
             (0..5).flat_map(|a| (0..5).filter(move |&b| b != a).map(move |b| (a, b))).collect();
-        check_kernels(&mut sv, &shape_matrices(th, ph, la), &pairs)?;
-        check_measurement(&mut sv)?;
+        for mut sv in [random_state(5, seed, false), subcube_state(5, seed, false)] {
+            check_kernels(&mut sv, &shape_matrices(th, ph, la), &pairs)?;
+            check_measurement(&mut sv)?;
+        }
     }
 }
 
@@ -531,7 +571,8 @@ proptest! {
 
     /// The same at 14 and 15 qubits, with parallel kernels off and on: a
     /// third of the shapes per case (rotating with the seed), every
-    /// target, and swaps at the low and high ends of the index.
+    /// target, and swaps at the low and high ends of the index, on a
+    /// dense state and on one whose support is a sub-cube.
     #[test]
     fn kernel_shapes_match_reference_large(
         n in 14usize..16,
@@ -545,9 +586,10 @@ proptest! {
         let shapes: Vec<_> = all.into_iter().skip(first).step_by(3).collect();
         let swaps = [(0, 1), (1, 0), (0, n - 1), (n - 1, n - 2), (2, 9)];
         for parallel in [false, true] {
-            let mut sv = random_state(n, seed, parallel);
-            check_kernels(&mut sv, &shapes, &swaps)?;
-            check_measurement(&mut sv)?;
+            for mut sv in [random_state(n, seed, parallel), subcube_state(n, seed, parallel)] {
+                check_kernels(&mut sv, &shapes, &swaps)?;
+                check_measurement(&mut sv)?;
+            }
         }
     }
 }
@@ -558,8 +600,11 @@ proptest! {
 // An uncontrolled X only toggles a bit of the state's pending X mask, and
 // every other operation reads through it. Each generated sequence runs
 // twice: as is, and with `settle()` after every operation, which applies
-// the frame to the amplitudes. The two must agree bit for bit, after every
-// operation (read through the frame) and at the end (settled).
+// the frame to the amplitudes. The two must agree after every operation
+// (read through the frame) and at the end (settled): bit for bit on every
+// nonzero amplitude, under `==` on all. A zero outside the state's support
+// is never visited, so the sign it keeps depends on the sweeps that
+// skipped it.
 // ---------------------------------------------------------------------------
 
 /// One operation of a frame-equivalence sequence.
@@ -690,6 +735,13 @@ fn apply_frame_op(sv: &mut StateVector, op: &FrameOp) {
     }
 }
 
+/// Whether two amplitudes agree: each component equal under `==`, and
+/// bit for bit when nonzero, so only the sign of a zero may differ.
+fn same_amplitude(a: Complex64, b: Complex64) -> bool {
+    let same = |x: f64, y: f64| x == y && (x == 0.0 || x.to_bits() == y.to_bits());
+    same(a.re, b.re) && same(a.im, b.im)
+}
+
 fn assert_same_bits(
     plain: &StateVector,
     settled: &StateVector,
@@ -699,7 +751,7 @@ fn assert_same_bits(
     for i in 0..plain.len() {
         let (a, b) = (plain.amplitude(i), settled.amplitude(i));
         prop_assert!(
-            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            same_amplitude(a, b),
             "{what}: amplitude {i} is {a:?}, settled {b:?}"
         );
     }
@@ -719,7 +771,7 @@ fn check_frame(start: &StateVector, ops: &[FrameOp]) -> Result<(), TestCaseError
     let (a, b) = (plain.amplitudes().to_vec(), settled.amplitudes().to_vec());
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         prop_assert!(
-            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+            same_amplitude(*x, *y),
             "settled amplitude {i} is {x:?}, reference {y:?}"
         );
     }
