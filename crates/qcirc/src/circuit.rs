@@ -485,6 +485,18 @@ impl QuantumCircuit {
         Ok(out)
     }
 
+    /// A copy with the same registers/widths and `ops` as its
+    /// instructions, which are not validated again: each must be derived
+    /// from instructions this circuit already validated, on their qubits
+    /// and clbits (the optimizer's rewrites).
+    pub(crate) fn with_derived_ops(&self, ops: Vec<Gate>) -> QuantumCircuit {
+        debug_assert!(ops.iter().all(|g| self.check_gate(g).is_ok()));
+        QuantumCircuit {
+            ops,
+            ..self.clone_structure()
+        }
+    }
+
     /// A copy with the same registers/widths but no instructions.
     pub fn clone_structure(&self) -> QuantumCircuit {
         QuantumCircuit {

@@ -254,10 +254,7 @@ fn optimize_impl(
         }
     }
 
-    let mut out = circuit.clone_structure();
-    for g in ops {
-        out.append(g)?;
-    }
+    let out = circuit.with_derived_ops(ops);
     report.gates_after = out.size();
     report.depth_after = out.depth();
     if qutes_obs::is_enabled() {
