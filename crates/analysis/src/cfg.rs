@@ -39,6 +39,7 @@ use crate::lints;
 use crate::RawFinding;
 use qutes_frontend::Span;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// One variable identity, unique across the whole program: a slot of
 /// the resolution (globals, then the main frame, then each function's
@@ -111,19 +112,21 @@ struct Summary {
     reset_all: bool,
 }
 
-/// Basic blocks of events connected by predecessor edges. Block 0 is
-/// the entry; `exits` lists every block whose end state reaches the
-/// unit's exit (each `Ret` point plus the final fall-through block).
-#[derive(Default)]
-struct Cfg<'a> {
-    blocks: Vec<Vec<Ev<'a>>>,
+/// Basic blocks of a unit's event stream connected by predecessor
+/// edges. Each block is a contiguous run of the stream, held as its index
+/// range. Block 0 is the entry; `exits` lists every block whose end
+/// state reaches the unit's exit (each `Ret` point plus the final
+/// fall-through block).
+struct Cfg<'e, 'a> {
+    events: &'e [Ev<'a>],
+    blocks: Vec<Range<usize>>,
     preds: Vec<Vec<usize>>,
     exits: Vec<usize>,
 }
 
-impl<'a> Cfg<'a> {
+impl<'e, 'a> Cfg<'e, 'a> {
     fn new_block(&mut self) -> usize {
-        self.blocks.push(Vec::new());
+        self.blocks.push(0..0);
         self.preds.push(Vec::new());
         self.blocks.len() - 1
     }
@@ -132,14 +135,31 @@ impl<'a> Cfg<'a> {
         self.preds[to].push(from);
     }
 
+    /// Appends event `i` to block `b`, whose events so far end at `i`.
+    fn push(&mut self, b: usize, i: usize) {
+        let r = &mut self.blocks[b];
+        if r.start == r.end {
+            *r = i..i + 1;
+        } else {
+            debug_assert_eq!(r.end, i, "a block is a contiguous run of events");
+            r.end = i + 1;
+        }
+    }
+
+    /// The events of block `b`.
+    fn block(&self, b: usize) -> &'e [Ev<'a>] {
+        &self.events[self.blocks[b].clone()]
+    }
+
     /// Consumes events from `i` filling `cur`, recursing into nested
     /// regions, until a closing marker (left unconsumed for the caller)
     /// or the end of the stream. Returns `(next index, exit block)`.
-    fn seq(&mut self, evs: &[Ev<'a>], mut i: usize, mut cur: usize) -> (usize, usize) {
+    fn seq(&mut self, mut i: usize, mut cur: usize) -> (usize, usize) {
+        let evs = self.events;
         while i < evs.len() {
             match &evs[i] {
                 Ev::Measure { .. } | Ev::Use { .. } | Ev::Reset { .. } | Ev::Call { .. } => {
-                    self.blocks[cur].push(evs[i].clone());
+                    self.push(cur, i);
                     i += 1;
                 }
                 Ev::Ret => {
@@ -155,7 +175,7 @@ impl<'a> Cfg<'a> {
                     debug_assert!(matches!(evs.get(i + 1), Some(Ev::ArmStart)));
                     let then_entry = self.new_block();
                     self.edge(cur, then_entry);
-                    let (ni, then_exit) = self.seq(evs, i + 2, then_entry);
+                    let (ni, then_exit) = self.seq(i + 2, then_entry);
                     debug_assert!(matches!(evs.get(ni), Some(Ev::ArmEnd)));
                     i = ni + 1;
                     let join = self.new_block();
@@ -164,7 +184,7 @@ impl<'a> Cfg<'a> {
                         debug_assert!(matches!(evs.get(i), Some(Ev::ArmStart)));
                         let else_entry = self.new_block();
                         self.edge(cur, else_entry);
-                        let (ni, else_exit) = self.seq(evs, i + 1, else_entry);
+                        let (ni, else_exit) = self.seq(i + 1, else_entry);
                         debug_assert!(matches!(evs.get(ni), Some(Ev::ArmEnd)));
                         i = ni + 1;
                         self.edge(else_exit, join);
@@ -183,13 +203,13 @@ impl<'a> Cfg<'a> {
                     // iteration. Conditions are expressions, so no
                     // nested markers can appear here.
                     while !matches!(evs.get(i), Some(Ev::BodyStart) | None) {
-                        self.blocks[header].push(evs[i].clone());
+                        self.push(header, i);
                         i += 1;
                     }
                     i += 1;
                     let body_entry = self.new_block();
                     self.edge(header, body_entry);
-                    let (ni, body_exit) = self.seq(evs, i, body_entry);
+                    let (ni, body_exit) = self.seq(i, body_entry);
                     debug_assert!(matches!(evs.get(ni), Some(Ev::LoopEnd)));
                     i = ni + 1;
                     self.edge(body_exit, header);
@@ -206,10 +226,15 @@ impl<'a> Cfg<'a> {
     }
 }
 
-fn build_cfg<'a>(events: &[Ev<'a>]) -> Cfg<'a> {
-    let mut cfg = Cfg::default();
+fn build_cfg<'e, 'a>(events: &'e [Ev<'a>]) -> Cfg<'e, 'a> {
+    let mut cfg = Cfg {
+        events,
+        blocks: Vec::new(),
+        preds: Vec::new(),
+        exits: Vec::new(),
+    };
     let entry = cfg.new_block();
-    let (_, last) = cfg.seq(events, 0, entry);
+    let (_, last) = cfg.seq(0, entry);
     cfg.exits.push(last);
     cfg
 }
@@ -271,9 +296,23 @@ fn transfer_block(mut state: State, block: &[Ev<'_>], summaries: &Summaries) -> 
     state
 }
 
+/// A unit's CFG and the entry state of every block (`None` =
+/// unreachable), solved once under the summaries of its callees.
+struct Solved<'e, 'a> {
+    cfg: Cfg<'e, 'a>,
+    inb: Vec<Option<State>>,
+}
+
+/// Builds and solves the CFG of `unit`.
+fn solve_unit<'e, 'a>(unit: &'e Unit<'a>, summaries: &Summaries) -> Solved<'e, 'a> {
+    let cfg = build_cfg(&unit.events);
+    let inb = solve(&cfg, summaries);
+    Solved { cfg, inb }
+}
+
 /// Worklist fixpoint: returns the entry state of every block (`None` =
 /// unreachable).
-fn solve(cfg: &Cfg<'_>, summaries: &Summaries) -> Vec<Option<State>> {
+fn solve(cfg: &Cfg<'_, '_>, summaries: &Summaries) -> Vec<Option<State>> {
     let n = cfg.blocks.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (to, preds) in cfg.preds.iter().enumerate() {
@@ -294,7 +333,7 @@ fn solve(cfg: &Cfg<'_>, summaries: &Summaries) -> Vec<Option<State>> {
         }
         let Some(state) = state else { continue };
         inb[b] = Some(state.clone());
-        let new_out = transfer_block(state, &cfg.blocks[b], summaries);
+        let new_out = transfer_block(state, cfg.block(b), summaries);
         if outb[b].as_ref() != Some(&new_out) {
             outb[b] = Some(new_out);
             for &s in &succs[b] {
@@ -308,11 +347,11 @@ fn solve(cfg: &Cfg<'_>, summaries: &Summaries) -> Vec<Option<State>> {
 }
 
 /// Exit state of a solved CFG: the meet over every reachable exit point.
-fn exit_state(cfg: &Cfg<'_>, inb: &[Option<State>], summaries: &Summaries) -> State {
+fn exit_state(solved: &Solved<'_, '_>, summaries: &Summaries) -> State {
     let mut acc: Option<State> = None;
-    for &b in &cfg.exits {
-        if let Some(s) = &inb[b] {
-            let out = transfer_block(s.clone(), &cfg.blocks[b], summaries);
+    for &b in &solved.cfg.exits {
+        if let Some(s) = &solved.inb[b] {
+            let out = transfer_block(s.clone(), solved.cfg.block(b), summaries);
             acc = Some(meet(acc, &out));
         }
     }
@@ -320,9 +359,17 @@ fn exit_state(cfg: &Cfg<'_>, inb: &[Option<State>], summaries: &Summaries) -> St
 }
 
 /// Computes the summary of function `index`, recursing into callees
-/// first. `on_stack` marks the functions being summarized; a call back
-/// into one breaks the recursion cycle with the bottom summary.
-fn summarize(index: usize, funcs: &[Unit<'_>], summaries: &mut Summaries, on_stack: &mut [bool]) {
+/// first, and keeps its solved CFG in `solved[index]`. `on_stack` marks
+/// the functions being summarized; a call back into one breaks the
+/// recursion cycle with the bottom summary. A summary never changes once
+/// set, so the CFG solved here is the one the findings walk.
+fn summarize<'e, 'a>(
+    index: usize,
+    funcs: &'e [Unit<'a>],
+    summaries: &mut Summaries,
+    solved: &mut [Option<Solved<'e, 'a>>],
+    on_stack: &mut [bool],
+) {
     let (Some(unit), Some(None)) = (funcs.get(index), summaries.get(index)) else {
         return;
     };
@@ -337,14 +384,14 @@ fn summarize(index: usize, funcs: &[Unit<'_>], summaries: &mut Summaries, on_sta
                         ..Summary::default()
                     });
                 }
-                Some(false) => summarize(callee, funcs, summaries, on_stack),
+                Some(false) => summarize(callee, funcs, summaries, solved, on_stack),
                 None => {}
             }
         }
     }
-    let cfg = build_cfg(&unit.events);
-    let inb = solve(&cfg, summaries);
-    let exit = exit_state(&cfg, &inb, summaries);
+    let unit_solved = solve_unit(unit, summaries);
+    let exit = exit_state(&unit_solved, summaries);
+    solved[index] = Some(unit_solved);
     let param_index = |var: &VarId| unit.params.iter().position(|p| p == var);
     let mut sum = Summary::default();
     for (var, span) in &exit {
@@ -403,14 +450,12 @@ fn ql001(name: &str, use_span: Span, measure_span: Span) -> RawFinding {
     }
 }
 
-fn findings_for_unit(unit: &Unit<'_>, summaries: &Summaries) -> Vec<RawFinding> {
-    let cfg = build_cfg(&unit.events);
-    let inb = solve(&cfg, summaries);
+fn findings_for_unit(solved: &Solved<'_, '_>, summaries: &Summaries) -> Vec<RawFinding> {
     let mut findings = Vec::new();
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        let Some(entry) = &inb[b] else { continue };
+    for (b, entry) in solved.inb.iter().enumerate() {
+        let Some(entry) = entry else { continue };
         let mut state = entry.clone();
-        for ev in block {
+        for ev in solved.cfg.block(b) {
             if let Ev::Use { var, name, span } = ev {
                 if let Some(mspan) = state.get(var) {
                     findings.push(ql001(name, *span, *mspan));
@@ -427,13 +472,14 @@ fn findings_for_unit(unit: &Unit<'_>, summaries: &Summaries) -> Vec<RawFinding> 
 /// every function body. `funcs` is indexed like the program's functions.
 pub(crate) fn must_measured_findings(toplevel: &Unit<'_>, funcs: &[Unit<'_>]) -> Vec<RawFinding> {
     let mut summaries = vec![None; funcs.len()];
+    let mut solved: Vec<Option<Solved>> = funcs.iter().map(|_| None).collect();
     let mut on_stack = vec![false; funcs.len()];
     for index in 0..funcs.len() {
-        summarize(index, funcs, &mut summaries, &mut on_stack);
+        summarize(index, funcs, &mut summaries, &mut solved, &mut on_stack);
     }
-    let mut findings = findings_for_unit(toplevel, &summaries);
-    for u in funcs {
-        findings.extend(findings_for_unit(u, &summaries));
+    let mut findings = findings_for_unit(&solve_unit(toplevel, &summaries), &summaries);
+    for s in solved.iter().flatten() {
+        findings.extend(findings_for_unit(s, &summaries));
     }
     findings
 }
