@@ -150,7 +150,7 @@ impl Cube {
 /// before each, and at least once. On `Err` the amplitude vector may be
 /// partially updated: an interrupted state is abandoned by every caller,
 /// never observed.
-pub(crate) fn for_each_block<F>(
+pub fn for_each_block<F>(
     amps: &mut [Complex64],
     anchors: Option<Cube>,
     block: usize,
@@ -282,7 +282,7 @@ pub const CHECK_STRIDE: usize = 1 << 16;
 /// same as summing every index. Workers are spawned only when the cube
 /// holds at least [`PAR_THRESHOLD`] indices; otherwise the calling
 /// thread sums the chunks one after another.
-pub(crate) fn sum_reduce<G>(len: usize, cube: Option<Cube>, parallel: bool, g: G) -> f64
+pub fn sum_reduce<G>(len: usize, cube: Option<Cube>, parallel: bool, g: G) -> f64
 where
     G: Fn(usize) -> f64 + Sync,
 {
