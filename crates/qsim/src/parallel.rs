@@ -62,6 +62,9 @@ pub struct Cube {
 }
 
 impl Cube {
+    /// Every index: the cube of the dense sweep.
+    pub const ALL: Cube = Cube { fixed: 0, value: 0 };
+
     /// How many of its indices lie below `len` (a power of two).
     #[inline]
     pub fn count(self, len: usize) -> usize {
@@ -131,10 +134,12 @@ impl Cube {
 /// Runs `f(chunk, offset)` over the aligned blocks of `block`
 /// amplitudes that hold an index of `anchors` (`None`: no index), where
 /// `chunk` is a run of such blocks, every one of them selected, starting
-/// at index `offset`. `f` visits the anchors inside each block of its
-/// chunk (`anchors.within(block)`, see [`blocks_mut`]) and their
-/// partners, which lie in the same block: `per_anchor` amplitudes each,
-/// counted as `kernel.amps_visited`.
+/// at index `offset`. `f` walks its chunk's blocks in contiguous,
+/// aligned tiles (`chunks_exact_mut(block)`), with the per-block mask
+/// arithmetic hoisted out of its loops, and visits the anchors inside
+/// each block (`anchors.within(block)`) and their partners, which lie in
+/// the same block: `per_anchor` amplitudes each, counted as
+/// `kernel.amps_visited`.
 ///
 /// The chunks are the aligned runs of selected blocks, enumerated, not
 /// tested, so a call on a wide state with few anchors visits few blocks;
@@ -242,28 +247,6 @@ where
     intr.map_or(Ok(()), Interrupt::check)
 }
 
-/// Splits a kernel chunk into its aligned blocks, yielding
-/// `(chunk_relative_base, block_slice)` pairs.
-///
-/// This is the cache-blocked traversal skeleton shared by the gate
-/// kernels: every chunk handed out by [`for_each_block`] is a whole
-/// number of `block`-sized, `block`-aligned tiles, so kernels iterate
-/// tiles and hoist their per-block bit-mask arithmetic (wire strides,
-/// the anchors inside a block) out of the per-amplitude loops. The
-/// compiler sees fixed-length `chunks_exact_mut` slices, which also
-/// unlocks bounds-check elimination in the inner loops.
-#[inline]
-pub fn blocks_mut(
-    chunk: &mut [Complex64],
-    block: usize,
-) -> impl Iterator<Item = (usize, &mut [Complex64])> {
-    debug_assert_eq!(chunk.len() % block, 0, "chunk is a whole number of blocks");
-    chunk
-        .chunks_exact_mut(block)
-        .enumerate()
-        .map(move |(i, tile)| (i * block, tile))
-}
-
 /// Amplitudes processed between deadline checks when an [`Interrupt`]
 /// is armed. 2^16 amplitudes (1 MiB) keeps the check amortised far
 /// below 1% of kernel time while still bounding response latency to a
@@ -327,8 +310,6 @@ mod tests {
     use super::*;
     use crate::complex::c64;
 
-    const DENSE: Cube = Cube { fixed: 0, value: 0 };
-
     /// Every cube over a few bits.
     fn cubes(bits: u32) -> impl Iterator<Item = Cube> {
         let len = 1usize << bits;
@@ -366,7 +347,7 @@ mod tests {
     #[test]
     fn for_each_block_serial_covers_all() {
         let mut amps = vec![c64(0.0, 0.0); 8];
-        for_each_block(&mut amps, Some(DENSE), 2, 1, false, None, write_index).unwrap();
+        for_each_block(&mut amps, Some(Cube::ALL), 2, 1, false, None, write_index).unwrap();
         for (i, a) in amps.iter().enumerate() {
             assert_eq!(*a, c64(i as f64, 1.0));
         }
@@ -377,8 +358,8 @@ mod tests {
         let n = PAR_THRESHOLD * 2;
         let mut a = vec![c64(0.0, 0.0); n];
         let mut b = vec![c64(0.0, 0.0); n];
-        for_each_block(&mut a, Some(DENSE), 4, 1, false, None, write_index).unwrap();
-        for_each_block(&mut b, Some(DENSE), 4, 1, true, None, write_index).unwrap();
+        for_each_block(&mut a, Some(Cube::ALL), 4, 1, false, None, write_index).unwrap();
+        for_each_block(&mut b, Some(Cube::ALL), 4, 1, true, None, write_index).unwrap();
         assert_eq!(a, b);
     }
 
@@ -388,7 +369,7 @@ mod tests {
     fn for_each_block_visits_exactly_the_selected_blocks() {
         let len = PAR_THRESHOLD * 4;
         for (anchors, block) in [
-            (DENSE, 4),
+            (Cube::ALL, 4),
             (
                 Cube {
                     fixed: 1 << 15,
@@ -443,10 +424,18 @@ mod tests {
         let n = PAR_THRESHOLD * 2;
         let mut a = vec![c64(0.0, 0.0); n];
         let mut b = vec![c64(0.0, 0.0); n];
-        for_each_block(&mut a, Some(DENSE), 4, 1, true, None, write_index).unwrap();
+        for_each_block(&mut a, Some(Cube::ALL), 4, 1, true, None, write_index).unwrap();
         let intr = Interrupt::new();
-        for_each_block(&mut b, Some(DENSE), 4, 1, true, Some(&intr), write_index)
-            .expect("unarmed never interrupts");
+        for_each_block(
+            &mut b,
+            Some(Cube::ALL),
+            4,
+            1,
+            true,
+            Some(&intr),
+            write_index,
+        )
+        .expect("unarmed never interrupts");
         assert_eq!(a, b);
     }
 
@@ -456,14 +445,30 @@ mod tests {
         let mut a = vec![c64(0.0, 0.0); n];
         let mut b = vec![c64(0.0, 0.0); n];
         let mut c = vec![c64(0.0, 0.0); n];
-        for_each_block(&mut a, Some(DENSE), 4, 1, false, None, write_index).unwrap();
+        for_each_block(&mut a, Some(Cube::ALL), 4, 1, false, None, write_index).unwrap();
         // A generous armed deadline must not change results, serial or
         // parallel.
         let intr = Interrupt::with_deadline(std::time::Duration::from_secs(600));
-        for_each_block(&mut b, Some(DENSE), 4, 1, false, Some(&intr), write_index)
-            .expect("deadline far away");
-        for_each_block(&mut c, Some(DENSE), 4, 1, true, Some(&intr), write_index)
-            .expect("deadline far away");
+        for_each_block(
+            &mut b,
+            Some(Cube::ALL),
+            4,
+            1,
+            false,
+            Some(&intr),
+            write_index,
+        )
+        .expect("deadline far away");
+        for_each_block(
+            &mut c,
+            Some(Cube::ALL),
+            4,
+            1,
+            true,
+            Some(&intr),
+            write_index,
+        )
+        .expect("deadline far away");
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -475,7 +480,7 @@ mod tests {
         let intr = Interrupt::new();
         intr.cancel();
         // Also a call with nothing to visit.
-        for anchors in [Some(DENSE), None] {
+        for anchors in [Some(Cube::ALL), None] {
             let err = for_each_block(&mut amps, anchors, 4, 1, false, Some(&intr), |_, _| {})
                 .expect_err("cancelled handle must interrupt");
             assert_eq!(err, StopReason::Cancelled);
@@ -486,14 +491,14 @@ mod tests {
     fn sum_reduce_matches_serial() {
         let n = PAR_THRESHOLD * 2;
         let amps: Vec<_> = (0..n).map(|i| c64((i % 13) as f64, 0.0)).collect();
-        let serial = sum_reduce(n, Some(DENSE), false, |i| amps[i].re);
-        let parallel = sum_reduce(n, Some(DENSE), true, |i| amps[i].re);
+        let serial = sum_reduce(n, Some(Cube::ALL), false, |i| amps[i].re);
+        let parallel = sum_reduce(n, Some(Cube::ALL), true, |i| amps[i].re);
         assert!((serial - parallel).abs() < 1e-6 * serial.max(1.0));
     }
 
     #[test]
     fn sum_reduce_uses_index() {
-        let s = sum_reduce(8, Some(DENSE), false, |i| i as f64);
+        let s = sum_reduce(8, Some(Cube::ALL), false, |i| i as f64);
         assert_eq!(s, 28.0);
     }
 
@@ -514,7 +519,7 @@ mod tests {
             }
         };
         for parallel in [false, true] {
-            let full = sum_reduce(len, Some(DENSE), parallel, term);
+            let full = sum_reduce(len, Some(Cube::ALL), parallel, term);
             let cut = sum_reduce(len, Some(cube), parallel, term);
             assert_eq!(full.to_bits(), cut.to_bits());
         }

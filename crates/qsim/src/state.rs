@@ -411,7 +411,7 @@ impl StateVector {
             self.parallel,
             None,
             |chunk, _| {
-                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                for tile in chunk.chunks_exact_mut(block) {
                     if lo.fixed == half {
                         let (zeros, ones) = tile.split_at_mut(half);
                         for (k, a) in zeros.iter_mut().enumerate() {
@@ -662,7 +662,7 @@ impl StateVector {
     {
         let half = 1usize << target;
         let block = half << 1;
-        let lo = anchors.map_or(Cube { fixed: 0, value: 0 }, |a| a.within(half));
+        let lo = anchors.map_or(Cube::ALL, |a| a.within(half));
         parallel::for_each_block(
             &mut self.amps,
             anchors,
@@ -676,7 +676,7 @@ impl StateVector {
                 8 => sweep_tiles::<8, _>(chunk, lo, &op),
                 16 => sweep_tiles::<16, _>(chunk, lo, &op),
                 _ => {
-                    for (_, tile) in parallel::blocks_mut(chunk, block) {
+                    for tile in chunk.chunks_exact_mut(block) {
                         let (zeros, ones) = tile.split_at_mut(half);
                         if lo.fixed == 0 {
                             for (a, b) in zeros.iter_mut().zip(ones.iter_mut()) {
@@ -750,7 +750,7 @@ impl StateVector {
             })
         };
         let block = hi_bit << 1;
-        let inner = anchors.map_or(Cube { fixed: 0, value: 0 }, |c| c.within(block));
+        let inner = anchors.map_or(Cube::ALL, |c| c.within(block));
         parallel::for_each_block(
             &mut self.amps,
             anchors,
@@ -759,7 +759,7 @@ impl StateVector {
             self.parallel,
             Some(&self.interrupt),
             |chunk, _| {
-                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                for tile in chunk.chunks_exact_mut(block) {
                     let (low, high) = tile.split_at_mut(hi_bit);
                     let mut k = inner.value;
                     while k < hi_bit {
@@ -846,7 +846,7 @@ impl StateVector {
             self.parallel,
             Some(&self.interrupt),
             |chunk, _| {
-                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                for tile in chunk.chunks_exact_mut(block) {
                     let mut i = inner.value;
                     while i < block {
                         let v = offs.map(|o| tile[i + o]);
@@ -938,7 +938,7 @@ impl StateVector {
             self.parallel,
             Some(&self.interrupt),
             |chunk, _| {
-                for (_, tile) in parallel::blocks_mut(chunk, block) {
+                for tile in chunk.chunks_exact_mut(block) {
                     // The anchors (all three wire bits clear) by a masked
                     // increment, with no per-index tests.
                     let mut i = inner.value;
@@ -1248,7 +1248,7 @@ impl StateVector {
                 self.parallel,
                 Some(&self.interrupt),
                 |chunk, _| {
-                    for (_, tile) in parallel::blocks_mut(chunk, half << 1) {
+                    for tile in chunk.chunks_exact_mut(half << 1) {
                         let (zeros, ones) = tile.split_at_mut(half);
                         let (dropped, kept) = if value { (zeros, ones) } else { (ones, zeros) };
                         dropped.fill(Complex64::ZERO);
