@@ -490,9 +490,12 @@ impl StateVector {
         }
     }
 
-    fn check_distinct(qs: &[usize]) -> SimResult<()> {
-        for (i, &a) in qs.iter().enumerate() {
-            if qs[i + 1..].contains(&a) {
+    /// Fails with the first qubit of `head` followed by `tail` that is
+    /// listed again later, without building the joined list.
+    fn check_distinct(head: &[usize], tail: &[usize]) -> SimResult<()> {
+        let listed = || head.iter().chain(tail);
+        for (k, &a) in listed().enumerate() {
+            if listed().skip(k + 1).any(|&b| b == a) {
                 return Err(SimError::DuplicateQubit(a));
             }
         }
@@ -533,9 +536,7 @@ impl StateVector {
         for &c in controls {
             self.check_qubit(c)?;
         }
-        let mut all = controls.to_vec();
-        all.push(target);
-        Self::check_distinct(&all)?;
+        Self::check_distinct(controls, &[target])?;
         let t0 = qutes_obs::maybe_now();
 
         let (zero, one) = (Complex64::ZERO, Complex64::ONE);
@@ -717,9 +718,7 @@ impl StateVector {
         for &c in controls {
             self.check_qubit(c)?;
         }
-        let mut all = controls.to_vec();
-        all.extend_from_slice(&[a, b]);
-        Self::check_distinct(&all)?;
+        Self::check_distinct(controls, &[a, b])?;
         self.settle();
         let t0 = qutes_obs::maybe_now();
 
@@ -810,7 +809,7 @@ impl StateVector {
     ) -> SimResult<()> {
         self.check_qubit(q0)?;
         self.check_qubit(q1)?;
-        Self::check_distinct(&[q0, q1])?;
+        Self::check_distinct(&[q0, q1], &[])?;
         let t0 = qutes_obs::maybe_now();
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
@@ -899,7 +898,7 @@ impl StateVector {
         self.check_qubit(q0)?;
         self.check_qubit(q1)?;
         self.check_qubit(q2)?;
-        Self::check_distinct(&[q0, q1, q2])?;
+        Self::check_distinct(&[q0, q1, q2], &[])?;
         let t0 = qutes_obs::maybe_now();
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
@@ -1087,7 +1086,7 @@ impl StateVector {
         for &q in qubits {
             self.check_qubit(q)?;
         }
-        Self::check_distinct(qubits)?;
+        Self::check_distinct(qubits, &[])?;
         let flip = self.flip;
         Ok(parallel::sum_reduce(
             self.amps.len(),
@@ -1120,7 +1119,7 @@ impl StateVector {
         for &q in qubits {
             self.check_qubit(q)?;
         }
-        Self::check_distinct(qubits)?;
+        Self::check_distinct(qubits, &[])?;
         let mut out = vec![0.0f64; 1usize << qubits.len()];
         for i in self.basis_support().indices(self.amps.len()) {
             let p = self.amps[i ^ self.flip].norm_sqr();
@@ -1427,6 +1426,24 @@ mod tests {
             sv.apply_controlled(&gates::x(), &[1], 1),
             Err(SimError::DuplicateQubit(1))
         ));
+    }
+
+    #[test]
+    fn duplicate_reports_the_first_qubit_listed_again() {
+        let mut sv = StateVector::new(4).unwrap();
+        let dup = |r: SimResult<()>| match r {
+            Err(SimError::DuplicateQubit(q)) => Some(q),
+            _ => None,
+        };
+        assert_eq!(
+            dup(sv.apply_controlled(&gates::x(), &[3, 1, 3], 1)),
+            Some(3)
+        );
+        assert_eq!(dup(sv.apply_controlled(&gates::x(), &[0, 2], 2)), Some(2));
+        assert_eq!(dup(sv.apply_controlled_swap(&[2, 0], 1, 2)), Some(2));
+        assert_eq!(dup(sv.apply_controlled_swap(&[0], 1, 1)), Some(1));
+        assert_eq!(dup(sv.apply_three(&Matrix8::identity(), 1, 2, 1)), Some(1));
+        assert_eq!(dup(sv.apply_controlled(&gates::x(), &[0, 2], 1)), None);
     }
 
     #[test]
