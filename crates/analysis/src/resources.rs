@@ -28,9 +28,14 @@
 //! inexact and leave a note. A loop whose trip count is unknown is walked
 //! once; then every classical variable its body may write is forgotten:
 //! what it assigns or passes to a call, the globals that the user
-//! functions it calls may write, through their own calls too, and every
-//! array when any of them writes an array element in place (arrays
-//! share storage, which the estimator does not track).
+//! functions it calls may write, through their own calls too, and the
+//! classical contents of every cell when any of them writes an element.
+//!
+//! Storage has the runtime's shape: an array is a list of cells in the
+//! estimator's heap, shared by declarations, assignments, arguments and
+//! element reads as `Value::Array` is; a `foreach` variable is bound to
+//! its element's cell; and a by-reference argument moves the caller's
+//! variable into a cell that the parameter shares.
 
 use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
 use qutes_core::ops;
@@ -142,8 +147,8 @@ enum AVal {
     /// A classical scalar of this type (bool, int, float or string)
     /// whose value is run-dependent.
     Unknown(Type),
-    /// An array, whose elements may be unknown.
-    Array(Vec<AVal>),
+    /// An array: the heap cells of its elements, which may be unknown.
+    Array(Vec<usize>),
     /// A value the estimator lost track of, type included.
     Lost,
 }
@@ -204,10 +209,11 @@ enum Binding {
     /// The declaration has not run, or its block has ended.
     #[default]
     Empty,
-    /// The variable's value.
+    /// The variable's value, held by this slot alone.
     Val(AVal),
-    /// A by-reference parameter: the slot of the caller's variable.
-    Ref(usize),
+    /// A heap cell shared with an array element or another variable: a
+    /// `foreach` variable, or a variable passed by reference.
+    Cell(usize),
 }
 
 enum Flow {
@@ -240,6 +246,9 @@ struct Est<'r, 'a> {
     slots: Vec<Binding>,
     globals: usize,
     base: usize,
+    /// The shared cells, indexed by id. A scope drops the cells it made
+    /// that nothing outside it refers to (see [`Est::drop_cells`]).
+    heap: Vec<AVal>,
     circ: QuantumCircuit,
     free: Vec<usize>,
     measurements: usize,
@@ -325,23 +334,19 @@ impl<'r, 'a> Est<'r, 'a> {
 
     // ---- variables -------------------------------------------------------
 
-    /// The slot holding a variable's value, through a by-reference alias.
     fn slot(&self, at: Loc) -> Option<usize> {
-        let i = match at {
-            Loc::Local(slot) => self.base + slot as usize,
-            Loc::Global(slot) => slot as usize,
-            Loc::Unresolved => return None,
-        };
-        match self.slots.get(i)? {
-            Binding::Ref(j) => Some(*j),
-            _ => Some(i),
+        match at {
+            Loc::Local(slot) => Some(self.base + slot as usize),
+            Loc::Global(slot) => Some(slot as usize),
+            Loc::Unresolved => None,
         }
     }
 
     fn value(&self, at: Loc) -> Option<&AVal> {
         match self.slots.get(self.slot(at)?)? {
             Binding::Val(v) => Some(v),
-            _ => None,
+            Binding::Cell(c) => self.heap.get(*c),
+            Binding::Empty => None,
         }
     }
 
@@ -349,7 +354,55 @@ impl<'r, 'a> Est<'r, 'a> {
         let i = self.slot(at)?;
         match self.slots.get_mut(i)? {
             Binding::Val(v) => Some(v),
+            Binding::Cell(c) => self.heap.get_mut(*c),
+            Binding::Empty => None,
+        }
+    }
+
+    /// The cell a variable's value lives in, moving the value into a new
+    /// one if its slot held it alone: a by-reference argument shares it.
+    fn share(&mut self, at: Loc) -> Option<usize> {
+        let i = self.slot(at)?;
+        let b = self.slots.get_mut(i)?;
+        if let Binding::Val(v) = b {
+            self.heap.push(std::mem::replace(v, AVal::Lost));
+            *b = Binding::Cell(self.heap.len() - 1);
+        }
+        match b {
+            Binding::Cell(c) => Some(*c),
             _ => None,
+        }
+    }
+
+    /// New cells holding `values`, as an array literal or `range` makes.
+    fn alloc(&mut self, values: impl IntoIterator<Item = AVal>) -> AVal {
+        let start = self.heap.len();
+        self.heap.extend(values);
+        AVal::Array((start..self.heap.len()).collect())
+    }
+
+    /// Ends a scope that began with `mark` cells in the heap. A variable
+    /// moved into a cell since (to be passed by reference) is its only
+    /// holder now and takes its value back. Then, unless a variable, an
+    /// older cell or the value `flow` returns refers to a cell made
+    /// since, those cells are dropped: two worlds that differ only in cells
+    /// nothing reaches are the same world, and forks copy a small heap.
+    fn drop_cells(&mut self, mark: usize, flow: &Flow) {
+        if self.heap.len() <= mark {
+            return;
+        }
+        for b in &mut self.slots {
+            if let Binding::Cell(c) = *b {
+                if let Some(cell) = self.heap.get_mut(c).filter(|_| c >= mark) {
+                    *b = Binding::Val(std::mem::replace(cell, AVal::Lost));
+                }
+            }
+        }
+        let new = |v: &AVal| matches!(v, AVal::Array(cells) if cells.iter().any(|&c| c >= mark));
+        let held = |b: &Binding| matches!(b, Binding::Val(v) if new(v));
+        let returned = matches!(flow, Flow::Return(v) if new(v));
+        if !(returned || self.slots.iter().any(held) || self.heap[..mark].iter().any(new)) {
+            self.heap.truncate(mark);
         }
     }
 
@@ -368,29 +421,17 @@ impl<'r, 'a> Est<'r, 'a> {
         }
     }
 
-    fn havoc(&mut self, at: Loc) {
-        if let Some(v) = self.value_mut(at) {
-            v.forget();
-        }
-    }
-
-    /// Forgets every classical value the running code can see (the
-    /// globals and the running frame), or only its arrays. Arrays are
-    /// shared, not copied, by declarations, assignments, arguments and
-    /// element reads, and the estimator does not track which share
-    /// storage, so a write to one element may have changed any of them.
-    fn havoc_all(&mut self, arrays_only: bool) {
-        for i in (0..self.globals).chain(self.base..self.slots.len()) {
-            let i = match self.slots.get(i) {
-                Some(Binding::Ref(j)) => *j,
-                _ => i,
-            };
-            if let Some(Binding::Val(v)) = self.slots.get_mut(i) {
-                if !arrays_only || matches!(v, AVal::Array(_)) {
-                    v.forget();
-                }
+    /// Forgets every classical value the running code can see: the
+    /// globals, the running frame and every cell.
+    fn havoc_all(&mut self) {
+        let base = self.base.min(self.slots.len());
+        let (outer, running) = self.slots.split_at_mut(base);
+        for b in outer.iter_mut().take(self.globals).chain(running) {
+            if let Binding::Val(v) = b {
+                v.forget();
             }
         }
+        self.heap.iter_mut().for_each(AVal::forget);
     }
 
     /// Forgets what an unknown number of runs of `stmts` may have
@@ -406,28 +447,32 @@ impl<'r, 'a> Est<'r, 'a> {
                 walked[f] = true;
                 let w = Writes::of(&callee.body);
                 let globals = w.locs.into_iter().filter(|at| matches!(at, Loc::Global(_)));
-                globals.for_each(|at| writes.add(at));
+                writes.locs.extend(globals);
                 writes.calls.extend(w.calls);
                 writes.elements |= w.elements;
             }
         }
         for &at in &writes.locs {
-            self.havoc(at);
+            if let Some(v) = self.value_mut(at) {
+                v.forget();
+            }
         }
         if writes.elements {
-            self.havoc_all(true);
+            self.heap.iter_mut().for_each(AVal::forget);
         }
     }
 
     // ---- statements -------------------------------------------------------
 
-    /// Runs a block, then ends the lifetime of its declarations, as the
-    /// end of its scope does: two worlds that differ only in a dead local
-    /// are the same world.
+    /// Runs a block, then ends the lifetime of its declarations and of the
+    /// cells only they reached, as the end of its scope does: two worlds
+    /// that differ only in a dead local are the same world.
     fn exec_block(&mut self, stmts: &'r [Stmt<'a>]) -> R<Flow> {
-        let flow = self.exec_stmts(stmts);
+        let mark = self.heap.len();
+        let flow = self.exec_stmts(stmts)?;
         self.end_scope(stmts);
-        flow
+        self.drop_cells(mark, &flow);
+        Ok(flow)
     }
 
     fn end_scope(&mut self, stmts: &[Stmt<'_>]) {
@@ -499,80 +544,68 @@ impl<'r, 'a> Est<'r, 'a> {
                     },
                 ),
             },
-            Stmt::While { cond, body, .. } => {
-                loop {
-                    match self.eval_condition(cond)? {
-                        Some(false) => break,
-                        Some(true) => {
-                            self.step()?;
-                            if let Flow::Return(v) = self.exec_block(body)? {
-                                return Ok(Flow::Return(v));
-                            }
-                        }
-                        None => {
-                            // The trip count is not statically known: walk
-                            // the body once (for declarations/uses), then
-                            // forget everything the loop, its condition
-                            // included, might have changed.
-                            self.inexact(
-                                "while loop with a run-dependent condition: iteration count \
-                                 (and any gates its body emits) cannot be bounded statically",
-                            );
-                            let flow = self.exec_block(body)?;
-                            self.havoc_writes(std::slice::from_ref(s));
-                            if let Flow::Return(v) = flow {
-                                return Ok(Flow::Return(v));
-                            }
-                            break;
+            Stmt::While { cond, body, .. } => loop {
+                match self.eval_condition(cond)? {
+                    Some(false) => return Ok(Flow::Normal),
+                    Some(true) => {
+                        self.step()?;
+                        if let Flow::Return(v) = self.exec_block(body)? {
+                            return Ok(Flow::Return(v));
                         }
                     }
+                    None => {
+                        // The trip count is not statically known: walk the
+                        // body once (for declarations/uses), then forget
+                        // everything the loop, its condition included,
+                        // might have changed.
+                        self.inexact(
+                            "while loop with a run-dependent condition: iteration count \
+                             (and any gates its body emits) cannot be bounded statically",
+                        );
+                        let flow = self.exec_block(body)?;
+                        self.havoc_writes(std::slice::from_ref(s));
+                        return Ok(flow);
+                    }
                 }
-                Ok(Flow::Normal)
-            }
+            },
             Stmt::Foreach {
                 var,
                 iterable,
                 body,
                 ..
             } => {
-                let items = match self.eval(iterable)? {
-                    AVal::Array(items) => items,
-                    AVal::Known(Value::Quantum(q)) if q.kind == QKind::Qustring => q
-                        .qubits
-                        .iter()
-                        .map(|&qb| AVal::register(vec![qb], QKind::Qubit))
-                        .collect(),
+                // The variable is bound to each element's cell in turn, over
+                // the cells the array held when the loop began; a qustring's
+                // qubits are new cells that nothing else reaches. Over an
+                // unknown collection the body is walked once, and what the
+                // loop may have written is forgotten.
+                let (items, unknown): (Vec<Binding>, bool) = match self.eval(iterable)? {
+                    AVal::Array(cells) => (cells.into_iter().map(Binding::Cell).collect(), false),
+                    AVal::Known(Value::Quantum(q)) if q.kind == QKind::Qustring => {
+                        let qubit = |&qb| Binding::Val(AVal::register(vec![qb], QKind::Qubit));
+                        (q.qubits.iter().map(qubit).collect(), false)
+                    }
                     AVal::Known(_) => return Err(Stop),
                     AVal::Unknown(_) | AVal::Lost => {
                         self.inexact(
                             "foreach over a run-dependent collection: iteration count cannot \
                              be bounded statically",
                         );
-                        self.bind_local(*var, Binding::Val(AVal::Lost));
-                        let flow = self.exec_stmts(body);
-                        self.end_loop(*var, body);
-                        self.havoc_writes(std::slice::from_ref(s));
-                        return flow;
+                        (vec![Binding::Val(AVal::Lost)], true)
                     }
                 };
-                // The runtime binds the loop variable by reference; the
-                // estimator binds it by value, so a write through the loop
-                // variable is not seen in the iterable.
-                let body_writes_var = Writes::of(body).locs.contains(&Loc::Local(*var));
                 let mut flow = Flow::Normal;
                 for item in items {
                     self.step()?;
-                    self.bind_local(*var, Binding::Val(item));
-                    let run = self.exec_stmts(body);
-                    self.end_loop(*var, body);
-                    flow = run?;
+                    self.bind_local(*var, item);
+                    flow = self.exec_block(body)?;
+                    self.bind_local(*var, Binding::Empty);
                     if let Flow::Return(_) = flow {
                         break;
                     }
                 }
-                if body_writes_var {
-                    self.havoc_iterable(iterable);
-                    self.inexact("foreach body writes its loop variable (bound by reference)");
+                if unknown {
+                    self.havoc_writes(std::slice::from_ref(s));
                 }
                 Ok(flow)
             }
@@ -613,29 +646,6 @@ impl<'r, 'a> Est<'r, 'a> {
             }
             Stmt::Block { stmts, .. } => self.exec_block(stmts),
         }
-    }
-
-    /// Forgets what a `foreach` over `iterable` may have written through
-    /// its loop variable: the cells of the variable the iterable reads or
-    /// indexes into, or of any array a user function may return.
-    fn havoc_iterable(&mut self, iterable: &Expr<'_>) {
-        match &iterable.kind {
-            ExprKind::Var(v) | ExprKind::IndexVar { var: v, .. } => self.havoc(v.at),
-            ExprKind::Index(base, _) => self.havoc_iterable(base),
-            ExprKind::Call {
-                callee: Callee::Function(_),
-                ..
-            } => self.havoc_all(true),
-            // A literal's, `range`'s or a qustring's qubits': new cells.
-            _ => {}
-        }
-    }
-
-    /// Ends a `foreach` iteration: the loop variable and the body's
-    /// declarations go out of scope.
-    fn end_loop(&mut self, var: u32, body: &[Stmt<'_>]) {
-        self.bind_local(var, Binding::Empty);
-        self.end_scope(body);
     }
 
     fn default_value(&mut self, ty: &Type) -> R<AVal> {
@@ -729,8 +739,8 @@ impl<'r, 'a> Est<'r, 'a> {
         op: AssignOp,
         value_expr: &'r Expr<'a>,
     ) -> R<()> {
-        // Where the result goes: the variable, one element of it, or
-        // (through an unknown index) anywhere in it.
+        // Where the result goes: the variable, one element's cell, or
+        // (through an unknown index) any element.
         enum Tgt {
             Var,
             Elem(usize),
@@ -748,9 +758,10 @@ impl<'r, 'a> Est<'r, 'a> {
                     return Err(Stop);
                 };
                 match (idx, self.value(var.at)) {
-                    (Some(i), Some(AVal::Array(items))) => {
-                        let current = items.get(i).ok_or(Stop)?.clone();
-                        (var, Tgt::Elem(i), *elem_ty, current)
+                    (Some(i), Some(AVal::Array(cells))) => {
+                        let cell = *cells.get(i).ok_or(Stop)?;
+                        let current = self.heap.get(cell).ok_or(Stop)?.clone();
+                        (var, Tgt::Elem(cell), *elem_ty, current)
                     }
                     _ => {
                         self.inexact("assignment through a run-dependent array index");
@@ -820,14 +831,13 @@ impl<'r, 'a> Est<'r, 'a> {
                         *slot = v;
                     }
                 }
-                Tgt::Elem(i) => {
-                    if let Some(AVal::Array(items)) = self.value_mut(var.at) {
-                        if let Some(e) = items.get_mut(i) {
-                            *e = v;
-                        }
+                Tgt::Elem(cell) => {
+                    if let Some(e) = self.heap.get_mut(cell) {
+                        *e = v;
                     }
                 }
-                Tgt::Lost => self.havoc(var.at),
+                // Any cell of the array, which other arrays may share.
+                Tgt::Lost => self.heap.iter_mut().for_each(AVal::forget),
             }
         }
         Ok(())
@@ -842,7 +852,10 @@ impl<'r, 'a> Est<'r, 'a> {
     /// `base[i]`; `None` is an index the estimator does not know.
     fn index(&mut self, base: AVal, i: Option<usize>) -> R<AVal> {
         match (base, i) {
-            (AVal::Array(items), Some(i)) => items.into_iter().nth(i).ok_or(Stop),
+            (AVal::Array(cells), Some(i)) => {
+                let cell = cells.get(i).and_then(|&c| self.heap.get(c));
+                cell.cloned().ok_or(Stop)
+            }
             (AVal::Known(b), Some(i)) => Ok(AVal::Known(ops::index_value(&b, i, Span::default())?)),
             (AVal::Known(Value::Quantum(_)), None) => {
                 self.inexact("quantum register indexed by a run-dependent value");
@@ -967,30 +980,13 @@ impl<'r, 'a> Est<'r, 'a> {
                 // Unknown pattern: bound every length, keep the world with
                 // the most gates, and fold the other lengths' excesses into
                 // additive slack so each metric stays an upper bound.
-                let mut best: Option<Est<'r, 'a>> = None;
-                let (mut max_g, mut max_d, mut max_q, mut max_m) = (0, 0, 0, 0);
-                for m in 1..=n {
+                let worlds = (1..=n).map(|m| {
                     let mut world = self.clone();
                     world.worst_case_search(&vec![false; m], hay)?;
-                    let g = world.circ.size();
-                    max_d = max_d.max(world.circ.depth());
-                    max_q = max_q.max(world.circ.num_qubits());
-                    max_m = max_m.max(world.measurements);
-                    if g >= max_g {
-                        max_g = g;
-                        best = Some(world);
-                    }
-                }
-                let Some(chosen) = best else { return Err(Stop) };
-                let (d, q, meas) = (
-                    chosen.circ.depth(),
-                    chosen.circ.num_qubits(),
-                    chosen.measurements,
-                );
-                *self = chosen;
-                self.slack_depth += max_d.saturating_sub(d);
-                self.slack_qubits += max_q.saturating_sub(q);
-                self.slack_meas += max_m.saturating_sub(meas);
+                    Ok(world)
+                });
+                let worlds = worlds.collect::<R<Vec<_>>>()?;
+                self.keep_largest(worlds)?;
                 Ok(AVal::Unknown(Type::Bool))
             }
         }
@@ -1066,7 +1062,7 @@ impl<'r, 'a> Est<'r, 'a> {
                         None => v,
                     });
                 }
-                AVal::Array(items)
+                self.alloc(items)
             }
             ExprKind::QuantumArray(elems) => {
                 let vals: Vec<AVal> = elems
@@ -1088,15 +1084,8 @@ impl<'r, 'a> Est<'r, 'a> {
                     }
                     Cast::new_qubit_amplitudes(self, "", a, b, e.span)?.into()
                 } else {
-                    let values: Option<Vec<u64>> = vals
-                        .iter()
-                        .map(|v| {
-                            v.known()
-                                .and_then(Value::as_i64)
-                                .filter(|&i| i >= 0)
-                                .map(|i| i as u64)
-                        })
-                        .collect();
+                    let value = |v: &AVal| u64::try_from(v.known()?.as_i64()?).ok();
+                    let values: Option<Vec<u64>> = vals.iter().map(value).collect();
                     let Some(values) = values else {
                         self.inexact(
                             "superposition literal with run-dependent values: state \
@@ -1113,8 +1102,13 @@ impl<'r, 'a> Est<'r, 'a> {
                 self.step()?;
                 self.value(var.at).ok_or(Stop)?;
                 let i = self.eval_index(index)?;
-                let base = self.value(var.at).ok_or(Stop)?.clone();
-                self.index(base, i)?
+                match (self.value(var.at).ok_or(Stop)?, i) {
+                    // One element, not a copy of the whole register.
+                    (AVal::Known(b), Some(i)) => {
+                        AVal::Known(ops::index_value(b, i, Span::default())?)
+                    }
+                    (base, i) => self.index(base.clone(), i)?,
+                }
             }
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base)?;
@@ -1283,7 +1277,7 @@ impl<'r, 'a> Est<'r, 'a> {
         for (a, p) in args.iter().zip(&f.decl.params) {
             bound.push(match &a.kind {
                 ExprKind::Var(var) if self.var_type(var).is_some_and(|t| t == p.ty) => {
-                    Binding::Ref(self.slot(var.at).ok_or(Stop)?)
+                    Binding::Cell(self.share(var.at).ok_or(Stop)?)
                 }
                 _ => {
                     let v = self.eval_with_target(a, Some(&p.ty))?;
@@ -1320,7 +1314,7 @@ impl<'r, 'a> Est<'r, 'a> {
         let span = Span::default();
         Ok(match builtin {
             Builtin::Len => match arg {
-                AVal::Array(items) => AVal::Known(Value::Int(items.len() as i64)),
+                AVal::Array(cells) => AVal::Known(Value::Int(cells.len() as i64)),
                 AVal::Known(v) => AVal::Known(ops::len(&v, span)?),
                 AVal::Unknown(Type::String) | AVal::Lost => AVal::Unknown(Type::Int),
                 AVal::Unknown(_) => return Err(Stop),
@@ -1331,11 +1325,10 @@ impl<'r, 'a> Est<'r, 'a> {
                 _ => return Err(Stop),
             },
             Builtin::Range => match arg {
-                AVal::Known(v) => AVal::Array(
-                    (0..ops::range_len(&v, span)?)
-                        .map(|i| AVal::Known(Value::Int(i)))
-                        .collect(),
-                ),
+                AVal::Known(v) => {
+                    let n = ops::range_len(&v, span)?;
+                    self.alloc((0..n).map(|i| AVal::Known(Value::Int(i))))
+                }
                 AVal::Unknown(_) | AVal::Lost => AVal::Lost,
                 AVal::Array(_) => return Err(Stop),
             },
@@ -1355,11 +1348,12 @@ impl<'r, 'a> Est<'r, 'a> {
                 // Dürr–Høyer runs on its own internal circuit, so it costs
                 // nothing in the accumulated circuit — but quantum array
                 // elements are measured first, which does.
-                AVal::Array(items) => {
-                    if items.is_empty() {
+                AVal::Array(cells) => {
+                    if cells.is_empty() {
                         return Err(Stop);
                     }
-                    for item in items {
+                    for c in cells {
+                        let item = self.heap.get(c).ok_or(Stop)?.clone();
                         self.measure_if_quantum(item)?;
                     }
                     AVal::Unknown(Type::Int)
@@ -1399,78 +1393,86 @@ impl<'r, 'a> Est<'r, 'a> {
         then_f: impl FnOnce(&mut Est<'r, 'a>) -> R<Flow>,
         else_f: impl FnOnce(&mut Est<'r, 'a>) -> R<Flow>,
     ) -> R<Flow> {
-        let mut a = self.clone();
-        let mut b = self.clone();
+        let mark = self.heap.len();
+        let (mut a, mut b) = (self.clone(), self.clone());
         let fa = then_f(&mut a)?;
         let fb = else_f(&mut b)?;
-        self.steps = a.steps.max(b.steps);
+        // Each world ends as a block does (a condition's right side too).
+        a.drop_cells(mark, &fa);
+        b.drop_cells(mark, &fb);
+        let steps = a.steps.max(b.steps);
         // A non-Clifford gate on *either* path poisons the Clifford
         // claim — the discarded world's gates survive only as slack
         // counts, so the bit must be merged before a world is dropped.
-        let clifford_both = a.clifford_only && b.clifford_only;
-
+        let clifford_only = a.clifford_only && b.clifford_only;
         let same_world = a.circ.ops() == b.circ.ops()
             && a.circ.num_qubits() == b.circ.num_qubits()
             && a.free == b.free
             && a.measurements == b.measurements
             && a.slots == b.slots
+            && a.heap == b.heap
             && a.slack_gates == b.slack_gates
             && a.slack_qubits == b.slack_qubits
             && a.slack_meas == b.slack_meas;
         if same_world {
-            let steps = self.steps;
             *self = a;
-            self.steps = steps;
-            self.clifford_only = clifford_both;
-            // The worlds agree, but differing return values still matter.
-            return Ok(match (fa, fb) {
-                (Flow::Return(va), Flow::Return(vb)) => {
-                    Flow::Return(if va == vb { va } else { AVal::Lost })
-                }
-                (Flow::Normal, Flow::Normal) => Flow::Normal,
-                (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => {
-                    self.inexact("a measurement-dependent branch may return early");
-                    f
-                }
-            });
+        } else {
+            // `a` is kept on a tie.
+            self.keep_largest([b, a])?;
+            self.inexact(
+                "measurement-dependent branches build different circuits: totals are the \
+                 larger branch plus slack for the other",
+            );
+            // Values that differ between the worlds are no longer known.
+            self.havoc_all();
         }
+        self.steps = steps;
+        self.clifford_only = clifford_only;
+        Ok(match (fa, fb) {
+            // An array either world returns names cells of that world alone.
+            (Flow::Return(AVal::Array(_)), _) | (_, Flow::Return(AVal::Array(_)))
+                if !same_world =>
+            {
+                Flow::Return(AVal::Lost)
+            }
+            (Flow::Return(va), Flow::Return(vb)) => {
+                Flow::Return(if va == vb { va } else { AVal::Lost })
+            }
+            (Flow::Normal, Flow::Normal) => Flow::Normal,
+            (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => {
+                if same_world {
+                    self.inexact("a measurement-dependent branch may return early");
+                }
+                f
+            }
+        })
+    }
 
-        let totals = |w: &Est<'r, 'a>| {
-            (
+    /// Goes on in the world of `worlds` with the most gates (the last one
+    /// on a tie) and adds to it, as slack, what any other world exceeds it
+    /// by, so every figure stays an upper bound.
+    fn keep_largest(&mut self, worlds: impl IntoIterator<Item = Est<'r, 'a>>) -> R<()> {
+        let mut max = [0; 4];
+        let mut kept: Option<([usize; 4], Est<'r, 'a>)> = None;
+        for w in worlds {
+            let t = [
                 w.circ.size() + w.slack_gates,
                 w.circ.depth() + w.slack_depth,
                 w.circ.num_qubits() + w.slack_qubits,
                 w.measurements + w.slack_meas,
-            )
-        };
-        let ta = totals(&a);
-        let tb = totals(&b);
-        let (mut kept, other, to, kept_flow, other_flow) = if ta.0 >= tb.0 {
-            (a, tb, ta, fa, fb)
-        } else {
-            (b, ta, tb, fb, fa)
-        };
-        kept.slack_gates += other.0.saturating_sub(to.0);
-        kept.slack_depth += other.1.saturating_sub(to.1);
-        kept.slack_qubits += other.2.saturating_sub(to.2);
-        kept.slack_meas += other.3.saturating_sub(to.3);
-        kept.inexact(
-            "measurement-dependent branches build different circuits: totals are the \
-             larger branch plus slack for the other",
-        );
-        let steps = self.steps;
-        *self = kept;
-        self.steps = steps;
-        self.clifford_only = clifford_both;
-        // Values that differ between the worlds are no longer known.
-        self.havoc_all(false);
-        Ok(match (kept_flow, other_flow) {
-            (Flow::Return(va), Flow::Return(vb)) => {
-                Flow::Return(if va == vb { va } else { AVal::Lost })
+            ];
+            max = std::array::from_fn(|i| max[i].max(t[i]));
+            if kept.as_ref().is_none_or(|(k, _)| t[0] >= k[0]) {
+                kept = Some((t, w));
             }
-            (f @ Flow::Return(_), Flow::Normal) | (Flow::Normal, f @ Flow::Return(_)) => f,
-            (Flow::Normal, Flow::Normal) => Flow::Normal,
-        })
+        }
+        let (t, mut kept) = kept.ok_or(Stop)?;
+        kept.slack_gates += max[0] - t[0];
+        kept.slack_depth += max[1] - t[1];
+        kept.slack_qubits += max[2] - t[2];
+        kept.slack_meas += max[3] - t[3];
+        *self = kept;
+        Ok(())
     }
 }
 
@@ -1494,20 +1496,13 @@ impl Writes {
         w
     }
 
-    fn add(&mut self, at: Loc) {
-        if !self.locs.contains(&at) {
-            self.locs.push(at);
-        }
-    }
-
     fn stmts(&mut self, stmts: &[Stmt<'_>]) {
         for s in stmts {
             match s {
                 Stmt::Assign { target, value, .. } => {
                     match target {
-                        Place::Var(v) => self.add(v.at),
-                        Place::Index(v, i) => {
-                            self.add(v.at);
+                        Place::Var(v) => self.locs.push(v.at),
+                        Place::Index(_, i) => {
                             self.elements = true;
                             self.expr(i);
                         }
@@ -1558,7 +1553,7 @@ impl Writes {
                 }
                 for a in args {
                     if let ExprKind::Var(v) = &a.kind {
-                        self.add(v.at);
+                        self.locs.push(v.at);
                     }
                     self.expr(a);
                 }

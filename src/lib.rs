@@ -85,6 +85,9 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
 /// exactly, by promotion, so a program the estimator cannot certify may
 /// still end on the tableau. A `Tableau` answer is a promise: the
 /// estimator's bit is sound, so such a run never promotes.
+/// `tableau_predictions_hold_on_every_estimated_program` in
+/// `tests/dispatch.rs` checks it on every program whose estimate
+/// `tests/golden/estimates.txt` pins.
 pub fn resolve_backend(source: &str, config: &RunConfig) -> qcirc::BackendChoice {
     if config.backend != qcirc::BackendChoice::Auto {
         return config.backend;

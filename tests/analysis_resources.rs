@@ -4,6 +4,7 @@
 //! records in `qcirc` metrics, and depth must be a sound upper bound.
 
 use qutes::analysis::estimate;
+use qutes::qcirc::BackendChoice;
 use qutes::{parse, RunConfig};
 
 /// Examples whose control flow is measurement-independent enough for the
@@ -15,6 +16,7 @@ const EXACT_EXAMPLES: &[&str] = &[
     "cyclic_shift",
     "deutsch_jozsa",
     "entanglement",
+    "fib",
     "minmax",
 ];
 
@@ -130,6 +132,48 @@ fn corpus_programs_match_real_circuit_metrics() {
          if (y < 0) { qubit a = |1>; print a; }\n",
         0,
     );
+    // Arrays are shared cells, as in the runtime: a write through any
+    // alias decides the branch, and the run builds the 17-qubit sum.
+    for (name, prefix, read) in [
+        (
+            "array alias",
+            "int[] a = [0];\nint[] b = a;\nb[0] = 1;\n",
+            "a[0]",
+        ),
+        (
+            "callee writes a copy of its parameter",
+            "int[] a = [0];\nvoid set(int[] xs) { int[] ys = xs; ys[0] = 1; }\nset(a);\n",
+            "a[0]",
+        ),
+        (
+            "returned argument",
+            "int[] a = [0];\nint[] same(int[] xs) { return xs; }\n\
+             int[] b = same(a);\nb[0] = 1;\n",
+            "a[0]",
+        ),
+        (
+            "nested element",
+            "int[][] grid = [[0]];\nint[] row = grid[0];\nrow[0] = 1;\n",
+            "grid[0][0]",
+        ),
+        (
+            "loop variable of an alias",
+            "int[] a = [0];\nint[] b = a;\nforeach x in b { x = 1; }\n",
+            "a[0]",
+        ),
+        (
+            "callee writes its parameter",
+            "int[] a = [0];\nvoid set(int[] xs) { xs[0] = 1; }\nset(a);\n",
+            "a[0]",
+        ),
+    ] {
+        let source =
+            format!("{prefix}if ({read} == 1) {{ quint big = 200; big = big + 3; print big; }}\n");
+        cross_check_source(name, &source, 0);
+        // The sum is not Clifford, so the tableau is not promised.
+        let predicted = qutes::resolve_backend(&source, &RunConfig::default());
+        assert_eq!(predicted, BackendChoice::Statevector, "{name}");
+    }
 }
 
 /// Measurement outcomes steer classical control flow in some examples
@@ -149,14 +193,7 @@ fn exact_estimates_are_seed_independent() {
 #[test]
 fn inexact_estimates_are_upper_bounds() {
     for name in ["grover", "teleport", "fib"] {
-        let path = format!(
-            "{}/examples/programs/{name}.qut",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue; // example set may not ship every name
-        };
-        check_upper_bound(name, &source, 3);
+        check_upper_bound(name, &example_source(name), 3);
     }
     let programs = [
         // A loop whose trip count is unknown calls a function that writes
@@ -262,6 +299,43 @@ fn inexact_estimates_are_upper_bounds() {
         for (name, source) in programs {
             check_upper_bound(name, source, seed);
         }
+    }
+}
+
+/// When a block or an explored world ends, the cells it made that
+/// nothing outside it reaches are dropped, and a variable it passed by
+/// reference goes back to its slot, so measurement-dependent worlds that
+/// differ only there still merge exactly. A write through an unknown
+/// index forgets the cells every alias of the array sees.
+#[test]
+fn shared_cells_merge_exactly_and_forget_soundly() {
+    let measured = "qubit q = |+>;\nbool m = q;\n";
+    let big = "if (a[0] == 1) { quint big = 200; big = big + 3; print big; }\n";
+    for (name, body) in [
+        (
+            "dead arrays in both branches",
+            "int[] a = [1];\n\
+             if (m) { int[] t = [1]; print t[0]; } else { int[] t = [2, 3]; print t[1]; }\n",
+        ),
+        (
+            "by-reference call in one branch",
+            "int[] a = [1];\nint first(int[] xs) { return xs[0]; }\n\
+             if (m) { int s = first(a); print s; }\n",
+        ),
+        (
+            "by-reference call on a condition's right side",
+            "int[] a = [1];\nint first(int[] xs) { return xs[0]; }\n\
+             bool t = m && first(a) == 1;\n",
+        ),
+    ] {
+        for seed in 0..4 {
+            cross_check_source(name, &format!("{measured}{body}{big}"), seed);
+        }
+    }
+    let unknown_index =
+        format!("{measured}int[] a = [0, 0];\nint[] b = a;\nint i = int(q);\nb[i] = 1;\n{big}");
+    for seed in 0..8 {
+        check_upper_bound("write through an unknown index", &unknown_index, seed);
     }
 }
 

@@ -5,6 +5,9 @@
 //! tableau and is promoted to the statevector at its first non-Clifford
 //! gate, so a change that re-routes programs shows up as a diff here.
 
+#[path = "../crates/core/tests/common/generator.rs"]
+mod generator;
+
 use qutes::qcirc::{BackendChoice, BackendKind, CircError};
 use qutes::{obs, resolve_backend, run_source, QutesError, RunConfig, RunOutcome};
 use std::fs;
@@ -350,5 +353,61 @@ fn unparsable_source_passes_through_to_the_statevector() {
     assert_eq!(
         resolve_backend(&ghz_100(), &noisy),
         BackendChoice::Statevector
+    );
+}
+
+/// A `Tableau` answer of `resolve_backend` is a promise that the run
+/// never promotes. It is checked on every program whose estimate
+/// `tests/golden/estimates.txt` pins: the examples, the lint corpus,
+/// the interpreter programs and the 200 generated programs. A run that
+/// succeeds ends on the tableau; one that fails has not promoted.
+#[test]
+fn tableau_predictions_hold_on_every_estimated_program() {
+    let _lock = serialize();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs = Vec::new();
+    for dir in [
+        "examples/programs",
+        "tests/lint_corpus",
+        "tests/interp_programs",
+    ] {
+        let entries = fs::read_dir(root.join(dir)).unwrap_or_else(|e| panic!("read {dir}: {e}"));
+        for entry in entries {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == "qut") {
+                let source = fs::read_to_string(&path).expect("program reads");
+                programs.push((path.display().to_string(), source));
+            }
+        }
+    }
+    programs
+        .extend((0..200).map(|seed| (format!("generated seed {seed}"), generator::generate(seed))));
+    // The default call depth recurses deeper than a test thread's stack
+    // holds in a debug build.
+    let check = move || {
+        let cfg = RunConfig::default();
+        let mut promised = 0;
+        for (name, src) in &programs {
+            if resolve_backend(src, &cfg) != BackendChoice::Tableau {
+                continue;
+            }
+            promised += 1;
+            let (out, snap) = observed(src, &cfg);
+            assert_eq!(counter(&snap, "backend.promoted"), 0, "{name} promoted");
+            if let Ok(out) = out {
+                assert_eq!(out.backend, BackendKind::Tableau, "{name}");
+            }
+        }
+        promised
+    };
+    let promised = std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(check)
+        .expect("thread spawns")
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    assert!(
+        promised > 100,
+        "only {promised} programs are promised the tableau"
     );
 }
