@@ -17,6 +17,14 @@
 # target/release/qutes, built by `cargo build --release`). Program paths
 # are printed relative to the repository root. The last line is the run
 # count.
+#
+# The listing of the current tree is committed as
+# tests/golden/lint_matrix.txt, and CI diffs a fresh run against it. A
+# change that alters some lint output on purpose refreshes it in a
+# commit of its own that says which lines changed and why:
+#
+#   cargo build --release -p qutes-cli
+#   scripts/lint_matrix.sh > tests/golden/lint_matrix.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
