@@ -11,10 +11,11 @@
 //! 2. the static type checker ([`types`]) enforces the §4 type system
 //!    and, in the same walk, is the symbol pass: it binds every name to
 //!    a frame or global slot ([`resolution`]),
-//! 3. the operation pass ([`runtime`]) runs the resolved program: it
-//!    executes classical code natively, with the value operations of
-//!    [`ops`] (which the static resource estimator folds with too),
-//!    and lowers quantum operations
+//! 3. the operation pass ([`runtime`]) runs the resolved program on
+//!    the one walker of [`interp`] (which the static resource estimator
+//!    runs too, over an abstract domain): it executes classical code
+//!    natively, with the value operations of [`ops`], and lowers
+//!    quantum operations
 //!    through the [`handler::QuantumCircuitHandler`] (accumulated
 //!    circuit + live statevector) with [`casting::TypeCastingHandler`]
 //!    bridging the classical/quantum boundary.
@@ -34,6 +35,7 @@
 pub mod casting;
 pub mod error;
 pub mod handler;
+pub mod interp;
 pub mod lower;
 pub mod ops;
 pub mod resolution;

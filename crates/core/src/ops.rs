@@ -3,11 +3,11 @@
 //! `range`, indexing, and the classical arms of a conversion to a
 //! declared type.
 //!
-//! Two callers run them. The interpreter ([`crate::runtime`]) calls them
-//! after it has measured any quantum operand. The static resource
-//! estimator (`qutes-analysis`) calls them to fold operands it knows, so
-//! a folded value is exactly the value a run computes. An `Err` is the
-//! runtime error the program stops with; the estimator stops there too.
+//! The walker ([`crate::interp`]) calls them after it has measured any
+//! quantum operand, in a run and in the static resource estimator
+//! (`qutes-analysis`) alike, so a value the estimator folds is exactly
+//! the value a run computes. An `Err` is the runtime error the program
+//! stops with; the estimator stops there too.
 
 use crate::error::{QutesError, QutesResult};
 use crate::resolution::Builtin;

@@ -286,6 +286,14 @@ fn inexact_estimates_are_upper_bounds() {
              while (n && c < 2) {\nif (c == 1) { set_all(grid[0]); }\nc += 1;\n}\n\
              if (grid[0][0] == 1) { quint big = 200; print big; }\n",
         ),
+        // A loop may rebind a register variable to other qubits, so after
+        // its havoc the gates on `a` may land on `r`'s wire.
+        (
+            "register rebound by a loop",
+            "qubit a = |0>; qubit r = |0>; qubit q = |+>; bool m = q; int c = 0;\n\
+             while (m && c < 2) { if (c == 1) { a = r; } c += 1; }\n\
+             hadamard a; hadamard a; hadamard r; hadamard r;\n",
+        ),
         // A return from inside a `foreach` keeps what the loop variable
         // wrote.
         (

@@ -382,32 +382,53 @@ fn tableau_predictions_hold_on_every_estimated_program() {
     }
     programs
         .extend((0..200).map(|seed| (format!("generated seed {seed}"), generator::generate(seed))));
-    // The default call depth recurses deeper than a test thread's stack
-    // holds in a debug build.
-    let check = move || {
-        let cfg = RunConfig::default();
-        let mut promised = 0;
-        for (name, src) in &programs {
-            if resolve_backend(src, &cfg) != BackendChoice::Tableau {
-                continue;
-            }
-            promised += 1;
-            let (out, snap) = observed(src, &cfg);
-            assert_eq!(counter(&snap, "backend.promoted"), 0, "{name} promoted");
-            if let Ok(out) = out {
-                assert_eq!(out.backend, BackendKind::Tableau, "{name}");
-            }
+    let cfg = RunConfig::default();
+    let mut promised = 0;
+    for (name, src) in &programs {
+        if resolve_backend(src, &cfg) != BackendChoice::Tableau {
+            continue;
         }
-        promised
-    };
-    let promised = std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(check)
-        .expect("thread spawns")
-        .join()
-        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        promised += 1;
+        let (out, snap) = observed(src, &cfg);
+        assert_eq!(counter(&snap, "backend.promoted"), 0, "{name} promoted");
+        if let Ok(out) = out {
+            assert_eq!(out.backend, BackendKind::Tableau, "{name}");
+        }
+    }
     assert!(
         promised > 100,
         "only {promised} programs are promised the tableau"
     );
+}
+
+/// A run that recurses to the default `max_call_depth` of 100 returns
+/// the typed depth error, and the estimator walks the same programs,
+/// on a thread with a 2 MiB stack in every build profile: the walker's
+/// recursive frames stay small. Generated seeds 3, 136 and 170 each
+/// recurse without end.
+#[test]
+fn default_call_depth_fits_a_two_mib_stack() {
+    let _lock = serialize();
+    let check = || {
+        for seed in [3, 136, 170] {
+            let src = generator::generate(seed);
+            let err = match run_source(&src, &RunConfig::default()) {
+                Err(e) => e.to_string(),
+                Ok(out) => panic!("seed {seed} ran to the end: {:?}", out.output),
+            };
+            assert!(
+                err.contains("recursion exceeded 100 nested calls"),
+                "seed {seed}: {err}"
+            );
+            let program = qutes::frontend::parse(&src).expect("generated programs parse");
+            let est = qutes::analysis::estimate(&program);
+            assert!(!est.exact, "seed {seed}: {est:?}");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(check)
+        .expect("thread spawns")
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e));
 }
