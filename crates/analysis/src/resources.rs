@@ -381,11 +381,13 @@ impl Domain for Est {
     }
 
     fn read<R>(&self, c: &usize, f: impl FnOnce(&AVal) -> R) -> R {
-        f(&self.heap[*c])
+        f(self.heap.get(*c).unwrap_or(&AVal::Lost))
     }
 
     fn write(&mut self, c: &usize, v: AVal) {
-        self.heap[*c] = v;
+        if let Some(cell) = self.heap.get_mut(*c) {
+            *cell = v;
+        }
     }
 
     fn array(&mut self, items: Vec<AVal>) -> AVal {
@@ -410,7 +412,11 @@ impl Domain for Est {
 
     fn index(&self, base: &AVal, i: usize, span: Span) -> QutesResult<AVal> {
         match base {
-            AVal::Array(cells) => Ok(self.heap[*cells.get(i).ok_or_else(stop)?].clone()),
+            AVal::Array(cells) => cells
+                .get(i)
+                .and_then(|&c| self.heap.get(c))
+                .cloned()
+                .ok_or_else(stop),
             AVal::Known(b) => Ok(ops::index_value(b, i, span)?.into()),
             _ => Ok(AVal::Lost),
         }
@@ -683,7 +689,11 @@ impl Domain for Est {
             };
             match it.slots.get_mut(slot) {
                 Some(Binding::Owned(v)) => v.forget(true),
-                Some(Binding::Shared(c)) => it.dom.heap[*c].forget(true),
+                Some(Binding::Shared(c)) => {
+                    if let Some(v) = it.dom.heap.get_mut(*c) {
+                        v.forget(true);
+                    }
+                }
                 _ => {}
             }
         }

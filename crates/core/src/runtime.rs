@@ -1,9 +1,10 @@
-//! The Qutes interpreter: executes the AST, running classical operations
-//! natively and lowering quantum operations into the
-//! [`QuantumCircuitHandler`] (the paper's two-pass design, §3 — a symbol/
-//! declaration pass, then an operation pass that "translates quantum
-//! operations into corresponding quantum circuit instructions, while
-//! non-quantum operations are executed directly").
+//! The Qutes interpreter: runs the walker of [`crate::interp`] over the
+//! concrete domain, running classical operations natively and lowering
+//! quantum operations into the [`QuantumCircuitHandler`] (the paper's
+//! two-pass design, §3 — a symbol/declaration pass, then an operation
+//! pass that "translates quantum operations into corresponding quantum
+//! circuit instructions, while non-quantum operations are executed
+//! directly").
 
 use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
