@@ -632,6 +632,23 @@ impl Domain for Est {
         if same_world {
             *it = a;
         } else {
+            // A register the worlds hold on different qubits may be on
+            // either: its qubits are no longer known.
+            let rebound = |x: &AVal, y: &AVal| {
+                x != y
+                    && matches!(
+                        (x, y),
+                        (AVal::Known(Value::Quantum(_)), _) | (_, AVal::Known(Value::Quantum(_)))
+                    )
+            };
+            let slots: Vec<usize> = (a.slots.iter().zip(&b.slots).enumerate())
+                .filter(|(_, pair)| matches!(pair, (Binding::Owned(x), Binding::Owned(y)) if rebound(x, y)))
+                .map(|(i, _)| i)
+                .collect();
+            let cells: Vec<usize> = (a.dom.heap.iter().zip(&b.dom.heap).enumerate())
+                .filter(|(_, (x, y))| rebound(x, y))
+                .map(|(i, _)| i)
+                .collect();
             // `a` is kept on a tie.
             keep_largest(it, [b, a])?;
             it.dom.inexact(
@@ -640,6 +657,16 @@ impl Domain for Est {
             );
             // Values that differ between the worlds are no longer known.
             havoc_all(it);
+            for i in slots {
+                if let Some(Binding::Owned(v)) = it.slots.get_mut(i) {
+                    v.forget(true);
+                }
+            }
+            for i in cells {
+                if let Some(v) = it.dom.heap.get_mut(i) {
+                    v.forget(true);
+                }
+            }
         }
         it.steps = steps;
         it.dom.clifford_only = clifford_only;

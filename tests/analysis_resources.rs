@@ -294,6 +294,13 @@ fn inexact_estimates_are_upper_bounds() {
              while (m && c < 2) { if (c == 1) { a = r; } c += 1; }\n\
              hadamard a; hadamard a; hadamard r; hadamard r;\n",
         ),
+        // ...and so may one side of a measurement-dependent branch.
+        (
+            "register rebound by one branch",
+            "qubit a = |0>; qubit r = |0>; qubit q = |+>; bool m = q;\n\
+             if (m) { int z = 0; } else { a = r; }\n\
+             hadamard a; hadamard a; hadamard r; hadamard r;\n",
+        ),
         // A return from inside a `foreach` keeps what the loop variable
         // wrote.
         (
