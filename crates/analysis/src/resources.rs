@@ -29,8 +29,10 @@
 //! assigns or passes to a call, the globals that the user functions it
 //! calls may write, through their own calls too, and the contents of
 //! every cell when any of them writes an element. A register it forgets
-//! becomes a register of unknown qubits, and a gate or measurement on an
-//! unknown qubit counts as one instruction and one layer of slack.
+//! becomes a register of unknown qubits. An operation on such a register
+//! (a gate, a measurement, quint arithmetic, a shift, an `in` search) is
+//! played on a scratch circuit at the widest register a run can hold,
+//! every qubit allocated so far, and what it emits becomes slack.
 //!
 //! Storage has the runtime's shape: an array is a list of cells in the
 //! estimator's heap, shared by declarations, assignments, arguments and
@@ -39,7 +41,7 @@
 //! variable into a cell that the parameter shares.
 
 use qutes_core::interp::{Arith, Binding, Domain, Flow, Interp, UnknownOp};
-use qutes_core::lower::{Emit, SubstringSearch};
+use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
 use qutes_core::ops;
 use qutes_core::resolution::{
     Builtin, Callee, DeclSlot, Expr, ExprKind, Loc, Place, Resolution, Stmt,
@@ -164,6 +166,9 @@ impl From<Value> for AVal {
     }
 }
 
+const LOST_REGISTER: &str = "operation on a register the estimator lost track of (or by an \
+     amount it lost): counted at the widest register a run can hold";
+
 /// The error estimation stops with: the program would fail at run time
 /// too, or a budget ran out. The caller marks the estimate inexact.
 fn stop() -> QutesError {
@@ -198,12 +203,7 @@ type World<'r, 'a> = Interp<'r, 'a, Est>;
 
 /// [`estimate`] of a program the checker has already resolved.
 pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
-    let est = Est {
-        exact: true,
-        clifford_only: true,
-        ..Est::default()
-    };
-    let mut world = Interp::new(program, est, MAX_STEPS, MAX_CALL_DEPTH);
+    let mut world = Interp::new(program, Est::new(), MAX_STEPS, MAX_CALL_DEPTH);
     if world.exec_stmts(&program.main).is_err() {
         world
             .dom
@@ -215,6 +215,14 @@ pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
 }
 
 impl Est {
+    fn new() -> Est {
+        Est {
+            exact: true,
+            clifford_only: true,
+            ..Est::default()
+        }
+    }
+
     fn finish(self) -> ResourceEstimate {
         ResourceEstimate {
             qubits: self.circ.num_qubits() + self.slack_qubits,
@@ -248,11 +256,47 @@ impl Est {
         Ok(())
     }
 
-    /// One gate or measurement on a qubit the estimator cannot name: it
-    /// adds one instruction and at most one layer wherever it lands.
-    fn slack_instruction(&mut self) {
-        self.slack_gates += 1;
-        self.slack_depth += 1;
+    /// The most qubits a register the estimator holds as `v` can have in
+    /// any run: a known register's own, one for a qubit, and otherwise
+    /// every qubit allocated so far, since no register is wider. `None`
+    /// for a classical value.
+    fn width_bound(&self, v: &AVal) -> Option<usize> {
+        match v {
+            AVal::Known(Value::Quantum(q)) => Some(q.width()),
+            AVal::Unknown(Type::Qubit) => Some(1),
+            AVal::Unknown(t) if t.is_quantum() => Some(self.circ.num_qubits() + self.slack_qubits),
+            AVal::Lost => Some(self.circ.num_qubits() + self.slack_qubits),
+            _ => None,
+        }
+    }
+
+    /// Plays `op` on a scratch circuit whose fresh registers have the
+    /// given widths, and adds what it emits to the slack: its gates, its
+    /// depth (appending a circuit adds at most its depth), the qubits it
+    /// allocates beyond those registers and its measurements. Lowering a
+    /// register of a run-dependent width at its widest bound every run.
+    fn on_scratch<R>(
+        &mut self,
+        widths: &[usize],
+        op: impl FnOnce(&mut Est, &[Vec<usize>]) -> QutesResult<R>,
+    ) -> QutesResult<R> {
+        let mut scratch = Est::new();
+        let regs =
+            (widths.iter().map(|&w| scratch.allocate("", w))).collect::<QutesResult<Vec<_>>>()?;
+        let r = op(&mut scratch, &regs)?;
+        self.absorb(scratch, widths.iter().sum());
+        Ok(r)
+    }
+
+    /// Adds what a scratch circuit that starts with `width` stand-in
+    /// qubits holds to the slack (see [`Est::on_scratch`]).
+    fn absorb(&mut self, scratch: Est, width: usize) {
+        self.slack_gates += scratch.circ.size() + scratch.slack_gates;
+        self.slack_depth += scratch.circ.depth() + scratch.slack_depth;
+        self.slack_qubits += scratch.circ.num_qubits() - width + scratch.slack_qubits;
+        self.slack_meas += scratch.measurements + scratch.slack_meas;
+        self.clifford_only &= scratch.clifford_only;
+        scratch.notes.iter().for_each(|n| self.inexact(n));
     }
 
     /// Converts a value the estimator does not know to type `ty`:
@@ -310,34 +354,31 @@ impl Est {
         let promoted = Cast::promote(self, "", &value, kind, Span::default())?;
         self.inexact(note);
         if kind == QKind::Qubit {
-            self.slack_instruction();
+            // The X gate a 1 would add, wherever it lands.
+            self.slack_gates += 1;
+            self.slack_depth += 1;
         }
         Ok(Value::Quantum(promoted).into())
     }
 
     /// Measures a value the estimator does not know: a register it lost
-    /// counts as slack. A conversion (`explicit` false) passes classical
-    /// values through.
+    /// is measured at its widest, as slack. A conversion (`explicit`
+    /// false) passes classical values through.
     fn measure(&mut self, v: AVal, explicit: bool) -> QutesResult<AVal> {
-        match v {
-            AVal::Unknown(Type::Qubit) => {
-                self.slack_meas += 1;
-                self.slack_instruction();
-                Ok(AVal::Unknown(Type::Bool))
-            }
+        let measured = match &v {
             AVal::Unknown(t) if t.is_quantum() => {
-                self.inexact("measure of a value the estimator lost track of");
-                self.slack_meas += 1;
-                Ok(AVal::Unknown(types::measured(&t).ok_or_else(stop)?))
+                AVal::Unknown(types::measured(t).ok_or_else(stop)?)
             }
-            AVal::Lost if explicit => {
-                self.inexact("measure of a value the estimator lost track of");
-                self.slack_meas += 1;
-                Ok(AVal::Lost)
-            }
-            v if !explicit => Ok(v),
-            _ => Err(stop()),
+            AVal::Lost if explicit => AVal::Lost,
+            _ if !explicit => return Ok(v),
+            _ => return Err(stop()),
+        };
+        if v != AVal::Unknown(Type::Qubit) {
+            self.inexact("measure of a value the estimator lost track of");
         }
+        let width = self.width_bound(&v).ok_or_else(stop)?;
+        self.on_scratch(&[width], |s, r| s.shadow_measure(&r[0]))?;
+        Ok(measured)
     }
 }
 
@@ -440,9 +481,25 @@ impl Domain for Est {
     fn search(
         it: &mut World<'_, '_>,
         pattern: Result<Vec<bool>, ()>,
-        hay: &QuantumRef,
+        hay: Result<&QuantumRef, ()>,
         _: Span,
     ) -> QutesResult<AVal> {
+        let Ok(hay) = hay else {
+            // A text the estimator lost track of is searched at its
+            // widest, in a scratch world.
+            let width = it.dom.width_bound(&AVal::Lost).ok_or_else(stop)?;
+            let mut scratch = it.clone();
+            scratch.dom = Est::new();
+            let qubits = scratch.dom.allocate("", width)?;
+            let text = QuantumRef {
+                qubits,
+                kind: QKind::Qustring,
+            };
+            let found = Self::search(&mut scratch, pattern, Ok(&text), Span::default())?;
+            it.steps = scratch.steps;
+            it.dom.absorb(scratch.dom, width);
+            return Ok(found);
+        };
         let hay = &hay.qubits;
         let n = hay.len();
         it.dom.inexact(
@@ -567,30 +624,78 @@ impl Domain for Est {
                 }
                 _ => return Err(stop()),
             },
-            // A gate on qubits the estimator cannot name adds one
-            // instruction and at most one layer; on registers of unknown
-            // width it cannot be bounded.
+            // A gate on qubits the estimator cannot name is played at
+            // their widest as slack: on one qubit, one instruction and
+            // one layer wherever it lands. A cnot counts as a fan-out
+            // from one control, which has as many gates as the pairwise
+            // form and at least its layers.
             UnknownOp::Gate(gate, operands) => {
-                let one_qubit = |o: &Result<QuantumRef, AVal>| match o {
-                    Ok(q) => q.width() == 1,
-                    Err(v) => *v == Unknown(Type::Qubit),
-                };
-                let classical = |o: &Result<QuantumRef, AVal>| match o {
-                    Err(Unknown(t)) => t.is_classical(),
-                    Err(v) => matches!(v, AVal::Array(_)),
-                    Ok(_) => false,
-                };
-                if operands.iter().any(classical) {
-                    return Err(stop());
+                let widths = (operands.iter())
+                    .map(|o| match o {
+                        Ok(q) => Some(q.width()),
+                        Err(v) => self.width_bound(v),
+                    })
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or_else(stop)?;
+                if widths.iter().any(|&w| w > 1) {
+                    self.inexact(LOST_REGISTER);
                 }
-                if operands.iter().all(one_qubit) {
-                    self.slack_instruction();
-                    // A phase gate of unknown angle may be non-Clifford.
-                    self.clifford_only &= gate != GateKind::Phase;
-                } else {
-                    self.inexact("gate applied to a register the estimator lost track of");
-                }
+                self.on_scratch(&widths, |s, r| match r {
+                    [c, t] => lower::cnot(s, &c[..c.len().min(1)], t, Span::default()),
+                    [q] => lower::gate_each(s, gate, q, 0.0, Span::default()),
+                    _ => Err(stop()),
+                })?;
+                // A phase gate of unknown angle may be non-Clifford.
+                self.clifford_only &= gate != GateKind::Phase;
                 Value::Void.into()
+            }
+            UnknownOp::Arith(arith, reg, rhs, subtract) => {
+                let width = self.width_bound(&reg).ok_or_else(stop)?;
+                // An unknown constant is as wide as any int (the in-place
+                // adder's gates do not depend on it).
+                let (rhs, k) = match rhs {
+                    AVal::Known(Value::Quantum(q)) => (Some(q.width()), 0),
+                    Unknown(Type::Quint) => (self.width_bound(&rhs), 0),
+                    AVal::Known(v) => match Operand::of(&v) {
+                        Some(Operand::Const(k)) => (None, k),
+                        _ => return Err(stop()),
+                    },
+                    Unknown(Type::Int) => (None, i64::MAX as u64),
+                    Unknown(Type::Bool) => (None, 1),
+                    _ => return Err(stop()),
+                };
+                self.inexact(LOST_REGISTER);
+                let widths: Vec<usize> = std::iter::once(width).chain(rhs).collect();
+                self.on_scratch(&widths, |s, r| {
+                    let operand = r.get(1).map_or(Operand::Const(k), |b| Operand::Quint(b));
+                    match arith {
+                        Arith::InPlace => lower::add_sub_in_place(s, &r[0], operand, subtract),
+                        Arith::Sum => lower::add_sub_expr(s, &r[0], operand, subtract).map(drop),
+                        Arith::Product => lower::mul_expr(s, &r[0], operand).map(drop),
+                    }
+                })?;
+                match arith {
+                    Arith::InPlace => Value::Void.into(),
+                    Arith::Sum | Arith::Product => Unknown(Type::Quint),
+                }
+            }
+            // Any rotation of `n` qubits is three layers of disjoint swaps,
+            // `n` swaps at most; a shifted copy first copies the register
+            // into fresh qubits.
+            UnknownOp::Rotate(reg, copy) => {
+                let width = self.width_bound(&reg).ok_or_else(stop)?;
+                self.inexact(LOST_REGISTER);
+                if copy {
+                    self.on_scratch(&[width], |s, r| lower::cx_copy(s, &r[0], width, ""))?;
+                }
+                self.slack_gates += width;
+                self.slack_depth += 3;
+                match reg {
+                    AVal::Known(Value::Quantum(q)) if copy => Unknown(q.kind.as_type()),
+                    Unknown(t) if copy => Unknown(t),
+                    _ if copy => Lost,
+                    _ => Value::Void.into(),
+                }
             }
         })
     }

@@ -130,7 +130,7 @@ pub trait Domain: Sized {
     fn search(
         it: &mut Interp<'_, '_, Self>,
         pattern: Result<Vec<bool>, Self::Unknown>,
-        hay: &QuantumRef,
+        hay: Result<&QuantumRef, Self::Unknown>,
         span: Span,
     ) -> QutesResult<Self::Val>;
     /// `qmin`/`qmax` over non-negative ints.
@@ -205,6 +205,13 @@ pub enum UnknownOp<'t, V> {
     Operand(V, Arith),
     /// A gate whose operands are not all known registers.
     Gate(GateKind, Vec<Result<QuantumRef, V>>),
+    /// Quint arithmetic on a register the domain does not know, or with a
+    /// quint operand it does not know: the register, the operand, and
+    /// whether it subtracts.
+    Arith(Arith, V, V, bool),
+    /// A cyclic shift of a register the domain does not know, or by an
+    /// amount it does not know: in place, or into a copy (`true`).
+    Rotate(V, bool),
 }
 
 /// An assignment target: a variable, an array element's cell, or a cell
@@ -785,11 +792,15 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             AssignOp::Add | AssignOp::Sub => {
                 let current = self.lhs_read(&lhs);
                 let rhs = self.eval(value_expr)?;
+                let subtract = op == AssignOp::Sub;
                 match D::value(&current) {
                     Ok(Value::Quantum(q)) if q.kind == QKind::Quint => {
                         let q = q.qubits.clone();
-                        let subtract = op == AssignOp::Sub;
                         self.quint_arith(Arith::InPlace, &q, rhs, subtract, span)?;
+                    }
+                    Err(u) if D::type_of(&current) == Some(Type::Quint) => {
+                        let op = UnknownOp::Arith(Arith::InPlace, current, rhs, subtract);
+                        self.dom.unknown_op(u, op)?;
                     }
                     _ => {
                         let bin = if op == AssignOp::Add {
@@ -827,7 +838,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                         let q = q.qubits.clone();
                         lower::rotate(self.dom.sink(), &q, k, left)?;
                     }
-                    (Ok(Value::Quantum(_)), Err(u)) => self.dom.note(u, UNKNOWN_ROTATION),
+                    (Ok(Value::Quantum(_)), Err(u)) | (Err(u), _) if register::<D>(&current) => {
+                        self.dom.unknown_op(u, UnknownOp::Rotate(current, false))?;
+                    }
                     (Ok(Value::Int(_)), _) | (Err(_), _) => {
                         let shift = if left { BinOp::Shl } else { BinOp::Shr };
                         let v = self.classical_binary(shift, current, rhs, span)?;
@@ -998,6 +1011,12 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     ) -> QutesResult<D::Val> {
         let rhs = match D::split(rhs) {
             Ok(v) => v,
+            Err((u, v)) if D::type_of(&v) == Some(Type::Quint) => {
+                let a = quantum(a.to_vec(), QKind::Quint);
+                return self
+                    .dom
+                    .unknown_op(u, UnknownOp::Arith(arith, a, v, subtract));
+            }
             Err((u, v)) => match D::split(self.dom.unknown_op(u, UnknownOp::Operand(v, arith))?) {
                 Ok(standin) => standin,
                 Err((u, _)) => return Ok(D::unknown(u, None)),
@@ -1316,37 +1335,43 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
 
         // Quantum arithmetic producing fresh registers.
-        if let Ok(Value::Quantum(q)) = D::value(&lv) {
-            if q.kind == QKind::Quint && matches!(op, Add | Sub | Mul) {
+        let arith = if op == Mul {
+            Arith::Product
+        } else {
+            Arith::Sum
+        };
+        let quint = matches!(op, Add | Sub | Mul);
+        match D::value(&lv) {
+            Ok(Value::Quantum(q)) if q.kind == QKind::Quint && quint => {
                 let q = q.qubits.clone();
                 let rv = self.eval(r)?;
-                let arith = if op == Mul {
-                    Arith::Product
-                } else {
-                    Arith::Sum
-                };
                 return self.quint_arith(arith, &q, rv, op == Sub, span);
             }
-            if matches!(op, Shl | Shr) {
-                let q = q.clone();
-                return self.shifted_copy(&q, op == Shl, r);
+            Err(u) if quint && D::type_of(&lv) == Some(Type::Quint) => {
+                let rv = self.eval(r)?;
+                let op = UnknownOp::Arith(arith, lv, rv, op == Sub);
+                return self.dom.unknown_op(u, op);
             }
+            _ if matches!(op, Shl | Shr) && register::<D>(&lv) => {
+                return self.shifted_copy(lv, op == Shl, r);
+            }
+            _ => {}
         }
         // int + quint / int * quint (commute to the quint-first forms).
         if matches!(op, Add | Mul) && int_like::<D>(&lv) {
             let rv = self.eval(r)?;
-            if let Ok(Value::Quantum(q)) = D::value(&rv) {
-                if q.kind == QKind::Quint {
+            match D::value(&rv) {
+                Ok(Value::Quantum(q)) if q.kind == QKind::Quint => {
                     let q = q.qubits.clone();
-                    let arith = if op == Add {
-                        Arith::Sum
-                    } else {
-                        Arith::Product
-                    };
                     return self.quint_arith(arith, &q, lv, false, span);
                 }
+                Err(u) if D::type_of(&rv) == Some(Type::Quint) => {
+                    return self
+                        .dom
+                        .unknown_op(u, UnknownOp::Arith(arith, rv, lv, false));
+                }
+                _ => return self.classical_binary(op, lv, rv, span),
             }
-            return self.classical_binary(op, lv, rv, span);
         }
 
         let rv = self.eval(r)?;
@@ -1383,16 +1408,22 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
     /// `q << k` / `q >> k`: a shifted copy of a register.
     #[inline(never)]
-    fn shifted_copy(&mut self, q: &QuantumRef, left: bool, r: &Expr<'a>) -> QutesResult<D::Val> {
+    fn shifted_copy(&mut self, q: D::Val, left: bool, r: &Expr<'a>) -> QutesResult<D::Val> {
         let k = match D::split(self.eval(r)?) {
-            Ok(k) => ops::non_negative(&k, "shift amount", r.span)?,
-            Err((u, _)) => {
-                self.dom.note(u, UNKNOWN_ROTATION);
-                return Ok(D::unknown(u, None));
-            }
+            Ok(k) => Ok(ops::non_negative(&k, "shift amount", r.span)?),
+            Err((u, _)) => Err(u),
         };
-        let copy = lower::shifted_copy(self.dom.sink(), &q.qubits, k, left)?;
-        Ok(quantum(copy, q.kind))
+        match (D::value(&q), k) {
+            (Ok(Value::Quantum(q)), Ok(k)) => {
+                let copy = lower::shifted_copy(self.dom.sink(), &q.qubits, k, left)?;
+                Ok(quantum(copy, q.kind))
+            }
+            (Err(u), _) | (_, Err(u)) => self.dom.unknown_op(u, UnknownOp::Rotate(q, true)),
+            (Ok(other), Ok(_)) => Err(QutesError::runtime(
+                format!("cannot shift a {} value", other.type_name()),
+                r.span,
+            )),
+        }
     }
 
     /// Classical binary semantics; quantum operands are auto-measured.
@@ -1417,7 +1448,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         // The pattern must be classical bits; measure it if quantum.
         let pattern = self.classical(pattern)?;
         let hay = match D::value(&haystack) {
-            Ok(Value::Quantum(hay)) if hay.kind == QKind::Qustring => hay.clone(),
+            Ok(Value::Quantum(hay)) if hay.kind == QKind::Qustring => Ok(hay.clone()),
+            Err(u) if D::type_of(&haystack) == Some(Type::Qustring) => Err(u),
             _ => return self.classical_binary(BinOp::In, pattern, haystack, span),
         };
         let bits = match D::value(&pattern) {
@@ -1444,7 +1476,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 ))
             }
         };
-        D::search(self, bits, &hay, span)
+        D::search(self, bits, hay.as_ref().map_err(|u| *u), span)
     }
 
     // ---- calls -------------------------------------------------------------
@@ -1564,13 +1596,17 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 Ok(k) => Ok(ops::non_negative(&k, "rotation amount", span)?),
                 Err((u, _)) => Err(u),
             };
-            match (q, k) {
+            return match (q, k) {
                 (Ok(q), Ok(k)) => {
-                    lower::rotate(self.dom.sink(), &q.qubits, k, builtin == Builtin::Rotl)?
+                    lower::rotate(self.dom.sink(), &q.qubits, k, builtin == Builtin::Rotl)?;
+                    Ok(Value::Void.into())
                 }
-                (Err((u, _)), _) | (_, Err(u)) => self.dom.note(u, UNKNOWN_ROTATION),
-            }
-            return Ok(Value::Void.into());
+                (Err((u, q)), _) => self.dom.unknown_op(u, UnknownOp::Rotate(q, false)),
+                (Ok(q), Err(u)) => {
+                    let q = Value::Quantum(q).into();
+                    self.dom.unknown_op(u, UnknownOp::Rotate(q, false))
+                }
+            };
         }
         let mut v = self.eval(&args[0])?;
         if matches!(
@@ -1641,13 +1677,19 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     }
 }
 
-const UNKNOWN_ROTATION: &str = "cyclic shift by a run-dependent amount: rotation network unknown";
-
 /// True for an int or bool, known or not.
 fn int_like<D: Domain>(v: &D::Val) -> bool {
     match D::value(v) {
         Ok(v) => matches!(v, Value::Int(_) | Value::Bool(_)),
         Err(_) => matches!(D::type_of(v), Some(Type::Int | Type::Bool)),
+    }
+}
+
+/// True for a register, known or not.
+fn register<D: Domain>(v: &D::Val) -> bool {
+    match D::value(v) {
+        Ok(v) => matches!(v, Value::Quantum(_)),
+        Err(_) => D::type_of(v).is_some_and(|t| t.is_quantum()),
     }
 }
 

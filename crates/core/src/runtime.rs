@@ -447,10 +447,10 @@ impl Domain for Run {
     fn search(
         it: &mut Interp<'_, '_, Self>,
         pattern: Result<Vec<bool>, Infallible>,
-        hay: &QuantumRef,
+        hay: Result<&QuantumRef, Infallible>,
         span: Span,
     ) -> QutesResult<Value> {
-        let Ok(pattern) = pattern;
+        let (Ok(pattern), Ok(hay)) = (pattern, hay);
         let h = &mut it.dom.handler;
         let m = pattern.len();
         if m == 0 {

@@ -301,6 +301,40 @@ fn inexact_estimates_are_upper_bounds() {
              if (m) { int z = 0; } else { a = r; }\n\
              hadamard a; hadamard a; hadamard r; hadamard r;\n",
         ),
+        // The same with wider registers: a gate, measurement, addition
+        // or shift on a register of unknown qubits is counted at the
+        // widest register a run can hold.
+        (
+            "quint rebound by a loop",
+            "quint a = 3; quint r = 3; qubit q = |+>; bool m = q; int c = 0;\n\
+             while (m && c < 2) { if (c == 1) { a = r; } c += 1; }\n\
+             hadamard a; hadamard r;\n",
+        ),
+        (
+            "quint rebound by one branch",
+            "quint a = 3; quint r = 3; qubit q = |+>; bool m = q;\n\
+             if (m) { int z = 0; } else { a = r; }\n\
+             hadamard a; hadamard r;\n",
+        ),
+        (
+            "arithmetic on a rebound quint",
+            "quint a = 3; quint r = 12; qubit q = |+>; bool m = q; int c = 0;\n\
+             while (m && c < 2) { if (c == 1) { a = r; } c += 1; }\n\
+             a += 5; r -= 1; quint s = a + r; quint p = a * 2; a <<= 1; rotl(a, 1);\n\
+             quint t = a << 2; cnot q, a; print a; print s;\n",
+        ),
+        (
+            "qustring rebound by one branch",
+            "qustring a = \"01\"; qustring r = \"0110\"; qubit q = |+>; bool m = q;\n\
+             if (m) { int z = 0; } else { a = r; }\n\
+             hadamard a; pauliz a; hadamard r; print a;\n",
+        ),
+        (
+            "search in a rebound qustring",
+            "qustring a = \"01\"; qustring r = \"0110\"; qubit q = |+>; bool m = q;\n\
+             if (m) { int z = 0; } else { a = r; }\n\
+             bool f = \"11\" in a; print f;\n",
+        ),
         // A return from inside a `foreach` keeps what the loop variable
         // wrote.
         (
