@@ -8,12 +8,22 @@
 //! circuit lowering (`qutes_core::lower`, on a *shadow circuit* that
 //! implements the runtime handler's [`Emit`] trait) are the same code.
 //! This module is only the abstract domain: what a run does not have.
-//! Values may be run-dependent (`AVal`); an unknown operand reaches
-//! the lowering as a stand-in that emits the same gates (an unknown
-//! Draper constant becomes 0, an unknown phase angle 0.0); both sides of
-//! a branch on an unknown condition are explored; a loop of unknown trip
-//! count is havocked; and the slack of an inexact estimate is kept.
-//! Nothing allocates a statevector or samples.
+//! Values may be run-dependent (`AVal`); both sides of a branch on an
+//! unknown condition are explored; a loop of unknown trip count is
+//! havocked; and the slack of an inexact estimate is kept. Nothing
+//! allocates a statevector or samples.
+//!
+//! Where the walker lowers quantum code from an operand the estimator
+//! does not know, it asks for a known *stand-in* and runs its own arm on
+//! it (`Domain::stand_in`). A stand-in emits at least what any run
+//! emits: `true` for a bool or a qubit's bit, `i64::MAX` for an int
+//! promoted to a quint or used as a sum or product operand (the widest
+//! register, with the most X gates, that promotion builds), 0 for an
+//! in-place Draper constant (every constant emits the same gates), and
+//! for a register of unknown qubits a fresh register at the widest a run
+//! can hold, played on a scratch circuit whose gates, depth, extra qubits
+//! and measurements become slack (`Est::absorb`). An unknown phase angle
+//! emits the same one gate per qubit as any other.
 //!
 //! On programs whose control flow does not depend on measurement outcomes
 //! the resulting counts are **exact** (they match `qcirc`'s
@@ -21,18 +31,16 @@
 //! accumulates). Measurement-dependent branches are explored on both
 //! sides: when the two worlds build identical circuits the estimate stays
 //! exact, otherwise the larger world is kept and the difference becomes
-//! additive slack, making every figure an upper bound. Constructs whose
-//! circuit size is inherently run-dependent (the Grover-based `in`
-//! operator's BBHT schedule, unbounded `while` loops) mark the estimate
-//! inexact and leave a note. A loop whose trip count is unknown is walked
-//! once; then every variable its body may write is forgotten: what it
-//! assigns or passes to a call, the globals that the user functions it
-//! calls may write, through their own calls too, and the contents of
-//! every cell when any of them writes an element. A register it forgets
-//! becomes a register of unknown qubits. An operation on such a register
-//! (a gate, a measurement, quint arithmetic, a shift, an `in` search) is
-//! played on a scratch circuit at the widest register a run can hold,
-//! every qubit allocated so far, and what it emits becomes slack.
+//! additive slack, making every figure an upper bound; so does the
+//! Grover-based `in` operator, whose BBHT schedule is played at its worst
+//! case. A loop whose trip count is unknown is walked once; then every
+//! variable its body may write is forgotten: what it assigns or passes
+//! to a call, the globals that the user functions it calls may write,
+//! through their own calls too, and the contents of every cell when any
+//! of them writes an element. A register it forgets becomes a register
+//! of unknown qubits. More runs of the body would emit more, so such an
+//! estimate is *partial*, as is one that stopped early: its figures count
+//! only what was walked and bound nothing.
 //!
 //! Storage has the runtime's shape: an array is a list of cells in the
 //! estimator's heap, shared by declarations, assignments, arguments and
@@ -40,15 +48,15 @@
 //! its element's cell; and a by-reference argument moves the caller's
 //! variable into a cell that the parameter shares.
 
-use qutes_core::interp::{Arith, Binding, Domain, Flow, Interp, UnknownOp};
-use qutes_core::lower::{self, Emit, Operand, SubstringSearch};
+use qutes_core::interp::{Arith, Binding, Domain, Flow, Interp, Role, UnknownOp};
+use qutes_core::lower::{Emit, SubstringSearch};
 use qutes_core::ops;
 use qutes_core::resolution::{
     Builtin, Callee, DeclSlot, Expr, ExprKind, Loc, Place, Resolution, Stmt,
 };
 use qutes_core::value::{QKind, QuantumRef, Value};
-use qutes_core::{types, QutesError, QutesResult, TypeCastingHandler as Cast};
-use qutes_frontend::ast::{GateKind, Program, Type};
+use qutes_core::{types, QutesError, QutesResult};
+use qutes_frontend::ast::{Program, Type};
 use qutes_frontend::Span;
 use qutes_qcirc::{Gate, QuantumCircuit};
 
@@ -70,6 +78,10 @@ pub struct ResourceEstimate {
     pub measurements: usize,
     /// True when every figure is exact for any run of the program.
     pub exact: bool,
+    /// True when the figures are not a bound either: estimation stopped
+    /// early, or walked the body of a loop of unknown trip count once.
+    /// They count only what was walked.
+    pub partial: bool,
     /// True when every gate the program can emit (on any branch the
     /// estimator explored) is Clifford — H/X/Y/Z/S/S†/CX/CY/CZ/Swap,
     /// measurement, reset. Forced `false` when estimation gives up
@@ -89,6 +101,7 @@ impl Default for ResourceEstimate {
             depth: 0,
             measurements: 0,
             exact: true,
+            partial: false,
             clifford_only: true,
             notes: Vec::new(),
         }
@@ -99,7 +112,7 @@ impl ResourceEstimate {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "resources: {} qubit{}, {} gate{}, depth {}, {} measurement{} ({})",
+            "resources: {} qubit{}, {} gate{}, depth {}, {} measurement{} ({}{})",
             self.qubits,
             plural(self.qubits),
             self.gates,
@@ -107,11 +120,15 @@ impl ResourceEstimate {
             self.depth,
             self.measurements,
             plural(self.measurements),
-            match (self.exact, self.clifford_only) {
-                (true, true) => "exact, clifford-only",
-                (true, false) => "exact",
-                (false, true) => "upper bound, clifford-only",
+            match (self.exact, self.partial) {
+                (true, _) => "exact",
+                (false, true) => "partial",
                 (false, false) => "upper bound",
+            },
+            if self.clifford_only {
+                ", clifford-only"
+            } else {
+                ""
             },
         )
     }
@@ -166,8 +183,8 @@ impl From<Value> for AVal {
     }
 }
 
-const LOST_REGISTER: &str = "operation on a register the estimator lost track of (or by an \
-     amount it lost): counted at the widest register a run can hold";
+const STAND_IN: &str = "quantum code lowered from an operand the estimator does not know (a \
+     run-dependent value, a register's qubits): counted at the widest a run can give it";
 
 /// The error estimation stops with: the program would fail at run time
 /// too, or a budget ran out. The caller marks the estimate inexact.
@@ -190,12 +207,12 @@ struct Est {
     free: Vec<usize>,
     measurements: usize,
     exact: bool,
+    partial: bool,
     clifford_only: bool,
     notes: Vec<String>,
-    slack_gates: usize,
-    slack_depth: usize,
-    slack_qubits: usize,
-    slack_meas: usize,
+    /// What an inexact estimate adds to the shadow circuit's qubits,
+    /// gates, depth and measurements (the order of [`Est::totals`]).
+    slack: [usize; 4],
 }
 
 /// The walker over the abstract domain: one world of the estimate.
@@ -210,6 +227,7 @@ pub(crate) fn estimate_resolved(program: &Resolution<'_>) -> ResourceEstimate {
             .inexact("estimation stopped early (budget exhausted or un-analyzable construct)");
         // Unknown gates may follow the stop point.
         world.dom.clifford_only = false;
+        world.dom.partial = true;
     }
     world.dom.finish()
 }
@@ -223,13 +241,22 @@ impl Est {
         }
     }
 
+    /// Qubits, gates, depth and measurements, slack included.
+    fn totals(&self) -> [usize; 4] {
+        let c = &self.circ;
+        let counted = [c.num_qubits(), c.size(), c.depth(), self.measurements];
+        std::array::from_fn(|i| counted[i] + self.slack[i])
+    }
+
     fn finish(self) -> ResourceEstimate {
+        let [qubits, gates, depth, measurements] = self.totals();
         ResourceEstimate {
-            qubits: self.circ.num_qubits() + self.slack_qubits,
-            gates: self.circ.size() + self.slack_gates,
-            depth: self.circ.depth() + self.slack_depth,
-            measurements: self.measurements + self.slack_meas,
+            qubits,
+            gates,
+            depth,
+            measurements,
             exact: self.exact,
+            partial: self.partial,
             clifford_only: self.clifford_only,
             notes: self.notes,
         }
@@ -256,129 +283,18 @@ impl Est {
         Ok(())
     }
 
-    /// The most qubits a register the estimator holds as `v` can have in
-    /// any run: a known register's own, one for a qubit, and otherwise
-    /// every qubit allocated so far, since no register is wider. `None`
-    /// for a classical value.
-    fn width_bound(&self, v: &AVal) -> Option<usize> {
-        match v {
-            AVal::Known(Value::Quantum(q)) => Some(q.width()),
-            AVal::Unknown(Type::Qubit) => Some(1),
-            AVal::Unknown(t) if t.is_quantum() => Some(self.circ.num_qubits() + self.slack_qubits),
-            AVal::Lost => Some(self.circ.num_qubits() + self.slack_qubits),
-            _ => None,
-        }
-    }
-
-    /// Plays `op` on a scratch circuit whose fresh registers have the
-    /// given widths, and adds what it emits to the slack: its gates, its
-    /// depth (appending a circuit adds at most its depth), the qubits it
-    /// allocates beyond those registers and its measurements. Lowering a
-    /// register of a run-dependent width at its widest bound every run.
-    fn on_scratch<R>(
-        &mut self,
-        widths: &[usize],
-        op: impl FnOnce(&mut Est, &[Vec<usize>]) -> QutesResult<R>,
-    ) -> QutesResult<R> {
-        let mut scratch = Est::new();
-        let regs =
-            (widths.iter().map(|&w| scratch.allocate("", w))).collect::<QutesResult<Vec<_>>>()?;
-        let r = op(&mut scratch, &regs)?;
-        self.absorb(scratch, widths.iter().sum());
-        Ok(r)
-    }
-
     /// Adds what a scratch circuit that starts with `width` stand-in
-    /// qubits holds to the slack (see [`Est::on_scratch`]).
+    /// qubits holds to the slack: its gates, its depth (appending a
+    /// circuit adds at most its depth), the qubits it allocates beyond
+    /// the stand-ins and its measurements.
     fn absorb(&mut self, scratch: Est, width: usize) {
-        self.slack_gates += scratch.circ.size() + scratch.slack_gates;
-        self.slack_depth += scratch.circ.depth() + scratch.slack_depth;
-        self.slack_qubits += scratch.circ.num_qubits() - width + scratch.slack_qubits;
-        self.slack_meas += scratch.measurements + scratch.slack_meas;
+        for (s, t) in self.slack.iter_mut().zip(scratch.totals()) {
+            *s += t;
+        }
+        self.slack[0] -= width;
         self.clifford_only &= scratch.clifford_only;
+        self.partial |= scratch.partial;
         scratch.notes.iter().for_each(|n| self.inexact(n));
-    }
-
-    /// Converts a value the estimator does not know to type `ty`:
-    /// identity, widening, measurement of a register it lost, or
-    /// promotion through a stand-in.
-    fn coerce(&mut self, v: AVal, ty: &Type) -> QutesResult<AVal> {
-        match v {
-            AVal::Unknown(t) if t == *ty => Ok(AVal::Unknown(t)),
-            AVal::Array(items) if matches!(ty, Type::Array(_)) => Ok(AVal::Array(items)),
-            AVal::Lost => {
-                if ty.is_quantum() {
-                    self.inexact("value promoted to a quantum register of run-dependent width");
-                    self.slack_qubits += 1;
-                }
-                Ok(AVal::Lost)
-            }
-            AVal::Unknown(t) if t.is_quantum() && ty.is_classical() => {
-                let m = self.measure(AVal::Unknown(t), false)?;
-                self.coerce(m, ty)
-            }
-            AVal::Unknown(t) if t.is_quantum() => Ok(match ty {
-                Type::Qubit => AVal::Lost,
-                _ => AVal::Unknown(ty.clone()),
-            }),
-            AVal::Unknown(Type::Int) if *ty == Type::Float => Ok(AVal::Unknown(Type::Float)),
-            AVal::Unknown(t) if ty.is_quantum() => self.promote(&t, ty),
-            _ => Err(stop()),
-        }
-    }
-
-    /// Type promotion of a run-dependent classical value into a fresh
-    /// register, through the runtime's `TypeCastingHandler::promote`
-    /// with a stand-in: `|0>` for a qubit (the X gate a 1 would add
-    /// becomes slack), or a 1-qubit register for a quint or qustring,
-    /// whose real width is unknown.
-    fn promote(&mut self, from: &Type, ty: &Type) -> QutesResult<AVal> {
-        let (kind, value, note) = match (ty, from) {
-            (Type::Qubit, Type::Bool | Type::Int) => (
-                QKind::Qubit,
-                Value::Bool(false),
-                "qubit prepared from a run-dependent classical bit",
-            ),
-            (Type::Quint, Type::Bool | Type::Int) => (
-                QKind::Quint,
-                Value::Int(0),
-                "quint promoted from a run-dependent integer: width unknown",
-            ),
-            (Type::Qustring, Type::String) => (
-                QKind::Qustring,
-                Value::Str("0".into()),
-                "qustring promoted from a run-dependent string: width unknown",
-            ),
-            _ => return Err(stop()),
-        };
-        let promoted = Cast::promote(self, "", &value, kind, Span::default())?;
-        self.inexact(note);
-        if kind == QKind::Qubit {
-            // The X gate a 1 would add, wherever it lands.
-            self.slack_gates += 1;
-            self.slack_depth += 1;
-        }
-        Ok(Value::Quantum(promoted).into())
-    }
-
-    /// Measures a value the estimator does not know: a register it lost
-    /// is measured at its widest, as slack. A conversion (`explicit`
-    /// false) passes classical values through.
-    fn measure(&mut self, v: AVal, explicit: bool) -> QutesResult<AVal> {
-        let measured = match &v {
-            AVal::Unknown(t) if t.is_quantum() => {
-                AVal::Unknown(types::measured(t).ok_or_else(stop)?)
-            }
-            AVal::Lost if explicit => AVal::Lost,
-            _ if !explicit => return Ok(v),
-            _ => return Err(stop()),
-        };
-        if v != AVal::Unknown(Type::Qubit) {
-            self.inexact("measure of a value the estimator lost track of");
-        }
-        let width = self.width_bound(&v).ok_or_else(stop)?;
-        self.on_scratch(&[width], |s, r| s.shadow_measure(&r[0]))?;
-        Ok(measured)
     }
 }
 
@@ -481,41 +397,19 @@ impl Domain for Est {
     fn search(
         it: &mut World<'_, '_>,
         pattern: Result<Vec<bool>, ()>,
-        hay: Result<&QuantumRef, ()>,
+        hay: &[usize],
         _: Span,
     ) -> QutesResult<AVal> {
-        let Ok(hay) = hay else {
-            // A text the estimator lost track of is searched at its
-            // widest, in a scratch world.
-            let width = it.dom.width_bound(&AVal::Lost).ok_or_else(stop)?;
-            let mut scratch = it.clone();
-            scratch.dom = Est::new();
-            let qubits = scratch.dom.allocate("", width)?;
-            let text = QuantumRef {
-                qubits,
-                kind: QKind::Qustring,
-            };
-            let found = Self::search(&mut scratch, pattern, Ok(&text), Span::default())?;
-            it.steps = scratch.steps;
-            it.dom.absorb(scratch.dom, width);
-            return Ok(found);
-        };
-        let hay = &hay.qubits;
         let n = hay.len();
         it.dom.inexact(
             "Grover substring search ('in'): the BBHT schedule is randomized, so the \
              mirrored counts are its worst case",
         );
         match pattern {
-            Ok(b) if b.is_empty() => Ok(Value::Bool(true).into()),
-            Ok(b) if b.len() > n => Ok(Value::Bool(false).into()),
-            Ok(b) => {
-                worst_case_search(it, &b, hay)?;
-                Ok(AVal::Unknown(Type::Bool))
-            }
+            Ok(b) => worst_case_search(it, &b, hay)?,
             // Any non-empty pattern misses an empty text; the empty one
             // matches. Either way no circuit is built.
-            Err(()) if n == 0 => Ok(AVal::Unknown(Type::Bool)),
+            Err(()) if n == 0 => {}
             Err(()) => {
                 // Bound every length, keep the world with the most gates,
                 // and fold the other lengths' excesses into additive
@@ -527,9 +421,9 @@ impl Domain for Est {
                 });
                 let worlds = worlds.collect::<QutesResult<Vec<_>>>()?;
                 keep_largest(it, worlds)?;
-                Ok(AVal::Unknown(Type::Bool))
             }
         }
+        Ok(AVal::Unknown(Type::Bool))
     }
 
     /// Dürr–Høyer runs on its own internal circuit, so it costs nothing
@@ -561,12 +455,10 @@ impl Domain for Est {
         self.inexact(why);
     }
 
-    fn unknown_op(&mut self, _: (), op: UnknownOp<'_, AVal>) -> QutesResult<AVal> {
+    fn unknown_op(&mut self, _: (), op: UnknownOp<AVal>) -> QutesResult<AVal> {
         use qutes_frontend::ast::{BinOp::*, UnOp};
         use AVal::{Lost, Unknown};
         Ok(match op {
-            UnknownOp::Coerce(v, ty) => return self.coerce(v, ty),
-            UnknownOp::Measure(v, explicit) => return self.measure(v, explicit),
             // The operation still type-checks; only the value is lost.
             UnknownOp::Binary(op, l, r) => match (l, r) {
                 (Lost, _) | (_, Lost) => Lost,
@@ -602,101 +494,99 @@ impl Domain for Est {
                 }
                 _ => return Err(stop()),
             },
-            // The Draper adder emits the same gates for every constant
-            // (only the phase angles differ), so an unknown addend lowers
-            // exactly as 0; a bool is one qubit wide whatever its value.
-            UnknownOp::Operand(v, arith) => match (arith, v) {
-                (Arith::InPlace, Unknown(Type::Int | Type::Bool))
-                | (Arith::Sum, Unknown(Type::Bool)) => Value::Int(0).into(),
-                (Arith::InPlace, Lost) => {
-                    self.inexact("quint arithmetic with an operand the estimator lost track of");
-                    Lost
-                }
-                (Arith::Sum, Unknown(Type::Int) | Lost) => {
-                    self.inexact(
-                        "quint arithmetic with a run-dependent operand: result width unknown",
-                    );
-                    Lost
-                }
-                (Arith::Product, Unknown(Type::Int | Type::Bool) | Lost) => {
-                    self.inexact("quint multiplication by a run-dependent factor: width unknown");
-                    Lost
-                }
-                _ => return Err(stop()),
-            },
-            // A gate on qubits the estimator cannot name is played at
-            // their widest as slack: on one qubit, one instruction and
-            // one layer wherever it lands. A cnot counts as a fan-out
-            // from one control, which has as many gates as the pairwise
-            // form and at least its layers.
-            UnknownOp::Gate(gate, operands) => {
-                let widths = (operands.iter())
-                    .map(|o| match o {
-                        Ok(q) => Some(q.width()),
-                        Err(v) => self.width_bound(v),
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(stop)?;
-                if widths.iter().any(|&w| w > 1) {
-                    self.inexact(LOST_REGISTER);
-                }
-                self.on_scratch(&widths, |s, r| match r {
-                    [c, t] => lower::cnot(s, &c[..c.len().min(1)], t, Span::default()),
-                    [q] => lower::gate_each(s, gate, q, 0.0, Span::default()),
-                    _ => Err(stop()),
-                })?;
-                // A phase gate of unknown angle may be non-Clifford.
-                self.clifford_only &= gate != GateKind::Phase;
-                Value::Void.into()
+        })
+    }
+
+    /// The stand-ins of the module doc. A register of unknown qubits, or a
+    /// rotation by an unknown amount, puts the whole operation on a
+    /// scratch circuit, known registers too. A register the operation
+    /// returns is one of unknown qubits unless every stand-in was exact.
+    fn stand_in<'p, 'a, const N: usize>(
+        it: &mut World<'p, 'a>,
+        _: (),
+        vals: [AVal; N],
+        roles: [Role; N],
+        arm: impl FnOnce(&mut World<'p, 'a>, [AVal; N]) -> QutesResult<AVal>,
+    ) -> QutesResult<AVal> {
+        use AVal::{Known, Lost, Unknown};
+        // No register is wider than every qubit allocated so far. A `cnot`
+        // counts as a fan-out from one control, which has as many gates as
+        // the pairwise form and at least its layers.
+        let widest = it.dom.totals()[0];
+        let widths: [Option<usize>; N] = std::array::from_fn(|i| {
+            let w = match (&vals[i], roles[i]) {
+                (Known(Value::Quantum(q)), _) => q.width(),
+                (Unknown(Type::Qubit), _) => 1,
+                (Unknown(Type::Quint | Type::Qustring), _)
+                | (Lost, Role::Register | Role::Control) => widest,
+                _ => return None,
+            };
+            match roles[i] {
+                Role::Register | Role::Operand(_) => Some(w),
+                Role::Control => Some(w.min(1)),
+                _ => None,
             }
-            UnknownOp::Arith(arith, reg, rhs, subtract) => {
-                let width = self.width_bound(&reg).ok_or_else(stop)?;
-                // An unknown constant is as wide as any int (the in-place
-                // adder's gates do not depend on it).
-                let (rhs, k) = match rhs {
-                    AVal::Known(Value::Quantum(q)) => (Some(q.width()), 0),
-                    Unknown(Type::Quint) => (self.width_bound(&rhs), 0),
-                    AVal::Known(v) => match Operand::of(&v) {
-                        Some(Operand::Const(k)) => (None, k),
-                        _ => return Err(stop()),
-                    },
-                    Unknown(Type::Int) => (None, i64::MAX as u64),
-                    Unknown(Type::Bool) => (None, 1),
+        });
+        let on_scratch = (vals.iter().zip(roles).zip(&widths))
+            .any(|((v, role), w)| !matches!(v, Known(_)) && (w.is_some() || role == Role::Amount));
+        let mut scratch = on_scratch.then(Est::new);
+        // A rotation of `n` qubits by 2 (by 1 below four qubits) has the
+        // most swaps of any amount, in the most layers.
+        let n = widths.iter().flatten().next().copied().unwrap_or(0);
+        let mut exact = true;
+        let values = vals
+            .into_iter()
+            .zip(roles)
+            .zip(widths)
+            .map(|((v, role), w)| {
+                if let (Some(w), Some(scratch)) = (w, &mut scratch) {
+                    let kind = Self::type_of(&v).as_ref().and_then(QKind::of);
+                    let kind = kind.unwrap_or(QKind::Quint);
+                    let qubits = scratch.allocate("", w)?;
+                    return Ok(Value::Quantum(QuantumRef { qubits, kind }).into());
+                }
+                let v = match (v, role) {
+                    (v @ Known(_), _) => return Ok(v),
+                    // The Draper adder emits the same gates for every constant
+                    // (only the phase angles differ); a bool is one qubit wide
+                    // whatever its value.
+                    (Unknown(Type::Int | Type::Bool), Role::Operand(Arith::InPlace))
+                    | (Unknown(Type::Bool), Role::Operand(Arith::Sum)) => Value::Int(0),
+                    (Unknown(Type::Int) | Lost, Role::Amount) => Value::Int(1 + i64::from(n >= 4)),
+                    // `TypeCastingHandler::promote` builds its widest register,
+                    // with the most X gates, from these.
+                    (Unknown(Type::Int | Type::Bool) | Lost, Role::Promoted(QKind::Qubit))
+                    | (Unknown(Type::Bool), Role::Promoted(QKind::Quint) | Role::Operand(_)) => {
+                        exact = false;
+                        Value::Bool(true)
+                    }
+                    (Unknown(Type::Int) | Lost, Role::Promoted(QKind::Quint))
+                    | (Unknown(Type::Int), Role::Operand(_)) => {
+                        exact = false;
+                        Value::Int(i64::MAX)
+                    }
                     _ => return Err(stop()),
                 };
-                self.inexact(LOST_REGISTER);
-                let widths: Vec<usize> = std::iter::once(width).chain(rhs).collect();
-                self.on_scratch(&widths, |s, r| {
-                    let operand = r.get(1).map_or(Operand::Const(k), |b| Operand::Quint(b));
-                    match arith {
-                        Arith::InPlace => lower::add_sub_in_place(s, &r[0], operand, subtract),
-                        Arith::Sum => lower::add_sub_expr(s, &r[0], operand, subtract).map(drop),
-                        Arith::Product => lower::mul_expr(s, &r[0], operand).map(drop),
-                    }
-                })?;
-                match arith {
-                    Arith::InPlace => Value::Void.into(),
-                    Arith::Sum | Arith::Product => Unknown(Type::Quint),
-                }
+                Ok(v.into())
+            });
+        let values = values.collect::<QutesResult<Vec<_>>>()?;
+        let values = <[AVal; N]>::try_from(values).map_err(|_| stop())?;
+        if !exact || (on_scratch && widths.iter().flatten().any(|&w| w > 1)) {
+            it.dom.inexact(STAND_IN);
+        }
+        let result = match scratch {
+            None => arm(it, values)?,
+            Some(scratch) => {
+                let outer = std::mem::replace(&mut it.dom, scratch);
+                let result = arm(it, values);
+                let scratch = std::mem::replace(&mut it.dom, outer);
+                it.dom.absorb(scratch, widths.iter().flatten().sum());
+                result?
             }
-            // Any rotation of `n` qubits is three layers of disjoint swaps,
-            // `n` swaps at most; a shifted copy first copies the register
-            // into fresh qubits.
-            UnknownOp::Rotate(reg, copy) => {
-                let width = self.width_bound(&reg).ok_or_else(stop)?;
-                self.inexact(LOST_REGISTER);
-                if copy {
-                    self.on_scratch(&[width], |s, r| lower::cx_copy(s, &r[0], width, ""))?;
-                }
-                self.slack_gates += width;
-                self.slack_depth += 3;
-                match reg {
-                    AVal::Known(Value::Quantum(q)) if copy => Unknown(q.kind.as_type()),
-                    Unknown(t) if copy => Unknown(t),
-                    _ if copy => Lost,
-                    _ => Value::Void.into(),
-                }
-            }
+        };
+        Ok(match result {
+            Known(Value::Quantum(q)) if on_scratch || !exact => Unknown(q.kind.as_type()),
+            r => r,
         })
     }
 
@@ -722,6 +612,7 @@ impl Domain for Est {
         // claim — the discarded world's gates survive only as slack
         // counts, so the bit must be merged before a world is dropped.
         let clifford_only = a.dom.clifford_only && b.dom.clifford_only;
+        let partial = a.dom.partial || b.dom.partial;
         let (x, y) = (&a.dom, &b.dom);
         let same_world = x.circ.ops() == y.circ.ops()
             && x.circ.num_qubits() == y.circ.num_qubits()
@@ -729,9 +620,7 @@ impl Domain for Est {
             && x.measurements == y.measurements
             && a.slots == b.slots
             && x.heap == y.heap
-            && x.slack_gates == y.slack_gates
-            && x.slack_qubits == y.slack_qubits
-            && x.slack_meas == y.slack_meas;
+            && x.slack == y.slack;
         let returned = |w: &World<'_, '_>, f| (f == Flow::Return).then(|| w.returned.clone());
         let (ra, rb) = (returned(&a, fa), returned(&b, fb));
         if same_world {
@@ -739,21 +628,21 @@ impl Domain for Est {
         } else {
             // A register the worlds hold on different qubits may be on
             // either: its qubits are no longer known.
-            let rebound = |x: &AVal, y: &AVal| {
-                x != y
-                    && matches!(
-                        (x, y),
-                        (AVal::Known(Value::Quantum(_)), _) | (_, AVal::Known(Value::Quantum(_)))
-                    )
+            let forget_rebound = |x: &mut AVal, y: &mut AVal| {
+                let register = |v: &AVal| matches!(v, AVal::Known(Value::Quantum(_)));
+                if x != y && (register(x) || register(y)) {
+                    x.forget(true);
+                    y.forget(true);
+                }
             };
-            let slots: Vec<usize> = (a.slots.iter().zip(&b.slots).enumerate())
-                .filter(|(_, pair)| matches!(pair, (Binding::Owned(x), Binding::Owned(y)) if rebound(x, y)))
-                .map(|(i, _)| i)
-                .collect();
-            let cells: Vec<usize> = (a.dom.heap.iter().zip(&b.dom.heap).enumerate())
-                .filter(|(_, (x, y))| rebound(x, y))
-                .map(|(i, _)| i)
-                .collect();
+            for pair in a.slots.iter_mut().zip(&mut b.slots) {
+                if let (Binding::Owned(x), Binding::Owned(y)) = pair {
+                    forget_rebound(x, y);
+                }
+            }
+            for (x, y) in a.dom.heap.iter_mut().zip(&mut b.dom.heap) {
+                forget_rebound(x, y);
+            }
             // `a` is kept on a tie.
             keep_largest(it, [b, a])?;
             it.dom.inexact(
@@ -762,19 +651,10 @@ impl Domain for Est {
             );
             // Values that differ between the worlds are no longer known.
             havoc_all(it);
-            for i in slots {
-                if let Some(Binding::Owned(v)) = it.slots.get_mut(i) {
-                    v.forget(true);
-                }
-            }
-            for i in cells {
-                if let Some(v) = it.dom.heap.get_mut(i) {
-                    v.forget(true);
-                }
-            }
         }
         it.steps = steps;
         it.dom.clifford_only = clifford_only;
+        it.dom.partial = partial;
         if same_world && ra.is_some() != rb.is_some() {
             it.dom
                 .inexact("a measurement-dependent branch may return early");
@@ -800,6 +680,8 @@ impl Domain for Est {
             it.dom.heap.iter_mut().for_each(|v| v.forget(true));
             return;
         };
+        // More runs of the body would emit more.
+        it.dom.partial = true;
         let mut writes = Writes::of(std::slice::from_ref(s));
         let mut walked = vec![false; it.functions.len()];
         while let Some(f) = writes.calls.pop() {
@@ -814,12 +696,7 @@ impl Domain for Est {
             }
         }
         for &at in &writes.locs {
-            let slot = match at {
-                Loc::Local(i) => it.base + i as usize,
-                Loc::Global(i) => i as usize,
-                Loc::Unresolved => continue,
-            };
-            match it.slots.get_mut(slot) {
+            match it.slot(at).and_then(|i| it.slots.get_mut(i)) {
                 Some(Binding::Owned(v)) => v.forget(true),
                 Some(Binding::Shared(c)) => {
                     if let Some(v) = it.dom.heap.get_mut(*c) {
@@ -906,23 +783,16 @@ fn keep_largest<'p, 'a>(
     let mut max = [0; 4];
     let mut kept: Option<([usize; 4], World<'p, 'a>)> = None;
     for w in worlds {
-        let d = &w.dom;
-        let t = [
-            d.circ.size() + d.slack_gates,
-            d.circ.depth() + d.slack_depth,
-            d.circ.num_qubits() + d.slack_qubits,
-            d.measurements + d.slack_meas,
-        ];
+        let t = w.dom.totals();
         max = std::array::from_fn(|i| max[i].max(t[i]));
-        if kept.as_ref().is_none_or(|(k, _)| t[0] >= k[0]) {
+        if kept.as_ref().is_none_or(|(k, _)| t[1] >= k[1]) {
             kept = Some((t, w));
         }
     }
     let (t, mut kept) = kept.ok_or_else(stop)?;
-    kept.dom.slack_gates += max[0] - t[0];
-    kept.dom.slack_depth += max[1] - t[1];
-    kept.dom.slack_qubits += max[2] - t[2];
-    kept.dom.slack_meas += max[3] - t[3];
+    for ((s, m), t) in kept.dom.slack.iter_mut().zip(max).zip(t) {
+        *s += m - t;
+    }
     *it = kept;
     Ok(())
 }
@@ -1173,6 +1043,43 @@ mod tests {
         let e = est("qubit a = |1>;\nprint a;\n");
         assert!(e.summary().contains("exact"));
         assert!(e.summary().contains("1 qubit,"));
+    }
+
+    #[test]
+    fn an_estimate_that_stopped_early_is_partial() {
+        // The step budget trips before the gate: the run builds 1 qubit
+        // and 1 gate, the estimate counts none.
+        let e = est("int i = 0; while (i < 100000) { i += 1; } qubit q = |0>; hadamard q;");
+        assert!(e.partial && !e.exact, "notes: {:?}", e.notes);
+        assert!(e.summary().ends_with("(partial)"), "{}", e.summary());
+    }
+
+    #[test]
+    fn a_loop_of_unknown_trip_count_is_partial() {
+        // `a` is a register of unknown qubits after the branch, so the
+        // loop over it is walked once: 6 gates, while a run at seed 1
+        // builds 9.
+        let e = est(
+            "qustring a = \"01\"; qustring r = \"0110\"; qubit q = |+>; qubit t = |0>;\n\
+             bool m = q; if (m) { int z = 0; } else { a = r; }\n\
+             foreach b in a { hadamard t; }\n",
+        );
+        assert!(e.partial && !e.exact, "notes: {:?}", e.notes);
+        assert!(
+            e.summary().ends_with("(partial, clifford-only)"),
+            "{}",
+            e.summary()
+        );
+        let e = est("qubit q = |+>; bool m = q; int i = 0;\nwhile (m && i < 3) { i += 1; }\n");
+        assert!(e.partial, "notes: {:?}", e.notes);
+    }
+
+    #[test]
+    fn a_divergent_branch_is_an_upper_bound_not_partial() {
+        let e =
+            est("qubit q = |+>;\nqubit t = |0>;\nbool b = q;\nif (b) {\n  not t;\n} else {\n}\n");
+        assert!(!e.exact && !e.partial, "notes: {:?}", e.notes);
+        assert!(e.summary().contains("(upper bound"), "{}", e.summary());
     }
 
     #[test]

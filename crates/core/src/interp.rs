@@ -15,10 +15,13 @@
 //! The hooks of [`Domain`] cover only what differs: values and cells,
 //! branching on a condition the domain does not know, loops of unknown
 //! trip count, draws (measurement, the `in` search, `qmin`/`qmax`),
-//! budgets, `print`, and the sink. A hook that only an abstract domain
-//! can reach takes a [`Domain::Unknown`] witness, which is uninhabited in
-//! the concrete domain, so the compiler proves that a run never gets
-//! there and drops those paths from the concrete walker.
+//! budgets, `print`, and the sink. An operand the domain does not know,
+//! in a place that lowers quantum code, is replaced by a known stand-in
+//! the domain picks ([`Domain::stand_in`]), and the walker's own arm runs
+//! on it: conversion and lowering are written once. A hook that only an
+//! abstract domain can reach takes a [`Domain::Unknown`] witness, which
+//! is uninhabited in the concrete domain, so the compiler proves that a
+//! run never gets there and drops those paths from the concrete walker.
 //!
 //! [`QuantumCircuitHandler`]: crate::handler::QuantumCircuitHandler
 
@@ -59,8 +62,7 @@ pub enum Binding<V, C> {
     Shared(C),
 }
 
-/// Which quint operation an operand feeds, for a domain that must stand
-/// in for an operand it does not know.
+/// Which quint operation an operand feeds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Arith {
     /// `q += x` / `q -= x`: the Draper adder, whose gates do not depend
@@ -70,6 +72,24 @@ pub enum Arith {
     Sum,
     /// `q * x`: a fresh product register.
     Product,
+}
+
+/// The place an operand takes in the quantum code the walker lowers: it
+/// picks a domain's stand-in for the operand ([`Domain::stand_in`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// The register an operation acts on: a gate's, a measurement's, or
+    /// the left side of quint arithmetic, a shift or `in`.
+    Register,
+    /// A `cnot`'s control.
+    Control,
+    /// A value converted to this quantum kind: a classical one is
+    /// promoted into a fresh register.
+    Promoted(QKind),
+    /// The right side of quint arithmetic.
+    Operand(Arith),
+    /// A shift or rotation amount.
+    Amount,
 }
 
 /// What the walker needs of the domain it runs over.
@@ -94,7 +114,7 @@ pub trait Domain: Sized {
     /// one `Value` for it.
     fn value(v: &Self::Val) -> Result<&Value, Self::Unknown>;
     /// [`Self::value`], by value; `Err` returns the value with the witness.
-    fn split(v: Self::Val) -> Result<Value, Opaque<Self>>;
+    fn split(v: Self::Val) -> Result<Value, (Self::Unknown, Self::Val)>;
     /// The type a `foreach` variable bound to `v` takes; `None` when the
     /// domain has lost it.
     fn type_of(v: &Self::Val) -> Option<Type>;
@@ -126,11 +146,13 @@ pub trait Domain: Sized {
 
     /// Measures a register into a classical value.
     fn measure(&mut self, q: &QuantumRef) -> QutesResult<Self::Val>;
-    /// `pattern in hay` for a qustring haystack and a bitstring pattern.
+    /// `pattern in hay` for the qubits of a qustring haystack and a
+    /// bitstring pattern that is not empty and, when known, no longer
+    /// than the haystack.
     fn search(
         it: &mut Interp<'_, '_, Self>,
         pattern: Result<Vec<bool>, Self::Unknown>,
-        hay: Result<&QuantumRef, Self::Unknown>,
+        hay: &[usize],
         span: Span,
     ) -> QutesResult<Self::Val>;
     /// `qmin`/`qmax` over non-negative ints.
@@ -158,11 +180,17 @@ pub trait Domain: Sized {
     fn unknown(u: Self::Unknown, ty: Option<Type>) -> Self::Val;
     /// Records why the domain's result is not exact.
     fn note(&mut self, u: Self::Unknown, why: &str);
-    /// An operation with an operand the domain does not know.
-    fn unknown_op(
-        &mut self,
+    /// A classical operation with an operand the domain does not know.
+    fn unknown_op(&mut self, u: Self::Unknown, op: UnknownOp<Self::Val>) -> QutesResult<Self::Val>;
+    /// Runs `arm`, one of the walker's lowering arms, on `vals` with each
+    /// operand the domain does not know replaced by a known stand-in that
+    /// emits at least what any run emits in its [`Role`].
+    fn stand_in<'p, 'a, const N: usize>(
+        it: &mut Interp<'p, 'a, Self>,
         u: Self::Unknown,
-        op: UnknownOp<'_, Self::Val>,
+        vals: [Self::Val; N],
+        roles: [Role; N],
+        arm: impl FnOnce(&mut Interp<'p, 'a, Self>, [Self::Val; N]) -> QutesResult<Self::Val>,
     ) -> QutesResult<Self::Val>;
     /// Runs both sides of a branch on a condition the domain does not
     /// know.
@@ -184,34 +212,15 @@ pub trait Domain: Sized {
     fn end_block(_it: &mut Interp<'_, '_, Self>, _stmts: &[Stmt<'_>], _mark: usize, _flow: Flow) {}
 }
 
-/// A value a domain cannot name as a `Value`, with the witness.
-pub type Opaque<D> = (<D as Domain>::Unknown, <D as Domain>::Val);
-
-/// An operation whose operand (the value `V`) a domain does not know.
-pub enum UnknownOp<'t, V> {
-    /// Conversion to a declared type.
-    Coerce(V, &'t Type),
-    /// Measurement: a `measure` (`true`), or a conversion to a classical
-    /// value, which passes a classical value through.
-    Measure(V, bool),
-    /// A classical operator.
+/// A classical operation whose operand (the value `V`) a domain does not
+/// know.
+pub enum UnknownOp<V> {
+    /// A binary operator.
     Binary(BinOp, V, V),
     /// A unary operator.
     Unary(UnOp, V),
     /// `len`, `width`, `range`, a cast, `qmin` or `qmax`.
     Builtin(Builtin, V),
-    /// A quint-arithmetic operand: a known stand-in that emits the gates
-    /// the real one would, or a value with none.
-    Operand(V, Arith),
-    /// A gate whose operands are not all known registers.
-    Gate(GateKind, Vec<Result<QuantumRef, V>>),
-    /// Quint arithmetic on a register the domain does not know, or with a
-    /// quint operand it does not know: the register, the operand, and
-    /// whether it subtracts.
-    Arith(Arith, V, V, bool),
-    /// A cyclic shift of a register the domain does not know, or by an
-    /// amount it does not know: in place, or into a copy (`true`).
-    Rotate(V, bool),
 }
 
 /// An assignment target: a variable, an array element's cell, or a cell
@@ -297,8 +306,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
     // ---- variables ---------------------------------------------------------
 
+    /// The slot a variable's location names in the running frame.
     #[inline]
-    fn slot(&self, at: Loc) -> Option<usize> {
+    pub fn slot(&self, at: Loc) -> Option<usize> {
         match at {
             Loc::Local(slot) => Some(self.base + slot as usize),
             Loc::Global(slot) => Some(slot as usize),
@@ -685,7 +695,21 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         match D::split(v) {
             Ok(v) if ops::conforms(&v, ty) => Ok(v.into()),
             Ok(v) => self.convert(v, ty, name, span),
-            Err((u, v)) => self.dom.unknown_op(u, UnknownOp::Coerce(v, ty)),
+            // Between two classical or two quantum types no code is
+            // lowered, so a value the domain does not know only takes the
+            // type; a promotion or an auto-measurement runs `convert` on a
+            // stand-in.
+            Err((u, v)) => match D::type_of(&v) {
+                _ if matches!(ty, Type::Array(_)) && self.dom.cells(&v).is_some() => Ok(v),
+                Some(t) if t.is_quantum() == ty.is_quantum() => Ok(D::unknown(u, Some(ty.clone()))),
+                None if !ty.is_quantum() => Ok(v),
+                _ => {
+                    let role = QKind::of(ty).map_or(Role::Register, Role::Promoted);
+                    D::stand_in(self, u, [v], [role], |it, [v]| {
+                        it.convert(known::<D>(v)?, ty, name, span)
+                    })
+                }
+            },
         }
     }
 
@@ -713,7 +737,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 let measured = self.dom.measure(&q)?;
                 match D::split(measured) {
                     Ok(m) => Ok(ops::store_measured(classical, m, span)?.into()),
-                    Err((u, m)) => self.dom.unknown_op(u, UnknownOp::Coerce(m, classical)),
+                    Err((u, _)) => Ok(D::unknown(u, Some(classical.clone()))),
                 }
             }
             (ty, v) => Ok(ops::widen(v, ty, span)?.into()),
@@ -793,60 +817,44 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 let current = self.lhs_read(&lhs);
                 let rhs = self.eval(value_expr)?;
                 let subtract = op == AssignOp::Sub;
-                match D::value(&current) {
-                    Ok(Value::Quantum(q)) if q.kind == QKind::Quint => {
-                        let q = q.qubits.clone();
-                        self.quint_arith(Arith::InPlace, &q, rhs, subtract, span)?;
-                    }
-                    Err(u) if D::type_of(&current) == Some(Type::Quint) => {
-                        let op = UnknownOp::Arith(Arith::InPlace, current, rhs, subtract);
-                        self.dom.unknown_op(u, op)?;
-                    }
-                    _ => {
-                        let bin = if op == AssignOp::Add {
-                            BinOp::Add
-                        } else {
-                            BinOp::Sub
-                        };
-                        let result = self.classical_binary(bin, current, rhs, span)?;
-                        self.lhs_write(&lhs, result);
-                    }
+                if kind::<D>(&current) == Some(QKind::Quint) {
+                    self.quint_arith(Arith::InPlace, current, rhs, subtract, span)?;
+                } else {
+                    let bin = if op == AssignOp::Add {
+                        BinOp::Add
+                    } else {
+                        BinOp::Sub
+                    };
+                    let result = self.classical_binary(bin, current, rhs, span)?;
+                    self.lhs_write(&lhs, result);
                 }
             }
             AssignOp::Shl | AssignOp::Shr => {
                 let rhs = self.eval(value_expr)?;
-                let k = match D::value(&rhs) {
-                    Ok(v) => {
-                        let k = v.as_i64().ok_or_else(|| {
-                            QutesError::runtime("shift amount must be an integer", value_expr.span)
-                        })?;
-                        if k < 0 {
-                            return Err(QutesError::runtime(
-                                "shift amount must be >= 0",
-                                value_expr.span,
-                            ));
-                        }
-                        Ok(k as usize)
+                if let Ok(v) = D::value(&rhs) {
+                    let k = v.as_i64().ok_or_else(|| {
+                        QutesError::runtime("shift amount must be an integer", value_expr.span)
+                    })?;
+                    if k < 0 {
+                        return Err(QutesError::runtime(
+                            "shift amount must be >= 0",
+                            value_expr.span,
+                        ));
                     }
-                    Err(u) => Err(u),
-                };
+                }
                 let current = self.lhs_read(&lhs);
                 let left = op == AssignOp::Shl;
-                match (D::value(&current), k) {
+                match D::value(&current) {
                     // Cyclic shift in constant depth (paper §5).
-                    (Ok(Value::Quantum(q)), Ok(k)) => {
-                        let q = q.qubits.clone();
-                        lower::rotate(self.dom.sink(), &q, k, left)?;
+                    _ if kind::<D>(&current).is_some() => {
+                        self.rotate(current, rhs, left, value_expr.span)?;
                     }
-                    (Ok(Value::Quantum(_)), Err(u)) | (Err(u), _) if register::<D>(&current) => {
-                        self.dom.unknown_op(u, UnknownOp::Rotate(current, false))?;
-                    }
-                    (Ok(Value::Int(_)), _) | (Err(_), _) => {
+                    Ok(Value::Int(_)) | Err(_) => {
                         let shift = if left { BinOp::Shl } else { BinOp::Shr };
                         let v = self.classical_binary(shift, current, rhs, span)?;
                         self.lhs_write(&lhs, v);
                     }
-                    (Ok(other), _) => {
+                    Ok(other) => {
                         return Err(QutesError::runtime(
                             format!("cannot shift a {} value", other.type_name()),
                             span,
@@ -919,8 +927,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     fn classical(&mut self, v: D::Val) -> QutesResult<D::Val> {
         match D::value(&v) {
             Ok(Value::Quantum(q)) => self.dom.measure(q),
-            Ok(_) => Ok(v),
-            Err(u) => self.dom.unknown_op(u, UnknownOp::Measure(v, false)),
+            Err(_) if kind::<D>(&v).is_some() => self.measure_value(v, Span::default()),
+            _ => Ok(v),
         }
     }
 
@@ -935,39 +943,53 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 ),
                 span,
             )),
-            Err((u, v)) => self.dom.unknown_op(u, UnknownOp::Measure(v, true)),
+            Err((u, v)) => D::stand_in(self, u, [v], [Role::Register], |it, [v]| it.classical(v)),
+        }
+    }
+
+    /// Runs the lowering `arm` on `vals`, or on the domain's stand-ins
+    /// when it does not know one ([`Domain::stand_in`]).
+    #[inline]
+    fn lower_known<const N: usize>(
+        &mut self,
+        vals: [D::Val; N],
+        roles: [Role; N],
+        arm: impl FnOnce(&mut Self, [D::Val; N]) -> QutesResult<D::Val>,
+    ) -> QutesResult<D::Val> {
+        match vals.iter().find_map(|v| D::value(v).err()) {
+            Some(u) => D::stand_in(self, u, vals, roles, arm),
+            None => arm(self, vals),
         }
     }
 
     // ---- gates -----------------------------------------------------------
 
-    /// A gate's register operand; `Err` holds a value the domain does not
-    /// know.
-    fn quantum_operand(
-        &mut self,
-        e: &Expr<'a>,
-        what: &str,
-    ) -> QutesResult<Result<QuantumRef, Opaque<D>>> {
-        match D::split(self.eval(e)?) {
-            Ok(Value::Quantum(q)) => Ok(Ok(q)),
-            Ok(other) => Err(QutesError::runtime(
+    /// A gate's register operand: an error for a known value that is not
+    /// one.
+    fn quantum_operand(&mut self, e: &Expr<'a>, what: &str) -> QutesResult<D::Val> {
+        let v = self.eval(e)?;
+        match D::value(&v) {
+            Ok(other) if !matches!(other, Value::Quantum(_)) => Err(QutesError::runtime(
                 format!(
                     "{what} needs a quantum operand, found {}",
                     other.type_name()
                 ),
                 e.span,
             )),
-            Err(unknown) => Ok(Err(unknown)),
+            _ => Ok(v),
         }
     }
 
     #[inline(never)]
-    fn exec_gate(&mut self, gate: GateKind, args: &[Expr<'a>], span: Span) -> QutesResult<()> {
+    fn exec_gate(&mut self, gate: GateKind, args: &[Expr<'a>], span: Span) -> QutesResult<D::Val> {
         let q = self.quantum_operand(&args[0], gate.name())?;
-        let t = match gate {
-            GateKind::CNot => Some(self.quantum_operand(&args[1], "cnot")?),
-            _ => None,
-        };
+        let void = |_| Value::Void.into();
+        if gate == GateKind::CNot {
+            let t = self.quantum_operand(&args[1], "cnot")?;
+            return self.lower_known([q, t], [Role::Control, Role::Register], |it, [c, t]| {
+                lower::cnot(it.dom.sink(), qubits::<D>(&c), qubits::<D>(&t), span).map(void)
+            });
+        }
         // An angle the domain does not know emits the same one phase
         // gate per qubit.
         let angle = match gate {
@@ -979,76 +1001,67 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             },
             _ => 0.0,
         };
-        match (q, t) {
-            (Ok(q), Some(Ok(t))) => lower::cnot(self.dom.sink(), &q.qubits, &t.qubits, span),
-            (Ok(q), None) => lower::gate_each(self.dom.sink(), gate, &q.qubits, angle, span),
-            (q, t) => {
-                let u = match (&q, &t) {
-                    (Err((u, _)), _) | (_, Some(Err((u, _)))) => *u,
-                    _ => return Ok(()),
-                };
-                let strip = |o: Result<QuantumRef, Opaque<D>>| o.map_err(|(_, v)| v);
-                let operands = std::iter::once(q).chain(t).map(strip).collect();
-                self.dom.unknown_op(u, UnknownOp::Gate(gate, operands))?;
-                Ok(())
-            }
-        }
+        self.lower_known([q], [Role::Register], |it, [q]| {
+            lower::gate_each(it.dom.sink(), gate, qubits::<D>(&q), angle, span).map(void)
+        })
     }
 
     // ---- quantum arithmetic ------------------------------------------------
 
     /// Quint arithmetic on register `a` with a classical or quint
     /// operand: `a += rhs` / `a -= rhs` in place (void), or a fresh sum
-    /// or product register. An operand the domain does not know is
-    /// replaced by its stand-in; without one, the result is lost.
+    /// or product register.
     fn quint_arith(
         &mut self,
         arith: Arith,
-        a: &[usize],
+        a: D::Val,
         rhs: D::Val,
         subtract: bool,
         span: Span,
     ) -> QutesResult<D::Val> {
-        let rhs = match D::split(rhs) {
-            Ok(v) => v,
-            Err((u, v)) if D::type_of(&v) == Some(Type::Quint) => {
-                let a = quantum(a.to_vec(), QKind::Quint);
-                return self
-                    .dom
-                    .unknown_op(u, UnknownOp::Arith(arith, a, v, subtract));
-            }
-            Err((u, v)) => match D::split(self.dom.unknown_op(u, UnknownOp::Operand(v, arith))?) {
-                Ok(standin) => standin,
-                Err((u, _)) => return Ok(D::unknown(u, None)),
-            },
-        };
-        let Some(operand) = Operand::of(&rhs) else {
-            let found = rhs.type_name();
-            let (verb, prep) = if subtract {
-                ("subtract", "from")
-            } else {
-                ("add", "to")
+        let roles = [Role::Register, Role::Operand(arith)];
+        self.lower_known([a, rhs], roles, |it, [a, rhs]| {
+            let rhs = known::<D>(rhs)?;
+            let Some(operand) = Operand::of(&rhs) else {
+                let found = rhs.type_name();
+                let (verb, prep) = if subtract {
+                    ("subtract", "from")
+                } else {
+                    ("add", "to")
+                };
+                return Err(QutesError::runtime(
+                    match arith {
+                        Arith::InPlace => {
+                            format!("cannot {verb} a {found} value {prep} a quint")
+                        }
+                        Arith::Sum => format!("cannot combine quint with {found}"),
+                        Arith::Product => format!("cannot multiply a quint by {found}"),
+                    },
+                    span,
+                ));
             };
-            return Err(QutesError::runtime(
-                match arith {
-                    Arith::InPlace => format!("cannot {verb} a {found} value {prep} a quint"),
-                    Arith::Sum => format!("cannot combine quint with {found}"),
-                    Arith::Product => format!("cannot multiply a quint by {found}"),
-                },
-                span,
-            ));
-        };
-        let sink = self.dom.sink();
-        Ok(match arith {
-            Arith::InPlace => {
-                lower::add_sub_in_place(sink, a, operand, subtract)?;
-                Value::Void.into()
-            }
-            Arith::Sum => quantum(
-                lower::add_sub_expr(sink, a, operand, subtract)?,
-                QKind::Quint,
-            ),
-            Arith::Product => quantum(lower::mul_expr(sink, a, operand)?, QKind::Quint),
+            let (a, sink) = (qubits::<D>(&a), it.dom.sink());
+            Ok(match arith {
+                Arith::InPlace => {
+                    lower::add_sub_in_place(sink, a, operand, subtract)?;
+                    Value::Void.into()
+                }
+                Arith::Sum => quantum(
+                    lower::add_sub_expr(sink, a, operand, subtract)?,
+                    QKind::Quint,
+                ),
+                Arith::Product => quantum(lower::mul_expr(sink, a, operand)?, QKind::Quint),
+            })
+        })
+    }
+
+    /// Cyclic shift of register `q` by `k` in place, in constant depth
+    /// (paper §5).
+    fn rotate(&mut self, q: D::Val, k: D::Val, left: bool, span: Span) -> QutesResult<D::Val> {
+        self.lower_known([q, k], [Role::Register, Role::Amount], |it, [q, k]| {
+            let k = ops::non_negative(&known::<D>(k)?, "rotation amount", span)?;
+            lower::rotate(it.dom.sink(), qubits::<D>(&q), k, left)?;
+            Ok(Value::Void.into())
         })
     }
 
@@ -1341,40 +1354,22 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             Arith::Sum
         };
         let quint = matches!(op, Add | Sub | Mul);
-        match D::value(&lv) {
-            Ok(Value::Quantum(q)) if q.kind == QKind::Quint && quint => {
-                let q = q.qubits.clone();
+        match kind::<D>(&lv) {
+            Some(QKind::Quint) if quint => {
                 let rv = self.eval(r)?;
-                return self.quint_arith(arith, &q, rv, op == Sub, span);
+                return self.quint_arith(arith, lv, rv, op == Sub, span);
             }
-            Err(u) if quint && D::type_of(&lv) == Some(Type::Quint) => {
-                let rv = self.eval(r)?;
-                let op = UnknownOp::Arith(arith, lv, rv, op == Sub);
-                return self.dom.unknown_op(u, op);
-            }
-            _ if matches!(op, Shl | Shr) && register::<D>(&lv) => {
-                return self.shifted_copy(lv, op == Shl, r);
-            }
+            Some(_) if matches!(op, Shl | Shr) => return self.shifted_copy(lv, op == Shl, r),
             _ => {}
         }
-        // int + quint / int * quint (commute to the quint-first forms).
-        if matches!(op, Add | Mul) && int_like::<D>(&lv) {
-            let rv = self.eval(r)?;
-            match D::value(&rv) {
-                Ok(Value::Quantum(q)) if q.kind == QKind::Quint => {
-                    let q = q.qubits.clone();
-                    return self.quint_arith(arith, &q, lv, false, span);
-                }
-                Err(u) if D::type_of(&rv) == Some(Type::Quint) => {
-                    return self
-                        .dom
-                        .unknown_op(u, UnknownOp::Arith(arith, rv, lv, false));
-                }
-                _ => return self.classical_binary(op, lv, rv, span),
-            }
-        }
-
         let rv = self.eval(r)?;
+        // int + quint / int * quint (commute to the quint-first forms).
+        if matches!(op, Add | Mul)
+            && kind::<D>(&rv) == Some(QKind::Quint)
+            && matches!(D::type_of(&lv), Some(Type::Int | Type::Bool))
+        {
+            return self.quint_arith(arith, rv, lv, false, span);
+        }
         self.classical_binary(op, lv, rv, span)
     }
 
@@ -1409,21 +1404,20 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     /// `q << k` / `q >> k`: a shifted copy of a register.
     #[inline(never)]
     fn shifted_copy(&mut self, q: D::Val, left: bool, r: &Expr<'a>) -> QutesResult<D::Val> {
-        let k = match D::split(self.eval(r)?) {
-            Ok(k) => Ok(ops::non_negative(&k, "shift amount", r.span)?),
-            Err((u, _)) => Err(u),
-        };
-        match (D::value(&q), k) {
-            (Ok(Value::Quantum(q)), Ok(k)) => {
-                let copy = lower::shifted_copy(self.dom.sink(), &q.qubits, k, left)?;
-                Ok(quantum(copy, q.kind))
+        let k = self.eval(r)?;
+        self.lower_known([q, k], [Role::Register, Role::Amount], |it, [q, k]| {
+            let k = ops::non_negative(&known::<D>(k)?, "shift amount", r.span)?;
+            match known::<D>(q)? {
+                Value::Quantum(q) => {
+                    let copy = lower::shifted_copy(it.dom.sink(), &q.qubits, k, left)?;
+                    Ok(quantum(copy, q.kind))
+                }
+                other => Err(QutesError::runtime(
+                    format!("cannot shift a {} value", other.type_name()),
+                    r.span,
+                )),
             }
-            (Err(u), _) | (_, Err(u)) => self.dom.unknown_op(u, UnknownOp::Rotate(q, true)),
-            (Ok(other), Ok(_)) => Err(QutesError::runtime(
-                format!("cannot shift a {} value", other.type_name()),
-                r.span,
-            )),
-        }
+        })
     }
 
     /// Classical binary semantics; quantum operands are auto-measured.
@@ -1447,11 +1441,11 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     fn eval_in(&mut self, pattern: D::Val, haystack: D::Val, span: Span) -> QutesResult<D::Val> {
         // The pattern must be classical bits; measure it if quantum.
         let pattern = self.classical(pattern)?;
-        let hay = match D::value(&haystack) {
-            Ok(Value::Quantum(hay)) if hay.kind == QKind::Qustring => Ok(hay.clone()),
-            Err(u) if D::type_of(&haystack) == Some(Type::Qustring) => Err(u),
-            _ => return self.classical_binary(BinOp::In, pattern, haystack, span),
-        };
+        // A haystack whose type the domain lost may be a qustring.
+        let lost = D::value(&haystack).is_err() && D::type_of(&haystack).is_none();
+        if kind::<D>(&haystack) != Some(QKind::Qustring) && !lost {
+            return self.classical_binary(BinOp::In, pattern, haystack, span);
+        }
         let bits = match D::value(&pattern) {
             Ok(Value::Str(p)) => {
                 if !p.chars().all(|c| c == '0' || c == '1') {
@@ -1476,7 +1470,16 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 ))
             }
         };
-        D::search(self, bits, hay.as_ref().map_err(|u| *u), span)
+        self.lower_known([haystack], [Role::Register], |it, [hay]| {
+            let hay = qubits::<D>(&hay);
+            match &bits {
+                // No circuit: every text holds "", and none a longer one.
+                Ok(b) if b.is_empty() || b.len() > hay.len() => {
+                    Ok(Value::Bool(b.is_empty()).into())
+                }
+                _ => D::search(it, bits, hay, span),
+            }
+        })
     }
 
     // ---- calls -------------------------------------------------------------
@@ -1592,21 +1595,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
         if matches!(builtin, Builtin::Rotl | Builtin::Rotr) {
             let q = self.quantum_operand(&args[0], name)?;
-            let k = match D::split(self.eval(&args[1])?) {
-                Ok(k) => Ok(ops::non_negative(&k, "rotation amount", span)?),
-                Err((u, _)) => Err(u),
-            };
-            return match (q, k) {
-                (Ok(q), Ok(k)) => {
-                    lower::rotate(self.dom.sink(), &q.qubits, k, builtin == Builtin::Rotl)?;
-                    Ok(Value::Void.into())
-                }
-                (Err((u, q)), _) => self.dom.unknown_op(u, UnknownOp::Rotate(q, false)),
-                (Ok(q), Err(u)) => {
-                    let q = Value::Quantum(q).into();
-                    self.dom.unknown_op(u, UnknownOp::Rotate(q, false))
-                }
-            };
+            let k = self.eval(&args[1])?;
+            return self.rotate(q, k, builtin == Builtin::Rotl, span);
         }
         let mut v = self.eval(&args[0])?;
         if matches!(
@@ -1677,20 +1667,26 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     }
 }
 
-/// True for an int or bool, known or not.
-fn int_like<D: Domain>(v: &D::Val) -> bool {
+/// The kind of a register, known or not; `None` for anything else.
+fn kind<D: Domain>(v: &D::Val) -> Option<QKind> {
     match D::value(v) {
-        Ok(v) => matches!(v, Value::Int(_) | Value::Bool(_)),
-        Err(_) => matches!(D::type_of(v), Some(Type::Int | Type::Bool)),
+        Ok(Value::Quantum(q)) => Some(q.kind),
+        Ok(_) => None,
+        Err(_) => D::type_of(v).as_ref().and_then(QKind::of),
     }
 }
 
-/// True for a register, known or not.
-fn register<D: Domain>(v: &D::Val) -> bool {
+/// The qubits of a known register; none for any other value.
+fn qubits<D: Domain>(v: &D::Val) -> &[usize] {
     match D::value(v) {
-        Ok(v) => matches!(v, Value::Quantum(_)),
-        Err(_) => D::type_of(v).is_some_and(|t| t.is_quantum()),
+        Ok(Value::Quantum(q)) => &q.qubits,
+        _ => &[],
     }
+}
+
+/// A lowering arm's operand: known, or a domain's stand-in for it.
+fn known<D: Domain>(v: D::Val) -> QutesResult<Value> {
+    D::split(v).map_err(|_| QutesError::runtime("an operand has no stand-in", Span::default()))
 }
 
 /// The error for reading a variable whose declaration has not run (or

@@ -11,9 +11,9 @@
 //!   a shadow circuit.
 //!
 //! The functions here never know which caller they serve: a caller hands
-//! them concrete operands (the estimator turns values it cannot know into
-//! stand-ins with the same gate count before calling) and the emitter
-//! decides what allocating and applying mean.
+//! them concrete operands (for a value the estimator cannot know, the
+//! walker hands them a stand-in that emits at least what any run emits)
+//! and the emitter decides what allocating and applying mean.
 
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;

@@ -9,7 +9,7 @@
 use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
-use crate::interp::{Domain, Flow, Interp, UnknownOp};
+use crate::interp::{Domain, Flow, Interp, Role, UnknownOp};
 use crate::lower::SubstringSearch;
 use crate::ops;
 use crate::resolution::{Builtin, Resolution, Stmt};
@@ -447,19 +447,13 @@ impl Domain for Run {
     fn search(
         it: &mut Interp<'_, '_, Self>,
         pattern: Result<Vec<bool>, Infallible>,
-        hay: Result<&QuantumRef, Infallible>,
+        hay: &[usize],
         span: Span,
     ) -> QutesResult<Value> {
-        let (Ok(pattern), Ok(hay)) = (pattern, hay);
+        let Ok(pattern) = pattern;
         let h = &mut it.dom.handler;
         let m = pattern.len();
-        if m == 0 {
-            return Ok(Value::Bool(true));
-        }
-        if m > hay.width() {
-            return Ok(Value::Bool(false));
-        }
-        let search = SubstringSearch::prepare(h, &pattern, &hay.qubits, span)?;
+        let search = SubstringSearch::prepare(h, &pattern, hay, span)?;
         // Absent patterns exhaust the schedule and return false; present
         // patterns succeed with overwhelming probability within
         // O(sqrt(positions)) expected oracle calls.
@@ -476,7 +470,7 @@ impl Domain for Run {
                 }
             }
             if candidate < search.positions {
-                let window = &hay.qubits[candidate..candidate + m];
+                let window = &hay[candidate..candidate + m];
                 let observed = h.measure(window)?;
                 let matches = pattern
                     .iter()
@@ -535,7 +529,17 @@ impl Domain for Run {
         match u {}
     }
 
-    fn unknown_op(&mut self, u: Infallible, _: UnknownOp<'_, Value>) -> QutesResult<Value> {
+    fn unknown_op(&mut self, u: Infallible, _: UnknownOp<Value>) -> QutesResult<Value> {
+        match u {}
+    }
+
+    fn stand_in<'p, 'a, const N: usize>(
+        _: &mut Interp<'p, 'a, Self>,
+        u: Infallible,
+        _: [Value; N],
+        _: [Role; N],
+        _: impl FnOnce(&mut Interp<'p, 'a, Self>, [Value; N]) -> QutesResult<Value>,
+    ) -> QutesResult<Value> {
         match u {}
     }
 

@@ -28,6 +28,16 @@ impl QKind {
             QKind::Qustring => Type::Qustring,
         }
     }
+
+    /// The kind of a quantum type; `None` for a classical one.
+    pub fn of(ty: &Type) -> Option<QKind> {
+        match ty {
+            Type::Qubit => Some(QKind::Qubit),
+            Type::Quint => Some(QKind::Quint),
+            Type::Qustring => Some(QKind::Qustring),
+            _ => None,
+        }
+    }
 }
 
 /// A handle to a window of qubits owned by the runtime's circuit.

@@ -3,9 +3,13 @@
 //! predicted qubit/gate/measurement counts must equal what an actual run
 //! records in `qcirc` metrics, and depth must be a sound upper bound.
 
+#[path = "../crates/core/tests/common/generator.rs"]
+mod generator;
+
 use qutes::analysis::estimate;
 use qutes::qcirc::BackendChoice;
 use qutes::{parse, RunConfig};
+use std::path::Path;
 
 /// Examples whose control flow is measurement-independent enough for the
 /// estimator to produce exact counts. The acceptance bar is >= 5 programs.
@@ -335,6 +339,24 @@ fn inexact_estimates_are_upper_bounds() {
              if (m) { int z = 0; } else { a = r; }\n\
              bool f = \"11\" in a; print f;\n",
         ),
+        // A register promoted from a run-dependent int stands in as the
+        // widest a run can promote (i64::MAX, 63 qubits), whether the
+        // estimator knows the value is an int or has lost its type.
+        (
+            "quint promoted from a run-dependent int",
+            "qubit q = |+>; int n = int(q) + 6; quint a = n; hadamard a;\n",
+        ),
+        (
+            "quint promoted from an element at an unknown index",
+            "int[] xs = [200, 1]; qubit q = |+>; int i = int(q); quint a = xs[i]; hadamard a;\n",
+        ),
+        // An element read at an unknown index loses its type, so the `in`
+        // may be a Grover search over any register.
+        (
+            "search in an element at an unknown index",
+            "qustring[] ts = [\"0110\"q]; qubit q = |+>; int i = int(q);\n\
+             bool f = \"11\" in ts[i - i]; print f;\n",
+        ),
         // A return from inside a `foreach` keeps what the loop variable
         // wrote.
         (
@@ -386,6 +408,71 @@ fn shared_cells_merge_exactly_and_forget_soundly() {
     for seed in 0..8 {
         check_upper_bound("write through an unknown index", &unknown_index, seed);
     }
+}
+
+/// Every program whose estimate `tests/golden/estimates.txt` pins (the
+/// examples, the lint corpus, the interpreter programs and the 200
+/// generated programs) that runs under the default configuration: at
+/// seeds 0-3, an exact estimate equals the run's circuit, an upper bound
+/// is at least it, and a partial estimate claims nothing.
+#[test]
+fn estimates_hold_on_every_estimated_program() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs = Vec::new();
+    for dir in [
+        "examples/programs",
+        "tests/lint_corpus",
+        "tests/interp_programs",
+    ] {
+        let entries =
+            std::fs::read_dir(root.join(dir)).unwrap_or_else(|e| panic!("read {dir}: {e}"));
+        for entry in entries {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == "qut") {
+                let source = std::fs::read_to_string(&path).expect("program reads");
+                programs.push((path.display().to_string(), source));
+            }
+        }
+    }
+    programs
+        .extend((0..200).map(|seed| (format!("generated seed {seed}"), generator::generate(seed))));
+    let (mut exact, mut bounded, mut partial) = (0, 0, 0);
+    for (name, source) in &programs {
+        let Ok(program) = parse(source) else {
+            continue;
+        };
+        let est = estimate(&program);
+        for seed in 0..4 {
+            let cfg = RunConfig {
+                seed,
+                ..RunConfig::default()
+            };
+            let Ok(out) = qutes::run_source(source, &cfg) else {
+                continue;
+            };
+            let c = &out.circuit;
+            let run = [c.num_qubits(), c.size(), c.depth(), out.measurements];
+            let claimed = [est.qubits, est.gates, est.depth, est.measurements];
+            if est.exact {
+                exact += 1;
+                assert_eq!(claimed, run, "{name} (seed {seed}): exact estimate differs");
+                assert_eq!(est.qubits, out.qubits_used, "{name} (seed {seed})");
+            } else if est.partial {
+                partial += 1;
+            } else {
+                bounded += 1;
+                let below = claimed.iter().zip(&run).any(|(e, r)| e < r);
+                assert!(
+                    !below,
+                    "{name} (seed {seed}): bound {claimed:?} below run {run:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        exact > 400 && bounded > 0 && partial > 0,
+        "{exact} exact, {bounded} bounded and {partial} partial runs checked"
+    );
 }
 
 fn check_upper_bound(name: &str, source: &str, seed: u64) {
