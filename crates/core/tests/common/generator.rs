@@ -426,7 +426,7 @@ impl Gen {
 /// The program for one seed. Layout: an optional prelude that calls a
 /// function before the globals it reads exist, the globals, the
 /// functions (sometimes one reading a global declared after it, which
-/// only a `skip_typecheck` run accepts), then the main statements.
+/// the checker rejects), then the main statements.
 pub fn generate(seed: u64) -> String {
     let mut g = Gen {
         rng: SplitMix(seed),

@@ -3,10 +3,10 @@
 //! recursion, globals read from function bodies, by-reference
 //! parameters, `foreach` writes through the loop variable, shadowing in
 //! nested blocks, early returns from loops, division by zero, and runs
-//! that trip `max_steps` or `max_call_depth`. Each program runs twice, type-checked and with
-//! `skip_typecheck`, and the golden holds both outcomes: the printed
-//! lines, or the rendered error. One golden file covers a range of
-//! seeds.
+//! that trip `max_steps` or `max_call_depth`. The golden holds each
+//! program's outcome: the printed lines, or the rendered error (the
+//! checker's diagnostics for a program it rejects). One golden file
+//! covers a range of seeds.
 //!
 //! Regenerate after an intentional output change with:
 //!
@@ -29,11 +29,10 @@ use std::path::Path;
 const SEEDS_PER_FILE: u64 = 100;
 const FILES: u64 = 2;
 
-fn outcome(source: &str, skip_typecheck: bool) -> String {
+fn outcome(source: &str) -> String {
     let cfg = RunConfig {
         max_steps: 4_000,
         max_call_depth: 24,
-        skip_typecheck,
         ..RunConfig::default()
     };
     match run_source(source, &cfg) {
@@ -57,16 +56,8 @@ fn outcome(source: &str, skip_typecheck: bool) -> String {
 fn render(seeds: std::ops::Range<u64>) -> String {
     let mut golden = String::new();
     for seed in seeds {
-        let src = generate(seed);
-        let checked = outcome(&src, false);
-        let unchecked = outcome(&src, true);
         let _ = writeln!(golden, "== seed {seed}");
-        let _ = write!(golden, "checked: {checked}");
-        if unchecked == checked {
-            let _ = writeln!(golden, "unchecked: same");
-        } else {
-            let _ = write!(golden, "unchecked: {unchecked}");
-        }
+        let _ = write!(golden, "checked: {}", outcome(&generate(seed)));
     }
     golden
 }
@@ -126,7 +117,7 @@ fn generator_covers_its_constructs() {
         assert!(all.contains(needle), "no generated program has {needle:?}");
     }
     let golden: String = (0..FILES * SEEDS_PER_FILE)
-        .map(|s| outcome(&generate(s), true))
+        .map(|s| outcome(&generate(s)))
         .collect();
     for needle in [
         "division by zero",
