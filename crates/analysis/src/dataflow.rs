@@ -17,10 +17,12 @@
 //! - **QL101 unused-variable** — any other never-read variable
 //!   (`_`-prefixed names and parameters are exempt).
 //! - **QL201 implicit-measurement** — sites where the runtime measures a
-//!   quantum value as a side effect of a classical context (assignment
-//!   to a classical type, conditions, comparisons, classical casts).
-//!   `print` is exempt: printing a quantum value is the idiomatic way to
-//!   observe it.
+//!   quantum value as a side effect of a classical context: exactly the
+//!   measurement conversions the checker wrote into the resolution
+//!   (assignment to a classical type, conditions, comparisons, classical
+//!   casts, indices, arguments, returned values), so the lint and the run
+//!   name the same sites. `print` and `measure` are explicit and exempt:
+//!   printing a quantum value is the idiomatic way to observe it.
 //!
 //! Blocks carry no scope in the resolution: the end-of-life lints
 //! (QL003, QL004, QL101) fire for a statement list's declarations when
@@ -42,10 +44,8 @@
 use crate::cfg::{self, Ev, VarId};
 use crate::lints::{self, Lint};
 use crate::RawFinding;
-use qutes_core::resolution::{
-    Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
-};
-use qutes_core::types::measured;
+use qutes_core::resolution::{Builtin, Callee, Expr, ExprKind, Loc, Place, Resolution, Stmt, Var};
+use qutes_core::types::element;
 use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Type, UnOp};
 use qutes_frontend::Span;
 
@@ -119,13 +119,12 @@ impl<'a> VarInfo<'a> {
 fn root_var<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Var<'a>> {
     match &e.kind {
         ExprKind::Var(v) | ExprKind::IndexVar { var: v, .. } => Some(v),
-        ExprKind::Index(b, _) | ExprKind::Measure(b) => root_var(b),
+        ExprKind::Index(b, _) | ExprKind::Measure(b) | ExprKind::Convert(_, b) => root_var(b),
         _ => None,
     }
 }
 
-struct Pass<'r, 'a> {
-    functions: &'r [Function<'a>],
+struct Pass<'a> {
     /// Per-variable state, indexed by [`VarId`]; `None` outside the
     /// variable's life.
     vars: Vec<Option<VarInfo<'a>>>,
@@ -136,11 +135,10 @@ struct Pass<'r, 'a> {
     events: Vec<Ev<'a>>,
 }
 
-impl<'r, 'a> Pass<'r, 'a> {
-    fn new(program: &'r Resolution<'a>) -> Self {
+impl<'a> Pass<'a> {
+    fn new(program: &Resolution<'a>) -> Self {
         let frames: usize = program.functions.iter().map(|f| f.slots).sum();
         Pass {
-            functions: &program.functions,
             vars: vec![None; program.globals + program.main_slots + frames],
             base: program.globals,
             findings: Vec::new(),
@@ -159,36 +157,18 @@ impl<'r, 'a> Pass<'r, 'a> {
 
     // ---- variables --------------------------------------------------------
 
-    fn id(&self, at: Loc) -> Option<VarId> {
+    fn id(&self, at: Loc) -> VarId {
         match at {
-            Loc::Local(slot) => Some(self.base + slot as usize),
-            Loc::Global(slot) => Some(slot as usize),
-            Loc::Unresolved => None,
-        }
-    }
-
-    fn decl_id(&self, slot: DeclSlot) -> Option<VarId> {
-        match slot {
-            DeclSlot::Local(slot) => Some(self.base + slot as usize),
-            DeclSlot::Global(slot) => Some(slot as usize),
-            DeclSlot::Duplicate => None,
+            Loc::Local(slot) => self.base + slot as usize,
+            Loc::Global(slot) => slot as usize,
         }
     }
 
     /// Applies `f` to the state of `var`, if it is live.
     fn mark(&mut self, var: Option<&Var<'a>>, f: impl FnOnce(&mut VarInfo<'a>)) {
-        let id = var.and_then(|var| self.id(var.at));
+        let id = var.map(|var| self.id(var.at));
         if let Some(v) = id.and_then(|id| self.vars.get_mut(id)?.as_mut()) {
             f(v);
-        }
-    }
-
-    /// A variable's type: the declared one, or a `foreach` variable's
-    /// element type as recorded at its loop.
-    fn var_type(&self, var: &Var<'a>) -> Option<Type> {
-        match var.ty {
-            VarType::Declared(t) => Some(t.clone()),
-            VarType::Loop => Some(self.vars.get(self.id(var.at)?)?.as_ref()?.ty.clone()),
         }
     }
 
@@ -197,9 +177,7 @@ impl<'r, 'a> Pass<'r, 'a> {
     fn end_scope(&mut self, stmts: &[Stmt<'a>]) {
         for s in stmts {
             if let Stmt::Decl { slot, .. } = s {
-                if let Some(id) = self.decl_id(*slot) {
-                    self.end_life(id);
-                }
+                self.end_life(self.id(*slot));
             }
         }
     }
@@ -247,13 +225,11 @@ impl<'r, 'a> Pass<'r, 'a> {
     /// Records a quantum operation on `var` at `span` for the CFG phase,
     /// which decides QL001 from the must-measured fixpoint.
     fn quantum_use(&mut self, var: &Var<'a>, span: Span) {
-        if let Some(id) = self.id(var.at) {
-            self.events.push(Ev::Use {
-                var: id,
-                name: var.name,
-                span,
-            });
-        }
+        self.events.push(Ev::Use {
+            var: self.id(var.at),
+            name: var.name,
+            span,
+        });
     }
 
     /// Records a quantum operation touching `e`.
@@ -271,9 +247,9 @@ impl<'r, 'a> Pass<'r, 'a> {
             v.used = true;
             v.observed = true;
         });
-        if let Some(id) = var.and_then(|var| self.id(var.at)) {
+        if let Some(var) = var {
             self.events.push(Ev::Measure {
-                var: id,
+                var: self.id(var.at),
                 span: measure_span,
             });
         }
@@ -293,10 +269,7 @@ impl<'r, 'a> Pass<'r, 'a> {
             },
             _ => return,
         };
-        let Some(src_ty) = self.var_type(src) else {
-            return;
-        };
-        if !src_ty.is_quantum() {
+        if !src.ty.is_quantum() {
             return;
         }
         let name = src.name;
@@ -318,89 +291,35 @@ impl<'r, 'a> Pass<'r, 'a> {
         self.mark(Some(src), |v| v.escapes = true);
     }
 
-    /// QL201 at `e`, describing the implicitly measured `ty`. The root
-    /// variable counts as observed afterwards (satisfies QL003).
-    fn implicit_measure(&mut self, e: &Expr<'a>, ty: &Type, context: &str) {
+    /// QL201 at `e` when it is one of the checker's measurement nodes,
+    /// in the classical `context` it names (`in the context ...`). The
+    /// measured variable counts as observed afterwards (satisfies QL003).
+    fn implicit_measure(&mut self, e: &Expr<'a>, context: impl FnOnce() -> String) {
+        let ExprKind::Convert(conv, inner) = &e.kind else {
+            return;
+        };
+        if !conv.measures() {
+            return;
+        }
         self.report(
             &lints::IMPLICIT_MEASUREMENT,
-            format!("this {ty} value is implicitly measured {context}; its state collapses"),
-            e.span,
+            format!(
+                "this {} value is implicitly measured {}; its state collapses",
+                inner.ty,
+                context()
+            ),
+            inner.span,
         );
-        self.mark(root_var(e), |v| v.observed = true);
+        self.mark(root_var(inner), |v| v.observed = true);
     }
 
-    /// Best-effort static type of an expression (None when unknown).
-    fn expr_type(&self, e: &Expr<'a>) -> Option<Type> {
-        /// The type of one element of a value of type `t`.
-        fn element(t: Type) -> Option<Type> {
-            Some(match t {
-                Type::Array(t) => *t,
-                Type::Qubit | Type::Quint | Type::Qustring => Type::Qubit,
-                Type::String => Type::String,
-                _ => return None,
-            })
+    /// True for an explicit or implicit measurement.
+    fn is_measurement(e: &Expr<'a>) -> bool {
+        match &e.kind {
+            ExprKind::Measure(_) => true,
+            ExprKind::Convert(conv, _) => conv.measures(),
+            _ => false,
         }
-        Some(match &e.kind {
-            ExprKind::Int(_) => Type::Int,
-            ExprKind::Float(_) | ExprKind::Pi => Type::Float,
-            ExprKind::Bool(_) => Type::Bool,
-            ExprKind::Str(_) => Type::String,
-            ExprKind::Quint(_) => Type::Quint,
-            ExprKind::Qustring(_) => Type::Qustring,
-            ExprKind::Ket(_) => Type::Qubit,
-            ExprKind::QuantumArray(_) => Type::Quint,
-            ExprKind::Array(items) => {
-                let elem = items.first().and_then(|i| self.expr_type(i))?;
-                Type::Array(Box::new(elem))
-            }
-            ExprKind::Var(v) => self.var_type(v)?,
-            ExprKind::IndexVar { var, .. } => element(self.var_type(var)?)?,
-            ExprKind::Index(b, _) => element(self.expr_type(b)?)?,
-            ExprKind::Unary(UnOp::Not, _) => Type::Bool,
-            ExprKind::Unary(UnOp::Neg, inner) => self.expr_type(inner)?,
-            ExprKind::Binary(op, l, r) => match op {
-                BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::In => Type::Bool,
-                BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                    let lt = self.expr_type(l);
-                    let rt = self.expr_type(r);
-                    if lt == Some(Type::Quint) || rt == Some(Type::Quint) {
-                        Type::Quint
-                    } else {
-                        lt?
-                    }
-                }
-                BinOp::Shl | BinOp::Shr => self.expr_type(l)?,
-                BinOp::Div | BinOp::Mod => return None,
-            },
-            ExprKind::Call { callee, .. } => match callee {
-                Callee::Builtin(
-                    Builtin::Len | Builtin::Width | Builtin::Qmin | Builtin::Qmax | Builtin::Int,
-                ) => Type::Int,
-                Callee::Builtin(Builtin::Float) => Type::Float,
-                Callee::Builtin(Builtin::Bool) => Type::Bool,
-                Callee::Builtin(Builtin::Str) => Type::String,
-                Callee::Builtin(Builtin::Range) => Type::Array(Box::new(Type::Int)),
-                Callee::Builtin(Builtin::Rotl | Builtin::Rotr) => Type::Void,
-                Callee::Function(i) => self.functions.get(*i as usize)?.decl.ret_type.clone(),
-                Callee::Unknown => return None,
-            },
-            ExprKind::Measure(inner) => {
-                let t = self.expr_type(inner)?;
-                measured(&t)?
-            }
-        })
-    }
-
-    fn is_quantum_expr(&self, e: &Expr<'a>) -> bool {
-        self.expr_type(e).is_some_and(|t| t.is_quantum())
     }
 
     // ---- walkers ----------------------------------------------------------
@@ -429,23 +348,13 @@ impl<'r, 'a> Pass<'r, 'a> {
                 if let Some(e) = init {
                     self.walk_expr(e);
                     self.check_alias(name, ty, e);
-                    let is_explicit_measure = matches!(e.kind, ExprKind::Measure(_));
-                    if is_explicit_measure {
-                        from_measurement = true;
-                    } else if ty.is_classical() && self.is_quantum_expr(e) {
-                        from_measurement = true;
-                        let et = self.expr_type(e).unwrap_or(Type::Qubit);
-                        self.implicit_measure(
-                            e,
-                            &et,
-                            &format!("when assigned to the {ty} variable '{name}'"),
-                        );
-                    }
+                    from_measurement = Self::is_measurement(e);
+                    self.implicit_measure(e, || {
+                        format!("when assigned to the {ty} variable '{name}'")
+                    });
                 }
-                if let Some(id) = self.decl_id(*slot) {
-                    self.vars[id] =
-                        Some(VarInfo::new(name, (*ty).clone(), *span, from_measurement));
-                }
+                let id = self.id(*slot);
+                self.vars[id] = Some(VarInfo::new(name, (*ty).clone(), *span, from_measurement));
             }
             Stmt::Assign {
                 target,
@@ -458,42 +367,37 @@ impl<'r, 'a> Pass<'r, 'a> {
                     Place::Var(v) => v,
                     Place::Index(v, idx) => {
                         self.walk_expr(idx);
+                        self.implicit_measure(idx, || "when used as an index".to_string());
                         // Writing an element reads the array binding.
                         self.mark(Some(v), |v| v.used = true);
                         v
                     }
                 };
-                let target_ty = self.var_type(var);
-                let target_quantum = target_ty.as_ref().is_some_and(|t| t.is_quantum());
-                match op {
-                    AssignOp::Set => {
-                        if let Place::Var(_) = target {
-                            if let Some(ty) = &target_ty {
-                                let name = var.name;
-                                self.check_alias(name, ty, value);
-                                if ty.is_classical()
-                                    && self.is_quantum_expr(value)
-                                    && !matches!(value.kind, ExprKind::Measure(_))
-                                {
-                                    let et = self.expr_type(value).unwrap_or(Type::Qubit);
-                                    let context =
-                                        format!("when assigned to the {ty} variable '{name}'");
-                                    self.implicit_measure(value, &et, &context);
-                                }
-                            }
-                            // A fresh value replaces the measured one.
-                            if let Some(id) = self.id(var.at) {
-                                self.events.push(Ev::Reset { var: id });
-                            }
-                        }
+                let name = var.name;
+                match (op, target) {
+                    (AssignOp::Set, Place::Var(_)) => {
+                        self.check_alias(name, &var.ty, value);
+                        let ty = &var.ty;
+                        self.implicit_measure(value, || {
+                            format!("when assigned to the {ty} variable '{name}'")
+                        });
+                        // A fresh value replaces the measured one.
+                        self.events.push(Ev::Reset {
+                            var: self.id(var.at),
+                        });
                     }
-                    AssignOp::Add | AssignOp::Sub | AssignOp::Shl | AssignOp::Shr => {
+                    (AssignOp::Set, Place::Index(..)) => {
+                        self.implicit_measure(value, || {
+                            format!("when assigned to an element of '{name}'")
+                        });
+                    }
+                    (AssignOp::Add | AssignOp::Sub | AssignOp::Shl | AssignOp::Shr, _) => {
                         // Compound assignment reads the target.
                         self.mark(Some(var), |v| v.used = true);
-                        if target_quantum {
+                        self.implicit_measure(value, || format!("by the '{op}' assignment"));
+                        if var.ty.is_quantum() {
                             self.quantum_use(var, *span);
-                            if matches!(op, AssignOp::Add | AssignOp::Sub)
-                                && self.is_quantum_expr(value)
+                            if matches!(op, AssignOp::Add | AssignOp::Sub) && value.ty.is_quantum()
                             {
                                 self.check_quantum_use(value);
                             }
@@ -508,11 +412,7 @@ impl<'r, 'a> Pass<'r, 'a> {
                 ..
             } => {
                 self.walk_expr(cond);
-                if let Some(t) = self.expr_type(cond) {
-                    if t.is_quantum() {
-                        self.implicit_measure(cond, &t, "by this condition");
-                    }
-                }
+                self.implicit_measure(cond, || "by this condition".to_string());
                 self.events.push(Ev::BranchStart {
                     has_else: else_block.is_some(),
                 });
@@ -531,11 +431,7 @@ impl<'r, 'a> Pass<'r, 'a> {
                 // belong to the loop header, not the pre-loop block.
                 self.events.push(Ev::LoopStart);
                 self.walk_expr(cond);
-                if let Some(t) = self.expr_type(cond) {
-                    if t.is_quantum() {
-                        self.implicit_measure(cond, &t, "by this condition");
-                    }
-                }
+                self.implicit_measure(cond, || "by this condition".to_string());
                 self.events.push(Ev::BodyStart);
                 self.walk_block(body);
                 self.events.push(Ev::LoopEnd);
@@ -549,11 +445,7 @@ impl<'r, 'a> Pass<'r, 'a> {
             } => {
                 // The iterable is evaluated once, before the loop.
                 self.walk_expr(iterable);
-                let elem_ty = match self.expr_type(iterable) {
-                    Some(Type::Array(t)) => *t,
-                    Some(Type::Qustring) => Type::Qubit,
-                    _ => Type::Int,
-                };
+                let elem_ty = element(&iterable.ty).unwrap_or(Type::Int);
                 self.events.push(Ev::LoopStart);
                 self.events.push(Ev::BodyStart);
                 let id = self.base + *var as usize;
@@ -566,6 +458,7 @@ impl<'r, 'a> Pass<'r, 'a> {
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
                     self.walk_expr(e);
+                    self.implicit_measure(e, || "when returned".to_string());
                     self.mark(root_var(e), |v| v.escapes = true);
                 }
                 self.events.push(Ev::Ret);
@@ -575,7 +468,7 @@ impl<'r, 'a> Pass<'r, 'a> {
                 // idiomatic way to observe a result — no QL201 here. It
                 // does satisfy QL003's "never measured", though.
                 self.walk_expr(value);
-                if self.is_quantum_expr(value) {
+                if value.ty.is_quantum() {
                     self.mark(root_var(value), |v| v.observed = true);
                 }
             }
@@ -609,12 +502,21 @@ impl<'r, 'a> Pass<'r, 'a> {
             ExprKind::IndexVar { var, index, .. } => {
                 self.mark(Some(var), |v| v.used = true);
                 self.walk_expr(index);
+                self.implicit_measure(index, || "when used as an index".to_string());
             }
             ExprKind::Index(b, i) => {
                 self.walk_expr(b);
                 self.walk_expr(i);
+                self.implicit_measure(i, || "when used as an index".to_string());
             }
-            ExprKind::Unary(_, inner) => self.walk_expr(inner),
+            ExprKind::Unary(op, inner) => {
+                self.walk_expr(inner);
+                let op = match op {
+                    UnOp::Neg => '-',
+                    UnOp::Not => '!',
+                };
+                self.implicit_measure(inner, || format!("by the '{op}' operator"));
+            }
             ExprKind::Binary(op, l, r) => {
                 self.walk_expr(l);
                 self.walk_expr(r);
@@ -622,7 +524,7 @@ impl<'r, 'a> Pass<'r, 'a> {
                     // Quantum arithmetic / shifts operate on live state.
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Shl | BinOp::Shr => {
                         for side in [l, r] {
-                            if self.is_quantum_expr(side) {
+                            if side.ty.is_quantum() {
                                 self.check_quantum_use(side);
                             }
                         }
@@ -630,14 +532,12 @@ impl<'r, 'a> Pass<'r, 'a> {
                     // `pattern in haystack` runs Grover on the haystack
                     // and implicitly measures a quantum pattern.
                     BinOp::In => {
-                        if self.is_quantum_expr(r) {
+                        if r.ty.is_quantum() {
                             self.check_quantum_use(r);
                         }
-                        if let Some(t) = self.expr_type(l) {
-                            if t.is_quantum() {
-                                self.implicit_measure(l, &t, "when used as an 'in' search pattern");
-                            }
-                        }
+                        self.implicit_measure(l, || {
+                            "when used as an 'in' search pattern".to_string()
+                        });
                     }
                     // Classical-only operators auto-measure quantum
                     // operands.
@@ -651,17 +551,10 @@ impl<'r, 'a> Pass<'r, 'a> {
                     | BinOp::Mod
                     | BinOp::And
                     | BinOp::Or => {
-                        let op = *op;
                         for side in [l, r] {
-                            if let Some(t) = self.expr_type(side) {
-                                if t.is_quantum() {
-                                    self.implicit_measure(
-                                        side,
-                                        &t,
-                                        &format!("by the classical '{op}' operator"),
-                                    );
-                                }
-                            }
+                            self.implicit_measure(side, || {
+                                format!("by the classical '{op}' operator")
+                            });
                         }
                     }
                 }
@@ -669,19 +562,15 @@ impl<'r, 'a> Pass<'r, 'a> {
             ExprKind::Call { name, callee, args } => {
                 for a in args {
                     self.walk_expr(a);
+                    self.implicit_measure(a, || match callee {
+                        Callee::Builtin(
+                            Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str,
+                        ) => format!("by the {name}() cast"),
+                        Callee::Builtin(_) => format!("by {name}()"),
+                        Callee::Function(_) => format!("when passed to '{name}'"),
+                    });
                 }
                 match callee {
-                    Callee::Builtin(
-                        Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str,
-                    ) => {
-                        if let Some(a) = args.first() {
-                            if let Some(t) = self.expr_type(a) {
-                                if t.is_quantum() && !matches!(a.kind, ExprKind::Measure(_)) {
-                                    self.implicit_measure(a, &t, &format!("by the {name}() cast"));
-                                }
-                            }
-                        }
-                    }
                     Callee::Builtin(Builtin::Rotl | Builtin::Rotr) => {
                         if let Some(a) = args.first() {
                             self.check_quantum_use(a);
@@ -696,7 +585,7 @@ impl<'r, 'a> Pass<'r, 'a> {
                         for a in args {
                             if let ExprKind::Var(v) = &a.kind {
                                 self.mark(Some(v), |v| v.escapes = true);
-                                bound.push(self.id(v.at));
+                                bound.push(Some(self.id(v.at)));
                             } else {
                                 bound.push(None);
                             }
@@ -706,14 +595,21 @@ impl<'r, 'a> Pass<'r, 'a> {
                             args: bound,
                         });
                     }
-                    Callee::Builtin(_) | Callee::Unknown => {}
+                    Callee::Builtin(_) => {}
                 }
             }
             ExprKind::Measure(inner) => {
                 self.walk_expr(inner);
                 self.mark_measured(inner, e.span);
             }
-            ExprKind::Array(items) | ExprKind::QuantumArray(items) => {
+            ExprKind::Convert(_, inner) => self.walk_expr(inner),
+            ExprKind::Array(items) => {
+                for i in items {
+                    self.walk_expr(i);
+                    self.implicit_measure(i, || "when stored in an array".to_string());
+                }
+            }
+            ExprKind::QuantumArray(items) => {
                 for i in items {
                     self.walk_expr(i);
                 }

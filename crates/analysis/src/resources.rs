@@ -8,10 +8,12 @@
 //! circuit lowering (`qutes_core::lower`, on a *shadow circuit* that
 //! implements the runtime handler's [`Emit`] trait) are the same code.
 //! This module is only the abstract domain: what a run does not have.
-//! Values may be run-dependent (`AVal`); both sides of a branch on an
-//! unknown condition are explored; a loop of unknown trip count is
-//! havocked; and the slack of an inexact estimate is kept. Nothing
-//! allocates a statevector or samples.
+//! Values may be run-dependent (`AVal`), and such a value always has the
+//! static type the checker gave the expression that made it; both sides
+//! of a branch on an unknown condition are explored; a loop of unknown
+//! trip count is havocked; and the slack of an inexact estimate is kept.
+//! Nothing allocates a statevector or samples. A program the checker
+//! rejects is not walked: its estimate is partial.
 //!
 //! Where the walker lowers quantum code from an operand the estimator
 //! does not know, it asks for a known *stand-in* and runs its own arm on
@@ -48,12 +50,10 @@
 //! its element's cell; and a by-reference argument moves the caller's
 //! variable into a cell that the parameter shares.
 
-use qutes_core::interp::{Arith, Binding, Domain, Flow, Interp, Role, UnknownOp};
+use qutes_core::interp::{Arith, Binding, Domain, Flow, Interp, Role};
 use qutes_core::lower::{Emit, SubstringSearch};
 use qutes_core::ops;
-use qutes_core::resolution::{
-    Builtin, Callee, DeclSlot, Expr, ExprKind, Loc, Place, Resolution, Stmt,
-};
+use qutes_core::resolution::{Builtin, Callee, Expr, ExprKind, Loc, Place, Resolution, Stmt};
 use qutes_core::value::{QKind, QuantumRef, Value};
 use qutes_core::{types, QutesError, QutesResult};
 use qutes_frontend::ast::{Program, Type};
@@ -142,9 +142,21 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-/// Estimates the resources `program` would consume when run.
+/// Estimates the resources `program` would consume when run. A program
+/// the checker rejects does not run: its estimate is partial, with no
+/// figures.
 pub fn estimate(program: &Program) -> ResourceEstimate {
-    estimate_resolved(&types::resolve(program).0)
+    let (resolution, diags) = types::resolve(program);
+    if !diags.is_empty() {
+        return ResourceEstimate {
+            exact: false,
+            partial: true,
+            clifford_only: false,
+            notes: vec!["the program does not type-check".to_string()],
+            ..ResourceEstimate::default()
+        };
+    }
+    estimate_resolved(&resolution)
 }
 
 /// Abstract value: what the estimator knows about a value at one point
@@ -154,25 +166,27 @@ enum AVal {
     /// A value every run computes alike: a classical scalar, a quantum
     /// register (its shadow-circuit qubits) or void. Never an array.
     Known(Value),
-    /// A value of this type that is run-dependent: a classical scalar,
-    /// or a register whose qubits are (after a loop havoc).
+    /// A value of this type that is run-dependent: a classical value, or
+    /// a register whose qubits are (after a loop havoc).
     Unknown(Type),
-    /// An array: the heap cells of its elements, which may be unknown.
-    Array(Vec<usize>),
-    /// A value the estimator lost track of, type included.
-    Lost,
+    /// An array of elements of this type: the heap cells of its
+    /// elements, which may be unknown.
+    Array(Type, Vec<usize>),
 }
 
+/// What a cell nothing refers to holds.
+const VOID: AVal = AVal::Known(Value::Void);
+
 impl AVal {
-    /// Forgets a classical value. A register keeps its identity (its
-    /// qubits exist whatever the run did) unless `registers`: a loop may
-    /// have rebound it to other qubits.
+    /// Forgets a classical value; it keeps its type. A register keeps its
+    /// identity (its qubits exist whatever the run did) unless
+    /// `registers`: a loop may have rebound it to other qubits.
     fn forget(&mut self, registers: bool) {
-        match self {
-            AVal::Known(Value::Quantum(q)) if registers => *self = AVal::Unknown(q.kind.as_type()),
-            AVal::Known(Value::Quantum(_)) => {}
-            AVal::Unknown(t) if t.is_quantum() => {}
-            _ => *self = AVal::Lost,
+        *self = match self {
+            AVal::Known(Value::Quantum(q)) if registers => AVal::Unknown(q.kind.as_type()),
+            AVal::Known(Value::Quantum(_)) | AVal::Unknown(_) => return,
+            AVal::Known(v) => AVal::Unknown(ops::runtime_type(v)),
+            AVal::Array(t, _) => AVal::Unknown(Type::Array(Box::new(t.clone()))),
         }
     }
 }
@@ -323,22 +337,13 @@ impl Domain for Est {
         }
     }
 
-    fn type_of(v: &AVal) -> Option<Type> {
-        match v {
-            AVal::Known(v) => Some(ops::runtime_type(v)),
-            AVal::Unknown(t) => Some(t.clone()),
-            AVal::Array(_) => Some(Type::Array(Box::new(Type::Int))),
-            AVal::Lost => None,
-        }
-    }
-
     fn new_cell(&mut self, v: AVal) -> usize {
         self.heap.push(v);
         self.heap.len() - 1
     }
 
     fn read<R>(&self, c: &usize, f: impl FnOnce(&AVal) -> R) -> R {
-        f(self.heap.get(*c).unwrap_or(&AVal::Lost))
+        f(self.heap.get(*c).unwrap_or(&VOID))
     }
 
     fn write(&mut self, c: &usize, v: AVal) {
@@ -347,35 +352,35 @@ impl Domain for Est {
         }
     }
 
-    fn array(&mut self, items: Vec<AVal>) -> AVal {
+    fn array(&mut self, elem: &Type, items: Vec<AVal>) -> AVal {
         let start = self.heap.len();
         self.heap.extend(items);
-        AVal::Array((start..self.heap.len()).collect())
+        AVal::Array(elem.clone(), (start..self.heap.len()).collect())
     }
 
     fn cells(&self, v: &AVal) -> Option<Vec<usize>> {
         match v {
-            AVal::Array(cells) => Some(cells.clone()),
+            AVal::Array(_, cells) => Some(cells.clone()),
             _ => None,
         }
     }
 
     fn element(&self, arr: &AVal, i: usize, _: Span) -> QutesResult<Result<usize, ()>> {
         match arr {
-            AVal::Array(cells) => cells.get(i).map(|&c| Ok(c)).ok_or_else(stop),
+            AVal::Array(_, cells) => cells.get(i).map(|&c| Ok(c)).ok_or_else(stop),
             _ => Ok(Err(())),
         }
     }
 
     fn index(&self, base: &AVal, i: usize, span: Span) -> QutesResult<AVal> {
         match base {
-            AVal::Array(cells) => cells
+            AVal::Array(_, cells) => cells
                 .get(i)
                 .and_then(|&c| self.heap.get(c))
                 .cloned()
                 .ok_or_else(stop),
             AVal::Known(b) => Ok(ops::index_value(b, i, span)?.into()),
-            _ => Ok(AVal::Lost),
+            AVal::Unknown(t) => Ok(AVal::Unknown(types::element(t).ok_or_else(stop)?)),
         }
     }
 
@@ -438,63 +443,17 @@ impl Domain for Est {
         self.apply(Gate::Barrier(vec![]))
     }
 
-    fn redeclared(&mut self, _: QutesError) -> QutesResult<()> {
+    fn too_deep(&mut self, _: usize, _: Span) -> QutesResult<()> {
+        self.inexact("call depth exceeds the estimator's bound");
         Ok(())
     }
 
-    fn too_deep(&mut self, _: usize, _: Span) -> QutesResult<AVal> {
-        self.inexact("call depth exceeds the estimator's bound");
-        Ok(AVal::Lost)
-    }
-
-    fn unknown(_: (), ty: Option<Type>) -> AVal {
-        ty.map_or(AVal::Lost, AVal::Unknown)
+    fn unknown(_: (), ty: &Type) -> AVal {
+        AVal::Unknown(ty.clone())
     }
 
     fn note(&mut self, _: (), why: &str) {
         self.inexact(why);
-    }
-
-    fn unknown_op(&mut self, _: (), op: UnknownOp<AVal>) -> QutesResult<AVal> {
-        use qutes_frontend::ast::{BinOp::*, UnOp};
-        use AVal::{Lost, Unknown};
-        Ok(match op {
-            // The operation still type-checks; only the value is lost.
-            UnknownOp::Binary(op, l, r) => match (l, r) {
-                (Lost, _) | (_, Lost) => Lost,
-                (Unknown(_), _) | (_, Unknown(_))
-                    if matches!(op, Eq | Ne | Lt | Le | Gt | Ge | In) =>
-                {
-                    Unknown(Type::Bool)
-                }
-                (Unknown(_), _) | (_, Unknown(_)) => Lost,
-                _ => return Err(stop()),
-            },
-            UnknownOp::Unary(op, v) => match (op, v) {
-                (UnOp::Neg, v @ (Unknown(Type::Int | Type::Float) | Lost)) => v,
-                (UnOp::Not, Unknown(_) | Lost) => Unknown(Type::Bool),
-                _ => return Err(stop()),
-            },
-            UnknownOp::Builtin(b, v) => match (b, v) {
-                (Builtin::Len, AVal::Array(cells)) => Value::Int(cells.len() as i64).into(),
-                (Builtin::Len, Unknown(Type::String) | Lost) | (Builtin::Width, Lost) => {
-                    Unknown(Type::Int)
-                }
-                (Builtin::Range, Unknown(_) | Lost) => Lost,
-                (Builtin::Int | Builtin::Float | Builtin::Bool, AVal::Array(_)) => {
-                    return Err(stop())
-                }
-                (Builtin::Int, _) => Unknown(Type::Int),
-                (Builtin::Float, _) => Unknown(Type::Float),
-                (Builtin::Bool, _) => Unknown(Type::Bool),
-                (Builtin::Str, _) => Unknown(Type::String),
-                (Builtin::Qmin | Builtin::Qmax, Lost) => {
-                    self.inexact("qmin/qmax over a collection the estimator lost track of");
-                    Unknown(Type::Int)
-                }
-                _ => return Err(stop()),
-            },
-        })
     }
 
     /// The stand-ins of the module doc. A register of unknown qubits, or a
@@ -508,7 +467,7 @@ impl Domain for Est {
         roles: [Role; N],
         arm: impl FnOnce(&mut World<'p, 'a>, [AVal; N]) -> QutesResult<AVal>,
     ) -> QutesResult<AVal> {
-        use AVal::{Known, Lost, Unknown};
+        use AVal::{Known, Unknown};
         // No register is wider than every qubit allocated so far. A `cnot`
         // counts as a fan-out from one control, which has as many gates as
         // the pairwise form and at least its layers.
@@ -517,8 +476,7 @@ impl Domain for Est {
             let w = match (&vals[i], roles[i]) {
                 (Known(Value::Quantum(q)), _) => q.width(),
                 (Unknown(Type::Qubit), _) => 1,
-                (Unknown(Type::Quint | Type::Qustring), _)
-                | (Lost, Role::Register | Role::Control) => widest,
+                (Unknown(Type::Quint | Type::Qustring), _) => widest,
                 _ => return None,
             };
             match roles[i] {
@@ -540,7 +498,11 @@ impl Domain for Est {
             .zip(widths)
             .map(|((v, role), w)| {
                 if let (Some(w), Some(scratch)) = (w, &mut scratch) {
-                    let kind = Self::type_of(&v).as_ref().and_then(QKind::of);
+                    let kind = match &v {
+                        Known(Value::Quantum(q)) => Some(q.kind),
+                        Unknown(t) => QKind::of(t),
+                        _ => None,
+                    };
                     let kind = kind.unwrap_or(QKind::Quint);
                     let qubits = scratch.allocate("", w)?;
                     return Ok(Value::Quantum(QuantumRef { qubits, kind }).into());
@@ -552,16 +514,15 @@ impl Domain for Est {
                     // whatever its value.
                     (Unknown(Type::Int | Type::Bool), Role::Operand(Arith::InPlace))
                     | (Unknown(Type::Bool), Role::Operand(Arith::Sum)) => Value::Int(0),
-                    (Unknown(Type::Int) | Lost, Role::Amount) => Value::Int(1 + i64::from(n >= 4)),
+                    (Unknown(Type::Int), Role::Amount) => Value::Int(1 + i64::from(n >= 4)),
                     // `TypeCastingHandler::promote` builds its widest register,
                     // with the most X gates, from these.
-                    (Unknown(Type::Int | Type::Bool) | Lost, Role::Promoted(QKind::Qubit))
+                    (Unknown(Type::Int | Type::Bool), Role::Promoted(QKind::Qubit))
                     | (Unknown(Type::Bool), Role::Promoted(QKind::Quint) | Role::Operand(_)) => {
                         exact = false;
                         Value::Bool(true)
                     }
-                    (Unknown(Type::Int) | Lost, Role::Promoted(QKind::Quint))
-                    | (Unknown(Type::Int), Role::Operand(_)) => {
+                    (Unknown(Type::Int), Role::Promoted(QKind::Quint) | Role::Operand(_)) => {
                         exact = false;
                         Value::Int(i64::MAX)
                     }
@@ -663,8 +624,16 @@ impl Domain for Est {
             (None, None) => return Ok(Flow::Normal),
             // An array either world returns names cells of that world
             // alone.
-            (Some(AVal::Array(_)), _) | (_, Some(AVal::Array(_))) if !same_world => AVal::Lost,
-            (Some(va), Some(vb)) if va != vb => AVal::Lost,
+            (Some(mut v @ AVal::Array(..)), _) | (_, Some(mut v @ AVal::Array(..)))
+                if !same_world =>
+            {
+                v.forget(false);
+                v
+            }
+            (Some(mut va), Some(vb)) if va != vb => {
+                va.forget(true);
+                va
+            }
             (Some(v), _) | (None, Some(v)) => v,
         };
         Ok(Flow::Return)
@@ -696,7 +665,8 @@ impl Domain for Est {
             }
         }
         for &at in &writes.locs {
-            match it.slot(at).and_then(|i| it.slots.get_mut(i)) {
+            let i = it.slot(at);
+            match it.slots.get_mut(i) {
                 Some(Binding::Owned(v)) => v.forget(true),
                 Some(Binding::Shared(c)) => {
                     if let Some(v) = it.dom.heap.get_mut(*c) {
@@ -721,7 +691,7 @@ impl Domain for Est {
     fn end_block(it: &mut World<'_, '_>, stmts: &[Stmt<'_>], mark: usize, flow: Flow) {
         for s in stmts {
             if let Stmt::Decl {
-                slot: DeclSlot::Local(i),
+                slot: Loc::Local(i),
                 ..
             } = s
             {
@@ -748,11 +718,11 @@ fn drop_cells(it: &mut World<'_, '_>, mark: usize, flow: Flow) {
     for b in &mut it.slots {
         if let Binding::Shared(c) = *b {
             if let Some(cell) = heap.get_mut(c).filter(|_| c >= mark) {
-                *b = Binding::Owned(std::mem::replace(cell, AVal::Lost));
+                *b = Binding::Owned(std::mem::replace(cell, VOID));
             }
         }
     }
-    let new = |v: &AVal| matches!(v, AVal::Array(cells) if cells.iter().any(|&c| c >= mark));
+    let new = |v: &AVal| matches!(v, AVal::Array(_, cells) if cells.iter().any(|&c| c >= mark));
     let held = |b: &Binding<AVal, usize>| matches!(b, Binding::Owned(v) if new(v));
     let returned = flow == Flow::Return && new(&it.returned);
     if !(returned || it.slots.iter().any(held) || heap[..mark].iter().any(new)) {

@@ -12,6 +12,14 @@
 //!   (`qutes-analysis`), whose values may be run-dependent, whose cells
 //!   live in a heap of ids, and whose sink is a shadow circuit.
 //!
+//! The walker runs the checker's typed resolution: every dispatch on a
+//! type (quint arithmetic or classical, a quantum search or a classical
+//! `in`, a promotion or a measurement) reads the static type the checker
+//! wrote, and every conversion is a node the checker placed
+//! ([`Conversion`]). No value is asked for its type at run time, and a
+//! value the domain does not know takes the type of the expression that
+//! made it.
+//!
 //! The hooks of [`Domain`] cover only what differs: values and cells,
 //! branching on a condition the domain does not know, loops of unknown
 //! trip count, draws (measurement, the `in` search, `qmin`/`qmax`),
@@ -30,13 +38,13 @@ use crate::error::{QutesError, QutesResult};
 use crate::lower::{self, Emit, Operand};
 use crate::ops;
 use crate::resolution::{
-    Builtin, Callee, DeclSlot, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var, VarType,
+    Builtin, Callee, Conversion, Expr, ExprKind, Function, Loc, Place, Resolution, Stmt, Var,
 };
+use crate::types::element;
 use crate::value::{QKind, QuantumRef, Value};
 use qutes_algos::substring_oracle;
-use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Type, UnOp};
-use qutes_frontend::{Diagnostic, Span};
-use std::borrow::Cow;
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Type};
+use qutes_frontend::Span;
 
 /// How a statement finished. A `return` leaves its value in
 /// [`Interp::returned`].
@@ -115,9 +123,6 @@ pub trait Domain: Sized {
     fn value(v: &Self::Val) -> Result<&Value, Self::Unknown>;
     /// [`Self::value`], by value; `Err` returns the value with the witness.
     fn split(v: Self::Val) -> Result<Value, (Self::Unknown, Self::Val)>;
-    /// The type a `foreach` variable bound to `v` takes; `None` when the
-    /// domain has lost it.
-    fn type_of(v: &Self::Val) -> Option<Type>;
 
     // ---- storage ----------------------------------------------------------
 
@@ -127,8 +132,8 @@ pub trait Domain: Sized {
     fn read<R>(&self, c: &Self::Cell, f: impl FnOnce(&Self::Val) -> R) -> R;
     /// Overwrites a cell's value.
     fn write(&mut self, c: &Self::Cell, v: Self::Val);
-    /// A fresh array of fresh cells.
-    fn array(&mut self, items: Vec<Self::Val>) -> Self::Val;
+    /// A fresh array of fresh cells, of elements of type `elem`.
+    fn array(&mut self, elem: &Type, items: Vec<Self::Val>) -> Self::Val;
     /// An array's element cells; `None` for anything else.
     fn cells(&self, v: &Self::Val) -> Option<Vec<Self::Cell>>;
     /// The cell of `arr[i]`, for an assignment; `Ok(Err(_))` when the
@@ -165,23 +170,16 @@ pub trait Domain: Sized {
     fn checkpoint(&mut self) -> QutesResult<()> {
         Ok(())
     }
-    /// A declaration of a name already declared, which the checker
-    /// rejects; `Ok` walks past it (a global takes the new value).
-    fn redeclared(&mut self, e: QutesError) -> QutesResult<()> {
-        Err(e)
-    }
-    /// A call nested deeper than the budget allows.
-    fn too_deep(&mut self, max: usize, span: Span) -> QutesResult<Self::Val>;
+    /// A call nested deeper than the budget allows: an error, or the
+    /// witness that its result is not known.
+    fn too_deep(&mut self, max: usize, span: Span) -> QutesResult<Self::Unknown>;
 
     // ---- what only an abstract domain reaches -----------------------------
 
-    /// A run-dependent value: of type `ty`, or `None` when its type is
-    /// lost too.
-    fn unknown(u: Self::Unknown, ty: Option<Type>) -> Self::Val;
+    /// A run-dependent value of static type `ty`.
+    fn unknown(u: Self::Unknown, ty: &Type) -> Self::Val;
     /// Records why the domain's result is not exact.
     fn note(&mut self, u: Self::Unknown, why: &str);
-    /// A classical operation with an operand the domain does not know.
-    fn unknown_op(&mut self, u: Self::Unknown, op: UnknownOp<Self::Val>) -> QutesResult<Self::Val>;
     /// Runs `arm`, one of the walker's lowering arms, on `vals` with each
     /// operand the domain does not know replaced by a known stand-in that
     /// emits at least what any run emits in its [`Role`].
@@ -210,17 +208,6 @@ pub trait Domain: Sized {
     }
     /// Ends the scope of a block's declarations.
     fn end_block(_it: &mut Interp<'_, '_, Self>, _stmts: &[Stmt<'_>], _mark: usize, _flow: Flow) {}
-}
-
-/// A classical operation whose operand (the value `V`) a domain does not
-/// know.
-pub enum UnknownOp<V> {
-    /// A binary operator.
-    Binary(BinOp, V, V),
-    /// A unary operator.
-    Unary(UnOp, V),
-    /// `len`, `width`, `range`, a cast, `qmin` or `qmax`.
-    Builtin(Builtin, V),
 }
 
 /// An assignment target: a variable, an array element's cell, or a cell
@@ -308,17 +295,16 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
     /// The slot a variable's location names in the running frame.
     #[inline]
-    pub fn slot(&self, at: Loc) -> Option<usize> {
+    pub fn slot(&self, at: Loc) -> usize {
         match at {
-            Loc::Local(slot) => Some(self.base + slot as usize),
-            Loc::Global(slot) => Some(slot as usize),
-            Loc::Unresolved => None,
+            Loc::Local(slot) => self.base + slot as usize,
+            Loc::Global(slot) => slot as usize,
         }
     }
 
     #[inline]
     fn binding(&self, at: Loc) -> Option<&Binding<D::Val, D::Cell>> {
-        self.slots.get(self.slot(at)?)
+        self.slots.get(self.slot(at))
     }
 
     /// Applies `f` to a variable's value; `None` if the variable is not
@@ -362,22 +348,10 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             .ok_or_else(|| undeclared(var, span))
     }
 
-    /// A declared variable's static type (a `foreach` variable's is the
-    /// type of the element it is bound to); `None` if it is not declared
-    /// (yet).
-    fn var_type(&self, var: &Var<'a>) -> Option<Cow<'a, Type>> {
-        match var.ty {
-            VarType::Declared(t) => self.declared(var.at).then_some(Cow::Borrowed(t)),
-            VarType::Loop => self
-                .with_value(var.at, |v| D::type_of(v).unwrap_or(Type::Int))
-                .map(Cow::Owned),
-        }
-    }
-
     /// The variable's cell, moving its value into one first if it was
     /// held in place: for passing it by reference.
     fn share(&mut self, at: Loc) -> Option<D::Cell> {
-        let i = self.slot(at)?;
+        let i = self.slot(at);
         let b = self.slots.get_mut(i)?;
         if let Binding::Owned(v) = b {
             let v = std::mem::replace(v, Value::Void.into());
@@ -395,24 +369,28 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
     }
 
-    fn lhs_read(&self, lhs: &Lhs<D>) -> D::Val {
+    /// The current value of an assignment target of static type `ty`.
+    fn lhs_read(&self, lhs: &Lhs<D>, ty: &Type) -> D::Val {
         match lhs {
             Lhs::Var(at) => self
                 .with_value(*at, D::Val::clone)
                 .unwrap_or_else(|| Value::Void.into()),
             Lhs::Elem(c) => self.dom.read(c, D::Val::clone),
-            Lhs::Any(u) => D::unknown(*u, None),
+            Lhs::Any(u) => D::unknown(*u, ty),
         }
     }
 
     #[inline]
     fn lhs_write(&mut self, lhs: &Lhs<D>, v: D::Val) {
         match lhs {
-            Lhs::Var(at) => match self.slot(*at).and_then(|i| self.slots.get_mut(i)) {
-                Some(Binding::Owned(x)) => *x = v,
-                Some(Binding::Shared(c)) => self.dom.write(c, v),
-                Some(Binding::Empty) | None => {}
-            },
+            Lhs::Var(at) => {
+                let i = self.slot(*at);
+                match self.slots.get_mut(i) {
+                    Some(Binding::Owned(x)) => *x = v,
+                    Some(Binding::Shared(c)) => self.dom.write(c, v),
+                    Some(Binding::Empty) | None => {}
+                }
+            }
             Lhs::Elem(c) => self.dom.write(c, v),
             Lhs::Any(u) => D::havoc(self, *u, None),
         }
@@ -492,8 +470,10 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 // evaluation of a quantum variable — whether for verifying
                 // its value or for printing — requires a measurement
                 // operation").
-                let v = self.eval(value)?;
-                let v = self.classical(v)?;
+                let mut v = self.eval(value)?;
+                if QKind::of(&value.ty).is_some() {
+                    v = self.measure_value(v, value.span)?;
+                }
                 self.dom.print(v);
                 Ok(Flow::Normal)
             }
@@ -561,48 +541,22 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         Ok(flow)
     }
 
+    /// A declaration binds its slot; a local slot is rebound each time
+    /// its block runs again.
     #[inline(never)]
     fn exec_decl(
         &mut self,
         ty: &Type,
         name: &str,
-        slot: DeclSlot,
+        slot: Loc,
         init: Option<&Expr<'a>>,
         span: Span,
     ) -> QutesResult<Flow> {
         let value = match init {
-            Some(e) => {
-                let v = self.eval_with_target(e, Some(ty))?;
-                self.coerce(v, ty, name, e.span)?
-            }
+            Some(e) => self.eval(e)?,
             None => self.default_value(ty, name, span)?,
         };
-        let redeclared = || {
-            QutesError::Compile(vec![Diagnostic::error(
-                format!("variable '{name}' is already declared in this scope"),
-                span,
-            )])
-        };
-        let target = match slot {
-            DeclSlot::Local(i) => self.slots.get(self.base + i as usize),
-            DeclSlot::Global(i) => self.slots.get(i as usize),
-            DeclSlot::Duplicate => None,
-        };
-        match target {
-            // A global is declared once; a local slot is rebound each
-            // time its block runs again.
-            Some(Binding::Owned(_) | Binding::Shared(_)) if matches!(slot, DeclSlot::Global(_)) => {
-                self.dom.redeclared(redeclared())?
-            }
-            None => return self.dom.redeclared(redeclared()).map(|()| Flow::Normal),
-            _ => {}
-        }
-        let i = match slot {
-            DeclSlot::Local(i) => self.base + i as usize,
-            DeclSlot::Global(i) => i as usize,
-            DeclSlot::Duplicate => return Ok(Flow::Normal),
-        };
-        self.bind(i, Binding::Owned(value));
+        self.bind(self.slot(slot), Binding::Owned(value));
         Ok(Flow::Normal)
     }
 
@@ -625,17 +579,12 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         let items: Vec<Binding<D::Val, D::Cell>> = match self.dom.cells(&it) {
             Some(cells) => cells.into_iter().map(Binding::Shared).collect(),
             None => match D::split(it) {
-                Ok(Value::Quantum(q)) if q.kind == QKind::Qustring => q
+                Ok(Value::Quantum(q)) => q
                     .qubits
                     .iter()
                     .map(|&qb| Binding::Owned(quantum(vec![qb], QKind::Qubit)))
                     .collect(),
-                Ok(other) => {
-                    return Err(QutesError::runtime(
-                        format!("cannot iterate over {}", other.type_name()),
-                        iterable.span,
-                    ))
-                }
+                Ok(_) => return Err(ill_typed("foreach over a scalar")),
                 Err((u, _)) => {
                     self.dom.note(
                         u,
@@ -643,8 +592,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                          be bounded statically",
                     );
                     let at = self.base + *var as usize;
+                    let elem = element(&iterable.ty).unwrap_or(Type::Void);
                     self.step(*span)?;
-                    self.bind(at, Binding::Owned(D::unknown(u, None)));
+                    self.bind(at, Binding::Owned(D::unknown(u, &elem)));
                     let flow = self.once_then_havoc(u, s, body);
                     self.bind(at, Binding::Empty);
                     return flow;
@@ -682,65 +632,72 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     span,
                 ))
             }
-            Type::Array(_) => self.dom.array(Vec::new()),
+            Type::Array(elem) => self.dom.array(elem, Vec::new()),
             Type::Void => Value::Void.into(),
         })
     }
 
-    /// Coerces a value into a declared type: identity, numeric widening,
-    /// promotion (classical -> quantum, via the `TypeCastingHandler`), or
-    /// auto-measurement (quantum -> classical).
-    #[inline]
-    fn coerce(&mut self, v: D::Val, ty: &Type, name: &str, span: Span) -> QutesResult<D::Val> {
-        match D::split(v) {
-            Ok(v) if ops::conforms(&v, ty) => Ok(v.into()),
-            Ok(v) => self.convert(v, ty, name, span),
-            // Between two classical or two quantum types no code is
-            // lowered, so a value the domain does not know only takes the
-            // type; a promotion or an auto-measurement runs `convert` on a
-            // stand-in.
-            Err((u, v)) => match D::type_of(&v) {
-                _ if matches!(ty, Type::Array(_)) && self.dom.cells(&v).is_some() => Ok(v),
-                Some(t) if t.is_quantum() == ty.is_quantum() => Ok(D::unknown(u, Some(ty.clone()))),
-                None if !ty.is_quantum() => Ok(v),
-                _ => {
-                    let role = QKind::of(ty).map_or(Role::Register, Role::Promoted);
-                    D::stand_in(self, u, [v], [role], |it, [v]| {
-                        it.convert(known::<D>(v)?, ty, name, span)
-                    })
-                }
-            },
-        }
-    }
-
-    /// [`Self::coerce`] for a known value not already of type `ty`.
+    /// Runs a conversion node the checker placed: `v` converted to the
+    /// node's type `ty`.
     #[inline(never)]
-    fn convert(&mut self, v: Value, ty: &Type, name: &str, span: Span) -> QutesResult<D::Val> {
-        let register = |qubits, kind| Ok(quantum(qubits, kind));
-        match (ty, v) {
-            (Type::Qubit, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
-                Cast::promote(self.dom.sink(), name, &v, QKind::Qubit, span)?,
-            )
-            .into()),
-            (Type::Quint, v @ (Value::Bool(_) | Value::Int(_))) => Ok(Value::Quantum(
-                Cast::promote(self.dom.sink(), name, &v, QKind::Quint, span)?,
-            )
-            .into()),
-            // A quint or qustring of width 1 reinterpreted as a qubit.
-            (Type::Qubit, Value::Quantum(q)) if q.width() == 1 => register(q.qubits, QKind::Qubit),
-            (Type::Quint, Value::Quantum(q)) => register(q.qubits, QKind::Quint),
-            (Type::Qustring, Value::Str(s)) => {
-                Ok(Value::Quantum(Cast::new_qustring(self.dom.sink(), name, &s, span)?).into())
+    fn convert(
+        &mut self,
+        v: D::Val,
+        conv: &Conversion<'_>,
+        ty: &Type,
+        span: Span,
+    ) -> QutesResult<D::Val> {
+        match conv {
+            Conversion::Promote(kind, name) => {
+                let kind = *kind;
+                self.lower_known([v], [Role::Promoted(kind)], |it, [v]| {
+                    let v = known::<D>(v)?;
+                    let sink = it.dom.sink();
+                    let fresh;
+                    let name = match name {
+                        Some(name) => *name,
+                        None => {
+                            fresh = sink.fresh_name("elem");
+                            &fresh
+                        }
+                    };
+                    Ok(Value::Quantum(Cast::promote(sink, name, &v, kind, span)?).into())
+                })
             }
-            (Type::Qustring, Value::Quantum(q)) => register(q.qubits, QKind::Qustring),
-            (classical, Value::Quantum(q)) => {
-                let measured = self.dom.measure(&q)?;
-                match D::split(measured) {
-                    Ok(m) => Ok(ops::store_measured(classical, m, span)?.into()),
-                    Err((u, _)) => Ok(D::unknown(u, Some(classical.clone()))),
+            Conversion::Measure => {
+                let m = self.measure_value(v, span)?;
+                match D::split(m) {
+                    Ok(m) if *ty == Type::Float => Ok(ops::widen(m).into()),
+                    Ok(m) => Ok(m.into()),
+                    Err((u, _)) => Ok(D::unknown(u, ty)),
                 }
             }
-            (ty, v) => Ok(ops::widen(v, ty, span)?.into()),
+            Conversion::Widen => match D::split(v) {
+                Ok(v) => Ok(ops::widen(v).into()),
+                Err((u, _)) => Ok(D::unknown(u, ty)),
+            },
+            Conversion::Elements(conv) => {
+                let elem = element(ty).ok_or_else(|| ill_typed("elements of a scalar"))?;
+                let Some(cells) = self.dom.cells(&v) else {
+                    return match D::value(&v) {
+                        Ok(_) => Err(ill_typed("elements of a scalar")),
+                        // Widening lowers no code; a promotion or a
+                        // measurement of each of an unknown number of
+                        // elements cannot be counted.
+                        Err(u) if **conv == Conversion::Widen => Ok(D::unknown(u, ty)),
+                        Err(_) => Err(QutesError::runtime(
+                            "conversion of each element of a run-dependent array",
+                            span,
+                        )),
+                    };
+                };
+                let mut items = Vec::with_capacity(cells.len());
+                for c in &cells {
+                    let item = self.dom.read(c, D::Val::clone);
+                    items.push(self.convert(item, conv, &elem, span)?);
+                }
+                Ok(self.dom.array(&elem, items))
+            }
         }
     }
 
@@ -771,31 +728,27 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 span,
             )
         };
-        let (lhs, target_ty, name) = match target {
+        let (lhs, elem_ty);
+        let target_ty = match target {
             Place::Var(var) => {
-                let ty = self.var_type(var).ok_or_else(|| undeclared(var))?;
-                (Lhs::Var(var.at), ty, var.name)
+                if !self.declared(var.at) {
+                    return Err(undeclared(var));
+                }
+                lhs = Lhs::Var(var.at);
+                &var.ty
             }
             Place::Index(var, idx_expr) => {
                 let idx = self.eval_index(idx_expr)?;
-                let ty = self.var_type(var).ok_or_else(|| undeclared(var))?;
-                let elem_ty = match ty {
-                    Cow::Borrowed(Type::Array(t)) => Cow::Borrowed(&**t),
-                    Cow::Owned(Type::Array(t)) => Cow::Owned(*t),
-                    other => {
-                        return Err(QutesError::runtime(
-                            format!("cannot index-assign into {other}"),
-                            span,
-                        ))
-                    }
-                };
+                if !self.declared(var.at) {
+                    return Err(undeclared(var));
+                }
                 let elem = match idx {
                     Ok(i) => self
                         .with_value(var.at, |arr| self.dom.element(arr, i, span))
                         .ok_or_else(|| undeclared(var))??,
                     Err(u) => Err(u),
                 };
-                let lhs = match elem {
+                lhs = match elem {
                     Ok(cell) => Lhs::Elem(cell),
                     Err(u) => {
                         self.dom
@@ -803,21 +756,21 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                         Lhs::Any(u)
                     }
                 };
-                (lhs, elem_ty, var.name)
+                elem_ty = element(&var.ty).ok_or_else(|| ill_typed("index into a scalar"))?;
+                &elem_ty
             }
         };
 
         match op {
             AssignOp::Set => {
-                let v = self.eval_with_target(value_expr, Some(&target_ty))?;
-                let v = self.coerce(v, &target_ty, name, value_expr.span)?;
+                let v = self.eval(value_expr)?;
                 self.lhs_write(&lhs, v);
             }
             AssignOp::Add | AssignOp::Sub => {
-                let current = self.lhs_read(&lhs);
+                let current = self.lhs_read(&lhs, target_ty);
                 let rhs = self.eval(value_expr)?;
                 let subtract = op == AssignOp::Sub;
-                if kind::<D>(&current) == Some(QKind::Quint) {
+                if *target_ty == Type::Quint {
                     self.quint_arith(Arith::InPlace, current, rhs, subtract, span)?;
                 } else {
                     let bin = if op == AssignOp::Add {
@@ -825,16 +778,16 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     } else {
                         BinOp::Sub
                     };
-                    let result = self.classical_binary(bin, current, rhs, span)?;
+                    let result = self.classical_binary(bin, current, rhs, target_ty, span)?;
                     self.lhs_write(&lhs, result);
                 }
             }
             AssignOp::Shl | AssignOp::Shr => {
                 let rhs = self.eval(value_expr)?;
                 if let Ok(v) = D::value(&rhs) {
-                    let k = v.as_i64().ok_or_else(|| {
-                        QutesError::runtime("shift amount must be an integer", value_expr.span)
-                    })?;
+                    let k = v
+                        .as_i64()
+                        .ok_or_else(|| ill_typed("a shift by a non-int"))?;
                     if k < 0 {
                         return Err(QutesError::runtime(
                             "shift amount must be >= 0",
@@ -842,24 +795,15 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                         ));
                     }
                 }
-                let current = self.lhs_read(&lhs);
+                let current = self.lhs_read(&lhs, target_ty);
                 let left = op == AssignOp::Shl;
-                match D::value(&current) {
+                if target_ty.is_quantum() {
                     // Cyclic shift in constant depth (paper §5).
-                    _ if kind::<D>(&current).is_some() => {
-                        self.rotate(current, rhs, left, value_expr.span)?;
-                    }
-                    Ok(Value::Int(_)) | Err(_) => {
-                        let shift = if left { BinOp::Shl } else { BinOp::Shr };
-                        let v = self.classical_binary(shift, current, rhs, span)?;
-                        self.lhs_write(&lhs, v);
-                    }
-                    Ok(other) => {
-                        return Err(QutesError::runtime(
-                            format!("cannot shift a {} value", other.type_name()),
-                            span,
-                        ))
-                    }
+                    self.rotate(current, rhs, left, value_expr.span)?;
+                } else {
+                    let shift = if left { BinOp::Shl } else { BinOp::Shr };
+                    let v = self.classical_binary(shift, current, rhs, target_ty, span)?;
+                    self.lhs_write(&lhs, v);
                 }
             }
         }
@@ -868,8 +812,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
     /// The assignments that need none of [`Self::assign_slow`]'s general
     /// machinery, done in place: `int ±= int`, and storing a scalar into
-    /// a variable declared with exactly its type. Returns `false`, having
-    /// done nothing, for every other assignment.
+    /// a variable. Returns `false`, having done nothing, for every other
+    /// assignment.
     #[inline]
     fn assign_fast(
         &mut self,
@@ -891,20 +835,11 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     a.wrapping_sub(b)
                 })
             }
-            AssignOp::Set => {
-                let VarType::Declared(ty) = var.ty else {
-                    return Ok(false);
-                };
-                if !self.declared(var.at) {
-                    return Ok(false);
-                }
-                match (ty, self.eval_fast(value)) {
-                    (Type::Int, Some(v @ Value::Int(_)))
-                    | (Type::Bool, Some(v @ Value::Bool(_)))
-                    | (Type::Float, Some(v @ Value::Float(_))) => v,
-                    _ => return Ok(false),
-                }
-            }
+            // The checker converted the value to the variable's type.
+            AssignOp::Set => match self.eval_fast(value) {
+                Some(v) if self.declared(var.at) => v,
+                _ => return Ok(false),
+            },
             AssignOp::Shl | AssignOp::Shr => return Ok(false),
         };
         self.fast_steps(value)?;
@@ -916,23 +851,13 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     /// it.
     fn eval_index(&mut self, e: &Expr<'a>) -> QutesResult<Result<usize, D::Unknown>> {
         let v = self.eval(e)?;
-        let v = self.classical(v)?;
         match D::value(&v) {
             Ok(v) => Ok(Ok(ops::non_negative(v, "index", e.span)?)),
             Err(u) => Ok(Err(u)),
         }
     }
 
-    /// `v` as a classical value: a quantum register is measured.
-    fn classical(&mut self, v: D::Val) -> QutesResult<D::Val> {
-        match D::value(&v) {
-            Ok(Value::Quantum(q)) => self.dom.measure(q),
-            Err(_) if kind::<D>(&v).is_some() => self.measure_value(v, Span::default()),
-            _ => Ok(v),
-        }
-    }
-
-    /// A `measure` of `v`: its classical value.
+    /// A measurement of `v`: its classical value.
     fn measure_value(&mut self, v: D::Val, span: Span) -> QutesResult<D::Val> {
         match D::split(v) {
             Ok(Value::Quantum(q)) => self.dom.measure(&q),
@@ -943,7 +868,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 ),
                 span,
             )),
-            Err((u, v)) => D::stand_in(self, u, [v], [Role::Register], |it, [v]| it.classical(v)),
+            Err((u, v)) => D::stand_in(self, u, [v], [Role::Register], |it, [v]| {
+                it.measure_value(v, span)
+            }),
         }
     }
 
@@ -994,9 +921,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         // gate per qubit.
         let angle = match gate {
             GateKind::Phase => match D::split(self.eval(&args[1])?) {
-                Ok(v) => v.as_f64().ok_or_else(|| {
-                    QutesError::runtime("phase angle must be numeric", args[1].span)
-                })?,
+                Ok(v) => v
+                    .as_f64()
+                    .ok_or_else(|| ill_typed("a phase by a non-number"))?,
                 Err(_) => 0.0,
             },
             _ => 0.0,
@@ -1070,7 +997,14 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     /// Evaluates an expression.
     #[inline]
     pub fn eval(&mut self, e: &Expr<'a>) -> QutesResult<D::Val> {
-        self.eval_with_target(e, None)
+        if let Some(v) = self.eval_fast(e) {
+            self.fast_steps(e)?;
+            return Ok(v.into());
+        }
+        if D::STEP_EXPRESSIONS {
+            self.step(e.span)?;
+        }
+        self.eval_slow(e)
     }
 
     /// Evaluates the cheapest expressions (a scalar literal, a variable
@@ -1108,35 +1042,28 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             }
         }
         let v = self.eval(e)?;
-        let v = self.classical(v)?;
         match D::value(&v) {
             Ok(v) => v
                 .as_bool()
                 .map(Ok)
-                .ok_or_else(|| QutesError::runtime("condition is not boolean", e.span)),
+                .ok_or_else(|| ill_typed("a condition that is not classical")),
             Err(u) => Ok(Err(u)),
         }
     }
 
-    #[inline]
-    fn eval_with_target(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<D::Val> {
-        if let Some(v) = self.eval_fast(e) {
-            self.fast_steps(e)?;
-            return Ok(v.into());
-        }
-        if D::STEP_EXPRESSIONS {
-            self.step(e.span)?;
-        }
-        self.eval_slow(e, target)
-    }
-
-    fn eval_slow(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<D::Val> {
+    fn eval_slow(&mut self, e: &Expr<'a>) -> QutesResult<D::Val> {
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v).into()),
             ExprKind::Bool(b) => Ok(Value::Bool(*b).into()),
             ExprKind::Var(var) => self.read(var, e.span),
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
-            ExprKind::Call { name, callee, args } => self.eval_call(name, *callee, args, e.span),
+            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, &e.ty, e.span),
+            ExprKind::Call { name, callee, args } => {
+                self.eval_call(name, *callee, args, &e.ty, e.span)
+            }
+            ExprKind::Convert(conv, inner) => {
+                let v = self.eval(inner)?;
+                self.convert(v, conv, &e.ty, e.span)
+            }
             ExprKind::Float(v) => Ok(Value::Float(*v).into()),
             ExprKind::Str(s) => Ok(Value::Str((*s).to_string()).into()),
             ExprKind::Pi => Ok(Value::Float(std::f64::consts::PI).into()),
@@ -1144,26 +1071,23 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 var,
                 var_span,
                 index,
-            } => self.eval_index_var(var, *var_span, index, e.span),
+            } => self.eval_index_var(var, *var_span, index, e),
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base)?;
                 match self.eval_index(idx)? {
                     Ok(i) => self.dom.index(&b, i, e.span),
-                    Err(u) => Ok(self.index_unknown(u, b)),
+                    Err(u) => Ok(self.index_unknown(u, b, &e.ty)),
                 }
             }
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner)?;
-                match D::split(self.classical(v)?) {
-                    Ok(v) => Ok(ops::unary(*op, &v, inner.span)?.into()),
-                    Err((u, v)) => self.dom.unknown_op(u, UnknownOp::Unary(*op, v)),
-                }
-            }
+            ExprKind::Unary(op, inner) => match D::split(self.eval(inner)?) {
+                Ok(v) => Ok(ops::unary(*op, &v, inner.span)?.into()),
+                Err((u, _)) => Ok(D::unknown(u, &e.ty)),
+            },
             ExprKind::Measure(inner) => {
                 let v = self.eval(inner)?;
                 self.measure_value(v, inner.span)
             }
-            _ => self.eval_literal(e, target),
+            _ => self.eval_literal(e),
         }
     }
 
@@ -1174,8 +1098,9 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         var: &Var<'a>,
         var_span: Span,
         index: &Expr<'a>,
-        span: Span,
+        e: &Expr<'a>,
     ) -> QutesResult<D::Val> {
+        let span = e.span;
         // `index` calls no function, so it cannot rebind `var`:
         // check the variable, evaluate the index, then read the
         // element through a borrow of the variable's value.
@@ -1193,30 +1118,32 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 .unwrap_or_else(|| Err(undeclared(var, var_span))),
             Err(u) => {
                 let base = self.read(var, var_span)?;
-                Ok(self.index_unknown(u, base))
+                Ok(self.index_unknown(u, base, &e.ty))
             }
         }
     }
 
-    /// An element of a register, string or array at an index the domain
-    /// does not know.
+    /// An element, of type `ty`, of a register, string or array at an
+    /// index the domain does not know.
     #[inline(never)]
-    fn index_unknown(&mut self, u: D::Unknown, base: D::Val) -> D::Val {
+    fn index_unknown(&mut self, u: D::Unknown, base: D::Val, ty: &Type) -> D::Val {
         if let Ok(Value::Quantum(_)) = D::value(&base) {
             self.dom
                 .note(u, "quantum register indexed by a run-dependent value");
         }
-        D::unknown(u, None)
+        D::unknown(u, ty)
     }
 
-    /// The literals that allocate: registers and arrays.
+    /// The literals that allocate: registers and arrays. A literal's
+    /// type picks what it builds: `0q`/`1q` of type `qubit` are basis
+    /// qubits, and `[a, b]q` of type `qubit` an amplitude pair.
     #[inline(never)]
-    fn eval_literal(&mut self, e: &Expr<'a>, target: Option<&Type>) -> QutesResult<D::Val> {
+    fn eval_literal(&mut self, e: &Expr<'a>) -> QutesResult<D::Val> {
         let reg = |q: QuantumRef| Ok(Value::Quantum(q).into());
         match &e.kind {
             ExprKind::Quint(v) => {
                 let name = self.dom.sink().fresh_name("quint_lit");
-                if matches!(target, Some(Type::Qubit)) && *v <= 1 {
+                if e.ty == Type::Qubit {
                     reg(Cast::new_qubit_basis(self.dom.sink(), &name, *v == 1)?)
                 } else {
                     reg(Cast::new_quint(self.dom.sink(), &name, *v, None)?)
@@ -1231,30 +1158,19 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 reg(Cast::new_qubit_ket(self.dom.sink(), &name, *k)?)
             }
             ExprKind::Array(elems) => {
-                let elem_target = match target {
-                    Some(Type::Array(t)) => Some(&**t),
-                    _ => None,
-                };
+                let elem = element(&e.ty).ok_or_else(|| ill_typed("an array of no type"))?;
                 let mut items = Vec::with_capacity(elems.len());
                 for el in elems {
-                    let v = self.eval_with_target(el, elem_target)?;
-                    items.push(match elem_target {
-                        Some(t) => {
-                            let name = self.dom.sink().fresh_name("elem");
-                            self.coerce(v, t, &name, el.span)?
-                        }
-                        None => v,
-                    });
+                    items.push(self.eval(el)?);
                 }
-                Ok(self.dom.array(items))
+                Ok(self.dom.array(&elem, items))
             }
             ExprKind::QuantumArray(elems) => {
                 let vals = elems
                     .iter()
                     .map(|el| self.eval(el))
                     .collect::<QutesResult<Vec<_>>>()?;
-                let any_float = vals.iter().any(|v| D::type_of(v) == Some(Type::Float));
-                if any_float || matches!(target, Some(Type::Qubit)) {
+                if e.ty == Type::Qubit {
                     self.amplitude_literal(&vals, e.span)
                 } else {
                     let mut values = Vec::with_capacity(vals.len());
@@ -1277,7 +1193,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                                     "superposition literal with run-dependent values: state \
                                      preparation network unknown",
                                 );
-                                return Ok(D::unknown(u, None));
+                                return Ok(D::unknown(u, &e.ty));
                             }
                         }
                     }
@@ -1290,29 +1206,26 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     )?)
                 }
             }
-            _ => Err(QutesError::runtime("not a literal", e.span)),
+            _ => Err(ill_typed("not a literal")),
         }
     }
 
     /// `[a, b]` as the amplitudes of a qubit.
     fn amplitude_literal(&mut self, vals: &[D::Val], span: Span) -> QutesResult<D::Val> {
-        if vals.len() != 2 {
-            return Err(QutesError::runtime(
-                "a qubit amplitude literal needs exactly two entries [a, b]",
-                span,
-            ));
-        }
-        let (a, b) = match (D::value(&vals[0]), D::value(&vals[1])) {
+        let [a, b] = vals else {
+            return Err(ill_typed("an amplitude literal of other than two entries"));
+        };
+        let (a, b) = match (D::value(a), D::value(b)) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(u), _) | (_, Err(u)) => {
                 self.dom
                     .note(u, "qubit amplitude literal with run-dependent amplitudes");
-                return Ok(D::unknown(u, None));
+                return Ok(D::unknown(u, &Type::Qubit));
             }
         };
         let amplitude = |v: &Value| {
             v.as_f64()
-                .ok_or_else(|| QutesError::runtime("amplitudes must be numeric", span))
+                .ok_or_else(|| ill_typed("a non-numeric amplitude"))
         };
         let (a, b) = (amplitude(a)?, amplitude(b)?);
         let name = self.dom.sink().fresh_name("qubit_amp");
@@ -1331,6 +1244,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         op: BinOp,
         l: &Expr<'a>,
         r: &Expr<'a>,
+        ty: &Type,
         span: Span,
     ) -> QutesResult<D::Val> {
         use BinOp::*;
@@ -1344,7 +1258,10 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         // `in`: Grover substring search when the haystack is quantum.
         if op == In {
             let rv = self.eval(r)?;
-            return self.eval_in(lv, rv, span);
+            if r.ty == Type::Qustring {
+                return self.eval_in(lv, rv, span);
+            }
+            return self.classical_binary(op, lv, rv, ty, span);
         }
 
         // Quantum arithmetic producing fresh registers.
@@ -1354,23 +1271,19 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             Arith::Sum
         };
         let quint = matches!(op, Add | Sub | Mul);
-        match kind::<D>(&lv) {
-            Some(QKind::Quint) if quint => {
-                let rv = self.eval(r)?;
-                return self.quint_arith(arith, lv, rv, op == Sub, span);
-            }
-            Some(_) if matches!(op, Shl | Shr) => return self.shifted_copy(lv, op == Shl, r),
-            _ => {}
+        if l.ty == Type::Quint && quint {
+            let rv = self.eval(r)?;
+            return self.quint_arith(arith, lv, rv, op == Sub, span);
+        }
+        if l.ty.is_quantum() && matches!(op, Shl | Shr) {
+            return self.shifted_copy(lv, op == Shl, r);
         }
         let rv = self.eval(r)?;
         // int + quint / int * quint (commute to the quint-first forms).
-        if matches!(op, Add | Mul)
-            && kind::<D>(&rv) == Some(QKind::Quint)
-            && matches!(D::type_of(&lv), Some(Type::Int | Type::Bool))
-        {
+        if r.ty == Type::Quint && matches!(op, Add | Mul) {
             return self.quint_arith(arith, rv, lv, false, span);
         }
-        self.classical_binary(op, lv, rv, span)
+        self.classical_binary(op, lv, rv, ty, span)
     }
 
     /// `&&` and `||`: the right side runs only when the left does not
@@ -1379,7 +1292,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     fn eval_logical(&mut self, op: BinOp, l: &Expr<'a>, r: &Expr<'a>) -> QutesResult<D::Val> {
         let known = |b: Result<bool, D::Unknown>| match b {
             Ok(b) => Value::Bool(b).into(),
-            Err(u) => D::unknown(u, Some(Type::Bool)),
+            Err(u) => D::unknown(u, &Type::Bool),
         };
         match self.eval_condition(l)? {
             Ok(b) if b == (op == BinOp::Or) => Ok(Value::Bool(b).into()),
@@ -1396,7 +1309,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     },
                     |_| Ok(Flow::Normal),
                 )?;
-                Ok(D::unknown(u, Some(Type::Bool)))
+                Ok(D::unknown(u, &Type::Bool))
             }
         }
     }
@@ -1407,45 +1320,32 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         let k = self.eval(r)?;
         self.lower_known([q, k], [Role::Register, Role::Amount], |it, [q, k]| {
             let k = ops::non_negative(&known::<D>(k)?, "shift amount", r.span)?;
-            match known::<D>(q)? {
-                Value::Quantum(q) => {
-                    let copy = lower::shifted_copy(it.dom.sink(), &q.qubits, k, left)?;
-                    Ok(quantum(copy, q.kind))
-                }
-                other => Err(QutesError::runtime(
-                    format!("cannot shift a {} value", other.type_name()),
-                    r.span,
-                )),
-            }
+            let Value::Quantum(q) = known::<D>(q)? else {
+                return Err(ill_typed("a shifted copy of a classical value"));
+            };
+            let copy = lower::shifted_copy(it.dom.sink(), &q.qubits, k, left)?;
+            Ok(quantum(copy, q.kind))
         })
     }
 
-    /// Classical binary semantics; quantum operands are auto-measured.
+    /// Classical binary semantics, with a result of static type `ty`.
     fn classical_binary(
         &mut self,
         op: BinOp,
         lv: D::Val,
         rv: D::Val,
+        ty: &Type,
         span: Span,
     ) -> QutesResult<D::Val> {
-        let lv = self.classical(lv)?;
-        let rv = self.classical(rv)?;
         match (D::value(&lv), D::value(&rv)) {
             (Ok(a), Ok(b)) => Ok(ops::binary(op, a, b, span)?.into()),
-            (Err(u), _) | (_, Err(u)) => self.dom.unknown_op(u, UnknownOp::Binary(op, lv, rv)),
+            (Err(u), _) | (_, Err(u)) => Ok(D::unknown(u, ty)),
         }
     }
 
-    /// `pattern in haystack` dispatch.
+    /// `pattern in haystack` for a qustring haystack.
     #[inline(never)]
     fn eval_in(&mut self, pattern: D::Val, haystack: D::Val, span: Span) -> QutesResult<D::Val> {
-        // The pattern must be classical bits; measure it if quantum.
-        let pattern = self.classical(pattern)?;
-        // A haystack whose type the domain lost may be a qustring.
-        let lost = D::value(&haystack).is_err() && D::type_of(&haystack).is_none();
-        if kind::<D>(&haystack) != Some(QKind::Qustring) && !lost {
-            return self.classical_binary(BinOp::In, pattern, haystack, span);
-        }
         let bits = match D::value(&pattern) {
             Ok(Value::Str(p)) => {
                 if !p.chars().all(|c| c == '0' || c == '1') {
@@ -1456,19 +1356,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 }
                 Ok(substring_oracle::bits_from_str(p))
             }
-            Ok(other) => {
-                return Err(QutesError::runtime(
-                    format!("'in' needs a string pattern, found {}", other.type_name()),
-                    span,
-                ))
-            }
-            Err(u) if D::type_of(&pattern) == Some(Type::String) => Err(u),
-            Err(_) => {
-                return Err(QutesError::runtime(
-                    "'in' needs a string pattern, found an unknown value",
-                    span,
-                ))
-            }
+            Ok(_) => return Err(ill_typed("a search for a non-string pattern")),
+            Err(u) => Err(u),
         };
         self.lower_known([haystack], [Role::Register], |it, [hay]| {
             let hay = qubits::<D>(&hay);
@@ -1489,27 +1378,17 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         name: &str,
         callee: Callee,
         args: &[Expr<'a>],
+        ty: &Type,
         span: Span,
     ) -> QutesResult<D::Val> {
-        let unknown = || QutesError::runtime(format!("call to unknown function '{name}'"), span);
         let index = match callee {
-            Callee::Builtin(b) => return self.eval_builtin(b, name, args, span),
+            Callee::Builtin(b) => return self.eval_builtin(b, args, ty, span),
             Callee::Function(i) => i as usize,
-            Callee::Unknown => return Err(unknown()),
         };
         let functions = self.functions;
-        let f = functions.get(index).ok_or_else(unknown)?;
-        let decl = f.decl;
-        if args.len() != decl.params.len() {
-            return Err(QutesError::runtime(
-                format!(
-                    "'{name}' expects {} argument(s), found {}",
-                    decl.params.len(),
-                    args.len()
-                ),
-                span,
-            ));
-        }
+        let f = functions
+            .get(index)
+            .ok_or_else(|| ill_typed("a call of no function"))?;
         // The callee's frame goes on top of the caller's. Arguments are
         // evaluated in the caller's frame (calls inside them stack their
         // frames above this one) and bound straight into their slots.
@@ -1521,7 +1400,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
         if self.call_depth >= self.max_call_depth {
             self.slots.truncate(frame);
-            return self.dom.too_deep(self.max_call_depth, span);
+            let u = self.dom.too_deep(self.max_call_depth, span)?;
+            return Ok(D::unknown(u, ty));
         }
         self.call_depth += 1;
         // Only globals and the parameters are visible inside a function:
@@ -1533,84 +1413,66 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         self.call_depth -= 1;
         match flow? {
             Flow::Return => Ok(std::mem::replace(&mut self.returned, Value::Void.into())),
-            Flow::Normal if decl.ret_type == Type::Void => Ok(Value::Void.into()),
+            Flow::Normal if *ty == Type::Void => Ok(Value::Void.into()),
             Flow::Normal => Err(QutesError::runtime(
-                format!(
-                    "function '{name}' finished without returning a {} value",
-                    decl.ret_type
-                ),
+                format!("function '{name}' finished without returning a {ty} value"),
                 span,
             )),
         }
     }
 
     /// Binds a call's arguments into the parameter slots of the frame
-    /// at `frame`. Plain-variable arguments of matching type are passed
-    /// **by reference** (shared cell, paper §4); everything else is
-    /// evaluated and coerced.
+    /// at `frame`. A plain variable (the checker converted every other
+    /// argument to its parameter's type) is passed **by reference**
+    /// (shared cell, paper §4); everything else is evaluated.
     fn bind_args(&mut self, f: &Function<'a>, args: &[Expr<'a>], frame: usize) -> QutesResult<()> {
-        for ((a, p), &slot) in args.iter().zip(&f.decl.params).zip(&f.params) {
+        for (a, &slot) in args.iter().zip(&f.params) {
             let shared = match &a.kind {
-                ExprKind::Var(var) if self.var_type(var).is_some_and(|ty| *ty == p.ty) => {
-                    self.share(var.at)
-                }
+                ExprKind::Var(var) => self.share(var.at),
                 _ => None,
             };
             let value = match (shared, self.eval_fast(a)) {
                 (Some(c), _) => Binding::Shared(c),
-                // Already of the parameter's type: stored as it is, which
-                // spares a copy through `coerce`.
-                (None, Some(v)) if ops::conforms(&v, &p.ty) => {
+                (None, Some(v)) => {
                     self.fast_steps(a)?;
                     Binding::Owned(v.into())
                 }
-                (None, _) => {
-                    let v = self.eval_with_target(a, Some(&p.ty))?;
-                    Binding::Owned(self.coerce(v, &p.ty, &p.name, a.span)?)
-                }
+                (None, None) => Binding::Owned(self.eval(a)?),
             };
             self.bind(frame + slot as usize, value);
         }
         Ok(())
     }
 
-    /// Calls a built-in function.
+    /// Calls a built-in function, of result type `ty`.
     #[inline(never)]
     fn eval_builtin(
         &mut self,
         builtin: Builtin,
-        name: &str,
         args: &[Expr<'a>],
+        ty: &Type,
         span: Span,
     ) -> QutesResult<D::Val> {
-        let n = builtin.arity();
-        if args.len() != n {
-            return Err(QutesError::runtime(
-                format!(
-                    "builtin '{name}' expects {n} argument(s), found {}",
-                    args.len()
-                ),
-                span,
-            ));
-        }
-        if matches!(builtin, Builtin::Rotl | Builtin::Rotr) {
-            let q = self.quantum_operand(&args[0], name)?;
-            let k = self.eval(&args[1])?;
+        let [first, rest @ ..] = args else {
+            return Err(ill_typed("a builtin call without arguments"));
+        };
+        if let (Builtin::Rotl | Builtin::Rotr, [amount]) = (builtin, rest) {
+            let q = self.eval(first)?;
+            let k = self.eval(amount)?;
             return self.rotate(q, k, builtin == Builtin::Rotl, span);
         }
-        let mut v = self.eval(&args[0])?;
-        if matches!(
-            builtin,
-            Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str
-        ) {
-            v = self.classical(v)?;
-        }
+        let v = self.eval(first)?;
         if matches!(builtin, Builtin::Qmin | Builtin::Qmax) {
-            return self.extremum(builtin, name, v, span);
+            return self.extremum(builtin, v, span);
         }
         let v = match D::split(v) {
             Ok(v) => v,
-            Err((u, v)) => return self.dom.unknown_op(u, UnknownOp::Builtin(builtin, v)),
+            Err((u, v)) => {
+                return Ok(match (builtin, self.dom.cells(&v)) {
+                    (Builtin::Len, Some(cells)) => Value::Int(cells.len() as i64).into(),
+                    _ => D::unknown(u, ty),
+                })
+            }
         };
         Ok(match builtin {
             Builtin::Len => ops::len(&v, span)?.into(),
@@ -1618,7 +1480,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             Builtin::Range => {
                 let n = ops::range_len(&v, span)?;
                 let items = (0..n).map(|i| Value::Int(i).into()).collect();
-                self.dom.array(items)
+                self.dom.array(&Type::Int, items)
             }
             _ => ops::cast(builtin, &v, span)?.into(),
         })
@@ -1626,22 +1488,22 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
     /// `qmin`/`qmax`: Dürr–Høyer quantum extremum over a classical
     /// database (paper §6). Runs Grover rounds on an auxiliary index
-    /// register; inputs and output are classical, and quantum elements
-    /// are measured first.
-    fn extremum(
-        &mut self,
-        builtin: Builtin,
-        name: &str,
-        v: D::Val,
-        span: Span,
-    ) -> QutesResult<D::Val> {
+    /// register; inputs and output are classical (the checker measures
+    /// quantum elements first).
+    fn extremum(&mut self, builtin: Builtin, v: D::Val, span: Span) -> QutesResult<D::Val> {
+        let name = if builtin == Builtin::Qmin {
+            "qmin"
+        } else {
+            "qmax"
+        };
         let Some(cells) = self.dom.cells(&v) else {
-            return match D::split(v) {
-                Ok(v) => Err(QutesError::runtime(
-                    format!("{name}() needs an int array, found {}", v.type_name()),
-                    span,
-                )),
-                Err((u, v)) => self.dom.unknown_op(u, UnknownOp::Builtin(builtin, v)),
+            return match D::value(&v) {
+                Ok(_) => Err(ill_typed("an extremum of a scalar")),
+                Err(u) => {
+                    self.dom
+                        .note(u, "qmin/qmax over a collection the estimator lost track of");
+                    Ok(D::unknown(u, &Type::Int))
+                }
             };
         };
         if cells.is_empty() {
@@ -1652,9 +1514,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
         let (mut values, mut unknown) = (Vec::with_capacity(cells.len()), None);
         for c in &cells {
-            let item = self.dom.read(c, D::Val::clone);
-            match D::value(&self.classical(item)?) {
-                Ok(x) => values.push(x.as_i64().filter(|&x| x >= 0).ok_or_else(|| {
+            match self.dom.read(c, |item| D::value(item).map(Value::as_i64)) {
+                Ok(x) => values.push(x.filter(|&x| x >= 0).ok_or_else(|| {
                     QutesError::runtime(format!("{name}() needs non-negative integers"), span)
                 })? as u64),
                 Err(u) => unknown = Some(u),
@@ -1662,17 +1523,8 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         }
         match unknown {
             None => self.dom.extremum(builtin, &values),
-            Some(u) => Ok(D::unknown(u, Some(Type::Int))),
+            Some(u) => Ok(D::unknown(u, &Type::Int)),
         }
-    }
-}
-
-/// The kind of a register, known or not; `None` for anything else.
-fn kind<D: Domain>(v: &D::Val) -> Option<QKind> {
-    match D::value(v) {
-        Ok(Value::Quantum(q)) => Some(q.kind),
-        Ok(_) => None,
-        Err(_) => D::type_of(v).as_ref().and_then(QKind::of),
     }
 }
 
@@ -1689,8 +1541,16 @@ fn known<D: Domain>(v: D::Val) -> QutesResult<Value> {
     D::split(v).map_err(|_| QutesError::runtime("an operand has no stand-in", Span::default()))
 }
 
-/// The error for reading a variable whose declaration has not run (or
-/// that no declaration binds).
+/// The error for a construct the checker rejects, were its resolution
+/// run: the walker runs only the resolution of a program that checks.
+fn ill_typed(what: &str) -> QutesError {
+    QutesError::Internal {
+        stage: "interp",
+        message: format!("ill-typed resolution: {what}"),
+    }
+}
+
+/// The error for reading a variable whose declaration has not run.
 fn undeclared(var: &Var<'_>, span: Span) -> QutesError {
     QutesError::runtime(format!("use of undeclared variable '{}'", var.name), span)
 }

@@ -295,49 +295,16 @@ pub fn index_value(base: &Value, i: usize, span: Span) -> QutesResult<Value> {
     }
 }
 
-/// True when `v` already has type `ty`, so coercing it is the identity.
-#[inline]
-pub fn conforms(v: &Value, ty: &Type) -> bool {
-    match (ty, v) {
-        (Type::Bool, Value::Bool(_))
-        | (Type::Int, Value::Int(_))
-        | (Type::Float, Value::Float(_))
-        | (Type::String, Value::Str(_))
-        | (Type::Array(_), Value::Array(_)) => true,
-        (Type::Qubit, Value::Quantum(q)) => q.kind == QKind::Qubit,
-        (Type::Quint, Value::Quantum(q)) => q.kind == QKind::Quint,
-        (Type::Qustring, Value::Quantum(q)) => q.kind == QKind::Qustring,
-        _ => false,
+/// An int widened to a float. A float passes unchanged: `int / int`
+/// is typed `int` but yields a float when the division is not exact.
+pub fn widen(v: Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Float(i as f64),
+        v => v,
     }
 }
 
-/// Converts a classical value to a type it does not conform to: an int
-/// widens to a float; anything else is an error.
-pub fn widen(v: Value, ty: &Type, span: Span) -> QutesResult<Value> {
-    match (ty, v) {
-        (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
-        (ty, v) => Err(QutesError::runtime(
-            format!("cannot use a {} value as {ty}", v.type_name()),
-            span,
-        )),
-    }
-}
-
-/// Stores the value a register measured to as the classical type `ty`.
-pub fn store_measured(ty: &Type, m: Value, span: Span) -> QutesResult<Value> {
-    match (ty, m) {
-        (Type::Bool, m @ Value::Bool(_))
-        | (Type::Int, m @ Value::Int(_))
-        | (Type::String, m @ Value::Str(_)) => Ok(m),
-        (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
-        (t, m) => Err(QutesError::runtime(
-            format!("cannot convert measured {} to {t}", m.type_name()),
-            span,
-        )),
-    }
-}
-
-/// The type a `foreach` variable takes when bound to `v`.
+/// The static type of a classical value or a register.
 pub fn runtime_type(v: &Value) -> Type {
     match v {
         Value::Bool(_) => Type::Bool,

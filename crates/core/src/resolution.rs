@@ -10,6 +10,15 @@
 //! [`Callee`]. The interpreter ([`crate::runtime`]) runs on this tree
 //! over frames indexed by slot; it never looks a name up.
 //!
+//! The tree is typed: every [`Expr`] carries the static type the checker
+//! gave it, and every conversion the checker allows between two types
+//! (`types::assignable`) is an explicit [`ExprKind::Convert`] node: a
+//! promotion into a fresh register, an implicit measurement, or an
+//! int-to-float widening, element by element for arrays. Every layer
+//! reads these decisions instead of making its own: the walker executes
+//! the nodes, the resource estimator types its unknown values by them,
+//! and the implicit-measurement lint reports the measurement nodes.
+//!
 //! Frames: each function call gets a frame of [`Function::slots`]
 //! slots for its parameters, `foreach` variables and block locals. The
 //! top-level statements run in the main frame ([`Resolution::main_slots`]
@@ -21,12 +30,11 @@
 //! scopes live at run time would give: a global slot stays empty until
 //! its declaration runs, so reading it earlier (say, in a function
 //! called before a global it reads is declared) fails at run time with
-//! "use of undeclared variable". The resolver never rejects a program: a
-//! name it cannot bind becomes [`Loc::Unresolved`], which fails when
-//! (and only when) it is evaluated. So a `skip_typecheck` run, which
-//! executes a program the checker rejects, fails only where a run-time
-//! lookup would.
+//! "use of undeclared variable". Only the resolution of a program the
+//! checker accepts is run, estimated or linted; in a rejected program a
+//! name the checker cannot bind gets a placeholder slot.
 
+use crate::value::QKind;
 use qutes_frontend::ast::{AssignOp, BinOp, FunctionDecl, GateKind, Type, UnOp};
 use qutes_frontend::{Diagnostic, KetState, Span};
 
@@ -67,41 +75,18 @@ pub enum Loc {
     Local(u32),
     /// A global slot.
     Global(u32),
-    /// No declaration binds the name here; evaluating it is an error.
-    Unresolved,
-}
-
-/// A variable's static type.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum VarType<'a> {
-    /// The declared type of the variable or parameter.
-    Declared(&'a Type),
-    /// A `foreach` variable: it takes the runtime type of the element
-    /// it is bound to, on each iteration.
-    Loop,
 }
 
 /// A resolved variable reference.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Var<'a> {
     /// The source name (for messages and register names).
     pub name: &'a str,
     /// Its slot.
     pub at: Loc,
-    /// Its type.
-    pub ty: VarType<'a>,
-}
-
-/// Where a declaration stores its value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeclSlot {
-    /// A frame slot.
-    Local(u32),
-    /// A global slot; declaring it twice is an error at run time.
-    Global(u32),
-    /// The innermost scope already declares the name: the declaration
-    /// fails after evaluating its initialiser.
-    Duplicate,
+    /// Its static type: the declared one, or a `foreach` variable's
+    /// element type.
+    pub ty: Type,
 }
 
 /// An assignment target.
@@ -124,8 +109,8 @@ pub enum Stmt<'a> {
         /// Variable name (also the name of a promoted register).
         name: &'a str,
         /// Where the value goes.
-        slot: DeclSlot,
-        /// Optional initialiser.
+        slot: Loc,
+        /// Optional initialiser, converted to the declared type.
         init: Option<Expr<'a>>,
         /// Statement span.
         span: Span,
@@ -136,7 +121,7 @@ pub enum Stmt<'a> {
         target: Place<'a>,
         /// Operator.
         op: AssignOp,
-        /// Right-hand side.
+        /// Right-hand side; for `=`, converted to the target's type.
         value: Expr<'a>,
         /// Statement span.
         span: Span,
@@ -176,14 +161,14 @@ pub enum Stmt<'a> {
     },
     /// `return expr?;`
     Return {
-        /// Returned value.
+        /// Returned value, converted to the function's return type.
         value: Option<Expr<'a>>,
         /// Statement span.
         span: Span,
     },
     /// `print expr;`
     Print {
-        /// Printed value.
+        /// Printed value (a quantum one is measured by the statement).
         value: Expr<'a>,
         /// Statement span.
         span: Span,
@@ -250,11 +235,15 @@ impl Stmt<'_> {
 pub struct Expr<'a> {
     /// What it is.
     pub kind: ExprKind<'a>,
+    /// Its static type (`void` where the checker reported an error).
+    pub ty: Type,
     /// Source span.
     pub span: Span,
 }
 
 /// Resolved expression kinds; literals and operators as in the AST.
+/// A literal's kind follows its type: `0q` of type `qubit` is a basis
+/// qubit, `[a, b]q` of type `qubit` an amplitude pair.
 #[derive(Debug)]
 pub enum ExprKind<'a> {
     /// Integer literal.
@@ -302,11 +291,43 @@ pub enum ExprKind<'a> {
         name: &'a str,
         /// What it calls.
         callee: Callee,
-        /// Arguments.
+        /// Arguments, converted to the parameters' types.
         args: Vec<Expr<'a>>,
     },
     /// `measure expr` as an expression.
     Measure(Box<Expr<'a>>),
+    /// The inner expression converted to this node's type. Its span is
+    /// the inner expression's.
+    Convert(Conversion<'a>, Box<Expr<'a>>),
+}
+
+/// A conversion the checker decided: one non-identity row of
+/// [`crate::types::assignable`], or the measurement of a quantum operand
+/// in a classical context.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Conversion<'a> {
+    /// A classical value promoted into a fresh register of this kind,
+    /// named after the variable or parameter it initialises (a fresh
+    /// name where there is none).
+    Promote(QKind, Option<&'a str>),
+    /// An implicit measurement: the register's classical value, widened
+    /// when the node's type is `float`.
+    Measure,
+    /// An int widened to a float.
+    Widen,
+    /// A fresh array of the elements, each converted so.
+    Elements(Box<Conversion<'a>>),
+}
+
+impl Conversion<'_> {
+    /// True when the conversion measures a register.
+    pub fn measures(&self) -> bool {
+        match self {
+            Conversion::Measure => true,
+            Conversion::Elements(c) => c.measures(),
+            Conversion::Promote(..) | Conversion::Widen => false,
+        }
+    }
 }
 
 impl Expr<'_> {
@@ -321,9 +342,10 @@ impl Expr<'_> {
             ExprKind::Call { args, .. } | ExprKind::Array(args) | ExprKind::QuantumArray(args) => {
                 args.iter().any(Expr::calls_function)
             }
-            ExprKind::IndexVar { index: e, .. } | ExprKind::Unary(_, e) | ExprKind::Measure(e) => {
-                e.calls_function()
-            }
+            ExprKind::IndexVar { index: e, .. }
+            | ExprKind::Unary(_, e)
+            | ExprKind::Measure(e)
+            | ExprKind::Convert(_, e) => e.calls_function(),
             ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => {
                 a.calls_function() || b.calls_function()
             }
@@ -348,8 +370,6 @@ pub enum Callee {
     Builtin(Builtin),
     /// The function at this index of [`Resolution::functions`].
     Function(u32),
-    /// No function of that name; calling it is an error.
-    Unknown,
 }
 
 /// The builtin functions.
@@ -439,14 +459,15 @@ mod tests {
         assert!(matches!(
             r.main[0],
             Stmt::Decl {
-                slot: DeclSlot::Global(0),
+                slot: Loc::Global(0),
                 ..
             }
         ));
         let x = printed(&r.main, 1);
         assert_eq!(x.at, Loc::Global(0));
-        assert_eq!(x.ty, VarType::Declared(&Type::Int));
-        assert_eq!(printed(&r.main, 2).at, Loc::Unresolved);
+        assert_eq!(x.ty, Type::Int);
+        // `y` is bound to no declaration: the program is rejected.
+        assert_eq!(printed(&r.main, 2).ty, Type::Void);
         assert_eq!(r.globals, 1);
         assert!(diags[0].message.contains("undeclared variable 'y'"));
     }
@@ -458,10 +479,11 @@ mod tests {
         let Stmt::Block { stmts, .. } = &r.main[0] else {
             panic!("expected a block");
         };
+        // The second declaration reuses the first one's slot.
         assert!(matches!(
             stmts[1],
             Stmt::Decl {
-                slot: DeclSlot::Duplicate,
+                slot: Loc::Local(0),
                 ..
             }
         ));
@@ -478,7 +500,7 @@ mod tests {
         };
         let inner = printed(stmts, 1);
         assert_eq!(inner.at, Loc::Local(0));
-        assert_eq!(inner.ty, VarType::Declared(&Type::Bool));
+        assert_eq!(inner.ty, Type::Bool);
         assert_eq!(printed(&r.main, 2).at, Loc::Global(0));
         assert_eq!(r.main_slots, 1);
     }
@@ -530,7 +552,7 @@ mod tests {
     #[test]
     fn function_table_lookup() {
         let p = program("int f() { return 1; } print f(); print g(); print len([1]);");
-        let (r, _) = resolve(&p);
+        let (r, diags) = resolve(&p);
         let callee = |i: usize| match &r.main[i] {
             Stmt::Print {
                 value:
@@ -543,7 +565,160 @@ mod tests {
             other => panic!("not a printed call: {other:?}"),
         };
         assert_eq!(callee(0), Callee::Function(0));
-        assert_eq!(callee(1), Callee::Unknown);
+        // `g` names no function: the program is rejected.
+        assert!(diags[0].message.contains("unknown function 'g'"));
         assert_eq!(callee(2), Callee::Builtin(Builtin::Len));
+    }
+
+    /// Checks that the initialiser of `src`'s last declaration, which
+    /// reads `init` (a piece of `src`), is converted to `ty` by `conv`,
+    /// and that the node spans the converted expression.
+    fn converts(src: &str, init: &str, ty: Type, conv: Conversion<'_>) {
+        let p = program(src);
+        let (r, diags) = resolve(&p);
+        assert!(diags.is_empty(), "{src}: {diags:?}");
+        let Some(Stmt::Decl { init: Some(e), .. }) = r.main.last() else {
+            panic!("{src}: the last statement is not an initialised declaration");
+        };
+        let ExprKind::Convert(c, inner) = &e.kind else {
+            panic!("{src}: no conversion node: {e:?}");
+        };
+        assert_eq!(*c, conv, "{src}");
+        assert_eq!(e.ty, ty, "{src}");
+        let start = src.rfind(init).expect("the initialiser is in the source");
+        let span = Span::new(start, start + init.len());
+        assert_eq!((e.span, inner.span), (span, span), "{src}");
+    }
+
+    #[test]
+    fn an_int_is_widened_to_a_float() {
+        converts(
+            "int i = 2; float f = i;",
+            "i",
+            Type::Float,
+            Conversion::Widen,
+        );
+    }
+
+    #[test]
+    fn a_bool_or_an_int_is_promoted_to_a_qubit() {
+        let promote = Conversion::Promote(QKind::Qubit, Some("q"));
+        converts("qubit q = true;", "true", Type::Qubit, promote.clone());
+        converts("qubit q = 1;", "1", Type::Qubit, promote);
+    }
+
+    #[test]
+    fn an_int_or_a_bool_is_promoted_to_a_quint() {
+        let promote = Conversion::Promote(QKind::Quint, Some("n"));
+        converts("quint n = 5;", "5", Type::Quint, promote.clone());
+        converts("bool b = true; quint n = b;", "b", Type::Quint, promote);
+    }
+
+    #[test]
+    fn a_string_is_promoted_to_a_qustring() {
+        let promote = Conversion::Promote(QKind::Qustring, Some("s"));
+        converts("qustring s = \"01\";", "\"01\"", Type::Qustring, promote);
+    }
+
+    #[test]
+    fn a_qubit_is_measured_to_a_bool() {
+        let src = "qubit q = |+>; bool b = q;";
+        converts(src, "q", Type::Bool, Conversion::Measure);
+    }
+
+    #[test]
+    fn a_quint_is_measured_to_an_int() {
+        converts(
+            "quint n = 3q; int i = n;",
+            "n",
+            Type::Int,
+            Conversion::Measure,
+        );
+    }
+
+    #[test]
+    fn a_quint_is_measured_to_a_float() {
+        converts(
+            "quint n = 3q; float f = n;",
+            "n",
+            Type::Float,
+            Conversion::Measure,
+        );
+    }
+
+    #[test]
+    fn a_qustring_is_measured_to_a_string() {
+        let src = "qustring s = \"01\"q; string t = s;";
+        converts(src, "s", Type::String, Conversion::Measure);
+    }
+
+    #[test]
+    fn array_elements_are_converted_one_by_one() {
+        let floats = Type::Array(Box::new(Type::Float));
+        let widen = Conversion::Elements(Box::new(Conversion::Widen));
+        converts("int[] xs = [1]; float[] fs = xs;", "xs", floats, widen);
+        // A literal's elements are converted in place.
+        let p = program("qubit[] qs = [true, 0];");
+        let (r, diags) = resolve(&p);
+        assert!(diags.is_empty(), "{diags:?}");
+        let Stmt::Decl {
+            init:
+                Some(Expr {
+                    kind: ExprKind::Array(items),
+                    ..
+                }),
+            ..
+        } = &r.main[0]
+        else {
+            panic!("not an array literal");
+        };
+        for item in items {
+            let ExprKind::Convert(Conversion::Promote(QKind::Qubit, None), _) = &item.kind else {
+                panic!("element not promoted: {item:?}");
+            };
+            assert_eq!(item.ty, Type::Qubit);
+        }
+    }
+
+    #[test]
+    fn an_identity_assignment_has_no_node() {
+        for src in [
+            "int i = 1;",
+            "qubit q = |0>; qubit r = q;",
+            "quint n = 2q; quint m = n;",
+            "int[] xs = [1]; int[] ys = xs;",
+            "qubit q = 0q;",
+        ] {
+            let p = program(src);
+            let (r, diags) = resolve(&p);
+            assert!(diags.is_empty(), "{src}: {diags:?}");
+            let Some(Stmt::Decl { init: Some(e), .. }) = r.main.last() else {
+                panic!("{src}: no initialised declaration");
+            };
+            assert!(!matches!(e.kind, ExprKind::Convert(..)), "{src}: {e:?}");
+        }
+    }
+
+    #[test]
+    fn foreach_variables_take_their_element_type() {
+        for (src, elem) in [
+            (
+                "qustring s = \"01\"q; foreach b in s { print b; }",
+                Type::Qubit,
+            ),
+            ("int[] xs = [1]; foreach b in xs { print b; }", Type::Int),
+            (
+                "quint[] ns = [1q]; foreach b in ns { print b; }",
+                Type::Quint,
+            ),
+        ] {
+            let p = program(src);
+            let (r, diags) = resolve(&p);
+            assert!(diags.is_empty(), "{src}: {diags:?}");
+            let Some(Stmt::Foreach { body, .. }) = r.main.last() else {
+                panic!("{src}: no foreach");
+            };
+            assert_eq!(printed(body, 0).ty, elem, "{src}");
+        }
     }
 }

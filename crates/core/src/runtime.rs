@@ -5,11 +5,15 @@
 //! pass that "translates quantum operations into corresponding quantum
 //! circuit instructions, while non-quantum operations are executed
 //! directly").
+//!
+//! The symbol pass is the type checker: every run checks its program
+//! first and runs the checker's typed resolution, so no value's type is
+//! decided again at run time. A program the checker rejects does not run.
 
 use crate::casting::TypeCastingHandler as Cast;
 use crate::error::{QutesError, QutesResult};
 use crate::handler::QuantumCircuitHandler;
-use crate::interp::{Domain, Flow, Interp, Role, UnknownOp};
+use crate::interp::{Domain, Flow, Interp, Role};
 use crate::lower::SubstringSearch;
 use crate::ops;
 use crate::resolution::{Builtin, Resolution, Stmt};
@@ -59,8 +63,6 @@ pub struct RunConfig {
     /// each Qutes frame costs native stack, so this errors cleanly long
     /// before the process would overflow).
     pub max_call_depth: usize,
-    /// Skip the static type check (used by tests probing runtime guards).
-    pub skip_typecheck: bool,
     /// Optional fault model applied to every gate and measurement as the
     /// interpreter plays them onto the live state, and to the `shots`
     /// histogram re-execution.
@@ -76,7 +78,7 @@ pub struct RunConfig {
     /// (0 = off, 1 = cancel/merge, 2 = +fusion). Default 1.
     pub opt_level: u8,
     /// Enables the process-global `qutes-obs` collector before the run:
-    /// stage spans (lex/parse/typecheck/decl_pass/op_pass/optimize/
+    /// stage spans (lex/parse/typecheck/op_pass/optimize/
     /// simulate), per-kernel timers, and per-gate counters. The caller
     /// snapshots with `qutes_obs::snapshot()` afterwards. Off by default;
     /// a disabled collector costs one atomic load per recording site.
@@ -116,7 +118,6 @@ impl Default for RunConfig {
             seed: 0,
             max_steps: 1_000_000,
             max_call_depth: 100,
-            skip_typecheck: false,
             noise: None,
             shots: 0,
             memory_budget_bytes: None,
@@ -187,38 +188,33 @@ pub fn run_source(source: &str, config: &RunConfig) -> QutesResult<RunOutcome> {
         Err(ParseFailure::Diagnostics(ds)) => return Err(QutesError::Compile(ds)),
         Err(ParseFailure::Interrupted(reason)) => return Err(QutesError::Interrupted(reason)),
     };
-    // The checker is also the resolver: one walk gives the diagnostics
-    // and the resolved program. Without the check, only the resolution
-    // is kept.
-    let resolution = if config.skip_typecheck {
-        resolve_unchecked(&program)
-    } else {
+    check_and_run(&program, config, &intr)
+}
+
+/// Type-checks and runs an already-parsed program, as [`run_source`]
+/// does after parsing: a program the checker rejects does not run, and
+/// the error holds the checker's diagnostics.
+pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
+    check_and_run(program, config, &config.effective_interrupt())
+}
+
+/// The symbol pass, then the operation pass. The checker is also the
+/// resolver: one walk gives the diagnostics and the typed resolution.
+fn check_and_run(
+    program: &Program,
+    config: &RunConfig,
+    intr: &Interrupt,
+) -> QutesResult<RunOutcome> {
+    let resolution = {
         let _span = qutes_obs::span("stage.typecheck");
         intr.check()?;
-        let (resolution, diags) = types::resolve(&program);
+        let (resolution, diags) = types::resolve(program);
         if !diags.is_empty() {
             return Err(QutesError::Compile(diags));
         }
         resolution
     };
-    run_supervised(&resolution, config, &intr)
-}
-
-/// Runs an already-parsed program. It is resolved but not type-checked
-/// (as under [`RunConfig::skip_typecheck`]).
-pub fn run_program(program: &Program, config: &RunConfig) -> QutesResult<RunOutcome> {
-    run_supervised(
-        &resolve_unchecked(program),
-        config,
-        &config.effective_interrupt(),
-    )
-}
-
-/// The declaration pass of a run that skips the type check: the
-/// checker's resolution, its diagnostics dropped.
-fn resolve_unchecked(program: &Program) -> Resolution<'_> {
-    let _span = qutes_obs::span("stage.decl_pass");
-    types::resolve(program).0
+    run_supervised(&resolution, config, intr)
 }
 
 /// One run with retry-once degradation: a transient failure (resource
@@ -382,10 +378,6 @@ impl Domain for Run {
         Ok(v)
     }
 
-    fn type_of(v: &Value) -> Option<Type> {
-        Some(ops::runtime_type(v))
-    }
-
     fn new_cell(&mut self, v: Value) -> Cell {
         cell(v)
     }
@@ -400,7 +392,7 @@ impl Domain for Run {
         *c.borrow_mut() = v;
     }
 
-    fn array(&mut self, items: Vec<Value>) -> Value {
+    fn array(&mut self, _: &Type, items: Vec<Value>) -> Value {
         Value::Array(Rc::new(RefCell::new(items.into_iter().map(cell).collect())))
     }
 
@@ -514,22 +506,18 @@ impl Domain for Run {
         Ok(())
     }
 
-    fn too_deep(&mut self, max: usize, span: Span) -> QutesResult<Value> {
+    fn too_deep(&mut self, max: usize, span: Span) -> QutesResult<Infallible> {
         Err(QutesError::runtime(
             format!("recursion exceeded {max} nested calls (raise max_call_depth to allow more)"),
             span,
         ))
     }
 
-    fn unknown(u: Infallible, _: Option<Type>) -> Value {
+    fn unknown(u: Infallible, _: &Type) -> Value {
         match u {}
     }
 
     fn note(&mut self, u: Infallible, _: &str) {
-        match u {}
-    }
-
-    fn unknown_op(&mut self, u: Infallible, _: UnknownOp<Value>) -> QutesResult<Value> {
         match u {}
     }
 

@@ -15,12 +15,14 @@
 //!
 //! The same walk is the program's one name resolver: [`resolve`] also
 //! returns the [`Resolution`] the interpreter runs on, with every
-//! variable bound to a frame or global slot. The walk visits every
-//! expression even where type checking stops early; the parts it visits
-//! only to resolve them report nothing, so the diagnostics are those of
-//! the checker alone.
+//! variable bound to a frame or global slot, every expression typed, and
+//! every conversion the checker allows written as an explicit node
+//! ([`conversion`]). The walk visits every expression even where type
+//! checking stops early; the parts it visits only to resolve them report
+//! nothing, so the diagnostics are those of the checker alone.
 
-use crate::resolution::{self as r, Builtin, Callee, DeclSlot, Loc, Resolution, VarType};
+use crate::resolution::{self as r, Builtin, Callee, Conversion, Loc, Resolution};
+use crate::value::QKind;
 use qutes_frontend::ast::*;
 use qutes_frontend::{Diagnostic, Span};
 use std::collections::HashMap;
@@ -32,7 +34,8 @@ pub fn check_program(p: &Program) -> Vec<Diagnostic> {
 
 /// Checks and resolves a whole program: the resolved program the
 /// interpreter runs, and every diagnostic found (empty = ok). The
-/// resolution is complete even when there are diagnostics.
+/// resolution is complete even when there are diagnostics, but only that
+/// of a program without any may be run.
 pub fn resolve(p: &Program) -> (Resolution<'_>, Vec<Diagnostic>) {
     let mut cx = Checker::default();
     // Pass 1: register function signatures (use before declaration is
@@ -82,20 +85,18 @@ pub fn resolve(p: &Program) -> (Resolution<'_>, Vec<Diagnostic>) {
 }
 
 /// One name in one scope.
-struct Binding<'a> {
+struct Binding {
     /// The type the checker sees; `None` when the name is bound only for
     /// the runtime (a `foreach` variable over a value of unknown type),
     /// so the checker looks past it.
     checked: Option<Type>,
     /// Where the runtime finds it.
     at: Loc,
-    /// Its static type for the runtime.
-    ty: VarType<'a>,
 }
 
 struct Checker<'a> {
     /// Lexical scopes, innermost last; `scopes[0]` is the global scope.
-    scopes: Vec<HashMap<&'a str, Binding<'a>>>,
+    scopes: Vec<HashMap<&'a str, Binding>>,
     functions: HashMap<&'a str, (u32, &'a FunctionDecl)>,
     /// Every top-level variable name: its global slot and the type of
     /// its first declaration.
@@ -133,31 +134,84 @@ pub fn measured(t: &Type) -> Option<Type> {
     }
 }
 
+/// The type of one element of a value of type `t`: what indexing it
+/// reads, and what a `foreach` over it binds.
+pub fn element(t: &Type) -> Option<Type> {
+    Some(match t {
+        Type::Array(t) => (**t).clone(),
+        Type::Quint | Type::Qustring => Type::Qubit,
+        Type::String => Type::String,
+        _ => return None,
+    })
+}
+
 /// Can a value of `src` be stored into a slot of type `dst`?
 /// Covers identity, numeric widening, promotion, and auto-measurement.
 pub fn assignable(dst: &Type, src: &Type) -> bool {
-    if dst == src {
-        return true;
-    }
-    match (dst, src) {
-        (Type::Float, Type::Int) => true,
+    dst == src || conversion(dst, src).is_some()
+}
+
+/// The conversion that stores a value of `src` into a slot of type
+/// `dst`, for each pair [`assignable`] allows other than the identity;
+/// `None` for the identity and for every pair it rejects. A promotion is
+/// not named yet.
+pub fn conversion(dst: &Type, src: &Type) -> Option<Conversion<'static>> {
+    Some(match (dst, src) {
+        (Type::Float, Type::Int) => Conversion::Widen,
         // promotion (classical -> quantum)
-        (Type::Qubit, Type::Bool | Type::Int) => true,
-        (Type::Quint, Type::Int | Type::Bool) => true,
-        (Type::Qustring, Type::String) => true,
+        (Type::Qubit, Type::Bool | Type::Int)
+        | (Type::Quint, Type::Int | Type::Bool)
+        | (Type::Qustring, Type::String) => Conversion::Promote(QKind::of(dst)?, None),
         // auto-measure (quantum -> classical)
-        (Type::Bool, Type::Qubit) => true,
-        (Type::Int, Type::Quint) => true,
-        (Type::Float, Type::Quint) => true,
-        (Type::String, Type::Qustring) => true,
-        (Type::Array(d), Type::Array(s)) => assignable(d, s),
-        _ => false,
-    }
+        (Type::Bool, Type::Qubit)
+        | (Type::Int | Type::Float, Type::Quint)
+        | (Type::String, Type::Qustring) => Conversion::Measure,
+        (Type::Array(d), Type::Array(s)) if d != s => {
+            Conversion::Elements(Box::new(conversion(d, s)?))
+        }
+        _ => return None,
+    })
 }
 
 /// Builds a resolved expression.
-fn node(kind: r::ExprKind<'_>, span: Span) -> r::Expr<'_> {
-    r::Expr { kind, span }
+fn node<'a>(kind: r::ExprKind<'a>, ty: Option<Type>, span: Span) -> r::Expr<'a> {
+    r::Expr {
+        kind,
+        ty: ty.unwrap_or(Type::Void),
+        span,
+    }
+}
+
+/// `n` stored into a slot of type `dst`: wrapped in the node of its
+/// [`conversion`], a promotion named `name`; unchanged for the identity
+/// (and for a pair the checker rejects).
+fn coerce<'a>(n: r::Expr<'a>, dst: &Type, name: Option<&'a str>) -> r::Expr<'a> {
+    let conv = match conversion(dst, &n.ty) {
+        Some(Conversion::Promote(kind, _)) => Conversion::Promote(kind, name),
+        Some(conv) => conv,
+        None => return n,
+    };
+    let span = n.span;
+    node(
+        r::ExprKind::Convert(conv, Box::new(n)),
+        Some(dst.clone()),
+        span,
+    )
+}
+
+/// `n` in a classical context: a quantum value is measured.
+fn classical(n: r::Expr<'_>) -> r::Expr<'_> {
+    match measured(&n.ty) {
+        Some(t) => {
+            let span = n.span;
+            node(
+                r::ExprKind::Convert(Conversion::Measure, Box::new(n)),
+                Some(t),
+                span,
+            )
+        }
+        None => n,
+    }
 }
 
 impl<'a> Checker<'a> {
@@ -183,15 +237,8 @@ impl<'a> Checker<'a> {
     /// Declares `name` in the innermost scope. `checked` is the type the
     /// checker records (`None`: bind for the runtime only). Redeclaring
     /// a name the scope already holds is reported, and the declaration
-    /// resolves to [`DeclSlot::Duplicate`] (or to its global slot, which
-    /// the runtime finds already filled).
-    fn declare(
-        &mut self,
-        name: &'a str,
-        checked: Option<Type>,
-        ty: VarType<'a>,
-        span: Span,
-    ) -> DeclSlot {
+    /// resolves to the slot it already has.
+    fn declare(&mut self, name: &'a str, checked: Option<Type>, span: Span) -> Loc {
         let global = self.scopes.len() == 1;
         let global_slot = if global {
             let next = self.globals.len() as u32;
@@ -206,26 +253,21 @@ impl<'a> Checker<'a> {
             if b.checked.is_none() {
                 b.checked = checked;
             }
+            let at = b.at;
             if redeclared {
                 self.error(
                     format!("variable '{name}' is already declared in this scope"),
                     span,
                 );
             }
-            return match global_slot {
-                Some(slot) => DeclSlot::Global(slot),
-                None => DeclSlot::Duplicate,
-            };
+            return at;
         }
-        let (at, decl) = match global_slot {
-            Some(slot) => (Loc::Global(slot), DeclSlot::Global(slot)),
-            None => {
-                let slot = self.fresh_slot();
-                (Loc::Local(slot), DeclSlot::Local(slot))
-            }
+        let at = match global_slot {
+            Some(slot) => Loc::Global(slot),
+            None => Loc::Local(self.fresh_slot()),
         };
-        self.scopes[last].insert(name, Binding { checked, at, ty });
-        decl
+        self.scopes[last].insert(name, Binding { checked, at });
+        at
     }
 
     /// Binds a parameter in the function's scope. A repeated parameter
@@ -233,8 +275,7 @@ impl<'a> Checker<'a> {
     /// same slot.
     fn bind_param(&mut self, p: &'a Param) -> u32 {
         let last = self.scopes.len() - 1;
-        if let Some(b) = self.scopes[last].get_mut(p.name.as_str()) {
-            b.ty = VarType::Declared(&p.ty);
+        if let Some(b) = self.scopes[last].get(p.name.as_str()) {
             let Loc::Local(slot) = b.at else {
                 return 0;
             };
@@ -250,7 +291,6 @@ impl<'a> Checker<'a> {
             Binding {
                 checked: Some(p.ty.clone()),
                 at: Loc::Local(slot),
-                ty: VarType::Declared(&p.ty),
             },
         );
         slot
@@ -259,34 +299,24 @@ impl<'a> Checker<'a> {
     /// Looks `name` up: the type the checker sees (innermost binding it
     /// can see), and the runtime's resolution (innermost binding, else
     /// the global of that name, declared before or after this point).
-    fn lookup(&self, name: &'a str) -> (Option<&Type>, r::Var<'a>) {
-        let mut var = None;
+    fn lookup(&self, name: &'a str) -> (Option<Type>, r::Var<'a>) {
+        let mut at = None;
         for scope in self.scopes.iter().rev() {
             if let Some(b) = scope.get(name) {
-                let v = *var.get_or_insert(r::Var {
-                    name,
-                    at: b.at,
-                    ty: b.ty,
-                });
+                let at = *at.get_or_insert(b.at);
                 if let Some(t) = &b.checked {
-                    return (Some(t), v);
+                    let ty = t.clone();
+                    return (Some(ty.clone()), r::Var { name, at, ty });
                 }
             }
         }
-        let var = var.unwrap_or_else(|| match self.globals.get(name) {
-            Some(&(slot, ty)) => r::Var {
-                name,
-                at: Loc::Global(slot),
-                ty: VarType::Declared(ty),
-            },
-            // Its type is never read: evaluating it fails first.
-            None => r::Var {
-                name,
-                at: Loc::Unresolved,
-                ty: VarType::Loop,
-            },
-        });
-        (None, var)
+        let (at, ty) = match (at, self.globals.get(name)) {
+            (Some(at), _) => (at, Type::Void),
+            (None, Some(&(slot, ty))) => (Loc::Global(slot), ty.clone()),
+            // Only a rejected program names it: a placeholder slot.
+            (None, None) => (Loc::Global(u32::MAX), Type::Void),
+        };
+        (None, r::Var { name, at, ty })
     }
 
     fn check_function(&mut self, f: &'a FunctionDecl) -> r::Function<'a> {
@@ -321,6 +351,7 @@ impl<'a> Checker<'a> {
 
     fn check_condition(&mut self, cond: &'a Expr) -> r::Expr<'a> {
         let (t, n) = self.infer(cond);
+        let n = classical(n);
         if let Some(t) = t {
             let ok = matches!(t, Type::Bool | Type::Int | Type::Qubit | Type::Quint);
             if !ok {
@@ -359,9 +390,9 @@ impl<'a> Checker<'a> {
                             );
                         }
                     }
-                    n
+                    coerce(n, ty, Some(name))
                 });
-                let slot = self.declare(name, Some(ty.clone()), VarType::Declared(ty), *span);
+                let slot = self.declare(name, Some(ty.clone()), *span);
                 r::Stmt::Decl {
                     ty,
                     name,
@@ -409,8 +440,7 @@ impl<'a> Checker<'a> {
             } => {
                 let (it, iterable) = self.infer(iterable);
                 let elem = match it {
-                    Some(Type::Array(t)) => Some(*t),
-                    Some(Type::Qustring) => Some(Type::Qubit),
+                    Some(t @ (Type::Array(_) | Type::Qustring)) => element(&t),
                     Some(other) => {
                         self.error(
                             format!("foreach needs an array or qustring, found {other}"),
@@ -423,9 +453,9 @@ impl<'a> Checker<'a> {
                 self.push();
                 // The variable is bound whatever its type: the runtime
                 // binds it to each element.
-                let slot = match self.declare(var, elem, VarType::Loop, *span) {
-                    DeclSlot::Local(slot) => slot,
-                    DeclSlot::Global(_) | DeclSlot::Duplicate => 0,
+                let slot = match self.declare(var, elem, *span) {
+                    Loc::Local(slot) => slot,
+                    Loc::Global(_) => 0,
                 };
                 let body = body.stmts.iter().map(|st| self.check_stmt(st)).collect();
                 self.pop();
@@ -464,7 +494,7 @@ impl<'a> Checker<'a> {
                                 );
                             }
                         }
-                        Some(n)
+                        Some(coerce(n, expected, None))
                     }
                 };
                 r::Stmt::Return { value, span: *span }
@@ -515,7 +545,6 @@ impl<'a> Checker<'a> {
         let (target_ty, place) = match target {
             LValue::Name(name) => {
                 let (t, var) = self.lookup(name);
-                let t = t.cloned();
                 if t.is_none() {
                     self.error(format!("assignment to undeclared variable '{name}'"), span);
                 }
@@ -528,8 +557,9 @@ impl<'a> Checker<'a> {
                         self.error(format!("array index must be int, found {it}"), idx.span);
                     }
                 }
+                let idx_node = classical(idx_node);
                 let (t, var) = self.lookup(name);
-                let t = match t.cloned() {
+                let t = match t {
                     Some(Type::Array(t)) => Some(*t),
                     Some(other) => {
                         self.error(format!("cannot index into {other}"), span);
@@ -549,7 +579,15 @@ impl<'a> Checker<'a> {
                 if let Some(value_ty) = value_ty {
                     self.check_assign_op(op, target_ty, &value_ty, span);
                 }
-                n
+                match (op, &place) {
+                    (AssignOp::Set, r::Place::Var(var) | r::Place::Index(var, _)) => {
+                        coerce(n, target_ty, Some(var.name))
+                    }
+                    // A compound assignment to a classical target measures
+                    // a quantum operand; a quint target takes it as is.
+                    _ if target_ty.is_quantum() => n,
+                    _ => classical(n),
+                }
             }
             None => self.quiet(value),
         };
@@ -657,12 +695,14 @@ impl<'a> Checker<'a> {
         exprs.iter().map(|e| self.quiet(e)).collect()
     }
 
-    /// Context-aware inference: quantum array literals type differently
-    /// under a `qubit` target (amplitude pair) than under `quint`.
+    /// Context-aware inference: `0q`/`1q` and quantum array literals type
+    /// differently where a `qubit` is expected (a basis qubit, an
+    /// amplitude pair) than elsewhere (a quint), and an array literal's
+    /// elements take the expected element type.
     fn infer_in_context(
         &mut self,
         e: &'a Expr,
-        target: Option<&Type>,
+        expected: Option<&Type>,
     ) -> (Option<Type>, r::Expr<'a>) {
         let (t, kind) = match &e.kind {
             ExprKind::Int(v) => (Some(Type::Int), r::ExprKind::Int(*v)),
@@ -671,7 +711,7 @@ impl<'a> Checker<'a> {
             ExprKind::Str(s) => (Some(Type::String), r::ExprKind::Str(s)),
             ExprKind::Quint(v) => {
                 // `0q`/`1q` under a qubit target are basis-qubit literals.
-                let t = if *v <= 1 && matches!(target, Some(Type::Qubit)) {
+                let t = if *v <= 1 && matches!(expected, Some(Type::Qubit)) {
                     Type::Qubit
                 } else {
                     Type::Quint
@@ -682,10 +722,13 @@ impl<'a> Checker<'a> {
             ExprKind::Ket(k) => (Some(Type::Qubit), r::ExprKind::Ket(*k)),
             ExprKind::Pi => (Some(Type::Float), r::ExprKind::Pi),
             ExprKind::Array(elems) => {
-                let elem_target = match target {
+                let elem_target = match expected {
                     Some(Type::Array(t)) => Some((**t).clone()),
                     _ => None,
                 };
+                // The elements take the target's element type, else the
+                // first element's, widened to a later element's when only
+                // that direction converts (`[1, 2.5]` is a float array).
                 let mut elem_ty: Option<Type> = elem_target.clone();
                 let mut failed = false;
                 let mut nodes = Vec::with_capacity(elems.len());
@@ -702,20 +745,27 @@ impl<'a> Checker<'a> {
                     };
                     match &elem_ty {
                         None => elem_ty = Some(t),
+                        Some(prev) if assignable(prev, &t) => {}
+                        Some(prev) if elem_target.is_none() && assignable(&t, prev) => {
+                            elem_ty = Some(t)
+                        }
                         Some(prev) => {
-                            if !assignable(prev, &t) && !assignable(&t, prev) {
-                                self.error(
-                                    format!(
-                                        "array elements must share a type: found {prev} and {t}"
-                                    ),
-                                    el.span,
-                                );
-                                failed = true;
-                            }
+                            self.error(
+                                format!("array elements must share a type: found {prev} and {t}"),
+                                el.span,
+                            );
+                            failed = true;
                         }
                     }
                 }
-                let t = (!failed).then(|| Type::Array(Box::new(elem_ty.unwrap_or(Type::Int))));
+                let elem_ty = elem_ty.unwrap_or(Type::Int);
+                if !failed {
+                    nodes = nodes
+                        .into_iter()
+                        .map(|n| coerce(n, &elem_ty, None))
+                        .collect();
+                }
+                let t = (!failed).then(|| Type::Array(Box::new(elem_ty)));
                 (t, r::ExprKind::Array(nodes))
             }
             ExprKind::QuantumArray(elems) => {
@@ -748,7 +798,7 @@ impl<'a> Checker<'a> {
                 }
                 let t = if failed {
                     None
-                } else if saw_float || matches!(target, Some(Type::Qubit)) {
+                } else if saw_float || matches!(expected, Some(Type::Qubit)) {
                     if elems.len() != 2 {
                         self.error(
                             "a qubit amplitude literal needs exactly two entries [a, b]",
@@ -765,7 +815,6 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Var(name) => {
                 let (t, var) = self.lookup(name);
-                let t = t.cloned();
                 if t.is_none() {
                     self.error(format!("use of undeclared variable '{name}'"), e.span);
                 }
@@ -778,15 +827,15 @@ impl<'a> Checker<'a> {
                         self.error(format!("index must be int, found {it}"), idx.span);
                     }
                 }
+                let idx_node = classical(idx_node);
                 let (bt, base_node) = self.infer(base);
                 let t = match bt {
-                    Some(Type::Array(t)) => Some(*t),
-                    Some(Type::Qustring) => Some(Type::Qubit),
-                    Some(Type::String) => Some(Type::String),
-                    Some(Type::Quint) => Some(Type::Qubit),
-                    Some(other) => {
-                        self.error(format!("cannot index into {other}"), base.span);
-                        None
+                    Some(t) => {
+                        let elem = element(&t);
+                        if elem.is_none() {
+                            self.error(format!("cannot index into {t}"), base.span);
+                        }
+                        elem
                     }
                     None => None,
                 };
@@ -796,14 +845,16 @@ impl<'a> Checker<'a> {
                         var_span: base_node.span,
                         index: Box::new(idx_node),
                     },
-                    kind => {
-                        r::ExprKind::Index(Box::new(node(kind, base_node.span)), Box::new(idx_node))
-                    }
+                    kind => r::ExprKind::Index(
+                        Box::new(r::Expr { kind, ..base_node }),
+                        Box::new(idx_node),
+                    ),
                 };
                 (t, kind)
             }
             ExprKind::Unary(op, inner) => {
                 let (t, n) = self.infer(inner);
+                let n = classical(n);
                 let t = t.and_then(|t| match op {
                     UnOp::Neg => match t {
                         Type::Int | Type::Float => Some(t),
@@ -833,6 +884,16 @@ impl<'a> Checker<'a> {
                     (Some(lt), Some(rt)) => self.infer_binary(*op, lt, rt, e.span),
                     _ => None,
                 };
+                // The classical operators measure quantum operands, and
+                // `in` a quantum pattern.
+                use BinOp::*;
+                let (ln, rn) = match op {
+                    Div | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or => {
+                        (classical(ln), classical(rn))
+                    }
+                    In => (classical(ln), rn),
+                    Add | Sub | Mul | Shl | Shr => (ln, rn),
+                };
                 (t, r::ExprKind::Binary(*op, Box::new(ln), Box::new(rn)))
             }
             ExprKind::Call(name, args) => self.infer_call(name, args, e.span),
@@ -851,7 +912,8 @@ impl<'a> Checker<'a> {
                 (t, r::ExprKind::Measure(Box::new(n)))
             }
         };
-        (t, node(kind, e.span))
+        let ty = t.clone();
+        (t, node(kind, ty, e.span))
     }
 
     fn infer_call(
@@ -871,9 +933,10 @@ impl<'a> Checker<'a> {
         }
         let Some(&(index, f)) = self.functions.get(name) else {
             self.error(format!("call to unknown function '{name}'"), span);
+            // Only a rejected program calls it: a placeholder index.
             let call = r::ExprKind::Call {
                 name,
-                callee: Callee::Unknown,
+                callee: Callee::Function(u32::MAX),
                 args: self.quiet_all(args),
             };
             return (None, call);
@@ -906,7 +969,7 @@ impl<'a> Checker<'a> {
                     );
                 }
             }
-            nodes.push(n);
+            nodes.push(coerce(n, &p.ty, Some(&p.name)));
         }
         let call = r::ExprKind::Call {
             name,
@@ -938,6 +1001,17 @@ impl<'a> Checker<'a> {
         }
         let (arg_types, nodes): (Vec<Option<Type>>, Vec<r::Expr<'a>>) =
             args.iter().map(|a| self.infer(a)).unzip();
+        // `range` and the casts take a classical value, `qmin`/`qmax`
+        // classical elements: quantum ones are measured.
+        let mut nodes = nodes.into_iter();
+        let first = nodes.next().map(|n| match builtin {
+            Builtin::Range | Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str => {
+                classical(n)
+            }
+            Builtin::Qmin | Builtin::Qmax => coerce(n, &Type::Array(Box::new(Type::Int)), None),
+            _ => n,
+        });
+        let nodes: Vec<r::Expr<'a>> = first.into_iter().chain(nodes).collect();
         let t = match builtin {
             Builtin::Len => {
                 if let Some(Some(t)) = arg_types.first() {

@@ -11,17 +11,6 @@ fn err(src: &str) -> QutesError {
     run_source(src, &RunConfig::default()).expect_err("program should fail")
 }
 
-fn err_no_typecheck(src: &str) -> QutesError {
-    run_source(
-        src,
-        &RunConfig {
-            skip_typecheck: true,
-            ..RunConfig::default()
-        },
-    )
-    .expect_err("program should fail")
-}
-
 fn compile_messages(src: &str) -> Vec<String> {
     match err(src) {
         QutesError::Compile(ds) => ds.into_iter().map(|d| d.message).collect(),
@@ -125,7 +114,7 @@ fn quantum_runtime_faults() {
         .contains("non-negative"));
     // cnot width mismatch (runtime check; widths are dynamic).
     assert!(
-        err_no_typecheck(r#"qustring a = "11"q; qustring b = "111"q; cnot a, b;"#)
+        err(r#"qustring a = "11"q; qustring b = "111"q; cnot a, b;"#)
             .to_string()
             .contains("equal width")
     );
@@ -168,45 +157,28 @@ fn infinite_loop_guard_has_limit_in_message() {
 }
 
 #[test]
-fn runtime_guards_behind_skipped_typecheck() {
-    // With the static checker bypassed, the runtime still rejects badly
-    // typed operations instead of panicking.
-    assert!(err_no_typecheck("print nope;")
-        .to_string()
-        .contains("undeclared"));
-    assert!(err_no_typecheck("int x = 1; measure x;")
-        .to_string()
-        .contains("quantum"));
-    assert!(err_no_typecheck("print len(1);")
-        .to_string()
-        .contains("not defined"));
-    assert!(err_no_typecheck("print width(3);")
-        .to_string()
-        .contains("quantum"));
-    assert!(err_no_typecheck("print range(-1);")
-        .to_string()
-        .contains("non-negative"));
-    assert!(err_no_typecheck("int x = 1; x <<= -2;")
-        .to_string()
-        .contains(">= 0"));
-    assert!(err_no_typecheck("print unknown_fn(1);")
-        .to_string()
-        .contains("unknown function"));
-    assert!(err_no_typecheck("qustring s;")
-        .to_string()
-        .contains("initialiser"));
+fn runtime_guards_and_checker_diagnostics() {
+    // Values the checker cannot see are guarded at run time.
+    assert!(err("print range(-1);").to_string().contains("non-negative"));
+    assert!(err("int x = 1; x <<= -2;").to_string().contains(">= 0"));
+    assert!(err("qustring s;").to_string().contains("initialiser"));
+    // Badly typed operations never run: the checker rejects them.
+    assert!(compile_messages("print nope;")[0].contains("undeclared variable 'nope'"));
+    assert!(compile_messages("int x = 1; measure x;")[0].contains("expects a quantum value"));
+    assert!(compile_messages("print len(1);")[0].contains("len() is not defined for int"));
+    assert!(compile_messages("print width(3);")[0].contains("needs a quantum value"));
+    assert!(compile_messages("print unknown_fn(1);")[0].contains("unknown function"));
 }
 
 #[test]
 fn builtin_arity_checked() {
     assert!(err("print len(1, 2);").to_string().contains("argument"));
-    assert!(err_no_typecheck("quint q = 1q; rotl(q);")
-        .to_string()
-        .contains("2 argument"));
+    assert!(compile_messages("quint q = 1q; rotl(q);")[0].contains("2 argument"));
 }
 
 #[test]
 fn function_runtime_faults() {
-    let e = err_no_typecheck("int f(int a) { return a; } print f();");
-    assert!(e.to_string().contains("expects 1"));
+    assert!(compile_messages("int f(int a) { return a; } print f();")[0].contains("expects 1"));
+    let e = err("int f(int a) { if (a > 0) { return a; } } print f(0);");
+    assert!(e.to_string().contains("finished without returning"));
 }

@@ -8,7 +8,7 @@
 //!
 //! * **spans** — nested wall-time intervals for pipeline stages
 //!   (`stage.lex`, `stage.parse`, `stage.typecheck`, `stage.analyze`,
-//!   `stage.decl_pass`, `stage.op_pass`, `stage.optimize`,
+//!   `stage.op_pass`, `stage.optimize`,
 //!   `stage.transpile`, `stage.simulate`),
 //! * **timers** — aggregated durations for hot kernels
 //!   (`kernel.1q`, `kernel.controlled`, `kernel.swap`, …) — every span

@@ -365,13 +365,37 @@ fn inexact_estimates_are_upper_bounds() {
              int first(int[] ys) { foreach v in ys { v = 1; return 0; } return 1; }\n\
              int r = first(xs);\nif (xs[0] == 1) { quint big = 200; print big; }\n",
         ),
+        // A shift by a run-dependent amount stands in as the amount with
+        // the most swaps (runs at seeds 2 and 4 reach depth 5).
+        (
+            "quint shifted by a measured amount",
+            "quint a = 5; int s = 0; qubit q = |+>; bool m = q; if (m) { s = 1; }\n\
+             a = a << s; print a;\n",
+        ),
+        // A run-dependent bool promoted to a qubit stands in as `true`,
+        // whose promotion emits an X (runs at seeds 2 and 4 emit 5 gates).
+        (
+            "qubit promoted from a measured bool",
+            "qubit q = |+>; bool b = q; qubit r = b; hadamard r; print r;\n",
+        ),
+        ("width of a rebound quint", WIDTH_OF_REBOUND_QUINT),
     ];
     for seed in 1..=4 {
         for (name, source) in programs {
             check_upper_bound(name, source, seed);
         }
     }
+    // `width` of a register of unknown qubits is an unknown int, so the
+    // walk goes on and the estimate bounds the runs.
+    let est = estimate(&parse(WIDTH_OF_REBOUND_QUINT).expect("program parses"));
+    assert!(!est.exact && !est.partial, "notes: {:?}", est.notes);
 }
+
+/// `a` is a register of unknown qubits after the branch; its runs build
+/// 7 ops at depth 3.
+const WIDTH_OF_REBOUND_QUINT: &str = "quint a = 3; quint r = 3; qubit q = |+>; bool m = q;\n\
+     if (m) { int z = 0; } else { a = r; }\n\
+     int w = width(a); if (w == 2) { hadamard q; }\n";
 
 /// When a block or an explored world ends, the cells it made that
 /// nothing outside it reaches are dropped, and a variable it passed by
