@@ -313,15 +313,6 @@ impl<'a> Pass<'a> {
         self.mark(root_var(inner), |v| v.observed = true);
     }
 
-    /// True for an explicit or implicit measurement.
-    fn is_measurement(e: &Expr<'a>) -> bool {
-        match &e.kind {
-            ExprKind::Measure(_) => true,
-            ExprKind::Convert(conv, _) => conv.measures(),
-            _ => false,
-        }
-    }
-
     // ---- walkers ----------------------------------------------------------
 
     fn walk_stmts(&mut self, stmts: &[Stmt<'a>]) {
@@ -348,7 +339,11 @@ impl<'a> Pass<'a> {
                 if let Some(e) = init {
                     self.walk_expr(e);
                     self.check_alias(name, ty, e);
-                    from_measurement = Self::is_measurement(e);
+                    from_measurement = match &e.kind {
+                        ExprKind::Measure(_) => true,
+                        ExprKind::Convert(conv, _) => conv.measures(),
+                        _ => false,
+                    };
                     self.implicit_measure(e, || {
                         format!("when assigned to the {ty} variable '{name}'")
                     });

@@ -35,8 +35,8 @@
 //! name the checker cannot bind gets a placeholder slot.
 
 use crate::value::QKind;
-use qutes_frontend::ast::{AssignOp, BinOp, FunctionDecl, GateKind, Type, UnOp};
-use qutes_frontend::{Diagnostic, KetState, Span};
+use qutes_frontend::ast::{AssignOp, BinOp, GateKind, Type, UnOp};
+use qutes_frontend::{KetState, Span};
 
 /// A whole program, resolved.
 #[derive(Debug)]
@@ -49,16 +49,11 @@ pub struct Resolution<'a> {
     pub globals: usize,
     /// Every function declaration, in source order.
     pub functions: Vec<Function<'a>>,
-    /// "declared more than once" errors for repeated function names; a
-    /// run refuses to start while there are any.
-    pub duplicate_functions: Vec<Diagnostic>,
 }
 
 /// One resolved function.
 #[derive(Debug)]
 pub struct Function<'a> {
-    /// The declaration (name, parameter types, return type, span).
-    pub decl: &'a FunctionDecl,
     /// The frame slot each parameter binds, in parameter order. Two
     /// parameters with the same name share a slot; the later one wins.
     pub params: Vec<u32>,
@@ -543,9 +538,8 @@ mod tests {
     fn function_table_rejects_duplicates() {
         let p = program("int f() { return 1; }\nint f() { return 2; }");
         let (r, diags) = resolve(&p);
-        assert_eq!(r.duplicate_functions.len(), 1);
-        assert!(r.duplicate_functions[0].message.contains("more than once"));
-        assert_eq!(diags[0].message, r.duplicate_functions[0].message);
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].message.contains("'f' is declared more than once"));
         assert_eq!(r.functions.len(), 2);
     }
 

@@ -256,9 +256,6 @@ fn run_attempt(
     }
     failpoint("core.run")
         .map_err(|_| QutesError::Sim(qutes_sim::SimError::AllocationFailed { bytes: 0 }))?;
-    if !program.duplicate_functions.is_empty() {
-        return Err(QutesError::Compile(program.duplicate_functions.clone()));
-    }
 
     // Reject malformed noise probabilities before anything executes.
     if let Some(nm) = &config.noise {

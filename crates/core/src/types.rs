@@ -41,18 +41,15 @@ pub fn resolve(p: &Program) -> (Resolution<'_>, Vec<Diagnostic>) {
     // Pass 1: register function signatures (use before declaration is
     // fine at the top level) and give each top-level variable name its
     // global slot.
-    let mut duplicate_functions = Vec::new();
     let mut index = 0u32;
     for item in &p.items {
         match item {
             Item::Function(f) => {
                 if cx.functions.contains_key(f.name.as_str()) {
-                    let d = Diagnostic::error(
+                    cx.diags.push(Diagnostic::error(
                         format!("function '{}' is declared more than once", f.name),
                         f.span,
-                    );
-                    duplicate_functions.push(d.clone());
-                    cx.diags.push(d);
+                    ));
                 } else {
                     cx.functions.insert(&f.name, (index, f));
                 }
@@ -79,7 +76,6 @@ pub fn resolve(p: &Program) -> (Resolution<'_>, Vec<Diagnostic>) {
         main_slots: cx.slots as usize,
         globals: cx.globals.len(),
         functions,
-        duplicate_functions,
     };
     (resolution, cx.diags)
 }
@@ -335,7 +331,6 @@ impl<'a> Checker<'a> {
         self.pop();
         let slots = std::mem::replace(&mut self.slots, outer_slots) as usize;
         r::Function {
-            decl: f,
             params,
             slots,
             body,
