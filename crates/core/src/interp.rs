@@ -858,6 +858,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
     }
 
     /// A measurement of `v`: its classical value.
+    #[inline(never)]
     fn measure_value(&mut self, v: D::Val, span: Span) -> QutesResult<D::Val> {
         match D::split(v) {
             Ok(Value::Quantum(q)) => self.dom.measure(&q),
