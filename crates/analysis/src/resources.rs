@@ -178,9 +178,11 @@ enum AVal {
 const VOID: AVal = AVal::Known(Value::Void);
 
 impl AVal {
-    /// Forgets a classical value; it keeps its type. A register keeps its
-    /// identity (its qubits exist whatever the run did) unless
-    /// `registers`: a loop may have rebound it to other qubits.
+    /// Forgets a classical value; it keeps its type, the static type of
+    /// the cell that holds it (the walker stores no value off its static
+    /// type). A register keeps its identity (its qubits exist whatever the
+    /// run did) unless `registers`: a loop may have rebound it to other
+    /// qubits.
     fn forget(&mut self, registers: bool) {
         *self = match self {
             AVal::Known(Value::Quantum(q)) if registers => AVal::Unknown(q.kind.as_type()),

@@ -460,7 +460,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             Stmt::Foreach { .. } => self.exec_foreach(s),
             Stmt::Return { value, .. } => {
                 self.returned = match value {
-                    Some(e) => self.eval(e)?,
+                    Some(e) => self.eval_typed(e)?,
                     None => Value::Void.into(),
                 };
                 Ok(Flow::Return)
@@ -553,7 +553,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         span: Span,
     ) -> QutesResult<Flow> {
         let value = match init {
-            Some(e) => self.eval(e)?,
+            Some(e) => self.eval_typed(e)?,
             None => self.default_value(ty, name, span)?,
         };
         self.bind(self.slot(slot), Binding::Owned(value));
@@ -667,13 +667,13 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
             Conversion::Measure => {
                 let m = self.measure_value(v, span)?;
                 match D::split(m) {
-                    Ok(m) if *ty == Type::Float => Ok(ops::widen(m).into()),
+                    Ok(m) if *ty == Type::Float => widen(m),
                     Ok(m) => Ok(m.into()),
                     Err((u, _)) => Ok(D::unknown(u, ty)),
                 }
             }
             Conversion::Widen => match D::split(v) {
-                Ok(v) => Ok(ops::widen(v).into()),
+                Ok(v) => widen(v),
                 Err((u, _)) => Ok(D::unknown(u, ty)),
             },
             Conversion::Elements(conv) => {
@@ -763,7 +763,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
 
         match op {
             AssignOp::Set => {
-                let v = self.eval(value_expr)?;
+                let v = self.eval_typed(value_expr)?;
                 self.lhs_write(&lhs, v);
             }
             AssignOp::Add | AssignOp::Sub => {
@@ -779,11 +779,12 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                         BinOp::Sub
                     };
                     let result = self.classical_binary(bin, current, rhs, target_ty, span)?;
+                    let result = typed::<D>(result, target_ty, value_expr.span)?;
                     self.lhs_write(&lhs, result);
                 }
             }
             AssignOp::Shl | AssignOp::Shr => {
-                let rhs = self.eval(value_expr)?;
+                let rhs = self.eval_typed(value_expr)?;
                 if let Ok(v) = D::value(&rhs) {
                     let k = v
                         .as_i64()
@@ -1008,6 +1009,12 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
         self.eval_slow(e)
     }
 
+    /// Evaluates `e` for a store or a shift amount: see [`typed`].
+    fn eval_typed(&mut self, e: &Expr<'a>) -> QutesResult<D::Val> {
+        let v = self.eval(e)?;
+        typed::<D>(v, &e.ty, e.span)
+    }
+
     /// Evaluates the cheapest expressions (a scalar literal, a variable
     /// holding a scalar, an int operator over two such ints) without the
     /// general dispatch; `None` sends the caller to it. None of these has
@@ -1162,7 +1169,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                 let elem = element(&e.ty).ok_or_else(|| ill_typed("an array of no type"))?;
                 let mut items = Vec::with_capacity(elems.len());
                 for el in elems {
-                    items.push(self.eval(el)?);
+                    items.push(self.eval_typed(el)?);
                 }
                 Ok(self.dom.array(&elem, items))
             }
@@ -1438,7 +1445,7 @@ impl<'p, 'a, D: Domain> Interp<'p, 'a, D> {
                     self.fast_steps(a)?;
                     Binding::Owned(v.into())
                 }
-                (None, None) => Binding::Owned(self.eval(a)?),
+                (None, None) => Binding::Owned(self.eval_typed(a)?),
             };
             self.bind(frame + slot as usize, value);
         }
@@ -1540,6 +1547,28 @@ fn qubits<D: Domain>(v: &D::Val) -> &[usize] {
 /// A lowering arm's operand: known, or a domain's stand-in for it.
 fn known<D: Domain>(v: D::Val) -> QutesResult<Value> {
     D::split(v).map_err(|_| QutesError::runtime("an operand has no stand-in", Span::default()))
+}
+
+/// `v`, a value of static type `ty`, to be stored. The checker decides
+/// every type but one value's: an inexact quotient of two ints is a float
+/// typed `int` (`print 7 / 2` prints `3.5`). A store refuses it, so every
+/// variable, element, parameter and returned value holds a value of its
+/// static type.
+fn typed<D: Domain>(v: D::Val, ty: &Type, span: Span) -> QutesResult<D::Val> {
+    if *ty == Type::Int && matches!(D::value(&v), Ok(Value::Float(_))) {
+        return Err(QutesError::runtime("cannot use a float value as int", span));
+    }
+    Ok(v)
+}
+
+/// An int widened to a float. A float is one already: an inexact
+/// `int / int` quotient, typed `int`, widens to the float it is.
+fn widen<V: From<Value>>(v: Value) -> QutesResult<V> {
+    match v {
+        Value::Int(i) => Ok(Value::Float(i as f64).into()),
+        v @ Value::Float(_) => Ok(v.into()),
+        _ => Err(ill_typed("a widening of a non-number")),
+    }
 }
 
 /// The error for a construct the checker rejects, were its resolution

@@ -295,15 +295,6 @@ pub fn index_value(base: &Value, i: usize, span: Span) -> QutesResult<Value> {
     }
 }
 
-/// An int widened to a float. A float passes unchanged: `int / int`
-/// is typed `int` but yields a float when the division is not exact.
-pub fn widen(v: Value) -> Value {
-    match v {
-        Value::Int(i) => Value::Float(i as f64),
-        v => v,
-    }
-}
-
 /// The static type of a classical value or a register.
 pub fn runtime_type(v: &Value) -> Type {
     match v {

@@ -85,6 +85,40 @@ fn arithmetic_runtime_faults() {
 }
 
 #[test]
+fn inexact_quotient_is_refused_where_stored_as_int() {
+    // `int / int` is typed `int`; an inexact quotient is a float that no
+    // int variable, element, parameter or returned value may hold.
+    for src in [
+        "int x = 7 / 2;",
+        "int k = 7 / 2; int y = 1; y <<= k; print y;",
+        "int y = 1; y <<= 7 / 2; print y;",
+        "int i = 0; i += 7 / 2; print i;",
+        "int x = 0; x = 7 / 2;",
+        "int[] xs = [7 / 2];",
+        "int[] xs = [1]; xs[0] += 7 / 2;",
+        "void g(int a) { print a; } g(7 / 2);",
+        "int f() { return 7 / 2; } print f();",
+    ] {
+        let e = err(src);
+        assert!(
+            matches!(e, QutesError::Runtime { .. }),
+            "{src}: expected a runtime error, got {e}"
+        );
+        assert!(
+            e.to_string().contains("cannot use a float value as int"),
+            "{src}: {e}"
+        );
+    }
+    // Where no int holds it, the quotient is the float it is.
+    let out = run_source(
+        "print 7 / 2; float f = 7 / 2; print f; float g = 1; g += 7 / 2; print g;",
+        &RunConfig::default(),
+    )
+    .expect("program should run");
+    assert_eq!(out.output, ["3.5", "3.5", "4.5"]);
+}
+
+#[test]
 fn bounds_runtime_faults() {
     assert!(err("int[] a = [1, 2]; print a[2];")
         .to_string()
