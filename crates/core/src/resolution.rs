@@ -302,8 +302,8 @@ pub enum ExprKind<'a> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Conversion<'a> {
     /// A classical value promoted into a fresh register of this kind,
-    /// named after the variable or parameter it initialises (a fresh
-    /// name where there is none).
+    /// named after the variable or parameter it initialises or the
+    /// function it is returned from (a fresh name where there is none).
     Promote(QKind, Option<&'a str>),
     /// An implicit measurement: the register's classical value, widened
     /// when the node's type is `float`.
@@ -592,6 +592,21 @@ mod tests {
             Type::Float,
             Conversion::Widen,
         );
+    }
+
+    #[test]
+    fn a_returned_value_is_promoted_in_the_name_of_its_function() {
+        let p = program("quint f() { return 3; }");
+        let (r, diags) = resolve(&p);
+        assert!(diags.is_empty(), "{diags:?}");
+        let Some(Stmt::Return { value: Some(e), .. }) = r.functions[0].body.first() else {
+            panic!("the body is not a return of a value");
+        };
+        let ExprKind::Convert(c, _) = &e.kind else {
+            panic!("no conversion node: {e:?}");
+        };
+        assert_eq!(*c, Conversion::Promote(QKind::Quint, Some("f")));
+        assert_eq!(e.ty, Type::Quint);
     }
 
     #[test]

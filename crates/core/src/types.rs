@@ -100,7 +100,9 @@ struct Checker<'a> {
     /// Next free slot of the frame being resolved (a function's, or the
     /// main frame's).
     slots: u32,
-    current_ret: Option<&'a Type>,
+    /// The function being resolved: a value it returns is converted to
+    /// its return type, and a register promoted there is named after it.
+    current_fn: Option<&'a FunctionDecl>,
     /// Above zero while walking code only to resolve it.
     muted: u32,
     diags: Vec<Diagnostic>,
@@ -113,7 +115,7 @@ impl Default for Checker<'_> {
             functions: HashMap::new(),
             globals: HashMap::new(),
             slots: 0,
-            current_ret: None,
+            current_fn: None,
             muted: 0,
             diags: Vec::new(),
         }
@@ -325,9 +327,9 @@ impl<'a> Checker<'a> {
             }
             params.push(self.bind_param(p));
         }
-        let saved = self.current_ret.replace(&f.ret_type);
+        let saved = self.current_fn.replace(f);
         let body = f.body.stmts.iter().map(|s| self.check_stmt(s)).collect();
-        self.current_ret = saved;
+        self.current_fn = saved;
         self.pop();
         let slots = std::mem::replace(&mut self.slots, outer_slots) as usize;
         r::Function {
@@ -463,21 +465,24 @@ impl<'a> Checker<'a> {
                 }
             }
             Stmt::Return { value, span } => {
-                let value = match (value, self.current_ret) {
+                let value = match (
+                    value,
+                    self.current_fn.map(|f| (f.name.as_str(), &f.ret_type)),
+                ) {
                     (value, None) => {
                         self.error("return outside of a function", *span);
                         value.as_ref().map(|v| self.quiet(v))
                     }
-                    (None, Some(Type::Void)) => None,
-                    (None, Some(other)) => {
+                    (None, Some((_, Type::Void))) => None,
+                    (None, Some((_, other))) => {
                         self.error(format!("function must return a {other} value"), *span);
                         None
                     }
-                    (Some(v), Some(Type::Void)) => {
+                    (Some(v), Some((_, Type::Void))) => {
                         self.error("void function cannot return a value", v.span);
                         Some(self.quiet(v))
                     }
-                    (Some(v), Some(expected)) => {
+                    (Some(v), Some((name, expected))) => {
                         let (actual, n) = self.infer(v);
                         if let Some(actual) = actual {
                             if !assignable(expected, &actual) {
@@ -489,7 +494,7 @@ impl<'a> Checker<'a> {
                                 );
                             }
                         }
-                        Some(coerce(n, expected, None))
+                        Some(coerce(n, expected, Some(name)))
                     }
                 };
                 r::Stmt::Return { value, span: *span }
