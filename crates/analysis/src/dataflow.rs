@@ -291,13 +291,17 @@ impl<'a> Pass<'a> {
         self.mark(Some(src), |v| v.escapes = true);
     }
 
-    /// QL201 at `e` when it is one of the checker's measurement nodes,
-    /// in the classical `context` it names (`in the context ...`). The
-    /// measured variable counts as observed afterwards (satisfies QL003).
-    fn implicit_measure(&mut self, e: &Expr<'a>, context: impl FnOnce() -> String) {
+    /// Walks `e`, an operand in the classical context `site` names (`by
+    /// this condition`). When `e` is one of the checker's measurement
+    /// nodes, QL201 reports it there, and the measured variable counts as
+    /// observed afterwards (satisfies QL003). [`Self::walk_expr`] walks
+    /// every other conversion node through here, so each measurement node
+    /// is reported once, whether or not a site names its context.
+    fn walk_at(&mut self, e: &Expr<'a>, site: impl FnOnce() -> String) {
         let ExprKind::Convert(conv, inner) = &e.kind else {
-            return;
+            return self.walk_expr(e);
         };
+        self.walk_expr(inner);
         if !conv.measures() {
             return;
         }
@@ -306,7 +310,7 @@ impl<'a> Pass<'a> {
             format!(
                 "this {} value is implicitly measured {}; its state collapses",
                 inner.ty,
-                context()
+                site()
             ),
             inner.span,
         );
@@ -337,16 +341,13 @@ impl<'a> Pass<'a> {
             } => {
                 let mut from_measurement = false;
                 if let Some(e) = init {
-                    self.walk_expr(e);
+                    self.walk_at(e, || format!("when assigned to the {ty} variable '{name}'"));
                     self.check_alias(name, ty, e);
                     from_measurement = match &e.kind {
                         ExprKind::Measure(_) => true,
                         ExprKind::Convert(conv, _) => conv.measures(),
                         _ => false,
                     };
-                    self.implicit_measure(e, || {
-                        format!("when assigned to the {ty} variable '{name}'")
-                    });
                 }
                 let id = self.id(*slot);
                 self.vars[id] = Some(VarInfo::new(name, (*ty).clone(), *span, from_measurement));
@@ -357,39 +358,34 @@ impl<'a> Pass<'a> {
                 value,
                 span,
             } => {
-                self.walk_expr(value);
-                let var = match target {
-                    Place::Var(v) => v,
-                    Place::Index(v, idx) => {
-                        self.walk_expr(idx);
-                        self.implicit_measure(idx, || "when used as an index".to_string());
-                        // Writing an element reads the array binding.
-                        self.mark(Some(v), |v| v.used = true);
-                        v
+                let (Place::Var(var) | Place::Index(var, _)) = target;
+                let (name, ty) = (var.name, &var.ty);
+                self.walk_at(value, || match (op, target) {
+                    (AssignOp::Set, Place::Var(_)) => {
+                        format!("when assigned to the {ty} variable '{name}'")
                     }
-                };
-                let name = var.name;
+                    (AssignOp::Set, Place::Index(..)) => {
+                        format!("when assigned to an element of '{name}'")
+                    }
+                    _ => format!("by the '{op}' assignment"),
+                });
+                if let Place::Index(_, idx) = target {
+                    self.walk_at(idx, || "when used as an index".to_string());
+                    // Writing an element reads the array binding.
+                    self.mark(Some(var), |v| v.used = true);
+                }
                 match (op, target) {
                     (AssignOp::Set, Place::Var(_)) => {
-                        self.check_alias(name, &var.ty, value);
-                        let ty = &var.ty;
-                        self.implicit_measure(value, || {
-                            format!("when assigned to the {ty} variable '{name}'")
-                        });
+                        self.check_alias(name, ty, value);
                         // A fresh value replaces the measured one.
                         self.events.push(Ev::Reset {
                             var: self.id(var.at),
                         });
                     }
-                    (AssignOp::Set, Place::Index(..)) => {
-                        self.implicit_measure(value, || {
-                            format!("when assigned to an element of '{name}'")
-                        });
-                    }
+                    (AssignOp::Set, Place::Index(..)) => {}
                     (AssignOp::Add | AssignOp::Sub | AssignOp::Shl | AssignOp::Shr, _) => {
                         // Compound assignment reads the target.
                         self.mark(Some(var), |v| v.used = true);
-                        self.implicit_measure(value, || format!("by the '{op}' assignment"));
                         if var.ty.is_quantum() {
                             self.quantum_use(var, *span);
                             if matches!(op, AssignOp::Add | AssignOp::Sub) && value.ty.is_quantum()
@@ -406,8 +402,7 @@ impl<'a> Pass<'a> {
                 else_block,
                 ..
             } => {
-                self.walk_expr(cond);
-                self.implicit_measure(cond, || "by this condition".to_string());
+                self.walk_at(cond, || "by this condition".to_string());
                 self.events.push(Ev::BranchStart {
                     has_else: else_block.is_some(),
                 });
@@ -425,8 +420,7 @@ impl<'a> Pass<'a> {
                 // The condition re-evaluates every iteration: its events
                 // belong to the loop header, not the pre-loop block.
                 self.events.push(Ev::LoopStart);
-                self.walk_expr(cond);
-                self.implicit_measure(cond, || "by this condition".to_string());
+                self.walk_at(cond, || "by this condition".to_string());
                 self.events.push(Ev::BodyStart);
                 self.walk_block(body);
                 self.events.push(Ev::LoopEnd);
@@ -452,8 +446,7 @@ impl<'a> Pass<'a> {
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
-                    self.walk_expr(e);
-                    self.implicit_measure(e, || "when returned".to_string());
+                    self.walk_at(e, || "when returned".to_string());
                     self.mark(root_var(e), |v| v.escapes = true);
                 }
                 self.events.push(Ev::Ret);
@@ -496,68 +489,59 @@ impl<'a> Pass<'a> {
             ExprKind::Var(v) => self.mark(Some(v), |v| v.used = true),
             ExprKind::IndexVar { var, index, .. } => {
                 self.mark(Some(var), |v| v.used = true);
-                self.walk_expr(index);
-                self.implicit_measure(index, || "when used as an index".to_string());
+                self.walk_at(index, || "when used as an index".to_string());
             }
             ExprKind::Index(b, i) => {
                 self.walk_expr(b);
-                self.walk_expr(i);
-                self.implicit_measure(i, || "when used as an index".to_string());
+                self.walk_at(i, || "when used as an index".to_string());
             }
             ExprKind::Unary(op, inner) => {
-                self.walk_expr(inner);
                 let op = match op {
                     UnOp::Neg => '-',
                     UnOp::Not => '!',
                 };
-                self.implicit_measure(inner, || format!("by the '{op}' operator"));
+                self.walk_at(inner, || format!("by the '{op}' operator"));
             }
-            ExprKind::Binary(op, l, r) => {
-                self.walk_expr(l);
-                self.walk_expr(r);
-                match op {
-                    // Quantum arithmetic / shifts operate on live state.
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Shl | BinOp::Shr => {
-                        for side in [l, r] {
-                            if side.ty.is_quantum() {
-                                self.check_quantum_use(side);
-                            }
-                        }
+            ExprKind::Binary(op, l, r) => match op {
+                // Quantum arithmetic / shifts operate on live state.
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Shl | BinOp::Shr => {
+                    for side in [l, r] {
+                        self.walk_expr(side);
                     }
-                    // `pattern in haystack` runs Grover on the haystack
-                    // and implicitly measures a quantum pattern.
-                    BinOp::In => {
-                        if r.ty.is_quantum() {
-                            self.check_quantum_use(r);
-                        }
-                        self.implicit_measure(l, || {
-                            "when used as an 'in' search pattern".to_string()
-                        });
-                    }
-                    // Classical-only operators auto-measure quantum
-                    // operands.
-                    BinOp::Eq
-                    | BinOp::Ne
-                    | BinOp::Lt
-                    | BinOp::Le
-                    | BinOp::Gt
-                    | BinOp::Ge
-                    | BinOp::Div
-                    | BinOp::Mod
-                    | BinOp::And
-                    | BinOp::Or => {
-                        for side in [l, r] {
-                            self.implicit_measure(side, || {
-                                format!("by the classical '{op}' operator")
-                            });
+                    for side in [l, r] {
+                        if side.ty.is_quantum() {
+                            self.check_quantum_use(side);
                         }
                     }
                 }
-            }
+                // `pattern in haystack` runs Grover on the haystack and
+                // implicitly measures a quantum pattern.
+                BinOp::In => {
+                    self.walk_at(l, || "when used as an 'in' search pattern".to_string());
+                    self.walk_expr(r);
+                    if r.ty.is_quantum() {
+                        self.check_quantum_use(r);
+                    }
+                }
+                // Classical-only operators auto-measure quantum operands.
+                BinOp::Eq
+                | BinOp::Ne
+                | BinOp::Lt
+                | BinOp::Le
+                | BinOp::Gt
+                | BinOp::Ge
+                | BinOp::Div
+                | BinOp::Mod
+                | BinOp::And
+                | BinOp::Or => {
+                    for side in [l, r] {
+                        self.walk_at(side, || format!("by the classical '{op}' operator"));
+                    }
+                }
+            },
             ExprKind::Call { name, callee, args } => {
                 for a in args {
-                    self.walk_expr(a);
-                    self.implicit_measure(a, || match callee {
+                    self.walk_at(a, || match callee {
                         Callee::Builtin(
                             Builtin::Int | Builtin::Float | Builtin::Bool | Builtin::Str,
                         ) => format!("by the {name}() cast"),
@@ -597,11 +581,10 @@ impl<'a> Pass<'a> {
                 self.walk_expr(inner);
                 self.mark_measured(inner, e.span);
             }
-            ExprKind::Convert(_, inner) => self.walk_expr(inner),
+            ExprKind::Convert(..) => self.walk_at(e, || "in a classical context".to_string()),
             ExprKind::Array(items) => {
                 for i in items {
-                    self.walk_expr(i);
-                    self.implicit_measure(i, || "when stored in an array".to_string());
+                    self.walk_at(i, || "when stored in an array".to_string());
                 }
             }
             ExprKind::QuantumArray(items) => {
